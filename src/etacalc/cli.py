@@ -11,7 +11,8 @@ with a distinct code per failure class:
 * 2 -- the scenario is invalid (JSON/schema violation or a semantic problem
   such as an unknown connection name or an unmet check precondition)
 * 3 -- a numerical guard tripped (memory guard, eigenvalue-tracking
-  ambiguity, interpolation guard)
+  ambiguity, spectral flow unstable under cutoff growth, interpolation
+  guard)
 
 Experiments are independent of each other; they are executed in file order
 but the report is assembled sorted by check id, so the output does not
@@ -320,7 +321,6 @@ def _run_experiment(
                 _build_path(scn, exp),
                 tol=tol(1e-8),
                 cutoff=int(exp.get("cutoff", 8)),
-                m0=int(exp.get("intervals", 8)),
                 check_id=label,
             )
         ]

@@ -1,18 +1,19 @@
 """Spectral flow for paths of (possibly non-self-adjoint) operators.
 
-Eigenvalues are tracked along a sampled operator path by
-minimal-total-distance matching between consecutive spectra, with adaptive
-bisection wherever the matching is ambiguous (eigenvalues move more than
-half the local spectral gap) or a track hugs the imaginary axis closely
-enough to hide a double crossing.  The flow counts signed crossings of the
-imaginary axis Re lambda = 0.
+For a path of finite matrices with axis-free endpoints the spectral flow
+is a net change of inertia, #{Re lambda >= 0} at the end minus that count
+at the start, so only the endpoint spectra enter.  What a Galerkin
+truncation can get wrong is the cutoff, never a grid (see the
+cutoff-stability guard in :mod:`etacalc.verify`).
 
 Sign convention: a track moving from Re < 0 to Re >= 0 contributes +1.
 This is the classical (self-adjoint) convention; it is the unique choice
 consistent with the complex-valued variation formula on the circle, where
 eta_bar(1) - eta_bar(0) = sf + transgression integral demands sf = +w for
-the winding-w gauge path (each tower's floor(Re mu) rises by w).  Both raw
-crossing counts are exposed for callers that prefer the opposite ordering.
+the winding-w gauge path (each tower's floor(Re mu) rises by w).
+
+Eigenvalue tracking (:func:`track_path`) only feeds the ``tracks`` CSV
+artifact, which shows where crossings happen; no check reads it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .spectral import OperatorTruncation, spectrum
 
 class TrackError(RuntimeError):
     """Eigenvalue tracking could not be disambiguated within the refinement
-    budget (near-collision or axis tangency)."""
+    budget (near-collision)."""
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,11 @@ class EigenvalueTrack:
 
     times: np.ndarray
     values: np.ndarray
-    axis_delta: float
     refinement_log: tuple[tuple[float, float, str], ...]
 
     @property
     def n_tracks(self) -> int:
         return self.values.shape[1]
-
-    def track(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.values[0], self.values[-1]
 
 
 def _sample_spectrum(sample) -> np.ndarray:
@@ -71,14 +65,6 @@ def _sample_spectrum(sample) -> np.ndarray:
     raise TypeError("path samples must be truncations, matrices, or spectra")
 
 
-def _distinct_neighbor_distance(vals: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Per-eigenvalue distance to the nearest *distinct* eigenvalue
-    (co-located cluster members closer than cluster_tol do not count)."""
-    dist = np.abs(vals[:, None] - vals[None, :])
-    dist[dist <= cluster_tol] = np.inf
-    return dist.min(axis=1)
-
-
 def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Reorder v to minimize the total matching distance to u."""
     cost = np.abs(u[:, None] - v[None, :])
@@ -89,27 +75,23 @@ def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _needs_refinement(
-    u: np.ndarray, v: np.ndarray, delta: float, cluster_tol: float
+    u: np.ndarray, v: np.ndarray, cluster_tol: float
 ) -> str | None:
-    moves = np.abs(u - v)
+    # co-located eigenvalues (closer than cluster_tol) form one cluster;
+    # when the clusters differ at the two interval ends, eigenvalues
+    # collide or split inside it and the matching cannot tell them apart
+    dist_u = np.abs(u[:, None] - u[None, :])
+    dist_v = np.abs(v[:, None] - v[None, :])
+    near_u, near_v = dist_u <= cluster_tol, dist_v <= cluster_tol
+    if np.any(near_u != near_v):
+        return "collision"
     # a track is safely matchable when it moves less than half its own
     # distance to the nearest distinct neighbor at both interval ends
-    room = np.minimum(
-        _distinct_neighbor_distance(u, cluster_tol),
-        _distinct_neighbor_distance(v, cluster_tol),
-    )
-    if np.any(moves > 0.5 * room):
+    dist_u[near_u] = np.inf
+    dist_v[near_v] = np.inf
+    room = np.minimum(dist_u.min(axis=1), dist_v.min(axis=1))
+    if np.any(np.abs(u - v) > 0.5 * room):
         return "matching-ambiguous"
-    # A track that stays on one side of the axis but comes within delta of
-    # it *and* moves farther than the sum of its endpoint distances could
-    # dip across and back unseen; refine until the move budget rules the
-    # dip out.  (Strict inequality so linear tracks starting exactly on
-    # the axis terminate.)
-    for i in range(len(u)):
-        if (u[i].real >= 0) == (v[i].real >= 0):
-            near = min(abs(u[i].real), abs(v[i].real))
-            if near <= delta and moves[i] > abs(u[i].real) + abs(v[i].real):
-                return "axis-proximity"
     return None
 
 
@@ -117,18 +99,17 @@ def track_path(
     path: Callable[[float], object],
     m0: int = 8,
     max_depth: int = 20,
-    axis_delta: float | None = None,
     cluster_tol: float | None = None,
 ) -> EigenvalueTrack:
-    """Track the spectrum of ``path(t)`` over t in [0, 1].
+    """Track the spectrum of ``path(t)`` over t in [0, 1] for the
+    ``tracks`` CSV artifact (spectral flow does not need it; see
+    :func:`spectral_flow`).
 
     ``path`` may return an OperatorTruncation, a square matrix, or a
     precomputed eigenvalue vector (of constant length along the path).  The
     initial grid of ``m0`` intervals is bisected wherever eigenvalue
-    matching is ambiguous or a track hugs the imaginary axis; exceeding
-    ``max_depth`` bisections on one interval raises TrackError.  Tracks
-    that run *along* the axis within delta while moving are treated as
-    genuinely ambiguous and also end in TrackError.
+    matching is ambiguous; exceeding ``max_depth`` bisections on one
+    interval raises TrackError.
     """
     if m0 < 1:
         raise ValueError("need at least one interval")
@@ -137,10 +118,8 @@ def track_path(
     sizes = {len(s) for s in spectra}
     if len(sizes) != 1:
         raise TrackError(f"spectrum size changes along the path: {sorted(sizes)}")
-    scale = max(float(np.max(np.abs(s))) for s in spectra) if spectra else 0.0
-    if axis_delta is None:
-        axis_delta = 1e-3 * (1.0 + scale)
     if cluster_tol is None:
+        scale = max(float(np.max(np.abs(s))) for s in spectra)
         cluster_tol = 1e-9 * (1.0 + scale)
 
     log: list[tuple[float, float, str]] = []
@@ -150,7 +129,7 @@ def track_path(
     def extend(t0: float, u: np.ndarray, t1: float, v_raw: np.ndarray,
                depth: int) -> None:
         v = _match(u, v_raw)
-        reason = _needs_refinement(u, v, axis_delta, cluster_tol)
+        reason = _needs_refinement(u, v, cluster_tol)
         if reason is None:
             out_times.append(t1)
             out_vals.append(v)
@@ -158,8 +137,7 @@ def track_path(
         if depth >= max_depth:
             raise TrackError(
                 f"cannot disambiguate tracks on [{t0:.6g}, {t1:.6g}] "
-                f"after {max_depth} bisections ({reason}); eigenvalues "
-                "may collide or touch the imaginary axis tangentially"
+                f"after {max_depth} bisections ({reason})"
             )
         log.append((t0, t1, reason))
         tm = 0.5 * (t0 + t1)
@@ -175,38 +153,34 @@ def track_path(
     return EigenvalueTrack(
         times=np.array(out_times),
         values=np.vstack(out_vals),
-        axis_delta=axis_delta,
         refinement_log=tuple(log),
     )
 
 
-def crossing_counts(tr: EigenvalueTrack) -> tuple[int, int]:
-    """(number of Re>=0 -> Re<0 transitions, number of Re<0 -> Re>=0
-    transitions) summed over all tracks and grid steps."""
-    nonneg = tr.values.real >= 0
-    pos_to_neg = int(np.sum(nonneg[:-1] & ~nonneg[1:]))
-    neg_to_pos = int(np.sum(~nonneg[:-1] & nonneg[1:]))
-    return pos_to_neg, neg_to_pos
-
-
-def spectral_flow(tr: EigenvalueTrack, axis_tol: float = 1e-9) -> int:
-    """Net signed count of imaginary-axis crossings: +1 per track moving
-    from Re < 0 to Re >= 0, -1 for the reverse (classical convention; see
+def spectral_flow(start, end, axis_tol: float = 1e-9) -> int:
+    """Spectral flow of a path of finite operators from ``start`` to
+    ``end``: the net change of inertia #{Re >= 0}(end) - #{Re >= 0}(start),
+    which equals the signed count of imaginary-axis crossings, +1 per
+    eigenvalue moving from Re < 0 to Re >= 0 (classical convention; see
     the module docstring for why this orientation is forced).
 
-    Endpoint eigenvalues within ``axis_tol`` of the axis are rejected:
-    their class is not stable under perturbation, so the caller must move
-    the endpoints first.
+    Each endpoint may be an OperatorTruncation, a square matrix, or an
+    eigenvalue vector; both must have the same size.  Endpoint eigenvalues
+    within ``axis_tol`` of the axis are rejected: their class is not stable
+    under perturbation, so the caller must move the endpoints first.
     """
-    start, end = tr.endpoints()
-    for side, vals in (("start", start), ("end", end)):
+    a = _sample_spectrum(start)
+    b = _sample_spectrum(end)
+    if len(a) != len(b):
+        raise ValueError(f"endpoint sizes differ: {len(a)} vs {len(b)}")
+    for side, vals in (("start", a), ("end", b)):
         bad = np.abs(vals.real) <= axis_tol
         if np.any(bad):
             raise ValueError(
                 f"{side} of path has eigenvalue(s) on the imaginary axis "
                 f"(|Re| <= {axis_tol:g}): {vals[bad]}; perturb the endpoints"
             )
-    return int(np.sum(end.real >= 0) - np.sum(start.real >= 0))
+    return int(np.sum(b.real >= 0) - np.sum(a.real >= 0))
 
 
 def gauge_path(c: Connection, w: int, t: float) -> Connection:

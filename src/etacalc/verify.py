@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .eta import EtaValue, TowerEta, eta_s1_spectral
-from .flow import gauge_path, spectral_flow, track_path
+from .flow import gauge_path, spectral_flow
 from .geometry import (
     Connection,
     a_coeff,
@@ -282,11 +282,30 @@ def check_gilkey_variation(
     )
 
 
+class CutoffInstabilityError(ArithmeticError):
+    """The truncated spectral flow changed when the Galerkin cutoff grew by
+    one: crossings reach the edge of the truncation window."""
+
+
+def _endpoint_sf(c0: Connection, c1: Connection, cutoff: int) -> int:
+    """Spectral flow from c0 to c1 as the change of inertia of their
+    truncations, trusted only if ``cutoff + 1`` gives the same integer."""
+    sf, wider = (
+        spectral_flow(build_truncation(c0, k), build_truncation(c1, k))
+        for k in (cutoff, cutoff + 1)
+    )
+    if wider != sf:
+        raise CutoffInstabilityError(
+            f"spectral flow {sf} at cutoff {cutoff} but {wider} at cutoff "
+            f"{cutoff + 1}; raise the cutoff"
+        )
+    return sf
+
+
 def check_variation_complex(
     path: Callable[[float], Connection],
     tol: float = 1e-8,
     cutoff: int = 8,
-    m0: int = 8,
     check_id: str = "variation_complex",
 ) -> CheckEntry:
     """Exact complex-valued variation formula along a path of circle
@@ -295,9 +314,10 @@ def check_variation_complex(
         reduced_eta(end) - reduced_eta(start)  ==  sf + <L . CS(start, end)>
 
     Endpoint etas come from closed-form towers (endpoints must be constant
-    and axis-free); sf is computed by eigenvalue tracking of the Galerkin
-    truncations along the path, which may pass through non-constant
-    connections (for example gauge interpolations).
+    and axis-free).  sf is the change of inertia between the Galerkin
+    truncations of the two endpoints, so only ``path(0)`` and ``path(1)``
+    are evaluated; it must agree at ``cutoff`` and ``cutoff + 1``, else
+    CutoffInstabilityError.
     """
     c0 = path(0.0)
     c1 = path(1.0)
@@ -310,9 +330,7 @@ def check_variation_complex(
             "complex variation formula needs axis-free endpoint spectra"
         )
     lhs = t1.value.reduced - t0.value.reduced
-    tr = track_path(lambda t: build_truncation(path(t), cutoff), m0=m0)
-    sf = spectral_flow(tr)
-    rhs = sf + subtorus_pairing(cs_form(c0, c1))
+    rhs = _endpoint_sf(c0, c1, cutoff) + subtorus_pairing(cs_form(c0, c1))
     return make_entry(
         check_id,
         "change of reduced eta equals spectral flow plus the transgression "
@@ -328,16 +346,16 @@ def check_gauge_pumping(
     c: Connection,
     w: int,
     cutoff: int = 8,
-    m0: int = 8,
     check_id: str | None = None,
 ) -> CheckEntry:
     """Spectral flow along the gauge interpolation with winding w equals w
     exactly (integer comparison): the gauge path pumps w eigenvalue towers
-    across the imaginary axis.
+    across the imaginary axis.  sf comes from the endpoint truncations and
+    must agree at ``cutoff`` and ``cutoff + 1``, else
+    CutoffInstabilityError.
     """
     w = int(w)
-    tr = track_path(lambda t: build_truncation(gauge_path(c, w, t), cutoff), m0=m0)
-    sf = spectral_flow(tr)
+    sf = _endpoint_sf(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)
     return make_entry(
         check_id or f"gauge_pumping[w={w}]",
         "spectral flow of the winding-w gauge interpolation equals w",

@@ -194,6 +194,49 @@ def test_memory_guard_exit_code(tmp_cwd, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_cutoff_guard_exit_code(tmp_cwd, capsys):
+    # winding 9 pumps a tower past the edge of the cutoff-8 window, so the
+    # spectral flow reads 8 at cutoff 8 and 9 at cutoff 9: a guard (exit
+    # 3), not a failed identity.  Windings up to 3 stay exact.
+    obj = load_bundled("s1_nonunitary.json")
+    two_pi = 2 * math.pi
+    obj["bundle"] = {"rank": 2}
+    obj["connections"] = {
+        "main": {
+            "dim": 1,
+            "rank": 2,
+            "A": {
+                "dim": 1,
+                "rank": 2,
+                "terms": [
+                    {
+                        "k": [0],
+                        "I": [1],
+                        "re": [[0.0, 0.0], [0.0, two_pi * 0.2]],
+                        "im": [[two_pi * 0.31, 0.0], [0.0, two_pi * 0.57]],
+                    }
+                ],
+            },
+        }
+    }
+    obj["experiments"] = [
+        {"check": "gauge_pumping", "connection": "main", "winding": w,
+         "cutoff": 8}
+        for w in range(-3, 4)
+    ]
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 0
+    report = json.loads((tmp_cwd / obj["output"]["report"]).read_text())
+    assert [e["residual"] for e in report["entries"]] == [0.0] * 7
+    capsys.readouterr()
+    obj["experiments"].append(
+        {"check": "gauge_pumping", "connection": "main", "winding": 9,
+         "cutoff": 8}
+    )
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 3
+    err = capsys.readouterr().err
+    assert "guard" in err and "cutoff 9" in err
+
+
 def test_axis_endpoint_is_scenario_error(tmp_cwd):
     # tower pinned to the imaginary axis: the complex variation formula
     # refuses such endpoints, which the runner reports as exit 2

@@ -1,5 +1,6 @@
-"""Eigenvalue tracking and spectral flow: crossing calibration, gauge-path
-winding, refinement behavior, and collision diagnostics."""
+"""Spectral flow as an endpoint inertia count (crossing calibration,
+gauge-path winding, cutoff growth) and eigenvalue tracking for the
+``tracks`` artifact (matching, refinement, collision diagnostics)."""
 
 import math
 
@@ -8,7 +9,6 @@ import pytest
 
 from etacalc.flow import (
     TrackError,
-    crossing_counts,
     export_tracks_csv,
     gauge_path,
     spectral_flow,
@@ -24,37 +24,37 @@ def test_constant_path_has_constant_tracks_and_zero_flow():
     vals = np.array([1.5 + 0.2j, -0.7, 2.0 - 1.0j])
     tr = track_path(lambda t: vals)
     assert np.allclose(tr.values, tr.values[0][None, :])
-    assert spectral_flow(tr) == 0
-    assert crossing_counts(tr) == (0, 0)
     assert tr.refinement_log == ()
+    assert spectral_flow(vals, vals) == 0
 
 
 def test_single_upward_crossing_is_plus_one():
     # classical sign convention: Re < 0 -> Re >= 0 counts +1 (the choice
     # forced by the complex variation formula; see flow module docstring)
-    tr = track_path(lambda t: np.array([[(t - 0.5) + 0.3j]]))
-    assert spectral_flow(tr) == 1
-    assert crossing_counts(tr) == (0, 1)
+    def path(t):
+        return np.array([[(t - 0.5) + 0.3j]])
+
+    assert spectral_flow(path(0.0), path(1.0)) == 1
 
 
 def test_single_downward_crossing_is_minus_one():
-    tr = track_path(lambda t: np.array([[(0.5 - t) + 0.3j]]))
-    assert spectral_flow(tr) == -1
-    assert crossing_counts(tr) == (1, 0)
+    def path(t):
+        return np.array([[(0.5 - t) + 0.3j]])
+
+    assert spectral_flow(path(0.0), path(1.0)) == -1
 
 
 def test_endpoint_on_axis_is_rejected():
     # starts exactly on the axis, then moves into Re > 0
-    tr = track_path(lambda t: np.array([t + 1j]))
     with pytest.raises(ValueError):
-        spectral_flow(tr)
+        spectral_flow(np.array([1j]), np.array([1 + 1j]))
 
 
-def test_track_moving_along_axis_is_ambiguous():
-    # a track that travels *along* the imaginary axis has no well-defined
-    # crossing count; tracking refuses it
-    with pytest.raises(TrackError):
-        track_path(lambda t: np.array([1j * (1 + t)]))
+def test_endpoint_sizes_must_agree():
+    # a finite-dimensional path keeps its dimension; a size change would
+    # shift the inertia count without any crossing
+    with pytest.raises(ValueError):
+        spectral_flow(np.array([1 + 1j, 2.0]), np.array([1 + 1j]))
 
 
 def test_track_columns_preserve_identity():
@@ -62,7 +62,7 @@ def test_track_columns_preserve_identity():
         return np.array([2 * t - 0.7 + 0.2j, -1 + 0.5 * t + 0.1j])
 
     tr = track_path(path)
-    start, end = tr.endpoints()
+    start, end = tr.values[0], tr.values[-1]
     crossers = [j for j in range(2) if start[j].real < 0 <= end[j].real]
     assert len(crossers) == 1
     j = crossers[0]
@@ -87,18 +87,22 @@ def test_gauge_path_rejects_higher_tori():
 
 def test_gauge_winding_pumps_flow_with_linear_tracks():
     c = diagonal_connection_from_mus([0.3])
-    tr = track_path(lambda t: build_truncation(gauge_path(c, 2, t), 10))
-    assert spectral_flow(tr) == 2
-    assert crossing_counts(tr) == (0, 2)
+
+    def path(t):
+        return build_truncation(gauge_path(c, 2, t), 10)
+
+    assert spectral_flow(path(0.0), path(1.0)) == 2
+    tr = track_path(path)
     # every track is affine in t (exact tower motion 2 pi (n + mu + w t))
     assert np.max(np.abs(np.diff(tr.values, n=2, axis=0))) < 1e-10
 
 
 def test_gauge_winding_negative():
     c = diagonal_connection_from_mus([0.3])
-    tr = track_path(lambda t: build_truncation(gauge_path(c, -3, t), 8))
-    assert spectral_flow(tr) == -3
-    assert crossing_counts(tr) == (3, 0)
+    assert spectral_flow(
+        build_truncation(gauge_path(c, -3, 0.0), 8),
+        build_truncation(gauge_path(c, -3, 1.0), 8),
+    ) == -3
 
 
 def test_gauge_path_dense_nonnormal_triangular():
@@ -108,17 +112,22 @@ def test_gauge_path_dense_nonnormal_triangular():
     a = np.array([[2j * math.pi * 0.3, 0.1],
                   [0.0, 2j * math.pi * (0.62 + 0.1j)]])
     c = Connection.from_constant(1, [a])
-    tr = track_path(lambda t: build_truncation(gauge_path(c, 1, t), 6))
-    assert spectral_flow(tr) == 1
-    assert crossing_counts(tr) == (0, 1)
+    assert spectral_flow(
+        build_truncation(gauge_path(c, 1, 0.0), 6),
+        build_truncation(gauge_path(c, 1, 1.0), 6),
+    ) == 1
 
 
 def test_gauge_path_self_adjoint_avoided_crossing():
     a = np.array([[2j * math.pi * 0.3, 0.1],
                   [-0.1, 2j * math.pi * 0.55]])
     c = Connection.from_constant(1, [a])
-    tr = track_path(lambda t: build_truncation(gauge_path(c, 1, t), 6))
-    assert spectral_flow(tr) == 1
+
+    def path(t):
+        return build_truncation(gauge_path(c, 1, t), 6)
+
+    assert spectral_flow(path(0.0), path(1.0)) == 1
+    tr = track_path(path)
     # self-adjoint path: tracks stay real
     assert np.max(np.abs(tr.values.imag)) < 1e-12
     assert len(tr.refinement_log) > 0  # avoided crossing forces refinement
@@ -130,48 +139,21 @@ def test_classical_two_by_two_crossing_family():
     def path(t):
         return np.array([[t - 0.5, 0.3], [0.3, t - 1.5]])
 
-    tr = track_path(path)
-    assert spectral_flow(tr) == 1
-    assert crossing_counts(tr) == (0, 1)
+    sf = spectral_flow(path(0.0), path(1.0))
+    assert sf == 1
     fine = np.linspace(0, 1, 2001)
     upper = np.array([(t - 1) + np.hypot(0.5, 0.3) for t in fine])
     brute = int(np.sum((upper[:-1] < 0) & (upper[1:] >= 0))
                 - np.sum((upper[:-1] >= 0) & (upper[1:] < 0)))
-    assert spectral_flow(tr) == brute
-
-
-def test_flow_additive_under_concatenation():
-    def full(t):
-        return np.array([2 * t - 0.7 + 0.2j, -1 + 0.5 * t + 0.1j])
-
-    sf_full = spectral_flow(track_path(full))
-    sf_first = spectral_flow(track_path(lambda s: full(0.5 * s)))
-    sf_second = spectral_flow(track_path(lambda s: full(0.5 + 0.5 * s)))
-    assert sf_full == sf_first + sf_second == 1
-
-
-def test_flow_invariant_under_grid_refinement():
-    c = diagonal_connection_from_mus([0.3])
-
-    def path(t):
-        return build_truncation(gauge_path(c, 2, t), 10)
-
-    assert spectral_flow(track_path(path, m0=8)) == 2
-    assert spectral_flow(track_path(path, m0=16)) == 2
-
-    def small(t):
-        return np.array([[(t - 0.5) + 0.3j]])
-
-    assert spectral_flow(track_path(small, m0=8)) == spectral_flow(
-        track_path(small, m0=16)
-    )
+    assert sf == brute
 
 
 def test_flow_stable_under_cutoff_growth():
     c = diagonal_connection_from_mus([0.3])
     flows = [
         spectral_flow(
-            track_path(lambda t: build_truncation(gauge_path(c, 1, t), n))
+            build_truncation(gauge_path(c, 1, 0.0), n),
+            build_truncation(gauge_path(c, 1, 1.0), n),
         )
         for n in (6, 9, 12)
     ]
