@@ -7,7 +7,6 @@ from .eta import (
     eta_heat_estimate,
     eta_s1_closed,
     eta_s1_spectral,
-    hurwitz_zeta,
     m_minus,
 )
 from .flow import (
@@ -20,13 +19,12 @@ from .flow import (
 from .forms import EQ_TOL, SubTorus, TrigPolyForm
 from .geometry import (
     Connection,
+    PreconditionError,
     a_coeff,
     a_coeff_exact,
     cs_form,
     cs_r_poly,
     gauge_transform,
-    l_form,
-    odd_chern_char,
     odd_subtori,
     subtorus_pairing,
 )
@@ -56,6 +54,7 @@ __all__ = [
     "EtaValue",
     "MemoryGuardError",
     "OperatorTruncation",
+    "PreconditionError",
     "SubTorus",
     "TowerEta",
     "TrackError",
@@ -74,10 +73,7 @@ __all__ = [
     "eta_tilde",
     "gauge_path",
     "gauge_transform",
-    "hurwitz_zeta",
-    "l_form",
     "m_minus",
-    "odd_chern_char",
     "odd_subtori",
     "psi_exponential",
     "psi_local",

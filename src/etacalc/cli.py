@@ -8,16 +8,22 @@ with a distinct code per failure class:
 
 * 0 -- everything ran and every check passed
 * 1 -- at least one check entry failed its tolerance
-* 2 -- the scenario is invalid (JSON/schema violation or a semantic problem
-  such as an unknown connection name or an unmet check precondition)
+* 2 -- the scenario is invalid (JSON/schema violation, unknown connection
+  name, shape mismatch) or asks a check for something outside its domain
+  (:class:`~etacalc.geometry.PreconditionError`); nothing else maps here
 * 3 -- a numerical guard tripped (memory guard, eigenvalue-tracking
   ambiguity, spectral flow unstable under cutoff growth, interpolation
   guard)
 
-Experiments are independent of each other; they are executed in file order
-but the report is assembled sorted by check id, so the output does not
-depend on execution order.  Reports are byte-identical across runs except
-for the ``generated_at`` field added when writing to disk.
+Any other exception is a bug and propagates with its traceback.
+
+Each check is one entry of :data:`CHECKS`: its parameter schema, its
+default tolerance and a short runner into :mod:`etacalc.verify`.  The
+scenario schema and the ``--check`` choices are generated from that
+registry.  Experiments are independent of each other; they are executed in
+file order but the report is assembled sorted by check id, so the output
+does not depend on execution order.  Reports are byte-identical across runs
+except for the ``generated_at`` field added when writing to disk.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -35,27 +42,13 @@ import jsonschema
 
 from . import verify
 from .flow import TrackError, export_tracks_csv, gauge_path, track_path
-from .geometry import Connection
+from .geometry import Connection, PreconditionError
 from .spectral import MemoryGuardError, build_truncation, export_spectrum_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SCENARIO = 2
 EXIT_GUARD = 3
-
-CHECK_NAMES = (
-    "cs_odd_chern_pairing",
-    "gilkey_variation",
-    "variation_complex",
-    "gauge_pumping",
-    "re_im_split",
-    "psi_constancy",
-    "eta_tilde_imaginary",
-    "bk_phase",
-    "standard_suite",
-    "spectrum",
-    "tracks",
-)
 
 _FORM_SCHEMA = {
     "type": "object",
@@ -118,31 +111,237 @@ _PATH_SCHEMA = {
     ]
 }
 
-_EXPERIMENT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["check"],
-    "properties": {
-        "check": {"enum": list(CHECK_NAMES)},
-        "label": {"type": "string", "minLength": 1},
-        "connection": {"type": "string"},
-        "reference": {"type": "string"},
-        "from": {"type": "string"},
-        "to": {"type": "string"},
-        "path": _PATH_SCHEMA,
-        "r_values": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 1,
+
+class ScenarioError(ValueError):
+    """The scenario file is structurally valid JSON but semantically wrong
+    (unknown connection name, shape mismatch)."""
+
+
+@dataclass(frozen=True)
+class Scenario:
+    dim: int
+    rank: int
+    connections: dict[str, Connection]
+    seed: int
+    experiments: tuple[dict, ...]
+    report_path: str | None
+    csv_dir: str | None
+
+
+class _CsvSink:
+    """Collects artifact files under one directory, creating it lazily."""
+
+    def __init__(self, directory: str | None, enabled: bool):
+        self.directory = directory or "."
+        self.enabled = enabled
+        self.written: list[str] = []
+
+    def path_for(self, label: str) -> str:
+        os.makedirs(self.directory, exist_ok=True)
+        path = os.path.join(self.directory, f"{label}.csv")
+        self.written.append(path)
+        return path
+
+
+# ----------------------------------------------------------------------
+# the check registry
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment as its runner sees it: ``args`` are its keys with
+    connection names and ``path`` resolved to objects and integers made
+    ints; ``tol`` is the tolerance in force (None for checks without one)."""
+
+    args: dict
+    tol: float | tuple[float, float] | None
+    label: str
+    dim: int
+    rank: int
+    seed: int
+    sink: _CsvSink
+
+
+@dataclass(frozen=True)
+class Check:
+    """A scenario check: the schemas of its parameters, the ones it
+    requires, its default tolerance (None: it takes no tolerance and ignores
+    ``--tol``) and a runner returning one report entry or a list of them.
+    Runners call ``verify`` through the module, at call time."""
+
+    params: dict
+    required: tuple[str, ...]
+    tolerance: float | tuple[float, float] | None
+    run: Callable[[_Experiment], verify.CheckEntry | list[verify.CheckEntry]]
+
+
+def _re_im_split(x: _Experiment) -> list[verify.CheckEntry]:
+    tol_re, tol_im = x.tol if isinstance(x.tol, tuple) else (x.tol, x.tol)
+    return verify.check_re_im_split(
+        x.args["connection"], tol_re=tol_re, tol_im=tol_im, check_id=x.label
+    )
+
+
+def _bk_phase(x: _Experiment) -> verify.CheckEntry:
+    rank = x.args.get("rank", x.rank)
+    return verify.check_bk_phase(
+        rank,
+        dim=x.dim,
+        cutoff=x.args.get("cutoff", 4 if x.dim == 1 else 2),
+        check_id=f"{x.label}[rank={rank},dim={x.dim}]",
+    )
+
+
+def _spectrum_csv(x: _Experiment) -> list[verify.CheckEntry]:
+    if x.sink.enabled:
+        t = build_truncation(x.args["connection"], x.args.get("cutoff", 4))
+        export_spectrum_csv(t, x.sink.path_for(x.label))
+    return []
+
+
+def _tracks_csv(x: _Experiment) -> list[verify.CheckEntry]:
+    if x.sink.enabled:
+        path, cutoff = x.args["path"], x.args.get("cutoff", 8)
+        tr = track_path(
+            lambda t: build_truncation(path(t), cutoff),
+            m0=x.args.get("intervals", 8),
+        )
+        export_tracks_csv(tr, x.sink.path_for(x.label))
+    return []
+
+
+_NAME = {"type": "string"}
+_CUTOFF = {"type": "integer", "minimum": 1}
+
+#: check name -> Check(params, required keys, default tolerance, runner)
+CHECKS: dict[str, Check] = {
+    "cs_odd_chern_pairing": Check(
+        {
+            "connection": _NAME,
+            "r_values": {
+                "type": "array", "items": {"type": "number"}, "minItems": 1
+            },
         },
-        "winding": {"type": "integer"},
-        "rank": {"type": "integer", "minimum": 0},
-        "cutoff": {"type": "integer", "minimum": 1},
-        "samples": {"type": "integer", "minimum": 2},
-        "intervals": {"type": "integer", "minimum": 1},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-    },
+        ("connection",),
+        1e-9,
+        lambda x: [
+            entry
+            for r in x.args.get("r_values", (0.5, 1.0, 2.0))
+            for entry in verify.check_cs_odd_chern_pairing(
+                x.args["connection"], r=r, tol=x.tol, label=x.label
+            )
+        ],
+    ),
+    "gilkey_variation": Check(
+        {"from": _NAME, "to": _NAME},
+        ("from", "to"),
+        1e-6,
+        lambda x: verify.check_gilkey_variation(
+            x.args["from"], x.args["to"], tol=x.tol, check_id=x.label
+        ),
+    ),
+    "variation_complex": Check(
+        {"path": _PATH_SCHEMA, "cutoff": _CUTOFF},
+        ("path",),
+        1e-8,
+        lambda x: verify.check_variation_complex(
+            x.args["path"],
+            tol=x.tol,
+            cutoff=x.args.get("cutoff", 8),
+            check_id=x.label,
+        ),
+    ),
+    "gauge_pumping": Check(
+        {
+            "connection": _NAME,
+            "winding": {"type": "integer"},
+            "cutoff": _CUTOFF,
+        },
+        ("connection", "winding"),
+        None,
+        lambda x: verify.check_gauge_pumping(
+            x.args["connection"],
+            x.args["winding"],
+            cutoff=x.args.get("cutoff", 8),
+            check_id=f"{x.label}[w={x.args['winding']}]",
+        ),
+    ),
+    "re_im_split": Check(
+        {"connection": _NAME}, ("connection",), (1e-6, 1e-8), _re_im_split
+    ),
+    "psi_constancy": Check(
+        {"path": _PATH_SCHEMA, "samples": {"type": "integer", "minimum": 2}},
+        ("path",),
+        1e-9,
+        lambda x: verify.check_psi_constancy(
+            x.args["path"],
+            n_samples=x.args.get("samples", 9),
+            tol=x.tol,
+            check_id=x.label,
+        ),
+    ),
+    "eta_tilde_imaginary": Check(
+        {"connection": _NAME, "reference": _NAME},
+        ("connection",),
+        1e-8,
+        lambda x: verify.check_eta_tilde_imaginary(
+            x.args["connection"],
+            x.args.get("reference"),
+            tol=x.tol,
+            check_id=x.label,
+        ),
+    ),
+    "bk_phase": Check(
+        {"rank": {"type": "integer", "minimum": 0}, "cutoff": _CUTOFF},
+        (),
+        None,
+        _bk_phase,
+    ),
+    "standard_suite": Check(
+        {},
+        (),
+        None,
+        lambda x: [
+            dataclasses.replace(e, check_id=f"{x.label}.{e.check_id}")
+            for e in verify.standard_suite(seed=x.seed).entries
+        ],
+    ),
+    "spectrum": Check(
+        {"connection": _NAME, "cutoff": _CUTOFF},
+        ("connection",),
+        None,
+        _spectrum_csv,
+    ),
+    "tracks": Check(
+        {
+            "path": _PATH_SCHEMA,
+            "cutoff": _CUTOFF,
+            "intervals": {"type": "integer", "minimum": 1},
+        },
+        ("path",),
+        None,
+        _tracks_csv,
+    ),
 }
+
+
+def _experiment_schema(name: str, check: Check) -> dict:
+    """Applies the check's own parameter schema to experiments naming it;
+    keys the check does not read are rejected."""
+    only_this = {"const": name}
+    props = {"check": only_this, "label": {"type": "string", "minLength": 1}}
+    props.update(check.params)
+    if check.tolerance is not None:
+        props["tolerance"] = {"type": "number", "exclusiveMinimum": 0}
+    return {
+        "if": {"required": ["check"], "properties": {"check": only_this}},
+        "then": {
+            "additionalProperties": False,
+            "required": list(check.required),
+            "properties": props,
+        },
+    }
+
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -169,7 +368,12 @@ SCENARIO_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "experiments": {
             "type": "array",
-            "items": _EXPERIMENT_SCHEMA,
+            "items": {
+                "type": "object",
+                "required": ["check"],
+                "properties": {"check": {"enum": list(CHECKS)}},
+                "allOf": [_experiment_schema(n, c) for n, c in CHECKS.items()],
+            },
             "minItems": 1,
         },
         "output": {
@@ -184,20 +388,13 @@ SCENARIO_SCHEMA = {
 }
 
 
-class ScenarioError(ValueError):
-    """The scenario file is structurally valid JSON but semantically wrong
-    (unknown connection name, shape mismatch, unmet check precondition)."""
-
-
-@dataclass(frozen=True)
-class Scenario:
-    dim: int
-    rank: int
-    connections: dict[str, Connection]
-    seed: int
-    experiments: tuple[dict, ...]
-    report_path: str | None
-    csv_dir: str | None
+@functools.cache
+def _scenario_validator():
+    """The scenario validator, meta-checked and built once per process on
+    first use (the meta-check costs far more than a validation)."""
+    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -205,7 +402,11 @@ def load_scenario(path: str) -> Scenario:
     json.JSONDecodeError, and ScenarioError all mean exit code 2."""
     with open(path) as fh:
         obj = json.load(fh)
-    jsonschema.validate(obj, SCENARIO_SCHEMA)
+    error = jsonschema.exceptions.best_match(
+        _scenario_validator().iter_errors(obj)
+    )
+    if error is not None:
+        raise error
     dim = obj["manifold"]["dim"]
     rank = obj["bundle"]["rank"]
     connections: dict[str, Connection] = {}
@@ -236,162 +437,51 @@ def load_scenario(path: str) -> Scenario:
 # experiment execution
 
 
-def _named_connection(scn: Scenario, exp: dict, key: str) -> Connection:
-    name = exp.get(key)
-    if name is None:
-        raise ScenarioError(
-            f"check {exp['check']!r} needs a {key!r} connection name"
-        )
+def _named_connection(scn: Scenario, name: str) -> Connection:
     if name not in scn.connections:
         raise ScenarioError(f"unknown connection {name!r}")
     return scn.connections[name]
 
 
-def _build_path(scn: Scenario, exp: dict) -> Callable[[float], Connection]:
-    spec = exp.get("path")
-    if spec is None:
-        raise ScenarioError(f"check {exp['check']!r} needs a 'path'")
+def _build_path(scn: Scenario, spec: dict) -> Callable[[float], Connection]:
     if spec["kind"] == "linear":
-        for key in ("from", "to"):
-            if spec[key] not in scn.connections:
-                raise ScenarioError(f"unknown connection {spec[key]!r}")
-        c0 = scn.connections[spec["from"]]
-        c1 = scn.connections[spec["to"]]
+        c0 = _named_connection(scn, spec["from"])
+        c1 = _named_connection(scn, spec["to"])
 
         def linear(t: float) -> Connection:
             return Connection(c0.a * (1.0 - t) + c1.a * t, c0.g, c0.g_inv)
 
         return linear
-    base = scn.connections.get(spec["connection"])
-    if base is None:
-        raise ScenarioError(f"unknown connection {spec['connection']!r}")
+    base = _named_connection(scn, spec["connection"])
     w = int(spec["winding"])
     return lambda t: gauge_path(base, w, t)
 
 
-class _CsvSink:
-    """Collects artifact files under one directory, creating it lazily."""
+def _resolve(scn: Scenario, check: Check, exp: dict) -> dict:
+    """The experiment's keys with connection names and the path replaced by
+    the objects they name, and integer parameters made ints."""
+    args = {}
+    for key, value in exp.items():
+        if key in ("connection", "from", "to", "reference"):
+            value = _named_connection(scn, value)
+        elif key == "path":
+            value = _build_path(scn, value)
+        elif check.params.get(key, {}).get("type") == "integer":
+            value = int(value)
+        args[key] = value
+    return args
 
-    def __init__(self, directory: str | None, enabled: bool):
-        self.directory = directory or "."
-        self.enabled = enabled
-        self.written: list[str] = []
 
-    def path_for(self, label: str) -> str:
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, f"{label}.csv")
-        self.written.append(path)
-        return path
-
-
-def _run_experiment(
-    scn: Scenario,
-    exp: dict,
-    label: str,
-    tol_override: float | None,
-    sink: _CsvSink,
-    seed: int,
-) -> list[verify.CheckEntry]:
-    check = exp["check"]
-
-    def tol(default: float) -> float:
-        if tol_override is not None:
-            return tol_override
-        return float(exp.get("tolerance", default))
-
-    if check == "cs_odd_chern_pairing":
-        c = _named_connection(scn, exp, "connection")
-        entries: list[verify.CheckEntry] = []
-        for r in exp.get("r_values", (0.5, 1.0, 2.0)):
-            entries += verify.check_cs_odd_chern_pairing(
-                c, r=float(r), tol=tol(1e-9), label=label
-            )
-        return entries
-    if check == "gilkey_variation":
-        c0 = _named_connection(scn, exp, "from")
-        c1 = _named_connection(scn, exp, "to")
-        return [
-            verify.check_gilkey_variation(
-                c0, c1, tol=tol(1e-6), check_id=label
-            )
-        ]
-    if check == "variation_complex":
-        return [
-            verify.check_variation_complex(
-                _build_path(scn, exp),
-                tol=tol(1e-8),
-                cutoff=int(exp.get("cutoff", 8)),
-                check_id=label,
-            )
-        ]
-    if check == "gauge_pumping":
-        c = _named_connection(scn, exp, "connection")
-        if "winding" not in exp:
-            raise ScenarioError("gauge_pumping needs a 'winding'")
-        w = int(exp["winding"])
-        return [
-            verify.check_gauge_pumping(
-                c, w, cutoff=int(exp.get("cutoff", 8)),
-                check_id=f"{label}[w={w}]",
-            )
-        ]
-    if check == "re_im_split":
-        c = _named_connection(scn, exp, "connection")
-        return verify.check_re_im_split(
-            c, tol_re=tol(1e-6), tol_im=tol(1e-8), check_id=label
-        )
-    if check == "psi_constancy":
-        return [
-            verify.check_psi_constancy(
-                _build_path(scn, exp),
-                n_samples=int(exp.get("samples", 9)),
-                tol=tol(1e-9),
-                check_id=label,
-            )
-        ]
-    if check == "eta_tilde_imaginary":
-        c = _named_connection(scn, exp, "connection")
-        ref = None
-        if "reference" in exp:
-            ref = _named_connection(scn, exp, "reference")
-        return [
-            verify.check_eta_tilde_imaginary(
-                c, ref, tol=tol(1e-8), check_id=label
-            )
-        ]
-    if check == "bk_phase":
-        rank = int(exp.get("rank", scn.rank))
-        return [
-            verify.check_bk_phase(
-                rank,
-                dim=scn.dim,
-                cutoff=int(exp.get("cutoff", 4 if scn.dim == 1 else 2)),
-                check_id=f"{label}[rank={rank},dim={scn.dim}]",
-            )
-        ]
-    if check == "standard_suite":
-        suite = verify.standard_suite(seed=seed)
-        return [
-            dataclasses.replace(e, check_id=f"{label}.{e.check_id}")
-            for e in suite.entries
-        ]
-    if check == "spectrum":
-        if sink.enabled:
-            c = _named_connection(scn, exp, "connection")
-            t = build_truncation(c, int(exp.get("cutoff", 4)))
-            export_spectrum_csv(t, sink.path_for(label))
-        return []
-    if check == "tracks":
-        if sink.enabled:
-            path = _build_path(scn, exp)
-            cutoff = int(exp.get("cutoff", 8))
-            tr = track_path(
-                lambda t: build_truncation(path(t), cutoff),
-                m0=int(exp.get("intervals", 8)),
-            )
-            export_tracks_csv(tr, sink.path_for(label))
-        return []
-    raise ScenarioError(f"unknown check {check!r}")  # unreachable post-schema
+def _tolerance(check: Check, exp: dict, override: float | None):
+    """``--tol``, else the experiment's ``tolerance``, else the check's
+    default; None for checks that take no tolerance."""
+    if check.tolerance is None:
+        return None
+    if override is not None:
+        return override
+    if "tolerance" in exp:
+        return float(exp["tolerance"])
+    return check.tolerance
 
 
 def run_scenario(
@@ -417,8 +507,19 @@ def run_scenario(
     for i, exp in enumerate(scn.experiments):
         if selected_checks and exp["check"] not in selected_checks:
             continue
-        label = exp.get("label", f"e{i:02d}_{exp['check']}")
-        entries += _run_experiment(scn, exp, label, tol_override, sink, seed)
+        check = CHECKS[exp["check"]]
+        out = check.run(
+            _Experiment(
+                args=_resolve(scn, check, exp),
+                tol=_tolerance(check, exp, tol_override),
+                label=exp.get("label", f"e{i:02d}_{exp['check']}"),
+                dim=scn.dim,
+                rank=scn.rank,
+                seed=seed,
+                sink=sink,
+            )
+        )
+        entries += out if isinstance(out, list) else [out]
     return verify.assemble_report(entries, seed=seed), sink
 
 
@@ -452,7 +553,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_SCENARIO
     except jsonschema.ValidationError as exc:
         print(
-            f"error: scenario violates the schema: {exc.message}",
+            f"error: scenario violates the schema at {exc.json_path}: "
+            f"{exc.message}",
             file=sys.stderr,
         )
         return EXIT_SCENARIO
@@ -468,9 +570,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             emit_csv=args.emit_csv,
             seed_override=args.seed,
         )
-    except (ScenarioError, ValueError) as exc:
-        # precondition gates (wrong dimension, non-flat input, axis
-        # endpoints) mean the scenario asked for an inapplicable check
+    except (ScenarioError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except (MemoryGuardError, TrackError, ArithmeticError) as exc:
@@ -501,14 +601,16 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--check",
         action="append",
-        metavar="ID",
-        help="run only experiments with this check id (repeatable)",
+        choices=list(CHECKS),
+        metavar="CHECK",
+        help="run only experiments of this check (repeatable): "
+        + ", ".join(CHECKS),
     )
     run_p.add_argument(
         "--tol",
         type=float,
         default=None,
-        help="override every check tolerance",
+        help="override the tolerance of every check that takes one",
     )
     run_p.add_argument(
         "--emit-csv",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,69 +22,9 @@ from scipy.special import erfc
 
 from .spectral import OperatorTruncation, spectrum
 
-# Bernoulli numbers B_2, B_4, ..., B_28 (exact) for the Euler-Maclaurin tail.
-_BERNOULLI_EVEN = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-    Fraction(-23749461029, 870),
-]
-
-_EM_CORRECTIONS = 14
-
 DEFAULT_EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
 
 MOD_Z_NOTE = "only the fractional part of Re(reduced) is convention-independent"
-
-
-def hurwitz_zeta(s: complex, a: complex) -> complex:
-    """Hurwitz zeta sum (n+a)^{-s}, n >= 0, continued by Euler-Maclaurin.
-
-    Relative error stays below 1e-10 throughout |s| <= 4 for the extended
-    long-double evaluation used here.  Requires Re a > 0 (shift by integers
-    first) and s != 1 (simple pole).
-    """
-    s = complex(s)
-    a = complex(a)
-    if a.real <= 0:
-        raise ValueError("hurwitz_zeta requires Re a > 0; shift a by integers")
-    if s == 1:
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
-    if s == 0:
-        return 0.5 - a  # classical value, exact
-    # summation cutoff: small when Re s < 0.5 (large powers amplify
-    # cancellation in the corrections), larger otherwise for a short tail
-    cutoff = 16 if s.real < 0.5 else 48
-    sl = np.clongdouble(s)
-    al = np.clongdouble(a)
-    acc = np.clongdouble(0)
-    for n in range(cutoff):
-        acc += (al + n) ** (-sl)
-    edge = al + cutoff
-    acc += edge ** (1 - sl) / (sl - 1)
-    acc += 0.5 * edge ** (-sl)
-    rising = sl  # s (s+1) ... (s + 2k - 2)
-    power = edge ** (-sl - 1)
-    inv_edge_sq = 1 / (edge * edge)
-    fact = 1  # (2k)!, kept exact
-    for k in range(1, _EM_CORRECTIONS + 1):
-        fact *= (2 * k - 1) * (2 * k)
-        b = _BERNOULLI_EVEN[k - 1]
-        coeff = np.clongdouble(b.numerator) / np.clongdouble(b.denominator * fact)
-        acc += coeff * rising * power
-        rising = rising * (sl + 2 * k - 1) * (sl + 2 * k)
-        power = power * inv_edge_sq
-    return complex(acc)
 
 
 @dataclass(frozen=True)
@@ -106,9 +45,11 @@ class EtaValue:
 def eta_s1_closed(mus: Iterable[complex]) -> EtaValue:
     """eta(0) for eigenvalue towers {2 pi (n + mu_k)} with 0 < Re mu_k < 1.
 
-    Pairs the positive half-tower zeta(s, mu) against the negative one
-    zeta(s, 1 - mu) at s = 0, giving sum (1 - 2 mu_k).  Boundary values of
-    Re mu must be shifted/bookkept by the caller (see eta_s1_spectral).
+    Pairs the positive half-tower, the Hurwitz zeta function zeta(s, mu),
+    against the negative one, zeta(s, 1 - mu), at s = 0.  With the classical
+    value zeta(0, a) = 1/2 - a each tower contributes
+    (1/2 - mu) - (1/2 - (1 - mu)) = 1 - 2 mu.  Boundary values of Re mu
+    must be shifted/bookkept by the caller (see eta_s1_spectral).
     """
     total = 0j
     for mu in mus:
@@ -117,7 +58,7 @@ def eta_s1_closed(mus: Iterable[complex]) -> EtaValue:
             raise ValueError(
                 f"tower shift {mu} outside the open strip 0 < Re mu < 1"
             )
-        total += hurwitz_zeta(0, mu) - hurwitz_zeta(0, 1 - mu)
+        total += 1 - 2 * mu
     return EtaValue(eta=total, kernel_dim=0)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .forms import TrigPolyForm
-from .geometry import Connection, gauge_transform
+from .geometry import Connection, PreconditionError, gauge_transform
 from .spectral import OperatorTruncation, spectrum
 
 
@@ -176,7 +176,7 @@ def spectral_flow(start, end, axis_tol: float = 1e-9) -> int:
     for side, vals in (("start", a), ("end", b)):
         bad = np.abs(vals.real) <= axis_tol
         if np.any(bad):
-            raise ValueError(
+            raise PreconditionError(
                 f"{side} of path has eigenvalue(s) on the imaginary axis "
                 f"(|Re| <= {axis_tol:g}): {vals[bad]}; perturb the endpoints"
             )
@@ -190,7 +190,7 @@ def gauge_path(c: Connection, w: int, t: float) -> Connection:
     gauge-equivalent, so the path pumps exactly w eigenvalue towers across
     the axis (sf = +w for diagonal A)."""
     if c.dim != 1:
-        raise ValueError("gauge paths are defined on the circle")
+        raise PreconditionError("gauge paths are defined on the circle")
     w = int(w)
     rank = c.rank
     e11 = np.zeros((rank, rank), dtype=complex)

@@ -10,9 +10,7 @@ a Hermitian fiber metric g.  The central derived objects:
   interpolates between the Hermitian connection, the original one, and its
   metric adjoint;
 * Chern--Simons transgression forms between two connections, their
-  expansion in the deformation parameter r, odd Chern forms, the Chern
-  character, the Hirzebruch L-form, and the odd Chern character of a gauge
-  map.
+  expansion in the deformation parameter r, and odd Chern forms.
 
 All conventions are pinned by exactly-computable calibrations in the test
 suite (flat-circle Chern--Simons values, winding numbers, metric
@@ -24,15 +22,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Sequence
+from math import comb
+from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .forms import EQ_TOL, SubTorus, TrigPolyForm
 
 TWO_PI_I = 2j * math.pi
+
+
+class PreconditionError(ValueError):
+    """The inputs are outside the domain of a check or a construction (a
+    non-flat connection, the wrong torus, endpoints on the imaginary axis,
+    different fiber metrics): the question asked is inapplicable, not
+    answered wrongly."""
+
 
 # Deterministic sample points for positive-definiteness spot checks.
 _SPOT_FRACTIONS = (0.0, 0.31830988618, 0.61803398875, 0.14142135623)
@@ -210,9 +215,6 @@ class Connection:
         coef = (1.0 + 1j * complex(r)) / 2.0
         return Connection(self.a + coef * self.omega_metric(), self.g, self.g_inv)
 
-    def metric_adjoint(self) -> "Connection":
-        return self.r_deformation(-1j)
-
     def chern_odd(self, j: int) -> TrigPolyForm:
         """Odd Chern form of degree 2j+1: (2 pi i)^{-j} 2^{-(2j+1)} Tr[omega^{2j+1}]."""
         if j < 0:
@@ -267,7 +269,9 @@ def _check_cs_compatible(c0: Connection, c1: Connection) -> None:
     if c0.dim != c1.dim or c0.rank != c1.rank:
         raise ValueError("connections live on different bundles")
     if not c0.g.allclose(c1.g, 1e-10):
-        raise ValueError("Chern-Simons transgression requires a common metric")
+        raise PreconditionError(
+            "Chern-Simons transgression requires a common metric"
+        )
 
 
 def cs_form(c0: Connection, c1: Connection, branch: int = 1) -> TrigPolyForm:
@@ -293,11 +297,6 @@ def cs_form(c0: Connection, c1: Connection, branch: int = 1) -> TrigPolyForm:
         acc = acc + (0.5 * w) * integrand
     s = phi_scale(branch)
     return (-1.0 / s) * acc.phi_normalize(branch)
-
-
-def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
-    """phi Tr[exp(-curvature)]: rank in degree 0 plus curvature corrections."""
-    return (-c.curvature()).exp_nilpotent().mat_trace().phi_normalize(branch)
 
 
 @dataclass(frozen=True)
@@ -351,75 +350,8 @@ def cs_r_poly(c: Connection, branch: int = 1) -> RPolynomial:
     return RPolynomial(tuple(coeffs[: d + 1]))
 
 
-# log of (x/2)/tanh(x/2) = sum c_{2m} x^{2m}; normalized so the value at
-# x = 0 is 1, making the L-form of a flat connection exactly 1.
-_L_LOG_COEFFS: tuple[tuple[int, float], ...] = (
-    (2, 1.0 / 12.0),
-    (4, -7.0 / 1440.0),
-    (6, 31.0 / 90720.0),
-)
-
-
-def l_form(curv: TrigPolyForm, branch: int = 1) -> TrigPolyForm:
-    """Hirzebruch L-form of a curvature 2-form: phi exp(1/2 Tr log f(R))
-    with f(x) = (x/2)/tanh(x/2); only degrees divisible by 4 occur.
-
-    For the flat tori in scope R = 0 and L = 1; non-zero R exercises the
-    series (tested against a direct det^{1/2} expansion).
-    """
-    if set(curv.degrees()) - {2}:
-        raise ValueError("l_form expects a pure 2-form (a curvature)")
-    d = curv.dim
-    r2 = curv.wedge(curv)
-    acc = TrigPolyForm.zero(d, 1)
-    power = None
-    for m, (x_power, coef) in enumerate(_L_LOG_COEFFS, start=1):
-        if 2 * x_power > d:
-            break
-        power = r2 if power is None else power.wedge(r2)
-        acc = acc + coef * power.mat_trace()
-    if acc.is_zero(0.0):
-        return TrigPolyForm.identity(d, 1)
-    out = (0.5 * acc).exp_nilpotent().phi_normalize(branch)
-    keep = TrigPolyForm.zero(d, 1)
-    for p in range(0, d + 1, 4):
-        keep = keep + out.degree_component(p)
-    return keep
-
-
-def odd_chern_char(
-    gmap: TrigPolyForm, gmap_inv: TrigPolyForm | None = None
-) -> TrigPolyForm:
-    """Odd Chern character of a gauge map g: sum over m of
-    (-1)^m m!/(2m+1)! (2 pi i)^{-(m+1)} Tr[(g^{-1}dg)^{2m+1}].
-
-    The constant is pinned by the circle calibration: the integral over T^1
-    equals the winding number of det(g) (tested), which fixes the m = 0
-    coefficient to 1/(2 pi i).
-    """
-    if set(gmap.degrees()) - {0}:
-        raise ValueError("gauge map must be a degree-0 form")
-    if gmap_inv is None:
-        gmap_inv = invert_degree0(gmap)
-    ident = TrigPolyForm.identity(gmap.dim, gmap.rank)
-    if not gmap.wedge(gmap_inv).allclose(ident, 1e-9):
-        raise ValueError("gmap_inv is not an inverse of gmap")
-    u = gmap_inv.wedge(gmap.ext_d())
-    u2 = u.wedge(u)
-    acc = TrigPolyForm.zero(gmap.dim, 1)
-    upow = u
-    m = 0
-    while 2 * m + 1 <= gmap.dim:
-        coef = ((-1) ** m) * factorial(m) / factorial(2 * m + 1)
-        coef = coef * TWO_PI_I ** (-(m + 1))
-        acc = acc + coef * upow.mat_trace()
-        upow = upow.wedge(u2)
-        m += 1
-    return acc
-
-
 # ----------------------------------------------------------------------
-# gauge action, holonomy, pairings
+# gauge action, pairings
 
 
 def gauge_transform(
@@ -433,12 +365,6 @@ def gauge_transform(
     g_new = u.dagger().wedge(c.g).wedge(u)
     g_inv_new = u_inv.wedge(c.g_inv).wedge(u_inv.dagger())
     return Connection(a_new, g_new, g_inv_new)
-
-
-def holonomy(c: Connection, j: int) -> np.ndarray:
-    """Parallel transport around the j-th coordinate loop for a connection
-    whose dx_j component is constant: exp(-A_j)."""
-    return scipy.linalg.expm(-c.constant_coefficient(j))
 
 
 def subtorus_pairing(

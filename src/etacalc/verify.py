@@ -34,6 +34,7 @@ from .eta import EtaValue, TowerEta, eta_s1_spectral
 from .flow import gauge_path, spectral_flow
 from .geometry import (
     Connection,
+    PreconditionError,
     a_coeff,
     cs_form,
     cs_r_poly,
@@ -204,7 +205,7 @@ def check_cs_odd_chern_pairing(
     subtorus, absolute comparison.
     """
     if not c.is_flat(1e-9):
-        raise ValueError("pairing identity requires a flat connection")
+        raise PreconditionError("pairing identity requires a flat connection")
     r = float(r)
     cs = cs_form(c.hermitian_part(), c.r_deformation(r))
     identity = (
@@ -243,8 +244,15 @@ def check_cs_odd_chern_pairing(
 
 def _require_constant_circle(c: Connection, what: str) -> None:
     if c.dim != 1:
-        raise ValueError(f"{what} uses closed-form circle spectra (dim == 1)")
-    c.constant_coefficient(1)  # raises when the coefficient is x-dependent
+        raise PreconditionError(
+            f"{what} uses closed-form circle spectra (dim == 1)"
+        )
+    try:
+        c.constant_coefficient(1)
+    except ValueError as exc:
+        raise PreconditionError(
+            f"{what} needs a constant connection: {exc}"
+        ) from exc
 
 
 def reduced_eta_circle(c: Connection) -> TowerEta:
@@ -326,7 +334,7 @@ def check_variation_complex(
     t0 = reduced_eta_circle(c0)
     t1 = reduced_eta_circle(c1)
     if t0.excluded or t1.excluded or t0.value.kernel_dim or t1.value.kernel_dim:
-        raise ValueError(
+        raise PreconditionError(
             "complex variation formula needs axis-free endpoint spectra"
         )
     lhs = t1.value.reduced - t0.value.reduced

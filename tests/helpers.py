@@ -195,6 +195,12 @@ def constant_hermitian_metric(rng: np.random.Generator, dim: int, rank: int):
     g_inv = TrigPolyForm.constant(dim, np.linalg.inv(mat))
     return g, g_inv
 
+def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
+    """phi Tr[exp(-curvature)]: rank in degree 0 plus curvature corrections
+    (the oracle that cs_form transgresses)."""
+    return (-c.curvature()).exp_nilpotent().mat_trace().phi_normalize(branch)
+
+
 # ----------------------------------------------------------------------
 # independent eta oracle
 
@@ -207,7 +213,7 @@ def sign_sum_eta_oracle(mu: float, n_terms: int = 2000, n_nodes: int = 7) -> flo
     terms, evaluated on the geometric ladder s_j = 1/2^{j+1}, and
     Neville-extrapolated to s = 0.  Probe accuracy: ~2e-9 for mu in (0,1),
     far inside the 1e-6 comparisons it anchors.  No shared code with the
-    Hurwitz continuation it is used to check.
+    closed form 1 - 2 mu it is used to check.
     """
     n_pos = np.arange(0, n_terms + 1, dtype=float)
     n_neg = np.arange(1, n_terms + 1, dtype=float)

@@ -6,9 +6,13 @@ import math
 import pathlib
 
 import jsonschema
+import numpy as np
 import pytest
 
+from etacalc import cli
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
+from etacalc.forms import TrigPolyForm
+from etacalc.geometry import Connection
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = [
@@ -62,6 +66,91 @@ def test_unknown_check_rejected(tmp_cwd):
     obj = load_bundled("s1_unitary.json")
     obj["experiments"] = [{"check": "not_a_check"}]
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+
+
+_LINEAR = {"kind": "linear", "from": "main", "to": "target"}
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [
+        # keys the check does not read are rejected, not silently ignored
+        (
+            {"check": "variation_complex", "path": _LINEAR, "intervals": 3,
+             "samples": 5},
+            "intervals",
+        ),
+        # gauge pumping compares integers exactly and takes no tolerance
+        (
+            {"check": "gauge_pumping", "connection": "main", "winding": 2,
+             "tolerance": 1e-30},
+            "tolerance",
+        ),
+        ({"check": "gauge_pumping", "connection": "main"}, "winding"),
+    ],
+)
+def test_per_check_schema_names_offending_key(
+    tmp_cwd, capsys, experiment, key
+):
+    obj = load_bundled("s1_nonunitary.json")
+    obj["experiments"] = [experiment]
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    err = capsys.readouterr().err
+    assert "schema" in err and repr(key) in err
+
+
+def test_check_flag_rejects_unknown_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(SCENARIOS / "s1_unitary.json"), "--check", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_schema_is_generated_from_the_registry():
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+    items = SCENARIO_SCHEMA["properties"]["experiments"]["items"]
+    accepted = {
+        branch["if"]["properties"]["check"]["const"]: set(
+            branch["then"]["properties"]
+        ) - {"check", "label"}
+        for branch in items["allOf"]
+    }
+    assert list(accepted) == items["properties"]["check"]["enum"]
+    assert accepted == {
+        "cs_odd_chern_pairing": {"connection", "r_values", "tolerance"},
+        "gilkey_variation": {"from", "to", "tolerance"},
+        "variation_complex": {"path", "cutoff", "tolerance"},
+        "gauge_pumping": {"connection", "winding", "cutoff"},
+        "re_im_split": {"connection", "tolerance"},
+        "psi_constancy": {"path", "samples", "tolerance"},
+        "eta_tilde_imaginary": {"connection", "reference", "tolerance"},
+        "bk_phase": {"rank", "cutoff"},
+        "standard_suite": set(),
+        "spectrum": {"connection", "cutoff"},
+        "tracks": {"path", "cutoff", "intervals"},
+    }
+    # every key a check accepts, label included, and nothing else
+    assert sum(len(keys) + 1 for keys in accepted.values()) == 38
+
+
+def test_schema_meta_checked_once(monkeypatch):
+    def no_validate(*args, **kwargs):
+        raise AssertionError("load_scenario must reuse one validator")
+
+    monkeypatch.setattr(jsonschema, "validate", no_validate)
+    meta_checks = []
+    validator_cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    original = validator_cls.check_schema
+
+    def counted(cls, schema):
+        meta_checks.append(schema)
+        return original(schema)
+
+    monkeypatch.setattr(validator_cls, "check_schema", classmethod(counted))
+    cli._scenario_validator.cache_clear()
+    for name in BUNDLED:
+        load_scenario(str(SCENARIOS / name))
+    assert len(meta_checks) == 1
 
 
 def test_unknown_connection_name(tmp_cwd):
@@ -260,6 +349,73 @@ def test_axis_endpoint_is_scenario_error(tmp_cwd):
         }
     ]
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+
+
+def _constant(dim, mats, g=None):
+    metric = None if g is None else TrigPolyForm.constant(dim, np.array([[g]]))
+    return Connection.from_constant(
+        dim, [np.asarray(m, dtype=complex) for m in mats], g=metric
+    )
+
+
+_AXIS = _constant(1, [[[2j * math.pi * 0.5j]]])  # tower on the axis
+_WAVY = Connection(
+    _constant(1, [[[0.3j]]]).a
+    + TrigPolyForm.monomial(1, np.array([[0.05]]), k=(1,), I=(1,))
+)
+_NONFLAT = _constant(3, [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]])
+_T3 = _constant(3, [[[0.3j]]] * 3)
+
+
+@pytest.mark.parametrize(
+    "connections, experiment, message",
+    [
+        ({"main": _NONFLAT},
+         {"check": "cs_odd_chern_pairing", "connection": "main"},
+         "flat connection"),
+        ({"main": _T3}, {"check": "re_im_split", "connection": "main"},
+         "dim == 1"),
+        ({"main": _WAVY}, {"check": "re_im_split", "connection": "main"},
+         "constant connection"),
+        ({"main": _T3},
+         {"check": "variation_complex",
+          "path": {"kind": "gauge", "connection": "main", "winding": 1}},
+         "defined on the circle"),
+        ({"main": _AXIS},
+         {"check": "gauge_pumping", "connection": "main", "winding": 1},
+         "imaginary axis"),
+        ({"main": _constant(1, [[[0.3j]]]),
+          "ref": _constant(1, [[[0.3j]]], g=2.0)},
+         {"check": "eta_tilde_imaginary", "connection": "main",
+          "reference": "ref"},
+         "common metric"),
+    ],
+)
+def test_precondition_gates_exit_2(
+    tmp_cwd, capsys, connections, experiment, message
+):
+    main_conn = connections["main"]
+    obj = {
+        "manifold": {"dim": main_conn.dim},
+        "bundle": {"rank": main_conn.rank},
+        "connections": {n: c.to_json_obj() for n, c in connections.items()},
+        "experiments": [experiment],
+    }
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
+    # LinAlgError subclasses ValueError; a failure inside the numerics is a
+    # bug to surface, not an invalid scenario (exit 2)
+    def failing_eigvals(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    obj = load_bundled("t3_spectrum.json")
+    obj["experiments"] = [{"check": "spectrum", "connection": "main"}]
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Eta invariants: Hurwitz continuation oracles, circle closed forms,
-heat-smoothed estimates, and the imaginary-axis census."""
+"""Eta invariants: circle closed forms against an independent series
+oracle, heat-smoothed estimates, and the imaginary-axis census."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +12,6 @@ from etacalc.eta import (
     eta_heat_estimate,
     eta_s1_closed,
     eta_s1_spectral,
-    hurwitz_zeta,
     m_minus,
 )
 from etacalc.geometry import Connection, subtorus_pairing
@@ -24,83 +22,6 @@ from helpers import (
     random_mus,
     sign_sum_eta_oracle,
 )
-
-mpmath.mp.dps = 40
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz zeta engine
-
-
-def test_hurwitz_value_at_zero_is_half_minus_a():
-    for a in [0.25, 0.7, 1.0, 2.5, 0.3 - 0.12j, 0.05 + 0.4j]:
-        assert hurwitz_zeta(0, a) == pytest.approx(0.5 - a, abs=1e-14)
-    assert hurwitz_zeta(0, 0.25) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_hurwitz_basel_value():
-    assert hurwitz_zeta(2, 1) == pytest.approx(math.pi**2 / 6, rel=1e-12)
-
-
-def test_hurwitz_matches_direct_series_for_large_re_s():
-    # independent check: brute-force partial sum plus integral tail bracket
-    for s, a in [(3.0, 0.7), (2.5, 1.3), (4.0, 0.25 + 0.1j)]:
-        n = np.arange(0, 20000, dtype=complex)
-        partial = complex(np.sum((n + a) ** (-s)))
-        tail = (20000 + a) ** (1 - s) / (s - 1)
-        assert hurwitz_zeta(s, a) == pytest.approx(partial + tail, abs=1e-10)
-
-
-def test_hurwitz_negative_integers_are_bernoulli_polynomials():
-    def bern(n, a):
-        if n == 1:
-            return a - 0.5
-        if n == 2:
-            return a * a - a + 1 / 6
-        if n == 3:
-            return a**3 - 1.5 * a**2 + 0.5 * a
-        if n == 4:
-            return a**4 - 2 * a**3 + a * a - 1 / 30
-        return a**5 - 2.5 * a**4 + (5 / 3) * a**3 - a / 6
-
-    for n in range(0, 5):
-        for a in [0.3, 0.75, 1.0, 1.6, 0.4 + 0.2j]:
-            expect = -bern(n + 1, a) / (n + 1)
-            assert hurwitz_zeta(-n, a) == pytest.approx(expect, abs=1e-11)
-
-
-def test_hurwitz_against_mpmath_grid():
-    s_vals = [-4, -3.3, -2, -1.1, -0.5, -0.2, 0.2, 0.5, 0.9, 1.5, 2.4, 3.1, 4.0]
-    s_imag = [0.0, 0.7, -1.3, 2.8]
-    a_vals = [0.05, 0.25, 0.5, 0.9, 1.0, 2.5,
-              0.3 - 0.12j, 0.05 + 0.4j, 0.9 + 0.3j, 1.7 - 0.6j]
-    checked = 0
-    for sr in s_vals:
-        for si in s_imag:
-            s = complex(sr, si)
-            if abs(s) > 4 or s == 1:
-                continue
-            for a in a_vals:
-                mine = hurwitz_zeta(s, a)
-                ref = complex(mpmath.zeta(mpmath.mpc(s), mpmath.mpc(a)))
-                if abs(ref) > 1e-8:
-                    assert abs(mine - ref) / abs(ref) <= 1e-10, (s, a)
-                else:
-                    # exact zeros of zeta(s, a): relative error undefined
-                    assert abs(mine - ref) <= 1e-12, (s, a)
-                checked += 1
-    assert checked > 400
-
-
-def test_hurwitz_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2, 0.0)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2, -0.5)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2, -1 + 2j)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(1, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from etacalc.flow import (
     spectral_flow,
     track_path,
 )
-from etacalc.geometry import Connection
+from etacalc.geometry import Connection, PreconditionError
 from etacalc.spectral import build_truncation, s1_mu_list
 
 from helpers import diagonal_connection_from_mus
@@ -46,7 +46,7 @@ def test_single_downward_crossing_is_minus_one():
 
 def test_endpoint_on_axis_is_rejected():
     # starts exactly on the axis, then moves into Re > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         spectral_flow(np.array([1j]), np.array([1 + 1j]))
 
 
@@ -81,7 +81,7 @@ def test_gauge_path_endpoints_are_gauge_related():
 
 def test_gauge_path_rejects_higher_tori():
     c3 = Connection.from_constant(3, [np.zeros((1, 1))] * 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         gauge_path(c3, 1, 0.5)
 
 

@@ -1,6 +1,5 @@
 """Connection-level oracles: curvature patterns, metric-compatibility,
-Chern--Simons calibrations, deformation-coefficient closed forms, L-form
-series, odd Chern character windings, holonomy convention."""
+Chern--Simons calibrations, deformation-coefficient closed forms."""
 
 import math
 from fractions import Fraction
@@ -8,30 +7,27 @@ from math import factorial
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
 from etacalc.forms import SubTorus, TrigPolyForm
 from etacalc.geometry import (
     Connection,
+    PreconditionError,
     RPolynomial,
     a_coeff,
     a_coeff_exact,
-    chern_character,
     cs_form,
     cs_r_poly,
     gauge_transform,
     hermitian_metric_from_factor,
-    holonomy,
     invert_degree0,
-    l_form,
-    odd_chern_char,
     odd_subtori,
     subtorus_pairing,
 )
 
 from helpers import (
+    chern_character,
     constant_hermitian_metric,
     diagonal_connection_from_mus,
     random_flat_commuting_connection,
@@ -159,7 +155,6 @@ def test_r_deformation_special_values():
     assert c.r_deformation(1j).a.allclose(c.a, 1e-12)
     adjoint = c.a + c.omega_metric()
     assert c.r_deformation(-1j).a.allclose(adjoint, 1e-12)
-    assert c.metric_adjoint().a.allclose(adjoint, 1e-12)
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
@@ -250,7 +245,7 @@ def test_cs_requires_common_metric():
     g, g_inv = constant_hermitian_metric(rng, 1, 2)
     c0 = Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]))
     c1 = Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]), g, g_inv)
-    with pytest.raises(ValueError, match="common metric"):
+    with pytest.raises(PreconditionError, match="common metric"):
         cs_form(c0, c1)
 
 
@@ -343,7 +338,7 @@ def test_cs_pairing_real_imag_split_for_imaginary_r():
 
 
 # ----------------------------------------------------------------------
-# Chern character, L-form, odd Chern character
+# Chern character
 
 
 def test_chern_character_flat_is_rank():
@@ -361,59 +356,8 @@ def test_chern_character_bianchi():
         assert chern_character(c).ext_d().is_zero(1e-9)
 
 
-def test_l_form_flat_is_one():
-    lf = l_form(TrigPolyForm.zero(3, 2))
-    np.testing.assert_allclose(lf.coefficient((0, 0, 0), ()), [[1.0]], atol=1e-15)
-    assert lf.num_terms() == 1
-
-
-def test_l_form_degree4_series_on_t5():
-    # Independent oracle: for rank 2, det(f(R)) = 1 + Tr[R^2]/12 through
-    # degree 5 on T^5, and sqrt gives 1 + Tr[R^2]/24 before normalization.
-    rng = np.random.default_rng(22)
-    m1 = rng_matrix(rng, 2)
-    m2 = rng_matrix(rng, 2)
-    curv = TrigPolyForm.monomial(5, m1, I=(1, 2)) + TrigPolyForm.monomial(
-        5, m2, I=(3, 4)
-    )
-    lf = l_form(curv)
-    r2_trace = curv.wedge(curv).mat_trace()
-    want = TrigPolyForm.identity(5, 1) + (1.0 / 24.0) * r2_trace.phi_normalize()
-    assert lf.allclose(want, 1e-12)
-    assert lf.degrees() == {0, 4}
-    assert l_form(curv, branch=-1).allclose(lf, 1e-12)
-
-
-def test_odd_chern_char_constant_map_zero():
-    g = TrigPolyForm.constant(1, np.diag([2.0, 1.0 + 1j]))
-    assert odd_chern_char(g).is_zero(0.0)
-
-
-def test_odd_chern_char_winding_calibration():
-    for w in (-2, 1, 3):
-        g = TrigPolyForm.monomial(1, np.eye(1), k=(w,))
-        g_inv = TrigPolyForm.monomial(1, np.eye(1), k=(-w,))
-        val = subtorus_pairing(odd_chern_char(g, g_inv))
-        assert val == pytest.approx(w, abs=1e-12)
-
-
-def test_odd_chern_char_determinant_winding_rank2():
-    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    e22 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    g = TrigPolyForm.monomial(1, e11, k=(1,)) + TrigPolyForm.monomial(1, e22)
-    g_inv = TrigPolyForm.monomial(1, e11, k=(-1,)) + TrigPolyForm.monomial(1, e22)
-    assert subtorus_pairing(odd_chern_char(g, g_inv)) == pytest.approx(1.0, abs=1e-12)
-    g2 = TrigPolyForm.monomial(1, e11, k=(2,)) + TrigPolyForm.monomial(1, e22, k=(-1,))
-    g2_inv = TrigPolyForm.monomial(1, e11, k=(-2,)) + TrigPolyForm.monomial(
-        1, e22, k=(1,)
-    )
-    assert subtorus_pairing(odd_chern_char(g2, g2_inv)) == pytest.approx(
-        1.0, abs=1e-12
-    )
-
-
 # ----------------------------------------------------------------------
-# gauge transforms, holonomy, metric inversion
+# gauge transforms, metric inversion
 
 
 def test_gauge_transform_conjugates_curvature():
@@ -428,27 +372,6 @@ def test_gauge_transform_conjugates_curvature():
     lhs = ct.curvature()
     rhs = u_inv.wedge(c.curvature()).wedge(u)
     assert lhs.allclose(rhs, 1e-10)
-
-
-def test_holonomy_matches_ode_transport():
-    rng = np.random.default_rng(24)
-    a1 = rng_matrix(rng, 2)
-    c = Connection.from_constant(1, [a1])
-    hol = holonomy(c, 1)
-
-    def rhs(_x, y):
-        mat = -a1 @ y.reshape(2, 2)
-        return mat.reshape(-1)
-
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.eye(2, dtype=complex).reshape(-1),
-        rtol=1e-11,
-        atol=1e-12,
-    )
-    transported = sol.y[:, -1].reshape(2, 2)
-    np.testing.assert_allclose(hol, transported, atol=1e-8)
 
 
 def test_invert_degree0_unipotent_and_errors():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from etacalc.eta import EtaValue
-from etacalc.geometry import Connection, gauge_transform
+from etacalc.geometry import Connection, PreconditionError, gauge_transform
 from etacalc.forms import TrigPolyForm
 from etacalc.verify import (
     assemble_report,
@@ -136,7 +136,7 @@ def test_cs_pairing_check_rejects_nonflat():
     a = a + TrigPolyForm.constant_one_form(
         3, [np.eye(2) * 0.3j, np.zeros((2, 2)), n.T * 0.2]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         check_cs_odd_chern_pairing(Connection(a), r=1.0)
 
 
@@ -204,7 +204,7 @@ def test_gilkey_residual_gauge_invariant():
 def test_gilkey_check_rejects_higher_dim():
     rng = np.random.default_rng(42)
     c = random_unitary_constant_connection(rng, 3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         check_gilkey_variation(c, c)
 
 
@@ -262,7 +262,7 @@ def test_variation_complex_rejects_axis_endpoint():
             1, [np.array([[TWO_PI_I * (0.5j + 0.3 * t)]])]
         )
 
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         check_variation_complex(path)
 
 
