@@ -86,29 +86,41 @@ _CONNECTION_SCHEMA = {
     },
 }
 
+def _tagged_branch(
+    tag: str, value: str, required: tuple[str, ...], props: dict
+) -> dict:
+    """Applies ``props``, and no other keys, to objects whose ``tag`` is
+    ``value``.  One such branch per value reports a broken object against
+    its own branch, where a ``oneOf`` would report whichever failed last."""
+    only_this = {"const": value}
+    return {
+        "if": {"required": [tag], "properties": {tag: only_this}},
+        "then": {
+            "additionalProperties": False,
+            "required": list(required),
+            "properties": {tag: only_this, **props},
+        },
+    }
+
+
 _PATH_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "from", "to"],
-            "properties": {
-                "kind": {"const": "linear"},
-                "from": {"type": "string"},
-                "to": {"type": "string"},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "connection", "winding"],
-            "properties": {
-                "kind": {"const": "gauge"},
-                "connection": {"type": "string"},
-                "winding": {"type": "integer"},
-            },
-        },
-    ]
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": ["linear", "gauge"]}},
+    "allOf": [
+        _tagged_branch(
+            "kind",
+            "linear",
+            ("from", "to"),
+            {"from": {"type": "string"}, "to": {"type": "string"}},
+        ),
+        _tagged_branch(
+            "kind",
+            "gauge",
+            ("connection", "winding"),
+            {"connection": {"type": "string"}, "winding": {"type": "integer"}},
+        ),
+    ],
 }
 
 
@@ -328,19 +340,10 @@ CHECKS: dict[str, Check] = {
 def _experiment_schema(name: str, check: Check) -> dict:
     """Applies the check's own parameter schema to experiments naming it;
     keys the check does not read are rejected."""
-    only_this = {"const": name}
-    props = {"check": only_this, "label": {"type": "string", "minLength": 1}}
-    props.update(check.params)
+    props = {"label": {"type": "string", "minLength": 1}, **check.params}
     if check.tolerance is not None:
         props["tolerance"] = {"type": "number", "exclusiveMinimum": 0}
-    return {
-        "if": {"required": ["check"], "properties": {"check": only_this}},
-        "then": {
-            "additionalProperties": False,
-            "required": list(check.required),
-            "properties": props,
-        },
-    }
+    return _tagged_branch("check", name, check.required, props)
 
 
 SCENARIO_SCHEMA = {

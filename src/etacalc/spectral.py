@@ -13,9 +13,11 @@ size 2^{d-1} * rank per frequency k, namely
 The orientation of Gamma is fixed by the circle calibration: for d = 1 and
 A = 2 pi i mu, the spectrum over the modes is exactly {2 pi (k + mu)}.
 
-Trig-polynomial connections produce a coupled Galerkin matrix over the
-truncated mode lattice; a memory guard refuses truncations that would not
-fit instead of attempting them.
+A constant connection's truncation is one stacked (modes, n, n) array,
+assembled without a loop over modes, and its spectrum is one batched
+eigen-solve, cached on the truncation.  Trig-polynomial connections produce
+a coupled Galerkin matrix over the truncated mode lattice; a memory guard
+refuses truncations that would not fit before allocating them.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -88,59 +92,84 @@ def clifford_model(dim: int) -> CliffordModel:
     return _MODEL_CACHE[dim]
 
 
-def build_sig_mode(c: Connection, k: Iterable[int]) -> np.ndarray:
-    """Signature-operator block on the Fourier mode e^{2 pi i k.x} for a
-    constant connection: sum_j B_j (x) (2 pi i k_j I + A_j)."""
-    model = clifford_model(c.dim)
-    k = tuple(int(v) for v in k)
-    if len(k) != c.dim:
-        raise ValueError("mode frequency has wrong length")
-    mats = c.constant_coefficients()  # raises for non-constant A
-    out = np.zeros((model.even_dim * c.rank,) * 2, dtype=complex)
-    eye_r = np.eye(c.rank)
-    for j in range(c.dim):
-        out += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r + mats[j])
-    return out
-
-
 @dataclass(frozen=True)
 class OperatorTruncation:
     """Finite section of the twisted odd signature operator.
 
-    Either block-diagonal over modes (constant connections: ``blocks`` maps
-    each frequency to its matrix) or one dense coupled matrix over the mode
-    lattice (trig-polynomial connections).
+    Constant connections are stored as one stacked array ``stack`` of shape
+    (len(modes), per, per), block i acting on the Fourier mode modes[i];
+    ``blocks`` is a read-only mapping from each frequency to its
+    (per, per) view of the stack.  Trig-polynomial connections give one
+    dense coupled matrix ``dense`` over the mode lattice instead.
+
+    The eigenvalues are computed once per truncation, on the first call of
+    ``spectrum`` or ``spectrum_rows`` (one batched solve over the stack),
+    and kept on the object; ``stack`` and ``dense`` are read-only so that
+    they cannot go stale.
     """
 
     dim: int
     rank: int
     cutoff: int
     modes: tuple[tuple[int, ...], ...]
-    blocks: Mapping[tuple[int, ...], np.ndarray] | None
+    stack: np.ndarray | None
     dense: np.ndarray | None
     formally_self_adjoint: bool
 
     @property
     def block_diagonal(self) -> bool:
-        return self.blocks is not None
+        return self.stack is not None
+
+    @cached_property
+    def blocks(self) -> Mapping[tuple[int, ...], np.ndarray] | None:
+        if self.stack is None:
+            return None
+        return MappingProxyType(dict(zip(self.modes, self.stack)))
 
     @property
     def size(self) -> int:
         per_mode = clifford_model(self.dim).even_dim * self.rank
         return len(self.modes) * per_mode
 
-    def full_matrix(self) -> np.ndarray:
-        if self.dense is not None:
-            return np.array(self.dense)
-        per = clifford_model(self.dim).even_dim * self.rank
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for i, k in enumerate(self.modes):
-            out[i * per : (i + 1) * per, i * per : (i + 1) * per] = self.blocks[k]
-        return out
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        """Unsorted eigenvalues: (len(modes), per) for the stack, one row
+        per mode, or a flat vector for the dense matrix."""
+        return np.linalg.eigvals(self.dense if self.stack is None else self.stack)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        vals = self._eigvals.ravel()
+        return vals[np.lexsort((vals.imag, vals.real))]
 
 
-def _is_constant(c: Connection) -> bool:
-    return all(all(v == 0 for v in k) for k, _, _ in c.a.terms())
+def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
+    """The mode blocks M(k) = sum_j B_j (x) (2 pi i k_j I + A_j) of a constant
+    connection for every k in the lattice, stacked in ``product`` order.
+
+    The stack is viewed as (k_1, ..., k_d, a, ., b, .), so block (a, b) of
+    the Kronecker product is the slice [..., a, :, b, :]; each direction j
+    adds B_j[a, b] (2 pi i k_j I + A_j), formed once per frequency and
+    broadcast along lattice axis j.  Same operands and order as summing the
+    ``np.kron`` terms mode by mode, so the blocks are bitwise equal to it.
+    """
+    model = clifford_model(c.dim)
+    e, r = model.even_dim, c.rank
+    freqs = range(-cutoff, cutoff + 1)
+    n_freqs = len(freqs)
+    stack = np.zeros((n_freqs**c.dim, e * r, e * r), dtype=complex)
+    grid = stack.reshape((n_freqs,) * c.dim + (e, r, e, r))
+    eye_r = np.eye(r)
+    for j, a_j in enumerate(c.constant_coefficients()):
+        shape = [1] * c.dim + [r, r]
+        shape[j] = n_freqs
+        inner = np.array([2j * math.pi * k * eye_r + a_j for k in freqs])
+        inner = inner.reshape(shape)
+        b_j = model.b[j]
+        for a, b in zip(*np.nonzero(b_j)):
+            grid[..., a, :, b, :] += b_j[a, b] * inner
+    stack.flags.writeable = False
+    return stack
 
 
 def build_truncation(
@@ -148,34 +177,33 @@ def build_truncation(
 ) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
-    Constant connections stay block-diagonal (one small block per mode);
-    anything else produces one dense coupled matrix.  Refuses to allocate
-    past ``memory_limit`` bytes of matrix storage.
+    Constant connections stay block-diagonal (one stacked block per mode);
+    anything else produces one dense coupled matrix.  Refuses, before
+    allocating anything, truncations that need more than ``memory_limit``
+    bytes of matrix storage.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     model = clifford_model(c.dim)
-    modes = tuple(product(range(-cutoff, cutoff + 1), repeat=c.dim))
+    n_modes = (2 * cutoff + 1) ** c.dim
     per = model.even_dim * c.rank
-    self_adjoint = c.omega_metric().is_zero(1e-10)
-    if _is_constant(c):
-        bytes_needed = len(modes) * per * per * 16
-        if bytes_needed > memory_limit:
-            raise MemoryGuardError(
-                f"block storage would need {bytes_needed} bytes "
-                f"(limit {memory_limit}); lower the cutoff"
-            )
-        blocks = {k: build_sig_mode(c, k) for k in modes}
-        return OperatorTruncation(
-            c.dim, c.rank, cutoff, modes, blocks, None, self_adjoint
-        )
-    size = len(modes) * per
-    bytes_needed = size * size * 16
+    coupled = any(any(q) for q, _, _ in c.a.terms())
+    # one dense coupled matrix, or one (per, per) block per mode
+    bytes_needed = 16 * (n_modes * per) ** 2 if coupled else 16 * n_modes * per * per
     if bytes_needed > memory_limit:
+        storage = "dense Galerkin matrix" if coupled else "block storage"
         raise MemoryGuardError(
-            f"dense Galerkin matrix would need {bytes_needed} bytes "
+            f"{storage} would need {bytes_needed} bytes "
             f"(limit {memory_limit}); lower the cutoff"
         )
+    modes = tuple(product(range(-cutoff, cutoff + 1), repeat=c.dim))
+    self_adjoint = c.omega_metric().is_zero(1e-10)
+    if not coupled:
+        return OperatorTruncation(
+            c.dim, c.rank, cutoff, modes, _stacked_blocks(c, cutoff), None,
+            self_adjoint,
+        )
+    size = len(modes) * per
     index = {k: i for i, k in enumerate(modes)}
     dense = np.zeros((size, size), dtype=complex)
     eye_r = np.eye(c.rank)
@@ -195,34 +223,25 @@ def build_truncation(
             if it is None:
                 continue  # Galerkin projection drops out-of-window modes
             dense[it * per : (it + 1) * per, i * per : (i + 1) * per] += coupling
+    dense.flags.writeable = False
     return OperatorTruncation(c.dim, c.rank, cutoff, modes, None, dense, self_adjoint)
 
 
 def spectrum(t: OperatorTruncation) -> np.ndarray:
-    """All eigenvalues with multiplicity, sorted by (Re, Im)."""
-    if t.block_diagonal:
-        vals = np.concatenate(
-            [np.linalg.eigvals(t.blocks[k]) for k in t.modes]
-        )
-    else:
-        vals = np.linalg.eigvals(t.dense)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    """All eigenvalues with multiplicity, sorted by (Re, Im); a copy of the
+    truncation's cached solve."""
+    return t._spectrum.copy()
 
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     """(Re, Im, mode-label) rows; mode column is empty for coupled matrices."""
+    if not t.block_diagonal:
+        return [(float(v.real), float(v.imag), "") for v in t._spectrum]
     rows = []
-    if t.block_diagonal:
-        for k in sorted(t.modes):
-            vals = np.linalg.eigvals(t.blocks[k])
-            vals = vals[np.lexsort((vals.imag, vals.real))]
-            label = " ".join(str(v) for v in k)
-            rows.extend((float(v.real), float(v.imag), label) for v in vals)
-    else:
-        rows.extend(
-            (float(v.real), float(v.imag), "") for v in spectrum(t)
-        )
+    for k, vals in zip(t.modes, t._eigvals):  # modes are in sorted order
+        vals = vals[np.lexsort((vals.imag, vals.real))]
+        label = " ".join(str(v) for v in k)
+        rows.extend((float(v.real), float(v.imag), label) for v in vals)
     return rows
 
 

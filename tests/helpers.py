@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
+from etacalc.spectral import clifford_model
 
 # Small integer/rational-ish entries keep float roundoff tiny, so exact
 # identities can be asserted at tight tolerances.
@@ -199,6 +202,22 @@ def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
     """phi Tr[exp(-curvature)]: rank in degree 0 plus curvature corrections
     (the oracle that cs_form transgresses)."""
     return (-c.curvature()).exp_nilpotent().mat_trace().phi_normalize(branch)
+
+
+def build_sig_mode(c: Connection, k) -> np.ndarray:
+    """Signature-operator block on the Fourier mode e^{2 pi i k.x} for a
+    constant connection, one Kronecker product per direction:
+    sum_j B_j (x) (2 pi i k_j I + A_j) (the oracle of the stacked blocks)."""
+    model = clifford_model(c.dim)
+    k = tuple(int(v) for v in k)
+    if len(k) != c.dim:
+        raise ValueError("mode frequency has wrong length")
+    mats = c.constant_coefficients()  # raises for non-constant A
+    out = np.zeros((model.even_dim * c.rank,) * 2, dtype=complex)
+    eye_r = np.eye(c.rank)
+    for j in range(c.dim):
+        out += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r + mats[j])
+    return out
 
 
 # ----------------------------------------------------------------------

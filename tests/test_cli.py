@@ -87,6 +87,15 @@ _LINEAR = {"kind": "linear", "from": "main", "to": "target"}
             "tolerance",
         ),
         ({"check": "gauge_pumping", "connection": "main"}, "winding"),
+        # a broken path is reported against its own kind, not the other one
+        (
+            {"check": "psi_constancy", "path": {"kind": "linear", "from": "main"}},
+            "to",
+        ),
+        (
+            {"check": "psi_constancy", "path": {"kind": "gauge", "connection": "main"}},
+            "winding",
+        ),
     ],
 )
 def test_per_check_schema_names_offending_key(

@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
 from etacalc.spectral import (
     CliffordModel,
     MemoryGuardError,
-    build_sig_mode,
     build_truncation,
     clifford_model,
     export_spectrum_csv,
@@ -20,7 +20,12 @@ from etacalc.spectral import (
     spectrum_rows,
 )
 
-from helpers import random_mus, diagonal_connection_from_mus
+from helpers import (
+    build_sig_mode,
+    diagonal_connection_from_mus,
+    random_mus,
+    random_unitary_constant_connection,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -97,17 +102,19 @@ def test_circle_mode_spectrum_complex_shift():
 
 def test_t3_free_mode_pair():
     c = Connection.from_constant(3, [np.zeros((1, 1))] * 3)
-    vals = np.sort(np.linalg.eigvals(build_sig_mode(c, (1, 0, 0))).real)
+    blocks = build_truncation(c, 1).blocks
+    vals = np.sort(np.linalg.eigvals(blocks[(1, 0, 0)]).real)
     assert np.allclose(vals, [-TWO_PI, -TWO_PI, TWO_PI, TWO_PI], atol=1e-12)
-    assert np.max(np.abs(build_sig_mode(c, (0, 0, 0)))) == 0.0  # 4-dim kernel
+    assert np.max(np.abs(blocks[(0, 0, 0)])) == 0.0  # 4-dim kernel
 
 
 def test_t3_diagonal_blocks_are_symmetric_pairs():
     rng = np.random.default_rng(20)
     mus = random_mus(rng, 3, im_range=(0.0, 0.0))
     c = Connection.from_constant(3, [np.array([[2j * math.pi * m]]) for m in mus])
+    blocks = build_truncation(c, 2).blocks
     for k in [(0, 0, 0), (1, -2, 0), (2, 1, 1)]:
-        vals = np.linalg.eigvals(build_sig_mode(c, k))
+        vals = np.linalg.eigvals(blocks[k])
         radius = TWO_PI * np.linalg.norm([k[j] + mus[j].real for j in range(3)])
         assert np.allclose(np.sort(vals.real), [-radius, -radius, radius, radius],
                            atol=1e-10)
@@ -116,6 +123,8 @@ def test_t3_diagonal_blocks_are_symmetric_pairs():
 
 def test_mode_block_rejects_oscillatory_connection():
     a = TrigPolyForm.monomial(1, np.array([[0.5]]), k=(1,), I=(1,))
+    t = build_truncation(Connection(a), 2)
+    assert not t.block_diagonal and t.blocks is None
     with pytest.raises(ValueError):
         build_sig_mode(Connection(a), (0,))
 
@@ -131,7 +140,7 @@ def test_block_truncation_matches_full_matrix():
     )
     t = build_truncation(c, 2)
     assert t.block_diagonal
-    dense_vals = np.linalg.eigvals(t.full_matrix())
+    dense_vals = np.linalg.eigvals(scipy.linalg.block_diag(*t.blocks.values()))
     dense_vals = dense_vals[np.lexsort((dense_vals.imag, dense_vals.real))]
     assert np.allclose(spectrum(t), dense_vals, atol=1e-10)
     assert t.size == 2 * len(t.modes)
@@ -185,7 +194,7 @@ def test_perturbation_moves_eigenvalues_at_most_norm():
     c = Connection.from_constant(
         3, [np.array([[2j * math.pi * m]]) for m in (0.2, -0.3, 0.1)]
     )
-    base = build_sig_mode(c, (1, 0, -1))
+    base = build_truncation(c, 1).blocks[(1, 0, -1)]
     rng = np.random.default_rng(7)
     e = 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     base_vals = np.linalg.eigvals(base)
@@ -200,6 +209,81 @@ def test_memory_guard_refuses_oversized_truncations():
     a = TrigPolyForm.monomial(3, 0.1 * np.eye(2), k=(1, 0, 0), I=(1,))
     with pytest.raises(MemoryGuardError):
         build_truncation(Connection(a), 12)  # 15625 modes * 8 -> ~2e10 bytes
+
+
+def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
+    c = random_unitary_constant_connection(np.random.default_rng(3), 3, 2)
+    stack_bytes = 125 * 8 * 8 * 16  # cutoff 2: 125 modes, 8x8 blocks
+    shapes = []
+    zeros = np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    with pytest.raises(MemoryGuardError):
+        build_truncation(c, 2, memory_limit=stack_bytes - 1)
+    assert (125, 8, 8) not in shapes
+    t = build_truncation(c, 2, memory_limit=stack_bytes)
+    assert (125, 8, 8) in shapes and t.stack.nbytes == stack_bytes
+
+
+# ---------------------------------------------------------------------------
+# stacked blocks and the cached batched solve
+
+
+def test_stacked_blocks_equal_per_mode_kron_oracle():
+    rng = np.random.default_rng(41)
+    mats = [
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for _ in range(3)
+    ]
+    assert not np.allclose(mats[0] @ mats[0].conj().T, mats[0].conj().T @ mats[0])
+    c = Connection.from_constant(3, mats)
+    t = build_truncation(c, 2)
+    assert t.stack.shape == (125, 8, 8) and len(t.blocks) == 125
+    for i, k in enumerate(t.modes):
+        assert np.array_equal(t.blocks[k], build_sig_mode(c, k))
+        assert np.shares_memory(t.blocks[k], t.stack[i])
+    per_block = np.concatenate(
+        [np.linalg.eigvals(build_sig_mode(c, k)) for k in t.modes]
+    )
+    per_block = per_block[np.lexsort((per_block.imag, per_block.real))]
+    assert np.array_equal(spectrum(t), per_block)
+
+
+def test_commuting_unitary_t3_spectrum_is_closed_form():
+    # A_j = U diag(2 pi i mu_j) U^*: on each common eigenline the block is
+    # sum_j B_j (2 pi i)(k_j + mu_j), whose square is -(2 pi)^2 |k + mu|^2
+    # times the identity, and B_j has trace zero: +- 2 pi |k + mu|, each
+    # with multiplicity 2^(d-2) = 2.
+    rng = np.random.default_rng(42)
+    mus = rng.uniform(0.05, 0.95, size=(3, 2))
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u, _ = np.linalg.qr(x)
+    c = Connection.from_constant(
+        3, [u @ np.diag(2j * math.pi * mus[j]) @ u.conj().T for j in range(3)]
+    )
+    t = build_truncation(c, 3)
+    shifted = np.array(t.modes)[:, None, :] + mus.T  # (mode, eigenline, j)
+    radii = TWO_PI * np.linalg.norm(shifted, axis=-1).ravel()
+    expect = np.sort(np.concatenate([radii, radii, -radii, -radii]))
+    vals = spectrum(t)
+    assert len(vals) == t.size == len(expect)
+    assert np.max(np.abs(vals.real - expect)) < 1e-9
+    assert np.max(np.abs(vals.imag)) < 1e-9
+
+
+def test_spectrum_returns_a_copy_of_the_cached_solve():
+    c = diagonal_connection_from_mus([0.25, 0.4 - 0.1j])
+    t = build_truncation(c, 3)
+    first = spectrum(t)
+    kept = first.copy()
+    first[:] = 0
+    assert np.array_equal(spectrum(t), kept)
+    with pytest.raises(ValueError):
+        t.blocks[(0,)][0, 0] = 1.0  # the stack behind the cache is read-only
 
 
 def test_spectrum_rows_and_csv(tmp_path):
