@@ -5,7 +5,6 @@ from .eta import (
     TowerEta,
     eta_bk,
     eta_heat_estimate,
-    eta_s1_closed,
     eta_s1_spectral,
     m_minus,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "cs_r_poly",
     "eta_bk",
     "eta_heat_estimate",
-    "eta_s1_closed",
     "eta_s1_spectral",
     "eta_tilde",
     "gauge_path",

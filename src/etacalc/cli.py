@@ -493,7 +493,6 @@ def run_scenario(
     tol_override: float | None = None,
     emit_csv: bool = False,
     seed_override: int | None = None,
-    csv_dir_override: str | None = None,
 ) -> tuple[verify.VerificationReport, _CsvSink]:
     """Execute the scenario's experiments and assemble the report.
 
@@ -502,10 +501,7 @@ def run_scenario(
     when the flag or the scenario requests them.
     """
     seed = scn.seed if seed_override is None else seed_override
-    sink = _CsvSink(
-        csv_dir_override or scn.csv_dir,
-        enabled=emit_csv or scn.csv_dir is not None,
-    )
+    sink = _CsvSink(scn.csv_dir, enabled=emit_csv or scn.csv_dir is not None)
     entries: list[verify.CheckEntry] = []
     for i, exp in enumerate(scn.experiments):
         if selected_checks and exp["check"] not in selected_checks:

@@ -2,8 +2,9 @@
 
 On the circle every constant connection reduces to eigenvalue towers
 {2 pi (n + mu)}; eta(0) then has the closed form sum (1 - 2 mu) obtained by
-pairing the Hurwitz zeta values at s = 0 for the two half-towers.  Complex
-mu (non-unitary connections) use the same principal-branch formula.
+pairing the Hurwitz zeta values at s = 0 for the two half-towers
+(:func:`eta_s1_spectral`).  Complex mu (non-unitary connections) use the
+same principal-branch formula.
 
 Higher tori are handled only through symmetry (identically vanishing sums)
 or through variation formulas anchored at circle endpoints; the one direct
@@ -42,26 +43,6 @@ class EtaValue:
         return (self.eta + self.kernel_dim) / 2
 
 
-def eta_s1_closed(mus: Iterable[complex]) -> EtaValue:
-    """eta(0) for eigenvalue towers {2 pi (n + mu_k)} with 0 < Re mu_k < 1.
-
-    Pairs the positive half-tower, the Hurwitz zeta function zeta(s, mu),
-    against the negative one, zeta(s, 1 - mu), at s = 0.  With the classical
-    value zeta(0, a) = 1/2 - a each tower contributes
-    (1/2 - mu) - (1/2 - (1 - mu)) = 1 - 2 mu.  Boundary values of Re mu
-    must be shifted/bookkept by the caller (see eta_s1_spectral).
-    """
-    total = 0j
-    for mu in mus:
-        mu = complex(mu)
-        if not 0 < mu.real < 1:
-            raise ValueError(
-                f"tower shift {mu} outside the open strip 0 < Re mu < 1"
-            )
-        total += 1 - 2 * mu
-    return EtaValue(eta=total, kernel_dim=0)
-
-
 @dataclass(frozen=True)
 class TowerEta:
     """eta data for a union of circle towers including boundary bookkeeping:
@@ -75,10 +56,17 @@ class TowerEta:
 def eta_s1_spectral(mus: Iterable[complex], tol: float = 1e-9) -> TowerEta:
     """eta for towers {2 pi (n + mu_k)} with arbitrary complex mu_k.
 
-    Shifts each mu into 0 <= Re < 1 and handles the boundary cases: a mu at
-    an integer contributes a kernel mode, a mu on the imaginary axis (after
-    the shift) contributes a purely imaginary eigenvalue that is excluded
-    from the series while the rest of its tower still contributes -2 mu.
+    Shifting mu by an integer relabels the tower, so each mu is first moved
+    into 0 <= Re < 1.  On the open strip 0 < Re mu < 1 the positive
+    half-tower is the Hurwitz zeta function zeta(s, mu) and the negative
+    one is zeta(s, 1 - mu); with the classical value zeta(0, a) = 1/2 - a
+    the tower contributes (1/2 - mu) - (1/2 - (1 - mu)) = 1 - 2 mu at
+    s = 0, for complex mu on the principal branch.
+
+    The boundary cases: a mu at an integer contributes a kernel mode, a mu
+    on the imaginary axis (after the shift) contributes a purely imaginary
+    eigenvalue that is excluded from the series while the rest of its
+    tower still contributes -2 mu.
     """
     total = 0j
     kernel = 0

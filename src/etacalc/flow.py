@@ -29,6 +29,11 @@ from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError, gauge_transform
 from .spectral import OperatorTruncation, spectrum
 
+# endpoint eigenvalues with |Re| at or below this are on the imaginary axis
+AXIS_TOL = 1e-9
+# bisections allowed on one interval of the initial tracking grid
+MAX_BISECTIONS = 20
+
 
 class TrackError(RuntimeError):
     """Eigenvalue tracking could not be disambiguated within the refinement
@@ -75,7 +80,7 @@ def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _needs_refinement(
-    u: np.ndarray, v: np.ndarray, cluster_tol: float
+    u: np.ndarray, v: np.ndarray, guess: np.ndarray, cluster_tol: float
 ) -> str | None:
     # co-located eigenvalues (closer than cluster_tol) form one cluster;
     # when the clusters differ at the two interval ends, eigenvalues
@@ -85,31 +90,30 @@ def _needs_refinement(
     near_u, near_v = dist_u <= cluster_tol, dist_v <= cluster_tol
     if np.any(near_u != near_v):
         return "collision"
-    # a track is safely matchable when it moves less than half its own
-    # distance to the nearest distinct neighbor at both interval ends
+    # a track is safely matchable when it lands less than half its own
+    # distance to the nearest distinct neighbor (at both interval ends)
+    # away from where it was predicted to be
     dist_u[near_u] = np.inf
     dist_v[near_v] = np.inf
     room = np.minimum(dist_u.min(axis=1), dist_v.min(axis=1))
-    if np.any(np.abs(u - v) > 0.5 * room):
+    if np.any(np.abs(guess - v) > 0.5 * room):
         return "matching-ambiguous"
     return None
 
 
-def track_path(
-    path: Callable[[float], object],
-    m0: int = 8,
-    max_depth: int = 20,
-    cluster_tol: float | None = None,
-) -> EigenvalueTrack:
+def track_path(path: Callable[[float], object], m0: int = 8) -> EigenvalueTrack:
     """Track the spectrum of ``path(t)`` over t in [0, 1] for the
     ``tracks`` CSV artifact (spectral flow does not need it; see
     :func:`spectral_flow`).
 
     ``path`` may return an OperatorTruncation, a square matrix, or a
-    precomputed eigenvalue vector (of constant length along the path).  The
-    initial grid of ``m0`` intervals is bisected wherever eigenvalue
-    matching is ambiguous; exceeding ``max_depth`` bisections on one
-    interval raises TrackError.
+    precomputed eigenvalue vector (of constant length along the path).
+    Each new sample is matched against the linear extrapolation of the
+    last two accepted samples (against the previous sample on the first
+    interval), so tracks keep their identity through near-collisions.  The
+    initial grid of ``m0`` intervals is bisected wherever that matching is
+    ambiguous; more than MAX_BISECTIONS bisections on one interval raise
+    TrackError.
     """
     if m0 < 1:
         raise ValueError("need at least one interval")
@@ -118,9 +122,8 @@ def track_path(
     sizes = {len(s) for s in spectra}
     if len(sizes) != 1:
         raise TrackError(f"spectrum size changes along the path: {sorted(sizes)}")
-    if cluster_tol is None:
-        scale = max(float(np.max(np.abs(s))) for s in spectra)
-        cluster_tol = 1e-9 * (1.0 + scale)
+    scale = max(float(np.max(np.abs(s))) for s in spectra)
+    cluster_tol = 1e-9 * (1.0 + scale)
 
     log: list[tuple[float, float, str]] = []
     out_times: list[float] = [float(times[0])]
@@ -128,16 +131,21 @@ def track_path(
 
     def extend(t0: float, u: np.ndarray, t1: float, v_raw: np.ndarray,
                depth: int) -> None:
-        v = _match(u, v_raw)
-        reason = _needs_refinement(u, v, cluster_tol)
+        # u is the last accepted sample; extrapolate through the one before
+        guess = u
+        if len(out_vals) > 1:
+            slope = (u - out_vals[-2]) / (t0 - out_times[-2])
+            guess = u + slope * (t1 - t0)
+        v = _match(guess, v_raw)
+        reason = _needs_refinement(u, v, guess, cluster_tol)
         if reason is None:
             out_times.append(t1)
             out_vals.append(v)
             return
-        if depth >= max_depth:
+        if depth >= MAX_BISECTIONS:
             raise TrackError(
                 f"cannot disambiguate tracks on [{t0:.6g}, {t1:.6g}] "
-                f"after {max_depth} bisections ({reason})"
+                f"after {MAX_BISECTIONS} bisections ({reason})"
             )
         log.append((t0, t1, reason))
         tm = 0.5 * (t0 + t1)
@@ -157,7 +165,7 @@ def track_path(
     )
 
 
-def spectral_flow(start, end, axis_tol: float = 1e-9) -> int:
+def spectral_flow(start, end) -> int:
     """Spectral flow of a path of finite operators from ``start`` to
     ``end``: the net change of inertia #{Re >= 0}(end) - #{Re >= 0}(start),
     which equals the signed count of imaginary-axis crossings, +1 per
@@ -166,7 +174,7 @@ def spectral_flow(start, end, axis_tol: float = 1e-9) -> int:
 
     Each endpoint may be an OperatorTruncation, a square matrix, or an
     eigenvalue vector; both must have the same size.  Endpoint eigenvalues
-    within ``axis_tol`` of the axis are rejected: their class is not stable
+    within AXIS_TOL of the axis are rejected: their class is not stable
     under perturbation, so the caller must move the endpoints first.
     """
     a = _sample_spectrum(start)
@@ -174,11 +182,11 @@ def spectral_flow(start, end, axis_tol: float = 1e-9) -> int:
     if len(a) != len(b):
         raise ValueError(f"endpoint sizes differ: {len(a)} vs {len(b)}")
     for side, vals in (("start", a), ("end", b)):
-        bad = np.abs(vals.real) <= axis_tol
+        bad = np.abs(vals.real) <= AXIS_TOL
         if np.any(bad):
             raise PreconditionError(
                 f"{side} of path has eigenvalue(s) on the imaginary axis "
-                f"(|Re| <= {axis_tol:g}): {vals[bad]}; perturb the endpoints"
+                f"(|Re| <= {AXIS_TOL:g}): {vals[bad]}; perturb the endpoints"
             )
     return int(np.sum(b.real >= 0) - np.sum(a.real >= 0))
 

@@ -29,6 +29,10 @@ import numpy as np
 # identities (d of d, telescoping sums) collapse to the empty form.
 EQ_TOL = 1e-12
 
+# The principal square root sqrt(2 pi) e^{i pi/4} of 2 pi i: the degree
+# normalization phi divides a p-form by its p-th power.
+PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
+
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -347,15 +351,16 @@ class TrigPolyForm:
 
     def phi_normalize(self, branch: int = 1) -> "TrigPolyForm":
         """Degree-dependent rescaling: a p-form is divided by s^p with
-        s = branch * sqrt(2 pi) e^{i pi/4}, i.e. s^2 = 2 pi i * branch^2.
+        s = branch * PHI_SCALE, i.e. s^2 = 2 pi i for either branch.
 
-        The branch sign (+1 default) picks the square root; quantities built
-        here (Chern--Simons pairings, L-form, odd Chern character) are
-        branch-independent.
+        The branch sign (+1 default) picks the square root; it flips the
+        odd-degree parts only, so Chern characters (even degrees) and
+        Chern--Simons forms (odd degrees, divided by s once more) do not
+        depend on it.
         """
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        s = branch * math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
+        s = branch * PHI_SCALE
         return TrigPolyForm(
             self.dim,
             self.rank,

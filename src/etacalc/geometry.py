@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import EQ_TOL, SubTorus, TrigPolyForm
+from .forms import EQ_TOL, PHI_SCALE, SubTorus, TrigPolyForm
 
 TWO_PI_I = 2j * math.pi
 
@@ -41,17 +41,6 @@ class PreconditionError(ValueError):
 
 # Deterministic sample points for positive-definiteness spot checks.
 _SPOT_FRACTIONS = (0.0, 0.31830988618, 0.61803398875, 0.14142135623)
-
-
-def phi_scale(branch: int = 1) -> complex:
-    """The square root of 2*pi*i used by the degree normalization phi.
-
-    branch=+1 is the principal root sqrt(2*pi)*e^{i*pi/4}; physical pairings
-    must not depend on the branch (tested).
-    """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return branch * math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
 
 
 def invert_degree0(g: TrigPolyForm, tol: float = 1e-10, max_terms: int = 64) -> TrigPolyForm:
@@ -180,9 +169,6 @@ class Connection:
             out = out + mat
         return out
 
-    def constant_coefficients(self) -> list[np.ndarray]:
-        return [self.constant_coefficient(j) for j in range(1, self.dim + 1)]
-
     # ------------------------------------------------------------------
     # metric structure
 
@@ -274,7 +260,7 @@ def _check_cs_compatible(c0: Connection, c1: Connection) -> None:
         )
 
 
-def cs_form(c0: Connection, c1: Connection, branch: int = 1) -> TrigPolyForm:
+def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
     """Chern--Simons transgression along the linear path from c0 to c1.
 
     Defined as -(2 pi i)^{-1/2} phi( integral_0^1 Tr[Adot exp(-Theta_t)] dt )
@@ -295,8 +281,7 @@ def cs_form(c0: Connection, c1: Connection, branch: int = 1) -> TrigPolyForm:
         theta = at.ext_d() + at.wedge(at)
         integrand = adot.wedge((-theta).exp_nilpotent()).mat_trace()
         acc = acc + (0.5 * w) * integrand
-    s = phi_scale(branch)
-    return (-1.0 / s) * acc.phi_normalize(branch)
+    return (-1.0 / PHI_SCALE) * acc.phi_normalize()
 
 
 @dataclass(frozen=True)
@@ -316,7 +301,7 @@ class RPolynomial:
         return len(self.coeffs) - 1
 
 
-def cs_r_poly(c: Connection, branch: int = 1) -> RPolynomial:
+def cs_r_poly(c: Connection) -> RPolynomial:
     """Expand r -> cs_form(hermitian_part(c), r_deformation(c, r)) in powers of r.
 
     The dependence is polynomial of degree at most dim, recovered exactly by
@@ -333,7 +318,7 @@ def cs_r_poly(c: Connection, branch: int = 1) -> RPolynomial:
         if len(nodes) < n_coef:
             nodes.append(-step)
         step += 1
-    vals = [cs_form(herm, c.r_deformation(r), branch) for r in nodes]
+    vals = [cs_form(herm, c.r_deformation(r)) for r in nodes]
     vmat = np.array([[float(n) ** j for j in range(n_coef)] for n in nodes])
     vinv = np.linalg.inv(vmat)
     coeffs = []
@@ -367,22 +352,16 @@ def gauge_transform(
     return Connection(a_new, g_new, g_inv_new)
 
 
-def subtorus_pairing(
-    form: TrigPolyForm,
-    region: SubTorus | None = None,
-    weight: TrigPolyForm | None = None,
-) -> complex:
-    """Integrate (weight ^ form) over a coordinate subtorus, selecting the
-    matching degree first.  ``weight`` defaults to the constant 1 (the
-    L-form of the flat metrics in scope); pass any closed even form to
-    realize other characteristic-class pairings."""
+def subtorus_pairing(form: TrigPolyForm, region: SubTorus | None = None) -> complex:
+    """Integrate a scalar form over a coordinate subtorus (default: the full
+    torus), selecting the matching degree first.  The L-form of the flat
+    metrics in scope is the constant 1, so this is the pairing with it."""
     if form.rank != 1:
         raise ValueError("pairing expects a scalar (rank-1) form; trace first")
-    f = form if weight is None else weight.wedge(form)
     if region is None:
         region = SubTorus.full(form.dim)
     deg = len(region.indices)
-    return complex(f.degree_component(deg).integrate(region)[0, 0])
+    return complex(form.degree_component(deg).integrate(region)[0, 0])
 
 
 def odd_subtori(dim: int) -> tuple[SubTorus, ...]:

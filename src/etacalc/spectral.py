@@ -13,11 +13,14 @@ size 2^{d-1} * rank per frequency k, namely
 The orientation of Gamma is fixed by the circle calibration: for d = 1 and
 A = 2 pi i mu, the spectrum over the modes is exactly {2 pi (k + mu)}.
 
-A constant connection's truncation is one stacked (modes, n, n) array,
-assembled without a loop over modes, and its spectrum is one batched
-eigen-solve, cached on the truncation.  Trig-polynomial connections produce
-a coupled Galerkin matrix over the truncated mode lattice; a memory guard
-refuses truncations that would not fit before allocating them.
+Every truncation is one stacked (modes, n, n) array of these mode-diagonal
+blocks (A_j its zero-frequency part), assembled without a loop over modes,
+plus one coupling B_j (x) A_q per oscillatory term A_q e^{2 pi i q.x} dx_j,
+which maps mode k to k + q.  Without couplings the spectrum is one batched
+eigen-solve over the stack; with them, one dense solve of the Galerkin
+matrix built from the stack and the couplings.  Either is cached on the
+truncation.  A memory guard refuses truncations that would not fit before
+allocating them.
 """
 
 from __future__ import annotations
@@ -92,39 +95,71 @@ def clifford_model(dim: int) -> CliffordModel:
     return _MODEL_CACHE[dim]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class OperatorTruncation:
     """Finite section of the twisted odd signature operator.
 
-    Constant connections are stored as one stacked array ``stack`` of shape
-    (len(modes), per, per), block i acting on the Fourier mode modes[i];
-    ``blocks`` is a read-only mapping from each frequency to its
-    (per, per) view of the stack.  Trig-polynomial connections give one
-    dense coupled matrix ``dense`` over the mode lattice instead.
+    Every truncation is stored the same way.  ``stack`` has shape
+    (len(modes), per, per): block i maps the Fourier mode modes[i] to
+    itself, the derivative part plus the zero-frequency part of A.
+    ``couplings`` holds one (q, B_j (x) A_q) pair per oscillatory term of
+    A, which maps each mode k to k + q; it is empty for constant
+    connections.  ``blocks`` (constant connections only) is a read-only
+    mapping from each frequency to its (per, per) view of the stack, and
+    ``dense`` (coupled connections only) is the Galerkin matrix, built on
+    first use.
 
     The eigenvalues are computed once per truncation, on the first call of
-    ``spectrum`` or ``spectrum_rows`` (one batched solve over the stack),
-    and kept on the object; ``stack`` and ``dense`` are read-only so that
-    they cannot go stale.
+    ``spectrum`` or ``spectrum_rows``: one batched solve over the stack
+    when there are no couplings, one dense solve otherwise.  Every array is
+    read-only so that the cached values cannot go stale.
     """
 
     dim: int
     rank: int
     cutoff: int
     modes: tuple[tuple[int, ...], ...]
-    stack: np.ndarray | None
-    dense: np.ndarray | None
+    stack: np.ndarray
+    couplings: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     formally_self_adjoint: bool
 
     @property
     def block_diagonal(self) -> bool:
-        return self.stack is not None
+        return not self.couplings
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray] | None:
-        if self.stack is None:
+        if self.couplings:
             return None
         return MappingProxyType(dict(zip(self.modes, self.stack)))
+
+    @cached_property
+    def dense(self) -> np.ndarray | None:
+        """The coupled Galerkin matrix: the stack on the block diagonal, and
+        each coupling added to the blocks (k + q, k) whose target k + q
+        lies in the window (the Galerkin projection drops the others).
+        None for a block-diagonal truncation."""
+        if not self.couplings:
+            return None
+        n, per, _ = self.stack.shape
+        lattice_shape = (2 * self.cutoff + 1,) * self.dim
+        out = np.zeros((n * per, n * per), dtype=complex)
+        grid = out.reshape(n, per, n, per)
+        cols = np.arange(n)
+        grid[cols, :, cols, :] = self.stack
+        # mode indices shifted by the cutoff, in ``product`` order
+        lattice = np.indices(lattice_shape).reshape(self.dim, n)
+        for q, coupling in self.couplings:
+            target = lattice + np.array(q)[:, None]
+            inside = np.all((target >= 0) & (target < lattice_shape[0]), axis=0)
+            rows = np.ravel_multi_index(target[:, inside], lattice_shape)
+            grid[rows, :, cols[inside], :] += coupling
+        return _read_only(out)
 
     @property
     def size(self) -> int:
@@ -135,7 +170,7 @@ class OperatorTruncation:
     def _eigvals(self) -> np.ndarray:
         """Unsorted eigenvalues: (len(modes), per) for the stack, one row
         per mode, or a flat vector for the dense matrix."""
-        return np.linalg.eigvals(self.dense if self.stack is None else self.stack)
+        return np.linalg.eigvals(self.dense if self.couplings else self.stack)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -144,8 +179,9 @@ class OperatorTruncation:
 
 
 def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
-    """The mode blocks M(k) = sum_j B_j (x) (2 pi i k_j I + A_j) of a constant
-    connection for every k in the lattice, stacked in ``product`` order.
+    """The mode blocks M(k) = sum_j B_j (x) (2 pi i k_j I + A_j) for every k
+    in the lattice, stacked in ``product`` order, where A_j is the
+    zero-frequency coefficient of dx_j.
 
     The stack is viewed as (k_1, ..., k_d, a, ., b, .), so block (a, b) of
     the Kronecker product is the slice [..., a, :, b, :]; each direction j
@@ -160,7 +196,8 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
     stack = np.zeros((n_freqs**c.dim, e * r, e * r), dtype=complex)
     grid = stack.reshape((n_freqs,) * c.dim + (e, r, e, r))
     eye_r = np.eye(r)
-    for j, a_j in enumerate(c.constant_coefficients()):
+    for j in range(c.dim):
+        a_j = c.a.coefficient((0,) * c.dim, (j + 1,))
         shape = [1] * c.dim + [r, r]
         shape[j] = n_freqs
         inner = np.array([2j * math.pi * k * eye_r + a_j for k in freqs])
@@ -168,8 +205,7 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
         b_j = model.b[j]
         for a, b in zip(*np.nonzero(b_j)):
             grid[..., a, :, b, :] += b_j[a, b] * inner
-    stack.flags.writeable = False
-    return stack
+    return _read_only(stack)
 
 
 def build_truncation(
@@ -177,54 +213,37 @@ def build_truncation(
 ) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
-    Constant connections stay block-diagonal (one stacked block per mode);
-    anything else produces one dense coupled matrix.  Refuses, before
+    The mode-diagonal stack is built for every connection, plus one
+    coupling B_j (x) A_q per oscillatory term q of A.  Refuses, before
     allocating anything, truncations that need more than ``memory_limit``
-    bytes of matrix storage.
+    bytes of matrix storage: the dense matrix when there are couplings,
+    the stack otherwise.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     model = clifford_model(c.dim)
     n_modes = (2 * cutoff + 1) ** c.dim
     per = model.even_dim * c.rank
-    coupled = any(any(q) for q, _, _ in c.a.terms())
+    oscillatory = [(q, I, mat) for q, I, mat in c.a.terms() if any(q)]
     # one dense coupled matrix, or one (per, per) block per mode
-    bytes_needed = 16 * (n_modes * per) ** 2 if coupled else 16 * n_modes * per * per
+    if oscillatory:
+        bytes_needed = 16 * (n_modes * per) ** 2
+    else:
+        bytes_needed = 16 * n_modes * per * per
     if bytes_needed > memory_limit:
-        storage = "dense Galerkin matrix" if coupled else "block storage"
+        storage = "dense Galerkin matrix" if oscillatory else "block storage"
         raise MemoryGuardError(
             f"{storage} would need {bytes_needed} bytes "
             f"(limit {memory_limit}); lower the cutoff"
         )
-    modes = tuple(product(range(-cutoff, cutoff + 1), repeat=c.dim))
-    self_adjoint = c.omega_metric().is_zero(1e-10)
-    if not coupled:
-        return OperatorTruncation(
-            c.dim, c.rank, cutoff, modes, _stacked_blocks(c, cutoff), None,
-            self_adjoint,
-        )
-    size = len(modes) * per
-    index = {k: i for i, k in enumerate(modes)}
-    dense = np.zeros((size, size), dtype=complex)
-    eye_r = np.eye(c.rank)
-    # derivative part: diagonal in the mode index
-    for k, i in index.items():
-        blk = np.zeros((per, per), dtype=complex)
-        for j in range(c.dim):
-            blk += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r)
-        dense[i * per : (i + 1) * per, i * per : (i + 1) * per] += blk
-    # multiplication part: A_j\'s frequency q couples k -> k + q
-    for q, I, mat in c.a.terms():
-        j = I[0] - 1
-        coupling = np.kron(model.b[j], mat)
-        for k, i in index.items():
-            target = tuple(a + b for a, b in zip(k, q))
-            it = index.get(target)
-            if it is None:
-                continue  # Galerkin projection drops out-of-window modes
-            dense[it * per : (it + 1) * per, i * per : (i + 1) * per] += coupling
-    dense.flags.writeable = False
-    return OperatorTruncation(c.dim, c.rank, cutoff, modes, None, dense, self_adjoint)
+    couplings = tuple(
+        (q, _read_only(np.kron(model.b[I[0] - 1], mat))) for q, I, mat in oscillatory
+    )
+    return OperatorTruncation(
+        c.dim, c.rank, cutoff,
+        tuple(product(range(-cutoff, cutoff + 1), repeat=c.dim)),
+        _stacked_blocks(c, cutoff), couplings, c.omega_metric().is_zero(1e-10),
+    )
 
 
 def spectrum(t: OperatorTruncation) -> np.ndarray:

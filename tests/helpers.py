@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -212,12 +213,40 @@ def build_sig_mode(c: Connection, k) -> np.ndarray:
     k = tuple(int(v) for v in k)
     if len(k) != c.dim:
         raise ValueError("mode frequency has wrong length")
-    mats = c.constant_coefficients()  # raises for non-constant A
+    # raises for non-constant A
+    mats = [c.constant_coefficient(j) for j in range(1, c.dim + 1)]
     out = np.zeros((model.even_dim * c.rank,) * 2, dtype=complex)
     eye_r = np.eye(c.rank)
     for j in range(c.dim):
         out += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r + mats[j])
     return out
+
+
+def coupled_dense_oracle(c: Connection, cutoff: int) -> np.ndarray:
+    """Galerkin matrix of any connection, assembled mode by mode: the
+    derivative part sum_j B_j (x) 2 pi i k_j I on each diagonal block, then
+    B_j (x) A_q added to block (k + q, k) for every term A_q dx_j and every
+    mode k whose target k + q is in the window (the oracle of the
+    stack-plus-couplings truncation)."""
+    model = clifford_model(c.dim)
+    per = model.even_dim * c.rank
+    modes = list(product(range(-cutoff, cutoff + 1), repeat=c.dim))
+    index = {k: i for i, k in enumerate(modes)}
+    size = len(modes) * per
+    dense = np.zeros((size, size), dtype=complex)
+    eye_r = np.eye(c.rank)
+    for k, i in index.items():
+        blk = np.zeros((per, per), dtype=complex)
+        for j in range(c.dim):
+            blk += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r)
+        dense[i * per : (i + 1) * per, i * per : (i + 1) * per] += blk
+    for q, I, mat in c.a.terms():
+        coupling = np.kron(model.b[I[0] - 1], mat)
+        for k, i in index.items():
+            it = index.get(tuple(a + b for a, b in zip(k, q)))
+            if it is not None:
+                dense[it * per : (it + 1) * per, i * per : (i + 1) * per] += coupling
+    return dense
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,22 @@ def test_track_columns_preserve_identity():
     assert end[j] == pytest.approx(1.3 + 0.2j, abs=1e-12)
 
 
+def test_tracks_keep_identity_through_a_near_collision():
+    # two eigenvalues pass 0.002 apart at t = 1/2, between grid points; the
+    # true track 0 crosses the axis to 0.5 + 0.001i rather than bouncing
+    # back to -0.5 - 0.001i (matching each sample against the previous one
+    # alone swaps the tracks here)
+    def path(t):
+        return np.array([t - 0.5 + 0.001j, 0.5 - t - 0.001j])
+
+    tr = track_path(path, m0=7)
+    # straight tracks are extrapolated exactly: no interval needs bisecting
+    assert tr.refinement_log == ()
+    assert tr.values[0, 0] == pytest.approx(-0.5 + 0.001j, abs=1e-12)
+    assert tr.values[-1, 0] == pytest.approx(0.5 + 0.001j, abs=1e-12)
+    assert np.allclose(tr.values, np.array([path(t) for t in tr.times]))
+
+
 def test_gauge_path_endpoints_are_gauge_related():
     c = diagonal_connection_from_mus([0.3])
     assert gauge_path(c, 2, 0.0).a.allclose(c.a)

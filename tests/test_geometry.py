@@ -264,7 +264,13 @@ def test_cs_branch_independent():
     rng = np.random.default_rng(15)
     c0 = random_nonflat_connection(rng, 3, 2)
     c1 = random_nonflat_connection(rng, 3, 2)
-    assert cs_form(c0, c1, branch=1).allclose(cs_form(c0, c1, branch=-1), 1e-12)
+    # With the other root -s of 2 pi i in place of s, phi negates the
+    # odd-degree parts (P) and the prefactor -1/s flips sign, so cs_form
+    # would return -P(cs).  That equals cs exactly when cs is odd, which
+    # phi_normalize(-1) = P phi_normalize(1) expresses as below.
+    cs = cs_form(c0, c1)
+    assert not cs.is_zero(1e-6)
+    assert cs.phi_normalize(-1).allclose(-cs.phi_normalize(1), 1e-12)
     assert chern_character(c0, branch=1).allclose(
         chern_character(c0, branch=-1), 1e-12
     )

@@ -1,0 +1,51 @@
+"""The scripts under scripts/ still run against the package API: the
+verification driver, the heat-eta convergence table and the scenario
+builder, which must reproduce the committed scenario files."""
+
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def _run_script(name, *args, cwd):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_run_verification_passes(tmp_path):
+    proc = _run_script("run_verification.py", "--seed", "0", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "31 checks, all passed"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eta_heat_convergence_prints_the_table(tmp_path):
+    proc = _run_script("eta_heat_convergence.py", "--cutoffs", "8", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "mu = 0.25: exact eta = +0.500000000000"
+    assert len(lines) == 3 and lines[2].split()[0] == "8"
+
+
+def test_build_scenarios_reproduces_committed_files(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "build_scenarios", SCRIPTS / "build_scenarios.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.main()
+    committed = sorted(p.name for p in (ROOT / "scenarios").glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (ROOT / "scenarios" / name).read_bytes()

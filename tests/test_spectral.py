@@ -22,6 +22,7 @@ from etacalc.spectral import (
 
 from helpers import (
     build_sig_mode,
+    coupled_dense_oracle,
     diagonal_connection_from_mus,
     random_mus,
     random_unitary_constant_connection,
@@ -273,6 +274,64 @@ def test_commuting_unitary_t3_spectrum_is_closed_form():
     assert len(vals) == t.size == len(expect)
     assert np.max(np.abs(vals.real - expect)) < 1e-9
     assert np.max(np.abs(vals.imag)) < 1e-9
+
+
+def _random_coupled_connection(rng, dim, rank):
+    """Zero-frequency terms in several directions plus one to three
+    oscillatory frequencies (on T^3 each in one or two directions), with
+    some exact zero entries."""
+    def mat(scale):
+        m = scale * (rng.standard_normal((rank, rank))
+                     + 1j * rng.standard_normal((rank, rank)))
+        m[rng.random((rank, rank)) < 0.25] = 0.0
+        return m
+
+    while True:
+        terms = {((0,) * dim, (j,)): mat(1.0) for j in range(1, dim + 1)
+                 if rng.random() < 0.8}
+        for _ in range(int(rng.integers(1, 4))):
+            q = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+            for j in rng.permutation(dim)[: int(rng.integers(1, min(dim, 2) + 1))]:
+                terms[(q, (int(j) + 1,))] = mat(0.5)
+        c = Connection(TrigPolyForm(dim, rank, list(terms.items())))
+        if any(any(q) for q, _, _ in c.a.terms()):
+            return c
+
+
+@pytest.mark.parametrize("dim, ranks, cutoff", [(1, (1, 2, 3), 3), (3, (1, 2), 1)])
+def test_coupled_dense_equals_per_mode_oracle(dim, ranks, cutoff):
+    rng = np.random.default_rng(43 + dim)
+    for rank in ranks:
+        for _ in range(4):
+            c = _random_coupled_connection(rng, dim, rank)
+            t = build_truncation(c, cutoff)
+            assert not t.block_diagonal and t.blocks is None and t.couplings
+            oracle = coupled_dense_oracle(c, cutoff)
+            assert np.array_equal(t.dense, oracle)
+            vals = np.linalg.eigvals(oracle)
+            assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
+
+
+def test_truncations_share_one_representation():
+    rng = np.random.default_rng(44)
+    constant = build_truncation(random_unitary_constant_connection(rng, 3, 2), 1)
+    assert constant.couplings == () and constant.dense is None
+    assert constant.stack.shape == (27, 8, 8)
+    c = _random_coupled_connection(rng, 3, 2)
+    coupled = build_truncation(c, 1)
+    # the stack holds each mode's block with itself in both cases
+    assert coupled.stack.shape == (27, 8, 8)
+    for i in range(27):
+        assert np.array_equal(
+            coupled.stack[i], coupled.dense[8 * i : 8 * i + 8, 8 * i : 8 * i + 8]
+        )
+    assert [q for q, _ in coupled.couplings] == [
+        q for q, _, _ in c.a.terms() if any(q)
+    ]
+    assert coupled.dense is coupled.dense  # built once
+    for arr in (coupled.stack, coupled.dense, coupled.couplings[0][1]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_spectrum_returns_a_copy_of_the_cached_solve():
