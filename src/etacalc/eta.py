@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import erfc
 
+from .geometry import PreconditionError
 from .spectral import OperatorTruncation, spectrum
 
 DEFAULT_EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
@@ -100,8 +101,13 @@ def eta_heat_estimate(
     Evaluates eta_eps = sum sign(lambda) erfc(sqrt(eps) |lambda|) on the grid
     and Richardson-extrapolates quadratically in sqrt(eps) to eps -> 0.
     Accurate only when the truncation window dominates the tail (documented
-    in the tests); refuses non-self-adjoint truncations.
+    in the tests); refuses non-self-adjoint truncations, and coupled ones,
+    whose eigenvalues near the window's edge are not those of the operator.
     """
+    if t.couplings:
+        raise PreconditionError(
+            "heat-smoothed eta requires a constant-coefficient truncation"
+        )
     if not t.formally_self_adjoint:
         raise ValueError(
             "heat-smoothed eta requires a formally self-adjoint truncation"

@@ -16,11 +16,13 @@ A = 2 pi i mu, the spectrum over the modes is exactly {2 pi (k + mu)}.
 Every truncation is one stacked (modes, n, n) array of these mode-diagonal
 blocks (A_j its zero-frequency part), assembled without a loop over modes,
 plus one coupling B_j (x) A_q per oscillatory term A_q e^{2 pi i q.x} dx_j,
-which maps mode k to k + q.  Without couplings the spectrum is one batched
-eigen-solve over the stack; with them, one dense solve of the Galerkin
-matrix built from the stack and the couplings.  Either is cached on the
-truncation.  A memory guard refuses truncations that would not fit before
-allocating them.
+which maps mode k to k + q.  The couplings split the modes into the
+connected components of the graph with an edge k -> k + q, each an
+eigenproblem of its own: the spectrum is one batched eigen-solve per
+component size, over the components' Galerkin matrices assembled from the
+stack and the couplings (without couplings, the stack itself), and is
+cached on the truncation.  A memory guard refuses truncations that would
+not fit before allocating them.
 """
 
 from __future__ import annotations
@@ -115,9 +117,14 @@ class OperatorTruncation:
     first use.
 
     The eigenvalues are computed once per truncation, on the first call of
-    ``spectrum`` or ``spectrum_rows``: one batched solve over the stack
-    when there are no couplings, one dense solve otherwise.  Every array is
-    read-only so that the cached values cannot go stale.
+    ``spectrum`` or ``spectrum_rows``.  The couplings split the modes into
+    connected components, each an eigenproblem of its own; the solve is
+    one batched ``eigvals`` per component size, over matrices assembled
+    from the stack and the couplings without building ``dense``.  Without
+    couplings every component is one mode and the solve is
+    ``eigvals(stack)``; when the couplings connect the whole window it is
+    the solve of ``dense``.  Every array is read-only so that the cached
+    values cannot go stale.
     """
 
     dim: int
@@ -139,26 +146,41 @@ class OperatorTruncation:
         return MappingProxyType(dict(zip(self.modes, self.stack)))
 
     @cached_property
+    def _coupling_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """For each coupling, in term order, the mode indices (source,
+        target) of the pairs k -> k + q whose target lies in the window
+        (the Galerkin projection drops the others), sources ascending."""
+        side = 2 * self.cutoff + 1
+        lattice_shape = (side,) * self.dim
+        # mode indices shifted by the cutoff, in ``product`` order
+        lattice = np.indices(lattice_shape).reshape(self.dim, -1)
+        pairs = []
+        for q, _ in self.couplings:
+            target = lattice + np.array(q)[:, None]
+            inside = np.all((target >= 0) & (target < side), axis=0)
+            pairs.append(
+                (
+                    np.flatnonzero(inside),
+                    np.ravel_multi_index(target[:, inside], lattice_shape),
+                )
+            )
+        return tuple(pairs)
+
+    @cached_property
     def dense(self) -> np.ndarray | None:
         """The coupled Galerkin matrix: the stack on the block diagonal, and
-        each coupling added to the blocks (k + q, k) whose target k + q
-        lies in the window (the Galerkin projection drops the others).
-        None for a block-diagonal truncation."""
+        each coupling added, in term order, to the blocks (k + q, k) whose
+        target k + q lies in the window.  None for a block-diagonal
+        truncation."""
         if not self.couplings:
             return None
         n, per, _ = self.stack.shape
-        lattice_shape = (2 * self.cutoff + 1,) * self.dim
         out = np.zeros((n * per, n * per), dtype=complex)
         grid = out.reshape(n, per, n, per)
         cols = np.arange(n)
         grid[cols, :, cols, :] = self.stack
-        # mode indices shifted by the cutoff, in ``product`` order
-        lattice = np.indices(lattice_shape).reshape(self.dim, n)
-        for q, coupling in self.couplings:
-            target = lattice + np.array(q)[:, None]
-            inside = np.all((target >= 0) & (target < lattice_shape[0]), axis=0)
-            rows = np.ravel_multi_index(target[:, inside], lattice_shape)
-            grid[rows, :, cols[inside], :] += coupling
+        for (_, coupling), (source, target) in zip(self.couplings, self._coupling_pairs):
+            grid[target, :, source, :] += coupling
         return _read_only(out)
 
     @property
@@ -167,14 +189,68 @@ class OperatorTruncation:
         return len(self.modes) * per_mode
 
     @cached_property
-    def _eigvals(self) -> np.ndarray:
-        """Unsorted eigenvalues: (len(modes), per) for the stack, one row
-        per mode, or a flat vector for the dense matrix."""
-        return np.linalg.eigvals(self.dense if self.couplings else self.stack)
+    def _components(self) -> tuple[np.ndarray, ...]:
+        """The connected components of the mode graph with an edge k -> k + q
+        for every coupling pair, grouped by size: one (m, s) array of mode
+        indices per component size s, sizes ascending.  Each row is one
+        component, its modes ascending; rows are ordered by first mode."""
+        # label every mode by the first mode of its component: take the
+        # smaller label across each edge, then jump to the label's label
+        labels = np.arange(len(self.modes))
+        while True:
+            low = labels.copy()
+            for source, target in self._coupling_pairs:
+                np.minimum.at(low, source, labels[target])
+                np.minimum.at(low, target, labels[source])
+            low = low[low]
+            if np.array_equal(low, labels):
+                break
+            labels = low
+        sizes = np.bincount(labels)[labels]
+        order = np.lexsort((labels, sizes))  # stable: modes stay ascending
+        sizes = sizes[order]
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(order)]
+        return tuple(
+            order[a:b].reshape(-1, sizes[a]) for a, b in zip(bounds, bounds[1:])
+        )
+
+    def _component_matrices(self, members: np.ndarray) -> np.ndarray:
+        """The (m, s * per, s * per) Galerkin matrices of the m components of
+        s modes in ``members``: each the principal submatrix of ``dense`` on
+        its modes, with the same entries added in the same order (stack
+        first, then couplings in term order), so bitwise equal to it."""
+        m, s = members.shape
+        n, per, _ = self.stack.shape
+        if s == 1:
+            # lone modes have no couplings; all of them are the stack itself
+            return self.stack if m == n else self.stack[members[:, 0]]
+        out = np.zeros((m, s, per, s, per), dtype=complex)
+        pos = np.arange(s)
+        out[:, pos, :, pos, :] = self.stack[members].swapaxes(0, 1)
+        row = np.full(n, -1)
+        row[members] = np.arange(m)[:, None]
+        col = np.empty(n, dtype=int)
+        col[members] = pos
+        for (_, coupling), (source, target) in zip(self.couplings, self._coupling_pairs):
+            inside = row[source] >= 0
+            source, target = source[inside], target[inside]
+            out[row[source], col[target], :, col[source], :] += coupling
+        return out.reshape(m, s * per, s * per)
+
+    @cached_property
+    def _eigvals(self) -> tuple[np.ndarray, ...]:
+        """Unsorted eigenvalues, one batched solve per component size: an
+        (m, s * per) array per entry of ``_components``, one row per
+        component.  Without couplings that is eigvals(stack), one row per
+        mode."""
+        return tuple(
+            np.linalg.eigvals(self._component_matrices(members))
+            for members in self._components
+        )
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        vals = self._eigvals.ravel()
+        vals = np.concatenate([v.ravel() for v in self._eigvals])
         return vals[np.lexsort((vals.imag, vals.real))]
 
 
@@ -216,8 +292,9 @@ def build_truncation(
     The mode-diagonal stack is built for every connection, plus one
     coupling B_j (x) A_q per oscillatory term q of A.  Refuses, before
     allocating anything, truncations that need more than ``memory_limit``
-    bytes of matrix storage: the dense matrix when there are couplings,
-    the stack otherwise.
+    bytes of matrix storage: the dense matrix when there are couplings
+    (counted although the solve, one connected mode component at a time,
+    does not allocate it), the stack otherwise.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -257,7 +334,7 @@ def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     if not t.block_diagonal:
         return [(float(v.real), float(v.imag), "") for v in t._spectrum]
     rows = []
-    for k, vals in zip(t.modes, t._eigvals):  # modes are in sorted order
+    for k, vals in zip(t.modes, t._eigvals[0]):  # one lone mode per row, sorted
         vals = vals[np.lexsort((vals.imag, vals.real))]
         label = " ".join(str(v) for v in k)
         rows.extend((float(v.real), float(v.imag), label) for v in vals)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from etacalc.forms import TrigPolyForm
-from etacalc.geometry import Connection
+from etacalc.geometry import Connection, gauge_transform
 from etacalc.spectral import clifford_model
 
 # Small integer/rational-ish entries keep float roundoff tiny, so exact
@@ -248,6 +248,46 @@ def coupled_dense_oracle(c: Connection, cutoff: int) -> np.ndarray:
                 dense[it * per : (it + 1) * per, i * per : (i + 1) * per] += coupling
     return dense
 
+
+def mode_components(c: Connection, cutoff: int) -> list[list[int]]:
+    """Mode indices (``product`` order) of the connected components of the
+    graph joining k and k + q for every oscillatory frequency q of c with
+    both ends in the window, found by a search mode by mode; each list is
+    ascending, the lists ordered by their first mode."""
+    modes = list(product(range(-cutoff, cutoff + 1), repeat=c.dim))
+    index = {k: i for i, k in enumerate(modes)}
+    freqs = {q for q, _, _ in c.a.terms() if any(q)}
+    seen: set[tuple[int, ...]] = set()
+    components = []
+    for start in modes:
+        if start in seen:
+            continue
+        seen.add(start)
+        todo, found = [start], []
+        while todo:
+            k = todo.pop()
+            found.append(index[k])
+            for q in freqs:
+                for step in (1, -1):
+                    nb = tuple(a + step * b for a, b in zip(k, q))
+                    if nb in index and nb not in seen:
+                        seen.add(nb)
+                        todo.append(nb)
+        components.append(sorted(found))
+    return components
+
+
+def gauged_t3_connection(mus: np.ndarray, basis: np.ndarray) -> Connection:
+    """The constant connection diag(2 pi i mus[j]) on T^3 (mus of shape
+    (3, 2)) gauge-transformed by u = Q + P e^{2 pi i x_1}, P and Q the
+    orthogonal projections onto the columns of the unitary ``basis``: flat,
+    with frequencies 0 and +-e_1 only, unitary when mus is real."""
+    p = np.outer(basis[:, 0], basis[:, 0].conj())
+    q = np.outer(basis[:, 1], basis[:, 1].conj())
+    u = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(1, 0, 0))
+    u_inv = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(-1, 0, 0))
+    diag = Connection.from_constant(3, [np.diag(2j * math.pi * row) for row in mus])
+    return Connection(gauge_transform(diag, u, u_inv).a)
 
 # ----------------------------------------------------------------------
 # independent eta oracle

@@ -13,11 +13,12 @@ from etacalc.eta import (
     eta_s1_spectral,
     m_minus,
 )
-from etacalc.geometry import Connection, subtorus_pairing
+from etacalc.geometry import Connection, PreconditionError, subtorus_pairing
 from etacalc.spectral import build_truncation, spectrum
 
 from helpers import (
     diagonal_connection_from_mus,
+    gauged_t3_connection,
     random_mus,
     sign_sum_eta_oracle,
 )
@@ -155,6 +156,16 @@ def test_heat_estimate_rejects_non_self_adjoint():
     with pytest.raises(ValueError):
         eta_heat_estimate(t)
 
+
+
+def test_heat_estimate_rejects_coupled_truncations():
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    c = gauged_t3_connection(rng.uniform(0.1, 0.9, (3, 2)), basis)
+    t = build_truncation(c, 1)
+    assert t.couplings and t.formally_self_adjoint
+    with pytest.raises(PreconditionError, match="constant-coefficient"):
+        eta_heat_estimate(t)
 
 def test_heat_estimate_needs_enough_grid_points():
     c = diagonal_connection_from_mus([0.25])

@@ -2,6 +2,7 @@
 circle calibration, block structure, and guard rails."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from helpers import (
     build_sig_mode,
     coupled_dense_oracle,
     diagonal_connection_from_mus,
+    gauged_t3_connection,
+    mode_components,
     random_mus,
     random_unitary_constant_connection,
 )
@@ -308,7 +311,18 @@ def test_coupled_dense_equals_per_mode_oracle(dim, ranks, cutoff):
             assert not t.block_diagonal and t.blocks is None and t.couplings
             oracle = coupled_dense_oracle(c, cutoff)
             assert np.array_equal(t.dense, oracle)
-            vals = np.linalg.eigvals(oracle)
+            # the oracle is exactly zero between components, and the
+            # spectrum is that of its per-component principal submatrices
+            per = t.stack.shape[1]
+            rows = [
+                (per * np.array(comp)[:, None] + np.arange(per)).ravel()
+                for comp in mode_components(c, cutoff)
+            ]
+            label = np.empty(t.size, dtype=int)
+            for i, r in enumerate(rows):
+                label[r] = i
+            assert not np.any(oracle[label[:, None] != label[None, :]])
+            vals = np.concatenate([np.linalg.eigvals(oracle[np.ix_(r, r)]) for r in rows])
             assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
 
 
@@ -332,6 +346,80 @@ def test_truncations_share_one_representation():
     for arr in (coupled.stack, coupled.dense, coupled.couplings[0][1]):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# coupled truncations solved one connected mode component at a time
+
+
+def _gauged_draw(rng, cutoff):
+    """A gauged rank-2 T^3 connection with complex shifts (``bench``'s
+    t3_coupled shape) and the closed-form eigenvalues of its ungauged
+    connection at the modes |k_j| <= cutoff - 1, whose gauged
+    eigenvectors stay inside the window."""
+    mus = rng.uniform(0.1, 0.9, (3, 2)) + 1j * rng.uniform(-0.3, 0.3, (3, 2))
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    basis, _ = np.linalg.qr(x)
+    inner = np.array(list(product(range(1 - cutoff, cutoff), repeat=3)))
+    shifted = inner[:, :, None] + mus[None, :, :]  # (mode, j, line)
+    lam = (TWO_PI * np.sqrt(np.sum(shifted**2, axis=1))).ravel()
+    return gauged_t3_connection(mus, basis), np.concatenate([lam, lam, -lam, -lam])
+
+
+def test_gauged_t3_splits_into_lines_along_x1():
+    c, _ = _gauged_draw(np.random.default_rng(45), 2)
+    t = build_truncation(c, 2)
+    assert {q for q, _ in t.couplings} == {(1, 0, 0), (-1, 0, 0)}
+    (members,) = t._components
+    assert members.shape == (25, 5)
+    assert members.tolist() == mode_components(c, 2)
+    # each component is the line of modes k + n e_1 through one (k_2, k_3)
+    lines = np.array(t.modes)[members]
+    assert np.all(lines[:, :, 0] == np.arange(-2, 3))
+    assert np.all(lines[:, :, 1:] == lines[:, :1, 1:])
+
+
+def test_even_frequency_splits_circle_by_parity():
+    a = TrigPolyForm(1, 1, [(((2,), (1,)), np.array([[0.4 + 0.2j]])),
+                           (((-2,), (1,)), np.array([[-0.3j]])),
+                           (((0,), (1,)), np.array([[2j * math.pi * 0.3]]))])
+    c = Connection(a)
+    t = build_truncation(c, 3)
+    # sizes ascending: the even modes -2, 0, 2, then the odd -3, -1, 1, 3
+    even, odd = t._components
+    assert even.tolist() == [[1, 3, 5]] and odd.tolist() == [[0, 2, 4, 6]]
+    assert mode_components(c, 3) == [[0, 2, 4, 6], [1, 3, 5]]
+
+
+def test_connected_window_is_the_dense_solve():
+    rng = np.random.default_rng(47)
+    terms = [
+        ((q, (j,)), 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+        for j, q in ((1, (1, 0, 0)), (2, (0, -1, 0)), (3, (0, 0, 1)), (1, (0, 0, 0)))
+    ]
+    c = Connection(TrigPolyForm(3, 2, terms))
+    t = build_truncation(c, 1)
+    (members,) = t._components
+    assert members.tolist() == [list(range(27))]
+    vals = np.linalg.eigvals(t.dense)
+    assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
+
+
+def test_coupled_spectrum_does_not_build_the_dense_matrix():
+    c, _ = _gauged_draw(np.random.default_rng(48), 2)
+    t = build_truncation(c, 2)
+    spectrum(t)
+    spectrum_rows(t)
+    assert "dense" not in vars(t)
+    assert t.dense.shape == (t.size, t.size)  # still there on request
+
+
+def test_gauged_t3_spectrum_contains_closed_form_inner_eigenvalues():
+    c, expect = _gauged_draw(np.random.default_rng(49), 2)
+    vals = spectrum(build_truncation(c, 2))
+    uniq, counts = np.unique(expect, return_counts=True)
+    found = np.sum(np.abs(vals[None, :] - uniq[:, None]) <= 1e-9, axis=1)
+    assert np.all(found >= counts)
 
 
 def test_spectrum_returns_a_copy_of_the_cached_solve():
