@@ -20,7 +20,6 @@ from .geometry import (
     Connection,
     PreconditionError,
     a_coeff,
-    a_coeff_exact,
     cs_form,
     cs_r_poly,
     gauge_transform,
@@ -39,7 +38,6 @@ from .verify import (
     VerificationReport,
     assemble_report,
     eta_tilde,
-    psi_exponential,
     psi_local,
     psi_spectral,
     standard_suite,
@@ -60,7 +58,6 @@ __all__ = [
     "TrigPolyForm",
     "VerificationReport",
     "a_coeff",
-    "a_coeff_exact",
     "assemble_report",
     "build_truncation",
     "cs_form",
@@ -73,7 +70,6 @@ __all__ = [
     "gauge_transform",
     "m_minus",
     "odd_subtori",
-    "psi_exponential",
     "psi_local",
     "psi_spectral",
     "s1_mu_list",

@@ -17,19 +17,23 @@ with a distinct code per failure class:
 
 Any other exception is a bug and propagates with its traceback.
 
-Each check is one entry of :data:`CHECKS`: its parameter schema, its
-default tolerance and a short runner into :mod:`etacalc.verify`.  The
-scenario schema and the ``--check`` choices are generated from that
-registry.  Experiments are independent of each other; they are executed in
-file order but the report is assembled sorted by check id, so the output
-does not depend on execution order.  Reports are byte-identical across runs
-except for the ``generated_at`` field added when writing to disk.
+The checks are those of :data:`etacalc.verify.CHECKS`, the registry that
+``standard_suite`` runs through too, plus two CSV artifacts, ``spectrum``
+and ``tracks``.  An identity check's defaults (tolerances, cutoffs,
+samples) are those of its check function, since runners forward only the
+parameters an experiment sets.  This module holds the JSON side: one
+schema per experiment key, from which the scenario schema and the
+``--check`` choices are generated, and the resolution of connection names
+and paths.  Experiments are independent of each other; they are executed
+in file order but the report is assembled sorted by check id, so the
+output does not depend on execution order.  Reports are byte-identical
+across runs except for the ``generated_at`` field added when writing to
+disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import json
@@ -50,6 +54,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_SCENARIO = 2
 EXIT_GUARD = 3
 
+_MATRIX_SCHEMA = {
+    "type": "array",
+    "items": {"type": "array", "items": {"type": "number"}},
+}
+
 _FORM_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -66,8 +75,8 @@ _FORM_SCHEMA = {
                 "properties": {
                     "k": {"type": "array", "items": {"type": "integer"}},
                     "I": {"type": "array", "items": {"type": "integer"}},
-                    "re": {"type": "array"},
-                    "im": {"type": "array"},
+                    "re": _MATRIX_SCHEMA,
+                    "im": _MATRIX_SCHEMA,
                 },
             },
         },
@@ -156,52 +165,14 @@ class _CsvSink:
 
 
 # ----------------------------------------------------------------------
-# the check registry
+# the check registry: verify's identity checks plus two CSV artifacts
 
 
 @dataclass(frozen=True)
-class _Experiment:
-    """One experiment as its runner sees it: ``args`` are its keys with
-    connection names and ``path`` resolved to objects and integers made
-    ints; ``tol`` is the tolerance in force (None for checks without one)."""
+class _Experiment(verify.Experiment):
+    """An experiment of a scenario: also where its artifacts go."""
 
-    args: dict
-    tol: float | tuple[float, float] | None
-    label: str
-    dim: int
-    rank: int
-    seed: int
-    sink: _CsvSink
-
-
-@dataclass(frozen=True)
-class Check:
-    """A scenario check: the schemas of its parameters, the ones it
-    requires, its default tolerance (None: it takes no tolerance and ignores
-    ``--tol``) and a runner returning one report entry or a list of them.
-    Runners call ``verify`` through the module, at call time."""
-
-    params: dict
-    required: tuple[str, ...]
-    tolerance: float | tuple[float, float] | None
-    run: Callable[[_Experiment], verify.CheckEntry | list[verify.CheckEntry]]
-
-
-def _re_im_split(x: _Experiment) -> list[verify.CheckEntry]:
-    tol_re, tol_im = x.tol if isinstance(x.tol, tuple) else (x.tol, x.tol)
-    return verify.check_re_im_split(
-        x.args["connection"], tol_re=tol_re, tol_im=tol_im, check_id=x.label
-    )
-
-
-def _bk_phase(x: _Experiment) -> verify.CheckEntry:
-    rank = x.args.get("rank", x.rank)
-    return verify.check_bk_phase(
-        rank,
-        dim=x.dim,
-        cutoff=x.args.get("cutoff", 4 if x.dim == 1 else 2),
-        check_id=f"{x.label}[rank={rank},dim={x.dim}]",
-    )
+    sink: _CsvSink | None = None
 
 
 def _spectrum_csv(x: _Experiment) -> list[verify.CheckEntry]:
@@ -216,133 +187,47 @@ def _tracks_csv(x: _Experiment) -> list[verify.CheckEntry]:
         path, cutoff = x.args["path"], x.args.get("cutoff", 8)
         tr = track_path(
             lambda t: build_truncation(path(t), cutoff),
-            m0=x.args.get("intervals", 8),
+            **x.kwargs(m0="intervals"),
         )
         export_tracks_csv(tr, x.sink.path_for(x.label))
     return []
 
 
-_NAME = {"type": "string"}
-_CUTOFF = {"type": "integer", "minimum": 1}
-
-#: check name -> Check(params, required keys, default tolerance, runner)
-CHECKS: dict[str, Check] = {
-    "cs_odd_chern_pairing": Check(
-        {
-            "connection": _NAME,
-            "r_values": {
-                "type": "array", "items": {"type": "number"}, "minItems": 1
-            },
-        },
-        ("connection",),
-        1e-9,
-        lambda x: [
-            entry
-            for r in x.args.get("r_values", (0.5, 1.0, 2.0))
-            for entry in verify.check_cs_odd_chern_pairing(
-                x.args["connection"], r=r, tol=x.tol, label=x.label
-            )
-        ],
+#: check name -> verify.Check(params, required params, runner)
+CHECKS: dict[str, verify.Check] = {
+    **verify.CHECKS,
+    "spectrum": verify.Check(
+        ("connection", "cutoff"), ("connection",), _spectrum_csv
     ),
-    "gilkey_variation": Check(
-        {"from": _NAME, "to": _NAME},
-        ("from", "to"),
-        1e-6,
-        lambda x: verify.check_gilkey_variation(
-            x.args["from"], x.args["to"], tol=x.tol, check_id=x.label
-        ),
-    ),
-    "variation_complex": Check(
-        {"path": _PATH_SCHEMA, "cutoff": _CUTOFF},
-        ("path",),
-        1e-8,
-        lambda x: verify.check_variation_complex(
-            x.args["path"],
-            tol=x.tol,
-            cutoff=x.args.get("cutoff", 8),
-            check_id=x.label,
-        ),
-    ),
-    "gauge_pumping": Check(
-        {
-            "connection": _NAME,
-            "winding": {"type": "integer"},
-            "cutoff": _CUTOFF,
-        },
-        ("connection", "winding"),
-        None,
-        lambda x: verify.check_gauge_pumping(
-            x.args["connection"],
-            x.args["winding"],
-            cutoff=x.args.get("cutoff", 8),
-            check_id=f"{x.label}[w={x.args['winding']}]",
-        ),
-    ),
-    "re_im_split": Check(
-        {"connection": _NAME}, ("connection",), (1e-6, 1e-8), _re_im_split
-    ),
-    "psi_constancy": Check(
-        {"path": _PATH_SCHEMA, "samples": {"type": "integer", "minimum": 2}},
-        ("path",),
-        1e-9,
-        lambda x: verify.check_psi_constancy(
-            x.args["path"],
-            n_samples=x.args.get("samples", 9),
-            tol=x.tol,
-            check_id=x.label,
-        ),
-    ),
-    "eta_tilde_imaginary": Check(
-        {"connection": _NAME, "reference": _NAME},
-        ("connection",),
-        1e-8,
-        lambda x: verify.check_eta_tilde_imaginary(
-            x.args["connection"],
-            x.args.get("reference"),
-            tol=x.tol,
-            check_id=x.label,
-        ),
-    ),
-    "bk_phase": Check(
-        {"rank": {"type": "integer", "minimum": 0}, "cutoff": _CUTOFF},
-        (),
-        None,
-        _bk_phase,
-    ),
-    "standard_suite": Check(
-        {},
-        (),
-        None,
-        lambda x: [
-            dataclasses.replace(e, check_id=f"{x.label}.{e.check_id}")
-            for e in verify.standard_suite(seed=x.seed).entries
-        ],
-    ),
-    "spectrum": Check(
-        {"connection": _NAME, "cutoff": _CUTOFF},
-        ("connection",),
-        None,
-        _spectrum_csv,
-    ),
-    "tracks": Check(
-        {
-            "path": _PATH_SCHEMA,
-            "cutoff": _CUTOFF,
-            "intervals": {"type": "integer", "minimum": 1},
-        },
-        ("path",),
-        None,
-        _tracks_csv,
+    "tracks": verify.Check(
+        ("path", "cutoff", "intervals"), ("path",), _tracks_csv
     ),
 }
 
+_NAME = {"type": "string"}
 
-def _experiment_schema(name: str, check: Check) -> dict:
+#: experiment key -> its schema, the same for every check that takes it
+_PARAM_SCHEMAS = {
+    "connection": _NAME,
+    "from": _NAME,
+    "to": _NAME,
+    "reference": _NAME,
+    "path": _PATH_SCHEMA,
+    "r_values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+    "cutoff": {"type": "integer", "minimum": 1},
+    "winding": {"type": "integer"},
+    "samples": {"type": "integer", "minimum": 2},
+    "rank": {"type": "integer", "minimum": 0},
+    "intervals": {"type": "integer", "minimum": 1},
+    "tolerance": {"type": "number", "exclusiveMinimum": 0},
+}
+
+
+def _experiment_schema(name: str, check: verify.Check) -> dict:
     """Applies the check's own parameter schema to experiments naming it;
     keys the check does not read are rejected."""
-    props = {"label": {"type": "string", "minLength": 1}, **check.params}
-    if check.tolerance is not None:
-        props["tolerance"] = {"type": "number", "exclusiveMinimum": 0}
+    props = {"label": {"type": "string", "minLength": 1}}
+    props.update((key, _PARAM_SCHEMAS[key]) for key in check.params)
     return _tagged_branch("check", name, check.required, props)
 
 
@@ -460,31 +345,30 @@ def _build_path(scn: Scenario, spec: dict) -> Callable[[float], Connection]:
     return lambda t: gauge_path(base, w, t)
 
 
-def _resolve(scn: Scenario, check: Check, exp: dict) -> dict:
-    """The experiment's keys with connection names and the path replaced by
-    the objects they name, and integer parameters made ints."""
+def _resolve(
+    scn: Scenario, check: verify.Check, exp: dict, tol: float | None
+) -> dict:
+    """The parameters the experiment sets, with connection names and the
+    path replaced by the objects they name and numbers made ints or
+    floats by their schema; ``tol``, if given, replaces the tolerance of a
+    check that takes one."""
     args = {}
-    for key, value in exp.items():
-        if key in ("connection", "from", "to", "reference"):
+    for key in check.params:
+        if key not in exp:
+            continue
+        value, schema = exp[key], _PARAM_SCHEMAS[key]
+        if schema is _NAME:
             value = _named_connection(scn, value)
-        elif key == "path":
+        elif schema is _PATH_SCHEMA:
             value = _build_path(scn, value)
-        elif check.params.get(key, {}).get("type") == "integer":
+        elif schema.get("type") == "integer":
             value = int(value)
+        elif schema.get("type") == "number":
+            value = float(value)
         args[key] = value
+    if tol is not None and "tolerance" in check.params:
+        args["tolerance"] = tol
     return args
-
-
-def _tolerance(check: Check, exp: dict, override: float | None):
-    """``--tol``, else the experiment's ``tolerance``, else the check's
-    default; None for checks that take no tolerance."""
-    if check.tolerance is None:
-        return None
-    if override is not None:
-        return override
-    if "tolerance" in exp:
-        return float(exp["tolerance"])
-    return check.tolerance
 
 
 def run_scenario(
@@ -497,8 +381,8 @@ def run_scenario(
     """Execute the scenario's experiments and assemble the report.
 
     ``selected_checks`` filters experiments by check name; ``tol_override``
-    replaces every (non-integer-mode) tolerance; CSV artifacts are written
-    when the flag or the scenario requests them.
+    replaces the tolerance of every check that takes one; CSV artifacts are
+    written when the flag or the scenario requests them.
     """
     seed = scn.seed if seed_override is None else seed_override
     sink = _CsvSink(scn.csv_dir, enabled=emit_csv or scn.csv_dir is not None)
@@ -507,10 +391,9 @@ def run_scenario(
         if selected_checks and exp["check"] not in selected_checks:
             continue
         check = CHECKS[exp["check"]]
-        out = check.run(
+        entries += check.run(
             _Experiment(
-                args=_resolve(scn, check, exp),
-                tol=_tolerance(check, exp, tol_override),
+                args=_resolve(scn, check, exp, tol_override),
                 label=exp.get("label", f"e{i:02d}_{exp['check']}"),
                 dim=scn.dim,
                 rank=scn.rank,
@@ -518,7 +401,6 @@ def run_scenario(
                 sink=sink,
             )
         )
-        entries += out if isinstance(out, list) else [out]
     return verify.assemble_report(entries, seed=seed), sink
 
 
@@ -588,6 +470,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+def _seed(text: str) -> int:
+    """A seed from the command line: a non-negative integer, as the
+    scenario's own ``seed`` is."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="etacalc",
@@ -618,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_p.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=None,
         help="seed for randomized suites (overrides the scenario)",
     )

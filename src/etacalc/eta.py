@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import erfc
@@ -24,9 +24,10 @@ from scipy.special import erfc
 from .geometry import PreconditionError
 from .spectral import OperatorTruncation, spectrum
 
-DEFAULT_EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
-
-MOD_Z_NOTE = "only the fractional part of Re(reduced) is convention-independent"
+# the smoothing parameters eps the heat estimate extrapolates from, and the
+# magnitude below which it counts an eigenvalue as a zero mode
+_EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
+_ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class EtaValue:
 
     eta: complex
     kernel_dim: int
-    mod_z_note: str = MOD_Z_NOTE
 
     @property
     def reduced(self) -> complex:
@@ -91,15 +91,12 @@ def eta_s1_spectral(mus: Iterable[complex], tol: float = 1e-9) -> TowerEta:
     return TowerEta(EtaValue(eta=total, kernel_dim=kernel), tuple(excluded))
 
 
-def eta_heat_estimate(
-    t: OperatorTruncation,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    zero_tol: float = 1e-8,
-) -> complex:
+def eta_heat_estimate(t: OperatorTruncation) -> complex:
     """Heat-smoothed eta for a self-adjoint truncation.
 
-    Evaluates eta_eps = sum sign(lambda) erfc(sqrt(eps) |lambda|) on the grid
-    and Richardson-extrapolates quadratically in sqrt(eps) to eps -> 0.
+    Evaluates eta_eps = sum sign(lambda) erfc(sqrt(eps) |lambda|) on a fixed
+    grid of six eps values and Richardson-extrapolates quadratically in
+    sqrt(eps) to eps -> 0.
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses non-self-adjoint truncations, and coupled ones,
     whose eigenvalues near the window's edge are not those of the operator.
@@ -112,16 +109,14 @@ def eta_heat_estimate(
         raise ValueError(
             "heat-smoothed eta requires a formally self-adjoint truncation"
         )
-    if len(eps_grid) < 3:
-        raise ValueError("need at least three eps values to extrapolate")
     lam = spectrum(t).real
-    lam = lam[np.abs(lam) > zero_tol]
+    lam = lam[np.abs(lam) > _ZERO_TOL]
     if lam.size and lam.min() < 0 < lam.max():
         # balance the window: a mode cutoff leaves one unpaired extreme
         # eigenvalue per tower, which the smoothed sum must not see
         window = min(-lam.min(), lam.max()) * (1 + 1e-12)
         lam = lam[np.abs(lam) <= window]
-    roots = np.sqrt(np.asarray(eps_grid, dtype=float))
+    roots = np.sqrt(np.asarray(_EPS_GRID))
     vals = [float(np.sum(np.sign(lam) * erfc(r * np.abs(lam)))) for r in roots]
     coeffs = np.polyfit(roots, vals, 2)
     return complex(coeffs[-1])

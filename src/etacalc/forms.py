@@ -297,9 +297,6 @@ class TrigPolyForm:
     def hermitian_part(self) -> "TrigPolyForm":
         return (self + self.dagger()) * 0.5
 
-    def anti_hermitian_part(self) -> "TrigPolyForm":
-        return (self - self.dagger()) * 0.5
-
     def mat_trace(self) -> "TrigPolyForm":
         """Fiberwise matrix trace; result has rank 1 so the algebra stays closed."""
         out: dict[TermKey, np.ndarray] = {}
@@ -438,5 +435,7 @@ class TrigPolyForm:
             mat = np.asarray(t["re"], dtype=float) + 1j * np.asarray(
                 t["im"], dtype=float
             )
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"term {t['k']}, {t['I']} has a non-finite entry")
             terms.append(((tuple(t["k"]), tuple(t["I"])), mat))
         return cls(dim, rank, terms)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -76,21 +75,6 @@ def invert_degree0(g: TrigPolyForm, tol: float = 1e-10, max_terms: int = 64) -> 
         "degree-0 form is not invertible in closed form; "
         "supply g_inv explicitly (e.g. from a unipotent factorization)"
     )
-
-
-def hermitian_metric_from_factor(
-    w: TrigPolyForm, w_inv: TrigPolyForm | None = None
-) -> tuple[TrigPolyForm, TrigPolyForm]:
-    """Build (g, g_inv) = (w^dagger w, w^{-1} w^{-dagger}) from a factor w.
-
-    With w = I + f(x) N for nilpotent N the inverse is exact, giving
-    genuinely x-dependent positive metrics with closed-form inverses.
-    """
-    if w_inv is None:
-        w_inv = invert_degree0(w)
-    g = w.dagger().wedge(w)
-    g_inv = w_inv.wedge(w_inv.dagger())
-    return g, g_inv
 
 
 @dataclass(frozen=True)
@@ -236,15 +220,6 @@ def a_coeff(j: int, r: complex) -> complex:
         raise ValueError("j must be >= 0")
     r = complex(r)
     return sum(comb(j, m) * r ** (2 * m) / (2 * m + 1) for m in range(j + 1))
-
-
-def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:
-    """a_j at rational r^2, in exact arithmetic (r^2 = -1 corresponds to r = i)."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return sum(
-        Fraction(comb(j, m)) * r_squared**m / (2 * m + 1) for m in range(j + 1)
-    )
 
 
 # ----------------------------------------------------------------------

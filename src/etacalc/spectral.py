@@ -135,10 +135,6 @@ class OperatorTruncation:
     couplings: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     formally_self_adjoint: bool
 
-    @property
-    def block_diagonal(self) -> bool:
-        return not self.couplings
-
     @cached_property
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray] | None:
         if self.couplings:
@@ -168,20 +164,12 @@ class OperatorTruncation:
 
     @cached_property
     def dense(self) -> np.ndarray | None:
-        """The coupled Galerkin matrix: the stack on the block diagonal, and
-        each coupling added, in term order, to the blocks (k + q, k) whose
-        target k + q lies in the window.  None for a block-diagonal
-        truncation."""
+        """The coupled Galerkin matrix: the whole window assembled as one
+        component.  None for a block-diagonal truncation."""
         if not self.couplings:
             return None
-        n, per, _ = self.stack.shape
-        out = np.zeros((n * per, n * per), dtype=complex)
-        grid = out.reshape(n, per, n, per)
-        cols = np.arange(n)
-        grid[cols, :, cols, :] = self.stack
-        for (_, coupling), (source, target) in zip(self.couplings, self._coupling_pairs):
-            grid[target, :, source, :] += coupling
-        return _read_only(out)
+        whole = np.arange(len(self.modes))[None]
+        return _read_only(self._component_matrices(whole)[0])
 
     @property
     def size(self) -> int:
@@ -216,9 +204,11 @@ class OperatorTruncation:
 
     def _component_matrices(self, members: np.ndarray) -> np.ndarray:
         """The (m, s * per, s * per) Galerkin matrices of the m components of
-        s modes in ``members``: each the principal submatrix of ``dense`` on
-        its modes, with the same entries added in the same order (stack
-        first, then couplings in term order), so bitwise equal to it."""
+        s modes in ``members``: each has the stack of its modes on the block
+        diagonal, and each coupling added, in term order, to the blocks
+        (k + q, k) of its pairs k -> k + q.  Every pair with its source in
+        a component has its target there too, so these are the principal
+        submatrices of ``dense``, bitwise."""
         m, s = members.shape
         n, per, _ = self.stack.shape
         if s == 1:
@@ -331,7 +321,7 @@ def spectrum(t: OperatorTruncation) -> np.ndarray:
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     """(Re, Im, mode-label) rows; mode column is empty for coupled matrices."""
-    if not t.block_diagonal:
+    if t.couplings:
         return [(float(v.real), float(v.imag), "") for v in t._spectrum]
     rows = []
     for k, vals in zip(t.modes, t._eigvals[0]):  # one lone mode per row, sorted

@@ -17,6 +17,13 @@ Conventions shared by all checks:
 Checks are pure functions of their inputs and independent of each other, so
 they may run in any order (or concurrently); reports are assembled sorted by
 check id, making the output order-free.
+
+:data:`CHECKS` registers every check under its scenario name with the
+parameters an experiment may set and a runner.  Runners forward only the
+parameters an experiment sets, so each default is stated once, in the check
+function's signature (the pairing's ``r_values``, which no function takes,
+in its runner).  ``etacalc run`` and :func:`standard_suite`, a table
+of experiments, both run checks through it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -457,11 +464,6 @@ def psi_spectral(c: Connection) -> complex:
     )
 
 
-def psi_exponential(psi: complex) -> complex:
-    """The multiplicative phase factor exp(pi * psi)."""
-    return cmath.exp(math.pi * complex(psi))
-
-
 def check_psi_constancy(
     path: Callable[[float], Connection],
     n_samples: int = 9,
@@ -532,10 +534,13 @@ def check_eta_tilde_imaginary(
 # untwisted census and the phase factor
 
 
-def trivial_line_eta(dim: int, cutoff: int = 4) -> EtaValue:
+def trivial_line_eta(dim: int, cutoff: int | None = None) -> EtaValue:
     """Mode census of the untwisted operator on the trivial line bundle:
     the spectrum is symmetric (eta = 0) and the zero modes count the even
-    exterior algebra, 2^(dim-1)."""
+    exterior algebra, 2^(dim-1).  The cutoff defaults to 4 on the circle
+    and to 2 on higher tori."""
+    if cutoff is None:
+        cutoff = 4 if dim == 1 else 2
     c = Connection.from_constant(
         dim, [np.zeros((1, 1), dtype=complex)] * dim
     )
@@ -552,10 +557,14 @@ def bk_phase_factor(rank: int, eta_sig_trivial: EtaValue) -> complex:
 
 
 def check_bk_phase(
-    rank: int, dim: int = 1, cutoff: int = 4, check_id: str | None = None
+    rank: int,
+    dim: int = 1,
+    cutoff: int | None = None,
+    check_id: str | None = None,
 ) -> CheckEntry:
     """The censused phase factor matches the closed form
-    exp(i pi rank (0 + 2^(dim-1))/2)."""
+    exp(i pi rank (0 + 2^(dim-1))/2); ``cutoff`` is that of
+    :func:`trivial_line_eta`."""
     census = trivial_line_eta(dim, cutoff)
     lhs = bk_phase_factor(rank, census)
     rhs = cmath.exp(1j * math.pi * int(rank) * 2 ** (dim - 1) / 2)
@@ -568,6 +577,151 @@ def check_bk_phase(
         "absolute",
         1e-12,
     )
+
+
+
+
+# ----------------------------------------------------------------------
+# the check registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One run of a registered check: ``args`` holds the parameters it
+    sets, connections and paths as objects; ``label`` names its entries;
+    ``dim`` and ``rank`` are those of its scenario and ``seed`` seeds
+    randomized suites."""
+
+    args: dict
+    label: str
+    dim: int = 1
+    rank: int = 1
+    seed: int = 0
+
+    def kwargs(self, **names: str) -> dict:
+        """``{parameter: args[key]}`` for each ``parameter=key`` whose key
+        this experiment sets, so that the callee's own defaults fill the
+        rest."""
+        return {p: self.args[key] for p, key in names.items() if key in self.args}
+
+
+@dataclass(frozen=True)
+class Check:
+    """A registered check: the parameters an experiment may set
+    (``tolerance`` among them if it takes one), those it must set, and a
+    runner returning the experiment's report entries.  Runners forward
+    only the parameters the experiment sets, so every default is the
+    check function's, and they look the check functions up at call time."""
+
+    params: tuple[str, ...]
+    required: tuple[str, ...]
+    run: Callable[[Experiment], list[CheckEntry]]
+
+
+def _bk_phase(x: Experiment) -> list[CheckEntry]:
+    rank = x.args.get("rank", x.rank)
+    return [
+        check_bk_phase(
+            rank,
+            dim=x.dim,
+            **x.kwargs(cutoff="cutoff"),
+            check_id=f"{x.label}[rank={rank},dim={x.dim}]",
+        )
+    ]
+
+
+#: check name -> Check(params, required params, runner)
+CHECKS: dict[str, Check] = {
+    "cs_odd_chern_pairing": Check(
+        ("connection", "r_values", "tolerance"),
+        ("connection",),
+        lambda x: [
+            entry
+            for r in x.args.get("r_values", (0.5, 1.0, 2.0))
+            for entry in check_cs_odd_chern_pairing(
+                x.args["connection"],
+                r,
+                **x.kwargs(tol="tolerance"),
+                label=x.label,
+            )
+        ],
+    ),
+    "gilkey_variation": Check(
+        ("from", "to", "tolerance"),
+        ("from", "to"),
+        lambda x: [
+            check_gilkey_variation(
+                x.args["from"],
+                x.args["to"],
+                **x.kwargs(tol="tolerance"),
+                check_id=x.label,
+            )
+        ],
+    ),
+    "variation_complex": Check(
+        ("path", "cutoff", "tolerance"),
+        ("path",),
+        lambda x: [
+            check_variation_complex(
+                x.args["path"],
+                **x.kwargs(tol="tolerance", cutoff="cutoff"),
+                check_id=x.label,
+            )
+        ],
+    ),
+    "gauge_pumping": Check(
+        ("connection", "winding", "cutoff"),
+        ("connection", "winding"),
+        lambda x: [
+            check_gauge_pumping(
+                x.args["connection"],
+                x.args["winding"],
+                **x.kwargs(cutoff="cutoff"),
+                check_id=f"{x.label}[w={x.args['winding']}]",
+            )
+        ],
+    ),
+    "re_im_split": Check(
+        ("connection", "tolerance"),
+        ("connection",),
+        lambda x: check_re_im_split(
+            x.args["connection"],
+            **x.kwargs(tol_re="tolerance", tol_im="tolerance"),
+            check_id=x.label,
+        ),
+    ),
+    "psi_constancy": Check(
+        ("path", "samples", "tolerance"),
+        ("path",),
+        lambda x: [
+            check_psi_constancy(
+                x.args["path"],
+                **x.kwargs(n_samples="samples", tol="tolerance"),
+                check_id=x.label,
+            )
+        ],
+    ),
+    "eta_tilde_imaginary": Check(
+        ("connection", "reference", "tolerance"),
+        ("connection",),
+        lambda x: [
+            check_eta_tilde_imaginary(
+                x.args["connection"],
+                **x.kwargs(ref="reference", tol="tolerance"),
+                check_id=x.label,
+            )
+        ],
+    ),
+    "bk_phase": Check(("rank", "cutoff"), (), _bk_phase),
+    "standard_suite": Check(
+        (),
+        (),
+        lambda x: [
+            replace(e, check_id=f"{x.label}.{e.check_id}")
+            for e in standard_suite(x.seed).entries
+        ],
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -597,133 +751,84 @@ def _banded_mus(rng: np.random.Generator, n: int) -> list[complex]:
     return out
 
 
-def _diag_circle(mus: Sequence[complex]) -> Connection:
-    mat = np.diag([2j * math.pi * m for m in mus])
-    return Connection.from_constant(1, [mat])
+def _diagonal(*mus: Sequence[complex]) -> Connection:
+    """The constant connection on T^len(mus) with A_j = diag(2 pi i mus[j])."""
+    return Connection.from_constant(
+        len(mus), [np.diag([2j * math.pi * m for m in row]) for row in mus]
+    )
+
+
+def _diagonal_path(
+    start: Sequence[Sequence[complex]], end: Sequence[Sequence[complex]]
+) -> Callable[[float], Connection]:
+    """The linear path of diagonal connections between two sets of tower
+    shifts, one row per direction."""
+    return lambda t: _diagonal(
+        *([a + t * (b - a) for a, b in zip(r0, r1)] for r0, r1 in zip(start, end))
+    )
+
+
+def _suite_experiments(rng: np.random.Generator) -> list[tuple[str, Experiment]]:
+    """The standard suite as (check name, experiment) rows.  The seeded
+    draws are taken first, in a fixed order."""
+    t3 = _diagonal(*(_suite_mus(rng, 2) for _ in range(3)))
+    gilkey = [_diagonal(_suite_mus(rng, 2)) for _ in range(2)]
+    banded = _diagonal_path([_banded_mus(rng, 2)], [_banded_mus(rng, 2)])
+    re_im = _diagonal(_suite_mus(rng, 2))
+    circle_path = _diagonal_path([_suite_mus(rng, 2)], [_suite_mus(rng, 2)])
+    t3_path = _diagonal_path(
+        [_suite_mus(rng, 2) for _ in range(3)],
+        [_suite_mus(rng, 2) for _ in range(3)],
+    )
+    eta_tilde = _diagonal(_suite_mus(rng, 2))
+    gauge_base = _diagonal([0.3 + 0.07j, 0.55 - 0.1j])
+    s1 = Connection.from_constant(1, [np.array([[1.0 + 2.0j]])])
+    rows: list[tuple] = [
+        # transgression vs odd Chern pairings: circle and 3-torus
+        ("cs_odd_chern_pairing", ".s1", {"connection": s1, "r_values": [0.5]}),
+        ("cs_odd_chern_pairing", ".t3", {"connection": t3}),
+        # variation mod Z: unitary pair, complex pair, random pair
+        ("gilkey_variation", "[unitary]",
+         {"from": _diagonal([0.2]), "to": _diagonal([0.45])}),
+        ("gilkey_variation", "[complex]",
+         {"from": _diagonal([0.3 + 0.1j]), "to": _diagonal([0.6 - 0.3j])}),
+        ("gilkey_variation", "[random-rank2]",
+         {"from": gilkey[0], "to": gilkey[1]}),
+        # exact complex variation: crossing path, gauge pumping, random path
+        ("variation_complex", "[crossing]",
+         {"path": lambda t: _diagonal([0.25 + t])}),
+        ("variation_complex", "[gauge-w2]",
+         {"path": lambda t: gauge_path(gauge_base, 2, t)}),
+        ("variation_complex", "[random]", {"path": banded}),
+        ("gauge_pumping", "", {"connection": gauge_base, "winding": 2}),
+        # real/imaginary split on the circle
+        ("re_im_split", "[rank1]", {"connection": _diagonal([0.3 + 0.07j])}),
+        ("re_im_split", "[rank2]", {"connection": re_im}),
+        # phase function constancy: circle (dimension) and diagonal 3-torus
+        ("psi_constancy", "[circle]", {"path": circle_path}),
+        ("psi_constancy", "[t3-diagonal]", {"path": t3_path}),
+        # imaginary part of the hermitian-reference transgression
+        ("eta_tilde_imaginary", "[rank1]",
+         {"connection": _diagonal([0.3 + 0.07j])}),
+        ("eta_tilde_imaginary", "[rank2]", {"connection": eta_tilde}),
+        # untwisted census phase factors
+        ("bk_phase", "", {"rank": 1}),
+        ("bk_phase", "", {"rank": 3}),
+        ("bk_phase", "", {"rank": 2}, 3),  # on T^3
+    ]
+    return [
+        (name, Experiment(args, name + tag, *dim))
+        for name, tag, args, *dim in rows
+    ]
 
 
 def standard_suite(seed: int = 0) -> VerificationReport:
-    """Deterministic battery over all check families; equal seeds give
-    byte-identical reports."""
+    """Deterministic battery over all check families, run through
+    :data:`CHECKS`; equal seeds give byte-identical reports."""
     rng = np.random.default_rng(seed)
-    entries: list[CheckEntry] = []
-
-    # transgression vs odd Chern pairings: circle and 3-torus
-    entries += check_cs_odd_chern_pairing(
-        Connection.from_constant(1, [np.array([[1.0 + 2.0j]])]),
-        r=0.5,
-        label="cs_odd_chern_pairing.s1",
-    )
-    mus_t3 = [_suite_mus(rng, 2) for _ in range(3)]
-    t3 = Connection.from_constant(
-        3, [np.diag([2j * math.pi * m for m in mus]) for mus in mus_t3]
-    )
-    for r in (0.5, 1.0, 2.0):
-        entries += check_cs_odd_chern_pairing(
-            t3, r=r, label="cs_odd_chern_pairing.t3"
-        )
-
-    # variation mod Z: unitary pair, complex pair, random pair
-    entries.append(
-        check_gilkey_variation(
-            _diag_circle([0.2]),
-            _diag_circle([0.45]),
-            check_id="gilkey_variation[unitary]",
-        )
-    )
-    entries.append(
-        check_gilkey_variation(
-            _diag_circle([0.3 + 0.1j]),
-            _diag_circle([0.6 - 0.3j]),
-            check_id="gilkey_variation[complex]",
-        )
-    )
-    m0s, m1s = _suite_mus(rng, 2), _suite_mus(rng, 2)
-    entries.append(
-        check_gilkey_variation(
-            _diag_circle(m0s),
-            _diag_circle(m1s),
-            check_id="gilkey_variation[random-rank2]",
-        )
-    )
-
-    # exact complex variation: crossing path, gauge pumping, random path
-    def sliding(t: float) -> Connection:
-        return _diag_circle([0.25 + t])
-
-    entries.append(
-        check_variation_complex(sliding, check_id="variation_complex[crossing]")
-    )
-    gauge_base = _diag_circle([0.3 + 0.07j, 0.55 - 0.1j])
-
-    def gauged(t: float) -> Connection:
-        return gauge_path(gauge_base, 2, t)
-
-    entries.append(
-        check_variation_complex(gauged, check_id="variation_complex[gauge-w2]")
-    )
-    p0, p1 = _banded_mus(rng, 2), _banded_mus(rng, 2)
-
-    def straight(t: float) -> Connection:
-        return _diag_circle([a + t * (b - a) for a, b in zip(p0, p1)])
-
-    entries.append(
-        check_variation_complex(straight, check_id="variation_complex[random]")
-    )
-    entries.append(check_gauge_pumping(gauge_base, 2))
-
-    # real/imaginary split on the circle
-    entries += check_re_im_split(
-        _diag_circle([0.3 + 0.07j]), check_id="re_im_split[rank1]"
-    )
-    entries += check_re_im_split(
-        _diag_circle(_suite_mus(rng, 2)), check_id="re_im_split[rank2]"
-    )
-
-    # phase function constancy: circle (dimension) and diagonal 3-torus
-    q0, q1 = _suite_mus(rng, 2), _suite_mus(rng, 2)
-
-    def circle_path(t: float) -> Connection:
-        return _diag_circle([a + t * (b - a) for a, b in zip(q0, q1)])
-
-    entries.append(
-        check_psi_constancy(circle_path, check_id="psi_constancy[circle]")
-    )
-    d0 = [_suite_mus(rng, 2) for _ in range(3)]
-    d1 = [_suite_mus(rng, 2) for _ in range(3)]
-
-    def t3_path(t: float) -> Connection:
-        mats = [
-            np.diag(
-                [
-                    2j * math.pi * (a + t * (b - a))
-                    for a, b in zip(d0[i], d1[i])
-                ]
-            )
-            for i in range(3)
-        ]
-        return Connection.from_constant(3, mats)
-
-    entries.append(
-        check_psi_constancy(t3_path, check_id="psi_constancy[t3-diagonal]")
-    )
-
-    # imaginary part of the hermitian-reference transgression
-    entries.append(
-        check_eta_tilde_imaginary(
-            _diag_circle([0.3 + 0.07j]), check_id="eta_tilde_imaginary[rank1]"
-        )
-    )
-    entries.append(
-        check_eta_tilde_imaginary(
-            _diag_circle(_suite_mus(rng, 2)),
-            check_id="eta_tilde_imaginary[rank2]",
-        )
-    )
-
-    # untwisted census phase factors
-    entries.append(check_bk_phase(1, dim=1))
-    entries.append(check_bk_phase(3, dim=1))
-    entries.append(check_bk_phase(2, dim=3, cutoff=2))
-
+    entries = [
+        entry
+        for name, x in _suite_experiments(rng)
+        for entry in CHECKS[name].run(x)
+    ]
     return assemble_report(entries, seed=seed)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 from hypothesis import strategies as st
@@ -177,10 +179,8 @@ def random_nonflat_connection(
 
 
 def unipotent_metric(dim: int, rank: int, amp: float = 0.4):
-    """x-dependent positive metric g = w^dagger w with w = I + amp e^{2 pi i x_1} E_{12};
-    the inverse is exact because the factor is unipotent."""
-    from etacalc.geometry import hermitian_metric_from_factor
-
+    """x-dependent positive metric g = w^dagger w with w = I + amp e^{2 pi i x_1} E_{12},
+    and its inverse w^{-1} w^{-dagger}, exact because the factor is unipotent."""
     if rank < 2:
         raise ValueError("need rank >= 2")
     n = np.zeros((rank, rank), dtype=complex)
@@ -188,7 +188,7 @@ def unipotent_metric(dim: int, rank: int, amp: float = 0.4):
     k = (1,) + (0,) * (dim - 1)
     w = TrigPolyForm.identity(dim, rank) + TrigPolyForm.monomial(dim, n, k=k)
     w_inv = TrigPolyForm.identity(dim, rank) - TrigPolyForm.monomial(dim, n, k=k)
-    return hermitian_metric_from_factor(w, w_inv)
+    return w.dagger().wedge(w), w_inv.wedge(w_inv.dagger())
 
 
 def constant_hermitian_metric(rng: np.random.Generator, dim: int, rank: int):
@@ -320,3 +320,13 @@ def sign_sum_eta_oracle(mu: float, n_terms: int = 2000, n_nodes: int = 7) -> flo
                 svals[i] - svals[i + level]
             )
     return t[0]
+
+
+def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:
+    """a_j at rational r^2, in exact arithmetic (r^2 = -1 corresponds to r = i):
+    the oracle of ``geometry.a_coeff``."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    return sum(
+        Fraction(comb(j, m)) * r_squared**m / (2 * m + 1) for m in range(j + 1)
+    )

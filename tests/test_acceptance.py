@@ -19,7 +19,7 @@ import numpy as np
 from etacalc.eta import eta_bk, eta_s1_spectral, m_minus
 from etacalc.flow import spectral_flow
 from etacalc.forms import TrigPolyForm
-from etacalc.geometry import Connection, a_coeff, a_coeff_exact
+from etacalc.geometry import Connection, a_coeff
 from etacalc.spectral import build_truncation
 from etacalc.verify import (
     CutoffInstabilityError,
@@ -34,6 +34,7 @@ from etacalc.verify import (
 )
 
 from helpers import (
+    a_coeff_exact,
     diagonal_connection_from_mus,
     random_flat_commuting_connection,
     random_mus,

@@ -162,6 +162,18 @@ def test_schema_meta_checked_once(monkeypatch):
     assert len(meta_checks) == 1
 
 
+@pytest.mark.parametrize("entry", ["null", "{}", "1e999"])
+def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
+    # null and {} violate the schema; 1e999 parses to inf, which the
+    # schema accepts as a number and the connection loader refuses
+    obj = load_bundled("s1_unitary.json")
+    obj["connections"]["base"]["A"]["terms"][0]["re"] = [["ENTRY"]]
+    path = tmp_cwd / "scenario.json"
+    path.write_text(json.dumps(obj).replace('"ENTRY"', entry))
+    assert main(["run", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_connection_name(tmp_cwd):
     obj = load_bundled("s1_unitary.json")
     obj["experiments"] = [{"check": "re_im_split", "connection": "ghost"}]
@@ -252,6 +264,13 @@ def test_seed_flag_overrides_scenario(tmp_cwd):
         e["check_id"].startswith("e00_standard_suite.")
         for e in report["entries"]
     )
+
+
+def test_negative_seed_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(SCENARIOS / "s1_unitary.json"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_emit_csv_flag_controls_tracks(tmp_cwd):

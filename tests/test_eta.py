@@ -167,11 +167,6 @@ def test_heat_estimate_rejects_coupled_truncations():
     with pytest.raises(PreconditionError, match="constant-coefficient"):
         eta_heat_estimate(t)
 
-def test_heat_estimate_needs_enough_grid_points():
-    c = diagonal_connection_from_mus([0.25])
-    with pytest.raises(ValueError):
-        eta_heat_estimate(build_truncation(c, 5), eps_grid=[1e-5, 2e-5])
-
 
 # ---------------------------------------------------------------------------
 # imaginary-axis census and the shifted invariant

@@ -16,17 +16,16 @@ from etacalc.geometry import (
     PreconditionError,
     RPolynomial,
     a_coeff,
-    a_coeff_exact,
     cs_form,
     cs_r_poly,
     gauge_transform,
-    hermitian_metric_from_factor,
     invert_degree0,
     odd_subtori,
     subtorus_pairing,
 )
 
 from helpers import (
+    a_coeff_exact,
     chern_character,
     constant_hermitian_metric,
     diagonal_connection_from_mus,

@@ -128,7 +128,7 @@ def test_t3_diagonal_blocks_are_symmetric_pairs():
 def test_mode_block_rejects_oscillatory_connection():
     a = TrigPolyForm.monomial(1, np.array([[0.5]]), k=(1,), I=(1,))
     t = build_truncation(Connection(a), 2)
-    assert not t.block_diagonal and t.blocks is None
+    assert t.couplings and t.blocks is None
     with pytest.raises(ValueError):
         build_sig_mode(Connection(a), (0,))
 
@@ -143,7 +143,7 @@ def test_block_truncation_matches_full_matrix():
         1, [np.diag([2j * math.pi * m for m in mus])]
     )
     t = build_truncation(c, 2)
-    assert t.block_diagonal
+    assert not t.couplings
     dense_vals = np.linalg.eigvals(scipy.linalg.block_diag(*t.blocks.values()))
     dense_vals = dense_vals[np.lexsort((dense_vals.imag, dense_vals.real))]
     assert np.allclose(spectrum(t), dense_vals, atol=1e-10)
@@ -185,7 +185,7 @@ def test_galerkin_interior_matches_exact_circle_tower():
         - TrigPolyForm.monomial(1, np.array([[eps]]), k=(-1,), I=(1,))
     )
     t = build_truncation(Connection(a), 10)
-    assert not t.block_diagonal
+    assert t.couplings
     vals = spectrum(t)
     expect = np.array([TWO_PI * (k + mu) for k in range(-3, 4)])
     expect = expect[np.lexsort((expect.imag, expect.real))]
@@ -308,7 +308,7 @@ def test_coupled_dense_equals_per_mode_oracle(dim, ranks, cutoff):
         for _ in range(4):
             c = _random_coupled_connection(rng, dim, rank)
             t = build_truncation(c, cutoff)
-            assert not t.block_diagonal and t.blocks is None and t.couplings
+            assert t.couplings and t.blocks is None
             oracle = coupled_dense_oracle(c, cutoff)
             assert np.array_equal(t.dense, oracle)
             # the oracle is exactly zero between components, and the

@@ -24,7 +24,6 @@ from etacalc.verify import (
     circle_distance,
     eta_tilde,
     make_entry,
-    psi_exponential,
     psi_local,
     psi_spectral,
     reduced_eta_circle,
@@ -354,14 +353,6 @@ def test_psi_constancy_needs_two_samples():
         )
 
 
-def test_psi_exponential():
-    assert psi_exponential(0.0) == 1.0
-    psi = -1.0 / (4 * math.pi**2)
-    assert psi_exponential(psi) == pytest.approx(
-        math.exp(math.pi * psi), abs=1e-15
-    )
-
-
 # ----------------------------------------------------------------------
 # hermitian-reference transgression
 
@@ -450,3 +441,46 @@ def test_standard_suite_other_seed_passes():
     rep = standard_suite(seed=12345)
     assert rep.all_passed
     assert rep.meta["seed"] == 12345
+
+
+# (check id, mode, tolerance) of every suite entry, in report order
+SUITE_SHAPE = [
+    ("bk_phase[rank=1,dim=1]", "absolute", 1e-12),
+    ("bk_phase[rank=2,dim=3]", "absolute", 1e-12),
+    ("bk_phase[rank=3,dim=1]", "absolute", 1e-12),
+    ("cs_odd_chern_pairing.s1[r=0.5,J=1]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=0.5,J=123]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=0.5,J=1]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=0.5,J=2]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=0.5,J=3]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=1,J=123]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=1,J=1]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=1,J=2]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=1,J=3]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=2,J=123]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=2,J=1]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=2,J=2]", "absolute", 1e-9),
+    ("cs_odd_chern_pairing.t3[r=2,J=3]", "absolute", 1e-9),
+    ("eta_tilde_imaginary[rank1]", "absolute", 1e-8),
+    ("eta_tilde_imaginary[rank2]", "absolute", 1e-8),
+    ("gauge_pumping[w=2]", "integer", 0.0),
+    ("gilkey_variation[complex]", "mod-Z", 1e-6),
+    ("gilkey_variation[random-rank2]", "mod-Z", 1e-6),
+    ("gilkey_variation[unitary]", "mod-Z", 1e-6),
+    ("psi_constancy[circle]", "absolute", 1e-9),
+    ("psi_constancy[t3-diagonal]", "absolute", 1e-9),
+    ("re_im_split[rank1][im]", "absolute", 1e-8),
+    ("re_im_split[rank1][re]", "mod-Z", 1e-6),
+    ("re_im_split[rank2][im]", "absolute", 1e-8),
+    ("re_im_split[rank2][re]", "mod-Z", 1e-6),
+    ("variation_complex[crossing]", "absolute", 1e-8),
+    ("variation_complex[gauge-w2]", "absolute", 1e-8),
+    ("variation_complex[random]", "absolute", 1e-8),
+]
+
+
+def test_standard_suite_shape():
+    # no computed value enters the table: a drift of a label or of a
+    # tolerance fails it, numeric churn does not
+    entries = standard_suite(seed=0).entries
+    assert [(e.check_id, e.mode, e.tolerance) for e in entries] == SUITE_SHAPE
