@@ -37,6 +37,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -480,6 +481,20 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance from the command line: a number > 0, as an experiment's
+    own ``tolerance`` is (so zero, negatives and nan are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a number > 0, got {text!r}"
+        )
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="etacalc",
@@ -499,9 +514,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
-        help="override the tolerance of every check that takes one",
+        help="override the tolerance (a number > 0) of every check that takes one",
     )
     run_p.add_argument(
         "--emit-csv",

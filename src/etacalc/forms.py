@@ -14,12 +14,19 @@ grid.
 
 Coordinates live on the unit torus R^d / Z^d, so the volume of the full
 torus is 1 and ``exp(2*pi*i*k*x)`` is periodic for integer k.
+
+Outside input is validated once, where it enters: the ``TrigPolyForm``
+constructor (and ``from_json_obj``, which also rejects non-finite
+entries) checks every key and shape and copies every matrix.  Operations
+on valid forms skip those checks; every result, the constructor's
+included, has its terms summed by the one routine ``_sum_terms``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -34,6 +41,7 @@ EQ_TOL = 1e-12
 PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
+Term = tuple[TermKey, np.ndarray]
 
 
 def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -55,10 +63,19 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int,
     return sign, tuple(merged)
 
 
-def _freeze(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=np.complex128)
-    out.flags.writeable = False
-    return out
+def _sum_terms(pairs: Iterable[Term]) -> dict[TermKey, np.ndarray]:
+    """The terms of a form from (key, matrix) pairs: the matrices of a key
+    are summed in input order, keys whose sum is exactly zero are dropped,
+    and the kept matrices are made read-only in place, not copied.  So each
+    input matrix must be fresh or already read-only, and may be shared."""
+    out: dict[TermKey, np.ndarray] = {}
+    for key, mat in pairs:
+        cur = out.get(key)
+        out[key] = mat if cur is None else cur + mat
+    kept = {key: mat for key, mat in out.items() if mat.any()}
+    for mat in kept.values():
+        mat.flags.writeable = False
+    return kept
 
 
 @dataclass(frozen=True)
@@ -90,8 +107,10 @@ class SubTorus:
 class TrigPolyForm:
     """An inhomogeneous matrix-valued form with trig-polynomial coefficients.
 
-    Immutable by convention: all operations return new instances and the
-    stored matrices are read-only views.
+    Immutable: all operations return new instances and the stored matrices
+    are read-only, so results share them freely.  The constructor validates
+    its input and copies each matrix; operations build their results from
+    valid forms without either, through ``_new``.
     """
 
     __slots__ = ("dim", "rank", "_terms")
@@ -100,13 +119,13 @@ class TrigPolyForm:
         self,
         dim: int,
         rank: int,
-        terms: Mapping[TermKey, np.ndarray] | Iterable[tuple[TermKey, np.ndarray]] = (),
+        terms: Mapping[TermKey, np.ndarray] | Iterable[Term] = (),
     ) -> None:
         if dim < 1 or rank < 1:
             raise ValueError("dim and rank must be positive")
         self.dim = int(dim)
         self.rank = int(rank)
-        store: dict[TermKey, np.ndarray] = {}
+        checked: list[Term] = []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, I), mat in items:
             k = tuple(int(v) for v in k)
@@ -117,16 +136,20 @@ class TrigPolyForm:
                 not (1 <= i <= self.dim) for i in I
             ):
                 raise ValueError(f"index tuple {I} must be strictly increasing in 1..dim")
-            mat = np.asarray(mat, dtype=np.complex128)
+            mat = np.array(mat, dtype=np.complex128)  # the caller keeps theirs
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"matrix shape {mat.shape} != ({rank},{rank})")
-            if (k, I) in store:
-                mat = store[(k, I)] + mat
-            if np.any(mat != 0):
-                store[(k, I)] = _freeze(mat)
-            else:
-                store.pop((k, I), None)
-        self._terms = store
+            checked.append(((k, I), mat))
+        self._terms = _sum_terms(checked)
+
+    def _new(self, pairs: Iterable[Term], rank: int | None = None) -> "TrigPolyForm":
+        """A form on this torus (of this rank unless given) from pairs that
+        an operation computed from valid forms: neither checked nor copied."""
+        out = object.__new__(TrigPolyForm)
+        out.dim = self.dim
+        out.rank = self.rank if rank is None else rank
+        out._terms = _sum_terms(pairs)
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -212,20 +235,10 @@ class TrigPolyForm:
 
     def __add__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         self._check_compatible(other)
-        out = dict(self._terms)
-        for key, mat in other._terms.items():
-            cur = out.get(key)
-            mat = mat if cur is None else cur + mat
-            if np.any(mat != 0):
-                out[key] = mat
-            else:
-                out.pop(key, None)
-        return TrigPolyForm(self.dim, self.rank, out)
+        return self._new(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "TrigPolyForm":
-        return TrigPolyForm(
-            self.dim, self.rank, {key: -mat for key, mat in self._terms.items()}
-        )
+        return self._new((key, -mat) for key, mat in self._terms.items())
 
     def __sub__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         return self + (-other)
@@ -233,10 +246,8 @@ class TrigPolyForm:
     def __mul__(self, scalar: complex) -> "TrigPolyForm":
         scalar = complex(scalar)
         if scalar == 0:
-            return TrigPolyForm.zero(self.dim, self.rank)
-        return TrigPolyForm(
-            self.dim, self.rank, {key: scalar * mat for key, mat in self._terms.items()}
-        )
+            return self._new(())
+        return self._new((key, scalar * mat) for key, mat in self._terms.items())
 
     __rmul__ = __mul__
 
@@ -249,34 +260,27 @@ class TrigPolyForm:
     def wedge(self, other: "TrigPolyForm") -> "TrigPolyForm":
         """Wedge product; matrix coefficients multiply in order."""
         self._check_compatible(other)
-        out: dict[TermKey, np.ndarray] = {}
+        pairs = []
         for (k, I), M in self._terms.items():
             for (l, J), N in other._terms.items():
                 sign, K = _merge_sign(I, J)
-                if sign == 0:
-                    continue
-                key = (tuple(a + b for a, b in zip(k, l)), K)
-                mat = sign * (M @ N)
-                cur = out.get(key)
-                out[key] = mat if cur is None else cur + mat
-        return TrigPolyForm(self.dim, self.rank, out)
+                if sign != 0:
+                    key = (tuple(a + b for a, b in zip(k, l)), K)
+                    pairs.append((key, sign * (M @ N)))
+        return self._new(pairs)
 
     def ext_d(self) -> "TrigPolyForm":
         """Exterior derivative: d(M e^{2 pi i k.x} dx_I)
         = sum_j (2 pi i k_j) M e^{2 pi i k.x} dx_j ^ dx_I."""
-        out: dict[TermKey, np.ndarray] = {}
+        pairs = []
         for (k, I), M in self._terms.items():
             for j, kj in enumerate(k, start=1):
                 if kj == 0:
                     continue
                 sign, K = _merge_sign((j,), I)
-                if sign == 0:
-                    continue
-                key = (k, K)
-                mat = (sign * 2j * math.pi * kj) * M
-                cur = out.get(key)
-                out[key] = mat if cur is None else cur + mat
-        return TrigPolyForm(self.dim, self.rank, out)
+                if sign != 0:
+                    pairs.append(((k, K), (sign * 2j * math.pi * kj) * M))
+        return self._new(pairs)
 
     def dagger(self) -> "TrigPolyForm":
         """Fiberwise conjugate transpose.
@@ -285,13 +289,9 @@ class TrigPolyForm:
         the real coordinate differentials are fixed.  For homogeneous forms
         this satisfies (a ^ b)^dagger = (-1)^{pq} b^dagger ^ a^dagger.
         """
-        return TrigPolyForm(
-            self.dim,
-            self.rank,
-            {
-                (tuple(-v for v in k), I): mat.conj().T
-                for (k, I), mat in self._terms.items()
-            },
+        return self._new(
+            ((tuple(-v for v in k), I), mat.conj().T)
+            for (k, I), mat in self._terms.items()
         )
 
     def hermitian_part(self) -> "TrigPolyForm":
@@ -299,29 +299,13 @@ class TrigPolyForm:
 
     def mat_trace(self) -> "TrigPolyForm":
         """Fiberwise matrix trace; result has rank 1 so the algebra stays closed."""
-        out: dict[TermKey, np.ndarray] = {}
-        for (k, I), mat in self._terms.items():
-            tr = np.trace(mat)
-            key = (k, I)
-            cur = out.get(key)
-            val = np.array([[tr]])
-            out[key] = val if cur is None else cur + val
-        return TrigPolyForm(self.dim, 1, out)
+        traces = ((key, np.array([[np.trace(m)]])) for key, m in self._terms.items())
+        return self._new(traces, rank=1)
 
     def degree_component(self, p: int) -> "TrigPolyForm":
-        return TrigPolyForm(
-            self.dim,
-            self.rank,
-            {key: mat for key, mat in self._terms.items() if len(key[1]) == p},
+        return self._new(
+            (key, mat) for key, mat in self._terms.items() if len(key[1]) == p
         )
-
-    def wedge_power(self, n: int) -> "TrigPolyForm":
-        if n < 0:
-            raise ValueError("negative wedge power")
-        out = TrigPolyForm.identity(self.dim, self.rank)
-        for _ in range(n):
-            out = out.wedge(self)
-        return out
 
     def exp_nilpotent(self) -> "TrigPolyForm":
         """Fiberwise exponential of a form with only even degrees >= 2.
@@ -358,10 +342,8 @@ class TrigPolyForm:
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
         s = branch * PHI_SCALE
-        return TrigPolyForm(
-            self.dim,
-            self.rank,
-            {key: mat / s ** len(key[1]) for key, mat in self._terms.items()},
+        return self._new(
+            (key, mat / s ** len(key[1])) for key, mat in self._terms.items()
         )
 
     def evaluate_at(self, x: Iterable[float]) -> dict[tuple[int, ...], np.ndarray]:
@@ -430,7 +412,7 @@ class TrigPolyForm:
     def from_json_obj(cls, obj: Mapping) -> "TrigPolyForm":
         dim = int(obj["dim"])
         rank = int(obj["rank"])
-        terms: list[tuple[TermKey, np.ndarray]] = []
+        terms: list[Term] = []
         for t in obj["terms"]:
             mat = np.asarray(t["re"], dtype=float) + 1j * np.asarray(
                 t["im"], dtype=float

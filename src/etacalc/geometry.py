@@ -41,8 +41,13 @@ class PreconditionError(ValueError):
 # Deterministic sample points for positive-definiteness spot checks.
 _SPOT_FRACTIONS = (0.0, 0.31830988618, 0.61803398875, 0.14142135623)
 
+# The Neumann series of invert_degree0: at most this many powers, and the
+# inverse it finds must hold to this tolerance.
+_NEUMANN_MAX_TERMS = 64
+_NEUMANN_TOL = 1e-10
 
-def invert_degree0(g: TrigPolyForm, tol: float = 1e-10, max_terms: int = 64) -> TrigPolyForm:
+
+def invert_degree0(g: TrigPolyForm) -> TrigPolyForm:
     """Invert a degree-0 form (a matrix-valued function on the torus).
 
     Constant functions invert by plain linear algebra.  Non-constant ones
@@ -64,10 +69,10 @@ def invert_degree0(g: TrigPolyForm, tol: float = 1e-10, max_terms: int = 64) -> 
     h = ident - g
     acc = ident
     power = ident
-    for _ in range(max_terms):
+    for _ in range(_NEUMANN_MAX_TERMS):
         power = power.wedge(h)
         if power.is_zero(0.0):
-            if g.wedge(acc).allclose(ident, tol):
+            if g.wedge(acc).allclose(ident, _NEUMANN_TOL):
                 return acc
             break
         acc = acc + power
@@ -259,25 +264,9 @@ def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
     return (-1.0 / PHI_SCALE) * acc.phi_normalize()
 
 
-@dataclass(frozen=True)
-class RPolynomial:
-    """A polynomial in the deformation parameter r with form coefficients."""
-
-    coeffs: tuple[TrigPolyForm, ...]
-
-    def evaluate(self, r: complex) -> TrigPolyForm:
-        r = complex(r)
-        acc = TrigPolyForm.zero(self.coeffs[0].dim, self.coeffs[0].rank)
-        for i, f in enumerate(self.coeffs):
-            acc = acc + (r**i) * f
-        return acc
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def cs_r_poly(c: Connection) -> RPolynomial:
-    """Expand r -> cs_form(hermitian_part(c), r_deformation(c, r)) in powers of r.
+def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:
+    """Expand r -> cs_form(hermitian_part(c), r_deformation(c, r)) in powers of r:
+    the dim + 1 coefficient forms, the coefficient of r^i at index i.
 
     The dependence is polynomial of degree at most dim, recovered exactly by
     interpolation at dim+2 integer nodes; the spurious top coefficient of
@@ -307,7 +296,7 @@ def cs_r_poly(c: Connection) -> RPolynomial:
         raise ArithmeticError(
             "CS family has unexpected r-degree; interpolation inconsistent"
         )
-    return RPolynomial(tuple(coeffs[: d + 1]))
+    return tuple(coeffs[: d + 1])
 
 
 # ----------------------------------------------------------------------

@@ -400,8 +400,7 @@ def check_re_im_split(
     _require_constant_circle(c, "real/imaginary split")
     eta_full = reduced_eta_circle(c).value.reduced
     eta_herm = reduced_eta_circle(c.hermitian_part()).value.reduced
-    poly = cs_r_poly(c)
-    pav = [subtorus_pairing(f) for f in poly.coeffs]
+    pav = [subtorus_pairing(f) for f in cs_r_poly(c)]
     even_sum = sum(
         (-1) ** (i // 2) * p for i, p in enumerate(pav) if i % 2 == 0
     )

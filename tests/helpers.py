@@ -199,6 +199,14 @@ def constant_hermitian_metric(rng: np.random.Generator, dim: int, rank: int):
     g_inv = TrigPolyForm.constant(dim, np.linalg.inv(mat))
     return g, g_inv
 
+def r_poly_at(coeffs, r: complex) -> TrigPolyForm:
+    """sum_i r^i coeffs[i]: a ``cs_r_poly`` expansion evaluated at r."""
+    acc = TrigPolyForm.zero(coeffs[0].dim, coeffs[0].rank)
+    for i, f in enumerate(coeffs):
+        acc = acc + (complex(r) ** i) * f
+    return acc
+
+
 def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
     """phi Tr[exp(-curvature)]: rank in degree 0 plus curvature corrections
     (the oracle that cs_form transgresses)."""

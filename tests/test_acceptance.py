@@ -105,7 +105,8 @@ def test_acceptance_forms_exact_algebra():
             worst, (e.wedge((-a).exp_nilpotent()) - ident).max_abs()
         )
         x = e - ident
-        log = x - x.wedge_power(2) / 2 + x.wedge_power(3) / 3
+        x2 = x.wedge(x)
+        log = x - x2 / 2 + x2.wedge(x) / 3
         worst = max(worst, (log - a).max_abs())
 
     ok = worst < 1e-10 and n_forms == 200

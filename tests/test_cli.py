@@ -273,6 +273,14 @@ def test_negative_seed_flag_rejected(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_nonpositive_tol_flag_rejected(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(SCENARIOS / "s1_nonunitary.json"), "--tol", tol])
+    assert exc.value.code == 2
+    assert "> 0" in capsys.readouterr().err
+
+
 def test_emit_csv_flag_controls_tracks(tmp_cwd):
     obj = load_bundled("s1_nonunitary.json")
     obj["experiments"] = [

@@ -163,6 +163,47 @@ def test_dagger_is_involution_and_conjugates_phase():
 
 
 # ----------------------------------------------------------------------
+# immutability: operations share stored matrices without copying them
+
+
+def test_constructors_copy_the_callers_array():
+    M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    built = [
+        TrigPolyForm(2, 2, [(((0, 1), (1,)), M)]),
+        TrigPolyForm.monomial(2, M, k=(0, 1), I=(1,)),
+        TrigPolyForm.constant(2, M),
+        TrigPolyForm.constant_one_form(2, [M, M]),
+    ]
+    before = [f.to_json_obj() for f in built]
+    M[0, 0] = 99.0
+    assert [f.to_json_obj() for f in built] == before
+
+
+def test_operation_results_are_read_only():
+    rng = np.random.default_rng(3)
+    a = rng_form(rng, dim=3, rank=2)
+    b = rng_form(rng, dim=3, rank=2)
+    results = {
+        "+": a + b,
+        "-": a - b,
+        "*": 2.5 * a,
+        "wedge": a.wedge(b),
+        "ext_d": a.ext_d(),
+        "dagger": a.dagger(),
+        "mat_trace": a.mat_trace(),
+        "degree_component": a.degree_component(min(a.degrees())),
+        "phi_normalize": a.phi_normalize(),
+        "exp_nilpotent": rng_form(rng, dim=4, rank=2, degree=2).exp_nilpotent(),
+    }
+    for name, f in results.items():
+        assert f.num_terms() > 0, name
+        for _, _, mat in f.terms():
+            assert not mat.flags.writeable, name
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+
+# ----------------------------------------------------------------------
 # algebra axioms (hypothesis)
 
 
