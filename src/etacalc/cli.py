@@ -47,7 +47,7 @@ import jsonschema
 
 from . import verify
 from .flow import TrackError, export_tracks_csv, gauge_path, track_path
-from .geometry import Connection, PreconditionError
+from .geometry import Connection, PreconditionError, linear_path
 from .spectral import MemoryGuardError, build_truncation, export_spectrum_csv
 
 EXIT_OK = 0
@@ -334,13 +334,9 @@ def _named_connection(scn: Scenario, name: str) -> Connection:
 
 def _build_path(scn: Scenario, spec: dict) -> Callable[[float], Connection]:
     if spec["kind"] == "linear":
-        c0 = _named_connection(scn, spec["from"])
-        c1 = _named_connection(scn, spec["to"])
-
-        def linear(t: float) -> Connection:
-            return Connection(c0.a * (1.0 - t) + c1.a * t, c0.g, c0.g_inv)
-
-        return linear
+        return linear_path(
+            _named_connection(scn, spec["from"]), _named_connection(scn, spec["to"])
+        )
     base = _named_connection(scn, spec["connection"])
     w = int(spec["winding"])
     return lambda t: gauge_path(base, w, t)

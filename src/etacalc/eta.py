@@ -28,6 +28,8 @@ from .spectral import OperatorTruncation, spectrum
 # magnitude below which it counts an eigenvalue as a zero mode
 _EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
 _ZERO_TOL = 1e-8
+# a shifted mu within this of an integer is a kernel mode, of the axis excluded
+TOWER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class TowerEta:
     excluded: tuple[complex, ...] = ()
 
 
-def eta_s1_spectral(mus: Iterable[complex], tol: float = 1e-9) -> TowerEta:
+def eta_s1_spectral(mus: Iterable[complex]) -> TowerEta:
     """eta for towers {2 pi (n + mu_k)} with arbitrary complex mu_k.
 
     Shifting mu by an integer relabels the tower, so each mu is first moved
@@ -75,14 +77,14 @@ def eta_s1_spectral(mus: Iterable[complex], tol: float = 1e-9) -> TowerEta:
     for mu in mus:
         mu = complex(mu)
         m = mu - math.floor(mu.real)
-        if abs(m) <= tol or abs(m - 1) <= tol:
+        if abs(m) <= TOWER_TOL or abs(m - 1) <= TOWER_TOL:
             kernel += 1  # symmetric remainder contributes nothing
             continue
-        if abs(m.real) <= tol:
+        if abs(m.real) <= TOWER_TOL:
             excluded.append(2j * math.pi * m.imag)
             total += -2 * m
             continue
-        if abs(m.real - 1) <= tol:
+        if abs(m.real - 1) <= TOWER_TOL:
             shifted = m - 1
             excluded.append(2j * math.pi * shifted.imag)
             total += -2 * shifted

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError, gauge_transform
@@ -72,6 +71,8 @@ def _sample_spectrum(sample) -> np.ndarray:
 
 def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Reorder v to minimize the total matching distance to u."""
+    from scipy.optimize import linear_sum_assignment  # only tracks need it
+
     cost = np.abs(u[:, None] - v[None, :])
     row, col = linear_sum_assignment(cost)
     out = np.empty_like(v)
@@ -192,8 +193,8 @@ def spectral_flow(start, end) -> int:
 
 
 def gauge_path(c: Connection, w: int, t: float) -> Connection:
-    """Connection at time t on the straight line from A to its gauge
-    transform by u = diag(e^{2 pi i w x}, 1, ..., 1) on the circle:
+    """Connection at time t, on c's metric, on the straight line from A to
+    its gauge transform by u = diag(e^{2 pi i w x}, 1, ..., 1) on the circle:
     A_t = (1-t) A + t (u^{-1} A u + u^{-1} du).  Endpoints are
     gauge-equivalent, so the path pumps exactly w eigenvalue towers across
     the axis (sf = +w for diagonal A)."""
@@ -210,8 +211,7 @@ def gauge_path(c: Connection, w: int, t: float) -> Connection:
         1, e11, k=(-w,)
     )
     target = gauge_transform(c, u, u_inv)
-    a_t = c.a * (1.0 - t) + target.a * t
-    return Connection(a_t, c.g, c.g_inv)
+    return c.with_form(c.a * (1.0 - t) + target.a * t)
 
 
 def export_tracks_csv(tr: EigenvalueTrack, path) -> None:

@@ -294,9 +294,6 @@ class TrigPolyForm:
             for (k, I), mat in self._terms.items()
         )
 
-    def hermitian_part(self) -> "TrigPolyForm":
-        return (self + self.dagger()) * 0.5
-
     def mat_trace(self) -> "TrigPolyForm":
         """Fiberwise matrix trace; result has rank 1 so the algebra stays closed."""
         traces = ((key, np.array([[np.trace(m)]])) for key, m in self._terms.items())

@@ -5,12 +5,18 @@ A connection is d + A for a degree-1 trig-polynomial form A, together with
 a Hermitian fiber metric g.  The central derived objects:
 
 * ``omega_metric``: the failure of d + A to preserve g (zero exactly for
-  unitary connections);
+  unitary connections), computed once per connection;
 * ``hermitian_part`` and the one-parameter ``r_deformation`` family that
   interpolates between the Hermitian connection, the original one, and its
   metric adjoint;
 * Chern--Simons transgression forms between two connections, their
   expansion in the deformation parameter r, and odd Chern forms.
+
+A metric is checked once, where it enters: in the ``Connection``
+constructor, which ``gauge_transform`` (a new metric from the caller's u)
+also runs.  ``hermitian_part``, ``r_deformation``, ``linear_path`` and
+:func:`etacalc.flow.gauge_path` derive connections that keep their parent's
+checked metric through ``Connection.with_form``, which checks nothing.
 
 All conventions are pinned by exactly-computable calibrations in the test
 suite (flat-circle Chern--Simons values, winding numbers, metric
@@ -21,8 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,7 +96,8 @@ class Connection:
     ``a`` must be pure degree 1.  ``g`` (degree 0) defaults to the identity;
     it must be Hermitian and positive definite (spot-checked on sample
     points).  ``g_inv`` may be supplied when g has a closed-form inverse the
-    Neumann fallback cannot find.
+    Neumann fallback cannot find.  The constructor checks all of this;
+    :meth:`with_form` reuses the checked metric.  omega is computed once.
     """
 
     a: TrigPolyForm
@@ -99,8 +107,8 @@ class Connection:
     def __post_init__(self) -> None:
         if set(self.a.degrees()) - {1}:
             raise ValueError("connection form must be pure degree 1")
+        ident = TrigPolyForm.identity(self.a.dim, self.a.rank)
         if self.g is None:
-            ident = TrigPolyForm.identity(self.a.dim, self.a.rank)
             object.__setattr__(self, "g", ident)
             object.__setattr__(self, "g_inv", ident)
         else:
@@ -112,10 +120,15 @@ class Connection:
                 raise ValueError("metric must be Hermitian")
             if self.g_inv is None:
                 object.__setattr__(self, "g_inv", invert_degree0(self.g))
-            ident = TrigPolyForm.identity(self.a.dim, self.a.rank)
             if not self.g.wedge(self.g_inv).allclose(ident, 1e-9):
                 raise ValueError("g_inv is not an inverse of g")
             self._spot_check_positive()
+
+    def with_form(self, a: TrigPolyForm) -> "Connection":
+        """d + a on this metric, unchecked: a must be degree 1, of this shape."""
+        derived = object.__new__(Connection)
+        vars(derived).update(a=a, g=self.g, g_inv=self.g_inv)
+        return derived
 
     def _spot_check_positive(self) -> None:
         d = self.dim
@@ -168,27 +181,31 @@ class Connection:
     def is_flat(self, tol: float = 1e-10) -> bool:
         return self.curvature().is_zero(tol)
 
+    @cached_property
+    def _omega(self) -> TrigPolyForm:
+        nabla_g = (
+            self.g.ext_d() - self.a.dagger().wedge(self.g) - self.g.wedge(self.a)
+        )
+        return self.g_inv.wedge(nabla_g)
+
     def omega_metric(self) -> TrigPolyForm:
         """g^{-1} (dg - A^dagger g - g A): the defect of metric compatibility.
 
         d + A + omega is the metric adjoint of d + A; omega vanishes exactly
         when the connection is unitary for g.  For g = I this is -(A^dagger + A).
         """
-        nabla_g = (
-            self.g.ext_d() - self.a.dagger().wedge(self.g) - self.g.wedge(self.a)
-        )
-        return self.g_inv.wedge(nabla_g)
+        return self._omega
 
     def hermitian_part(self) -> "Connection":
         """The metric-compatible connection d + A + omega/2."""
-        return Connection(self.a + 0.5 * self.omega_metric(), self.g, self.g_inv)
+        return self.with_form(self.a + 0.5 * self.omega_metric())
 
     def r_deformation(self, r: complex) -> "Connection":
         """A + (1 + i r)/2 * omega: r=0 gives the Hermitian part, r=i the
         original connection, r=-i the metric adjoint; real r stays
         metric-compatible."""
         coef = (1.0 + 1j * complex(r)) / 2.0
-        return Connection(self.a + coef * self.omega_metric(), self.g, self.g_inv)
+        return self.with_form(self.a + coef * self.omega_metric())
 
     def chern_odd(self, j: int) -> TrigPolyForm:
         """Odd Chern form of degree 2j+1: (2 pi i)^{-j} 2^{-(2j+1)} Tr[omega^{2j+1}]."""
@@ -231,13 +248,19 @@ def a_coeff(j: int, r: complex) -> complex:
 # transgression and characteristic forms
 
 
-def _check_cs_compatible(c0: Connection, c1: Connection) -> None:
+def _require_common_metric(c0: Connection, c1: Connection) -> None:
     if c0.dim != c1.dim or c0.rank != c1.rank:
         raise ValueError("connections live on different bundles")
     if not c0.g.allclose(c1.g, 1e-10):
         raise PreconditionError(
-            "Chern-Simons transgression requires a common metric"
+            "the linear path between two connections requires a common metric"
         )
+
+
+def linear_path(c0: Connection, c1: Connection) -> Callable[[float], Connection]:
+    """t -> d + (1 - t) A_0 + t A_1 on the metric c0 and c1 share."""
+    _require_common_metric(c0, c1)
+    return lambda t: c0.with_form(c0.a * (1.0 - t) + c1.a * t)
 
 
 def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
@@ -249,7 +272,7 @@ def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
     exactly; the only error is roundoff.  d(CS) equals the difference of
     Chern characters at the form level (tested).
     """
-    _check_cs_compatible(c0, c1)
+    _require_common_metric(c0, c1)
     d = c0.dim
     n_nodes = (d + 1) // 2 + 1
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -269,19 +292,13 @@ def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:
     the dim + 1 coefficient forms, the coefficient of r^i at index i.
 
     The dependence is polynomial of degree at most dim, recovered exactly by
-    interpolation at dim+2 integer nodes; the spurious top coefficient of
-    the interpolation must vanish and is checked.
+    interpolation at the dim+2 integer nodes 0, 1, -1, 2, ...; the spurious
+    top coefficient of the interpolation must vanish and is checked.
     """
     d = c.dim
     herm = c.hermitian_part()
     n_coef = d + 2
-    nodes: list[int] = [0]
-    step = 1
-    while len(nodes) < n_coef:
-        nodes.append(step)
-        if len(nodes) < n_coef:
-            nodes.append(-step)
-        step += 1
+    nodes = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(n_coef)]
     vals = [cs_form(herm, c.r_deformation(r)) for r in nodes]
     vmat = np.array([[float(n) ** j for j in range(n_coef)] for n in nodes])
     vinv = np.linalg.inv(vmat)

@@ -40,7 +40,7 @@ import numpy as np
 from .geometry import Connection
 
 # refuse eigenproblem storage beyond this many bytes (complex128 dense)
-DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
+MEMORY_LIMIT = 512 * 1024 * 1024
 
 
 class MemoryGuardError(RuntimeError):
@@ -274,14 +274,12 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
     return _read_only(stack)
 
 
-def build_truncation(
-    c: Connection, cutoff: int, memory_limit: int = DEFAULT_MEMORY_LIMIT
-) -> OperatorTruncation:
+def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
     The mode-diagonal stack is built for every connection, plus one
     coupling B_j (x) A_q per oscillatory term q of A.  Refuses, before
-    allocating anything, truncations that need more than ``memory_limit``
+    allocating anything, truncations that need more than ``MEMORY_LIMIT``
     bytes of matrix storage: the dense matrix when there are couplings
     (counted although the solve, one connected mode component at a time,
     does not allocate it), the stack otherwise.
@@ -297,11 +295,11 @@ def build_truncation(
         bytes_needed = 16 * (n_modes * per) ** 2
     else:
         bytes_needed = 16 * n_modes * per * per
-    if bytes_needed > memory_limit:
+    if bytes_needed > MEMORY_LIMIT:
         storage = "dense Galerkin matrix" if oscillatory else "block storage"
         raise MemoryGuardError(
             f"{storage} would need {bytes_needed} bytes "
-            f"(limit {memory_limit}); lower the cutoff"
+            f"(limit {MEMORY_LIMIT}); lower the cutoff"
         )
     couplings = tuple(
         (q, _read_only(np.kron(model.b[I[0] - 1], mat))) for q, I, mat in oscillatory

@@ -249,23 +249,20 @@ def check_cs_odd_chern_pairing(
 # circle spectral sides
 
 
-def _require_constant_circle(c: Connection, what: str) -> None:
+def reduced_eta_circle(c: Connection) -> TowerEta:
+    """Reduced eta of the twisted odd signature operator for a constant
+    connection on the circle, from its closed-form eigenvalue towers; any
+    other connection is refused (PreconditionError)."""
     if c.dim != 1:
         raise PreconditionError(
-            f"{what} uses closed-form circle spectra (dim == 1)"
+            "reduced eta uses closed-form circle spectra (dim == 1)"
         )
     try:
         c.constant_coefficient(1)
     except ValueError as exc:
         raise PreconditionError(
-            f"{what} needs a constant connection: {exc}"
+            f"reduced eta needs a constant connection: {exc}"
         ) from exc
-
-
-def reduced_eta_circle(c: Connection) -> TowerEta:
-    """Reduced eta of the twisted odd signature operator for a constant
-    connection on the circle, from its closed-form eigenvalue towers."""
-    _require_constant_circle(c, "reduced eta")
     return eta_s1_spectral(s1_mu_list(c))
 
 
@@ -283,8 +280,6 @@ def check_gilkey_variation(
     Real parts compare modulo Z, imaginary parts exactly.  Both connections
     must be constant on the circle and share the fiber metric.
     """
-    _require_constant_circle(c0, "variation check")
-    _require_constant_circle(c1, "variation check")
     lhs = reduced_eta_circle(c1).value.reduced - reduced_eta_circle(c0).value.reduced
     rhs = subtorus_pairing(cs_form(c0, c1))  # flat torus: L = 1
     return make_entry(
@@ -336,8 +331,6 @@ def check_variation_complex(
     """
     c0 = path(0.0)
     c1 = path(1.0)
-    _require_constant_circle(c0, "complex variation check")
-    _require_constant_circle(c1, "complex variation check")
     t0 = reduced_eta_circle(c0)
     t1 = reduced_eta_circle(c1)
     if t0.excluded or t1.excluded or t0.value.kernel_dim or t1.value.kernel_dim:
@@ -397,7 +390,6 @@ def check_re_im_split(
 
     On the circle only i in {0, 1} occur (and p_0 = 0 identically).
     """
-    _require_constant_circle(c, "real/imaginary split")
     eta_full = reduced_eta_circle(c).value.reduced
     eta_herm = reduced_eta_circle(c.hermitian_part()).value.reduced
     pav = [subtorus_pairing(f) for f in cs_r_poly(c)]
@@ -456,7 +448,6 @@ def psi_spectral(c: Connection) -> complex:
 
         psi = Im reduced_eta(c) + (1/2pi) <L . c_1>
     """
-    _require_constant_circle(c, "spectral phase function")
     eta = reduced_eta_circle(c).value.reduced
     return complex(
         eta.imag + subtorus_pairing(c.chern_odd(0)).real / (2 * math.pi)
@@ -515,9 +506,8 @@ def check_eta_tilde_imaginary(
     """Imaginary part of the transgression from the metric-compatible
     reference equals the imaginary part of the reduced eta (circle,
     constant connections)."""
-    _require_constant_circle(c, "eta-tilde check")
-    lhs = complex(0.0, eta_tilde(c, ref).imag)
     rhs = complex(0.0, reduced_eta_circle(c).value.reduced.imag)
+    lhs = complex(0.0, eta_tilde(c, ref).imag)
     return make_entry(
         check_id,
         "imaginary part of the hermitian-reference transgression equals the "
@@ -576,8 +566,6 @@ def check_bk_phase(
         "absolute",
         1e-12,
     )
-
-
 
 
 # ----------------------------------------------------------------------

@@ -425,6 +425,11 @@ _T3 = _constant(3, [[[0.3j]]] * 3)
          {"check": "eta_tilde_imaginary", "connection": "main",
           "reference": "ref"},
          "common metric"),
+        ({"main": _constant(1, [[[0.3j]]]),
+          "to": _constant(1, [[[0.5j]]], g=2.0)},
+         {"check": "variation_complex",
+          "path": {"kind": "linear", "from": "main", "to": "to"}},
+         "common metric"),
     ],
 )
 def test_precondition_gates_exit_2(
@@ -439,6 +444,20 @@ def test_precondition_gates_exit_2(
     }
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_import_leaves_the_optimizer_unloaded():
+    # scipy.optimize serves only the tracks artifact, loaded when one is made
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, etacalc, etacalc.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.stdout.strip() == "False", result.stderr
 
 
 def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):

@@ -112,7 +112,7 @@ def test_spectral_eta_upper_boundary_shift():
     # Re mu just below an integer: the tower is shifted down by one so the
     # near-axis eigenvalue is excluded and the remainder contributes -2 mu
     mu = 1 - 1e-12 + 0.2j
-    res = eta_s1_spectral([mu], tol=1e-9)
+    res = eta_s1_spectral([mu])
     assert res.value.kernel_dim == 0
     assert len(res.excluded) == 1
     assert res.excluded[0] == pytest.approx(2j * math.pi * 0.2, abs=1e-9)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from etacalc import cli
+from etacalc.flow import gauge_path
 from etacalc.forms import SubTorus, TrigPolyForm
 from etacalc.geometry import (
     Connection,
@@ -19,6 +21,7 @@ from etacalc.geometry import (
     cs_r_poly,
     gauge_transform,
     invert_degree0,
+    linear_path,
     odd_subtori,
     subtorus_pairing,
 )
@@ -246,6 +249,8 @@ def test_cs_requires_common_metric():
     c1 = Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]), g, g_inv)
     with pytest.raises(PreconditionError, match="common metric"):
         cs_form(c0, c1)
+    with pytest.raises(PreconditionError, match="common metric"):
+        linear_path(c0, c1)
 
 
 def test_cs_transgresses_chern_character():
@@ -358,6 +363,64 @@ def test_chern_character_bianchi():
     for _ in range(3):
         c = random_nonflat_connection(rng, 3, 2)
         assert chern_character(c).ext_d().is_zero(1e-9)
+
+
+# ----------------------------------------------------------------------
+# derived connections: the parent's checked metric, omega computed once
+
+
+def _on_unipotent_metric(seed: int) -> Connection:
+    """A non-unitary rank-2 circle connection on an x-dependent metric."""
+    g, g_inv = unipotent_metric(1, 2)
+    rng = np.random.default_rng(seed)
+    return Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]), g, g_inv)
+
+
+def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
+    """Every way the program derives a connection from c (and from the
+    linear path c -> other, as a scenario builds it)."""
+    scn = cli.Scenario(1, 2, {"c": c, "other": other}, 0, (), None, None)
+    linear = cli._build_path(scn, {"kind": "linear", "from": "c", "to": "other"})
+    out = {
+        "hermitian_part": c.hermitian_part(),
+        "r=0.7": c.r_deformation(0.7),
+        "r=0.4-1.3i": c.r_deformation(0.4 - 1.3j),
+    }
+    for t in (0.0, 0.5, 1.0):
+        out[f"gauge_path(t={t})"] = gauge_path(c, 2, t)
+        out[f"linear(t={t})"] = linear(t)
+    return out
+
+
+def _same_terms(f: TrigPolyForm, h: TrigPolyForm) -> bool:
+    """Bitwise equality, term order included."""
+    fs, hs = list(f.terms()), list(h.terms())
+    return len(fs) == len(hs) and all(
+        k0 == k1 and i0 == i1 and np.array_equal(m0, m1)
+        for (k0, i0, m0), (k1, i1, m1) in zip(fs, hs)
+    )
+
+
+def test_derived_omega_equals_the_checking_constructors():
+    c, other = _on_unipotent_metric(41), _on_unipotent_metric(42)
+    c.omega_metric()  # a derived connection must not inherit this cache
+    for name, d in _derived(c, other).items():
+        assert d.g is c.g and d.g_inv is c.g_inv, name
+        oracle = Connection(d.a, d.g, d.g_inv).omega_metric()
+        assert _same_terms(d.omega_metric(), oracle), name
+        assert d.omega_metric() is d.omega_metric(), name
+
+
+def test_deriving_runs_no_metric_check(monkeypatch):
+    c, other = _on_unipotent_metric(43), _on_unipotent_metric(44)
+    checked = []
+    monkeypatch.setattr(
+        Connection, "_spot_check_positive", lambda self: checked.append(self)
+    )
+    _derived(c, other)
+    # the only checks left are gauge_transform's, one per gauge_path time,
+    # of the new metric it builds from u
+    assert len(checked) == 3 and all(x.g is not c.g for x in checked)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,12 @@ def _used_names() -> set[str]:
 def _defined_names() -> set[str]:
     """Public functions and classes at module level in each etacalc
     module, and the public methods (properties included) of those
-    classes."""
+    classes.
+
+    Names are matched, not owners: a method counts as used when any
+    callable of the same name is read, so an unused method sharing its
+    name with a used one (as ``TrigPolyForm.hermitian_part`` did with
+    ``Connection.hermitian_part``) passes unseen."""
     defs = (ast.FunctionDef, ast.ClassDef)
     found = set()
     for path in (ROOT / "src" / "etacalc").glob("*.py"):

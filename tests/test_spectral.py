@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from etacalc import spectral
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
 from etacalc.spectral import (
@@ -206,13 +207,13 @@ def test_perturbation_moves_eigenvalues_at_most_norm():
         assert np.min(np.abs(base_vals - v)) <= np.linalg.norm(e, 2) + 1e-12
 
 
-def test_memory_guard_refuses_oversized_truncations():
-    c = diagonal_connection_from_mus([0.25])
-    with pytest.raises(MemoryGuardError):
-        build_truncation(c, 50, memory_limit=1000)
+def test_memory_guard_refuses_oversized_truncations(monkeypatch):
     a = TrigPolyForm.monomial(3, 0.1 * np.eye(2), k=(1, 0, 0), I=(1,))
     with pytest.raises(MemoryGuardError):
         build_truncation(Connection(a), 12)  # 15625 modes * 8 -> ~2e10 bytes
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", 1000)
+    with pytest.raises(MemoryGuardError):
+        build_truncation(diagonal_connection_from_mus([0.25]), 50)
 
 
 def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
@@ -226,10 +227,12 @@ def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", recording_zeros)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes - 1)
     with pytest.raises(MemoryGuardError):
-        build_truncation(c, 2, memory_limit=stack_bytes - 1)
+        build_truncation(c, 2)
     assert (125, 8, 8) not in shapes
-    t = build_truncation(c, 2, memory_limit=stack_bytes)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes)
+    t = build_truncation(c, 2)
     assert (125, 8, 8) in shapes and t.stack.nbytes == stack_bytes
 
 
