@@ -9,7 +9,7 @@ same principal-branch formula.
 Higher tori are handled only through symmetry (identically vanishing sums)
 or through variation formulas anchored at circle endpoints; the one direct
 numerical route offered here is a heat-kernel-smoothed estimate for
-self-adjoint truncations.
+Hermitian truncations.
 """
 
 from __future__ import annotations
@@ -94,22 +94,25 @@ def eta_s1_spectral(mus: Iterable[complex]) -> TowerEta:
 
 
 def eta_heat_estimate(t: OperatorTruncation) -> complex:
-    """Heat-smoothed eta for a self-adjoint truncation.
+    """Heat-smoothed eta for a Hermitian truncation.
 
     Evaluates eta_eps = sum sign(lambda) erfc(sqrt(eps) |lambda|) on a fixed
     grid of six eps values and Richardson-extrapolates quadratically in
     sqrt(eps) to eps -> 0.
     Accurate only when the truncation window dominates the tail (documented
-    in the tests); refuses non-self-adjoint truncations, and coupled ones,
-    whose eigenvalues near the window's edge are not those of the operator.
+    in the tests); refuses, with ``PreconditionError``, truncations that are
+    not ``hermitian`` (a connection unitary on the identity metric), and
+    coupled ones, whose eigenvalues near the window's edge are not those of
+    the operator.
     """
     if t.couplings:
         raise PreconditionError(
             "heat-smoothed eta requires a constant-coefficient truncation"
         )
-    if not t.formally_self_adjoint:
-        raise ValueError(
-            "heat-smoothed eta requires a formally self-adjoint truncation"
+    if not t.hermitian:
+        raise PreconditionError(
+            "heat-smoothed eta requires a Hermitian truncation "
+            "(a unitary connection on the identity metric)"
         )
     lam = spectrum(t).real
     lam = lam[np.abs(lam) > _ZERO_TOL]

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import TrigPolyForm
-from .geometry import Connection, PreconditionError, gauge_transform
+from .geometry import Connection, PreconditionError, _gauge_form
 from .spectral import OperatorTruncation, spectrum
 
 # endpoint eigenvalues with |Re| at or below this are on the imaginary axis
@@ -210,8 +210,7 @@ def gauge_path(c: Connection, w: int, t: float) -> Connection:
     u_inv = TrigPolyForm.constant(1, rest) + TrigPolyForm.monomial(
         1, e11, k=(-w,)
     )
-    target = gauge_transform(c, u, u_inv)
-    return c.with_form(c.a * (1.0 - t) + target.a * t)
+    return c.with_form(c.a * (1.0 - t) + _gauge_form(c.a, u, u_inv) * t)
 
 
 def export_tracks_csv(tr: EigenvalueTrack, path) -> None:

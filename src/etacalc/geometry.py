@@ -320,6 +320,11 @@ def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:
 # gauge action, pairings
 
 
+def _gauge_form(a: TrigPolyForm, u: TrigPolyForm, u_inv: TrigPolyForm) -> TrigPolyForm:
+    """u^{-1} a u + u^{-1} du: the connection form d + a pulled back by u."""
+    return u_inv.wedge(a).wedge(u) + u_inv.wedge(u.ext_d())
+
+
 def gauge_transform(
     c: Connection, u: TrigPolyForm, u_inv: TrigPolyForm | None = None
 ) -> Connection:
@@ -327,7 +332,7 @@ def gauge_transform(
     A -> u^{-1} A u + u^{-1} du, g -> u^dagger g u."""
     if u_inv is None:
         u_inv = invert_degree0(u)
-    a_new = u_inv.wedge(c.a).wedge(u) + u_inv.wedge(u.ext_d())
+    a_new = _gauge_form(c.a, u, u_inv)
     g_new = u.dagger().wedge(c.g).wedge(u)
     g_inv_new = u_inv.wedge(c.g_inv).wedge(u_inv.dagger())
     return Connection(a_new, g_new, g_inv_new)

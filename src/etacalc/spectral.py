@@ -23,6 +23,21 @@ component size, over the components' Galerkin matrices assembled from the
 stack and the couplings (without couplings, the stack itself), and is
 cached on the truncation.  A memory guard refuses truncations that would
 not fit before allocating them.
+
+The solve has two LAPACK routes, chosen by one flag of the truncation,
+``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
+fiber metric is exactly the identity.  Then every Galerkin matrix M is
+Hermitian up to rounding, and each size class is solved by one batched
+``eigvalsh`` (real eigenvalues, cast to complex); otherwise by one batched
+``eigvals``.  ``eigvalsh`` reads one triangle of M, that is, it solves the
+Hermitian matrix H that agrees with M on that triangle and on the real
+part of the diagonal.  By Bauer--Fike (H is normal) every eigenvalue of M
+lies within ||M - H||_2 <= ||M - M^H||_F / sqrt(2) of an eigenvalue of H;
+for the unitary connections in this package that is rounding, about
+1e-15 of the matrix scale.  A connection that is unitary for another
+metric is self-adjoint for the g-weighted inner product but not for the
+standard one the matrices are written in, so its stack is not Hermitian
+and keeps ``eigvals``.
 """
 
 from __future__ import annotations
@@ -116,15 +131,20 @@ class OperatorTruncation:
     ``dense`` (coupled connections only) is the Galerkin matrix, built on
     first use.
 
+    ``hermitian`` says that every Galerkin matrix is Hermitian: the
+    connection is unitary and its fiber metric is the identity.
+
     The eigenvalues are computed once per truncation, on the first call of
     ``spectrum`` or ``spectrum_rows``.  The couplings split the modes into
     connected components, each an eigenproblem of its own; the solve is
-    one batched ``eigvals`` per component size, over matrices assembled
-    from the stack and the couplings without building ``dense``.  Without
-    couplings every component is one mode and the solve is
-    ``eigvals(stack)``; when the couplings connect the whole window it is
-    the solve of ``dense``.  Every array is read-only so that the cached
-    values cannot go stale.
+    one batched call per component size, over matrices assembled from the
+    stack and the couplings without building ``dense``: ``eigvalsh`` when
+    ``hermitian`` (each eigenvalue of a matrix M lies within
+    ||M - M^H||_F / sqrt(2) of one it returns, by Bauer--Fike), ``eigvals``
+    otherwise.  Without couplings every component is one mode and the
+    solve is that of the stack; when the couplings connect the whole
+    window it is the solve of ``dense``.  Every array is read-only so that
+    the cached values cannot go stale.
     """
 
     dim: int
@@ -133,7 +153,7 @@ class OperatorTruncation:
     modes: tuple[tuple[int, ...], ...]
     stack: np.ndarray
     couplings: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-    formally_self_adjoint: bool
+    hermitian: bool
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray] | None:
@@ -229,19 +249,36 @@ class OperatorTruncation:
 
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
-        """Unsorted eigenvalues, one batched solve per component size: an
-        (m, s * per) array per entry of ``_components``, one row per
-        component.  Without couplings that is eigvals(stack), one row per
-        mode."""
+        """Unsorted complex eigenvalues, one batched solve per component
+        size: an (m, s * per) array per entry of ``_components``, one row
+        per component.  Without couplings the solve is that of the stack,
+        one row per mode.  Hermitian truncations are solved by ``eigvalsh``
+        (each eigenvalue of M lies within ||M - M^H||_F / sqrt(2) of one
+        of its real values, by Bauer--Fike), all others by ``eigvals``."""
+        solve = _eigvalsh if self.hermitian else np.linalg.eigvals
         return tuple(
-            np.linalg.eigvals(self._component_matrices(members))
-            for members in self._components
+            solve(self._component_matrices(members)) for members in self._components
         )
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
         vals = np.concatenate([v.ravel() for v in self._eigvals])
         return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """Batched ``eigvalsh`` of Hermitian matrices, as complex values."""
+    return np.linalg.eigvalsh(matrices).astype(complex)
+
+
+def _galerkin_hermitian(c: Connection) -> bool:
+    """Whether c's Galerkin matrices are Hermitian: omega vanishes to 1e-10
+    and the fiber metric is exactly the constant identity, one term (then
+    omega is -(A^dagger + A))."""
+    if not c.omega_metric().is_zero(1e-10):
+        return False
+    (k, _, g), *rest = c.g.terms()
+    return not rest and not any(k) and g.tolist() == np.eye(c.rank).tolist()
 
 
 def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
@@ -307,7 +344,7 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     return OperatorTruncation(
         c.dim, c.rank, cutoff,
         tuple(product(range(-cutoff, cutoff + 1), repeat=c.dim)),
-        _stacked_blocks(c, cutoff), couplings, c.omega_metric().is_zero(1e-10),
+        _stacked_blocks(c, cutoff), couplings, _galerkin_hermitian(c),
     )
 
 

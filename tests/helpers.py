@@ -199,6 +199,17 @@ def constant_hermitian_metric(rng: np.random.Generator, dim: int, rank: int):
     g_inv = TrigPolyForm.constant(dim, np.linalg.inv(mat))
     return g, g_inv
 
+def unitary_on_constant_metric(rng: np.random.Generator) -> Connection:
+    """A unitary constant rank-2 T^3 connection gauged by the constant
+    u = [[1, 0.7], [0, 1.3]]: unitary for the metric u^dagger u, which is
+    not the identity, so its Galerkin matrices are not Hermitian."""
+    u = np.array([[1.0, 0.7], [0.0, 1.3]], dtype=complex)
+    c = random_unitary_constant_connection(rng, 3, 2)
+    return gauge_transform(
+        c, TrigPolyForm.constant(3, u), TrigPolyForm.constant(3, np.linalg.inv(u))
+    )
+
+
 def r_poly_at(coeffs, r: complex) -> TrigPolyForm:
     """sum_i r^i coeffs[i]: a ``cs_r_poly`` expansion evaluated at r."""
     acc = TrigPolyForm.zero(coeffs[0].dim, coeffs[0].rank)

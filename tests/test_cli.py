@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from etacalc import cli
+from etacalc import cli, spectral
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
@@ -462,11 +462,15 @@ def test_import_leaves_the_optimizer_unloaded():
 
 def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
     # LinAlgError subclasses ValueError; a failure inside the numerics is a
-    # bug to surface, not an invalid scenario (exit 2)
-    def failing_eigvals(*args, **kwargs):
+    # bug to surface, not an invalid scenario (exit 2).  Both spectral solve
+    # routes fail, whichever of them the truncation takes (the Hermitian
+    # one at the spectral module, since the metric check of the scenario's
+    # connections calls np.linalg.eigvalsh while they load).
+    def failing_solver(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    monkeypatch.setattr(np.linalg, "eigvals", failing_solver)
+    monkeypatch.setattr(spectral, "_eigvalsh", failing_solver)
     obj = load_bundled("t3_spectrum.json")
     obj["experiments"] = [{"check": "spectrum", "connection": "main"}]
     with pytest.raises(np.linalg.LinAlgError):

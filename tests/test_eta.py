@@ -21,6 +21,7 @@ from helpers import (
     gauged_t3_connection,
     random_mus,
     sign_sum_eta_oracle,
+    unitary_on_constant_metric,
 )
 
 
@@ -153,9 +154,17 @@ def test_heat_estimate_t3_unitary_vanishes():
 def test_heat_estimate_rejects_non_self_adjoint():
     c = diagonal_connection_from_mus([0.3 + 0.1j])
     t = build_truncation(c, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="Hermitian truncation"):
         eta_heat_estimate(t)
 
+
+def test_heat_estimate_rejects_unitary_truncations_on_another_metric():
+    # unitary for a non-identity metric: self-adjoint for the g-weighted
+    # inner product, yet its Galerkin matrices are not Hermitian
+    c = unitary_on_constant_metric(np.random.default_rng(6))
+    assert c.omega_metric().is_zero(1e-10)
+    with pytest.raises(PreconditionError, match="Hermitian truncation"):
+        eta_heat_estimate(build_truncation(c, 2))
 
 
 def test_heat_estimate_rejects_coupled_truncations():
@@ -163,7 +172,7 @@ def test_heat_estimate_rejects_coupled_truncations():
     basis, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     c = gauged_t3_connection(rng.uniform(0.1, 0.9, (3, 2)), basis)
     t = build_truncation(c, 1)
-    assert t.couplings and t.formally_self_adjoint
+    assert t.couplings and t.hermitian
     with pytest.raises(PreconditionError, match="constant-coefficient"):
         eta_heat_estimate(t)
 

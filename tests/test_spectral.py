@@ -30,6 +30,7 @@ from helpers import (
     mode_components,
     random_mus,
     random_unitary_constant_connection,
+    unitary_on_constant_metric,
 )
 
 TWO_PI = 2 * math.pi
@@ -154,7 +155,7 @@ def test_block_truncation_matches_full_matrix():
 def test_unitary_truncation_is_hermitian_and_flagged():
     c = diagonal_connection_from_mus([0.25, 0.4])
     t = build_truncation(c, 2)
-    assert t.formally_self_adjoint
+    assert t.hermitian
     for k in t.modes:
         blk = t.blocks[k]
         assert np.allclose(blk, blk.conj().T, atol=1e-12)
@@ -163,7 +164,7 @@ def test_unitary_truncation_is_hermitian_and_flagged():
 def test_nonunitary_flagged_not_self_adjoint():
     c = Connection.from_constant(1, [np.array([[2j * math.pi * (0.3 + 0.1j)]])])
     t = build_truncation(c, 1)
-    assert not t.formally_self_adjoint
+    assert not t.hermitian
 
 
 def test_cutoff_nesting_for_constant_connections():
@@ -423,6 +424,66 @@ def test_gauged_t3_spectrum_contains_closed_form_inner_eigenvalues():
     uniq, counts = np.unique(expect, return_counts=True)
     found = np.sum(np.abs(vals[None, :] - uniq[:, None]) <= 1e-9, axis=1)
     assert np.all(found >= counts)
+
+
+# ---------------------------------------------------------------------------
+# the two solve routes: eigvalsh for Hermitian truncations, eigvals otherwise
+
+
+def _hermitian_case(name):
+    rng = np.random.default_rng(51)
+    if name == "s1":
+        return build_truncation(random_unitary_constant_connection(rng, 1, 3), 6)
+    if name == "t3":
+        return build_truncation(random_unitary_constant_connection(rng, 3, 2), 3)
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    basis, _ = np.linalg.qr(x)
+    return build_truncation(gauged_t3_connection(rng.uniform(0.1, 0.9, (3, 2)), basis), 2)
+
+
+@pytest.mark.parametrize("name", ["s1", "t3", "gauged_t3"])
+def test_hermitian_truncations_are_solved_by_eigvalsh(name, monkeypatch):
+    t = _hermitian_case(name)
+    assert t.hermitian and bool(t.couplings) == (name == "gauged_t3")
+
+    def general_route(*args, **kwargs):
+        raise AssertionError("a Hermitian truncation was solved by eigvals")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvals", general_route)
+        vals = spectrum(t)
+    assert np.all(vals.imag == 0)
+    # Bauer--Fike: each eigenvalue of M lies within ||M - H||_2 of one of the
+    # Hermitian H that eigvalsh reads, and ||M - H||_2 <= ||M - M^H||_F / sqrt 2
+    for members, solved in zip(t._components, t._eigvals):
+        mats = t._component_matrices(members)
+        general = np.linalg.eigvals(mats)
+        defect = np.linalg.norm(mats - mats.conj().swapaxes(1, 2), axis=(1, 2))
+        scale = np.max(np.abs(general))
+        assert np.max(defect) < 1e-13 * scale  # Hermitian up to rounding
+        bound = (defect / math.sqrt(2) + 1e-12 * scale)[:, None]
+        dist = np.abs(solved[:, :, None] - general[:, None, :])
+        assert np.all(dist.min(axis=2) <= bound)
+        assert np.all(dist.min(axis=1) <= bound)
+
+
+@pytest.mark.parametrize("name", ["nonunitary", "unitary_on_other_metric"])
+def test_other_truncations_are_solved_bitwise_by_eigvals(name):
+    rng = np.random.default_rng(52)
+    if name == "nonunitary":
+        c = diagonal_connection_from_mus([0.3 + 0.1j, 0.55])
+    else:
+        # unitary for g = u^dagger u != I: omega vanishes, yet the stack is
+        # far from Hermitian and eigvalsh would read the wrong matrix
+        c = unitary_on_constant_metric(rng)
+        assert c.omega_metric().is_zero(1e-10)
+    t = build_truncation(c, 3)
+    assert not t.hermitian
+    if name == "unitary_on_other_metric":
+        defect = t.stack - t.stack.conj().swapaxes(1, 2)
+        assert np.max(np.linalg.norm(defect, axis=(1, 2))) > 1
+    vals = np.linalg.eigvals(t.stack).ravel()
+    assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
 
 
 def test_spectrum_returns_a_copy_of_the_cached_solve():
