@@ -9,7 +9,9 @@ with a distinct code per failure class:
 * 0 -- everything ran and every check passed
 * 1 -- at least one check entry failed its tolerance
 * 2 -- the scenario is invalid (JSON/schema violation, unknown connection
-  name, shape mismatch) or asks a check for something outside its domain
+  name, shape mismatch, a connection or metric that input validation
+  refuses with :class:`~etacalc.forms.InvalidInputError`) or asks a check
+  for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`); nothing else maps here
 * 3 -- a numerical guard tripped (memory guard, eigenvalue-tracking
   ambiguity, spectral flow unstable under cutoff growth, interpolation
@@ -47,6 +49,7 @@ import jsonschema
 
 from . import verify
 from .flow import TrackError, export_tracks_csv, gauge_path, track_path
+from .forms import InvalidInputError
 from .geometry import Connection, PreconditionError, linear_path
 from .spectral import MemoryGuardError, build_truncation, export_spectrum_csv
 
@@ -302,7 +305,7 @@ def load_scenario(path: str) -> Scenario:
     for name, spec in obj.get("connections", {}).items():
         try:
             conn = Connection.from_json_obj(spec)
-        except (ValueError, KeyError) as exc:
+        except InvalidInputError as exc:
             raise ScenarioError(f"connection {name!r}: {exc}") from exc
         if conn.dim != dim or conn.rank != rank:
             raise ScenarioError(

@@ -13,7 +13,9 @@ eta_bar(1) - eta_bar(0) = sf + transgression integral demands sf = +w for
 the winding-w gauge path (each tower's floor(Re mu) rises by w).
 
 Eigenvalue tracking (:func:`track_path`) only feeds the ``tracks`` CSV
-artifact, which shows where crossings happen; no check reads it.
+artifact, which shows where crossings happen; no check reads it.  Each of
+its matching steps holds n x n arrays for n eigenvalues, so it refuses,
+under the spectral memory guard, paths whose spectra make those too large.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError, _gauge_form
 from .spectral import OperatorTruncation, spectrum
@@ -32,6 +35,10 @@ from .spectral import OperatorTruncation, spectrum
 AXIS_TOL = 1e-9
 # bisections allowed on one interval of the initial tracking grid
 MAX_BISECTIONS = 20
+# bytes per eigenvalue pair of one matching step: two float64 distance
+# matrices and the complex128 difference behind each (8 + 8 + 16), plus
+# three boolean masks
+_MATCH_BYTES_PER_PAIR = 35
 
 
 class TrackError(RuntimeError):
@@ -67,6 +74,17 @@ def _sample_spectrum(sample) -> np.ndarray:
     if arr.ndim == 1:
         return arr[np.lexsort((arr.imag, arr.real))]
     raise TypeError("path samples must be truncations, matrices, or spectra")
+
+
+def _guard_matching(n: int) -> None:
+    """Refuse tracking n eigenvalues when the n x n arrays of one matching
+    step would exceed ``spectral.MEMORY_LIMIT``."""
+    needed = _MATCH_BYTES_PER_PAIR * n * n
+    if needed > spectral.MEMORY_LIMIT:
+        raise spectral.MemoryGuardError(
+            f"tracking {n} eigenvalues would need {needed} bytes per matching "
+            f"step (limit {spectral.MEMORY_LIMIT}); lower the cutoff"
+        )
 
 
 def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -114,12 +132,16 @@ def track_path(path: Callable[[float], object], m0: int = 8) -> EigenvalueTrack:
     interval), so tracks keep their identity through near-collisions.  The
     initial grid of ``m0`` intervals is bisected wherever that matching is
     ambiguous; more than MAX_BISECTIONS bisections on one interval raise
-    TrackError.
+    TrackError.  Raises MemoryGuardError, after the first sample and before
+    any matching, when the matching arrays for that many eigenvalues would
+    exceed ``spectral.MEMORY_LIMIT``.
     """
     if m0 < 1:
         raise ValueError("need at least one interval")
     times = np.linspace(0.0, 1.0, m0 + 1)
-    spectra = [_sample_spectrum(path(t)) for t in times]
+    spectra = [_sample_spectrum(path(times[0]))]
+    _guard_matching(len(spectra[0]))
+    spectra += [_sample_spectrum(path(t)) for t in times[1:]]
     sizes = {len(s) for s in spectra}
     if len(sizes) != 1:
         raise TrackError(f"spectrum size changes along the path: {sorted(sizes)}")

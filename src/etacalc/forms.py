@@ -16,10 +16,12 @@ Coordinates live on the unit torus R^d / Z^d, so the volume of the full
 torus is 1 and ``exp(2*pi*i*k*x)`` is periodic for integer k.
 
 Outside input is validated once, where it enters: the ``TrigPolyForm``
-constructor (and ``from_json_obj``, which also rejects non-finite
-entries) checks every key and shape and copies every matrix.  Operations
-on valid forms skip those checks; every result, the constructor's
-included, has its terms summed by the one routine ``_sum_terms``.
+constructor (and ``from_json_obj``, which also rejects ragged and
+non-finite entries) checks every key and shape and copies every matrix,
+and raises :class:`InvalidInputError` for input that describes no form.
+Operations on valid forms skip those checks; every result, the
+constructor's included, has its terms summed by the one routine
+``_sum_terms``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ EQ_TOL = 1e-12
 # The principal square root sqrt(2 pi) e^{i pi/4} of 2 pi i: the degree
 # normalization phi divides a p-form by its p-th power.
 PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
+
+
+class InvalidInputError(ValueError):
+    """Outside input describes no valid form, subtorus, metric or connection
+    (a bad shape, index or entry; a metric that is not Hermitian, positive
+    or invertible).  Only input validation raises it, so it never stands
+    for a failure inside the numerics."""
+
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 Term = tuple[TermKey, np.ndarray]
@@ -93,11 +103,11 @@ class SubTorus:
 
     def __post_init__(self) -> None:
         if len(self.base) != self.dim:
-            raise ValueError("base must give all dim coordinates")
+            raise InvalidInputError("base must give all dim coordinates")
         if any(not (1 <= i <= self.dim) for i in self.indices):
-            raise ValueError("subtorus indices must lie in 1..dim")
+            raise InvalidInputError("subtorus indices must lie in 1..dim")
         if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("subtorus indices must be strictly increasing")
+            raise InvalidInputError("subtorus indices must be strictly increasing")
 
     @classmethod
     def full(cls, dim: int) -> "SubTorus":
@@ -122,7 +132,7 @@ class TrigPolyForm:
         terms: Mapping[TermKey, np.ndarray] | Iterable[Term] = (),
     ) -> None:
         if dim < 1 or rank < 1:
-            raise ValueError("dim and rank must be positive")
+            raise InvalidInputError("dim and rank must be positive")
         self.dim = int(dim)
         self.rank = int(rank)
         checked: list[Term] = []
@@ -131,14 +141,18 @@ class TrigPolyForm:
             k = tuple(int(v) for v in k)
             I = tuple(int(v) for v in I)
             if len(k) != self.dim:
-                raise ValueError(f"frequency vector {k} has wrong length for dim={dim}")
+                raise InvalidInputError(
+                    f"frequency vector {k} has wrong length for dim={dim}"
+                )
             if any(a >= b for a, b in zip(I, I[1:])) or any(
                 not (1 <= i <= self.dim) for i in I
             ):
-                raise ValueError(f"index tuple {I} must be strictly increasing in 1..dim")
+                raise InvalidInputError(
+                    f"index tuple {I} must be strictly increasing in 1..dim"
+                )
             mat = np.array(mat, dtype=np.complex128)  # the caller keeps theirs
             if mat.shape != (self.rank, self.rank):
-                raise ValueError(f"matrix shape {mat.shape} != ({rank},{rank})")
+                raise InvalidInputError(f"matrix shape {mat.shape} != ({rank},{rank})")
             checked.append(((k, I), mat))
         self._terms = _sum_terms(checked)
 
@@ -186,7 +200,7 @@ class TrigPolyForm:
         """sum_j M_j dx_j with constant matrices M_j (j = 1..dim)."""
         mats = [np.atleast_2d(np.asarray(m, dtype=np.complex128)) for m in mats]
         if len(mats) != dim:
-            raise ValueError("need one matrix per coordinate")
+            raise InvalidInputError("need one matrix per coordinate")
         rank = mats[0].shape[0]
         return cls(
             dim, rank, {((0,) * dim, (j + 1,)): mats[j] for j in range(dim)}
@@ -411,10 +425,15 @@ class TrigPolyForm:
         rank = int(obj["rank"])
         terms: list[Term] = []
         for t in obj["terms"]:
-            mat = np.asarray(t["re"], dtype=float) + 1j * np.asarray(
-                t["im"], dtype=float
-            )
+            where = f"term {t['k']}, {t['I']}"
+            try:
+                re, im = (np.asarray(t[part], dtype=float) for part in ("re", "im"))
+            except ValueError as exc:  # ragged rows
+                raise InvalidInputError(f"{where}: {exc}") from exc
+            if re.shape != im.shape:
+                raise InvalidInputError(f"{where}: re and im shapes differ")
+            mat = re + 1j * im
             if not np.all(np.isfinite(mat)):
-                raise ValueError(f"term {t['k']}, {t['I']} has a non-finite entry")
+                raise InvalidInputError(f"{where} has a non-finite entry")
             terms.append(((tuple(t["k"]), tuple(t["I"])), mat))
         return cls(dim, rank, terms)

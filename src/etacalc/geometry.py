@@ -14,7 +14,8 @@ a Hermitian fiber metric g.  The central derived objects:
 
 A metric is checked once, where it enters: in the ``Connection``
 constructor, which ``gauge_transform`` (a new metric from the caller's u)
-also runs.  ``hermitian_part``, ``r_deformation``, ``linear_path`` and
+also runs.  Invalid input raises :class:`~etacalc.forms.InvalidInputError`
+there.  ``hermitian_part``, ``r_deformation``, ``linear_path`` and
 :func:`etacalc.flow.gauge_path` derive connections that keep their parent's
 checked metric through ``Connection.with_form``, which checks nothing.
 
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .forms import EQ_TOL, PHI_SCALE, SubTorus, TrigPolyForm
+from .forms import EQ_TOL, PHI_SCALE, InvalidInputError, SubTorus, TrigPolyForm
 
 TWO_PI_I = 2j * math.pi
 
@@ -60,18 +61,23 @@ def invert_degree0(g: TrigPolyForm) -> TrigPolyForm:
     Constant functions invert by plain linear algebra.  Non-constant ones
     are attempted via the Neumann series sum (I - g)^m, which terminates
     exactly when I - g is nilpotent in the function algebra (the case for
-    unipotent factors used to build non-trivial metrics).  Anything else is
-    refused rather than approximated.
+    unipotent factors used to build non-trivial metrics).  Anything else,
+    a singular constant included, is refused with InvalidInputError rather
+    than approximated.
     """
     if set(g.degrees()) - {0}:
-        raise ValueError("can only invert degree-0 forms")
+        raise InvalidInputError("can only invert degree-0 forms")
     terms = list(g.terms())
     if len(terms) <= 1:
         if not terms:
-            raise ValueError("zero form is not invertible")
+            raise InvalidInputError("zero form is not invertible")
         k, _, mat = terms[0]
         if all(v == 0 for v in k):
-            return TrigPolyForm.constant(g.dim, np.linalg.inv(mat))
+            try:
+                inverse = np.linalg.inv(mat)
+            except np.linalg.LinAlgError as exc:  # raised only when singular
+                raise InvalidInputError(f"constant form is singular: {exc}") from exc
+            return TrigPolyForm.constant(g.dim, inverse)
     ident = TrigPolyForm.identity(g.dim, g.rank)
     h = ident - g
     acc = ident
@@ -83,7 +89,7 @@ def invert_degree0(g: TrigPolyForm) -> TrigPolyForm:
                 return acc
             break
         acc = acc + power
-    raise ValueError(
+    raise InvalidInputError(
         "degree-0 form is not invertible in closed form; "
         "supply g_inv explicitly (e.g. from a unipotent factorization)"
     )
@@ -96,8 +102,9 @@ class Connection:
     ``a`` must be pure degree 1.  ``g`` (degree 0) defaults to the identity;
     it must be Hermitian and positive definite (spot-checked on sample
     points).  ``g_inv`` may be supplied when g has a closed-form inverse the
-    Neumann fallback cannot find.  The constructor checks all of this;
-    :meth:`with_form` reuses the checked metric.  omega is computed once.
+    Neumann fallback cannot find.  The constructor checks all of this and
+    raises InvalidInputError; :meth:`with_form` reuses the checked metric.
+    omega is computed once.
     """
 
     a: TrigPolyForm
@@ -106,22 +113,22 @@ class Connection:
 
     def __post_init__(self) -> None:
         if set(self.a.degrees()) - {1}:
-            raise ValueError("connection form must be pure degree 1")
+            raise InvalidInputError("connection form must be pure degree 1")
         ident = TrigPolyForm.identity(self.a.dim, self.a.rank)
         if self.g is None:
             object.__setattr__(self, "g", ident)
             object.__setattr__(self, "g_inv", ident)
         else:
             if self.g.dim != self.a.dim or self.g.rank != self.a.rank:
-                raise ValueError("metric shape mismatch")
+                raise InvalidInputError("metric shape mismatch")
             if set(self.g.degrees()) - {0}:
-                raise ValueError("metric must be a degree-0 form")
+                raise InvalidInputError("metric must be a degree-0 form")
             if not self.g.allclose(self.g.dagger(), 1e-10):
-                raise ValueError("metric must be Hermitian")
+                raise InvalidInputError("metric must be Hermitian")
             if self.g_inv is None:
                 object.__setattr__(self, "g_inv", invert_degree0(self.g))
             if not self.g.wedge(self.g_inv).allclose(ident, 1e-9):
-                raise ValueError("g_inv is not an inverse of g")
+                raise InvalidInputError("g_inv is not an inverse of g")
             self._spot_check_positive()
 
     def with_form(self, a: TrigPolyForm) -> "Connection":
@@ -137,7 +144,9 @@ class Connection:
             mat = self.g.evaluate_at(x).get((), np.zeros((self.rank, self.rank)))
             vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
             if np.min(vals) <= 0:
-                raise ValueError("metric is not positive definite at sample point")
+                raise InvalidInputError(
+                    "metric is not positive definite at sample point"
+                )
 
     # ------------------------------------------------------------------
 
@@ -263,6 +272,15 @@ def linear_path(c0: Connection, c1: Connection) -> Callable[[float], Connection]
     return lambda t: c0.with_form(c0.a * (1.0 - t) + c1.a * t)
 
 
+@cache
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss--Legendre nodes and weights on [-1, 1], computed once per node
+    count and read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
     """Chern--Simons transgression along the linear path from c0 to c1.
 
@@ -275,7 +293,7 @@ def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
     _require_common_metric(c0, c1)
     d = c0.dim
     n_nodes = (d + 1) // 2 + 1
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     adot = c1.a - c0.a
     acc = TrigPolyForm.zero(d, 1)
     for x, w in zip(nodes, weights):

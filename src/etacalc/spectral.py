@@ -7,22 +7,38 @@ Gamma = i^{n+1} c(e_1)...c(e_d) for d = 2n+1.  Both Gamma and each c(e_j)
 flip exterior parity, so their composite preserves the even part; Gamma
 squares to the identity.
 
+On a flat torus D is the spin Dirac operator twisted by the bundle and by
+the trivial spinor bundle (APS II, 1975), so it is unitarily 2^n copies
+of one operator of 2^n times smaller order.  With
+B_j = (Gamma c(e_j))|_even, the product B_1...B_d is the scalar
+i^{-(n+1)} (Gamma commutes with every c(e_j)); for odd d that scalar fixes
+the class of an irreducible Clifford module, so the 2^{2n}-dimensional
+even part is 2^n copies of one irreducible module of dimension 2^n.  The
+right action r_j = e_j wedge + i_{e_j} anticommutes with every c(e_k), so
+the operators i r_{2a-1} r_{2a} (a = 1..n) commute with every B_j and
+with each other and square to 1.  Their 2^n joint eigenspaces are the
+copies; the joint +1 eigenspace, with an orthonormal basis V, gives the
+generators beta_j = V^dagger B_j V.  Every Galerkin matrix below is built
+from the beta_j, and each of its eigenvalues stands for 2^n eigenvalues
+of the operator on the full even part.
+
 For constant connection forms the Fourier modes decouple: one block of
-size 2^{d-1} * rank per frequency k, namely
-    M(k) = sum_j B_j (x) (2 pi i k_j I + A_j),   B_j = (Gamma c(e_j))|_even.
-The orientation of Gamma is fixed by the circle calibration: for d = 1 and
-A = 2 pi i mu, the spectrum over the modes is exactly {2 pi (k + mu)}.
+size 2^n * rank per frequency k, namely
+    M(k) = sum_j beta_j (x) (2 pi i k_j I + A_j).
+The orientation of Gamma is fixed by the circle calibration: for d = 1
+(beta_1 = B_1 = -i) and A = 2 pi i mu, the spectrum over the modes is
+exactly {2 pi (k + mu)}.
 
 Every truncation is one stacked (modes, n, n) array of these mode-diagonal
 blocks (A_j its zero-frequency part), assembled without a loop over modes,
-plus one coupling B_j (x) A_q per oscillatory term A_q e^{2 pi i q.x} dx_j,
-which maps mode k to k + q.  The couplings split the modes into the
+plus one coupling beta_j (x) A_q per oscillatory term A_q e^{2 pi i q.x}
+dx_j, which maps mode k to k + q.  The couplings split the modes into the
 connected components of the graph with an edge k -> k + q, each an
 eigenproblem of its own: the spectrum is one batched eigen-solve per
 component size, over the components' Galerkin matrices assembled from the
-stack and the couplings (without couplings, the stack itself), and is
-cached on the truncation.  A memory guard refuses truncations that would
-not fit before allocating them.
+stack and the couplings (without couplings, the stack itself), each
+eigenvalue repeated 2^n times, and is cached on the truncation.  A memory
+guard refuses truncations that would not fit before allocating them.
 
 The solve has two LAPACK routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -64,7 +80,10 @@ class MemoryGuardError(RuntimeError):
 
 class CliffordModel:
     """Clifford action c(e_j) = e_j wedge - contraction on Lambda(C^d),
-    with the chirality-style element Gamma = i^{n+1} c(e_1)...c(e_d).
+    with the chirality-style element Gamma = i^{n+1} c(e_1)...c(e_d), the
+    even-part generators B_j = (Gamma c(e_j))|_even, and the irreducible
+    generators ``beta`` of one of the ``copies`` = 2^n copies of the
+    irreducible Clifford module that make up the even part (d = 2n+1).
 
     Basis: subsets of {1..d} as bitmasks, ordered by integer value.
     """
@@ -75,17 +94,20 @@ class CliffordModel:
         self.dim = dim
         n_states = 1 << dim
         self.c = []
+        right = []  # r_j = e_j wedge + contraction anticommutes with every c_k
         for j in range(dim):
-            mat = np.zeros((n_states, n_states), dtype=complex)
+            wedge = np.zeros((n_states, n_states), dtype=complex)
+            contract = np.zeros((n_states, n_states), dtype=complex)
             bit = 1 << j
             for s in range(n_states):
                 # sign: number of basis indices below j already present
                 sign = (-1) ** bin(s & (bit - 1)).count("1")
                 if s & bit:
-                    mat[s ^ bit, s] = -sign  # contraction removes e_j
+                    contract[s ^ bit, s] = sign  # contraction removes e_j
                 else:
-                    mat[s | bit, s] = sign  # wedge inserts e_j
-            self.c.append(mat)
+                    wedge[s | bit, s] = sign  # wedge inserts e_j
+            self.c.append(wedge - contract)
+            right.append(wedge + contract)
         n = (dim - 1) // 2
         gamma = np.eye(n_states, dtype=complex)
         for j in range(dim):
@@ -97,6 +119,22 @@ class CliffordModel:
             (self.gamma @ cj)[np.ix_(self.even_states, self.even_states)]
             for cj in self.c
         ]
+        # The i r_{2a-1} r_{2a} commute with every B_j and square to 1; proj
+        # projects onto their joint +1 eigenspace, one irreducible copy.
+        # r_{2a-1} r_{2a} maps basis state s to +-s with the bits of pair a
+        # flipped, so proj e_s spreads over the 2^n states reached by such
+        # flips, each entry +-2^-n or +-i 2^-n.  The even states whose
+        # higher bit of every pair is clear pick one column per such orbit:
+        # disjoint supports, so V = 2^(n/2) w is an orthonormal basis and
+        # beta_j = V^dagger B_j V = 2^n w^dagger B_j w, exact in binary.
+        proj = np.eye(n_states, dtype=complex)
+        for a in range(n):
+            proj = proj @ (np.eye(n_states) + 1j * right[2 * a] @ right[2 * a + 1]) / 2
+        high = sum(1 << (2 * a + 1) for a in range(n))
+        reps = [s for s in self.even_states if not s & high]
+        w = proj[np.ix_(self.even_states, reps)]
+        self.copies = 1 << n
+        self.beta = [self.copies * (w.conj().T @ bj @ w) for bj in self.b]
 
     @property
     def even_dim(self) -> int:
@@ -119,17 +157,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorTruncation:
-    """Finite section of the twisted odd signature operator.
+    """Finite section of the twisted odd signature operator, on one
+    irreducible spinor copy (``copies`` = 2^n of them make up the even
+    exterior forms on T^d, d = 2n+1; see the module docstring).
 
-    Every truncation is stored the same way.  ``stack`` has shape
+    Every truncation is stored the same way, built from the irreducible
+    generators beta_j, so per = 2^n * rank.  ``stack`` has shape
     (len(modes), per, per): block i maps the Fourier mode modes[i] to
     itself, the derivative part plus the zero-frequency part of A.
-    ``couplings`` holds one (q, B_j (x) A_q) pair per oscillatory term of
-    A, which maps each mode k to k + q; it is empty for constant
+    ``couplings`` holds one (q, beta_j (x) A_q) pair per oscillatory term
+    of A, which maps each mode k to k + q; it is empty for constant
     connections.  ``blocks`` (constant connections only) is a read-only
     mapping from each frequency to its (per, per) view of the stack, and
-    ``dense`` (coupled connections only) is the Galerkin matrix, built on
-    first use.
+    ``dense`` (coupled connections only) is the Galerkin matrix of the one
+    copy, built on first use.  ``size`` counts the eigenvalues of the
+    operator on all copies: ``copies`` times the order of ``dense``.
 
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
     connection is unitary and its fiber metric is the identity.
@@ -143,8 +185,9 @@ class OperatorTruncation:
     ||M - M^H||_F / sqrt(2) of one it returns, by Bauer--Fike), ``eigvals``
     otherwise.  Without couplings every component is one mode and the
     solve is that of the stack; when the couplings connect the whole
-    window it is the solve of ``dense``.  Every array is read-only so that
-    the cached values cannot go stale.
+    window it is the solve of ``dense``.  Each eigenvalue is then repeated
+    ``copies`` times, once per spinor copy.  Every array is read-only so
+    that the cached values cannot go stale.
     """
 
     dim: int
@@ -195,6 +238,10 @@ class OperatorTruncation:
     def size(self) -> int:
         per_mode = clifford_model(self.dim).even_dim * self.rank
         return len(self.modes) * per_mode
+
+    @property
+    def copies(self) -> int:
+        return clifford_model(self.dim).copies
 
     @cached_property
     def _components(self) -> tuple[np.ndarray, ...]:
@@ -250,14 +297,17 @@ class OperatorTruncation:
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
         """Unsorted complex eigenvalues, one batched solve per component
-        size: an (m, s * per) array per entry of ``_components``, one row
-        per component.  Without couplings the solve is that of the stack,
-        one row per mode.  Hermitian truncations are solved by ``eigvalsh``
-        (each eigenvalue of M lies within ||M - M^H||_F / sqrt(2) of one
-        of its real values, by Bauer--Fike), all others by ``eigvals``."""
+        size: an (m, s * per * copies) array per entry of ``_components``,
+        one row per component, each eigenvalue of its Galerkin matrix
+        repeated ``copies`` times in a row.  Without couplings the solve is
+        that of the stack, one row per mode.  Hermitian truncations are
+        solved by ``eigvalsh`` (each eigenvalue of M lies within
+        ||M - M^H||_F / sqrt(2) of one of its real values, by
+        Bauer--Fike), all others by ``eigvals``."""
         solve = _eigvalsh if self.hermitian else np.linalg.eigvals
         return tuple(
-            solve(self._component_matrices(members)) for members in self._components
+            np.repeat(solve(self._component_matrices(members)), self.copies, axis=-1)
+            for members in self._components
         )
 
     @cached_property
@@ -282,18 +332,18 @@ def _galerkin_hermitian(c: Connection) -> bool:
 
 
 def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
-    """The mode blocks M(k) = sum_j B_j (x) (2 pi i k_j I + A_j) for every k
-    in the lattice, stacked in ``product`` order, where A_j is the
+    """The mode blocks M(k) = sum_j beta_j (x) (2 pi i k_j I + A_j) for every
+    k in the lattice, stacked in ``product`` order, where A_j is the
     zero-frequency coefficient of dx_j.
 
     The stack is viewed as (k_1, ..., k_d, a, ., b, .), so block (a, b) of
     the Kronecker product is the slice [..., a, :, b, :]; each direction j
-    adds B_j[a, b] (2 pi i k_j I + A_j), formed once per frequency and
+    adds beta_j[a, b] (2 pi i k_j I + A_j), formed once per frequency and
     broadcast along lattice axis j.  Same operands and order as summing the
     ``np.kron`` terms mode by mode, so the blocks are bitwise equal to it.
     """
     model = clifford_model(c.dim)
-    e, r = model.even_dim, c.rank
+    e, r = len(model.beta[0]), c.rank
     freqs = range(-cutoff, cutoff + 1)
     n_freqs = len(freqs)
     stack = np.zeros((n_freqs**c.dim, e * r, e * r), dtype=complex)
@@ -305,9 +355,9 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
         shape[j] = n_freqs
         inner = np.array([2j * math.pi * k * eye_r + a_j for k in freqs])
         inner = inner.reshape(shape)
-        b_j = model.b[j]
-        for a, b in zip(*np.nonzero(b_j)):
-            grid[..., a, :, b, :] += b_j[a, b] * inner
+        beta_j = model.beta[j]
+        for a, b in zip(*np.nonzero(beta_j)):
+            grid[..., a, :, b, :] += beta_j[a, b] * inner
     return _read_only(stack)
 
 
@@ -315,17 +365,18 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
     The mode-diagonal stack is built for every connection, plus one
-    coupling B_j (x) A_q per oscillatory term q of A.  Refuses, before
-    allocating anything, truncations that need more than ``MEMORY_LIMIT``
-    bytes of matrix storage: the dense matrix when there are couplings
-    (counted although the solve, one connected mode component at a time,
-    does not allocate it), the stack otherwise.
+    coupling beta_j (x) A_q per oscillatory term q of A, on one spinor
+    copy.  Refuses, before allocating anything, truncations that need more
+    than ``MEMORY_LIMIT`` bytes of matrix storage for that copy: the dense
+    matrix when there are couplings (counted although the solve, one
+    connected mode component at a time, does not allocate it), the stack
+    otherwise.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     model = clifford_model(c.dim)
     n_modes = (2 * cutoff + 1) ** c.dim
-    per = model.even_dim * c.rank
+    per = len(model.beta[0]) * c.rank
     oscillatory = [(q, I, mat) for q, I, mat in c.a.terms() if any(q)]
     # one dense coupled matrix, or one (per, per) block per mode
     if oscillatory:
@@ -339,7 +390,7 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
             f"(limit {MEMORY_LIMIT}); lower the cutoff"
         )
     couplings = tuple(
-        (q, _read_only(np.kron(model.b[I[0] - 1], mat))) for q, I, mat in oscillatory
+        (q, _read_only(np.kron(model.beta[I[0] - 1], mat))) for q, I, mat in oscillatory
     )
     return OperatorTruncation(
         c.dim, c.rank, cutoff,

@@ -224,43 +224,53 @@ def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
     return (-c.curvature()).exp_nilpotent().mat_trace().phi_normalize(branch)
 
 
-def build_sig_mode(c: Connection, k) -> np.ndarray:
+def build_sig_mode(c: Connection, k, gens=None) -> np.ndarray:
     """Signature-operator block on the Fourier mode e^{2 pi i k.x} for a
     constant connection, one Kronecker product per direction:
-    sum_j B_j (x) (2 pi i k_j I + A_j) (the oracle of the stacked blocks)."""
-    model = clifford_model(c.dim)
+    sum_j G_j (x) (2 pi i k_j I + A_j) (the oracle of the stacked blocks).
+    The generators G_j default to the full even-part B_j; pass
+    ``clifford_model(dim).beta`` for the one-copy blocks the stack holds."""
+    gens = clifford_model(c.dim).b if gens is None else gens
     k = tuple(int(v) for v in k)
     if len(k) != c.dim:
         raise ValueError("mode frequency has wrong length")
     # raises for non-constant A
     mats = [c.constant_coefficient(j) for j in range(1, c.dim + 1)]
-    out = np.zeros((model.even_dim * c.rank,) * 2, dtype=complex)
+    out = np.zeros((len(gens[0]) * c.rank,) * 2, dtype=complex)
     eye_r = np.eye(c.rank)
     for j in range(c.dim):
-        out += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r + mats[j])
+        out += np.kron(gens[j], 2j * math.pi * k[j] * eye_r + mats[j])
     return out
 
 
-def coupled_dense_oracle(c: Connection, cutoff: int) -> np.ndarray:
+def coupled_dense_oracle(c: Connection, cutoff: int, gens=None) -> np.ndarray:
     """Galerkin matrix of any connection, assembled mode by mode: the
-    derivative part sum_j B_j (x) 2 pi i k_j I on each diagonal block, then
-    B_j (x) A_q added to block (k + q, k) for every term A_q dx_j and every
+    block sum_j G_j (x) (2 pi i k_j I + A_j) of each mode k on the
+    diagonal, A_j the zero-frequency coefficient of dx_j, then G_j (x) A_q
+    added to block (k + q, k) for every oscillatory term A_q dx_j and every
     mode k whose target k + q is in the window (the oracle of the
-    stack-plus-couplings truncation)."""
-    model = clifford_model(c.dim)
-    per = model.even_dim * c.rank
+    stack-plus-couplings truncation).  The generators G_j default to the
+    full even-part B_j; pass ``clifford_model(dim).beta`` for one copy.
+    Each diagonal block is summed direction by direction, in the stack's
+    order: the beta_j of T^3 share entries, so the order sets the last bit."""
+    gens = clifford_model(c.dim).b if gens is None else gens
+    per = len(gens[0]) * c.rank
     modes = list(product(range(-cutoff, cutoff + 1), repeat=c.dim))
     index = {k: i for i, k in enumerate(modes)}
     size = len(modes) * per
     dense = np.zeros((size, size), dtype=complex)
     eye_r = np.eye(c.rank)
+    zero = (0,) * c.dim
     for k, i in index.items():
         blk = np.zeros((per, per), dtype=complex)
         for j in range(c.dim):
-            blk += np.kron(model.b[j], 2j * math.pi * k[j] * eye_r)
-        dense[i * per : (i + 1) * per, i * per : (i + 1) * per] += blk
+            a_j = c.a.coefficient(zero, (j + 1,))
+            blk += np.kron(gens[j], 2j * math.pi * k[j] * eye_r + a_j)
+        dense[i * per : (i + 1) * per, i * per : (i + 1) * per] = blk
     for q, I, mat in c.a.terms():
-        coupling = np.kron(model.b[I[0] - 1], mat)
+        if not any(q):
+            continue
+        coupling = np.kron(gens[I[0] - 1], mat)
         for k, i in index.items():
             it = index.get(tuple(a + b for a, b in zip(k, q)))
             if it is not None:

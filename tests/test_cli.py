@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from etacalc import cli, spectral
+from etacalc import cli, flow, spectral
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
@@ -172,6 +172,29 @@ def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
     path.write_text(json.dumps(obj).replace('"ENTRY"', entry))
     assert main(["run", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [([[0.1, 0.2], [0.3]], [[0.0, 0.0], [0.0, 0.0]]),  # ragged rows
+     ([[0.1, 0.2], [0.3, 0.4]], [[0.0, 0.0, 0.0]] * 3)],  # re and im differ
+)
+def test_bad_matrix_shape_is_scenario_error(tmp_cwd, capsys, re, im):
+    obj = load_bundled("t3_flat_commuting.json")
+    term = obj["connections"]["main"]["A"]["terms"][0]
+    term["re"], term["im"] = re, im
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_singular_metric_is_scenario_error(tmp_cwd, capsys):
+    # a singular constant metric: its inverse fails in input validation
+    obj = load_bundled("t3_flat_commuting.json")
+    g = obj["connections"]["main"]["g"]
+    g["terms"] = [{"k": [0, 0, 0], "I": [], "re": [[1.0, 1.0], [1.0, 1.0]],
+                   "im": [[0.0, 0.0], [0.0, 0.0]]}]
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "singular" in capsys.readouterr().err
 
 
 def test_unknown_connection_name(tmp_cwd):
@@ -475,6 +498,27 @@ def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
     obj["experiments"] = [{"check": "spectrum", "connection": "main"}]
     with pytest.raises(np.linalg.LinAlgError):
         main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
+    # the metric check of a connection while it loads: its eigvalsh fails
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
+
+
+def test_oversized_tracks_exit_3_before_matching(tmp_cwd, capsys, monkeypatch):
+    # a rank-2 T^3 path at the default cutoff 8 has 39304 eigenvalues: one
+    # matching step would hold about 54 GB of n x n arrays
+    def no_matching(*args):
+        raise AssertionError("a matching step ran")
+
+    monkeypatch.setattr(flow, "_match", no_matching)
+    monkeypatch.setattr(flow, "_needs_refinement", no_matching)
+    obj = load_bundled("t3_flat_commuting.json")
+    obj["experiments"] = [
+        {"check": "tracks", "path": {"kind": "linear", "from": "main", "to": "other"}}
+    ]
+    assert main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"]) == 3
+    err = capsys.readouterr().err
+    assert "guard" in err and "tracking 39304 eigenvalues" in err
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from etacalc import flow, spectral
 from etacalc.flow import (
     TrackError,
     export_tracks_csv,
@@ -15,7 +16,7 @@ from etacalc.flow import (
     track_path,
 )
 from etacalc.geometry import Connection, PreconditionError
-from etacalc.spectral import build_truncation, s1_mu_list
+from etacalc.spectral import MemoryGuardError, build_truncation, s1_mu_list
 
 from helpers import diagonal_connection_from_mus
 
@@ -181,6 +182,20 @@ def test_eigenvalue_collision_raises_diagnostic():
     # must refuse rather than guess
     with pytest.raises(TrackError):
         track_path(lambda t: np.array([[0.0, 1.0], [t - 0.5, 0.0]]))
+
+
+def test_track_path_refuses_oversized_matching(monkeypatch):
+    # 2 eigenvalues: a matching step holds 35 * 2 * 2 = 140 bytes
+    def no_matching(*args):
+        raise AssertionError("a matching step ran")
+
+    monkeypatch.setattr(flow, "_match", no_matching)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", 139)
+    with pytest.raises(MemoryGuardError, match="tracking 2 eigenvalues"):
+        track_path(lambda t: np.array([t + 0.5j, 2.0 + 0j]))
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", 140)
+    assert track_path(lambda t: np.array([t + 0.5j, 2.0 + 0j])).n_tracks == 2
 
 
 def test_track_path_input_validation():

@@ -1,12 +1,15 @@
 """Clifford model and signature-operator truncations: algebraic relations,
-circle calibration, block structure, and guard rails."""
+the one-spinor-copy reduction against the full even-part operator, circle
+calibration, block structure, and guard rails."""
 
 import math
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from etacalc import spectral
 from etacalc.forms import TrigPolyForm
@@ -84,6 +87,97 @@ def test_circle_b1_is_minus_i():
 
 
 # ---------------------------------------------------------------------------
+# one irreducible spinor copy: beta against the full even-part B
+
+
+def _right_action(dim):
+    """r_j = e_j wedge + contraction on Lambda(C^d), bitmask basis; it
+    anticommutes with every c(e_k)."""
+    n_states = 1 << dim
+    out = []
+    for j in range(dim):
+        bit = 1 << j
+        mat = np.zeros((n_states, n_states))
+        for s in range(n_states):
+            sign = (-1) ** bin(s & (bit - 1)).count("1")
+            mat[s ^ bit, s] = sign
+        out.append(mat)
+    return out
+
+
+def _monomials(gens):
+    """The products gens[i_1] ... gens[i_p] over all i_1 < ... < i_p."""
+    eye = np.eye(len(gens[0]), dtype=complex)
+    return [
+        reduce(np.matmul, [gens[i] for i in idx], eye)
+        for p in range(len(gens) + 1)
+        for idx in combinations(range(len(gens)), p)
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_beta_is_one_irreducible_copy_of_b(dim):
+    model = clifford_model(dim)
+    n = (dim - 1) // 2
+    size = 1 << n
+    assert model.copies == size and model.even_dim == size * size
+    eye = np.eye(size)
+    for i in range(dim):
+        assert model.beta[i].shape == (size, size)
+        for j in range(dim):
+            anti = model.beta[i] @ model.beta[j] + model.beta[j] @ model.beta[i]
+            assert np.array_equal(anti, -2.0 * eye if i == j else 0 * eye)
+    # B_1...B_d is the scalar i^-(n+1), and so is beta_1...beta_d
+    volume = (1j) ** (-(n + 1))
+    assert np.allclose(reduce(np.matmul, model.b), volume * np.eye(size * size),
+                       atol=1e-13)
+    assert np.allclose(reduce(np.matmul, model.beta), volume * eye, atol=1e-13)
+    # V spans the joint +1 eigenspace of the i r_{2a-1} r_{2a} on the even part
+    right = _right_action(dim)
+    assert all(np.allclose(r @ c + c @ r, 0) for r in right for c in model.c)
+    proj = np.eye(1 << dim, dtype=complex)
+    for a in range(n):
+        proj = proj @ (np.eye(1 << dim) + 1j * right[2 * a] @ right[2 * a + 1]) / 2
+    even = model.even_states
+    proj = proj[np.ix_(even, even)]
+    vals, vecs = np.linalg.eigh(proj)
+    v = vecs[:, vals > 0.5]
+    assert v.shape == (size * size, size)
+    restricted = []
+    for b_j in model.b:
+        assert np.allclose(b_j @ proj, proj @ b_j, atol=1e-13)
+        restricted.append(v.conj().T @ b_j @ v)
+        # B_j maps span(V) into itself
+        assert np.allclose(b_j @ v, v @ restricted[-1], atol=1e-13)
+    # the restriction and beta are one irreducible module: averaging any X
+    # over the Clifford monomials gives an invertible intertwiner
+    x = np.random.default_rng(dim).standard_normal((size, size))
+    inter = sum(
+        g @ x @ np.linalg.inv(h)
+        for g, h in zip(_monomials(restricted), _monomials(model.beta))
+    )
+    assert np.linalg.svd(inter, compute_uv=False).min() > 1e-6
+    for r_j, beta_j in zip(restricted, model.beta):
+        assert np.allclose(r_j @ inter, inter @ beta_j, atol=1e-12)
+
+
+def test_circle_truncation_is_bitwise_the_full_b_one():
+    # d = 1: one copy, beta_1 = B_1 = -i, so stack and spectrum are those
+    # of the full even-part blocks, bit for bit
+    model = clifford_model(1)
+    assert model.copies == 1
+    assert model.beta[0].tobytes() == model.b[0].tobytes()
+    rng = np.random.default_rng(53)
+    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
+    c = Connection.from_constant(1, mats)
+    t = build_truncation(c, 5)
+    full = np.stack([build_sig_mode(c, k) for k in t.modes])
+    assert t.stack.tobytes() == full.tobytes()
+    vals = np.linalg.eigvals(full).ravel()
+    assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
+
+
+# ---------------------------------------------------------------------------
 # mode blocks: circle calibration and T^3 patterns
 
 
@@ -108,10 +202,12 @@ def test_circle_mode_spectrum_complex_shift():
 
 def test_t3_free_mode_pair():
     c = Connection.from_constant(3, [np.zeros((1, 1))] * 3)
-    blocks = build_truncation(c, 1).blocks
-    vals = np.sort(np.linalg.eigvals(blocks[(1, 0, 0)]).real)
-    assert np.allclose(vals, [-TWO_PI, -TWO_PI, TWO_PI, TWO_PI], atol=1e-12)
-    assert np.max(np.abs(blocks[(0, 0, 0)])) == 0.0  # 4-dim kernel
+    t = build_truncation(c, 1)
+    # one spinor copy: the pair +-2 pi, each twice over the two copies
+    vals = np.sort(np.linalg.eigvals(t.blocks[(1, 0, 0)]).real)
+    assert np.allclose(vals, [-TWO_PI, TWO_PI], atol=1e-12)
+    assert np.max(np.abs(t.blocks[(0, 0, 0)])) == 0.0
+    assert np.sum(spectrum(t) == 0) == 4  # 4-dim kernel over both copies
 
 
 def test_t3_diagonal_blocks_are_symmetric_pairs():
@@ -120,10 +216,9 @@ def test_t3_diagonal_blocks_are_symmetric_pairs():
     c = Connection.from_constant(3, [np.array([[2j * math.pi * m]]) for m in mus])
     blocks = build_truncation(c, 2).blocks
     for k in [(0, 0, 0), (1, -2, 0), (2, 1, 1)]:
-        vals = np.linalg.eigvals(blocks[k])
+        vals = np.linalg.eigvals(blocks[k])  # one spinor copy of two
         radius = TWO_PI * np.linalg.norm([k[j] + mus[j].real for j in range(3)])
-        assert np.allclose(np.sort(vals.real), [-radius, -radius, radius, radius],
-                           atol=1e-10)
+        assert np.allclose(np.sort(vals.real), [-radius, radius], atol=1e-10)
         assert np.max(np.abs(vals.imag)) < 1e-10
 
 
@@ -202,7 +297,7 @@ def test_perturbation_moves_eigenvalues_at_most_norm():
     )
     base = build_truncation(c, 1).blocks[(1, 0, -1)]
     rng = np.random.default_rng(7)
-    e = 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    e = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     base_vals = np.linalg.eigvals(base)
     for v in np.linalg.eigvals(base + e):
         assert np.min(np.abs(base_vals - v)) <= np.linalg.norm(e, 2) + 1e-12
@@ -219,7 +314,7 @@ def test_memory_guard_refuses_oversized_truncations(monkeypatch):
 
 def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
     c = random_unitary_constant_connection(np.random.default_rng(3), 3, 2)
-    stack_bytes = 125 * 8 * 8 * 16  # cutoff 2: 125 modes, 8x8 blocks
+    stack_bytes = 125 * 4 * 4 * 16  # cutoff 2: 125 modes, 4x4 one-copy blocks
     shapes = []
     zeros = np.zeros
 
@@ -231,10 +326,10 @@ def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes - 1)
     with pytest.raises(MemoryGuardError):
         build_truncation(c, 2)
-    assert (125, 8, 8) not in shapes
+    assert (125, 4, 4) not in shapes
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes)
     t = build_truncation(c, 2)
-    assert (125, 8, 8) in shapes and t.stack.nbytes == stack_bytes
+    assert (125, 4, 4) in shapes and t.stack.nbytes == stack_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +345,13 @@ def test_stacked_blocks_equal_per_mode_kron_oracle():
     assert not np.allclose(mats[0] @ mats[0].conj().T, mats[0].conj().T @ mats[0])
     c = Connection.from_constant(3, mats)
     t = build_truncation(c, 2)
-    assert t.stack.shape == (125, 8, 8) and len(t.blocks) == 125
+    beta = clifford_model(3).beta
+    assert t.stack.shape == (125, 4, 4) and len(t.blocks) == 125
     for i, k in enumerate(t.modes):
-        assert np.array_equal(t.blocks[k], build_sig_mode(c, k))
+        assert np.array_equal(t.blocks[k], build_sig_mode(c, k, beta))
         assert np.shares_memory(t.blocks[k], t.stack[i])
     per_block = np.concatenate(
-        [np.linalg.eigvals(build_sig_mode(c, k)) for k in t.modes]
+        [np.repeat(np.linalg.eigvals(build_sig_mode(c, k, beta)), 2) for k in t.modes]
     )
     per_block = per_block[np.lexsort((per_block.imag, per_block.real))]
     assert np.array_equal(spectrum(t), per_block)
@@ -313,7 +409,7 @@ def test_coupled_dense_equals_per_mode_oracle(dim, ranks, cutoff):
             c = _random_coupled_connection(rng, dim, rank)
             t = build_truncation(c, cutoff)
             assert t.couplings and t.blocks is None
-            oracle = coupled_dense_oracle(c, cutoff)
+            oracle = coupled_dense_oracle(c, cutoff, clifford_model(dim).beta)
             assert np.array_equal(t.dense, oracle)
             # the oracle is exactly zero between components, and the
             # spectrum is that of its per-component principal submatrices
@@ -322,11 +418,14 @@ def test_coupled_dense_equals_per_mode_oracle(dim, ranks, cutoff):
                 (per * np.array(comp)[:, None] + np.arange(per)).ravel()
                 for comp in mode_components(c, cutoff)
             ]
-            label = np.empty(t.size, dtype=int)
+            label = np.empty(len(oracle), dtype=int)
             for i, r in enumerate(rows):
                 label[r] = i
             assert not np.any(oracle[label[:, None] != label[None, :]])
-            vals = np.concatenate([np.linalg.eigvals(oracle[np.ix_(r, r)]) for r in rows])
+            vals = np.concatenate(
+                [np.repeat(np.linalg.eigvals(oracle[np.ix_(r, r)]), t.copies)
+                 for r in rows]
+            )
             assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
 
 
@@ -334,14 +433,15 @@ def test_truncations_share_one_representation():
     rng = np.random.default_rng(44)
     constant = build_truncation(random_unitary_constant_connection(rng, 3, 2), 1)
     assert constant.couplings == () and constant.dense is None
-    assert constant.stack.shape == (27, 8, 8)
+    assert constant.stack.shape == (27, 4, 4)  # one spinor copy, rank 2
     c = _random_coupled_connection(rng, 3, 2)
     coupled = build_truncation(c, 1)
     # the stack holds each mode's block with itself in both cases
-    assert coupled.stack.shape == (27, 8, 8)
+    assert coupled.stack.shape == (27, 4, 4)
+    assert coupled.dense.shape == (27 * 4, 27 * 4)
     for i in range(27):
         assert np.array_equal(
-            coupled.stack[i], coupled.dense[8 * i : 8 * i + 8, 8 * i : 8 * i + 8]
+            coupled.stack[i], coupled.dense[4 * i : 4 * i + 4, 4 * i : 4 * i + 4]
         )
     assert [q for q, _ in coupled.couplings] == [
         q for q, _, _ in c.a.terms() if any(q)
@@ -405,7 +505,7 @@ def test_connected_window_is_the_dense_solve():
     t = build_truncation(c, 1)
     (members,) = t._components
     assert members.tolist() == [list(range(27))]
-    vals = np.linalg.eigvals(t.dense)
+    vals = np.repeat(np.linalg.eigvals(t.dense), t.copies)
     assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
 
 
@@ -415,7 +515,8 @@ def test_coupled_spectrum_does_not_build_the_dense_matrix():
     spectrum(t)
     spectrum_rows(t)
     assert "dense" not in vars(t)
-    assert t.dense.shape == (t.size, t.size)  # still there on request
+    # still there on request: one spinor copy of the two
+    assert t.dense.shape == (t.size // 2, t.size // 2)
 
 
 def test_gauged_t3_spectrum_contains_closed_form_inner_eigenvalues():
@@ -424,6 +525,66 @@ def test_gauged_t3_spectrum_contains_closed_form_inner_eigenvalues():
     uniq, counts = np.unique(expect, return_counts=True)
     found = np.sum(np.abs(vals[None, :] - uniq[:, None]) <= 1e-9, axis=1)
     assert np.all(found >= counts)
+
+
+def _matched_distance(a, b):
+    """Largest distance in the closest one-to-one matching of a and b."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+def _one_copy_case(name):
+    rng = np.random.default_rng(54)
+
+    def mat(rank):
+        shape = (rank, rank)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if name == "curved_t3":
+        # non-commuting (curved) and non-unitary
+        c = Connection.from_constant(3, [mat(2) for _ in range(3)])
+        assert not c.is_flat() and not c.omega_metric().is_zero(1e-3)
+        return c, 2
+    if name == "gauged_t3":
+        c, _ = _gauged_draw(rng, 2)
+        return c, 2
+    return Connection.from_constant(5, [0.5 * mat(2) for _ in range(5)]), 1
+
+
+@pytest.mark.parametrize("name", ["curved_t3", "gauged_t3", "t5"])
+def test_one_copy_spectrum_repeated_is_the_full_b_spectrum(name):
+    # each mode (component) of the one-copy truncation, its eigenvalues
+    # repeated 2^n times, against the full even-part Galerkin matrix
+    c, cutoff = _one_copy_case(name)
+    t = build_truncation(c, cutoff)
+    full = coupled_dense_oracle(c, cutoff) if t.couplings else None
+    per = t.size // len(t.modes)
+    assert per == t.stack.shape[1] * t.copies
+    scale = np.max(np.abs(spectrum(t)))
+    worst = 0.0
+    for members, solved in zip(t._components, t._eigvals):
+        for comp, vals in zip(members, solved):
+            if full is None:
+                block = build_sig_mode(c, t.modes[comp[0]])
+            else:
+                rows = (per * comp[:, None] + np.arange(per)).ravel()
+                block = full[np.ix_(rows, rows)]
+            worst = max(worst, _matched_distance(vals, np.linalg.eigvals(block)))
+    assert worst <= 1e-12 * scale
+    assert len(spectrum(t)) == t.size
+
+
+def test_memory_guard_counts_one_spinor_copy():
+    # the gauged T^3 connection at cutoff 4: 729 modes, so the full
+    # even-part Galerkin matrix (5832 rows) would exceed the limit; one
+    # spinor copy (2916 rows) does not, and its 9-mode components solve
+    c, _ = _gauged_draw(np.random.default_rng(55), 4)
+    t = build_truncation(c, 4)
+    assert 16 * t.size**2 > spectral.MEMORY_LIMIT >= 16 * (t.size // 2) ** 2
+    (members,) = t._components
+    assert members.shape == (81, 9)
+    assert len(spectrum(t)) == t.size == 729 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +643,7 @@ def test_other_truncations_are_solved_bitwise_by_eigvals(name):
     if name == "unitary_on_other_metric":
         defect = t.stack - t.stack.conj().swapaxes(1, 2)
         assert np.max(np.linalg.norm(defect, axis=(1, 2))) > 1
-    vals = np.linalg.eigvals(t.stack).ravel()
+    vals = np.repeat(np.linalg.eigvals(t.stack), t.copies, axis=-1).ravel()
     assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
 
 
