@@ -15,6 +15,13 @@ grid.
 Coordinates live on the unit torus R^d / Z^d, so the volume of the full
 torus is 1 and ``exp(2*pi*i*k*x)`` is periodic for integer k.
 
+A form stores its terms stacked: a tuple of distinct keys ``(k, I)`` and
+one read-only complex array of shape ``(n, rank, rank)`` whose row ``i`` is
+the matrix of key ``i``.  Each operation walks the keys in Python and does
+its matrix work in a fixed number of numpy calls over the whole stack (a
+wedge is one batched matrix product over all key pairs), instead of several
+calls per term.
+
 Outside input is validated once, where it enters: the ``TrigPolyForm``
 constructor (and ``from_json_obj``, which also rejects ragged and
 non-finite entries) checks every key and shape and copies every matrix,
@@ -28,8 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from functools import cache
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,11 +62,13 @@ TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 Term = tuple[TermKey, np.ndarray]
 
 
+@cache
 def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sign of sorting the concatenation I+J, or (0, ()) on a repeated index.
 
     This is the sign picked up when moving dx_I ^ dx_J into increasing
-    order; a repeated index means the wedge vanishes.
+    order; a repeated index means the wedge vanishes.  Cached: a torus of
+    dimension d has at most 4^d index-tuple pairs.
     """
     merged = list(I) + list(J)
     sign = 1
@@ -73,19 +83,37 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int,
     return sign, tuple(merged)
 
 
-def _sum_terms(pairs: Iterable[Term]) -> dict[TermKey, np.ndarray]:
-    """The terms of a form from (key, matrix) pairs: the matrices of a key
-    are summed in input order, keys whose sum is exactly zero are dropped,
-    and the kept matrices are made read-only in place, not copied.  So each
-    input matrix must be fresh or already read-only, and may be shared."""
-    out: dict[TermKey, np.ndarray] = {}
-    for key, mat in pairs:
-        cur = out.get(key)
-        out[key] = mat if cur is None else cur + mat
-    kept = {key: mat for key, mat in out.items() if mat.any()}
-    for mat in kept.values():
-        mat.flags.writeable = False
-    return kept
+def _sum_terms(
+    keys: Sequence[TermKey], mats: np.ndarray, unique: bool = False
+) -> tuple[tuple[TermKey, ...], np.ndarray]:
+    """The terms of a form from one key per row of the (n, rank, rank)
+    array ``mats``: the rows of equal keys are summed in input order into
+    the row of the key's first appearance (skipped when the caller knows the
+    keys are ``unique``), rows whose sum is exactly zero are dropped, and
+    the array kept is made read-only in place, not copied.  So ``mats`` must
+    be fresh or already read-only, and may be shared."""
+    if not unique:
+        slot: dict[TermKey, int] = {}
+        first: list[int] = []
+        rest: list[int] = []
+        rest_slot: list[int] = []
+        for i, key in enumerate(keys):
+            s = slot.setdefault(key, len(slot))
+            if s == len(first):
+                first.append(i)
+            else:
+                rest.append(i)
+                rest_slot.append(s)
+        if rest:
+            summed = mats.take(first, axis=0)
+            np.add.at(summed, rest_slot, mats.take(rest, axis=0))  # sequential
+            keys, mats = tuple(slot), summed
+    nonzero = mats.any(axis=(1, 2)).tolist()
+    if not all(nonzero):
+        keys = [key for key, keep in zip(keys, nonzero) if keep]
+        mats = mats[nonzero]
+    mats.flags.writeable = False
+    return tuple(keys), mats
 
 
 @dataclass(frozen=True)
@@ -117,13 +145,13 @@ class SubTorus:
 class TrigPolyForm:
     """An inhomogeneous matrix-valued form with trig-polynomial coefficients.
 
-    Immutable: all operations return new instances and the stored matrices
-    are read-only, so results share them freely.  The constructor validates
-    its input and copies each matrix; operations build their results from
-    valid forms without either, through ``_new``.
+    Immutable: all operations return new instances and the stacked matrix
+    array is read-only, so results share it freely.  The constructor
+    validates its input and copies the matrices; operations build their
+    results from valid forms without either, through ``_new``.
     """
 
-    __slots__ = ("dim", "rank", "_terms")
+    __slots__ = ("dim", "rank", "_keys", "_mats")
 
     def __init__(
         self,
@@ -135,7 +163,8 @@ class TrigPolyForm:
             raise InvalidInputError("dim and rank must be positive")
         self.dim = int(dim)
         self.rank = int(rank)
-        checked: list[Term] = []
+        keys: list[TermKey] = []
+        mats: list[np.ndarray] = []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, I), mat in items:
             k = tuple(int(v) for v in k)
@@ -150,19 +179,32 @@ class TrigPolyForm:
                 raise InvalidInputError(
                     f"index tuple {I} must be strictly increasing in 1..dim"
                 )
-            mat = np.array(mat, dtype=np.complex128)  # the caller keeps theirs
+            mat = np.asarray(mat, dtype=np.complex128)
             if mat.shape != (self.rank, self.rank):
                 raise InvalidInputError(f"matrix shape {mat.shape} != ({rank},{rank})")
-            checked.append(((k, I), mat))
-        self._terms = _sum_terms(checked)
+            keys.append((k, I))
+            mats.append(mat)
+        # np.array copies, so the caller keeps their matrices
+        if mats:
+            stack = np.array(mats)
+        else:
+            stack = np.zeros((0, self.rank, self.rank), dtype=np.complex128)
+        self._keys, self._mats = _sum_terms(keys, stack)
 
-    def _new(self, pairs: Iterable[Term], rank: int | None = None) -> "TrigPolyForm":
-        """A form on this torus (of this rank unless given) from pairs that
-        an operation computed from valid forms: neither checked nor copied."""
+    def _new(
+        self,
+        keys: Sequence[TermKey],
+        mats: np.ndarray,
+        rank: int | None = None,
+        unique: bool = False,
+    ) -> "TrigPolyForm":
+        """A form on this torus (of this rank unless given) from keys and a
+        stack that an operation computed from valid forms: neither checked
+        nor copied.  ``unique`` says the keys are already distinct."""
         out = object.__new__(TrigPolyForm)
         out.dim = self.dim
         out.rank = self.rank if rank is None else rank
-        out._terms = _sum_terms(pairs)
+        out._keys, out._mats = _sum_terms(keys, mats, unique)
         return out
 
     # ------------------------------------------------------------------
@@ -179,7 +221,10 @@ class TrigPolyForm:
         return cls(dim, mat.shape[0], {((0,) * dim, ()): mat})
 
     @classmethod
+    @cache
     def identity(cls, dim: int, rank: int) -> "TrigPolyForm":
+        """The constant identity, built once per (dim, rank): forms are
+        immutable, so every caller may share it."""
         return cls.constant(dim, np.eye(rank))
 
     @classmethod
@@ -210,23 +255,27 @@ class TrigPolyForm:
     # inspection
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
-        for (k, I), mat in sorted(self._terms.items()):
-            yield k, I, mat
+        keys = self._keys
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            k, I = keys[i]
+            yield k, I, self._mats[i]
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def degrees(self) -> set[int]:
-        return {len(I) for (_, I) in self._terms}
+        return {len(I) for (_, I) in self._keys}
 
     def coefficient(self, k: Iterable[int], I: Iterable[int]) -> np.ndarray:
         key = (tuple(int(v) for v in k), tuple(int(v) for v in I))
-        return np.array(self._terms.get(key, np.zeros((self.rank, self.rank))))
+        if key not in self._keys:
+            return np.zeros((self.rank, self.rank))
+        return np.array(self._mats[self._keys.index(key)])
 
     def max_abs(self) -> float:
-        if not self._terms:
+        if not self._keys:
             return 0.0
-        return max(float(np.max(np.abs(m))) for m in self._terms.values())
+        return float(np.max(np.abs(self._mats)))
 
     def is_zero(self, tol: float = EQ_TOL) -> bool:
         return self.max_abs() <= tol
@@ -237,7 +286,7 @@ class TrigPolyForm:
     def __repr__(self) -> str:  # short, for debugging/tests
         return (
             f"TrigPolyForm(dim={self.dim}, rank={self.rank}, "
-            f"terms={len(self._terms)}, degrees={sorted(self.degrees())})"
+            f"terms={len(self._keys)}, degrees={sorted(self.degrees())})"
         )
 
     # ------------------------------------------------------------------
@@ -249,10 +298,12 @@ class TrigPolyForm:
 
     def __add__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         self._check_compatible(other)
-        return self._new(chain(self._terms.items(), other._terms.items()))
+        return self._new(
+            self._keys + other._keys, np.concatenate((self._mats, other._mats))
+        )
 
     def __neg__(self) -> "TrigPolyForm":
-        return self._new((key, -mat) for key, mat in self._terms.items())
+        return self._new(self._keys, -self._mats, unique=True)
 
     def __sub__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         return self + (-other)
@@ -260,8 +311,8 @@ class TrigPolyForm:
     def __mul__(self, scalar: complex) -> "TrigPolyForm":
         scalar = complex(scalar)
         if scalar == 0:
-            return self._new(())
-        return self._new((key, scalar * mat) for key, mat in self._terms.items())
+            return self._new((), self._mats[:0], unique=True)
+        return self._new(self._keys, scalar * self._mats, unique=True)
 
     __rmul__ = __mul__
 
@@ -274,27 +325,38 @@ class TrigPolyForm:
     def wedge(self, other: "TrigPolyForm") -> "TrigPolyForm":
         """Wedge product; matrix coefficients multiply in order."""
         self._check_compatible(other)
-        pairs = []
-        for (k, I), M in self._terms.items():
-            for (l, J), N in other._terms.items():
+        keys: list[TermKey] = []
+        left: list[int] = []
+        right: list[int] = []
+        signs: list[int] = []
+        for ia, (k, I) in enumerate(self._keys):
+            for ib, (l, J) in enumerate(other._keys):
                 sign, K = _merge_sign(I, J)
                 if sign != 0:
-                    key = (tuple(a + b for a, b in zip(k, l)), K)
-                    pairs.append((key, sign * (M @ N)))
-        return self._new(pairs)
+                    keys.append((tuple(map(add, k, l)), K))
+                    left.append(ia)
+                    right.append(ib)
+                    signs.append(sign)
+        products = self._mats.take(left, axis=0) @ other._mats.take(right, axis=0)
+        return self._new(keys, np.array(signs)[:, None, None] * products)
 
     def ext_d(self) -> "TrigPolyForm":
         """Exterior derivative: d(M e^{2 pi i k.x} dx_I)
         = sum_j (2 pi i k_j) M e^{2 pi i k.x} dx_j ^ dx_I."""
-        pairs = []
-        for (k, I), M in self._terms.items():
+        keys: list[TermKey] = []
+        rows: list[int] = []
+        coefs: list[complex] = []
+        for i, (k, I) in enumerate(self._keys):
             for j, kj in enumerate(k, start=1):
                 if kj == 0:
                     continue
                 sign, K = _merge_sign((j,), I)
                 if sign != 0:
-                    pairs.append(((k, K), (sign * 2j * math.pi * kj) * M))
-        return self._new(pairs)
+                    keys.append((k, K))
+                    rows.append(i)
+                    coefs.append(sign * 2j * math.pi * kj)
+        coef = np.array(coefs, dtype=np.complex128)[:, None, None]
+        return self._new(keys, coef * self._mats.take(rows, axis=0))
 
     def dagger(self) -> "TrigPolyForm":
         """Fiberwise conjugate transpose.
@@ -303,20 +365,18 @@ class TrigPolyForm:
         the real coordinate differentials are fixed.  For homogeneous forms
         this satisfies (a ^ b)^dagger = (-1)^{pq} b^dagger ^ a^dagger.
         """
-        return self._new(
-            ((tuple(-v for v in k), I), mat.conj().T)
-            for (k, I), mat in self._terms.items()
-        )
+        keys = [(tuple(-v for v in k), I) for k, I in self._keys]
+        return self._new(keys, self._mats.conj().transpose(0, 2, 1), unique=True)
 
     def mat_trace(self) -> "TrigPolyForm":
         """Fiberwise matrix trace; result has rank 1 so the algebra stays closed."""
-        traces = ((key, np.array([[np.trace(m)]])) for key, m in self._terms.items())
-        return self._new(traces, rank=1)
+        traces = np.trace(self._mats, axis1=1, axis2=2)[:, None, None]
+        return self._new(self._keys, traces, rank=1, unique=True)
 
     def degree_component(self, p: int) -> "TrigPolyForm":
-        return self._new(
-            (key, mat) for key, mat in self._terms.items() if len(key[1]) == p
-        )
+        keep = [len(I) == p for _, I in self._keys]
+        keys = [key for key, kept in zip(self._keys, keep) if kept]
+        return self._new(keys, self._mats[np.array(keep, dtype=bool)], unique=True)
 
     def exp_nilpotent(self) -> "TrigPolyForm":
         """Fiberwise exponential of a form with only even degrees >= 2.
@@ -333,7 +393,7 @@ class TrigPolyForm:
         power = result
         for m in range(1, self.dim // 2 + 1):
             power = power.wedge(self) / m
-            if not power._terms:
+            if not power._keys:
                 break
             result = result + power
         return result
@@ -353,9 +413,8 @@ class TrigPolyForm:
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
         s = branch * PHI_SCALE
-        return self._new(
-            (key, mat / s ** len(key[1])) for key, mat in self._terms.items()
-        )
+        scales = np.array([s ** len(I) for _, I in self._keys], dtype=np.complex128)
+        return self._new(self._keys, self._mats / scales[:, None, None], unique=True)
 
     def evaluate_at(self, x: Iterable[float]) -> dict[tuple[int, ...], np.ndarray]:
         """Sum the trig polynomial at the point x; one matrix per index tuple."""
@@ -363,7 +422,7 @@ class TrigPolyForm:
         if len(x) != self.dim:
             raise ValueError("point has wrong dimension")
         out: dict[tuple[int, ...], np.ndarray] = {}
-        for (k, I), mat in self._terms.items():
+        for (k, I), mat in zip(self._keys, self._mats):
             phase = np.exp(2j * math.pi * sum(kj * xj for kj, xj in zip(k, x)))
             cur = out.get(I)
             val = phase * mat
@@ -387,7 +446,7 @@ class TrigPolyForm:
             raise ValueError("region lives on a different torus")
         Jset = frozenset(region.indices)
         total = np.zeros((self.rank, self.rank), dtype=np.complex128)
-        for (k, I), mat in self._terms.items():
+        for (k, I), mat in zip(self._keys, self._mats):
             if not set(I) <= Jset:
                 continue  # a dx outside the subtorus pulls back to zero
             if len(I) != len(region.indices):

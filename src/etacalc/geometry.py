@@ -236,7 +236,14 @@ class Connection:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Connection":
+        """The connection of ``to_json_obj``; its ``dim`` and ``rank`` keys
+        must agree with the form ``A``."""
         a = TrigPolyForm.from_json_obj(obj["A"])
+        if (obj["dim"], obj["rank"]) != (a.dim, a.rank):
+            raise InvalidInputError(
+                f"connection declares dim={obj['dim']} rank={obj['rank']}, "
+                f"its form A is dim={a.dim} rank={a.rank}"
+            )
         g = TrigPolyForm.from_json_obj(obj["g"]) if "g" in obj and obj["g"] else None
         return cls(a, g)
 

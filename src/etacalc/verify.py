@@ -21,8 +21,7 @@ check id, making the output order-free.
 :data:`CHECKS` registers every check under its scenario name with the
 parameters an experiment may set and a runner.  Runners forward only the
 parameters an experiment sets, so each default is stated once, in the check
-function's signature (the pairing's ``r_values``, which no function takes,
-in its runner).  ``etacalc run`` and :func:`standard_suite`, a table
+function's signature.  ``etacalc run`` and :func:`standard_suite`, a table
 of experiments, both run checks through it.
 """
 
@@ -198,7 +197,7 @@ def _region_tag(region) -> str:
 
 def check_cs_odd_chern_pairing(
     c: Connection,
-    r: float,
+    r_values: Sequence[float] = (0.5, 1.0, 2.0),
     tol: float = DEFAULT_ABS_TOL,
     label: str = "cs_odd_chern_pairing",
 ) -> list[CheckEntry]:
@@ -209,39 +208,45 @@ def check_cs_odd_chern_pairing(
         <CS(herm, r-deformed)>_J = -(r/2pi) sum_j a_j(r)/j! <c_{2j+1}>_J
 
     Requires a flat connection (the identity uses flatness); one entry per
-    subtorus, absolute comparison.
+    r and subtorus, absolute comparison.  The odd-Chern pairings do not
+    depend on r, so they are computed once; each r costs one ``cs_form``.
     """
     if not c.is_flat(1e-9):
         raise PreconditionError("pairing identity requires a flat connection")
-    r = float(r)
-    cs = cs_form(c.hermitian_part(), c.r_deformation(r))
+    regions = odd_subtori(c.dim)
+    chern = [c.chern_odd(j) for j in range((c.dim + 1) // 2)]
+    # <c_{2j+1}>_J for every j with 2j + 1 <= |J|
+    odd_pairings = [
+        [
+            subtorus_pairing(form, region)
+            for form in chern[: (len(region.indices) + 1) // 2]
+        ]
+        for region in regions
+    ]
+    herm = c.hermitian_part()
     identity = (
         "subtorus pairing of CS(hermitian part, r-deformation) equals "
         "-(r/2pi) sum_j a_j(r)/j! times the odd-Chern pairing"
     )
     entries = []
-    for region in odd_subtori(c.dim):
-        lhs = subtorus_pairing(cs, region)
-        rhs = 0j
-        j = 0
-        while 2 * j + 1 <= len(region.indices):
-            rhs -= (
-                (r / (2 * math.pi))
-                * a_coeff(j, r)
-                / factorial(j)
-                * subtorus_pairing(c.chern_odd(j), region)
+    for r in r_values:
+        r = float(r)
+        cs = cs_form(herm, c.r_deformation(r))
+        for region, pairings in zip(regions, odd_pairings):
+            lhs = subtorus_pairing(cs, region)
+            rhs = 0j
+            for j, pairing in enumerate(pairings):
+                rhs -= (r / (2 * math.pi)) * a_coeff(j, r) / factorial(j) * pairing
+            entries.append(
+                make_entry(
+                    f"{label}[r={r:g},J={_region_tag(region)}]",
+                    identity,
+                    lhs,
+                    rhs,
+                    "absolute",
+                    tol,
+                )
             )
-            j += 1
-        entries.append(
-            make_entry(
-                f"{label}[r={r:g},J={_region_tag(region)}]",
-                identity,
-                lhs,
-                rhs,
-                "absolute",
-                tol,
-            )
-        )
     return entries
 
 
@@ -622,16 +627,11 @@ CHECKS: dict[str, Check] = {
     "cs_odd_chern_pairing": Check(
         ("connection", "r_values", "tolerance"),
         ("connection",),
-        lambda x: [
-            entry
-            for r in x.args.get("r_values", (0.5, 1.0, 2.0))
-            for entry in check_cs_odd_chern_pairing(
-                x.args["connection"],
-                r,
-                **x.kwargs(tol="tolerance"),
-                label=x.label,
-            )
-        ],
+        lambda x: check_cs_odd_chern_pairing(
+            x.args["connection"],
+            **x.kwargs(r_values="r_values", tol="tolerance"),
+            label=x.label,
+        ),
     ),
     "gilkey_variation": Check(
         ("from", "to", "tolerance"),

@@ -81,6 +81,110 @@ def forms(
     return TrigPolyForm(dim, rank, terms)
 
 
+@st.composite
+def term_lists(draw, dim: int, rank: int, max_terms: int = 6, n_keys: int = 4):
+    """(key, matrix) pairs for a form's constructor: keys drawn from a pool
+    of ``n_keys`` so that some repeat, and dense float matrices from a
+    drawn seed, so that the order of a sum shows in its last bits."""
+    pool = draw(
+        st.lists(
+            st.tuples(freq_vectors(dim), index_tuples(dim)),
+            min_size=n_keys,
+            max_size=n_keys,
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(pool), max_size=max_terms))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    return [(key, rng_matrix(rng, rank)) for key in picks]
+
+
+def _reference_merge(I: tuple, J: tuple) -> tuple[int, tuple]:
+    """(sign, sorted index tuple) of dx_I ^ dx_J by counting inversions."""
+    merged = I + J
+    if len(set(merged)) < len(merged):
+        return 0, ()
+    inversions = sum(
+        merged[a] > merged[b]
+        for a in range(len(merged))
+        for b in range(a + 1, len(merged))
+    )
+    return (-1) ** inversions, tuple(sorted(merged))
+
+
+class ReferenceForm:
+    """Per-term reference for ``TrigPolyForm``: a dict from key ``(k, I)``
+    to one matrix.  Matrices of equal keys are summed in input order, exact
+    zero sums are dropped, and every operation works one term (or one pair
+    of terms) at a time, in the order the stacked form keeps its keys."""
+
+    def __init__(self, dim: int, rank: int, pairs):
+        self.dim, self.rank = dim, rank
+        out: dict = {}
+        for key, mat in pairs:
+            mat = np.asarray(mat, dtype=np.complex128)
+            cur = out.get(key)
+            out[key] = mat if cur is None else cur + mat
+        self.terms = {key: mat for key, mat in out.items() if mat.any()}
+
+    def _new(self, pairs, rank: int | None = None) -> "ReferenceForm":
+        return ReferenceForm(self.dim, self.rank if rank is None else rank, pairs)
+
+    def __add__(self, other: "ReferenceForm") -> "ReferenceForm":
+        return self._new(list(self.terms.items()) + list(other.terms.items()))
+
+    def __neg__(self) -> "ReferenceForm":
+        return self._new((key, -mat) for key, mat in self.terms.items())
+
+    def __sub__(self, other: "ReferenceForm") -> "ReferenceForm":
+        return self + (-other)
+
+    def wedge(self, other: "ReferenceForm") -> "ReferenceForm":
+        pairs = []
+        for (k, I), M in self.terms.items():
+            for (l, J), N in other.terms.items():
+                sign, K = _reference_merge(I, J)
+                if sign:
+                    key = (tuple(a + b for a, b in zip(k, l)), K)
+                    pairs.append((key, sign * (M @ N)))
+        return self._new(pairs)
+
+    def ext_d(self) -> "ReferenceForm":
+        pairs = []
+        for (k, I), M in self.terms.items():
+            for j, kj in enumerate(k, start=1):
+                sign, K = _reference_merge((j,), I)
+                if kj and sign:
+                    pairs.append(((k, K), (sign * 2j * math.pi * kj) * M))
+        return self._new(pairs)
+
+    def dagger(self) -> "ReferenceForm":
+        return self._new(
+            ((tuple(-v for v in k), I), mat.conj().T)
+            for (k, I), mat in self.terms.items()
+        )
+
+    def mat_trace(self) -> "ReferenceForm":
+        traces = ((key, np.array([[np.trace(m)]])) for key, m in self.terms.items())
+        return self._new(traces, rank=1)
+
+    def degree_component(self, p: int) -> "ReferenceForm":
+        return self._new(
+            (key, mat) for key, mat in self.terms.items() if len(key[1]) == p
+        )
+
+    def same_bits(self, form: TrigPolyForm) -> bool:
+        """``form`` has exactly these keys, rank and matrices, bit for bit
+        (signed zeros included)."""
+        if form.rank != self.rank:
+            return False
+        got = {(k, I): mat for k, I, mat in form.terms()}
+        return got.keys() == self.terms.keys() and all(
+            mat.dtype == np.complex128
+            and mat.tobytes() == self.terms[key].tobytes()
+            for key, mat in got.items()
+        )
+
+
 def rng_matrix(rng: np.random.Generator, rank: int, scale: float = 1.0):
     return scale * (
         rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))

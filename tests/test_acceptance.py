@@ -132,8 +132,7 @@ def test_acceptance_cs_pairing_identity():
 
     entries = []
     for c in conns:
-        for r in (0.5, 1.0, 2.0):
-            entries.extend(check_cs_odd_chern_pairing(c, r, tol=1e-9))
+        entries.extend(check_cs_odd_chern_pairing(c, (0.5, 1.0, 2.0), tol=1e-9))
     worst = max(e.residual for e in entries)
     ok = all(e.passed for e in entries)
     _report(

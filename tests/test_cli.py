@@ -187,6 +187,15 @@ def test_bad_matrix_shape_is_scenario_error(tmp_cwd, capsys, re, im):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("declared", [{"dim": 1, "rank": 7}, {"dim": 1}, {"rank": 7}])
+def test_connection_shape_keys_must_match_its_form(tmp_cwd, capsys, declared):
+    # the form A of "main" is dim 3, rank 2
+    obj = load_bundled("t3_flat_commuting.json")
+    obj["connections"]["main"].update(declared)
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "its form A is dim=3 rank=2" in capsys.readouterr().err
+
+
 def test_singular_metric_is_scenario_error(tmp_cwd, capsys):
     # a singular constant metric: its inverse fails in input validation
     obj = load_bundled("t3_flat_commuting.json")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from etacalc.forms import EQ_TOL, SubTorus, TrigPolyForm
 
-from helpers import forms, rng_form
+from helpers import ReferenceForm, forms, rng_form, term_lists
 
 TWO_PI_I = 2j * math.pi
 
@@ -170,6 +170,7 @@ def test_constructors_copy_the_callers_array():
     M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     built = [
         TrigPolyForm(2, 2, [(((0, 1), (1,)), M)]),
+        TrigPolyForm(2, 2, [(((0, 1), (1,)), M), (((0, 1), (1,)), M)]),
         TrigPolyForm.monomial(2, M, k=(0, 1), I=(1,)),
         TrigPolyForm.constant(2, M),
         TrigPolyForm.constant_one_form(2, [M, M]),
@@ -177,6 +178,7 @@ def test_constructors_copy_the_callers_array():
     before = [f.to_json_obj() for f in built]
     M[0, 0] = 99.0
     assert [f.to_json_obj() for f in built] == before
+    assert M.flags.writeable
 
 
 def test_operation_results_are_read_only():
@@ -201,6 +203,46 @@ def test_operation_results_are_read_only():
             assert not mat.flags.writeable, name
             with pytest.raises(ValueError):
                 mat[0, 0] = 1.0
+
+
+# ----------------------------------------------------------------------
+# the stacked algebra against a per-term reference, bit for bit
+
+
+@given(term_lists(dim=3, rank=2), term_lists(dim=3, rank=2))
+def test_stacked_algebra_matches_per_term_reference(a_terms, b_terms):
+    a, ra = TrigPolyForm(3, 2, a_terms), ReferenceForm(3, 2, a_terms)
+    b, rb = TrigPolyForm(3, 2, b_terms), ReferenceForm(3, 2, b_terms)
+    pairs = {
+        "constructor (duplicate keys)": (a, ra),
+        "+": (a + b, ra + rb),
+        "-": (a - b, ra - rb),
+        "wedge": (a.wedge(b), ra.wedge(rb)),
+        "wedge of daggers": (
+            b.dagger().wedge(a.dagger()),
+            rb.dagger().wedge(ra.dagger()),
+        ),
+        "ext_d": (a.ext_d(), ra.ext_d()),
+        "dagger": (a.dagger(), ra.dagger()),
+        "mat_trace": (a.wedge(b).mat_trace(), ra.wedge(rb).mat_trace()),
+    }
+    pairs.update(
+        (f"degree_component({p})", (a.degree_component(p), ra.degree_component(p)))
+        for p in range(4)
+    )
+    for name, (form, reference) in pairs.items():
+        assert reference.same_bits(form), name
+        for _, _, mat in form.terms():
+            assert not mat.flags.writeable, name
+
+
+@given(term_lists(dim=3, rank=2))
+def test_exact_cancellation_leaves_the_empty_form(terms):
+    a = TrigPolyForm(3, 2, terms)
+    # frequencies of at most 2 in size make 2 pi k_i (2 pi k_j M) exact
+    # up to the order of i and j, so d(d a) cancels bit for bit
+    for zero in (a - a, a.ext_d().ext_d(), a.wedge(a - a)):
+        assert zero.num_terms() == 0
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from etacalc.verify import (
 
 from helpers import (
     diagonal_connection_from_mus,
+    random_flat_commuting_connection,
     random_mus,
     random_unitary_constant_connection,
     unipotent_metric,
@@ -102,14 +103,14 @@ def test_cs_pairing_check_unitary_trivial():
     rng = np.random.default_rng(40)
     # diagonal real tower shifts: flat and unitary, so both sides vanish
     c = diag_t3([rng.uniform(0.1, 0.9, size=2) for _ in range(3)])
-    for e in check_cs_odd_chern_pairing(c, r=1.0):
+    for e in check_cs_odd_chern_pairing(c, r_values=[1.0]):
         assert e.passed
         assert abs(e.lhs) < 1e-12 and abs(e.rhs) < 1e-12
 
 
 def test_cs_pairing_check_s1_closed_form():
     c = Connection.from_constant(1, [np.array([[1.0 + 2.0j]])])
-    (entry,) = check_cs_odd_chern_pairing(c, r=0.5)
+    (entry,) = check_cs_odd_chern_pairing(c, r_values=[0.5])
     assert entry.passed and entry.mode == "absolute"
     # both sides equal r Re(a) / (2 pi) in rank one
     assert entry.lhs == pytest.approx(0.5 * 1.0 / (2 * math.pi), abs=1e-12)
@@ -118,7 +119,7 @@ def test_cs_pairing_check_s1_closed_form():
 def test_cs_pairing_check_t3_all_subtori():
     rng = np.random.default_rng(41)
     c = diag_t3([random_mus(rng, 2) for _ in range(3)])
-    entries = check_cs_odd_chern_pairing(c, r=1.0)
+    entries = check_cs_odd_chern_pairing(c, r_values=[1.0])
     assert len(entries) == 4  # three circles and the full torus
     assert {e.check_id.split("J=")[1].rstrip("]") for e in entries} == {
         "1",
@@ -129,6 +130,27 @@ def test_cs_pairing_check_t3_all_subtori():
     assert all(e.passed for e in entries)
 
 
+def test_cs_pairing_computes_each_odd_chern_form_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    c = random_flat_commuting_connection(rng, 3, 2)
+    calls = []
+    original = Connection.chern_odd
+
+    def counted(self, j):
+        calls.append(j)
+        return original(self, j)
+
+    monkeypatch.setattr(Connection, "chern_odd", counted)
+    entries = check_cs_odd_chern_pairing(c, r_values=(0.5, 1.0, 2.0))
+    assert calls == [0, 1]
+    assert len(entries) == 12 and all(e.passed for e in entries)
+    # the same entries as one r at a time
+    one_by_one = [
+        e for r in (0.5, 1.0, 2.0) for e in check_cs_odd_chern_pairing(c, r_values=[r])
+    ]
+    assert entries == one_by_one
+
+
 def test_cs_pairing_check_rejects_nonflat():
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     a = TrigPolyForm.monomial(3, n, k=(1, 0, 0), I=(2,))
@@ -136,7 +158,7 @@ def test_cs_pairing_check_rejects_nonflat():
         3, [np.eye(2) * 0.3j, np.zeros((2, 2)), n.T * 0.2]
     )
     with pytest.raises(PreconditionError):
-        check_cs_odd_chern_pairing(Connection(a), r=1.0)
+        check_cs_odd_chern_pairing(Connection(a), r_values=[1.0])
 
 
 # ----------------------------------------------------------------------
