@@ -8,8 +8,9 @@ with a distinct code per failure class:
 
 * 0 -- everything ran and every check passed
 * 1 -- at least one check entry failed its tolerance
-* 2 -- the scenario is invalid (JSON/schema violation, unknown connection
-  name, shape mismatch, a connection or metric that input validation
+* 2 -- the scenario is invalid (JSON/schema violation, a number that is
+  not a finite float, unknown connection name, shape mismatch, repeated
+  experiment label, a connection or metric that input validation
   refuses with :class:`~etacalc.forms.InvalidInputError`) or asks a check
   for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`); nothing else maps here
@@ -138,8 +139,8 @@ _PATH_SCHEMA = {
 
 
 class ScenarioError(ValueError):
-    """The scenario file is structurally valid JSON but semantically wrong
-    (unknown connection name, shape mismatch)."""
+    """The scenario is refused beyond its schema (a number that is not a
+    finite float, unknown connection name, shape mismatch, repeated label)."""
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ _PARAM_SCHEMAS = {
     "cutoff": {"type": "integer", "minimum": 1},
     "winding": {"type": "integer"},
     "samples": {"type": "integer", "minimum": 2},
-    "rank": {"type": "integer", "minimum": 0},
+    "rank": {"type": "integer", "minimum": 1},
     "intervals": {"type": "integer", "minimum": 1},
     "tolerance": {"type": "number", "exclusiveMinimum": 0},
 }
@@ -289,11 +290,27 @@ def _scenario_validator():
     return cls(SCENARIO_SCHEMA)
 
 
+def _finite(text: str) -> str:
+    """``text``, a JSON number or constant, if it is a finite float: NaN
+    and +-Infinity (not JSON under RFC 8259), 1e999 and integers too large
+    to convert are refused."""
+    if not math.isfinite(float(text)):
+        raise ScenarioError(f"number {text[:40]} is not a finite float")
+    return text
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; jsonschema.ValidationError,
-    json.JSONDecodeError, and ScenarioError all mean exit code 2."""
+    json.JSONDecodeError, and ScenarioError all mean exit code 2.  Each
+    experiment gets its label here, explicit or ``e{index:02d}_{check}``;
+    labels name entries and artifacts, so they must be distinct."""
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(
+            fh,
+            parse_constant=_finite,  # never finite
+            parse_float=lambda text: float(_finite(text)),
+            parse_int=lambda text: int(_finite(text)),
+        )
     error = jsonschema.exceptions.best_match(
         _scenario_validator().iter_errors(obj)
     )
@@ -313,13 +330,19 @@ def load_scenario(path: str) -> Scenario:
                 f"scenario declares dim={dim} rank={rank}"
             )
         connections[name] = conn
+    experiments: dict[str, dict] = {}
+    for i, exp in enumerate(obj["experiments"]):
+        label = exp.get("label", f"e{i:02d}_{exp['check']}")
+        if label in experiments:
+            raise ScenarioError(f"two experiments are labelled {label!r}")
+        experiments[label] = {**exp, "label": label}
     output = obj.get("output", {})
     return Scenario(
         dim=dim,
         rank=rank,
         connections=connections,
         seed=int(obj.get("seed", 0)),
-        experiments=tuple(obj["experiments"]),
+        experiments=tuple(experiments.values()),
         report_path=output.get("report"),
         csv_dir=output.get("csv_dir"),
     )
@@ -387,14 +410,14 @@ def run_scenario(
     seed = scn.seed if seed_override is None else seed_override
     sink = _CsvSink(scn.csv_dir, enabled=emit_csv or scn.csv_dir is not None)
     entries: list[verify.CheckEntry] = []
-    for i, exp in enumerate(scn.experiments):
+    for exp in scn.experiments:
         if selected_checks and exp["check"] not in selected_checks:
             continue
         check = CHECKS[exp["check"]]
         entries += check.run(
             _Experiment(
                 args=_resolve(scn, check, exp, tol_override),
-                label=exp.get("label", f"e{i:02d}_{exp['check']}"),
+                label=exp["label"],
                 dim=scn.dim,
                 rank=scn.rank,
                 seed=seed,
@@ -481,15 +504,16 @@ def _seed(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """A tolerance from the command line: a number > 0, as an experiment's
-    own ``tolerance`` is (so zero, negatives and nan are refused)."""
+    """A tolerance from the command line: a finite number > 0, as an
+    experiment's own ``tolerance`` is (so zero, negatives, inf and nan are
+    refused)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not value > 0:
+    if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(
-            f"tolerance must be a number > 0, got {text!r}"
+            f"tolerance must be a finite number > 0, got {text!r}"
         )
     return value
 
@@ -528,11 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="seed for randomized suites (overrides the scenario)",
     )
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_SCENARIO  # unreachable
+    return _cmd_run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -3,24 +3,18 @@
 The operator is D = Gamma sum_j c(e_j) (d/dx_j + A_j(x)) acting on
 even-degree exterior forms twisted by the bundle, where c(X) = X^* - i_X is
 the Clifford action on the full exterior algebra and
-Gamma = i^{n+1} c(e_1)...c(e_d) for d = 2n+1.  Both Gamma and each c(e_j)
-flip exterior parity, so their composite preserves the even part; Gamma
-squares to the identity.
-
-On a flat torus D is the spin Dirac operator twisted by the bundle and by
-the trivial spinor bundle (APS II, 1975), so it is unitarily 2^n copies
-of one operator of 2^n times smaller order.  With
-B_j = (Gamma c(e_j))|_even, the product B_1...B_d is the scalar
-i^{-(n+1)} (Gamma commutes with every c(e_j)); for odd d that scalar fixes
-the class of an irreducible Clifford module, so the 2^{2n}-dimensional
-even part is 2^n copies of one irreducible module of dimension 2^n.  The
-right action r_j = e_j wedge + i_{e_j} anticommutes with every c(e_k), so
-the operators i r_{2a-1} r_{2a} (a = 1..n) commute with every B_j and
-with each other and square to 1.  Their 2^n joint eigenspaces are the
-copies; the joint +1 eigenspace, with an orthonormal basis V, gives the
-generators beta_j = V^dagger B_j V.  Every Galerkin matrix below is built
-from the beta_j, and each of its eigenvalues stands for 2^n eigenvalues
-of the operator on the full even part.
+Gamma = i^{n+1} c(e_1)...c(e_d) for d = 2n+1.  On a flat torus D is the
+spin Dirac operator twisted by the bundle and by the trivial spinor bundle
+(APS II, 1975), so it is unitarily 2^n copies of
+sum_j beta_j (x) (d/dx_j + A_j), where beta_1..beta_d are the generators
+of one irreducible Clifford module (beta_j beta_k + beta_k beta_j =
+-2 delta_jk) of dimension 2^n.  B_1...B_d, with B_j = (Gamma c(e_j))|_even,
+is the scalar i^{-(n+1)}, and for odd d that scalar fixes the module up to
+equivalence; ``CliffordModel`` writes its generators down in closed form
+(the tests check them against the B_j built on the whole exterior
+algebra).  Every Galerkin matrix below is built from the beta_j, and each
+of its eigenvalues stands for 2^n eigenvalues of the operator on the even
+forms.
 
 For constant connection forms the Fourier modes decouple: one block of
 size 2^n * rank per frequency k, namely
@@ -61,7 +55,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import product
 from types import MappingProxyType
 from typing import Mapping
@@ -78,81 +72,48 @@ class MemoryGuardError(RuntimeError):
     """A requested truncation exceeds the configured memory budget."""
 
 
-class CliffordModel:
-    """Clifford action c(e_j) = e_j wedge - contraction on Lambda(C^d),
-    with the chirality-style element Gamma = i^{n+1} c(e_1)...c(e_d), the
-    even-part generators B_j = (Gamma c(e_j))|_even, and the irreducible
-    generators ``beta`` of one of the ``copies`` = 2^n copies of the
-    irreducible Clifford module that make up the even part (d = 2n+1).
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    Basis: subsets of {1..d} as bitmasks, ordered by integer value.
+
+class CliffordModel:
+    """The generators ``beta`` of one irreducible Clifford module on
+    C^(2^n), d = 2n+1, in closed form: Jordan--Wigner Pauli strings times i,
+        beta_{2a-1} = i Z^(a-1) (x) X (x) I^(n-a),
+        beta_{2a}   = i Z^(a-1) (x) Y (x) I^(n-a),
+        beta_d      = -i Z^n,
+    so that beta_1...beta_d = i^-(n+1), the scalar by which B_1...B_d acts
+    on the even forms; those are ``copies`` = 2^n copies of this module.
+    Every entry is 0, +-1 or +-i with no signed zeros: d = 1 gives
+    beta_1 = -i, d = 3 gives (i X, i Y, -i Z).
     """
 
     def __init__(self, dim: int) -> None:
         if dim < 1 or dim % 2 == 0:
             raise ValueError("dim must be odd and >= 1")
-        self.dim = dim
-        n_states = 1 << dim
-        self.c = []
-        right = []  # r_j = e_j wedge + contraction anticommutes with every c_k
-        for j in range(dim):
-            wedge = np.zeros((n_states, n_states), dtype=complex)
-            contract = np.zeros((n_states, n_states), dtype=complex)
-            bit = 1 << j
-            for s in range(n_states):
-                # sign: number of basis indices below j already present
-                sign = (-1) ** bin(s & (bit - 1)).count("1")
-                if s & bit:
-                    contract[s ^ bit, s] = sign  # contraction removes e_j
-                else:
-                    wedge[s | bit, s] = sign  # wedge inserts e_j
-            self.c.append(wedge - contract)
-            right.append(wedge + contract)
         n = (dim - 1) // 2
-        gamma = np.eye(n_states, dtype=complex)
-        for j in range(dim):
-            gamma = gamma @ self.c[j]
-        self.gamma = (1j) ** (n + 1) * gamma
-        self.even_states = [s for s in range(n_states) if bin(s).count("1") % 2 == 0]
-        # B_j = (Gamma c_j) restricted to the even part (parity-preserving)
-        self.b = [
-            (self.gamma @ cj)[np.ix_(self.even_states, self.even_states)]
-            for cj in self.c
-        ]
-        # The i r_{2a-1} r_{2a} commute with every B_j and square to 1; proj
-        # projects onto their joint +1 eigenspace, one irreducible copy.
-        # r_{2a-1} r_{2a} maps basis state s to +-s with the bits of pair a
-        # flipped, so proj e_s spreads over the 2^n states reached by such
-        # flips, each entry +-2^-n or +-i 2^-n.  The even states whose
-        # higher bit of every pair is clear pick one column per such orbit:
-        # disjoint supports, so V = 2^(n/2) w is an orthonormal basis and
-        # beta_j = V^dagger B_j V = 2^n w^dagger B_j w, exact in binary.
-        proj = np.eye(n_states, dtype=complex)
-        for a in range(n):
-            proj = proj @ (np.eye(n_states) + 1j * right[2 * a] @ right[2 * a + 1]) / 2
-        high = sum(1 << (2 * a + 1) for a in range(n))
-        reps = [s for s in self.even_states if not s & high]
-        w = proj[np.ix_(self.even_states, reps)]
+        self.dim = dim
         self.copies = 1 << n
-        self.beta = [self.copies * (w.conj().T @ bj @ w) for bj in self.b]
+        eye, z = np.eye(2), np.diag([1, -1])
+        x, iy = np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-1, 0]])  # i Y is real
 
-    @property
-    def even_dim(self) -> int:
-        return len(self.even_states)
+        def string(*factors: np.ndarray) -> np.ndarray:
+            return reduce(np.kron, factors, np.eye(1))
+
+        beta = []
+        for a in range(n):
+            left, right = [z] * a, [eye] * (n - a - 1)
+            beta += [1j * string(*left, x, *right), string(*left, iy, *right)]
+        beta.append(-1j * string(*[z] * n))
+        # + 0j turns every -0.0 the products leave into +0.0; read-only, as
+        # ``clifford_model`` hands the same model to every caller
+        self.beta = tuple(_read_only(b + 0j) for b in beta)
 
 
-_MODEL_CACHE: dict[int, CliffordModel] = {}
-
-
+@cache
 def clifford_model(dim: int) -> CliffordModel:
-    if dim not in _MODEL_CACHE:
-        _MODEL_CACHE[dim] = CliffordModel(dim)
-    return _MODEL_CACHE[dim]
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+    return CliffordModel(dim)
 
 
 @dataclass(frozen=True)
@@ -236,8 +197,7 @@ class OperatorTruncation:
 
     @property
     def size(self) -> int:
-        per_mode = clifford_model(self.dim).even_dim * self.rank
-        return len(self.modes) * per_mode
+        return len(self.modes) * self.stack.shape[1] * self.copies
 
     @property
     def copies(self) -> int:

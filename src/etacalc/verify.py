@@ -7,9 +7,10 @@ Conventions shared by all checks:
 * residual modes -- ``absolute`` is |lhs - rhs|; ``mod-Z`` takes the circle
   distance of the real parts (nearest-integer gap) plus the absolute gap of
   the imaginary parts; ``integer`` demands exact equality of two integers.
-* every spectral quantity is evaluated on the circle, where constant
-  connections have closed-form eigenvalue towers; higher-dimensional tori
-  contribute only form-level sides (pairings, characteristic forms).
+* every twisted eta and spectral flow is evaluated on the circle, where
+  constant connections have closed-form eigenvalue towers; ``bk_phase``
+  alone censuses a Galerkin spectrum on T^d (of the untwisted operator), and
+  higher tori otherwise give only form-level sides (pairings, Chern forms).
 * one global sign calibration (unitary circle connection, tower shift 1/4,
   upward crossing counts +1) pins the Clifford orientation and the spectral
   flow sign; no check below carries a per-check sign choice.

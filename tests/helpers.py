@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
-from etacalc.spectral import clifford_model
 
 # Small integer/rational-ish entries keep float roundoff tiny, so exact
 # identities can be asserted at tight tolerances.
@@ -328,13 +328,56 @@ def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
     return (-c.curvature()).exp_nilpotent().mat_trace().phi_normalize(branch)
 
 
+class ExteriorModel:
+    """The odd signature operator's Clifford data on the whole exterior
+    algebra Lambda(C^d), d = 2n+1: c(e_j) = e_j wedge - contraction, the
+    chirality-style Gamma = i^{n+1} c(e_1)...c(e_d), the even states, and
+    B_j = (Gamma c(e_j))|_even, of order 4^n.  Basis: subsets of {1..d} as
+    bitmasks, ordered by integer value.  The reference that the closed-form
+    generators of ``spectral.CliffordModel`` are checked against; nothing
+    in the package builds it."""
+
+    def __init__(self, dim: int) -> None:
+        n_states = 1 << dim
+        self.c = []
+        for j in range(dim):
+            mat = np.zeros((n_states, n_states), dtype=complex)
+            bit = 1 << j
+            for s in range(n_states):
+                # sign: number of basis indices below j already present
+                sign = (-1) ** bin(s & (bit - 1)).count("1")
+                # wedge inserts e_j, contraction removes it
+                mat[s ^ bit, s] = -sign if s & bit else sign
+            self.c.append(mat)
+        n = (dim - 1) // 2
+        gamma = np.eye(n_states, dtype=complex)
+        for cj in self.c:
+            gamma = gamma @ cj
+        self.gamma = (1j) ** (n + 1) * gamma
+        self.even_states = [s for s in range(n_states) if bin(s).count("1") % 2 == 0]
+        self.b = [
+            (self.gamma @ cj)[np.ix_(self.even_states, self.even_states)]
+            for cj in self.c
+        ]
+
+    @property
+    def even_dim(self) -> int:
+        return len(self.even_states)
+
+
+@functools.cache
+def exterior_model(dim: int) -> ExteriorModel:
+    return ExteriorModel(dim)
+
+
 def build_sig_mode(c: Connection, k, gens=None) -> np.ndarray:
     """Signature-operator block on the Fourier mode e^{2 pi i k.x} for a
     constant connection, one Kronecker product per direction:
     sum_j G_j (x) (2 pi i k_j I + A_j) (the oracle of the stacked blocks).
-    The generators G_j default to the full even-part B_j; pass
-    ``clifford_model(dim).beta`` for the one-copy blocks the stack holds."""
-    gens = clifford_model(c.dim).b if gens is None else gens
+    The generators G_j default to the full even-part B_j of
+    ``exterior_model``; pass ``clifford_model(dim).beta`` for the one-copy
+    blocks the stack holds."""
+    gens = exterior_model(c.dim).b if gens is None else gens
     k = tuple(int(v) for v in k)
     if len(k) != c.dim:
         raise ValueError("mode frequency has wrong length")
@@ -354,10 +397,11 @@ def coupled_dense_oracle(c: Connection, cutoff: int, gens=None) -> np.ndarray:
     added to block (k + q, k) for every oscillatory term A_q dx_j and every
     mode k whose target k + q is in the window (the oracle of the
     stack-plus-couplings truncation).  The generators G_j default to the
-    full even-part B_j; pass ``clifford_model(dim).beta`` for one copy.
+    full even-part B_j of ``exterior_model``; pass
+    ``clifford_model(dim).beta`` for one copy.
     Each diagonal block is summed direction by direction, in the stack's
     order: the beta_j of T^3 share entries, so the order sets the last bit."""
-    gens = clifford_model(c.dim).b if gens is None else gens
+    gens = exterior_model(c.dim).b if gens is None else gens
     per = len(gens[0]) * c.rank
     modes = list(product(range(-cutoff, cutoff + 1), repeat=c.dim))
     index = {k: i for i, k in enumerate(modes)}

@@ -165,7 +165,7 @@ def test_schema_meta_checked_once(monkeypatch):
 @pytest.mark.parametrize("entry", ["null", "{}", "1e999"])
 def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
     # null and {} violate the schema; 1e999 parses to inf, which the
-    # schema accepts as a number and the connection loader refuses
+    # loader refuses as it parses the file
     obj = load_bundled("s1_unitary.json")
     obj["connections"]["base"]["A"]["terms"][0]["re"] = [["ENTRY"]]
     path = tmp_cwd / "scenario.json"
@@ -204,6 +204,80 @@ def test_singular_metric_is_scenario_error(tmp_cwd, capsys):
                    "im": [[0.0, 0.0], [0.0, 0.0]]}]
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
     assert "singular" in capsys.readouterr().err
+
+
+def _with_number(tmp_path, obj, literal):
+    """The scenario ``obj`` written with the JSON text ``literal`` in place
+    of every string "NUMBER"."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj).replace('"NUMBER"', literal))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "1" + "0" * 400],
+    ids=["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "400-digit-int"],
+)
+@pytest.mark.parametrize("key", ["tolerance", "r_values"])
+def test_numbers_must_be_finite_floats(tmp_cwd, capsys, key, literal):
+    # NaN and +-Infinity are not JSON (RFC 8259); 1e999 parses to inf; a
+    # 400-digit integer does not convert to a float
+    obj = load_bundled("s1_unitary.json")
+    pairing = obj["experiments"][0]
+    assert pairing["check"] == "cs_odd_chern_pairing"
+    pairing[key] = ["NUMBER"] if key == "r_values" else "NUMBER"
+    assert main(["run", _with_number(tmp_cwd, obj, literal)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and "numerical guard" not in err
+
+
+def test_oversized_integer_seed_rejected(tmp_cwd):
+    # every number of the file is checked, not only check parameters
+    obj = load_bundled("s1_unitary.json")
+    obj["seed"] = "NUMBER"
+    assert main(["run", _with_number(tmp_cwd, obj, "1" + "0" * 400)]) == 2
+
+
+def test_bk_phase_rank_zero_rejected(tmp_cwd, capsys):
+    # at rank 0 both sides are exp(0) = 1, so the check could not fail
+    obj = load_bundled("t3_spectrum.json")
+    bk = obj["experiments"][2]
+    assert bk["check"] == "bk_phase"
+    bk["rank"] = 0
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiments",
+    [
+        # the second CSV would overwrite the first
+        [{"check": "spectrum", "connection": "main", "cutoff": 2, "label": "dup"},
+         {"check": "spectrum", "connection": "main", "cutoff": 1, "label": "dup"}],
+        # identical check ids
+        [{"check": "bk_phase", "label": "dup"}, {"check": "bk_phase", "label": "dup"}],
+        # an explicit label equal to another experiment's default one
+        [{"check": "bk_phase"}, {"check": "bk_phase", "label": "e00_bk_phase"}],
+    ],
+    ids=["spectrum", "bk_phase", "default"],
+)
+def test_repeated_experiment_label_rejected(tmp_cwd, capsys, experiments):
+    obj = load_bundled("t3_spectrum.json")
+    obj["experiments"] = experiments
+    obj["output"] = {"csv_dir": "o"}
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    out, err = capsys.readouterr()
+    assert "labelled" in err and "written" not in out
+    assert not (tmp_cwd / "o").exists()
+
+
+def test_every_experiment_gets_its_label_on_loading(tmp_cwd):
+    obj = load_bundled("t3_spectrum.json")
+    scn = load_scenario(write_scenario(tmp_cwd, obj))
+    assert [x["label"] for x in scn.experiments] == [
+        "e00_spectrum", "pairing", "e02_bk_phase"
+    ]
 
 
 def test_unknown_connection_name(tmp_cwd):
@@ -305,8 +379,9 @@ def test_negative_seed_flag_rejected(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "Infinity", "1e999"])
 def test_nonpositive_tol_flag_rejected(capsys, tol):
+    # an infinite tolerance would pass every entry, so it is refused too
     with pytest.raises(SystemExit) as exc:
         main(["run", str(SCENARIOS / "s1_nonunitary.json"), "--tol", tol])
     assert exc.value.code == 2

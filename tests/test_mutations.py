@@ -2,19 +2,24 @@
 the standard suite to notice, either by a failed entry or by raising.
 
 Each mutation replaces a name where its caller reads it (``verify``
-imports its factors by name, so they are patched in ``verify``).  Between
-them the mutations catch every check family of the suite except
-``psi_constancy``, whose entries compare 0 with 0 on every flat input
-until ROADMAP item 3 gives it a spectral side.
+imports its factors by name, so they are patched in ``verify``;
+``spectral`` reads its own ``clifford_model``).  Between them the
+mutations catch every check family of the suite except ``psi_constancy``,
+whose entries compare 0 with 0 on every flat input until ROADMAP item 3
+gives it a spectral side.  The orientation of the Clifford generators
+(the sign of beta_d) is load-bearing: flipping it reverses every Galerkin
+spectrum on the circle, which the spectral-flow checks see, while the
+closed-form etas and the symmetric census of ``bk_phase`` do not.
 """
 
+import copy
 import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from etacalc import forms, geometry, verify
+from etacalc import forms, geometry, spectral, verify
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import PreconditionError
 from etacalc.verify import standard_suite
@@ -52,6 +57,15 @@ def _dagger_transpose_only(orig):
             self.rank,
             [((tuple(-v for v in k), I), m.T) for k, I, m in self.terms()],
         )
+
+    return mutated
+
+
+def _orientation_flipped(orig):
+    def mutated(dim):
+        model = copy.copy(orig(dim))  # the cached model stays intact
+        model.beta = [*model.beta[:-1], -model.beta[-1]]
+        return model
 
     return mutated
 
@@ -95,6 +109,10 @@ MUTATIONS = {
     "ext_d doubled": (
         [(TrigPolyForm, "ext_d", lambda f: lambda self: 2 * f(self))],
         {"gauge_pumping"},
+    ),
+    "Clifford orientation flipped": (
+        [(spectral, "clifford_model", _orientation_flipped)],
+        {"gauge_pumping", "variation_complex"},
     ),
     "dagger without conjugation": (
         [(TrigPolyForm, "dagger", _dagger_transpose_only)],

@@ -15,7 +15,6 @@ from etacalc import spectral
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
 from etacalc.spectral import (
-    CliffordModel,
     MemoryGuardError,
     build_truncation,
     clifford_model,
@@ -29,6 +28,7 @@ from helpers import (
     build_sig_mode,
     coupled_dense_oracle,
     diagonal_connection_from_mus,
+    exterior_model,
     gauged_t3_connection,
     mode_components,
     random_mus,
@@ -40,12 +40,12 @@ TWO_PI = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# Clifford algebra relations
+# Clifford algebra relations of the exterior-algebra reference
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
 def test_clifford_anticommutators(dim):
-    model = CliffordModel(dim)
+    model = exterior_model(dim)
     n_states = 1 << dim
     for i in range(dim):
         for j in range(dim):
@@ -56,14 +56,14 @@ def test_clifford_anticommutators(dim):
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
 def test_clifford_skew_adjoint(dim):
-    model = CliffordModel(dim)
+    model = exterior_model(dim)
     for cj in model.c:
         assert np.allclose(cj.conj().T, -cj, atol=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
 def test_gamma_squares_to_identity_and_hermitian(dim):
-    model = CliffordModel(dim)
+    model = exterior_model(dim)
     n_states = 1 << dim
     assert np.allclose(model.gamma @ model.gamma, np.eye(n_states), atol=1e-13)
     assert np.allclose(model.gamma, model.gamma.conj().T, atol=1e-13)
@@ -71,7 +71,7 @@ def test_gamma_squares_to_identity_and_hermitian(dim):
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
 def test_b_matrices_anticommute_and_square(dim):
-    model = CliffordModel(dim)
+    model = exterior_model(dim)
     m = model.even_dim
     assert m == 1 << (dim - 1)
     for i in range(dim):
@@ -83,7 +83,7 @@ def test_b_matrices_anticommute_and_square(dim):
 
 
 def test_circle_b1_is_minus_i():
-    assert np.allclose(clifford_model(1).b[0], np.array([[-1j]]))
+    assert np.allclose(exterior_model(1).b[0], np.array([[-1j]]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +117,10 @@ def _monomials(gens):
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
 def test_beta_is_one_irreducible_copy_of_b(dim):
-    model = clifford_model(dim)
+    model, full = clifford_model(dim), exterior_model(dim)
     n = (dim - 1) // 2
     size = 1 << n
-    assert model.copies == size and model.even_dim == size * size
+    assert model.copies == size and full.even_dim == size * size
     eye = np.eye(size)
     for i in range(dim):
         assert model.beta[i].shape == (size, size)
@@ -129,22 +129,22 @@ def test_beta_is_one_irreducible_copy_of_b(dim):
             assert np.array_equal(anti, -2.0 * eye if i == j else 0 * eye)
     # B_1...B_d is the scalar i^-(n+1), and so is beta_1...beta_d
     volume = (1j) ** (-(n + 1))
-    assert np.allclose(reduce(np.matmul, model.b), volume * np.eye(size * size),
+    assert np.allclose(reduce(np.matmul, full.b), volume * np.eye(size * size),
                        atol=1e-13)
     assert np.allclose(reduce(np.matmul, model.beta), volume * eye, atol=1e-13)
     # V spans the joint +1 eigenspace of the i r_{2a-1} r_{2a} on the even part
     right = _right_action(dim)
-    assert all(np.allclose(r @ c + c @ r, 0) for r in right for c in model.c)
+    assert all(np.allclose(r @ c + c @ r, 0) for r in right for c in full.c)
     proj = np.eye(1 << dim, dtype=complex)
     for a in range(n):
         proj = proj @ (np.eye(1 << dim) + 1j * right[2 * a] @ right[2 * a + 1]) / 2
-    even = model.even_states
+    even = full.even_states
     proj = proj[np.ix_(even, even)]
     vals, vecs = np.linalg.eigh(proj)
     v = vecs[:, vals > 0.5]
     assert v.shape == (size * size, size)
     restricted = []
-    for b_j in model.b:
+    for b_j in full.b:
         assert np.allclose(b_j @ proj, proj @ b_j, atol=1e-13)
         restricted.append(v.conj().T @ b_j @ v)
         # B_j maps span(V) into itself
@@ -166,7 +166,7 @@ def test_circle_truncation_is_bitwise_the_full_b_one():
     # of the full even-part blocks, bit for bit
     model = clifford_model(1)
     assert model.copies == 1
-    assert model.beta[0].tobytes() == model.b[0].tobytes()
+    assert model.beta[0].tobytes() == exterior_model(1).b[0].tobytes()
     rng = np.random.default_rng(53)
     mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
     c = Connection.from_constant(1, mats)
@@ -175,6 +175,18 @@ def test_circle_truncation_is_bitwise_the_full_b_one():
     assert t.stack.tobytes() == full.tobytes()
     vals = np.linalg.eigvals(full).ravel()
     assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
+
+
+def test_circle_and_t3_beta_are_the_pauli_generators():
+    # d = 1: beta_1 = -i with real part +0.0; d = 3: (i X, i Y, -i Z)
+    assert clifford_model(1).beta[0].tobytes() == np.array([[complex(0, -1)]]).tobytes()
+    x = np.array([[0, 1], [1, 0]])
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1, -1])
+    beta = clifford_model(3).beta
+    assert len(beta) == 3
+    for got, want in zip(beta, (1j * x, 1j * y, -1j * z)):
+        assert got.dtype == complex and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
