@@ -10,10 +10,11 @@ with a distinct code per failure class:
 * 1 -- at least one check entry failed its tolerance
 * 2 -- the scenario is invalid (JSON/schema violation, a number that is
   not a finite float, unknown connection name, shape mismatch, repeated
-  experiment label, a connection or metric that input validation
-  refuses with :class:`~etacalc.forms.InvalidInputError`) or asks a check
-  for something outside its domain
-  (:class:`~etacalc.geometry.PreconditionError`); nothing else maps here
+  experiment label or one that is not a file name, a connection or metric
+  that input validation refuses with
+  :class:`~etacalc.forms.InvalidInputError`) or asks a check for something
+  outside its domain (:class:`~etacalc.geometry.PreconditionError`);
+  nothing else maps here
 * 3 -- a numerical guard tripped (memory guard, eigenvalue-tracking
   ambiguity, spectral flow unstable under cutoff growth, interpolation
   guard)
@@ -25,13 +26,17 @@ The checks are those of :data:`etacalc.verify.CHECKS`, the registry that
 and ``tracks``.  An identity check's defaults (tolerances, cutoffs,
 samples) are those of its check function, since runners forward only the
 parameters an experiment sets.  This module holds the JSON side: one
-schema per experiment key, from which the scenario schema and the
-``--check`` choices are generated, and the resolution of connection names
-and paths.  Experiments are independent of each other; they are executed
-in file order but the report is assembled sorted by check id, so the
-output does not depend on execution order.  Reports are byte-identical
-across runs except for the ``generated_at`` field added when writing to
-disk.
+schema per experiment key, from which the scenario schema, one experiment
+schema per check and the ``--check`` choices are generated, and the
+resolution of connection names and paths.  Each experiment is validated
+against its own check's schema only.  Matrix entries are checked where
+they become arrays (:meth:`~etacalc.forms.TrigPolyForm.from_json_obj`),
+not by the schema.  A label names the experiment's CSV file in
+``csv_dir``, so it must be one file name.  Experiments are independent of
+each other; they are executed in file order but the report is assembled
+sorted by check id, so the output does not depend on execution order.
+Reports are byte-identical across runs except for the ``generated_at``
+field added when writing to disk.
 """
 
 from __future__ import annotations
@@ -59,10 +64,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_SCENARIO = 2
 EXIT_GUARD = 3
 
-_MATRIX_SCHEMA = {
-    "type": "array",
-    "items": {"type": "array", "items": {"type": "number"}},
-}
+# entries are checked where they become arrays (TrigPolyForm.from_json_obj),
+# which costs far less than a schema descent per entry
+_MATRIX_SCHEMA = {"type": "array"}
 
 _FORM_SCHEMA = {
     "type": "object",
@@ -103,9 +107,9 @@ _CONNECTION_SCHEMA = {
 def _tagged_branch(
     tag: str, value: str, required: tuple[str, ...], props: dict
 ) -> dict:
-    """Applies ``props``, and no other keys, to objects whose ``tag`` is
-    ``value``.  One such branch per value reports a broken object against
-    its own branch, where a ``oneOf`` would report whichever failed last."""
+    """Applies ``props``, and no other keys, to paths whose ``tag`` is
+    ``value``.  One such branch per path kind reports a broken path against
+    its own kind, where a ``oneOf`` would report whichever failed last."""
     only_this = {"const": value}
     return {
         "if": {"required": [tag], "properties": {tag: only_this}},
@@ -228,12 +232,27 @@ _PARAM_SCHEMAS = {
 }
 
 
+#: a label names a report entry and an artifact file in ``csv_dir``, so it
+#: is one file name: no path separator, NUL, ``.`` or ``..``
+_LABEL_SCHEMA = {
+    "type": "string",
+    "minLength": 1,
+    "pattern": r"^[^/\\\x00]*$",
+    "not": {"enum": [".", ".."]},
+}
+
+
 def _experiment_schema(name: str, check: verify.Check) -> dict:
-    """Applies the check's own parameter schema to experiments naming it;
-    keys the check does not read are rejected."""
-    props = {"label": {"type": "string", "minLength": 1}}
+    """The schema of an experiment naming the check: its required keys and
+    the check's own parameter schemas; keys the check does not read are
+    rejected."""
+    props = {"check": {"const": name}, "label": _LABEL_SCHEMA}
     props.update((key, _PARAM_SCHEMAS[key]) for key in check.params)
-    return _tagged_branch("check", name, check.required, props)
+    return {
+        "additionalProperties": False,
+        "required": list(check.required),
+        "properties": props,
+    }
 
 
 SCENARIO_SCHEMA = {
@@ -265,7 +284,6 @@ SCENARIO_SCHEMA = {
                 "type": "object",
                 "required": ["check"],
                 "properties": {"check": {"enum": list(CHECKS)}},
-                "allOf": [_experiment_schema(n, c) for n, c in CHECKS.items()],
             },
             "minItems": 1,
         },
@@ -278,6 +296,9 @@ SCENARIO_SCHEMA = {
             },
         },
     },
+    # one schema per check, which load_scenario applies to the experiments
+    # naming it
+    "$defs": {name: _experiment_schema(name, c) for name, c in CHECKS.items()},
 }
 
 
@@ -288,6 +309,18 @@ def _scenario_validator():
     cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
     cls.check_schema(SCENARIO_SCHEMA)
     return cls(SCENARIO_SCHEMA)
+
+
+def _experiment_errors(experiments: list[dict]):
+    """Each experiment's errors against the schema of its own check (in
+    ``$defs``), with paths from the scenario root.  ``evolve`` runs no
+    meta-check: the scenario validator's covers ``$defs``."""
+    validator = _scenario_validator()
+    for i, exp in enumerate(experiments):
+        schema = SCENARIO_SCHEMA["$defs"][exp["check"]]
+        for error in validator.evolve(schema=schema).iter_errors(exp):
+            error.path.extendleft((i, "experiments"))
+            yield error
 
 
 def _finite(text: str) -> str:
@@ -301,9 +334,12 @@ def _finite(text: str) -> str:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; jsonschema.ValidationError,
-    json.JSONDecodeError, and ScenarioError all mean exit code 2.  Each
-    experiment gets its label here, explicit or ``e{index:02d}_{check}``;
-    labels name entries and artifacts, so they must be distinct."""
+    json.JSONDecodeError, and ScenarioError all mean exit code 2.  Once the
+    scenario passes its schema, each experiment is validated against its
+    own check's schema, so an error in the scenario's layout is reported
+    before any experiment's.  Each experiment gets its label here, explicit
+    or ``e{index:02d}_{check}``; labels name entries and artifacts, so they
+    must be distinct."""
     with open(path) as fh:
         obj = json.load(
             fh,
@@ -311,9 +347,10 @@ def load_scenario(path: str) -> Scenario:
             parse_float=lambda text: float(_finite(text)),
             parse_int=lambda text: int(_finite(text)),
         )
-    error = jsonschema.exceptions.best_match(
-        _scenario_validator().iter_errors(obj)
-    )
+    best_match = jsonschema.exceptions.best_match
+    error = best_match(_scenario_validator().iter_errors(obj))
+    if error is None:
+        error = best_match(_experiment_errors(obj["experiments"]))
     if error is not None:
         raise error
     dim = obj["manifold"]["dim"]

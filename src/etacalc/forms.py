@@ -23,9 +23,9 @@ wedge is one batched matrix product over all key pairs), instead of several
 calls per term.
 
 Outside input is validated once, where it enters: the ``TrigPolyForm``
-constructor (and ``from_json_obj``, which also rejects ragged and
-non-finite entries) checks every key and shape and copies every matrix,
-and raises :class:`InvalidInputError` for input that describes no form.
+constructor (and ``from_json_obj``, which also rejects matrix entries
+that are not numbers, ragged rows and non-finite entries) checks every key
+and shape and copies every matrix, and raises :class:`InvalidInputError` for input that describes no form.
 Operations on valid forms skip those checks; every result, the
 constructor's included, has its terms summed by the one routine
 ``_sum_terms``.
@@ -114,6 +114,16 @@ def _sum_terms(
         mats = mats[nonzero]
     mats.flags.writeable = False
     return tuple(keys), mats
+
+
+def _is_number_rows(rows) -> bool:
+    """Whether ``rows`` is a list of lists of ints and floats (bools, which
+    are ints to Python, and numeric strings are not numbers here)."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list)
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+        for row in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -485,6 +495,11 @@ class TrigPolyForm:
         terms: list[Term] = []
         for t in obj["terms"]:
             where = f"term {t['k']}, {t['I']}"
+            for part in ("re", "im"):
+                if not _is_number_rows(t[part]):
+                    raise InvalidInputError(
+                        f"{where}: {part} is not a list of rows of numbers"
+                    )
             try:
                 re, im = (np.asarray(t[part], dtype=float) for part in ("re", "im"))
             except ValueError as exc:  # ragged rows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from math import comb
 import numpy as np
 from hypothesis import strategies as st
 
+from etacalc import cli
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
 
@@ -507,3 +509,22 @@ def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:
     return sum(
         Fraction(comb(j, m)) * r_squared**m / (2 * m + 1) for m in range(j + 1)
     )
+
+
+def reference_scenario_schema() -> dict:
+    """The scenario schema as one document, in which every experiment goes
+    through an ``if``/``then`` branch of every check: ``cli._tagged_branch``
+    over the check schemas in ``$defs``, in an ``allOf``.  The oracle of
+    ``cli.load_scenario``, which checks each experiment against its own
+    check's schema only."""
+    schema = copy.deepcopy(cli.SCENARIO_SCHEMA)
+    schema["properties"]["experiments"]["items"]["allOf"] = [
+        cli._tagged_branch(
+            "check",
+            name,
+            tuple(branch["required"]),
+            {k: v for k, v in branch["properties"].items() if k != "check"},
+        )
+        for name, branch in schema["$defs"].items()
+    ]
+    return schema

@@ -13,6 +13,7 @@ from etacalc import cli, flow, spectral
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
+from helpers import reference_scenario_schema
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = [
@@ -45,7 +46,10 @@ def load_bundled(name):
 
 def test_bundled_scenarios_validate():
     for name in BUNDLED:
-        jsonschema.validate(load_bundled(name), SCENARIO_SCHEMA)
+        obj = load_bundled(name)
+        jsonschema.validate(obj, SCENARIO_SCHEMA)
+        for exp in obj["experiments"]:
+            jsonschema.validate(exp, SCENARIO_SCHEMA["$defs"][exp["check"]])
         scn = load_scenario(str(SCENARIOS / name))
         assert scn.experiments
 
@@ -106,6 +110,7 @@ def test_per_check_schema_names_offending_key(
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
     err = capsys.readouterr().err
     assert "schema" in err and repr(key) in err
+    assert "at $.experiments[0]" in err
 
 
 def test_check_flag_rejects_unknown_name(capsys):
@@ -118,12 +123,12 @@ def test_check_flag_rejects_unknown_name(capsys):
 def test_schema_is_generated_from_the_registry():
     jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
     items = SCENARIO_SCHEMA["properties"]["experiments"]["items"]
+    defs = SCENARIO_SCHEMA["$defs"]
     accepted = {
-        branch["if"]["properties"]["check"]["const"]: set(
-            branch["then"]["properties"]
-        ) - {"check", "label"}
-        for branch in items["allOf"]
+        name: set(schema["properties"]) - {"check", "label"}
+        for name, schema in defs.items()
     }
+    assert all(defs[name]["properties"]["check"] == {"const": name} for name in defs)
     assert list(accepted) == items["properties"]["check"]["enum"]
     assert accepted == {
         "cs_odd_chern_pairing": {"connection", "r_values", "tolerance"},
@@ -162,9 +167,10 @@ def test_schema_meta_checked_once(monkeypatch):
     assert len(meta_checks) == 1
 
 
-@pytest.mark.parametrize("entry", ["null", "{}", "1e999"])
+@pytest.mark.parametrize("entry", ["null", "{}", '"1.5"', "true", "1e999"])
 def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
-    # null and {} violate the schema; 1e999 parses to inf, which the
+    # null, {}, a numeric string and a bool are not numbers, which the form
+    # refuses as it reads its matrices; 1e999 parses to inf, which the
     # loader refuses as it parses the file
     obj = load_bundled("s1_unitary.json")
     obj["connections"]["base"]["A"]["terms"][0]["re"] = [["ENTRY"]]
@@ -172,6 +178,62 @@ def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
     path.write_text(json.dumps(obj).replace('"ENTRY"', entry))
     assert main(["run", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _experiment_mutations(exp: dict):
+    """``exp`` with each key dropped, an unknown key added, each value
+    replaced by a string, true, null and -1, and each other check named."""
+    for key in exp:
+        yield {k: v for k, v in exp.items() if k != key}
+        for value in ("x", True, None, -1):
+            yield {**exp, key: value}
+    yield {**exp, "surprise": 1}
+    for name in cli.CHECKS:
+        if name != exp["check"]:
+            yield {**exp, "check": name}
+
+
+def test_loader_refuses_as_the_single_document_schema(tmp_cwd):
+    # validating each experiment against its own check's schema refuses
+    # the same experiments, at the same path and with the same message, as
+    # one schema with a branch per check did; no experiment key refers into
+    # the connections, so they are left out to keep the corpus fast
+    reference = jsonschema.Draft202012Validator(reference_scenario_schema())
+    outcomes = []
+    for name in BUNDLED:
+        obj = load_bundled(name)
+        del obj["connections"]
+        for i, exp in enumerate(obj["experiments"]):
+            for mutated in _experiment_mutations(exp):
+                obj["experiments"][i] = mutated
+                error = jsonschema.exceptions.best_match(reference.iter_errors(obj))
+                expected = error and (error.json_path, error.message)
+                try:
+                    load_scenario(write_scenario(tmp_cwd, obj))
+                    got = None
+                except jsonschema.ValidationError as exc:
+                    got = (exc.json_path, exc.message)
+                assert got == expected, mutated
+                outcomes.append(got is None)
+            obj["experiments"][i] = exp
+    assert len(outcomes) > 300 and 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize(
+    "label", ["../escaped", "/tmp/x", "a/b", "..", ".", "a\\b", "a\x00b"]
+)
+def test_label_is_one_file_name(tmp_cwd, capsys, label):
+    # a label names the experiment's CSV file in csv_dir, so it may not
+    # lead out of it
+    outside = pathlib.Path(f"{label}.csv")
+    existed = outside.is_absolute() and outside.exists()
+    obj = load_bundled("s1_unitary.json")
+    obj["experiments"] = [{"check": "spectrum", "connection": "base", "label": label}]
+    obj["output"] = {"csv_dir": "o/inner"}
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "at $.experiments[0].label" in capsys.readouterr().err
+    assert [p.name for p in tmp_cwd.rglob("*")] == ["scenario.json"]
+    assert outside.exists() == existed
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etacalc.forms import EQ_TOL, SubTorus, TrigPolyForm
+from etacalc.forms import EQ_TOL, InvalidInputError, SubTorus, TrigPolyForm
 
 from helpers import ReferenceForm, forms, rng_form, term_lists
 
@@ -312,6 +312,25 @@ def test_json_round_trip(a):
     b = TrigPolyForm.from_json_obj(a.to_json_obj())
     assert a.allclose(b, 0.0)
     assert b.allclose(a, 0.0)
+
+
+@pytest.mark.parametrize(
+    "part, rows",
+    [
+        ("re", [[0.5, "1.5"], [0.0, 0.5]]),  # numpy would parse the string
+        ("im", [[True, 0.0], [0.0, 0.0]]),  # and take the bool for 1.0
+        ("re", [[None, 0.0], [0.0, 0.5]]),
+        ("im", [[{}, 0.0], [0.0, 0.0]]),
+        ("re", [[0.5, 0.0], 0.5]),  # a row that is not a list
+        ("im", "[[0.0, 0.0], [0.0, 0.0]]"),
+    ],
+)
+def test_from_json_obj_refuses_entries_that_are_not_numbers(part, rows):
+    term = {"k": [0], "I": [1], "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}
+    TrigPolyForm.from_json_obj({"dim": 1, "rank": 2, "terms": [term]})  # valid
+    term[part] = rows
+    with pytest.raises(InvalidInputError, match=f"{part} is not a list of rows"):
+        TrigPolyForm.from_json_obj({"dim": 1, "rank": 2, "terms": [term]})
 
 
 @given(forms(dim=2, rank=2), st.sampled_from([1, -1]))
