@@ -6,10 +6,10 @@ The basic object is a finite sum of terms
 
 where M is a fixed (rank x rank) complex matrix, k an integer frequency
 vector, and 1 <= i_1 < ... < i_p <= dim.  This family of forms is closed
-under addition, wedge product, exterior derivative, conjugate transpose,
-trace and fiberwise exponential, so every identity downstream (Chern--Simons
-transgression, L-form factorization, odd Chern character calibrations) can
-be verified exactly -- up to float roundoff -- rather than on a sampling
+under addition, wedge product, exterior derivative, conjugate transpose
+and trace, so every identity downstream (Chern--Simons transgression,
+L-form factorization, odd Chern character calibrations) can be verified
+exactly -- up to float roundoff -- rather than on a sampling
 grid.
 
 Coordinates live on the unit torus R^d / Z^d, so the volume of the full
@@ -25,7 +25,8 @@ calls per term.
 Outside input is validated once, where it enters: the ``TrigPolyForm``
 constructor (and ``from_json_obj``, which also rejects matrix entries
 that are not numbers, ragged rows and non-finite entries) checks every key
-and shape and copies every matrix, and raises :class:`InvalidInputError` for input that describes no form.
+(1.0 passes; a bool, a string or 1.5 is refused, not rounded) and shape,
+copies every matrix, and raises :class:`InvalidInputError` when input is no form.
 Operations on valid forms skip those checks; every result, the
 constructor's included, has its terms summed by the one routine
 ``_sum_terms``.
@@ -116,6 +117,15 @@ def _sum_terms(
     return tuple(keys), mats
 
 
+def _integer(v) -> int:
+    """A key entry as an int: an int or an integral float, not a bool."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) or (
+        isinstance(v, (float, np.floating)) and float(v).is_integer()
+    ):
+        return int(v)
+    raise InvalidInputError(f"term key entry {v!r} is not an integer")
+
+
 def _is_number_rows(rows) -> bool:
     """Whether ``rows`` is a list of lists of ints and floats (bools, which
     are ints to Python, and numeric strings are not numbers here)."""
@@ -177,8 +187,8 @@ class TrigPolyForm:
         mats: list[np.ndarray] = []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, I), mat in items:
-            k = tuple(int(v) for v in k)
-            I = tuple(int(v) for v in I)
+            k = tuple(map(_integer, k))
+            I = tuple(map(_integer, I))
             if len(k) != self.dim:
                 raise InvalidInputError(
                     f"frequency vector {k} has wrong length for dim={dim}"
@@ -387,26 +397,6 @@ class TrigPolyForm:
         keep = [len(I) == p for _, I in self._keys]
         keys = [key for key, kept in zip(self._keys, keep) if kept]
         return self._new(keys, self._mats[np.array(keep, dtype=bool)], unique=True)
-
-    def exp_nilpotent(self) -> "TrigPolyForm":
-        """Fiberwise exponential of a form with only even degrees >= 2.
-
-        Each wedge power raises the degree by at least 2, so the series
-        terminates after at most dim/2 powers and the result is exact.
-        Restricting to even degrees keeps the summands in the commutative
-        center of the grading (no hidden sign subtleties for curvature
-        exponentials).
-        """
-        if any(p == 0 or p % 2 for p in self.degrees()):
-            raise ValueError("exp_nilpotent requires even degrees >= 2 only")
-        result = TrigPolyForm.identity(self.dim, self.rank)
-        power = result
-        for m in range(1, self.dim // 2 + 1):
-            power = power.wedge(self) / m
-            if not power._keys:
-                break
-            result = result + power
-        return result
 
     # ------------------------------------------------------------------
     # normalization, evaluation, integration

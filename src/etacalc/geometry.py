@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
-from math import comb
+from functools import cached_property, reduce
+from math import comb, factorial
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -279,37 +280,44 @@ def linear_path(c0: Connection, c1: Connection) -> Callable[[float], Connection]
     return lambda t: c0.with_form(c0.a * (1.0 - t) + c1.a * t)
 
 
-@cache
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss--Legendre nodes and weights on [-1, 1], computed once per node
-    count and read-only, since every caller shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
-    """Chern--Simons transgression along the linear path from c0 to c1.
+    """Chern--Simons transgression along the linear path from c0 to c1:
+    -(2 pi i)^{-1/2} phi( integral_0^1 Tr[delta exp(-Theta_t)] dt ), Theta_t
+    the curvature of A_t = A_0 + t delta, delta = A_1 - A_0; d(CS) = ch(c1) - ch(c0).
 
-    Defined as -(2 pi i)^{-1/2} phi( integral_0^1 Tr[Adot exp(-Theta_t)] dt )
-    with Theta_t the curvature of A_t = (1-t)A_0 + tA_1.  The t-integrand is
-    polynomial, so Gauss--Legendre with ceil(d/2)+1 nodes integrates it
-    exactly; the only error is roundoff.  d(CS) equals the difference of
-    Chern characters at the form level (tested).
+    The t-integral is exact.  Theta_t = theta_0 + t theta_1 + t^2 theta_2,
+    theta_0 = dA_0 + A_0^A_0, theta_1 = d delta + A_0^delta + delta^A_0 and
+    theta_2 = delta^delta, and Theta_t^m has degree >= 2m, so with P_{m,n}
+    the t^n coefficient of Theta_t^m
+
+        integral_0^1 exp(-Theta_t) dt
+            = I + sum_{1 <= m <= dim/2} (-1)^m / m! sum_n P_{m,n} / (n + 1),
+
+    which is I on the circle.  Even-degree matrix forms do not commute, so
+    no multinomial formula applies: P_{m,n} = sum_i P_{m-1,n-i} ^ theta_i,
+    from Theta_t^m = Theta_t^{m-1} ^ Theta_t, keeps each product's order.
     """
     _require_common_metric(c0, c1)
-    d = c0.dim
-    n_nodes = (d + 1) // 2 + 1
-    nodes, weights = _gauss_legendre(n_nodes)
-    adot = c1.a - c0.a
-    acc = TrigPolyForm.zero(d, 1)
-    for x, w in zip(nodes, weights):
-        t = 0.5 * (x + 1.0)
-        at = c0.a + t * adot
-        theta = at.ext_d() + at.wedge(at)
-        integrand = adot.wedge((-theta).exp_nilpotent()).mat_trace()
-        acc = acc + (0.5 * w) * integrand
-    return (-1.0 / PHI_SCALE) * acc.phi_normalize()
+    a0, delta = c0.a, c1.a - c0.a
+    integral = TrigPolyForm.identity(c0.dim, c0.rank)
+    if c0.dim > 1:
+        theta = (
+            a0.ext_d() + a0.wedge(a0),
+            delta.ext_d() + a0.wedge(delta) + delta.wedge(a0),
+            delta.wedge(delta),
+        )
+        power = theta  # P_{m,n}, n = 0..2m
+        for m in range(1, c0.dim // 2 + 1):
+            if m > 1:
+                power = [
+                    reduce(add, (power[n - i].wedge(theta[i])
+                                 for i in range(3) if 0 <= n - i < len(power)))
+                    for n in range(len(power) + 2)
+                ]
+            for n, p in enumerate(power):
+                integral = integral + (-1) ** m / (factorial(m) * (n + 1)) * p
+    integrand = delta.wedge(integral).mat_trace()
+    return (-1.0 / PHI_SCALE) * integrand.phi_normalize()
 
 
 def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:

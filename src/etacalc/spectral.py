@@ -137,18 +137,9 @@ class OperatorTruncation:
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
     connection is unitary and its fiber metric is the identity.
 
-    The eigenvalues are computed once per truncation, on the first call of
-    ``spectrum`` or ``spectrum_rows``.  The couplings split the modes into
-    connected components, each an eigenproblem of its own; the solve is
-    one batched call per component size, over matrices assembled from the
-    stack and the couplings without building ``dense``: ``eigvalsh`` when
-    ``hermitian`` (each eigenvalue of a matrix M lies within
-    ||M - M^H||_F / sqrt(2) of one it returns, by Bauer--Fike), ``eigvals``
-    otherwise.  Without couplings every component is one mode and the
-    solve is that of the stack; when the couplings connect the whole
-    window it is the solve of ``dense``.  Each eigenvalue is then repeated
-    ``copies`` times, once per spinor copy.  Every array is read-only so
-    that the cached values cannot go stale.
+    The eigenvalues are computed once per truncation, on first use, as
+    the module docstring describes, without building ``dense``.  Every
+    array is read-only so that the cached values cannot go stale.
     """
 
     dim: int
@@ -257,13 +248,11 @@ class OperatorTruncation:
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
         """Unsorted complex eigenvalues, one batched solve per component
-        size: an (m, s * per * copies) array per entry of ``_components``,
-        one row per component, each eigenvalue of its Galerkin matrix
-        repeated ``copies`` times in a row.  Without couplings the solve is
-        that of the stack, one row per mode.  Hermitian truncations are
-        solved by ``eigvalsh`` (each eigenvalue of M lies within
-        ||M - M^H||_F / sqrt(2) of one of its real values, by
-        Bauer--Fike), all others by ``eigvals``."""
+        size (``eigvalsh`` if ``hermitian``, else ``eigvals``): an
+        (m, s * per * copies) array per entry of ``_components``, one row
+        per component, each eigenvalue of its Galerkin matrix repeated
+        ``copies`` times in a row.  Without couplings the solve is that of
+        the stack, one row per mode."""
         solve = _eigvalsh if self.hermitian else np.linalg.eigvals
         return tuple(
             np.repeat(solve(self._component_matrices(members)), self.copies, axis=-1)
@@ -304,17 +293,15 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
     """
     model = clifford_model(c.dim)
     e, r = len(model.beta[0]), c.rank
-    freqs = range(-cutoff, cutoff + 1)
-    n_freqs = len(freqs)
+    ks = np.arange(-cutoff, cutoff + 1)
+    n_freqs = len(ks)
     stack = np.zeros((n_freqs**c.dim, e * r, e * r), dtype=complex)
     grid = stack.reshape((n_freqs,) * c.dim + (e, r, e, r))
     eye_r = np.eye(r)
     for j in range(c.dim):
         a_j = c.a.coefficient((0,) * c.dim, (j + 1,))
-        shape = [1] * c.dim + [r, r]
-        shape[j] = n_freqs
-        inner = np.array([2j * math.pi * k * eye_r + a_j for k in freqs])
-        inner = inner.reshape(shape)
+        shape = (1,) * j + (n_freqs,) + (1,) * (c.dim - 1 - j) + (r, r)
+        inner = (2j * math.pi * ks[:, None, None] * eye_r + a_j).reshape(shape)
         beta_j = model.beta[j]
         for a, b in zip(*np.nonzero(beta_j)):
             grid[..., a, :, b, :] += beta_j[a, b] * inner
@@ -363,6 +350,21 @@ def spectrum(t: OperatorTruncation) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (Re, Im); a copy of the
     truncation's cached solve."""
     return t._spectrum.copy()
+
+
+def inner_spectrum(t: OperatorTruncation, cutoff: int) -> np.ndarray:
+    """The sorted eigenvalues of the modes with max_j |k_j| <= ``cutoff`` from
+    the cached solve of an uncoupled truncation of c: bitwise
+    ``spectrum(build_truncation(c, cutoff))``, as each mode's block depends
+    only on k and A and is solved on its own.  ValueError for a coupled
+    truncation (its narrower window is another eigenproblem) or a wider cutoff."""
+    if t.couplings:
+        raise ValueError("a coupled truncation has no per-mode spectrum")
+    if not 1 <= cutoff <= t.cutoff:
+        raise ValueError(f"cutoff must lie in 1..{t.cutoff}, got {cutoff}")
+    inside = np.abs(np.array(t.modes)).max(axis=1) <= cutoff
+    vals = t._eigvals[0][inside].ravel()
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:

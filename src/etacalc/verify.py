@@ -48,7 +48,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import build_truncation, s1_mu_list, spectrum
+from .spectral import build_truncation, inner_spectrum, s1_mu_list, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -305,11 +305,18 @@ class CutoffInstabilityError(ArithmeticError):
 
 def _endpoint_sf(c0: Connection, c1: Connection, cutoff: int) -> int:
     """Spectral flow from c0 to c1 as the change of inertia of their
-    truncations, trusted only if ``cutoff + 1`` gives the same integer."""
-    sf, wider = (
-        spectral_flow(build_truncation(c0, k), build_truncation(c1, k))
-        for k in (cutoff, cutoff + 1)
-    )
+    truncations, trusted only if ``cutoff + 1`` gives the same integer.  A
+    constant endpoint is solved once, at ``cutoff + 1``, whose inner cube is
+    the ``cutoff`` window; an endpoint with couplings is also built at it."""
+    narrow, wide = [], []
+    for c in (c0, c1):
+        t = build_truncation(c, cutoff + 1)
+        wide.append(spectrum(t))
+        if t.couplings:
+            narrow.append(spectrum(build_truncation(c, cutoff)))
+        else:
+            narrow.append(inner_spectrum(t, cutoff))
+    sf, wider = spectral_flow(*narrow), spectral_flow(*wide)
     if wider != sf:
         raise CutoffInstabilityError(
             f"spectral flow {sf} at cutoff {cutoff} but {wider} at cutoff "
@@ -333,7 +340,7 @@ def check_variation_complex(
     and axis-free).  sf is the change of inertia between the Galerkin
     truncations of the two endpoints, so only ``path(0)`` and ``path(1)``
     are evaluated; it must agree at ``cutoff`` and ``cutoff + 1``, else
-    CutoffInstabilityError.
+    CutoffInstabilityError (one solve at ``cutoff + 1`` per constant endpoint).
     """
     c0 = path(0.0)
     c1 = path(1.0)
@@ -365,8 +372,8 @@ def check_gauge_pumping(
     """Spectral flow along the gauge interpolation with winding w equals w
     exactly (integer comparison): the gauge path pumps w eigenvalue towers
     across the imaginary axis.  sf comes from the endpoint truncations and
-    must agree at ``cutoff`` and ``cutoff + 1``, else
-    CutoffInstabilityError.
+    must agree at ``cutoff`` and ``cutoff + 1`` (one solve at ``cutoff + 1``
+    per constant endpoint), else CutoffInstabilityError.
     """
     w = int(w)
     sf = _endpoint_sf(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)

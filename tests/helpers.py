@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from etacalc import cli
-from etacalc.forms import TrigPolyForm
+from etacalc.forms import PHI_SCALE, TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
 
 # Small integer/rational-ish entries keep float roundoff tiny, so exact
@@ -324,10 +324,49 @@ def r_poly_at(coeffs, r: complex) -> TrigPolyForm:
     return acc
 
 
+def exp_nilpotent(form: TrigPolyForm) -> TrigPolyForm:
+    """Fiberwise exponential of a form with only even degrees >= 2.
+
+    Each wedge power raises the degree by at least 2, so the series
+    terminates after at most dim/2 powers and the result is exact.
+    Restricting to even degrees keeps the summands in the commutative
+    center of the grading (no hidden sign subtleties for curvature
+    exponentials).
+    """
+    if any(p == 0 or p % 2 for p in form.degrees()):
+        raise ValueError("exp_nilpotent requires even degrees >= 2 only")
+    result = TrigPolyForm.identity(form.dim, form.rank)
+    power = result
+    for m in range(1, form.dim // 2 + 1):
+        power = power.wedge(form) / m
+        if not power.num_terms():
+            break
+        result = result + power
+    return result
+
+
+def cs_form_quadrature(c0: Connection, c1: Connection) -> TrigPolyForm:
+    """``geometry.cs_form`` by quadrature in t, an independent reference:
+    the t-integrand Tr[Adot exp(-Theta_t)] is a polynomial of degree at
+    most dim, so Gauss--Legendre with ceil(dim/2) + 1 nodes integrates it
+    exactly, A_t, Theta_t and exp(-Theta_t) rebuilt at every node."""
+    d = c0.dim
+    nodes, weights = np.polynomial.legendre.leggauss((d + 1) // 2 + 1)
+    adot = c1.a - c0.a
+    acc = TrigPolyForm.zero(d, 1)
+    for x, w in zip(nodes, weights):
+        t = 0.5 * (x + 1.0)
+        at = c0.a + t * adot
+        theta = at.ext_d() + at.wedge(at)
+        integrand = adot.wedge(exp_nilpotent(-theta)).mat_trace()
+        acc = acc + (0.5 * w) * integrand
+    return (-1.0 / PHI_SCALE) * acc.phi_normalize()
+
+
 def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
     """phi Tr[exp(-curvature)]: rank in degree 0 plus curvature corrections
     (the oracle that cs_form transgresses)."""
-    return (-c.curvature()).exp_nilpotent().mat_trace().phi_normalize(branch)
+    return exp_nilpotent(-c.curvature()).mat_trace().phi_normalize(branch)
 
 
 class ExteriorModel:

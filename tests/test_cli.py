@@ -180,6 +180,23 @@ def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, index", [("k", 1), ("I", 0)])
+@pytest.mark.parametrize("entry", [0.5, True, "1", [], "INTEGRAL"])
+def test_term_key_entries_are_integers(tmp_cwd, capsys, key, index, entry):
+    # the schema leaves k and I entries to the form's constructor, which
+    # refuses anything but an integer and takes an integral float (0.0 for
+    # the frequency 0, 2.0 for the index 2) as that integer
+    obj = load_bundled("t3_flat_commuting.json")
+    entries = obj["connections"]["main"]["A"]["terms"][1][key]
+    if entry == "INTEGRAL":
+        entries[index] = float(entries[index])
+        assert main(["run", write_scenario(tmp_cwd, obj)]) == 0
+    else:
+        entries[index] = entry
+        assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+
 def _experiment_mutations(exp: dict):
     """``exp`` with each key dropped, an unknown key added, each value
     replaced by a string, true, null and -1, and each other check named."""

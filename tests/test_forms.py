@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from etacalc.forms import EQ_TOL, InvalidInputError, SubTorus, TrigPolyForm
 
-from helpers import ReferenceForm, forms, rng_form, term_lists
+from helpers import ReferenceForm, exp_nilpotent, forms, rng_form, term_lists
 
 TWO_PI_I = 2j * math.pi
 
@@ -124,7 +124,7 @@ def test_exp_nilpotent_degree_two_on_t3():
     # On T^3 a 2-form squares to a 4-form = 0, so exp(a) = I + a exactly.
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = TrigPolyForm.monomial(3, N, I=(1, 2))
-    e = f.exp_nilpotent()
+    e = exp_nilpotent(f)
     np.testing.assert_allclose(e.coefficient((0, 0, 0), ()), np.eye(2))
     np.testing.assert_allclose(e.coefficient((0, 0, 0), (1, 2)), N)
     assert e.num_terms() == 2
@@ -137,21 +137,21 @@ def test_exp_nilpotent_second_order_on_t5():
     a = TrigPolyForm.monomial(5, M1, I=(1, 2)) + TrigPolyForm.monomial(
         5, M2, I=(3, 4)
     )
-    e = a.exp_nilpotent()
+    e = exp_nilpotent(a)
     # quadratic term: (a^a)/2 has the cross products on dx1..dx4
     np.testing.assert_allclose(
         e.coefficient((0,) * 5, (1, 2, 3, 4)), 0.5 * (M1 @ M2 + M2 @ M1)
     )
-    assert e.wedge((-a).exp_nilpotent()).allclose(
+    assert e.wedge(exp_nilpotent(-a)).allclose(
         TrigPolyForm.identity(5, 2), 1e-12
     )
 
 
 def test_exp_nilpotent_rejects_degree_zero_and_odd():
     with pytest.raises(ValueError):
-        TrigPolyForm.identity(2, 2).exp_nilpotent()
+        exp_nilpotent(TrigPolyForm.identity(2, 2))
     with pytest.raises(ValueError):
-        TrigPolyForm.monomial(2, np.eye(2), I=(1,)).exp_nilpotent()
+        exp_nilpotent(TrigPolyForm.monomial(2, np.eye(2), I=(1,)))
 
 
 def test_dagger_is_involution_and_conjugates_phase():
@@ -195,7 +195,7 @@ def test_operation_results_are_read_only():
         "mat_trace": a.mat_trace(),
         "degree_component": a.degree_component(min(a.degrees())),
         "phi_normalize": a.phi_normalize(),
-        "exp_nilpotent": rng_form(rng, dim=4, rank=2, degree=2).exp_nilpotent(),
+        "exp_nilpotent": exp_nilpotent(rng_form(rng, dim=4, rank=2, degree=2)),
     }
     for name, f in results.items():
         assert f.num_terms() > 0, name
@@ -302,8 +302,8 @@ def test_stokes_full_torus(a):
 
 @given(forms(dim=3, rank=2, degree=2, max_terms=2))
 def test_exp_times_exp_of_minus_is_identity(a):
-    e = a.exp_nilpotent()
-    em = (-a).exp_nilpotent()
+    e = exp_nilpotent(a)
+    em = exp_nilpotent(-a)
     assert e.wedge(em).allclose(TrigPolyForm.identity(a.dim, a.rank), 1e-9)
 
 
@@ -331,6 +331,29 @@ def test_from_json_obj_refuses_entries_that_are_not_numbers(part, rows):
     term[part] = rows
     with pytest.raises(InvalidInputError, match=f"{part} is not a list of rows"):
         TrigPolyForm.from_json_obj({"dim": 1, "rank": 2, "terms": [term]})
+
+
+@pytest.mark.parametrize("entry", [1.5, 0.7, True, np.bool_(True), "1", None, [], math.inf])
+def test_term_keys_refuse_entries_that_are_not_integers(entry):
+    # int() would round 1.5 and 0.7, and read True and "1" as 1
+    m = np.eye(2)
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        TrigPolyForm(2, 2, [(((entry, 0), (1,)), m)])
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        TrigPolyForm(2, 2, [(((0, 0), (entry,)), m)])
+    term = {"k": [entry, 0], "I": [1], "re": m.tolist(), "im": (0 * m).tolist()}
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        TrigPolyForm.from_json_obj({"dim": 2, "rank": 2, "terms": [term]})
+
+
+def test_term_keys_take_integral_numbers_as_integers():
+    m = np.eye(2)
+    want = TrigPolyForm(2, 2, [(((1, -2), (1, 2)), m)])
+    for k, I in [((1.0, -2.0), (1.0, 2)), ((np.int64(1), np.int32(-2)), (np.float64(1), 2))]:
+        got = TrigPolyForm(2, 2, [((k, I), m)])
+        assert got.allclose(want, 0.0)
+        term = got.to_json_obj()["terms"][0]
+        assert [type(v) for v in term["k"] + term["I"]] == [int] * 4
 
 
 @given(forms(dim=2, rank=2), st.sampled_from([1, -1]))

@@ -30,6 +30,7 @@ from helpers import (
     a_coeff_exact,
     chern_character,
     constant_hermitian_metric,
+    cs_form_quadrature,
     diagonal_connection_from_mus,
     r_poly_at,
     random_flat_commuting_connection,
@@ -254,14 +255,54 @@ def test_cs_requires_common_metric():
 
 
 def test_cs_transgresses_chern_character():
-    # d(CS(c0,c1)) = ch(c1) - ch(c0) at the level of forms.
+    # d(CS(c0,c1)) = ch(c1) - ch(c0) at the level of forms; on T^5 the
+    # quadratic term Theta_t^2 of the exponential enters.
     rng = np.random.default_rng(14)
-    for _ in range(4):
-        c0 = random_nonflat_connection(rng, 3, 2)
-        c1 = random_nonflat_connection(rng, 3, 2)
+    for dim in (3, 3, 3, 3, 5, 5, 5, 5):
+        c0 = random_nonflat_connection(rng, dim, 2)
+        c1 = random_nonflat_connection(rng, dim, 2)
         lhs = cs_form(c0, c1).ext_d()
         rhs = chern_character(c1) - chern_character(c0)
         assert lhs.allclose(rhs, 1e-9)
+
+
+def _gauged(c: Connection, basis: np.ndarray) -> Connection:
+    """c gauge-transformed by the unitary u = Q + P e^{2 pi i x_1}, P and Q
+    the projections onto the columns of ``basis``, on the identity metric:
+    a trig polynomial in x_1."""
+    d = c.dim
+    p = np.outer(basis[:, 0], basis[:, 0].conj())
+    q = np.outer(basis[:, 1], basis[:, 1].conj())
+    k = (1,) + (0,) * (d - 1)
+    u = TrigPolyForm.constant(d, q) + TrigPolyForm.monomial(d, p, k=k)
+    u_inv = TrigPolyForm.constant(d, q) + TrigPolyForm.monomial(
+        d, p, k=tuple(-v for v in k)
+    )
+    return Connection(gauge_transform(c, u, u_inv).a)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_cs_form_matches_quadrature_reference(dim):
+    # The closed-form t-integral against Gauss--Legendre quadrature with
+    # A_t, Theta_t and exp(-Theta_t) rebuilt at every node: non-flat,
+    # non-unitary pairs, and the same pairs gauged into trig polynomials.
+    rng = np.random.default_rng(40 + dim)
+    basis, _ = np.linalg.qr(rng_matrix(rng, 2))
+    pairs = []
+    for _ in range(3):
+        c0 = random_nonflat_connection(rng, dim, 2, scale=0.8)
+        c1 = random_nonflat_connection(rng, dim, 2, scale=0.8)
+        pairs += [(c0, c1), (_gauged(c0, basis), _gauged(c1, basis))]
+    for c0, c1 in pairs:
+        assert not c1.omega_metric().is_zero(1e-6)
+        assert c1.is_flat() == (dim == 1)  # every circle connection is flat
+        got, want = cs_form(c0, c1), cs_form_quadrature(c0, c1)
+        assert not want.is_zero(1e-3)
+        if dim == 1:
+            # no curvature on the circle: both integrate Tr[delta] exactly
+            assert got.to_json_obj() == want.to_json_obj()
+        else:
+            assert got.allclose(want, 1e-12 * want.max_abs())
 
 
 def test_cs_branch_independent():

@@ -1,8 +1,10 @@
 """The scripts under scripts/ still run against the package API: the
-verification driver, the heat-eta convergence table and the scenario
-builder, which must reproduce the committed scenario files."""
+verification driver, the heat-eta convergence table, the report digests
+and the scenario builder, which must reproduce the committed scenario
+files."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -35,6 +37,31 @@ def test_eta_heat_convergence_prints_the_table(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "mu = 0.25: exact eta = +0.500000000000"
     assert len(lines) == 3 and lines[2].split()[0] == "8"
+
+
+def test_report_digests_are_deterministic(tmp_path):
+    first = _run_script("report_digests.py", "--json", "rec.json", cwd=tmp_path)
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    # ten suite seeds, four scenario reports and the two spectrum CSVs
+    assert len(lines) == 16 and all(len(line.split()[0]) == 64 for line in lines)
+    assert lines[0].endswith("standard_suite(0)")
+    assert lines[-1].endswith("t3_spectrum e00_spectrum.csv")
+    # an older record whose suite-0 entry residual differs by 1e-3
+    record = json.loads((tmp_path / "rec.json").read_text())
+    suite0 = record["entries"]["standard_suite(0)"]
+    check_id = min(suite0)
+    suite0[check_id][4] += 1e-3
+    (tmp_path / "rec.json").write_text(json.dumps(record))
+    again = _run_script("report_digests.py", "--against", "rec.json", cwd=tmp_path)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout.splitlines() == lines + [
+        "digests that differ from rec.json: none",
+        "1 of 348 entries moved",
+        f"standard_suite(0)  {check_id}  |d lhs| 0.000e+00  |d rhs| 0.000e+00  "
+        "|d residual| 1.000e-03",
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["rec.json"]
 
 
 def test_build_scenarios_reproduces_committed_files(tmp_path, monkeypatch):

@@ -296,6 +296,37 @@ def test_gauge_pumping_check_exact_integers():
         assert e.lhs == complex(w)
 
 
+def test_endpoint_sf_builds_each_constant_endpoint_once(monkeypatch):
+    # A constant endpoint is built once, at cutoff + 1, and its inner cube
+    # gives the cutoff count; an endpoint with couplings is built at both.
+    from etacalc import verify
+    from etacalc.flow import gauge_path, spectral_flow
+    from etacalc.spectral import build_truncation
+
+    a = TWO_PI_I * np.array([[0.3 + 0.07j, 0.1], [0.05, 0.55 - 0.1j]])
+    c = Connection.from_constant(1, [a])
+    mus = diagonal_connection_from_mus
+    cases = [  # (start, end, builds, sf)
+        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), 2, 1),
+        (c, gauge_path(c, 1, 1.0), 3, 1),
+        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), 4, 1),
+        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), 4, 2),
+    ]
+    calls = []
+
+    def counted(conn, cutoff):
+        calls.append(cutoff)
+        return build_truncation(conn, cutoff)
+
+    monkeypatch.setattr(verify, "build_truncation", counted)
+    for c0, c1, builds, sf in cases:
+        calls.clear()
+        assert verify._endpoint_sf(c0, c1, 8) == sf
+        assert len(calls) == builds and set(calls) == ({9} if builds == 2 else {8, 9})
+        for k in (8, 9):
+            assert spectral_flow(build_truncation(c0, k), build_truncation(c1, k)) == sf
+
+
 # ----------------------------------------------------------------------
 # real/imaginary split
 
