@@ -16,8 +16,7 @@ with a distinct code per failure class:
   outside its domain (:class:`~etacalc.geometry.PreconditionError`);
   nothing else maps here
 * 3 -- a numerical guard tripped (memory guard, eigenvalue-tracking
-  ambiguity, spectral flow unstable under cutoff growth, interpolation
-  guard)
+  ambiguity, spectral flow unstable under cutoff growth)
 
 Any other exception is a bug and propagates with its traceback.
 
@@ -507,7 +506,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ScenarioError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except (MemoryGuardError, TrackError, ArithmeticError) as exc:
+    except (MemoryGuardError, TrackError, verify.CutoffInstabilityError) as exc:
         print(f"error: numerical guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

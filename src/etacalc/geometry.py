@@ -6,16 +6,15 @@ a Hermitian fiber metric g.  The central derived objects:
 
 * ``omega_metric``: the failure of d + A to preserve g (zero exactly for
   unitary connections), computed once per connection;
-* ``hermitian_part`` and the one-parameter ``r_deformation`` family that
-  interpolates between the Hermitian connection, the original one, and its
-  metric adjoint;
+* ``hermitian_part``, the metric-compatible connection A + omega/2;
 * Chern--Simons transgression forms between two connections, their
-  expansion in the deformation parameter r, and odd Chern forms.
+  expansion ``cs_r_poly`` in r along the family A + (1 + i r)/2 omega (both
+  from one closed-form expansion), and odd Chern forms.
 
 A metric is checked once, where it enters: in the ``Connection``
 constructor, which ``gauge_transform`` (a new metric from the caller's u)
 also runs.  Invalid input raises :class:`~etacalc.forms.InvalidInputError`
-there.  ``hermitian_part``, ``r_deformation``, ``linear_path`` and
+there.  ``hermitian_part``, ``linear_path`` and
 :func:`etacalc.flow.gauge_path` derive connections that keep their parent's
 checked metric through ``Connection.with_form``, which checks nothing.
 
@@ -210,13 +209,6 @@ class Connection:
         """The metric-compatible connection d + A + omega/2."""
         return self.with_form(self.a + 0.5 * self.omega_metric())
 
-    def r_deformation(self, r: complex) -> "Connection":
-        """A + (1 + i r)/2 * omega: r=0 gives the Hermitian part, r=i the
-        original connection, r=-i the metric adjoint; real r stays
-        metric-compatible."""
-        coef = (1.0 + 1j * complex(r)) / 2.0
-        return self.with_form(self.a + coef * self.omega_metric())
-
     def chern_odd(self, j: int) -> TrigPolyForm:
         """Odd Chern form of degree 2j+1: (2 pi i)^{-j} 2^{-(2j+1)} Tr[omega^{2j+1}]."""
         if j < 0:
@@ -280,34 +272,36 @@ def linear_path(c0: Connection, c1: Connection) -> Callable[[float], Connection]
     return lambda t: c0.with_form(c0.a * (1.0 - t) + c1.a * t)
 
 
-def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
-    """Chern--Simons transgression along the linear path from c0 to c1:
-    -(2 pi i)^{-1/2} phi( integral_0^1 Tr[delta exp(-Theta_t)] dt ), Theta_t
-    the curvature of A_t = A_0 + t delta, delta = A_1 - A_0; d(CS) = ch(c1) - ch(c0).
+def _cs_integral(a0: TrigPolyForm, delta: TrigPolyForm) -> list[TrigPolyForm]:
+    """integral_0^1 exp(-Theta_t) dt along A_t = A_0 + t delta, by degree in
+    delta: R_n at index n, so that CS(A_0, A_0 + s delta) = sum_n s^{n+1}
+    ``_transgression(delta, R_n)``.
 
-    The t-integral is exact.  Theta_t = theta_0 + t theta_1 + t^2 theta_2,
-    theta_0 = dA_0 + A_0^A_0, theta_1 = d delta + A_0^delta + delta^A_0 and
-    theta_2 = delta^delta, and Theta_t^m has degree >= 2m, so with P_{m,n}
-    the t^n coefficient of Theta_t^m
+    Theta_t = theta_0 + t theta_1 + t^2 theta_2, with theta_0 = dA_0 +
+    A_0^A_0, theta_1 = d delta + A_0^delta + delta^A_0 and theta_2 =
+    delta^delta.  With P_{m,n} the t^n coefficient of Theta_t^m,
 
         integral_0^1 exp(-Theta_t) dt
-            = I + sum_{1 <= m <= dim/2} (-1)^m / m! sum_n P_{m,n} / (n + 1),
+            = I + sum_{m >= 1} (-1)^m / m! sum_n P_{m,n} / (n + 1).
 
-    which is I on the circle.  Even-degree matrix forms do not commute, so
-    no multinomial formula applies: P_{m,n} = sum_i P_{m-1,n-i} ^ theta_i,
+    theta_i has degree i in delta, so P_{m,n} has degree n and its weight
+    1/(n + 1) comes with it.  Tr[delta ^ Theta_t^m] has degree 2m + 1, so
+    m <= (dim - 1)/2 and n <= dim - 1; on the circle the integral is I and
+    no theta is built.  Even-degree matrix forms do not commute, so no
+    multinomial formula applies: P_{m,n} = sum_i P_{m-1,n-i} ^ theta_i,
     from Theta_t^m = Theta_t^{m-1} ^ Theta_t, keeps each product's order.
     """
-    _require_common_metric(c0, c1)
-    a0, delta = c0.a, c1.a - c0.a
-    integral = TrigPolyForm.identity(c0.dim, c0.rank)
-    if c0.dim > 1:
+    top = (a0.dim - 1) // 2
+    integral = [TrigPolyForm.identity(a0.dim, a0.rank)]
+    if top:
+        integral += [TrigPolyForm.zero(a0.dim, a0.rank)] * (2 * top)
         theta = (
             a0.ext_d() + a0.wedge(a0),
             delta.ext_d() + a0.wedge(delta) + delta.wedge(a0),
             delta.wedge(delta),
         )
         power = theta  # P_{m,n}, n = 0..2m
-        for m in range(1, c0.dim // 2 + 1):
+        for m in range(1, top + 1):
             if m > 1:
                 power = [
                     reduce(add, (power[n - i].wedge(theta[i])
@@ -315,38 +309,42 @@ def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
                     for n in range(len(power) + 2)
                 ]
             for n, p in enumerate(power):
-                integral = integral + (-1) ** m / (factorial(m) * (n + 1)) * p
-    integrand = delta.wedge(integral).mat_trace()
-    return (-1.0 / PHI_SCALE) * integrand.phi_normalize()
+                integral[n] = integral[n] + (-1) ** m / (factorial(m) * (n + 1)) * p
+    return integral
+
+
+def _transgression(delta: TrigPolyForm, integral: TrigPolyForm) -> TrigPolyForm:
+    """-(2 pi i)^{-1/2} phi Tr[delta ^ integral]."""
+    return (-1.0 / PHI_SCALE) * delta.wedge(integral).mat_trace().phi_normalize()
+
+
+def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
+    """Chern--Simons transgression along the linear path from c0 to c1:
+    -(2 pi i)^{-1/2} phi( integral_0^1 Tr[delta exp(-Theta_t)] dt ), Theta_t
+    the curvature of A_t = A_0 + t delta, delta = A_1 - A_0; d(CS) = ch(c1) - ch(c0).
+
+    The t-integral is exact: the sum of the parts of ``_cs_integral``.
+    """
+    _require_common_metric(c0, c1)
+    delta = c1.a - c0.a
+    return _transgression(delta, reduce(add, _cs_integral(c0.a, delta)))
 
 
 def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:
-    """Expand r -> cs_form(hermitian_part(c), r_deformation(c, r)) in powers of r:
+    """Expand r -> CS(hermitian part, A + (1 + i r)/2 omega) in powers of r:
     the dim + 1 coefficient forms, the coefficient of r^i at index i.
 
-    The dependence is polynomial of degree at most dim, recovered exactly by
-    interpolation at the dim+2 integer nodes 0, 1, -1, 2, ...; the spurious
-    top coefficient of the interpolation must vanish and is checked.
+    The family is the Hermitian part at r = 0, the connection itself at
+    r = i and its metric adjoint at r = -i.  It is the Hermitian part plus
+    r delta with delta = (i/2) omega, so the coefficient of r^{n+1} is
+    ``_transgression(delta, R_n)`` of ``_cs_integral``, exactly; the
+    r^0 coefficient and those above the integral's top degree are zero.
     """
-    d = c.dim
-    herm = c.hermitian_part()
-    n_coef = d + 2
-    nodes = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(n_coef)]
-    vals = [cs_form(herm, c.r_deformation(r)) for r in nodes]
-    vmat = np.array([[float(n) ** j for j in range(n_coef)] for n in nodes])
-    vinv = np.linalg.inv(vmat)
-    coeffs = []
-    for j in range(n_coef):
-        acc = TrigPolyForm.zero(d, 1)
-        for i, val in enumerate(vals):
-            acc = acc + vinv[j, i] * val
-        coeffs.append(acc)
-    scale = max([v.max_abs() for v in vals] + [1.0])
-    if coeffs[-1].max_abs() > 1e-7 * scale:
-        raise ArithmeticError(
-            "CS family has unexpected r-degree; interpolation inconsistent"
-        )
-    return tuple(coeffs[: d + 1])
+    delta = 0.5j * c.omega_metric()
+    parts = _cs_integral(c.hermitian_part().a, delta)
+    zero = TrigPolyForm.zero(c.dim, 1)
+    coeffs = [_transgression(delta, r) for r in parts]
+    return (zero, *coeffs, *[zero] * (c.dim - len(coeffs)))
 
 
 # ----------------------------------------------------------------------

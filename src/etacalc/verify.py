@@ -203,14 +203,16 @@ def check_cs_odd_chern_pairing(
     label: str = "cs_odd_chern_pairing",
 ) -> list[CheckEntry]:
     """Pair the transgression from the metric-compatible connection to its
-    r-deformation against the weighted sum of odd Chern forms, on every
-    odd-dimensional coordinate subtorus::
+    r-deformation A + (1 + i r)/2 omega against the weighted sum of odd
+    Chern forms, on every odd-dimensional coordinate subtorus::
 
         <CS(herm, r-deformed)>_J = -(r/2pi) sum_j a_j(r)/j! <c_{2j+1}>_J
 
     Requires a flat connection (the identity uses flatness); one entry per
-    r and subtorus, absolute comparison.  The odd-Chern pairings do not
-    depend on r, so they are computed once; each r costs one ``cs_form``.
+    r and subtorus, absolute comparison.  Neither side's pairings depend on
+    r, so they are computed once: the left side is sum_i r^i p_{i,J}, p_{i,J}
+    the pairings of the ``cs_r_poly`` coefficients that ``re_im_split``
+    reads too.
     """
     if not c.is_flat(1e-9):
         raise PreconditionError("pairing identity requires a flat connection")
@@ -224,7 +226,8 @@ def check_cs_odd_chern_pairing(
         ]
         for region in regions
     ]
-    herm = c.hermitian_part()
+    coeffs = cs_r_poly(c)
+    cs_pairings = [[subtorus_pairing(f, region) for f in coeffs] for region in regions]
     identity = (
         "subtorus pairing of CS(hermitian part, r-deformation) equals "
         "-(r/2pi) sum_j a_j(r)/j! times the odd-Chern pairing"
@@ -232,9 +235,8 @@ def check_cs_odd_chern_pairing(
     entries = []
     for r in r_values:
         r = float(r)
-        cs = cs_form(herm, c.r_deformation(r))
-        for region, pairings in zip(regions, odd_pairings):
-            lhs = subtorus_pairing(cs, region)
+        for region, pairings, ps in zip(regions, odd_pairings, cs_pairings):
+            lhs = sum(r**i * p for i, p in enumerate(ps))
             rhs = 0j
             for j, pairing in enumerate(pairings):
                 rhs -= (r / (2 * math.pi)) * a_coeff(j, r) / factorial(j) * pairing

@@ -316,6 +316,14 @@ def unitary_on_constant_metric(rng: np.random.Generator) -> Connection:
     )
 
 
+def r_deformation(c: Connection, r: complex) -> Connection:
+    """d + A + (1 + i r)/2 omega on c's metric: the family that
+    ``cs_r_poly`` expands, built directly as the reference it is tested
+    against.  r = 0 gives the Hermitian part, r = i the connection itself,
+    r = -i its metric adjoint; real r stays metric-compatible."""
+    return c.with_form(c.a + (1.0 + 1j * complex(r)) / 2.0 * c.omega_metric())
+
+
 def r_poly_at(coeffs, r: complex) -> TrigPolyForm:
     """sum_i r^i coeffs[i]: a ``cs_r_poly`` expansion evaluated at r."""
     acc = TrigPolyForm.zero(coeffs[0].dim, coeffs[0].rank)

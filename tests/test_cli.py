@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from etacalc import cli, flow, spectral
+from etacalc import cli, flow, spectral, verify
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
@@ -665,6 +665,19 @@ def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
     with pytest.raises(np.linalg.LinAlgError):
         main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
+
+
+def test_stray_arithmetic_error_is_not_a_guard(tmp_cwd, monkeypatch):
+    # CutoffInstabilityError is an ArithmeticError, but exit 3 means a guard
+    # tripped: any other ArithmeticError inside a check is a bug to surface
+    def dividing(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(verify, "check_re_im_split", dividing)
+    obj = load_bundled("s1_nonunitary.json")
+    obj["experiments"] = [{"check": "re_im_split", "connection": "main"}]
+    with pytest.raises(ZeroDivisionError):
+        main(["run", write_scenario(tmp_cwd, obj)])
 
 
 def test_oversized_tracks_exit_3_before_matching(tmp_cwd, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from helpers import (
     constant_hermitian_metric,
     cs_form_quadrature,
     diagonal_connection_from_mus,
+    r_deformation,
     r_poly_at,
     random_flat_commuting_connection,
     random_nonflat_connection,
@@ -152,19 +153,27 @@ def test_hermitian_part_kills_omega():
 
 
 def test_r_deformation_special_values():
+    # The expansion of cs_r_poly at r = i is the transgression from the
+    # Hermitian part to the connection itself, at r = -i the one to its
+    # metric adjoint A + omega.
     rng = np.random.default_rng(7)
-    c = random_flat_commuting_connection(rng, 1, 2)
-    assert c.r_deformation(0).a.allclose(c.hermitian_part().a, 1e-12)
-    assert c.r_deformation(1j).a.allclose(c.a, 1e-12)
-    adjoint = c.a + c.omega_metric()
-    assert c.r_deformation(-1j).a.allclose(adjoint, 1e-12)
+    for c in (
+        random_flat_commuting_connection(rng, 1, 2),
+        random_nonflat_connection(rng, 3, 2),
+    ):
+        coeffs, herm = cs_r_poly(c), c.hermitian_part()
+        adjoint = c.with_form(c.a + c.omega_metric())
+        for r, target in ((1j, c), (-1j, adjoint)):
+            want = cs_form(herm, target)
+            assert not want.is_zero(1e-6)
+            assert r_poly_at(coeffs, r).allclose(want, 1e-14 * want.max_abs())
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
 def test_r_deformation_real_r_metric_compatible(r):
     rng = np.random.default_rng(8)
     c = random_nonflat_connection(rng, 3, 2)
-    assert c.r_deformation(r).omega_metric().is_zero(1e-9)
+    assert r_deformation(c, r).omega_metric().is_zero(1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -329,14 +338,18 @@ def test_cs_r_poly_unitary_vanishes():
 
 
 def test_cs_r_poly_matches_direct_evaluation():
+    # On T^5 at rank 3, theta_2 and the m = 2 products of the expansion
+    # enter and every coefficient p_1..p_5 is non-zero.
     rng = np.random.default_rng(17)
-    c = random_nonflat_connection(rng, 3, 2)
-    coeffs = cs_r_poly(c)
-    assert len(coeffs) - 1 == 3  # degree dim in r
-    assert coeffs[0].is_zero(1e-9)  # CS(herm, herm) = 0 at r = 0
-    for r in (0.7, -1.3, 0.2 + 0.4j):
-        direct = cs_form(c.hermitian_part(), c.r_deformation(r))
-        assert r_poly_at(coeffs, r).allclose(direct, 1e-10)
+    for dim, rank in ((3, 2), (5, 3)):
+        c = random_nonflat_connection(rng, dim, rank)
+        coeffs = cs_r_poly(c)
+        assert len(coeffs) - 1 == c.dim  # degree dim in r
+        assert coeffs[0].is_zero(0.0)  # CS(herm, herm) = 0 at r = 0
+        assert not any(f.is_zero(1e-6) for f in coeffs[1:])
+        for r in (0.7, -1.3, 0.2 + 0.4j, -0.6 - 1.1j):
+            direct = cs_form(c.hermitian_part(), r_deformation(c, r))
+            assert r_poly_at(coeffs, r).allclose(direct, 1e-10)
 
 
 def test_cs_odd_chern_pairing_rank1_circle():
@@ -344,7 +357,7 @@ def test_cs_odd_chern_pairing_rank1_circle():
     a = 1.0 + 2.0j
     c = Connection.from_constant(1, [np.array([[a]])])
     r = 0.5
-    lhs = subtorus_pairing(cs_form(c.hermitian_part(), c.r_deformation(r)))
+    lhs = subtorus_pairing(cs_form(c.hermitian_part(), r_deformation(c, r)))
     rhs = -(r / (2 * math.pi)) * a_coeff(0, r) * subtorus_pairing(c.chern_odd(0))
     assert lhs == pytest.approx(rhs, abs=1e-12)
     assert lhs == pytest.approx(r * a.real / (2 * math.pi), abs=1e-12)
@@ -356,7 +369,7 @@ def test_cs_odd_chern_pairing_flat_t3():
         c = random_flat_commuting_connection(rng, 3, 2)
         poly_side = {}
         for region in odd_subtori(3):
-            cs = cs_form(c.hermitian_part(), c.r_deformation(r))
+            cs = cs_form(c.hermitian_part(), r_deformation(c, r))
             lhs = subtorus_pairing(cs, region)
             rhs = 0.0
             for j in range(2):
@@ -422,11 +435,7 @@ def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
     linear path c -> other, as a scenario builds it)."""
     scn = cli.Scenario(1, 2, {"c": c, "other": other}, 0, (), None, None)
     linear = cli._build_path(scn, {"kind": "linear", "from": "c", "to": "other"})
-    out = {
-        "hermitian_part": c.hermitian_part(),
-        "r=0.7": c.r_deformation(0.7),
-        "r=0.4-1.3i": c.r_deformation(0.4 - 1.3j),
-    }
+    out = {"hermitian_part": c.hermitian_part()}
     for t in (0.0, 0.5, 1.0):
         out[f"gauge_path(t={t})"] = gauge_path(c, 2, t)
         out[f"linear(t={t})"] = linear(t)

@@ -5,11 +5,17 @@ Each mutation replaces a name where its caller reads it (``verify``
 imports its factors by name, so they are patched in ``verify``;
 ``spectral`` reads its own ``clifford_model``).  Between them the
 mutations catch every check family of the suite except ``psi_constancy``,
-whose entries compare 0 with 0 on every flat input until ROADMAP item 3
+whose entries compare 0 with 0 on every flat input until ROADMAP item 4
 gives it a spectral side.  The orientation of the Clifford generators
 (the sign of beta_d) is load-bearing: flipping it reverses every Galerkin
 spectrum on the circle, which the spectral-flow checks see, while the
 closed-form etas and the symmetric census of ``bk_phase`` do not.
+
+``cs_odd_chern_pairing`` and ``re_im_split`` read the same ``cs_r_poly``
+coefficients p_i, so negating the odd ones fails both.  Flipping the sign
+of p_2 alone has no row: its pairings vanish on every flat connection (the
+odd-Chern side is odd in r) and it is absent on the circle, so no suite
+entry can see it until ROADMAP item 2 brings re/im entries on curved T^3.
 """
 
 import copy
@@ -57,6 +63,13 @@ def _dagger_transpose_only(orig):
             self.rank,
             [((tuple(-v for v in k), I), m.T) for k, I, m in self.terms()],
         )
+
+    return mutated
+
+
+def _odd_coefficients_negated(orig):
+    def mutated(c):
+        return tuple(-f if i % 2 else f for i, f in enumerate(orig(c)))
 
     return mutated
 
@@ -113,6 +126,10 @@ MUTATIONS = {
     "Clifford orientation flipped": (
         [(spectral, "clifford_model", _orientation_flipped)],
         {"gauge_pumping", "variation_complex"},
+    ),
+    "cs_r_poly odd coefficients negated": (
+        [(verify, "cs_r_poly", _odd_coefficients_negated)],
+        {"cs_odd_chern_pairing", "re_im_split"},
     ),
     "dagger without conjugation": (
         [(TrigPolyForm, "dagger", _dagger_transpose_only)],
