@@ -14,7 +14,8 @@ import pathlib
 
 import numpy as np
 
-from etacalc.geometry import Connection
+from etacalc.forms import TrigPolyForm
+from etacalc.geometry import Connection, gauge_transform
 
 TWO_PI_I = 2j * math.pi
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -160,11 +161,45 @@ def t3_spectrum() -> dict:
     }
 
 
+def gauged_connection(mu_rows, v) -> dict:
+    """Connection JSON for A_j = diag(2*pi*i*mu) on T^3 gauge-transformed by
+    u = Q + P e^{2 pi i x_1}, where P projects onto the unit vector v and
+    Q onto its orthogonal complement: trig-polynomial, with frequencies 0
+    and +-e_1, unitary for real mu."""
+    w = np.array([-v[1].conjugate(), v[0].conjugate()])
+    p, q = np.outer(v, v.conj()), np.outer(w, w.conj())
+    u = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(1, 0, 0))
+    u_inv = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(-1, 0, 0))
+    mats = [np.diag([TWO_PI_I * m for m in row]) for row in mu_rows]
+    diag = Connection.from_constant(3, mats)
+    return Connection(gauge_transform(diag, u, u_inv).a).to_json_obj()
+
+
+def t3_gauged_spectrum() -> dict:
+    # the first coupled connection among the bundled scenarios: its modes
+    # split into 169 lines of 13 along x_1, each solved on its own
+    rng = np.random.default_rng(17)
+    mu_rows = rng.uniform(0.1, 0.9, (3, 2)).tolist()
+    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = z / math.sqrt(sum(abs(x) ** 2 for x in z))
+    return {
+        "manifold": {"dim": 3},
+        "bundle": {"rank": 2},
+        "connections": {"main": gauged_connection(mu_rows, v)},
+        "experiments": [{"check": "spectrum", "connection": "main", "cutoff": 6}],
+        "output": {
+            "report": "out/t3_gauged_spectrum_report.json",
+            "csv_dir": "out",
+        },
+    }
+
+
 def main() -> None:
     write("s1_unitary.json", s1_unitary())
     write("s1_nonunitary.json", s1_nonunitary())
     write("t3_flat_commuting.json", t3_flat_commuting())
     write("t3_spectrum.json", t3_spectrum())
+    write("t3_gauged_spectrum.json", t3_gauged_spectrum())
 
 
 if __name__ == "__main__":

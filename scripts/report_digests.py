@@ -6,7 +6,7 @@ Usage:
     python3 scripts/report_digests.py [--json PATH] [--against OLD.json]
 
 Digested: ``standard_suite(s).to_json()`` for s = 0 .. 9, the reports of
-the four bundled scenarios run by ``etacalc run --emit-csv`` in a
+the five bundled scenarios run by ``etacalc run --emit-csv`` in a
 temporary directory (without ``generated_at``, the only field that changes
 between runs) and the CSV files those runs write.
 
@@ -30,7 +30,9 @@ from etacalc.cli import main as etacalc_main
 from etacalc.verify import standard_suite
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-BUNDLED = ("s1_unitary", "s1_nonunitary", "t3_flat_commuting", "t3_spectrum")
+BUNDLED = (
+    "s1_unitary", "s1_nonunitary", "t3_flat_commuting", "t3_spectrum", "t3_gauged_spectrum"
+)
 
 
 def _sha256(data: bytes) -> str:

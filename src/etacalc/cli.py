@@ -8,15 +8,16 @@ with a distinct code per failure class:
 
 * 0 -- everything ran and every check passed
 * 1 -- at least one check entry failed its tolerance
-* 2 -- the scenario is invalid (JSON/schema violation, a number that is
-  not a finite float, unknown connection name, shape mismatch, repeated
-  experiment label or one that is not a file name, a connection or metric
-  that input validation refuses with
-  :class:`~etacalc.forms.InvalidInputError`) or asks a check for something
+* 2 -- the scenario is invalid (JSON/schema violation, or input that
+  validation refuses with :class:`~etacalc.forms.InvalidInputError`: a
+  number that is not a finite float, unknown connection name, shape
+  mismatch, repeated experiment label or one that is not a file name, a
+  connection or metric that is not valid) or asks a check for something
   outside its domain (:class:`~etacalc.geometry.PreconditionError`);
   nothing else maps here
-* 3 -- a numerical guard tripped (memory guard, eigenvalue-tracking
-  ambiguity, spectral flow unstable under cutoff growth)
+* 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
+  memory guard, eigenvalue-tracking ambiguity, spectral flow unstable
+  under cutoff growth)
 
 Any other exception is a bug and propagates with its traceback.
 
@@ -53,10 +54,10 @@ from typing import Callable
 import jsonschema
 
 from . import verify
-from .flow import TrackError, export_tracks_csv, gauge_path, track_path
+from .flow import export_tracks_csv, gauge_path, track_path
 from .forms import InvalidInputError
 from .geometry import Connection, PreconditionError, linear_path
-from .spectral import MemoryGuardError, build_truncation, export_spectrum_csv
+from .spectral import GuardError, build_truncation, export_spectrum_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -132,11 +133,6 @@ _PATH_SCHEMA = {
         ),
     ],
 }
-
-
-class ScenarioError(ValueError):
-    """The scenario is refused beyond its schema (a number that is not a
-    finite float, unknown connection name, shape mismatch, repeated label)."""
 
 
 @dataclass(frozen=True)
@@ -320,13 +316,13 @@ def _finite(text: str) -> str:
     and +-Infinity (not JSON under RFC 8259), 1e999 and integers too large
     to convert are refused."""
     if not math.isfinite(float(text)):
-        raise ScenarioError(f"number {text[:40]} is not a finite float")
+        raise InvalidInputError(f"number {text[:40]} is not a finite float")
     return text
 
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; jsonschema.ValidationError,
-    json.JSONDecodeError, and ScenarioError all mean exit code 2.  Once the
+    json.JSONDecodeError, and InvalidInputError all mean exit code 2.  Once the
     scenario passes its schema, each experiment is validated against its
     own check's schema, so an error in the scenario's layout is reported
     before any experiment's.  Each experiment gets its label here, explicit
@@ -352,9 +348,9 @@ def load_scenario(path: str) -> Scenario:
         try:
             conn = Connection.from_json_obj(spec)
         except InvalidInputError as exc:
-            raise ScenarioError(f"connection {name!r}: {exc}") from exc
+            raise InvalidInputError(f"connection {name!r}: {exc}") from exc
         if conn.dim != dim or conn.rank != rank:
-            raise ScenarioError(
+            raise InvalidInputError(
                 f"connection {name!r} is dim={conn.dim} rank={conn.rank}, "
                 f"scenario declares dim={dim} rank={rank}"
             )
@@ -363,7 +359,7 @@ def load_scenario(path: str) -> Scenario:
     for i, exp in enumerate(obj["experiments"]):
         label = exp.get("label", f"e{i:02d}_{exp['check']}")
         if label in experiments:
-            raise ScenarioError(f"two experiments are labelled {label!r}")
+            raise InvalidInputError(f"two experiments are labelled {label!r}")
         experiments[label] = {**exp, "label": label}
     output = obj.get("output", {})
     return Scenario(
@@ -383,7 +379,7 @@ def load_scenario(path: str) -> Scenario:
 
 def _named_connection(scn: Scenario, name: str) -> Connection:
     if name not in scn.connections:
-        raise ScenarioError(f"unknown connection {name!r}")
+        raise InvalidInputError(f"unknown connection {name!r}")
     return scn.connections[name]
 
 
@@ -491,7 +487,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_SCENARIO
-    except ScenarioError as exc:
+    except InvalidInputError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
 
@@ -503,10 +499,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             emit_csv=args.emit_csv,
             seed_override=args.seed,
         )
-    except (ScenarioError, PreconditionError) as exc:
+    except (InvalidInputError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except (MemoryGuardError, TrackError, verify.CutoffInstabilityError) as exc:
+    except GuardError as exc:
         print(f"error: numerical guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -14,8 +14,8 @@ the winding-w gauge path (each tower's floor(Re mu) rises by w).
 
 Eigenvalue tracking (:func:`track_path`) only feeds the ``tracks`` CSV
 artifact, which shows where crossings happen; no check reads it.  Each of
-its matching steps holds n x n arrays for n eigenvalues, so it refuses,
-under the spectral memory guard, paths whose spectra make those too large.
+its matching steps holds n x n arrays for n eigenvalues; the memory guard
+of :mod:`etacalc.spectral` counts them before the first step.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import spectral
 from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError, _gauge_form
-from .spectral import OperatorTruncation, spectrum
+from .spectral import GuardError, OperatorTruncation, _require_memory, spectrum
 
 # endpoint eigenvalues with |Re| at or below this are on the imaginary axis
 AXIS_TOL = 1e-9
@@ -41,7 +40,7 @@ MAX_BISECTIONS = 20
 _MATCH_BYTES_PER_PAIR = 35
 
 
-class TrackError(RuntimeError):
+class TrackError(GuardError):
     """Eigenvalue tracking could not be disambiguated within the refinement
     budget (near-collision)."""
 
@@ -74,17 +73,6 @@ def _sample_spectrum(sample) -> np.ndarray:
     if arr.ndim == 1:
         return arr[np.lexsort((arr.imag, arr.real))]
     raise TypeError("path samples must be truncations, matrices, or spectra")
-
-
-def _guard_matching(n: int) -> None:
-    """Refuse tracking n eigenvalues when the n x n arrays of one matching
-    step would exceed ``spectral.MEMORY_LIMIT``."""
-    needed = _MATCH_BYTES_PER_PAIR * n * n
-    if needed > spectral.MEMORY_LIMIT:
-        raise spectral.MemoryGuardError(
-            f"tracking {n} eigenvalues would need {needed} bytes per matching "
-            f"step (limit {spectral.MEMORY_LIMIT}); lower the cutoff"
-        )
 
 
 def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,7 +128,8 @@ def track_path(path: Callable[[float], object], m0: int = 8) -> EigenvalueTrack:
         raise ValueError("need at least one interval")
     times = np.linspace(0.0, 1.0, m0 + 1)
     spectra = [_sample_spectrum(path(times[0]))]
-    _guard_matching(len(spectra[0]))
+    n = len(spectra[0])
+    _require_memory(_MATCH_BYTES_PER_PAIR * n * n, f"tracking {n} eigenvalues")
     spectra += [_sample_spectrum(path(t)) for t in times[1:]]
     sizes = {len(s) for s in spectra}
     if len(sizes) != 1:

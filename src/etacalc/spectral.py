@@ -32,7 +32,9 @@ eigenproblem of its own: the spectrum is one batched eigen-solve per
 component size, over the components' Galerkin matrices assembled from the
 stack and the couplings (without couplings, the stack itself), each
 eigenvalue repeated 2^n times, and is cached on the truncation.  A memory
-guard refuses truncations that would not fit before allocating them.
+guard, checked where arrays are allocated, refuses a stack, or a batch of
+component matrices next to it, that would not fit; so a window that its
+couplings split into small components solves.
 
 The solve has two LAPACK routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -64,12 +66,27 @@ import numpy as np
 
 from .geometry import Connection
 
-# refuse eigenproblem storage beyond this many bytes (complex128 dense)
+# bytes one allocation may take: a stack, the stack plus one batch of its
+# complex128 component matrices, or the arrays of one tracking step
 MEMORY_LIMIT = 512 * 1024 * 1024
 
 
-class MemoryGuardError(RuntimeError):
+class GuardError(RuntimeError):
+    """A numerical guard refused the input; exit 3."""
+
+
+class MemoryGuardError(GuardError):
     """A requested truncation exceeds the configured memory budget."""
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating it, ``what`` needing ``nbytes`` bytes
+    beyond ``MEMORY_LIMIT``."""
+    if nbytes > MEMORY_LIMIT:
+        raise MemoryGuardError(
+            f"{what} would need {nbytes} bytes (limit {MEMORY_LIMIT}); "
+            "lower the cutoff"
+        )
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -131,8 +148,9 @@ class OperatorTruncation:
     connections.  ``blocks`` (constant connections only) is a read-only
     mapping from each frequency to its (per, per) view of the stack, and
     ``dense`` (coupled connections only) is the Galerkin matrix of the one
-    copy, built on first use.  ``size`` counts the eigenvalues of the
-    operator on all copies: ``copies`` times the order of ``dense``.
+    copy, built on first use and guarded as one batch.  ``size`` counts
+    the eigenvalues of the operator on all copies: ``copies`` times the
+    order of ``dense``.
 
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
     connection is unitary and its fiber metric is the identity.
@@ -226,12 +244,17 @@ class OperatorTruncation:
         diagonal, and each coupling added, in term order, to the blocks
         (k + q, k) of its pairs k -> k + q.  Every pair with its source in
         a component has its target there too, so these are the principal
-        submatrices of ``dense``, bitwise."""
+        submatrices of ``dense``, bitwise.  The memory guard counts them,
+        and the stack, before they are allocated."""
         m, s = members.shape
         n, per, _ = self.stack.shape
         if s == 1:
             # lone modes have no couplings; all of them are the stack itself
             return self.stack if m == n else self.stack[members[:, 0]]
+        _require_memory(
+            self.stack.nbytes + 16 * m * (s * per) ** 2,
+            f"the stack and a batch of shape {(m, s * per, s * per)}",
+        )
         out = np.zeros((m, s, per, s, per), dtype=complex)
         pos = np.arange(s)
         out[:, pos, :, pos, :] = self.stack[members].swapaxes(0, 1)
@@ -313,31 +336,19 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
 
     The mode-diagonal stack is built for every connection, plus one
     coupling beta_j (x) A_q per oscillatory term q of A, on one spinor
-    copy.  Refuses, before allocating anything, truncations that need more
-    than ``MEMORY_LIMIT`` bytes of matrix storage for that copy: the dense
-    matrix when there are couplings (counted although the solve, one
-    connected mode component at a time, does not allocate it), the stack
-    otherwise.
+    copy.  Refuses, before allocating it, a stack of more than
+    ``MEMORY_LIMIT`` bytes; a solve checks each batch of component
+    matrices it assembles in the same way.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     model = clifford_model(c.dim)
     n_modes = (2 * cutoff + 1) ** c.dim
     per = len(model.beta[0]) * c.rank
-    oscillatory = [(q, I, mat) for q, I, mat in c.a.terms() if any(q)]
-    # one dense coupled matrix, or one (per, per) block per mode
-    if oscillatory:
-        bytes_needed = 16 * (n_modes * per) ** 2
-    else:
-        bytes_needed = 16 * n_modes * per * per
-    if bytes_needed > MEMORY_LIMIT:
-        storage = "dense Galerkin matrix" if oscillatory else "block storage"
-        raise MemoryGuardError(
-            f"{storage} would need {bytes_needed} bytes "
-            f"(limit {MEMORY_LIMIT}); lower the cutoff"
-        )
+    _require_memory(16 * n_modes * per * per, f"the stack of {n_modes} modes")
     couplings = tuple(
-        (q, _read_only(np.kron(model.beta[I[0] - 1], mat))) for q, I, mat in oscillatory
+        (q, _read_only(np.kron(model.beta[I[0] - 1], mat)))
+        for q, I, mat in c.a.terms() if any(q)
     )
     return OperatorTruncation(
         c.dim, c.rank, cutoff,

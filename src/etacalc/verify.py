@@ -48,7 +48,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import build_truncation, inner_spectrum, s1_mu_list, spectrum
+from .spectral import GuardError, build_truncation, inner_spectrum, s1_mu_list, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -300,7 +300,7 @@ def check_gilkey_variation(
     )
 
 
-class CutoffInstabilityError(ArithmeticError):
+class CutoffInstabilityError(GuardError):
     """The truncated spectral flow changed when the Galerkin cutoff grew by
     one: crossings reach the edge of the truncation window."""
 

@@ -21,6 +21,7 @@ BUNDLED = [
     "s1_nonunitary.json",
     "t3_flat_commuting.json",
     "t3_spectrum.json",
+    "t3_gauged_spectrum.json",
 ]
 
 
@@ -668,8 +669,8 @@ def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
 
 
 def test_stray_arithmetic_error_is_not_a_guard(tmp_cwd, monkeypatch):
-    # CutoffInstabilityError is an ArithmeticError, but exit 3 means a guard
-    # tripped: any other ArithmeticError inside a check is a bug to surface
+    # exit 3 means a guard tripped (a GuardError): an ArithmeticError
+    # inside a check is a bug to surface
     def dividing(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
 
@@ -678,6 +679,23 @@ def test_stray_arithmetic_error_is_not_a_guard(tmp_cwd, monkeypatch):
     obj["experiments"] = [{"check": "re_im_split", "connection": "main"}]
     with pytest.raises(ZeroDivisionError):
         main(["run", write_scenario(tmp_cwd, obj)])
+
+
+def test_any_guard_error_exits_3(tmp_cwd, capsys, monkeypatch):
+    # the exit code follows the base class, so a guard that cli does not
+    # name exits 3 too
+    class ToleranceGuardError(spectral.GuardError):
+        pass
+
+    def refusing(*args, **kwargs):
+        raise ToleranceGuardError("tolerance out of reach")
+
+    monkeypatch.setattr(verify, "check_re_im_split", refusing)
+    obj = load_bundled("s1_nonunitary.json")
+    obj["experiments"] = [{"check": "re_im_split", "connection": "main"}]
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical guard tripped: tolerance out of reach" in err
 
 
 def test_oversized_tracks_exit_3_before_matching(tmp_cwd, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from etacalc import spectral
 from etacalc.forms import TrigPolyForm
@@ -316,10 +317,26 @@ def test_perturbation_moves_eigenvalues_at_most_norm():
         assert np.min(np.abs(base_vals - v)) <= np.linalg.norm(e, 2) + 1e-12
 
 
+def _coupled_t3(axes):
+    """A rank-2 T^3 connection with one coupling e^{2 pi i x_j} dx_j along
+    each of ``axes``."""
+    unit = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
+    terms = [((unit[j], (j,)), 0.1 * np.eye(2)) for j in axes]
+    return Connection(TrigPolyForm(3, 2, terms))
+
+
 def test_memory_guard_refuses_oversized_truncations(monkeypatch):
-    a = TrigPolyForm.monomial(3, 0.1 * np.eye(2), k=(1, 0, 0), I=(1,))
+    # cutoff 12 on T^3: 15625 modes.  A coupling along x_1 splits them into
+    # 625 lines of 25 modes, one batch of 625 matrices of order 100 (about
+    # 100 MB), which fits; couplings along all three axes connect the whole
+    # window into one matrix of order 62500 (about 6e10 bytes), which does
+    # not, and the solve refuses it
+    t = build_truncation(_coupled_t3([1]), 12)
+    assert [members.shape for members in t._components] == [(625, 25)]
+    t = build_truncation(_coupled_t3([1, 2, 3]), 12)
+    assert [members.shape for members in t._components] == [(1, 15625)]
     with pytest.raises(MemoryGuardError):
-        build_truncation(Connection(a), 12)  # 15625 modes * 8 -> ~2e10 bytes
+        spectrum(t)
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", 1000)
     with pytest.raises(MemoryGuardError):
         build_truncation(diagonal_connection_from_mus([0.25]), 50)
@@ -343,6 +360,30 @@ def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes)
     t = build_truncation(c, 2)
     assert (125, 4, 4) in shapes and t.stack.nbytes == stack_bytes
+
+
+def test_memory_guard_fires_before_a_batch_is_allocated(monkeypatch):
+    # the gauged T^3 connection at cutoff 2: a 32000-byte stack and one
+    # batch of 25 components of 5 modes, 25 matrices of order 20
+    c, _ = _gauged_draw(np.random.default_rng(46), 2)
+    batch_shape = (25, 5, 4, 5, 4)
+    limit = 125 * 4 * 4 * 16 + 25 * 20 * 20 * 16
+    shapes = []
+    zeros = np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", limit - 1)
+    t = build_truncation(c, 2)
+    with pytest.raises(MemoryGuardError):
+        spectrum(t)
+    assert batch_shape not in shapes
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", limit)
+    assert len(spectrum(build_truncation(c, 2))) == t.size
+    assert batch_shape in shapes
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +581,23 @@ def test_gauged_t3_spectrum_contains_closed_form_inner_eigenvalues():
     assert np.all(found >= counts)
 
 
+def test_gauged_t3_solves_at_cutoff_6():
+    # 2197 modes in 169 components of 13; the window's dense matrix (about
+    # 1.2 GB) is never counted.  An all-pairs match of the closed form
+    # against the 17576 eigenvalues would take gigabytes, so a k-d tree
+    # counts the eigenvalues near each closed-form value
+    c, expect = _gauged_draw(np.random.default_rng(49), 6)
+    t = build_truncation(c, 6)
+    vals = spectrum(t)
+    assert len(vals) == t.size
+    uniq, counts = np.unique(expect, return_counts=True)
+    tree = cKDTree(np.column_stack([vals.real, vals.imag]))
+    found = tree.query_ball_point(
+        np.column_stack([uniq.real, uniq.imag]), r=1e-9, return_length=True
+    )
+    assert np.all(found >= counts)
+
+
 def _matched_distance(a, b):
     """Largest distance in the closest one-to-one matching of a and b."""
     cost = np.abs(a[:, None] - b[None, :])
@@ -588,15 +646,18 @@ def test_one_copy_spectrum_repeated_is_the_full_b_spectrum(name):
     assert len(spectrum(t)) == t.size
 
 
-def test_memory_guard_counts_one_spinor_copy():
-    # the gauged T^3 connection at cutoff 4: 729 modes, so the full
-    # even-part Galerkin matrix (5832 rows) would exceed the limit; one
-    # spinor copy (2916 rows) does not, and its 9-mode components solve
+def test_memory_guard_counts_one_spinor_copy(monkeypatch):
+    # the gauged T^3 connection at cutoff 4: 729 modes in 81 components of
+    # 9.  With the limit at the stack plus the batch of one spinor copy
+    # (matrices of order 36), the batch of the full even-part operator
+    # (order 72) would exceed it; the one copy solves
     c, _ = _gauged_draw(np.random.default_rng(55), 4)
     t = build_truncation(c, 4)
-    assert 16 * t.size**2 > spectral.MEMORY_LIMIT >= 16 * (t.size // 2) ** 2
     (members,) = t._components
     assert members.shape == (81, 9)
+    order = 9 * t.stack.shape[1]
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", t.stack.nbytes + 16 * 81 * order**2)
+    assert 16 * 81 * (order * t.copies) ** 2 > spectral.MEMORY_LIMIT
     assert len(spectrum(t)) == t.size == 729 * 8
 
 
