@@ -77,19 +77,15 @@ def eta_s1_spectral(mus: Iterable[complex]) -> TowerEta:
     for mu in mus:
         mu = complex(mu)
         m = mu - math.floor(mu.real)
-        if abs(m) <= TOWER_TOL or abs(m - 1) <= TOWER_TOL:
+        if abs(m.real - 1) <= TOWER_TOL:
+            m -= 1  # the tower's axis eigenvalue is 2 pi (m - 1), not 2 pi m
+        if abs(m) <= TOWER_TOL:
             kernel += 1  # symmetric remainder contributes nothing
-            continue
-        if abs(m.real) <= TOWER_TOL:
+        elif abs(m.real) <= TOWER_TOL:
             excluded.append(2j * math.pi * m.imag)
             total += -2 * m
-            continue
-        if abs(m.real - 1) <= TOWER_TOL:
-            shifted = m - 1
-            excluded.append(2j * math.pi * shifted.imag)
-            total += -2 * shifted
-            continue
-        total += 1 - 2 * m
+        else:
+            total += 1 - 2 * m
     return TowerEta(EtaValue(eta=total, kernel_dim=kernel), tuple(excluded))
 
 

@@ -401,19 +401,15 @@ class TrigPolyForm:
     # ------------------------------------------------------------------
     # normalization, evaluation, integration
 
-    def phi_normalize(self, branch: int = 1) -> "TrigPolyForm":
+    def phi_normalize(self) -> "TrigPolyForm":
         """Degree-dependent rescaling: a p-form is divided by s^p with
-        s = branch * PHI_SCALE, i.e. s^2 = 2 pi i for either branch.
+        s = PHI_SCALE, so s^2 = 2 pi i.
 
-        The branch sign (+1 default) picks the square root; it flips the
-        odd-degree parts only, so Chern characters (even degrees) and
-        Chern--Simons forms (odd degrees, divided by s once more) do not
-        depend on it.
+        The other square root -s would flip the odd-degree parts only, so
+        Chern characters (even degrees) and Chern--Simons forms (odd
+        degrees, divided by s once more) do not depend on the choice.
         """
-        if branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
-        s = branch * PHI_SCALE
-        scales = np.array([s ** len(I) for _, I in self._keys], dtype=np.complex128)
+        scales = np.array([PHI_SCALE ** len(I) for _, I in self._keys], dtype=complex)
         return self._new(self._keys, self._mats / scales[:, None, None], unique=True)
 
     def evaluate_at(self, x: Iterable[float]) -> dict[tuple[int, ...], np.ndarray]:

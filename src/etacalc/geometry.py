@@ -164,10 +164,9 @@ class Connection:
         dim: int,
         mats: Sequence[np.ndarray],
         g: TrigPolyForm | None = None,
-        g_inv: TrigPolyForm | None = None,
     ) -> "Connection":
         """Connection with constant coefficient matrices A_1..A_dim."""
-        return cls(TrigPolyForm.constant_one_form(dim, list(mats)), g, g_inv)
+        return cls(TrigPolyForm.constant_one_form(dim, list(mats)), g)
 
     def constant_coefficient(self, j: int) -> np.ndarray:
         """The constant matrix A_j; error if the dx_j part is x-dependent."""

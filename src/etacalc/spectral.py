@@ -23,18 +23,20 @@ The orientation of Gamma is fixed by the circle calibration: for d = 1
 (beta_1 = B_1 = -i) and A = 2 pi i mu, the spectrum over the modes is
 exactly {2 pi (k + mu)}.
 
-Every truncation is one stacked (modes, n, n) array of these mode-diagonal
-blocks (A_j its zero-frequency part), assembled without a loop over modes,
-plus one coupling beta_j (x) A_q per oscillatory term A_q e^{2 pi i q.x}
-dx_j, which maps mode k to k + q.  The couplings split the modes into the
-connected components of the graph with an edge k -> k + q, each an
-eigenproblem of its own: the spectrum is one batched eigen-solve per
-component size, over the components' Galerkin matrices assembled from the
-stack and the couplings (without couplings, the stack itself), each
-eigenvalue repeated 2^n times, and is cached on the truncation.  A memory
-guard, checked where arrays are allocated, refuses a stack, or a batch of
-component matrices next to it, that would not fit; so a window that its
-couplings split into small components solves.
+Every truncation is the (n_modes, d) integer lattice of its modes
+{|k_j| <= K}, built once, one stacked (n_modes, n, n) array of these
+mode-diagonal blocks (A_j its zero-frequency part), assembled without a
+loop over modes, and one coupling beta_j (x) A_q per oscillatory term
+A_q e^{2 pi i q.x} dx_j, which maps mode k to k + q.  The couplings
+split the modes into the connected components of the graph with an edge
+k -> k + q, each an eigenproblem of its own: the spectrum is one batched
+eigen-solve per component size, over the components' Galerkin matrices
+assembled from the stack and the couplings (without couplings, the stack
+itself), each eigenvalue repeated 2^n times, and is cached on the
+truncation.  A memory guard, checked where arrays are allocated, refuses
+a stack and lattice, or a batch of component matrices next to them, that
+would not fit; so a window that its couplings split into small
+components solves.
 
 The solve has two LAPACK routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -58,7 +60,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
@@ -66,8 +67,9 @@ import numpy as np
 
 from .geometry import Connection
 
-# bytes one allocation may take: a stack, the stack plus one batch of its
-# complex128 component matrices, or the arrays of one tracking step
+# bytes one allocation may take: a truncation's stack and mode lattice,
+# those plus one batch of its complex128 component matrices, or the arrays
+# of one tracking step
 MEMORY_LIMIT = 512 * 1024 * 1024
 
 
@@ -140,17 +142,18 @@ class OperatorTruncation:
     exterior forms on T^d, d = 2n+1; see the module docstring).
 
     Every truncation is stored the same way, built from the irreducible
-    generators beta_j, so per = 2^n * rank.  ``stack`` has shape
-    (len(modes), per, per): block i maps the Fourier mode modes[i] to
-    itself, the derivative part plus the zero-frequency part of A.
+    generators beta_j, so per = 2^n * rank.  ``modes`` is the (n_modes, dim)
+    integer array of the window's Fourier modes in ``product`` order, and
+    ``stack`` has shape (n_modes, per, per): block i maps the mode modes[i]
+    to itself, the derivative part plus the zero-frequency part of A.
     ``couplings`` holds one (q, beta_j (x) A_q) pair per oscillatory term
     of A, which maps each mode k to k + q; it is empty for constant
     connections.  ``blocks`` (constant connections only) is a read-only
-    mapping from each frequency to its (per, per) view of the stack, and
-    ``dense`` (coupled connections only) is the Galerkin matrix of the one
-    copy, built on first use and guarded as one batch.  ``size`` counts
-    the eigenvalues of the operator on all copies: ``copies`` times the
-    order of ``dense``.
+    mapping from each frequency, a tuple of ints, to its (per, per) view
+    of the stack, and ``dense`` (coupled connections only) is the Galerkin
+    matrix of the one copy, built on first use and guarded as one batch.
+    ``size`` counts the eigenvalues of the operator on all copies:
+    ``copies`` times the order of ``dense``.
 
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
     connection is unitary and its fiber metric is the identity.
@@ -163,7 +166,7 @@ class OperatorTruncation:
     dim: int
     rank: int
     cutoff: int
-    modes: tuple[tuple[int, ...], ...]
+    modes: np.ndarray
     stack: np.ndarray
     couplings: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     hermitian: bool
@@ -172,27 +175,21 @@ class OperatorTruncation:
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray] | None:
         if self.couplings:
             return None
-        return MappingProxyType(dict(zip(self.modes, self.stack)))
+        keys = map(tuple, self.modes.tolist())
+        return MappingProxyType(dict(zip(keys, self.stack)))
 
     @cached_property
     def _coupling_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """For each coupling, in term order, the mode indices (source,
         target) of the pairs k -> k + q whose target lies in the window
         (the Galerkin projection drops the others), sources ascending."""
-        side = 2 * self.cutoff + 1
-        lattice_shape = (side,) * self.dim
-        # mode indices shifted by the cutoff, in ``product`` order
-        lattice = np.indices(lattice_shape).reshape(self.dim, -1)
+        lattice_shape = (2 * self.cutoff + 1,) * self.dim
         pairs = []
         for q, _ in self.couplings:
-            target = lattice + np.array(q)[:, None]
-            inside = np.all((target >= 0) & (target < side), axis=0)
-            pairs.append(
-                (
-                    np.flatnonzero(inside),
-                    np.ravel_multi_index(target[:, inside], lattice_shape),
-                )
-            )
+            target = self.modes + q
+            inside = np.flatnonzero(np.abs(target).max(axis=1) <= self.cutoff)
+            shifted = (target[inside] + self.cutoff).T
+            pairs.append((inside, np.ravel_multi_index(shifted, lattice_shape)))
         return tuple(pairs)
 
     @cached_property
@@ -245,15 +242,15 @@ class OperatorTruncation:
         (k + q, k) of its pairs k -> k + q.  Every pair with its source in
         a component has its target there too, so these are the principal
         submatrices of ``dense``, bitwise.  The memory guard counts them,
-        and the stack, before they are allocated."""
+        the stack and the lattice before they are allocated."""
         m, s = members.shape
         n, per, _ = self.stack.shape
         if s == 1:
             # lone modes have no couplings; all of them are the stack itself
             return self.stack if m == n else self.stack[members[:, 0]]
         _require_memory(
-            self.stack.nbytes + 16 * m * (s * per) ** 2,
-            f"the stack and a batch of shape {(m, s * per, s * per)}",
+            self.stack.nbytes + self.modes.nbytes + 16 * m * (s * per) ** 2,
+            f"the stack, lattice and a batch of shape {(m, s * per, s * per)}",
         )
         out = np.zeros((m, s, per, s, per), dtype=complex)
         pos = np.arange(s)
@@ -334,25 +331,33 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
 def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
-    The mode-diagonal stack is built for every connection, plus one
-    coupling beta_j (x) A_q per oscillatory term q of A, on one spinor
-    copy.  Refuses, before allocating it, a stack of more than
-    ``MEMORY_LIMIT`` bytes; a solve checks each batch of component
-    matrices it assembles in the same way.
+    The (n_modes, dim) integer lattice of modes and the mode-diagonal stack
+    are built for every connection, plus one coupling beta_j (x) A_q per
+    oscillatory term q of A, on one spinor copy.  Refuses, before
+    allocating them, a stack and lattice of more than ``MEMORY_LIMIT``
+    bytes together; a solve checks each batch of component matrices it
+    assembles in the same way.  The index arrays of the coupling pairs and
+    of the component labelling are not counted: on a rank-1 circle with
+    one coupling they peak at about 3.3 times the counted bytes.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     model = clifford_model(c.dim)
     n_modes = (2 * cutoff + 1) ** c.dim
     per = len(model.beta[0]) * c.rank
-    _require_memory(16 * n_modes * per * per, f"the stack of {n_modes} modes")
+    _require_memory(
+        n_modes * (16 * per * per + 8 * c.dim),
+        f"the stack and lattice of {n_modes} modes",
+    )
+    # mode k at row i in ``product`` order: the last axis varies fastest
+    modes = np.indices((2 * cutoff + 1,) * c.dim).reshape(c.dim, -1).T
+    modes -= cutoff
     couplings = tuple(
         (q, _read_only(np.kron(model.beta[I[0] - 1], mat)))
         for q, I, mat in c.a.terms() if any(q)
     )
     return OperatorTruncation(
-        c.dim, c.rank, cutoff,
-        tuple(product(range(-cutoff, cutoff + 1), repeat=c.dim)),
+        c.dim, c.rank, cutoff, _read_only(modes),
         _stacked_blocks(c, cutoff), couplings, _galerkin_hermitian(c),
     )
 
@@ -373,7 +378,7 @@ def inner_spectrum(t: OperatorTruncation, cutoff: int) -> np.ndarray:
         raise ValueError("a coupled truncation has no per-mode spectrum")
     if not 1 <= cutoff <= t.cutoff:
         raise ValueError(f"cutoff must lie in 1..{t.cutoff}, got {cutoff}")
-    inside = np.abs(np.array(t.modes)).max(axis=1) <= cutoff
+    inside = np.abs(t.modes).max(axis=1) <= cutoff
     vals = t._eigvals[0][inside].ravel()
     return vals[np.lexsort((vals.imag, vals.real))]
 
@@ -383,7 +388,7 @@ def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     if t.couplings:
         return [(float(v.real), float(v.imag), "") for v in t._spectrum]
     rows = []
-    for k, vals in zip(t.modes, t._eigvals[0]):  # one lone mode per row, sorted
+    for k, vals in zip(t.modes.tolist(), t._eigvals[0]):  # one lone mode per row
         vals = vals[np.lexsort((vals.imag, vals.real))]
         label = " ".join(str(v) for v in k)
         rows.extend((float(v.real), float(v.imag), label) for v in vals)

@@ -371,10 +371,19 @@ def cs_form_quadrature(c0: Connection, c1: Connection) -> TrigPolyForm:
     return (-1.0 / PHI_SCALE) * acc.phi_normalize()
 
 
-def chern_character(c: Connection, branch: int = 1) -> TrigPolyForm:
+def chern_character(c: Connection) -> TrigPolyForm:
     """phi Tr[exp(-curvature)]: rank in degree 0 plus curvature corrections
     (the oracle that cs_form transgresses)."""
-    return exp_nilpotent(-c.curvature()).mat_trace().phi_normalize(branch)
+    return exp_nilpotent(-c.curvature()).mat_trace().phi_normalize()
+
+
+def phi_normalize_other_root(f: TrigPolyForm) -> TrigPolyForm:
+    """``phi_normalize`` with the other square root -PHI_SCALE of 2 pi i:
+    each p-form divided by (-PHI_SCALE)^p, degree by degree."""
+    out = TrigPolyForm.zero(f.dim, f.rank)
+    for p in f.degrees():
+        out = out + (1 / (-PHI_SCALE) ** p) * f.degree_component(p)
+    return out
 
 
 class ExteriorModel:

@@ -9,11 +9,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from etacalc.forms import EQ_TOL, InvalidInputError, SubTorus, TrigPolyForm
 
-from helpers import ReferenceForm, exp_nilpotent, forms, rng_form, term_lists
+from helpers import (
+    ReferenceForm,
+    exp_nilpotent,
+    forms,
+    phi_normalize_other_root,
+    rng_form,
+    term_lists,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -103,10 +109,9 @@ def test_evaluate_at_sums_phases():
 
 
 def test_phi_normalize_square():
-    # s^2 = 2 pi i, so a 2-form is divided by 2 pi i regardless of branch.
+    # s^2 = 2 pi i, so a 2-form is divided by 2 pi i with either root s.
     f = TrigPolyForm.monomial(2, np.eye(1), I=(1, 2))
-    for branch in (1, -1):
-        g = f.phi_normalize(branch)
+    for g in (f.phi_normalize(), phi_normalize_other_root(f)):
         np.testing.assert_allclose(
             g.coefficient((0, 0), (1, 2)), np.eye(1) / TWO_PI_I, atol=1e-15
         )
@@ -356,12 +361,12 @@ def test_term_keys_take_integral_numbers_as_integers():
         assert [type(v) for v in term["k"] + term["I"]] == [int] * 4
 
 
-@given(forms(dim=2, rank=2), st.sampled_from([1, -1]))
-def test_phi_branch_flip_squares_away(a, branch):
-    # phi with either branch agrees on even degrees and flips odd degrees;
-    # applying the rescale twice with opposite branches is degree-parity id.
-    f1 = a.phi_normalize(branch)
-    f2 = a.phi_normalize(-branch)
+@given(forms(dim=2, rank=2))
+def test_phi_branch_flip_squares_away(a):
+    # phi with either root agrees on even degrees and flips odd degrees;
+    # applying the rescale twice with opposite roots is degree-parity id.
+    f1 = a.phi_normalize()
+    f2 = phi_normalize_other_root(a)
     for p in a.degrees():
         lhs = f1.degree_component(p)
         rhs = f2.degree_component(p) * ((-1) ** p)

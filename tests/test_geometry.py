@@ -32,6 +32,8 @@ from helpers import (
     constant_hermitian_metric,
     cs_form_quadrature,
     diagonal_connection_from_mus,
+    exp_nilpotent,
+    phi_normalize_other_root,
     r_deformation,
     r_poly_at,
     random_flat_commuting_connection,
@@ -321,13 +323,12 @@ def test_cs_branch_independent():
     # With the other root -s of 2 pi i in place of s, phi negates the
     # odd-degree parts (P) and the prefactor -1/s flips sign, so cs_form
     # would return -P(cs).  That equals cs exactly when cs is odd, which
-    # phi_normalize(-1) = P phi_normalize(1) expresses as below.
+    # phi with -s = P phi with s expresses as below.
     cs = cs_form(c0, c1)
     assert not cs.is_zero(1e-6)
-    assert cs.phi_normalize(-1).allclose(-cs.phi_normalize(1), 1e-12)
-    assert chern_character(c0, branch=1).allclose(
-        chern_character(c0, branch=-1), 1e-12
-    )
+    assert phi_normalize_other_root(cs).allclose(-cs.phi_normalize(), 1e-12)
+    ch = exp_nilpotent(-c0.curvature()).mat_trace()
+    assert phi_normalize_other_root(ch).allclose(chern_character(c0), 1e-12)
 
 
 def test_cs_r_poly_unitary_vanishes():

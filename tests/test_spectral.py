@@ -261,11 +261,24 @@ def test_block_truncation_matches_full_matrix():
     assert t.size == 2 * len(t.modes)
 
 
+@pytest.mark.parametrize("dim, cutoff", [(1, 4), (3, 2)])
+def test_modes_are_the_read_only_product_lattice(dim, cutoff):
+    c = Connection.from_constant(dim, [np.zeros((1, 1))] * dim)
+    modes = build_truncation(c, cutoff).modes
+    oracle = list(product(range(-cutoff, cutoff + 1), repeat=dim))
+    assert isinstance(modes, np.ndarray) and modes.dtype.kind == "i"
+    assert modes.shape == (len(oracle), dim)
+    assert [tuple(k) for k in modes.tolist()] == oracle
+    assert not modes.flags.writeable
+    with pytest.raises(ValueError):
+        modes[0, 0] = 0
+
+
 def test_unitary_truncation_is_hermitian_and_flagged():
     c = diagonal_connection_from_mus([0.25, 0.4])
     t = build_truncation(c, 2)
     assert t.hermitian
-    for k in t.modes:
+    for k in map(tuple, t.modes.tolist()):
         blk = t.blocks[k]
         assert np.allclose(blk, blk.conj().T, atol=1e-12)
 
@@ -344,7 +357,9 @@ def test_memory_guard_refuses_oversized_truncations(monkeypatch):
 
 def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
     c = random_unitary_constant_connection(np.random.default_rng(3), 3, 2)
-    stack_bytes = 125 * 4 * 4 * 16  # cutoff 2: 125 modes, 4x4 one-copy blocks
+    # cutoff 2: 125 modes, 4x4 one-copy blocks and 3 int64 coordinates each
+    held = 125 * (4 * 4 * 16 + 3 * 8)
+    assert held == 35000
     shapes = []
     zeros = np.zeros
 
@@ -353,21 +368,29 @@ def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", recording_zeros)
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes - 1)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held - 1)
     with pytest.raises(MemoryGuardError):
         build_truncation(c, 2)
     assert (125, 4, 4) not in shapes
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", stack_bytes)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held)
     t = build_truncation(c, 2)
-    assert (125, 4, 4) in shapes and t.stack.nbytes == stack_bytes
+    assert (125, 4, 4) in shapes and t.stack.nbytes + t.modes.nbytes == held
+    # a rank-1 circle, where the lattice is a third of what the build
+    # holds: with the limit at the stack alone nothing is allocated
+    shapes.clear()
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", 101 * 16)
+    with pytest.raises(MemoryGuardError, match="stack and lattice of 101 modes"):
+        build_truncation(diagonal_connection_from_mus([0.25]), 50)
+    assert shapes == []
 
 
 def test_memory_guard_fires_before_a_batch_is_allocated(monkeypatch):
-    # the gauged T^3 connection at cutoff 2: a 32000-byte stack and one
-    # batch of 25 components of 5 modes, 25 matrices of order 20
+    # the gauged T^3 connection at cutoff 2: a 32000-byte stack, a
+    # 3000-byte lattice and one batch of 25 components of 5 modes, 25
+    # matrices of order 20
     c, _ = _gauged_draw(np.random.default_rng(46), 2)
     batch_shape = (25, 5, 4, 5, 4)
-    limit = 125 * 4 * 4 * 16 + 25 * 20 * 20 * 16
+    limit = 125 * 4 * 4 * 16 + 125 * 3 * 8 + 25 * 20 * 20 * 16
     shapes = []
     zeros = np.zeros
 
@@ -401,7 +424,7 @@ def test_stacked_blocks_equal_per_mode_kron_oracle():
     t = build_truncation(c, 2)
     beta = clifford_model(3).beta
     assert t.stack.shape == (125, 4, 4) and len(t.blocks) == 125
-    for i, k in enumerate(t.modes):
+    for i, k in enumerate(map(tuple, t.modes.tolist())):
         assert np.array_equal(t.blocks[k], build_sig_mode(c, k, beta))
         assert np.shares_memory(t.blocks[k], t.stack[i])
     per_block = np.concatenate(
@@ -648,15 +671,16 @@ def test_one_copy_spectrum_repeated_is_the_full_b_spectrum(name):
 
 def test_memory_guard_counts_one_spinor_copy(monkeypatch):
     # the gauged T^3 connection at cutoff 4: 729 modes in 81 components of
-    # 9.  With the limit at the stack plus the batch of one spinor copy
-    # (matrices of order 36), the batch of the full even-part operator
-    # (order 72) would exceed it; the one copy solves
+    # 9.  With the limit at the stack and lattice plus the batch of one
+    # spinor copy (matrices of order 36), the batch of the full even-part
+    # operator (order 72) would exceed it; the one copy solves
     c, _ = _gauged_draw(np.random.default_rng(55), 4)
     t = build_truncation(c, 4)
     (members,) = t._components
     assert members.shape == (81, 9)
     order = 9 * t.stack.shape[1]
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", t.stack.nbytes + 16 * 81 * order**2)
+    held = t.stack.nbytes + t.modes.nbytes
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held + 16 * 81 * order**2)
     assert 16 * 81 * (order * t.copies) ** 2 > spectral.MEMORY_LIMIT
     assert len(spectrum(t)) == t.size == 729 * 8
 
