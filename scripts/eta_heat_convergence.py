@@ -38,7 +38,7 @@ def main() -> None:
     c = Connection.from_constant(
         1, [np.array([[2j * math.pi * args.mu]])]
     )
-    exact = eta_s1_spectral([args.mu]).value.eta.real
+    exact = eta_s1_spectral([args.mu]).eta.real
     print(f"mu = {args.mu}: exact eta = {exact:+.12f}")
     print(f"{'cutoff':>8} {'heat estimate':>16} {'abs error':>12}")
     for cutoff in args.cutoffs:

@@ -6,9 +6,10 @@ Usage:
     python3 scripts/report_digests.py [--json PATH] [--against OLD.json]
 
 Digested: ``standard_suite(s).to_json()`` for s = 0 .. 9, the reports of
-the five bundled scenarios run by ``etacalc run --emit-csv`` in a
-temporary directory (without ``generated_at``, the only field that changes
-between runs) and the CSV files those runs write.
+the bundled scenarios (every ``scenarios/*.json``, in name order) run by
+``etacalc run --emit-csv`` in a temporary directory (without
+``generated_at``, the only field that changes between runs) and the CSV
+files those runs write.
 
 ``--json PATH`` writes the digests and every entry's lhs, rhs and residual.
 ``--against OLD.json`` reads such a record, made from another tree, and
@@ -30,9 +31,6 @@ from etacalc.cli import main as etacalc_main
 from etacalc.verify import standard_suite
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-BUNDLED = (
-    "s1_unitary", "s1_nonunitary", "t3_flat_commuting", "t3_spectrum", "t3_gauged_spectrum"
-)
 
 
 def _sha256(data: bytes) -> str:
@@ -49,7 +47,7 @@ def _values(report: dict) -> dict[str, list[float]]:
     }
 
 
-def _scenario_run(name: str) -> tuple[dict, dict[str, bytes]]:
+def _scenario_run(scenario: pathlib.Path) -> tuple[dict, dict[str, bytes]]:
     """The report (without generated_at) and the CSV files of one bundled
     scenario, run in a temporary directory."""
     cwd = os.getcwd()
@@ -57,11 +55,11 @@ def _scenario_run(name: str) -> tuple[dict, dict[str, bytes]]:
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                code = etacalc_main(["run", str(SCENARIOS / f"{name}.json"), "--emit-csv"])
+                code = etacalc_main(["run", str(scenario), "--emit-csv"])
             if code != 0:
-                raise SystemExit(f"etacalc run {name}.json exited {code}")
+                raise SystemExit(f"etacalc run {scenario.name} exited {code}")
             root = pathlib.Path(tmp)
-            (path,) = root.rglob(f"{name}_report.json")
+            (path,) = root.rglob(f"{scenario.stem}_report.json")
             report = json.loads(path.read_text())
             csvs = {p.name: p.read_bytes() for p in sorted(root.rglob("*.csv"))}
         finally:
@@ -78,12 +76,13 @@ def record() -> dict:
         report = standard_suite(seed)
         digests[name] = _sha256(report.to_json().encode())
         entries[name] = _values(report.to_json_obj())
-    for scenario in BUNDLED:
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        name = scenario.stem
         report, csvs = _scenario_run(scenario)
         text = json.dumps(report, sort_keys=True, indent=2)
-        digests[f"{scenario} report"] = _sha256(text.encode())
-        digests.update((f"{scenario} {n}", _sha256(data)) for n, data in csvs.items())
-        entries[scenario] = _values(report)
+        digests[f"{name} report"] = _sha256(text.encode())
+        digests.update((f"{name} {n}", _sha256(data)) for n, data in csvs.items())
+        entries[name] = _values(report)
     return {"digests": digests, "entries": entries}
 
 

@@ -2,7 +2,7 @@
 
 from .eta import (
     EtaValue,
-    TowerEta,
+    constant_eta,
     eta_bk,
     eta_heat_estimate,
     eta_s1_spectral,
@@ -30,7 +30,6 @@ from .spectral import (
     MemoryGuardError,
     OperatorTruncation,
     build_truncation,
-    s1_mu_list,
     spectrum,
 )
 from .verify import (
@@ -53,13 +52,13 @@ __all__ = [
     "OperatorTruncation",
     "PreconditionError",
     "SubTorus",
-    "TowerEta",
     "TrackError",
     "TrigPolyForm",
     "VerificationReport",
     "a_coeff",
     "assemble_report",
     "build_truncation",
+    "constant_eta",
     "cs_form",
     "cs_r_poly",
     "eta_bk",
@@ -72,7 +71,6 @@ __all__ = [
     "odd_subtori",
     "psi_local",
     "psi_spectral",
-    "s1_mu_list",
     "spectral_flow",
     "spectrum",
     "standard_suite",

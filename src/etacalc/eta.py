@@ -1,10 +1,13 @@
 """Complex eta invariants for the twisted odd signature operator.
 
-On the circle every constant connection reduces to eigenvalue towers
-{2 pi (n + mu)}; eta(0) then has the closed form sum (1 - 2 mu) obtained by
-pairing the Hurwitz zeta values at s = 0 for the two half-towers
-(:func:`eta_s1_spectral`).  Complex mu (non-unitary connections) use the
-same principal-branch formula.
+:func:`constant_eta` is the one way in: every check that reads a twisted
+eta calls it, and it alone decides how a constant connection's eta is
+computed.  On the circle the connection reduces to eigenvalue towers
+{2 pi (n + mu)}, one per eigenvalue 2 pi i mu of A_1; eta(0) then has the
+closed form sum (1 - 2 mu) obtained by pairing the Hurwitz zeta values at
+s = 0 for the two half-towers (:func:`eta_s1_spectral`).  Complex mu
+(non-unitary connections) use the same principal-branch formula.  An exact
+route on T^d (ROADMAP item 1) goes behind the same function.
 
 Higher tori are handled only through symmetry (identically vanishing sums)
 or through variation formulas anchored at circle endpoints; the one direct
@@ -21,7 +24,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import erfc
 
-from .geometry import PreconditionError
+from .geometry import Connection, PreconditionError
 from .spectral import OperatorTruncation, spectrum
 
 # the smoothing parameters eps the heat estimate extrapolates from, and the
@@ -36,27 +39,38 @@ TOWER_TOL = 1e-9
 class EtaValue:
     """eta(0) of a twisted signature operator together with its kernel
     dimension; ``reduced`` is the half-shifted invariant (eta + h)/2 whose
-    real part is geometrically meaningful only modulo the integers."""
+    real part is geometrically meaningful only modulo the integers.
+    ``excluded`` lists the purely imaginary eigenvalues left out of the
+    eta series (for the imaginary-axis census)."""
 
     eta: complex
     kernel_dim: int
+    excluded: tuple[complex, ...] = ()
 
     @property
     def reduced(self) -> complex:
         return (self.eta + self.kernel_dim) / 2
 
 
-@dataclass(frozen=True)
-class TowerEta:
-    """eta data for a union of circle towers including boundary bookkeeping:
-    kernel modes and purely imaginary eigenvalues (excluded from the eta
-    series, reported for the imaginary-axis census)."""
+def constant_eta(c: Connection) -> EtaValue:
+    """eta of the twisted odd signature operator for a constant connection
+    on the circle, from the closed-form towers of the eigenvalues of A_1;
+    any other connection is refused (PreconditionError)."""
+    if c.dim != 1:
+        raise PreconditionError(
+            "reduced eta uses closed-form circle spectra (dim == 1)"
+        )
+    if any(any(k) for k, _, _ in c.a.terms()):
+        raise PreconditionError(
+            "reduced eta needs a constant connection: A has oscillatory terms"
+        )
+    a1 = c.a.coefficient((0,), (1,))
+    return eta_s1_spectral(
+        [complex(v) / (2j * math.pi) for v in np.linalg.eigvals(a1)]
+    )
 
-    value: EtaValue
-    excluded: tuple[complex, ...] = ()
 
-
-def eta_s1_spectral(mus: Iterable[complex]) -> TowerEta:
+def eta_s1_spectral(mus: Iterable[complex]) -> EtaValue:
     """eta for towers {2 pi (n + mu_k)} with arbitrary complex mu_k.
 
     Shifting mu by an integer relabels the tower, so each mu is first moved
@@ -86,7 +100,7 @@ def eta_s1_spectral(mus: Iterable[complex]) -> TowerEta:
             total += -2 * m
         else:
             total += 1 - 2 * m
-    return TowerEta(EtaValue(eta=total, kernel_dim=kernel), tuple(excluded))
+    return EtaValue(eta=total, kernel_dim=kernel, excluded=tuple(excluded))
 
 
 def eta_heat_estimate(t: OperatorTruncation) -> complex:

@@ -67,12 +67,9 @@ def _sample_spectrum(sample) -> np.ndarray:
     if isinstance(sample, OperatorTruncation):
         return spectrum(sample)
     arr = np.asarray(sample, dtype=complex)
-    if arr.ndim == 2:
-        vals = np.linalg.eigvals(arr)
-        return vals[np.lexsort((vals.imag, vals.real))]
     if arr.ndim == 1:
         return arr[np.lexsort((arr.imag, arr.real))]
-    raise TypeError("path samples must be truncations, matrices, or spectra")
+    raise TypeError("path samples must be truncations or spectra")
 
 
 def _match(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -113,8 +110,8 @@ def track_path(path: Callable[[float], object], m0: int = 8) -> EigenvalueTrack:
     ``tracks`` CSV artifact (spectral flow does not need it; see
     :func:`spectral_flow`).
 
-    ``path`` may return an OperatorTruncation, a square matrix, or a
-    precomputed eigenvalue vector (of constant length along the path).
+    ``path`` may return an OperatorTruncation or a precomputed eigenvalue
+    vector (of constant length along the path).
     Each new sample is matched against the linear extrapolation of the
     last two accepted samples (against the previous sample on the first
     interval), so tracks keep their identity through near-collisions.  The
@@ -184,10 +181,10 @@ def spectral_flow(start, end) -> int:
     eigenvalue moving from Re < 0 to Re >= 0 (classical convention; see
     the module docstring for why this orientation is forced).
 
-    Each endpoint may be an OperatorTruncation, a square matrix, or an
-    eigenvalue vector; both must have the same size.  Endpoint eigenvalues
-    within AXIS_TOL of the axis are rejected: their class is not stable
-    under perturbation, so the caller must move the endpoints first.
+    Each endpoint may be an OperatorTruncation or an eigenvalue vector;
+    both must have the same size.  Endpoint eigenvalues within AXIS_TOL of
+    the axis are rejected: their class is not stable under perturbation,
+    so the caller must move the endpoints first.
     """
     a = _sample_spectrum(start)
     b = _sample_spectrum(end)

@@ -168,17 +168,6 @@ class Connection:
         """Connection with constant coefficient matrices A_1..A_dim."""
         return cls(TrigPolyForm.constant_one_form(dim, list(mats)), g)
 
-    def constant_coefficient(self, j: int) -> np.ndarray:
-        """The constant matrix A_j; error if the dx_j part is x-dependent."""
-        out = np.zeros((self.rank, self.rank), dtype=complex)
-        for k, I, mat in self.a.terms():
-            if I != (j,):
-                continue
-            if any(v != 0 for v in k):
-                raise ValueError(f"dx_{j} component is not constant")
-            out = out + mat
-        return out
-
     # ------------------------------------------------------------------
     # metric structure
 

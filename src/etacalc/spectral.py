@@ -400,12 +400,3 @@ def export_spectrum_csv(t: OperatorTruncation, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["re", "im", "mode"])
         writer.writerows(spectrum_rows(t))
-
-
-def s1_mu_list(c: Connection) -> list[complex]:
-    """Tower shifts mu for a constant connection on S^1: the spectrum is
-    the union over eigenvalues a of A_1 of {2 pi (n + a/(2 pi i))}."""
-    if c.dim != 1:
-        raise ValueError("mu towers are defined on S^1")
-    a1 = c.constant_coefficient(1)
-    return [complex(v) / (2j * math.pi) for v in np.linalg.eigvals(a1)]

@@ -7,10 +7,10 @@ Conventions shared by all checks:
 * residual modes -- ``absolute`` is |lhs - rhs|; ``mod-Z`` takes the circle
   distance of the real parts (nearest-integer gap) plus the absolute gap of
   the imaginary parts; ``integer`` demands exact equality of two integers.
-* every twisted eta and spectral flow is evaluated on the circle, where
-  constant connections have closed-form eigenvalue towers; ``bk_phase``
-  alone censuses a Galerkin spectrum on T^d (of the untwisted operator), and
-  higher tori otherwise give only form-level sides (pairings, Chern forms).
+* every twisted eta comes from :func:`etacalc.eta.constant_eta`; spectral
+  flow is evaluated on the circle; ``bk_phase`` alone censuses a Galerkin
+  spectrum on T^d (of the untwisted operator), and higher tori otherwise
+  give only form-level sides (pairings, Chern forms).
 * one global sign calibration (unitary circle connection, tower shift 1/4,
   upward crossing counts +1) pins the Clifford orientation and the spectral
   flow sign; no check below carries a per-check sign choice.
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .eta import EtaValue, TowerEta, eta_s1_spectral
+from .eta import EtaValue, constant_eta
 from .flow import gauge_path, spectral_flow
 from .geometry import (
     Connection,
@@ -48,7 +48,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import GuardError, build_truncation, inner_spectrum, s1_mu_list, spectrum
+from .spectral import GuardError, build_truncation, inner_spectrum, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -257,23 +257,6 @@ def check_cs_odd_chern_pairing(
 # circle spectral sides
 
 
-def reduced_eta_circle(c: Connection) -> TowerEta:
-    """Reduced eta of the twisted odd signature operator for a constant
-    connection on the circle, from its closed-form eigenvalue towers; any
-    other connection is refused (PreconditionError)."""
-    if c.dim != 1:
-        raise PreconditionError(
-            "reduced eta uses closed-form circle spectra (dim == 1)"
-        )
-    try:
-        c.constant_coefficient(1)
-    except ValueError as exc:
-        raise PreconditionError(
-            f"reduced eta needs a constant connection: {exc}"
-        ) from exc
-    return eta_s1_spectral(s1_mu_list(c))
-
-
 def check_gilkey_variation(
     c0: Connection,
     c1: Connection,
@@ -288,7 +271,7 @@ def check_gilkey_variation(
     Real parts compare modulo Z, imaginary parts exactly.  Both connections
     must be constant on the circle and share the fiber metric.
     """
-    lhs = reduced_eta_circle(c1).value.reduced - reduced_eta_circle(c0).value.reduced
+    lhs = constant_eta(c1).reduced - constant_eta(c0).reduced
     rhs = subtorus_pairing(cs_form(c0, c1))  # flat torus: L = 1
     return make_entry(
         check_id,
@@ -346,13 +329,13 @@ def check_variation_complex(
     """
     c0 = path(0.0)
     c1 = path(1.0)
-    t0 = reduced_eta_circle(c0)
-    t1 = reduced_eta_circle(c1)
-    if t0.excluded or t1.excluded or t0.value.kernel_dim or t1.value.kernel_dim:
+    e0 = constant_eta(c0)
+    e1 = constant_eta(c1)
+    if e0.excluded or e1.excluded or e0.kernel_dim or e1.kernel_dim:
         raise PreconditionError(
             "complex variation formula needs axis-free endpoint spectra"
         )
-    lhs = t1.value.reduced - t0.value.reduced
+    lhs = e1.reduced - e0.reduced
     rhs = _endpoint_sf(c0, c1, cutoff) + subtorus_pairing(cs_form(c0, c1))
     return make_entry(
         check_id,
@@ -405,8 +388,8 @@ def check_re_im_split(
 
     On the circle only i in {0, 1} occur (and p_0 = 0 identically).
     """
-    eta_full = reduced_eta_circle(c).value.reduced
-    eta_herm = reduced_eta_circle(c.hermitian_part()).value.reduced
+    eta_full = constant_eta(c).reduced
+    eta_herm = constant_eta(c.hermitian_part()).reduced
     pav = [subtorus_pairing(f) for f in cs_r_poly(c)]
     even_sum = sum(
         (-1) ** (i // 2) * p for i, p in enumerate(pav) if i % 2 == 0
@@ -463,7 +446,7 @@ def psi_spectral(c: Connection) -> complex:
 
         psi = Im reduced_eta(c) + (1/2pi) <L . c_1>
     """
-    eta = reduced_eta_circle(c).value.reduced
+    eta = constant_eta(c).reduced
     return complex(
         eta.imag + subtorus_pairing(c.chern_odd(0)).real / (2 * math.pi)
     )
@@ -521,7 +504,7 @@ def check_eta_tilde_imaginary(
     """Imaginary part of the transgression from the metric-compatible
     reference equals the imaginary part of the reduced eta (circle,
     constant connections)."""
-    rhs = complex(0.0, reduced_eta_circle(c).value.reduced.imag)
+    rhs = complex(0.0, constant_eta(c).reduced.imag)
     lhs = complex(0.0, eta_tilde(c, ref).imag)
     return make_entry(
         check_id,

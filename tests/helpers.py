@@ -439,8 +439,10 @@ def build_sig_mode(c: Connection, k, gens=None) -> np.ndarray:
     k = tuple(int(v) for v in k)
     if len(k) != c.dim:
         raise ValueError("mode frequency has wrong length")
-    # raises for non-constant A
-    mats = [c.constant_coefficient(j) for j in range(1, c.dim + 1)]
+    if any(any(q) for q, _, _ in c.a.terms()):
+        raise ValueError("mode blocks need a constant connection")
+    zero = (0,) * c.dim
+    mats = [c.a.coefficient(zero, (j,)) for j in range(1, c.dim + 1)]
     out = np.zeros((len(gens[0]) * c.rank,) * 2, dtype=complex)
     eye_r = np.eye(c.rank)
     for j in range(c.dim):

@@ -376,9 +376,9 @@ def test_acceptance_bk_jump():
     for beta in betas:
         tower = eta_s1_spectral([1j * beta, spectator])
         m = m_minus(tower.excluded)
-        reduced.append(tower.value.reduced)
+        reduced.append(tower.reduced)
         ms.append(m)
-        bks.append(eta_bk(tower.value, m))
+        bks.append(eta_bk(tower, m))
 
     m_jumps = [ms[i + 1] - ms[i] for i in range(9)]
     single_jump = m_jumps.count(0) == 8 and sum(abs(j) for j in m_jumps) == 1

@@ -8,11 +8,13 @@ import pytest
 
 from etacalc.eta import (
     EtaValue,
+    constant_eta,
     eta_bk,
     eta_heat_estimate,
     eta_s1_spectral,
     m_minus,
 )
+from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, PreconditionError, subtorus_pairing
 from etacalc.spectral import build_truncation, spectrum
 
@@ -30,19 +32,19 @@ from helpers import (
 
 
 def test_eta_closed_symmetric_tower_vanishes():
-    v = eta_s1_spectral([0.5]).value
+    v = eta_s1_spectral([0.5])
     assert v.eta == pytest.approx(0.0, abs=1e-13)
     assert v.kernel_dim == 0
 
 
 def test_eta_closed_quarter_tower():
-    v = eta_s1_spectral([0.25]).value
+    v = eta_s1_spectral([0.25])
     assert v.eta == pytest.approx(0.5, abs=1e-12)
     assert v.reduced == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eta_closed_complex_shift():
-    v = eta_s1_spectral([0.25 + 0.1j]).value
+    v = eta_s1_spectral([0.25 + 0.1j])
     assert v.eta == pytest.approx(0.5 - 0.2j, abs=1e-12)
     assert v.reduced.imag == pytest.approx(v.eta.imag / 2, abs=1e-15)
 
@@ -50,7 +52,7 @@ def test_eta_closed_complex_shift():
 def test_eta_closed_equals_linear_expression():
     rng = np.random.default_rng(30)
     mus = random_mus(rng, 6)
-    v = eta_s1_spectral(mus).value
+    v = eta_s1_spectral(mus)
     assert v.eta == pytest.approx(sum(1 - 2 * m for m in mus), abs=1e-11)
 
 
@@ -58,7 +60,7 @@ def test_eta_closed_matches_sign_sum_oracle():
     rng = np.random.default_rng(31)
     for _ in range(20):
         mu = float(rng.uniform(0.05, 0.95))
-        closed = eta_s1_spectral([mu]).value.eta
+        closed = eta_s1_spectral([mu]).eta
         oracle = sign_sum_eta_oracle(mu)
         assert abs(closed - oracle) <= 1e-6
 
@@ -71,7 +73,7 @@ def test_im_reduced_eta_matches_first_chern_pairing():
         for _ in range(10):
             mus = random_mus(rng, rank)
             c = diagonal_connection_from_mus(mus)
-            v = eta_s1_spectral(mus).value
+            v = eta_s1_spectral(mus)
             pairing = subtorus_pairing(c.chern_odd(0))
             assert v.reduced.imag == pytest.approx(
                 (-pairing / (2 * math.pi)).real, abs=1e-9
@@ -86,26 +88,26 @@ def test_im_reduced_eta_matches_first_chern_pairing():
 def test_spectral_eta_generic_matches_closed():
     res = eta_s1_spectral([0.25, 3.25, -1.75])
     # integer shifts land every tower at 0.25
-    assert res.value.eta == pytest.approx(1.5, abs=1e-12)
-    assert res.value.kernel_dim == 0
+    assert res.eta == pytest.approx(1.5, abs=1e-12)
+    assert res.kernel_dim == 0
     assert res.excluded == ()
 
 
 def test_spectral_eta_counts_kernel_modes():
     res = eta_s1_spectral([0.0, 1.0, -3.0, 0.5])
-    assert res.value.kernel_dim == 3
-    assert res.value.eta == pytest.approx(0.0, abs=1e-12)
-    assert res.value.reduced == pytest.approx(1.5, abs=1e-12)
+    assert res.kernel_dim == 3
+    assert res.eta == pytest.approx(0.0, abs=1e-12)
+    assert res.reduced == pytest.approx(1.5, abs=1e-12)
 
 
 def test_spectral_eta_imaginary_axis_towers():
     beta = 0.3
     res = eta_s1_spectral([1j * beta])
-    assert res.value.eta == pytest.approx(-2j * beta, abs=1e-12)
+    assert res.eta == pytest.approx(-2j * beta, abs=1e-12)
     assert res.excluded == (2j * math.pi * beta,)
 
     res2 = eta_s1_spectral([2 - 0.4j])
-    assert res2.value.eta == pytest.approx(0.8j, abs=1e-12)
+    assert res2.eta == pytest.approx(0.8j, abs=1e-12)
     assert res2.excluded == (-2j * math.pi * 0.4,)
 
 
@@ -114,16 +116,52 @@ def test_spectral_eta_upper_boundary_shift():
     # near-axis eigenvalue is excluded and the remainder contributes -2 mu
     mu = 1 - 1e-12 + 0.2j
     res = eta_s1_spectral([mu])
-    assert res.value.kernel_dim == 0
+    assert res.kernel_dim == 0
     assert len(res.excluded) == 1
     assert res.excluded[0] == pytest.approx(2j * math.pi * 0.2, abs=1e-9)
-    assert res.value.eta == pytest.approx(-0.4j, abs=1e-9)
+    assert res.eta == pytest.approx(-0.4j, abs=1e-9)
 
 
 def test_spectral_eta_near_integer_is_kernel():
     res = eta_s1_spectral([1 - 1e-12, 5 + 1e-13j])
-    assert res.value.kernel_dim == 2
-    assert res.value.eta == pytest.approx(0.0, abs=1e-9)
+    assert res.kernel_dim == 2
+    assert res.eta == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the entry point: one tower per eigenvalue 2 pi i mu of A_1
+
+
+def _assert_same_eta(got, want):
+    assert got.eta == pytest.approx(want.eta, abs=1e-10)
+    assert got.kernel_dim == want.kernel_dim
+    assert got.excluded == pytest.approx(want.excluded, abs=1e-9)
+
+
+def test_constant_eta_reads_the_towers_of_a1():
+    rng = np.random.default_rng(21)
+    mus = random_mus(rng, 3)
+    _assert_same_eta(
+        constant_eta(diagonal_connection_from_mus(mus)), eta_s1_spectral(mus)
+    )
+    # non-diagonal A_1 = P diag(2 pi i mu) P^-1 with complex mu, one of
+    # them outside the strip 0 <= Re < 1
+    p = np.array([[1.0, 0.4 - 0.3j], [0.2j, 1.5]])
+    for mus in ([0.3 + 0.2j, -1.35 - 0.1j], [2 + 0.15j, 0.6]):
+        a1 = p @ np.diag([2j * math.pi * m for m in mus]) @ np.linalg.inv(p)
+        got = constant_eta(Connection.from_constant(1, [a1]))
+        _assert_same_eta(got, eta_s1_spectral(mus))
+    assert got.excluded  # the second set has a tower on the axis
+
+
+def test_constant_eta_refuses_higher_tori_and_oscillatory_connections():
+    with pytest.raises(PreconditionError):
+        constant_eta(Connection.from_constant(3, [np.zeros((1, 1))] * 3))
+    a = TrigPolyForm.monomial(
+        1, np.array([[2j * math.pi * 0.3]]), I=(1,)
+    ) + TrigPolyForm.monomial(1, np.array([[0.5]]), k=(1,), I=(1,))
+    with pytest.raises(PreconditionError):
+        constant_eta(Connection(a))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +253,7 @@ def test_eta_bk_jumps_exactly_with_census():
     for beta in betas:
         res = eta_s1_spectral([1j * float(beta)])
         m = m_minus(res.excluded)
-        vals.append((res.value.reduced, m, eta_bk(res.value, m)))
+        vals.append((res.reduced, m, eta_bk(res, m)))
     for (r0, m0, b0), (r1, m1, b1) in zip(vals, vals[1:]):
         if m0 == m1:
             assert abs(b1 - b0) == pytest.approx(abs(r1 - r0), abs=1e-12)

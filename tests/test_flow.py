@@ -16,7 +16,7 @@ from etacalc.flow import (
     track_path,
 )
 from etacalc.geometry import Connection, PreconditionError
-from etacalc.spectral import MemoryGuardError, build_truncation, s1_mu_list
+from etacalc.spectral import MemoryGuardError, build_truncation
 
 from helpers import diagonal_connection_from_mus
 
@@ -33,14 +33,14 @@ def test_single_upward_crossing_is_plus_one():
     # classical sign convention: Re < 0 -> Re >= 0 counts +1 (the choice
     # forced by the complex variation formula; see flow module docstring)
     def path(t):
-        return np.array([[(t - 0.5) + 0.3j]])
+        return np.linalg.eigvals(np.array([[(t - 0.5) + 0.3j]]))
 
     assert spectral_flow(path(0.0), path(1.0)) == 1
 
 
 def test_single_downward_crossing_is_minus_one():
     def path(t):
-        return np.array([[(0.5 - t) + 0.3j]])
+        return np.linalg.eigvals(np.array([[(0.5 - t) + 0.3j]]))
 
     assert spectral_flow(path(0.0), path(1.0)) == -1
 
@@ -91,7 +91,8 @@ def test_gauge_path_endpoints_are_gauge_related():
     assert gauge_path(c, 2, 0.0).a.allclose(c.a)
     end = gauge_path(c, 2, 1.0)
     assert end.is_flat()
-    assert s1_mu_list(end)[0] == pytest.approx(0.3 + 2, abs=1e-12)
+    (a1,) = np.linalg.eigvals(end.a.coefficient((0,), (1,)))
+    assert a1 / (2j * math.pi) == pytest.approx(0.3 + 2, abs=1e-12)
     # w = 0 gives the constant path
     assert gauge_path(c, 0, 0.7).a.allclose(c.a)
 
@@ -154,7 +155,7 @@ def test_classical_two_by_two_crossing_family():
     # Hermitian family whose upper eigenvalue t - 1 + sqrt(1/4 + 0.09)
     # crosses zero once upward; brute-force signed-crossing count agrees
     def path(t):
-        return np.array([[t - 0.5, 0.3], [0.3, t - 1.5]])
+        return np.linalg.eigvals(np.array([[t - 0.5, 0.3], [0.3, t - 1.5]]))
 
     sf = spectral_flow(path(0.0), path(1.0))
     assert sf == 1
@@ -181,7 +182,9 @@ def test_eigenvalue_collision_raises_diagnostic():
     # double zero eigenvalue at t = 1/2: +-sqrt(t - 1/2) collides, tracking
     # must refuse rather than guess
     with pytest.raises(TrackError):
-        track_path(lambda t: np.array([[0.0, 1.0], [t - 0.5, 0.0]]))
+        track_path(
+            lambda t: np.linalg.eigvals(np.array([[0.0, 1.0], [t - 0.5, 0.0]]))
+        )
 
 
 def test_track_path_refuses_oversized_matching(monkeypatch):

@@ -3,7 +3,8 @@ the standard suite to notice, either by a failed entry or by raising.
 
 Each mutation replaces a name where its caller reads it (``verify``
 imports its factors by name, so they are patched in ``verify``;
-``spectral`` reads its own ``clifford_model``).  Between them the
+``spectral`` reads its own ``clifford_model`` and ``eta.constant_eta``
+its own ``eta_s1_spectral``).  Between them the
 mutations catch every check family of the suite except ``psi_constancy``,
 whose entries compare 0 with 0 on every flat input until ROADMAP item 4
 gives it a spectral side.  The orientation of the Clifford generators
@@ -25,7 +26,7 @@ import re
 import numpy as np
 import pytest
 
-from etacalc import forms, geometry, spectral, verify
+from etacalc import eta, forms, geometry, spectral, verify
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import PreconditionError
 from etacalc.verify import standard_suite
@@ -33,9 +34,8 @@ from etacalc.verify import standard_suite
 
 def _eta_conjugated(orig):
     def mutated(*args, **kwargs):
-        tower = orig(*args, **kwargs)
-        value = dataclasses.replace(tower.value, eta=tower.value.eta.conjugate())
-        return dataclasses.replace(tower, value=value)
+        value = orig(*args, **kwargs)
+        return dataclasses.replace(value, eta=value.eta.conjugate())
 
     return mutated
 
@@ -91,7 +91,7 @@ MUTATIONS = {
         {"gauge_pumping", "variation_complex"},
     ),
     "eta conjugated": (
-        [(verify, "eta_s1_spectral", _eta_conjugated)],
+        [(eta, "eta_s1_spectral", _eta_conjugated)],
         {"eta_tilde_imaginary", "gilkey_variation", "re_im_split", "variation_complex"},
     ),
     "a_coeff scaled": (

@@ -46,7 +46,7 @@ def test_report_digests_are_deterministic(tmp_path):
     # ten suite seeds, five scenario reports and the three spectrum CSVs
     assert len(lines) == 18 and all(len(line.split()[0]) == 64 for line in lines)
     assert lines[0].endswith("standard_suite(0)")
-    assert lines[-1].endswith("t3_gauged_spectrum e00_spectrum.csv")
+    assert lines[-1].endswith("t3_spectrum e00_spectrum.csv")
     # an older record whose suite-0 entry residual differs by 1e-3
     record = json.loads((tmp_path / "rec.json").read_text())
     suite0 = record["entries"]["standard_suite(0)"]

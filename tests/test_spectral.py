@@ -21,7 +21,6 @@ from etacalc.spectral import (
     clifford_model,
     export_spectrum_csv,
     inner_spectrum,
-    s1_mu_list,
     spectrum,
     spectrum_rows,
 )
@@ -812,13 +811,3 @@ def test_spectrum_rows_and_csv(tmp_path):
     assert lines[0] == "re,im,mode"
     assert len(lines) == 4
 
-
-def test_s1_mu_list_recovers_towers():
-    rng = np.random.default_rng(21)
-    mus = random_mus(rng, 3)
-    c = diagonal_connection_from_mus(mus)
-    got = sorted(s1_mu_list(c), key=lambda z: (z.real, z.imag))
-    want = sorted(mus, key=lambda z: (z.real, z.imag))
-    assert np.allclose(got, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        s1_mu_list(Connection.from_constant(3, [np.zeros((1, 1))] * 3))

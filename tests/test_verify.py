@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from etacalc.eta import EtaValue
+from etacalc.eta import EtaValue, constant_eta
 from etacalc.geometry import Connection, PreconditionError, gauge_transform
 from etacalc.forms import TrigPolyForm
 from etacalc.verify import (
@@ -26,7 +26,6 @@ from etacalc.verify import (
     make_entry,
     psi_local,
     psi_spectral,
-    reduced_eta_circle,
     residual_for,
     standard_suite,
     trivial_line_eta,
@@ -440,7 +439,7 @@ def test_eta_tilde_imaginary_metric_independent():
     assert eta_tilde(flat).imag == pytest.approx(
         eta_tilde(curved).imag, abs=1e-9
     )
-    spectral = reduced_eta_circle(flat).value.reduced.imag
+    spectral = constant_eta(flat).reduced.imag
     assert eta_tilde(curved).imag == pytest.approx(spectral, abs=1e-9)
     assert check_eta_tilde_imaginary(curved).passed
 
