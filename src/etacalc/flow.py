@@ -68,7 +68,7 @@ def _sample_spectrum(sample) -> np.ndarray:
         return spectrum(sample)
     arr = np.asarray(sample, dtype=complex)
     if arr.ndim == 1:
-        return arr[np.lexsort((arr.imag, arr.real))]
+        return np.sort(arr, kind="stable")
     raise TypeError("path samples must be truncations or spectra")
 
 

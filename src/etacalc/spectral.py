@@ -38,12 +38,15 @@ a stack and lattice, or a batch of component matrices next to them, that
 would not fit; so a window that its couplings split into small
 components solves.
 
-The solve has two LAPACK routes, chosen by one flag of the truncation,
+The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
 fiber metric is exactly the identity.  Then every Galerkin matrix M is
-Hermitian up to rounding, and each size class is solved by one batched
-``eigvalsh`` (real eigenvalues, cast to complex); otherwise by one batched
-``eigvals``.  ``eigvalsh`` reads one triangle of M, that is, it solves the
+Hermitian up to rounding, and the Hermitian route reads only the real
+part of its diagonal and its lower triangle: order 2 in closed form,
+(a + d)/2 -+ hypot((a - d)/2, |b|) with b = M[1, 0], larger orders by one
+batched ``eigvalsh`` (which reads the same lower triangle) per size class,
+keeping the eigenvalues real.  Every other truncation is solved by one
+batched ``eigvals`` per size class.  The Hermitian route solves the
 Hermitian matrix H that agrees with M on that triangle and on the real
 part of the diagonal.  By Bauer--Fike (H is normal) every eigenvalue of M
 lies within ||M - H||_2 <= ||M - M^H||_F / sqrt(2) of an eigenvalue of H;
@@ -51,7 +54,10 @@ for the unitary connections in this package that is rounding, about
 1e-15 of the matrix scale.  A connection that is unitary for another
 metric is self-adjoint for the g-weighted inner product but not for the
 standard one the matrices are written in, so its stack is not Hermitian
-and keeps ``eigvals``.
+and keeps ``eigvals``.  Either way the eigenvalues are ordered by one
+stable ``np.sort``, which orders complex values by (Re, Im), and cast to
+complex once, where ``spectrum``, ``inner_spectrum`` and ``spectrum_rows``
+hand them out.
 """
 
 from __future__ import annotations
@@ -267,8 +273,8 @@ class OperatorTruncation:
 
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
-        """Unsorted complex eigenvalues, one batched solve per component
-        size (``eigvalsh`` if ``hermitian``, else ``eigvals``): an
+        """Unsorted eigenvalues, one batched solve per component size
+        (real ones from ``_eigvalsh`` if ``hermitian``, else ``eigvals``): an
         (m, s * per * copies) array per entry of ``_components``, one row
         per component, each eigenvalue of its Galerkin matrix repeated
         ``copies`` times in a row.  Without couplings the solve is that of
@@ -282,12 +288,17 @@ class OperatorTruncation:
     @cached_property
     def _spectrum(self) -> np.ndarray:
         vals = np.concatenate([v.ravel() for v in self._eigvals])
-        return vals[np.lexsort((vals.imag, vals.real))]
+        return np.sort(vals, kind="stable").astype(complex, copy=False)
 
 
 def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
-    """Batched ``eigvalsh`` of Hermitian matrices, as complex values."""
-    return np.linalg.eigvalsh(matrices).astype(complex)
+    """Ascending real eigenvalues of a batch of Hermitian matrices, from the
+    real diagonal and the lower triangle (see the module docstring)."""
+    if matrices.shape[-1] != 2:
+        return np.linalg.eigvalsh(matrices)
+    a, d = matrices[..., 0, 0].real, matrices[..., 1, 1].real
+    mid, radius = (a + d) / 2, np.hypot((a - d) / 2, np.abs(matrices[..., 1, 0]))
+    return np.stack([mid - radius, mid + radius], axis=-1)
 
 
 def _galerkin_hermitian(c: Connection) -> bool:
@@ -305,11 +316,12 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
     k in the lattice, stacked in ``product`` order, where A_j is the
     zero-frequency coefficient of dx_j.
 
-    The stack is viewed as (k_1, ..., k_d, a, ., b, .), so block (a, b) of
-    the Kronecker product is the slice [..., a, :, b, :]; each direction j
-    adds beta_j[a, b] (2 pi i k_j I + A_j), formed once per frequency and
-    broadcast along lattice axis j.  Same operands and order as summing the
-    ``np.kron`` terms mode by mode, so the blocks are bitwise equal to it.
+    The stack is viewed as (k_1, ..., k_d, a, ., b, .), so that each
+    direction j forms its term kron(beta_j, 2 pi i k_j I + A_j), once per
+    frequency and in place in one (n_freqs, per, per) buffer, and adds it
+    with one broadcast along lattice axis j.  Same operands and order as
+    summing the ``np.kron`` terms mode by mode, so the blocks are bitwise
+    equal to it: the zeros of beta_j add zeros, and the stack holds no -0.0.
     """
     model = clifford_model(c.dim)
     e, r = len(model.beta[0]), c.rank
@@ -317,14 +329,14 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
     n_freqs = len(ks)
     stack = np.zeros((n_freqs**c.dim, e * r, e * r), dtype=complex)
     grid = stack.reshape((n_freqs,) * c.dim + (e, r, e, r))
-    eye_r = np.eye(r)
+    term = np.empty((n_freqs, e, r, e, r), dtype=complex)
     for j in range(c.dim):
-        a_j = c.a.coefficient((0,) * c.dim, (j + 1,))
-        shape = (1,) * j + (n_freqs,) + (1,) * (c.dim - 1 - j) + (r, r)
-        inner = (2j * math.pi * ks[:, None, None] * eye_r + a_j).reshape(shape)
-        beta_j = model.beta[j]
-        for a, b in zip(*np.nonzero(beta_j)):
-            grid[..., a, :, b, :] += beta_j[a, b] * inner
+        np.multiply(2j * math.pi, ks[:, None, None, None, None], out=term)
+        term *= np.eye(r)[:, None, :]
+        term += c.a.coefficient((0,) * c.dim, (j + 1,))[:, None, :]
+        term *= model.beta[j][:, None, :, None]
+        shape = (1,) * j + (n_freqs,) + (1,) * (c.dim - 1 - j) + term.shape[1:]
+        grid += term.reshape(shape)
     return _read_only(stack)
 
 
@@ -380,7 +392,7 @@ def inner_spectrum(t: OperatorTruncation, cutoff: int) -> np.ndarray:
         raise ValueError(f"cutoff must lie in 1..{t.cutoff}, got {cutoff}")
     inside = np.abs(t.modes).max(axis=1) <= cutoff
     vals = t._eigvals[0][inside].ravel()
-    return vals[np.lexsort((vals.imag, vals.real))]
+    return np.sort(vals, kind="stable").astype(complex, copy=False)
 
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
@@ -388,8 +400,8 @@ def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     if t.couplings:
         return [(float(v.real), float(v.imag), "") for v in t._spectrum]
     rows = []
-    for k, vals in zip(t.modes.tolist(), t._eigvals[0]):  # one lone mode per row
-        vals = vals[np.lexsort((vals.imag, vals.real))]
+    sorted_rows = np.sort(t._eigvals[0], kind="stable")  # one lone mode per row
+    for k, vals in zip(t.modes.tolist(), sorted_rows):
         label = " ".join(str(v) for v in k)
         rows.extend((float(v.real), float(v.imag), label) for v in vals)
     return rows

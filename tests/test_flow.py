@@ -58,6 +58,19 @@ def test_endpoint_sizes_must_agree():
         spectral_flow(np.array([1 + 1j, 2.0]), np.array([1 + 1j]))
 
 
+def test_sample_spectrum_sorts_a_vector_lexicographically():
+    # signed zeros, repeated real parts and exact duplicates: one stable
+    # sort is bitwise the (Re, Im) lexsort
+    rng = np.random.default_rng(58)
+    vec = np.concatenate([
+        [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1 + 1j, 1 - 1j, 1, 1 + 1j],
+        rng.integers(-3, 4, 40) + 1j * rng.integers(-2, 3, 40),
+        rng.standard_normal(40) + 1j * rng.standard_normal(40),
+    ])
+    expect = vec[np.lexsort((vec.imag, vec.real))]
+    assert flow._sample_spectrum(vec).tobytes() == expect.tobytes()
+
+
 def test_track_columns_preserve_identity():
     def path(t):
         return np.array([2 * t - 0.7 + 0.2j, -1 + 0.5 * t + 0.1j])

@@ -685,7 +685,8 @@ def test_memory_guard_counts_one_spinor_copy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the two solve routes: eigvalsh for Hermitian truncations, eigvals otherwise
+# the two solve routes: the Hermitian one (order 2 in closed form, larger
+# orders by eigvalsh) for Hermitian truncations, eigvals otherwise
 
 
 def _hermitian_case(name):
@@ -694,15 +695,18 @@ def _hermitian_case(name):
         return build_truncation(random_unitary_constant_connection(rng, 1, 3), 6)
     if name == "t3":
         return build_truncation(random_unitary_constant_connection(rng, 3, 2), 3)
+    if name == "t3_rank1":  # blocks of order 2: the closed form
+        return build_truncation(random_unitary_constant_connection(rng, 3, 1), 3)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     basis, _ = np.linalg.qr(x)
     return build_truncation(gauged_t3_connection(rng.uniform(0.1, 0.9, (3, 2)), basis), 2)
 
 
-@pytest.mark.parametrize("name", ["s1", "t3", "gauged_t3"])
-def test_hermitian_truncations_are_solved_by_eigvalsh(name, monkeypatch):
+@pytest.mark.parametrize("name", ["s1", "t3", "t3_rank1", "gauged_t3"])
+def test_hermitian_truncations_take_the_hermitian_route(name, monkeypatch):
     t = _hermitian_case(name)
     assert t.hermitian and bool(t.couplings) == (name == "gauged_t3")
+    assert (t.stack.shape[1] == 2) == (name == "t3_rank1")
 
     def general_route(*args, **kwargs):
         raise AssertionError("a Hermitian truncation was solved by eigvals")
@@ -712,8 +716,9 @@ def test_hermitian_truncations_are_solved_by_eigvalsh(name, monkeypatch):
         vals = spectrum(t)
     assert np.all(vals.imag == 0)
     # Bauer--Fike: each eigenvalue of M lies within ||M - H||_2 of one of the
-    # Hermitian H that eigvalsh reads, and ||M - H||_2 <= ||M - M^H||_F / sqrt 2
+    # Hermitian H that the route reads, and ||M - H||_2 <= ||M - M^H||_F / sqrt 2
     for members, solved in zip(t._components, t._eigvals):
+        assert solved.dtype == float
         mats = t._component_matrices(members)
         general = np.linalg.eigvals(mats)
         defect = np.linalg.norm(mats - mats.conj().swapaxes(1, 2), axis=(1, 2))
@@ -723,6 +728,45 @@ def test_hermitian_truncations_are_solved_by_eigvalsh(name, monkeypatch):
         dist = np.abs(solved[:, :, None] - general[:, None, :])
         assert np.all(dist.min(axis=2) <= bound)
         assert np.all(dist.min(axis=1) <= bound)
+
+
+def _order_two_batch(kind, rng, n=200):
+    """n Hermitian 2x2 matrices [[a, conj b], [b, d]] of one adversarial kind."""
+    a, d = rng.standard_normal(n), rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "b_zero":
+        b = 0 * b
+    elif kind == "a_equals_d":
+        d = a
+    elif kind == "b_dominant":  # |b| >> |a - d|, and a, d >> |b| too
+        a = 1e6 * a
+        d = a + 1e-9 * d
+    elif kind == "b_tiny":
+        b = 1e-12 * b
+    elif kind == "zero":
+        a, d, b = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
+    mats = np.empty((n, 2, 2), dtype=complex)
+    mats[:, 0, 0], mats[:, 1, 1] = a, d
+    mats[:, 1, 0], mats[:, 0, 1] = b, b.conj()
+    return mats
+
+
+@pytest.mark.parametrize("kind", ["random", "b_zero", "a_equals_d", "b_dominant", "b_tiny", "zero"])
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_order_two_closed_form_matches_eigvalsh(kind, scale):
+    rng = np.random.default_rng(56)
+    mats = scale * _order_two_batch(kind, rng)
+    got = spectral._eigvalsh(mats)
+    assert got.dtype == float and got.shape == (len(mats), 2)
+    assert np.all(got[:, 0] <= got[:, 1])
+    bound = 16 * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))
+    assert np.all(np.abs(got - np.linalg.eigvalsh(mats)) <= bound[:, None])
+    # it reads what eigvalsh reads: the real diagonal and the lower entry
+    noisy = mats.copy()
+    noisy[:, 0, 1] = rng.standard_normal(len(mats))
+    noisy[:, 0, 0] += 1j * scale
+    noisy[:, 1, 1] -= 2j * scale
+    assert spectral._eigvalsh(noisy).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("name", ["nonunitary", "unitary_on_other_metric"])
@@ -756,12 +800,15 @@ def _inner_case(name):
         return diagonal_connection_from_mus([0.3 + 0.1j, 0.55])
     if name == "t3_hermitian":
         return random_unitary_constant_connection(rng, 3, 2)
+    if name == "t3_rank1_hermitian":
+        return random_unitary_constant_connection(rng, 3, 1)
     mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
     return Connection.from_constant(3, mats)
 
 
 @pytest.mark.parametrize(
-    "name", ["s1_hermitian", "s1_general", "t3_hermitian", "t3_general"]
+    "name",
+    ["s1_hermitian", "s1_general", "t3_hermitian", "t3_rank1_hermitian", "t3_general"],
 )
 def test_inner_spectrum_is_bitwise_the_narrower_build(name):
     c = _inner_case(name)
@@ -786,6 +833,28 @@ def test_inner_spectrum_refuses_coupled_and_wider_windows():
     assert coupled.couplings
     with pytest.raises(ValueError, match="coupled"):
         inner_spectrum(coupled, 1)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_spectrum_is_the_lexicographic_order_of_the_solve(hermitian):
+    # one stable sort of the solve, cast to complex once: bitwise the
+    # (Re, Im) lexicographic order of the complex eigenvalues
+    rng = np.random.default_rng(57)
+    if hermitian:
+        c = random_unitary_constant_connection(rng, 3, 1)
+    else:
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        c = Connection.from_constant(3, mats)
+    t = build_truncation(c, 2)
+    assert t.hermitian == hermitian
+    vals = np.concatenate([v.ravel() for v in t._eigvals]).astype(complex)
+    expect = vals[np.lexsort((vals.imag, vals.real))]
+    got = spectrum(t)
+    assert got.dtype == complex and got.tobytes() == expect.tobytes()
+    inside = np.abs(t.modes).max(axis=1) <= 1
+    vals = t._eigvals[0][inside].ravel().astype(complex)
+    expect = vals[np.lexsort((vals.imag, vals.real))]
+    assert inner_spectrum(t, 1).tobytes() == expect.tobytes()
 
 
 def test_spectrum_returns_a_copy_of_the_cached_solve():
