@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import erfc
 
 from .geometry import Connection, PreconditionError
 from .spectral import OperatorTruncation, spectrum
@@ -115,6 +114,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     coupled ones, whose eigenvalues near the window's edge are not those of
     the operator.
     """
+    from scipy.special import erfc  # only the heat route needs it
+
     if t.couplings:
         raise PreconditionError(
             "heat-smoothed eta requires a constant-coefficient truncation"

@@ -46,11 +46,13 @@ def load_bundled(name):
 
 
 def test_bundled_scenarios_validate():
+    # one validator: jsonschema.validate would meta-check the schema per call
+    validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
     for name in BUNDLED:
         obj = load_bundled(name)
-        jsonschema.validate(obj, SCENARIO_SCHEMA)
+        validator.validate(obj)
         for exp in obj["experiments"]:
-            jsonschema.validate(exp, SCENARIO_SCHEMA["$defs"][exp["check"]])
+            validator.evolve(schema=SCENARIO_SCHEMA["$defs"][exp["check"]]).validate(exp)
         scn = load_scenario(str(SCENARIOS / name))
         assert scn.experiments
 
@@ -148,24 +150,26 @@ def test_schema_is_generated_from_the_registry():
     assert sum(len(keys) + 1 for keys in accepted.values()) == 38
 
 
-def test_schema_meta_checked_once(monkeypatch):
+def test_loader_reuses_one_validator_without_meta_check(monkeypatch):
+    # SCENARIO_SCHEMA is a constant: test_schema_is_generated_from_the_registry
+    # meta-checks it, so loading a scenario runs no meta-check at all, and
+    # builds no validator per call (jsonschema.validate would do both)
     def no_validate(*args, **kwargs):
         raise AssertionError("load_scenario must reuse one validator")
 
     monkeypatch.setattr(jsonschema, "validate", no_validate)
     meta_checks = []
     validator_cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-    original = validator_cls.check_schema
 
     def counted(cls, schema):
         meta_checks.append(schema)
-        return original(schema)
 
     monkeypatch.setattr(validator_cls, "check_schema", classmethod(counted))
     cli._scenario_validator.cache_clear()
     for name in BUNDLED:
         load_scenario(str(SCENARIOS / name))
-    assert len(meta_checks) == 1
+    assert meta_checks == []
+    assert cli._scenario_validator.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("entry", ["null", "{}", '"1.5"', "true", "1e999"])
@@ -633,18 +637,36 @@ def test_precondition_gates_exit_2(
     assert message in capsys.readouterr().err
 
 
-def test_import_leaves_the_optimizer_unloaded():
-    # scipy.optimize serves only the tracks artifact, loaded when one is made
+_NO_SCIPY_STEPS = """
+import json, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import etacalc, etacalc.cli
+loaded = {"import": scipy_loaded()}
+etacalc.cli.main(["run", sys.argv[1]])
+loaded["run"] = scipy_loaded()
+etacalc.standard_suite(0)
+loaded["suite"] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_start_up_loads_no_scipy(tmp_cwd):
+    # scipy serves only the heat route (eta_heat_estimate) and the tracks
+    # artifact, and importing it costs more than a bundled run; an import,
+    # a bundled run without tracks and the standard suite load none of it
     import os
     import subprocess
     import sys
 
-    code = "import sys, etacalc, etacalc.cli; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _NO_SCIPY_STEPS, str(SCENARIOS / "s1_unitary.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_cwd,
     )
-    assert result.stdout.strip() == "False", result.stderr
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "run": [], "suite": []}
 
 
 def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
