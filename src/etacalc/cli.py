@@ -16,8 +16,8 @@ with a distinct code per failure class:
   outside its domain (:class:`~etacalc.geometry.PreconditionError`);
   nothing else maps here
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
-  memory guard, eigenvalue-tracking ambiguity, spectral flow unstable
-  under cutoff growth)
+  memory guard, eigenvalue-tracking ambiguity, spectral flow needing a
+  window past the cutoff: a Bauer--Fike ball past it, or K and K + 1 differ)
 
 Any other exception is a bug and propagates with its traceback.
 

@@ -59,7 +59,7 @@ def constant_eta(c: Connection) -> EtaValue:
         raise PreconditionError(
             "reduced eta uses closed-form circle spectra (dim == 1)"
         )
-    if any(any(k) for k, _, _ in c.a.terms()):
+    if not c.is_constant():
         raise PreconditionError(
             "reduced eta needs a constant connection: A has oscillatory terms"
         )

@@ -3,8 +3,8 @@
 For a path of finite matrices with axis-free endpoints the spectral flow
 is a net change of inertia, #{Re lambda >= 0} at the end minus that count
 at the start, so only the endpoint spectra enter.  What a Galerkin
-truncation can get wrong is the cutoff, never a grid (see the
-cutoff-stability guard in :mod:`etacalc.verify`).
+truncation can get wrong is the window, never a grid (see
+``verify._endpoint_sf``: exact for constant endpoints, by Bauer--Fike).
 
 Sign convention: a track moving from Re < 0 to Re >= 0 contributes +1.
 This is the classical (self-adjoint) convention; it is the unique choice

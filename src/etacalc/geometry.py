@@ -178,6 +178,9 @@ class Connection:
     def is_flat(self, tol: float = 1e-10) -> bool:
         return self.curvature().is_zero(tol)
 
+    def is_constant(self) -> bool:
+        return not any(any(k) for k, _, _ in self.a.terms())
+
     @cached_property
     def _omega(self) -> TrigPolyForm:
         nabla_g = (

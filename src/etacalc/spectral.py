@@ -56,8 +56,7 @@ metric is self-adjoint for the g-weighted inner product but not for the
 standard one the matrices are written in, so its stack is not Hermitian
 and keeps ``eigvals``.  Either way the eigenvalues are ordered by one
 stable ``np.sort``, which orders complex values by (Re, Im), and cast to
-complex once, where ``spectrum``, ``inner_spectrum`` and ``spectrum_rows``
-hand them out.
+complex once, where ``spectrum`` and ``spectrum_rows`` hand them out.
 """
 
 from __future__ import annotations
@@ -340,6 +339,16 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
     return _read_only(stack)
 
 
+def ball_radius(c: Connection) -> float:
+    """R = ||V||_2 / 2 pi for a constant c, V = sum_j beta_j (x) A_j its k = 0
+    block.  M(k) = M_0(k) + V, where M_0(k) = sum_j beta_j (x) 2 pi i k_j is
+    Hermitian with eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every
+    eigenvalue of M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2,
+    > 0 once |k| > R.  So M(k) has the inertia of M_0(k), whatever c, and a
+    window {|k_j| <= K}, K >= R, holds a constant pair's whole spectral flow."""
+    return float(np.linalg.norm(_stacked_blocks(c, 0)[0], 2)) / (2 * math.pi)
+
+
 def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
@@ -378,21 +387,6 @@ def spectrum(t: OperatorTruncation) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (Re, Im); a copy of the
     truncation's cached solve."""
     return t._spectrum.copy()
-
-
-def inner_spectrum(t: OperatorTruncation, cutoff: int) -> np.ndarray:
-    """The sorted eigenvalues of the modes with max_j |k_j| <= ``cutoff`` from
-    the cached solve of an uncoupled truncation of c: bitwise
-    ``spectrum(build_truncation(c, cutoff))``, as each mode's block depends
-    only on k and A and is solved on its own.  ValueError for a coupled
-    truncation (its narrower window is another eigenproblem) or a wider cutoff."""
-    if t.couplings:
-        raise ValueError("a coupled truncation has no per-mode spectrum")
-    if not 1 <= cutoff <= t.cutoff:
-        raise ValueError(f"cutoff must lie in 1..{t.cutoff}, got {cutoff}")
-    inside = np.abs(t.modes).max(axis=1) <= cutoff
-    vals = t._eigvals[0][inside].ravel()
-    return np.sort(vals, kind="stable").astype(complex, copy=False)
 
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:

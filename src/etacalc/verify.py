@@ -48,7 +48,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import GuardError, build_truncation, inner_spectrum, spectrum
+from .spectral import GuardError, ball_radius, build_truncation, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -284,24 +284,26 @@ def check_gilkey_variation(
 
 
 class CutoffInstabilityError(GuardError):
-    """The truncated spectral flow changed when the Galerkin cutoff grew by
-    one: crossings reach the edge of the truncation window."""
+    """The spectral flow needs a window past the cutoff: a constant endpoint's
+    ball reaches past it, or a coupled flow changed from cutoff K to K + 1."""
 
 
 def _endpoint_sf(c0: Connection, c1: Connection, cutoff: int) -> int:
-    """Spectral flow from c0 to c1 as the change of inertia of their
-    truncations, trusted only if ``cutoff + 1`` gives the same integer.  A
-    constant endpoint is solved once, at ``cutoff + 1``, whose inner cube is
-    the ``cutoff`` window; an endpoint with couplings is also built at it."""
-    narrow, wide = [], []
-    for c in (c0, c1):
-        t = build_truncation(c, cutoff + 1)
-        wide.append(spectrum(t))
-        if t.couplings:
-            narrow.append(spectrum(build_truncation(c, cutoff)))
-        else:
-            narrow.append(inner_spectrum(t, cutoff))
-    sf, wider = spectral_flow(*narrow), spectral_flow(*wide)
+    """Spectral flow from c0 to c1 as the change of inertia of truncations no
+    wider than ``cutoff``: for two constant endpoints, once each at the window
+    of their balls (``spectral.ball_radius``), which is exact; otherwise at
+    ``cutoff`` and ``cutoff + 1``, which must agree."""
+    if c0.is_constant() and c1.is_constant():
+        window = max(1, math.ceil(max(ball_radius(c0), ball_radius(c1))))
+        if window > cutoff:
+            raise CutoffInstabilityError(
+                f"the endpoints' Bauer--Fike balls need cutoff {window}, not {cutoff}"
+            )
+        return spectral_flow(build_truncation(c0, window), build_truncation(c1, window))
+    sf, wider = (
+        spectral_flow(build_truncation(c0, k), build_truncation(c1, k))
+        for k in (cutoff, cutoff + 1)
+    )
     if wider != sf:
         raise CutoffInstabilityError(
             f"spectral flow {sf} at cutoff {cutoff} but {wider} at cutoff "
@@ -324,8 +326,8 @@ def check_variation_complex(
     Endpoint etas come from closed-form towers (endpoints must be constant
     and axis-free).  sf is the change of inertia between the Galerkin
     truncations of the two endpoints, so only ``path(0)`` and ``path(1)``
-    are evaluated; it must agree at ``cutoff`` and ``cutoff + 1``, else
-    CutoffInstabilityError (one solve at ``cutoff + 1`` per constant endpoint).
+    are evaluated, at windows no wider than ``cutoff`` (see
+    ``_endpoint_sf``), else CutoffInstabilityError.
     """
     c0 = path(0.0)
     c1 = path(1.0)
@@ -356,9 +358,8 @@ def check_gauge_pumping(
 ) -> CheckEntry:
     """Spectral flow along the gauge interpolation with winding w equals w
     exactly (integer comparison): the gauge path pumps w eigenvalue towers
-    across the imaginary axis.  sf comes from the endpoint truncations and
-    must agree at ``cutoff`` and ``cutoff + 1`` (one solve at ``cutoff + 1``
-    per constant endpoint), else CutoffInstabilityError.
+    across the imaginary axis.  sf comes from the endpoint truncations, no
+    wider than ``cutoff`` (see ``_endpoint_sf``), else CutoffInstabilityError.
     """
     w = int(w)
     sf = _endpoint_sf(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)

@@ -511,9 +511,10 @@ def test_memory_guard_exit_code(tmp_cwd, capsys):
 
 
 def test_cutoff_guard_exit_code(tmp_cwd, capsys):
-    # winding 9 pumps a tower past the edge of the cutoff-8 window, so the
-    # spectral flow reads 8 at cutoff 8 and 9 at cutoff 9: a guard (exit
-    # 3), not a failed identity.  Windings up to 3 stay exact.
+    # winding 9 pumps a tower out to the Bauer--Fike radius 9.31, past the
+    # cutoff-8 window, where the spectral flow would read 8: a guard (exit
+    # 3) naming cutoff 10, not a failed identity.  At cutoff 10 it is
+    # exact, as are windings up to 3 at cutoff 8.
     obj = load_bundled("s1_nonunitary.json")
     two_pi = 2 * math.pi
     obj["bundle"] = {"rank": 2}
@@ -550,7 +551,11 @@ def test_cutoff_guard_exit_code(tmp_cwd, capsys):
     )
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 3
     err = capsys.readouterr().err
-    assert "guard" in err and "cutoff 9" in err
+    assert "guard" in err and "cutoff 10" in err
+    obj["experiments"][-1]["cutoff"] = 10
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 0
+    report = json.loads((tmp_cwd / obj["output"]["report"]).read_text())
+    assert [e["residual"] for e in report["entries"]] == [0.0] * 8
 
 
 def test_axis_endpoint_is_scenario_error(tmp_cwd):

@@ -20,7 +20,6 @@ from etacalc.spectral import (
     build_truncation,
     clifford_model,
     export_spectrum_csv,
-    inner_spectrum,
     spectrum,
     spectrum_rows,
 )
@@ -788,53 +787,6 @@ def test_other_truncations_are_solved_bitwise_by_eigvals(name):
     assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
 
 
-# ---------------------------------------------------------------------------
-# the inner window of a constant truncation
-
-
-def _inner_case(name):
-    rng = np.random.default_rng(53)
-    if name == "s1_hermitian":
-        return random_unitary_constant_connection(rng, 1, 3)
-    if name == "s1_general":
-        return diagonal_connection_from_mus([0.3 + 0.1j, 0.55])
-    if name == "t3_hermitian":
-        return random_unitary_constant_connection(rng, 3, 2)
-    if name == "t3_rank1_hermitian":
-        return random_unitary_constant_connection(rng, 3, 1)
-    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
-    return Connection.from_constant(3, mats)
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["s1_hermitian", "s1_general", "t3_hermitian", "t3_rank1_hermitian", "t3_general"],
-)
-def test_inner_spectrum_is_bitwise_the_narrower_build(name):
-    c = _inner_case(name)
-    wide = build_truncation(c, 4)
-    assert wide.hermitian == name.endswith("hermitian")
-    for cutoff in (1, 3, 4):
-        got = inner_spectrum(wide, cutoff)
-        assert np.array_equal(got, spectrum(build_truncation(c, cutoff)))
-    assert np.array_equal(inner_spectrum(wide, 4), spectrum(wide))
-
-
-def test_inner_spectrum_refuses_coupled_and_wider_windows():
-    t = build_truncation(diagonal_connection_from_mus([0.3, 0.55 - 0.1j]), 3)
-    for cutoff in (0, 4):
-        with pytest.raises(ValueError, match="cutoff"):
-            inner_spectrum(t, cutoff)
-    rng = np.random.default_rng(54)
-    basis, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 0j)
-    coupled = build_truncation(
-        gauged_t3_connection(rng.uniform(0.1, 0.9, (3, 2)), basis), 2
-    )
-    assert coupled.couplings
-    with pytest.raises(ValueError, match="coupled"):
-        inner_spectrum(coupled, 1)
-
-
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_spectrum_is_the_lexicographic_order_of_the_solve(hermitian):
     # one stable sort of the solve, cast to complex once: bitwise the
@@ -851,10 +803,6 @@ def test_spectrum_is_the_lexicographic_order_of_the_solve(hermitian):
     expect = vals[np.lexsort((vals.imag, vals.real))]
     got = spectrum(t)
     assert got.dtype == complex and got.tobytes() == expect.tobytes()
-    inside = np.abs(t.modes).max(axis=1) <= 1
-    vals = t._eigvals[0][inside].ravel().astype(complex)
-    expect = vals[np.lexsort((vals.imag, vals.real))]
-    assert inner_spectrum(t, 1).tobytes() == expect.tobytes()
 
 
 def test_spectrum_returns_a_copy_of_the_cached_solve():

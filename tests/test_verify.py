@@ -296,8 +296,9 @@ def test_gauge_pumping_check_exact_integers():
 
 
 def test_endpoint_sf_builds_each_constant_endpoint_once(monkeypatch):
-    # A constant endpoint is built once, at cutoff + 1, and its inner cube
-    # gives the cutoff count; an endpoint with couplings is built at both.
+    # Two constant endpoints are built once each, at the window of their
+    # Bauer--Fike balls; a pair with couplings is built at cutoff and
+    # cutoff + 1 and the two counts compared.
     from etacalc import verify
     from etacalc.flow import gauge_path, spectral_flow
     from etacalc.spectral import build_truncation
@@ -305,11 +306,13 @@ def test_endpoint_sf_builds_each_constant_endpoint_once(monkeypatch):
     a = TWO_PI_I * np.array([[0.3 + 0.07j, 0.1], [0.05, 0.55 - 0.1j]])
     c = Connection.from_constant(1, [a])
     mus = diagonal_connection_from_mus
-    cases = [  # (start, end, builds, sf)
-        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), 2, 1),
-        (c, gauge_path(c, 1, 1.0), 3, 1),
-        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), 4, 1),
-        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), 4, 2),
+    d = mus([0.3 + 0.07j, 0.55 - 0.1j])
+    cases = [  # (start, end, cutoffs built, sf)
+        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), [2, 2], 1),
+        (d, gauge_path(d, 2, 1.0), [3, 3], 2),
+        (c, gauge_path(c, 1, 1.0), [8, 8, 9, 9], 1),
+        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), [8, 8, 9, 9], 1),
+        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), [8, 8, 9, 9], 2),
     ]
     calls = []
 
@@ -321,9 +324,40 @@ def test_endpoint_sf_builds_each_constant_endpoint_once(monkeypatch):
     for c0, c1, builds, sf in cases:
         calls.clear()
         assert verify._endpoint_sf(c0, c1, 8) == sf
-        assert len(calls) == builds and set(calls) == ({9} if builds == 2 else {8, 9})
+        assert sorted(calls) == builds
         for k in (8, 9):
             assert spectral_flow(build_truncation(c0, k), build_truncation(c1, k)) == sf
+
+
+def test_ball_window_holds_the_whole_spectral_flow():
+    # constant non-normal circle pairs, their towers shifted by up to three
+    # modes so that narrow windows miss crossings, and non-commuting T^3
+    # pairs: the flow read at the window of the balls is that of wider ones
+    from etacalc import verify
+    from etacalc.flow import spectral_flow
+    from etacalc.spectral import ball_radius, build_truncation
+
+    rng = np.random.default_rng(61)
+
+    def draw(dim, rank):
+        mats = [
+            np.pi * 1j * (rng.standard_normal((rank, rank))
+                          + 1j * rng.standard_normal((rank, rank)))
+            for _ in range(dim)
+        ]
+        if dim == 1:
+            mats[0] += TWO_PI_I * rng.integers(-3, 4) * np.eye(rank)
+        return Connection.from_constant(dim, mats)
+
+    sfs = []
+    for dim, rank in [(1, 2), (1, 3), (3, 2)] * 4:
+        c0, c1 = draw(dim, rank), draw(dim, rank)
+        sf = verify._endpoint_sf(c0, c1, 8)
+        ball = math.ceil(max(ball_radius(c0), ball_radius(c1)))
+        for k in (ball + 1, ball + 2):
+            assert spectral_flow(build_truncation(c0, k), build_truncation(c1, k)) == sf
+        sfs.append(sf)
+    assert any(sfs)
 
 
 # ----------------------------------------------------------------------
