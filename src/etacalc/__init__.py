@@ -8,13 +8,7 @@ from .eta import (
     eta_s1_spectral,
     m_minus,
 )
-from .flow import (
-    EigenvalueTrack,
-    TrackError,
-    gauge_path,
-    spectral_flow,
-    track_path,
-)
+from .flow import gauge_path, spectral_flow
 from .forms import EQ_TOL, SubTorus, TrigPolyForm
 from .geometry import (
     Connection,
@@ -46,13 +40,11 @@ __all__ = [
     "EQ_TOL",
     "CheckEntry",
     "Connection",
-    "EigenvalueTrack",
     "EtaValue",
     "MemoryGuardError",
     "OperatorTruncation",
     "PreconditionError",
     "SubTorus",
-    "TrackError",
     "TrigPolyForm",
     "VerificationReport",
     "a_coeff",
@@ -75,7 +67,6 @@ __all__ = [
     "spectrum",
     "standard_suite",
     "subtorus_pairing",
-    "track_path",
 ]
 
 __version__ = "0.1.0"

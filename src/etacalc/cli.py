@@ -3,7 +3,7 @@
 A scenario file is a JSON document naming a torus dimension, a bundle rank,
 a set of connections, and a list of experiments (check ids plus parameters).
 ``etacalc run scenario.json`` executes the experiments, prints a summary
-table, optionally writes the report JSON and spectrum/track CSVs, and exits
+table, optionally writes the report JSON and spectrum CSVs, and exits
 with a distinct code per failure class:
 
 * 0 -- everything ran and every check passed
@@ -16,16 +16,16 @@ with a distinct code per failure class:
   outside its domain (:class:`~etacalc.geometry.PreconditionError`);
   nothing else maps here
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
-  memory guard, eigenvalue-tracking ambiguity, spectral flow needing a
-  window past the cutoff: a Bauer--Fike ball past it, or K and K + 1 differ)
+  memory guard, spectral flow needing a window past the cutoff: a
+  Bauer--Fike ball past it, or K and K + 1 differ)
 
 Any other exception is a bug and propagates with its traceback.
 
 The checks are those of :data:`etacalc.verify.CHECKS`, the registry that
-``standard_suite`` runs through too, plus two CSV artifacts, ``spectrum``
-and ``tracks``.  An identity check's defaults (tolerances, cutoffs,
-samples) are those of its check function, since runners forward only the
-parameters an experiment sets.  This module holds the JSON side: one
+``standard_suite`` runs through too, plus one CSV artifact, ``spectrum``.
+An identity check's defaults (tolerances, cutoffs, samples) are those of
+its check function, since runners forward only the parameters an
+experiment sets.  This module holds the JSON side: one
 schema per experiment key, from which the scenario schema, one experiment
 schema per check and the ``--check`` choices are generated, and the
 resolution of connection names and paths.  Each experiment is validated
@@ -54,7 +54,7 @@ from typing import Callable
 import jsonschema
 
 from . import verify
-from .flow import export_tracks_csv, gauge_path, track_path
+from .flow import gauge_path
 from .forms import InvalidInputError
 from .geometry import Connection, PreconditionError, linear_path
 from .spectral import GuardError, build_truncation, export_spectrum_csv
@@ -162,7 +162,7 @@ class _CsvSink:
 
 
 # ----------------------------------------------------------------------
-# the check registry: verify's identity checks plus two CSV artifacts
+# the check registry: verify's identity checks plus a CSV artifact
 
 
 @dataclass(frozen=True)
@@ -179,25 +179,11 @@ def _spectrum_csv(x: _Experiment) -> list[verify.CheckEntry]:
     return []
 
 
-def _tracks_csv(x: _Experiment) -> list[verify.CheckEntry]:
-    if x.sink.enabled:
-        path, cutoff = x.args["path"], x.args.get("cutoff", 8)
-        tr = track_path(
-            lambda t: build_truncation(path(t), cutoff),
-            **x.kwargs(m0="intervals"),
-        )
-        export_tracks_csv(tr, x.sink.path_for(x.label))
-    return []
-
-
 #: check name -> verify.Check(params, required params, runner)
 CHECKS: dict[str, verify.Check] = {
     **verify.CHECKS,
     "spectrum": verify.Check(
         ("connection", "cutoff"), ("connection",), _spectrum_csv
-    ),
-    "tracks": verify.Check(
-        ("path", "cutoff", "intervals"), ("path",), _tracks_csv
     ),
 }
 
@@ -215,7 +201,6 @@ _PARAM_SCHEMAS = {
     "winding": {"type": "integer"},
     "samples": {"type": "integer", "minimum": 2},
     "rank": {"type": "integer", "minimum": 1},
-    "intervals": {"type": "integer", "minimum": 1},
     "tolerance": {"type": "number", "exclusiveMinimum": 0},
 }
 
@@ -568,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--emit-csv",
         action="store_true",
-        help="write spectrum/track CSV artifacts",
+        help="write spectrum CSV artifacts",
     )
     run_p.add_argument(
         "--seed",

@@ -72,9 +72,8 @@ import numpy as np
 
 from .geometry import Connection
 
-# bytes one allocation may take: a truncation's stack and mode lattice,
-# those plus one batch of its complex128 component matrices, or the arrays
-# of one tracking step
+# bytes one allocation may take: a truncation's stack and mode lattice, or
+# those plus one batch of its complex128 component matrices
 MEMORY_LIMIT = 512 * 1024 * 1024
 
 
@@ -301,13 +300,15 @@ def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
 
 
 def _galerkin_hermitian(c: Connection) -> bool:
-    """Whether c's Galerkin matrices are Hermitian: omega vanishes to 1e-10
-    and the fiber metric is exactly the constant identity, one term (then
-    omega is -(A^dagger + A))."""
-    if not c.omega_metric().is_zero(1e-10):
-        return False
+    """Whether c's Galerkin matrices are Hermitian: the fiber metric is
+    exactly the constant identity, one term, and omega vanishes to 1e-10.
+    On that metric omega is -(A^dagger + A), the same terms summed in the
+    other order, so A + A^dagger gives the same answer without the wedges
+    of ``omega_metric``."""
     (k, _, g), *rest = c.g.terms()
-    return not rest and not any(k) and g.tolist() == np.eye(c.rank).tolist()
+    if rest or any(k) or g.tolist() != np.eye(c.rank).tolist():
+        return False
+    return (c.a + c.a.dagger()).is_zero(1e-10)
 
 
 def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:

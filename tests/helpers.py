@@ -227,7 +227,7 @@ def random_mus(
     min_sep: float = 0.05,
 ) -> list[complex]:
     """Eigenvalue shifts mu with real parts inside the open unit strip and
-    pairwise separation (avoids tower collisions in tracking tests)."""
+    pairwise separation (keeps their eigenvalue towers apart)."""
     mus: list[complex] = []
     while len(mus) < count:
         cand = complex(rng.uniform(*re_range), rng.uniform(*im_range))

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from etacalc import cli, flow, spectral, verify
+from etacalc import cli, spectral, verify
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
@@ -116,6 +116,22 @@ def test_per_check_schema_names_offending_key(
     assert "at $.experiments[0]" in err
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        # there is no ``tracks`` artifact, and no check reads ``intervals``
+        {"check": "tracks", "path": _LINEAR},
+        {"check": "spectrum", "connection": "main", "intervals": 8},
+    ],
+)
+def test_retired_tracks_experiment_is_a_schema_error(tmp_cwd, capsys, experiment):
+    obj = load_bundled("s1_nonunitary.json")
+    obj["experiments"] = [experiment]
+    assert main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"]) == 2
+    assert "violates the schema" in capsys.readouterr().err
+    assert not list(tmp_cwd.rglob("*.csv"))
+
+
 def test_check_flag_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(SCENARIOS / "s1_unitary.json"), "--check", "nope"])
@@ -144,10 +160,9 @@ def test_schema_is_generated_from_the_registry():
         "bk_phase": {"rank", "cutoff"},
         "standard_suite": set(),
         "spectrum": {"connection", "cutoff"},
-        "tracks": {"path", "cutoff", "intervals"},
     }
     # every key a check accepts, label included, and nothing else
-    assert sum(len(keys) + 1 for keys in accepted.values()) == 38
+    assert sum(len(keys) + 1 for keys in accepted.values()) == 34
 
 
 def test_loader_reuses_one_validator_without_meta_check(monkeypatch):
@@ -472,25 +487,6 @@ def test_nonpositive_tol_flag_rejected(capsys, tol):
     assert "> 0" in capsys.readouterr().err
 
 
-def test_emit_csv_flag_controls_tracks(tmp_cwd):
-    obj = load_bundled("s1_nonunitary.json")
-    obj["experiments"] = [
-        {
-            "check": "tracks",
-            "path": {"kind": "gauge", "connection": "main", "winding": 1},
-            "cutoff": 6,
-            "label": "gauge_tracks",
-        }
-    ]
-    del obj["output"]
-    path = write_scenario(tmp_cwd, obj)
-    assert main(["run", path]) == 0
-    assert not (tmp_cwd / "gauge_tracks.csv").exists()
-    assert main(["run", path, "--emit-csv"]) == 0
-    text = (tmp_cwd / "gauge_tracks.csv").read_text()
-    assert text.splitlines()[0] == "t,re,im,track"
-
-
 # ----------------------------------------------------------------------
 # guard and precondition exits
 
@@ -657,9 +653,9 @@ print(json.dumps(loaded))
 
 
 def test_start_up_loads_no_scipy(tmp_cwd):
-    # scipy serves only the heat route (eta_heat_estimate) and the tracks
-    # artifact, and importing it costs more than a bundled run; an import,
-    # a bundled run without tracks and the standard suite load none of it
+    # scipy serves only the heat route (eta_heat_estimate), and importing
+    # it costs more than a bundled run; an import, a bundled run and the
+    # standard suite load none of it
     import os
     import subprocess
     import sys
@@ -723,23 +719,6 @@ def test_any_guard_error_exits_3(tmp_cwd, capsys, monkeypatch):
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 3
     err = capsys.readouterr().err
     assert "numerical guard tripped: tolerance out of reach" in err
-
-
-def test_oversized_tracks_exit_3_before_matching(tmp_cwd, capsys, monkeypatch):
-    # a rank-2 T^3 path at the default cutoff 8 has 39304 eigenvalues: one
-    # matching step would hold about 54 GB of n x n arrays
-    def no_matching(*args):
-        raise AssertionError("a matching step ran")
-
-    monkeypatch.setattr(flow, "_match", no_matching)
-    monkeypatch.setattr(flow, "_needs_refinement", no_matching)
-    obj = load_bundled("t3_flat_commuting.json")
-    obj["experiments"] = [
-        {"check": "tracks", "path": {"kind": "linear", "from": "main", "to": "other"}}
-    ]
-    assert main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"]) == 3
-    err = capsys.readouterr().err
-    assert "guard" in err and "tracking 39304 eigenvalues" in err
 
 
 # ----------------------------------------------------------------------

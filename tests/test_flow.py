@@ -1,31 +1,20 @@
 """Spectral flow as an endpoint inertia count (crossing calibration,
-gauge-path winding, cutoff growth) and eigenvalue tracking for the
-``tracks`` artifact (matching, refinement, collision diagnostics)."""
+gauge-path winding, cutoff growth) and the gauge path itself."""
 
 import math
 
 import numpy as np
 import pytest
 
-from etacalc import flow, spectral
-from etacalc.flow import (
-    TrackError,
-    export_tracks_csv,
-    gauge_path,
-    spectral_flow,
-    track_path,
-)
+from etacalc.flow import gauge_path, spectral_flow
 from etacalc.geometry import Connection, PreconditionError
-from etacalc.spectral import MemoryGuardError, build_truncation
+from etacalc.spectral import build_truncation
 
 from helpers import diagonal_connection_from_mus
 
 
 def test_constant_path_has_constant_tracks_and_zero_flow():
     vals = np.array([1.5 + 0.2j, -0.7, 2.0 - 1.0j])
-    tr = track_path(lambda t: vals)
-    assert np.allclose(tr.values, tr.values[0][None, :])
-    assert tr.refinement_log == ()
     assert spectral_flow(vals, vals) == 0
 
 
@@ -58,45 +47,10 @@ def test_endpoint_sizes_must_agree():
         spectral_flow(np.array([1 + 1j, 2.0]), np.array([1 + 1j]))
 
 
-def test_sample_spectrum_sorts_a_vector_lexicographically():
-    # signed zeros, repeated real parts and exact duplicates: one stable
-    # sort is bitwise the (Re, Im) lexsort
-    rng = np.random.default_rng(58)
-    vec = np.concatenate([
-        [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1 + 1j, 1 - 1j, 1, 1 + 1j],
-        rng.integers(-3, 4, 40) + 1j * rng.integers(-2, 3, 40),
-        rng.standard_normal(40) + 1j * rng.standard_normal(40),
-    ])
-    expect = vec[np.lexsort((vec.imag, vec.real))]
-    assert flow._sample_spectrum(vec).tobytes() == expect.tobytes()
-
-
-def test_track_columns_preserve_identity():
-    def path(t):
-        return np.array([2 * t - 0.7 + 0.2j, -1 + 0.5 * t + 0.1j])
-
-    tr = track_path(path)
-    start, end = tr.values[0], tr.values[-1]
-    crossers = [j for j in range(2) if start[j].real < 0 <= end[j].real]
-    assert len(crossers) == 1
-    j = crossers[0]
-    assert end[j] == pytest.approx(1.3 + 0.2j, abs=1e-12)
-
-
-def test_tracks_keep_identity_through_a_near_collision():
-    # two eigenvalues pass 0.002 apart at t = 1/2, between grid points; the
-    # true track 0 crosses the axis to 0.5 + 0.001i rather than bouncing
-    # back to -0.5 - 0.001i (matching each sample against the previous one
-    # alone swaps the tracks here)
-    def path(t):
-        return np.array([t - 0.5 + 0.001j, 0.5 - t - 0.001j])
-
-    tr = track_path(path, m0=7)
-    # straight tracks are extrapolated exactly: no interval needs bisecting
-    assert tr.refinement_log == ()
-    assert tr.values[0, 0] == pytest.approx(-0.5 + 0.001j, abs=1e-12)
-    assert tr.values[-1, 0] == pytest.approx(0.5 + 0.001j, abs=1e-12)
-    assert np.allclose(tr.values, np.array([path(t) for t in tr.times]))
+def test_endpoint_must_be_a_truncation_or_a_spectrum():
+    # a matrix is neither: its eigenvalues are the caller's to compute
+    with pytest.raises(TypeError):
+        spectral_flow(np.eye(2), np.ones(2))
 
 
 def test_gauge_path_endpoints_are_gauge_related():
@@ -123,9 +77,17 @@ def test_gauge_winding_pumps_flow_with_linear_tracks():
         return build_truncation(gauge_path(c, 2, t), 10)
 
     assert spectral_flow(path(0.0), path(1.0)) == 2
-    tr = track_path(path)
-    # every track is affine in t (exact tower motion 2 pi (n + mu + w t))
-    assert np.max(np.abs(np.diff(tr.values, n=2, axis=0))) < 1e-10
+    # every tower moves affinely in t, 2 pi (n + mu + w t): on a diagonal
+    # connection the path is the constant one with mu shifted by w t
+    for t in (0.0, 0.25, 0.5, 0.8, 1.0):
+        assert gauge_path(c, 2, t).a.allclose(
+            diagonal_connection_from_mus([0.3 + 2 * t]).a, 1e-12
+        )
+    c2 = diagonal_connection_from_mus([0.3, 0.6 - 0.2j])
+    for t in (0.1, 0.5, 0.9):
+        assert gauge_path(c2, -1, t).a.allclose(
+            diagonal_connection_from_mus([0.3 - t, 0.6 - 0.2j]).a, 1e-12
+        )
 
 
 def test_gauge_winding_negative():
@@ -158,10 +120,6 @@ def test_gauge_path_self_adjoint_avoided_crossing():
         return build_truncation(gauge_path(c, 1, t), 6)
 
     assert spectral_flow(path(0.0), path(1.0)) == 1
-    tr = track_path(path)
-    # self-adjoint path: tracks stay real
-    assert np.max(np.abs(tr.values.imag)) < 1e-12
-    assert len(tr.refinement_log) > 0  # avoided crossing forces refinement
 
 
 def test_classical_two_by_two_crossing_family():
@@ -189,46 +147,3 @@ def test_flow_stable_under_cutoff_growth():
         for n in (6, 9, 12)
     ]
     assert flows == [1, 1, 1]
-
-
-def test_eigenvalue_collision_raises_diagnostic():
-    # double zero eigenvalue at t = 1/2: +-sqrt(t - 1/2) collides, tracking
-    # must refuse rather than guess
-    with pytest.raises(TrackError):
-        track_path(
-            lambda t: np.linalg.eigvals(np.array([[0.0, 1.0], [t - 0.5, 0.0]]))
-        )
-
-
-def test_track_path_refuses_oversized_matching(monkeypatch):
-    # 2 eigenvalues: a matching step holds 35 * 2 * 2 = 140 bytes
-    def no_matching(*args):
-        raise AssertionError("a matching step ran")
-
-    monkeypatch.setattr(flow, "_match", no_matching)
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", 139)
-    with pytest.raises(MemoryGuardError, match="tracking 2 eigenvalues"):
-        track_path(lambda t: np.array([t + 0.5j, 2.0 + 0j]))
-    monkeypatch.undo()
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", 140)
-    assert track_path(lambda t: np.array([t + 0.5j, 2.0 + 0j])).n_tracks == 2
-
-
-def test_track_path_input_validation():
-    with pytest.raises(ValueError):
-        track_path(lambda t: np.array([1.0 + 0j]), m0=0)
-
-    def varying(t):
-        return np.ones(2 if t < 0.5 else 3, dtype=complex)
-
-    with pytest.raises(TrackError):
-        track_path(varying)
-
-
-def test_export_tracks_csv(tmp_path):
-    tr = track_path(lambda t: np.array([(t - 0.5) + 0.3j, 2.0 + 0j]))
-    out = tmp_path / "tracks.csv"
-    export_tracks_csv(tr, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,re,im,track"
-    assert len(lines) == 1 + len(tr.times) * tr.n_tracks

@@ -9,10 +9,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from etacalc import spectral
+from etacalc.flow import gauge_path
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
 from etacalc.spectral import (
@@ -620,10 +620,16 @@ def test_gauged_t3_solves_at_cutoff_6():
 
 
 def _matched_distance(a, b):
-    """Largest distance in the closest one-to-one matching of a and b."""
+    """Largest distance in a one-to-one matching of a and b that pairs each
+    element of a in turn with the nearest unpaired element of b; when it is
+    small, a and b agree as multisets to within it."""
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return cost[rows, cols].max()
+    worst = 0.0
+    for row in cost:
+        j = np.argmin(row)
+        worst = max(worst, row[j])
+        cost[:, j] = np.inf
+    return worst
 
 
 def _one_copy_case(name):
@@ -785,6 +791,67 @@ def test_other_truncations_are_solved_bitwise_by_eigvals(name):
         assert np.max(np.linalg.norm(defect, axis=(1, 2))) > 1
     vals = np.repeat(np.linalg.eigvals(t.stack), t.copies, axis=-1).ravel()
     assert np.array_equal(spectrum(t), vals[np.lexsort((vals.imag, vals.real))])
+
+
+def _flag_case(name):
+    rng = np.random.default_rng(59)
+    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+    basis, _ = np.linalg.qr(mats[0])
+    if name == "unitary_s1":
+        return random_unitary_constant_connection(rng, 1, 3)
+    if name == "nonunitary_s1":
+        return diagonal_connection_from_mus([0.3 + 0.1j, 0.55])
+    if name in ("gauge_path_unitary_s1", "gauge_path_nonunitary_s1"):
+        mu = 0.3 if name == "gauge_path_unitary_s1" else 0.3 + 0.1j
+        return gauge_path(diagonal_connection_from_mus([mu, 0.6]), 2, 0.4)
+    if name == "curved_unitary_t3":  # non-commuting anti-Hermitian A_j
+        return Connection.from_constant(3, [0.5 * (m - m.conj().T) for m in mats])
+    if name == "curved_nonunitary_t3":
+        return Connection.from_constant(3, mats)
+    if name == "gauged_t3":
+        return gauged_t3_connection(rng.uniform(0.1, 0.9, (3, 2)), basis)
+    if name == "gauged_complex_t3":
+        mus = rng.uniform(0.1, 0.9, (3, 2)) + 1j * rng.uniform(-0.3, 0.3, (3, 2))
+        return gauged_t3_connection(mus, basis)
+    if name == "unitary_on_other_metric":
+        return unitary_on_constant_metric(rng)
+    if name == "antihermitian_on_scaled_metric":  # omega = 0, yet g = 2 I
+        antiherm = [0.5 * (m - m.conj().T) for m in mats]
+        return Connection.from_constant(3, antiherm, g=TrigPolyForm.constant(3, 2 * np.eye(2)))
+    # anti-Hermitian up to a Hermitian defect just inside or outside 1e-10
+    eps = 0.5e-10 if name == "defect_inside_tol" else 2e-10
+    return Connection.from_constant(3, [0.5 * (m - m.conj().T) + eps * np.eye(2) for m in mats])
+
+
+_FLAG_CASES = {
+    "unitary_s1": True,
+    "nonunitary_s1": False,
+    "gauge_path_unitary_s1": True,
+    "gauge_path_nonunitary_s1": False,
+    "curved_unitary_t3": True,
+    "curved_nonunitary_t3": False,
+    "gauged_t3": True,
+    "gauged_complex_t3": False,
+    "unitary_on_other_metric": False,
+    "antihermitian_on_scaled_metric": False,
+    "defect_inside_tol": True,
+    "defect_outside_tol": False,
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAG_CASES))
+def test_hermitian_flag_is_omega_zero_on_the_identity_metric(name):
+    c = _flag_case(name)
+    flag = spectral._galerkin_hermitian(c)
+    # the flag forms no omega: that takes three wedges and a dagger
+    assert "_omega" not in vars(c)
+    identity = c.g.num_terms() == 1 and np.array_equal(
+        c.g.coefficient((0,) * c.dim, ()), np.eye(c.rank)
+    )
+    assert flag == (c.omega_metric().is_zero(1e-10) and identity)
+    assert flag == _FLAG_CASES[name]
+    if name.endswith("_metric"):
+        assert c.omega_metric().is_zero(1e-10) and not identity
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
