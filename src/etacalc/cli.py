@@ -23,6 +23,9 @@ Any other exception is a bug and propagates with its traceback.
 
 The checks are those of :data:`etacalc.verify.CHECKS`, the registry that
 ``standard_suite`` runs through too, plus one CSV artifact, ``spectrum``.
+Experiments run on the scenario's own connections, so a report's ``meta``
+holds the schema version only (``scripts/run_verification.py`` seeds
+the randomized suite).
 An identity check's defaults (tolerances, cutoffs, samples) are those of
 its check function, since runners forward only the parameters an
 experiment sets.  This module holds the JSON side: one
@@ -140,7 +143,6 @@ class Scenario:
     dim: int
     rank: int
     connections: dict[str, Connection]
-    seed: int
     experiments: tuple[dict, ...]
     report_path: str | None
     csv_dir: str | None
@@ -250,7 +252,6 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "additionalProperties": _CONNECTION_SCHEMA,
         },
-        "seed": {"type": "integer", "minimum": 0},
         "experiments": {
             "type": "array",
             "items": {
@@ -350,7 +351,6 @@ def load_scenario(path: str) -> Scenario:
         dim=dim,
         rank=rank,
         connections=connections,
-        seed=int(obj.get("seed", 0)),
         experiments=tuple(experiments.values()),
         report_path=output.get("report"),
         csv_dir=output.get("csv_dir"),
@@ -408,7 +408,6 @@ def run_scenario(
     selected_checks: list[str] | None = None,
     tol_override: float | None = None,
     emit_csv: bool = False,
-    seed_override: int | None = None,
 ) -> tuple[verify.VerificationReport, _CsvSink]:
     """Execute the scenario's experiments and assemble the report.
 
@@ -416,7 +415,6 @@ def run_scenario(
     replaces the tolerance of every check that takes one; CSV artifacts are
     written when the flag or the scenario requests them.
     """
-    seed = scn.seed if seed_override is None else seed_override
     sink = _CsvSink(scn.csv_dir, enabled=emit_csv or scn.csv_dir is not None)
     entries: list[verify.CheckEntry] = []
     for exp in scn.experiments:
@@ -429,11 +427,10 @@ def run_scenario(
                 label=exp["label"],
                 dim=scn.dim,
                 rank=scn.rank,
-                seed=seed,
                 sink=sink,
             )
         )
-    return verify.assemble_report(entries, seed=seed), sink
+    return verify.assemble_report(entries), sink
 
 
 def write_report(report: verify.VerificationReport, path: str) -> None:
@@ -481,7 +478,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             selected_checks=args.check,
             tol_override=args.tol,
             emit_csv=args.emit_csv,
-            seed_override=args.seed,
         )
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
@@ -500,16 +496,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not report.entries and args.check:
         print("note: no experiments matched the --check filter")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _seed(text: str) -> int:
-    """A seed from the command line: a non-negative integer, as the
-    scenario's own ``seed`` is."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {text!r}"
-        )
-    return int(text)
 
 
 def _tolerance(text: str) -> float:
@@ -554,12 +540,6 @@ def main(argv: list[str] | None = None) -> int:
         "--emit-csv",
         action="store_true",
         help="write spectrum CSV artifacts",
-    )
-    run_p.add_argument(
-        "--seed",
-        type=_seed,
-        default=None,
-        help="seed for randomized suites (overrides the scenario)",
     )
     return _cmd_run(parser.parse_args(argv))
 

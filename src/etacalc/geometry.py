@@ -14,9 +14,10 @@ a Hermitian fiber metric g.  The central derived objects:
 A metric is checked once, where it enters: in the ``Connection``
 constructor, which ``gauge_transform`` (a new metric from the caller's u)
 also runs.  Invalid input raises :class:`~etacalc.forms.InvalidInputError`
-there.  ``hermitian_part``, ``linear_path`` and
-:func:`etacalc.flow.gauge_path` derive connections that keep their parent's
-checked metric through ``Connection.with_form``, which checks nothing.
+there, as does a non-constant metric or u given without its inverse.
+``hermitian_part``, ``linear_path`` and :func:`etacalc.flow.gauge_path`
+derive connections that keep their parent's checked metric through
+``Connection.with_form``, which checks nothing.
 
 All conventions are pinned by exactly-computable calibrations in the test
 suite (flat-circle Chern--Simons values, winding numbers, metric
@@ -49,50 +50,24 @@ class PreconditionError(ValueError):
 # Deterministic sample points for positive-definiteness spot checks.
 _SPOT_FRACTIONS = (0.0, 0.31830988618, 0.61803398875, 0.14142135623)
 
-# The Neumann series of invert_degree0: at most this many powers, and the
-# inverse it finds must hold to this tolerance.
-_NEUMANN_MAX_TERMS = 64
-_NEUMANN_TOL = 1e-10
-
 
 def invert_degree0(g: TrigPolyForm) -> TrigPolyForm:
-    """Invert a degree-0 form (a matrix-valued function on the torus).
-
-    Constant functions invert by plain linear algebra.  Non-constant ones
-    are attempted via the Neumann series sum (I - g)^m, which terminates
-    exactly when I - g is nilpotent in the function algebra (the case for
-    unipotent factors used to build non-trivial metrics).  Anything else,
-    a singular constant included, is refused with InvalidInputError rather
-    than approximated.
-    """
-    if set(g.degrees()) - {0}:
-        raise InvalidInputError("can only invert degree-0 forms")
+    """Invert a constant degree-0 form by plain linear algebra.  Any other
+    form, and a singular constant, is refused with InvalidInputError: the
+    inverse of a non-constant metric or gauge is the caller's to pass
+    (``g_inv``, ``u_inv``)."""
     terms = list(g.terms())
-    if len(terms) <= 1:
-        if not terms:
-            raise InvalidInputError("zero form is not invertible")
-        k, _, mat = terms[0]
-        if all(v == 0 for v in k):
-            try:
-                inverse = np.linalg.inv(mat)
-            except np.linalg.LinAlgError as exc:  # raised only when singular
-                raise InvalidInputError(f"constant form is singular: {exc}") from exc
-            return TrigPolyForm.constant(g.dim, inverse)
-    ident = TrigPolyForm.identity(g.dim, g.rank)
-    h = ident - g
-    acc = ident
-    power = ident
-    for _ in range(_NEUMANN_MAX_TERMS):
-        power = power.wedge(h)
-        if power.is_zero(0.0):
-            if g.wedge(acc).allclose(ident, _NEUMANN_TOL):
-                return acc
-            break
-        acc = acc + power
-    raise InvalidInputError(
-        "degree-0 form is not invertible in closed form; "
-        "supply g_inv explicitly (e.g. from a unipotent factorization)"
-    )
+    if any(any(k) or I for k, I, _ in terms):
+        raise InvalidInputError(
+            "only a constant degree-0 form is inverted: pass g_inv or u_inv "
+            "for a non-constant one; a scenario metric must be constant"
+        )
+    mat = terms[0][2] if terms else np.zeros((g.rank, g.rank))
+    try:
+        inverse = np.linalg.inv(mat)
+    except np.linalg.LinAlgError as exc:  # raised only when singular
+        raise InvalidInputError(f"constant form is singular: {exc}") from exc
+    return TrigPolyForm.constant(g.dim, inverse)
 
 
 @dataclass(frozen=True)
@@ -101,10 +76,10 @@ class Connection:
 
     ``a`` must be pure degree 1.  ``g`` (degree 0) defaults to the identity;
     it must be Hermitian and positive definite (spot-checked on sample
-    points).  ``g_inv`` may be supplied when g has a closed-form inverse the
-    Neumann fallback cannot find.  The constructor checks all of this and
-    raises InvalidInputError; :meth:`with_form` reuses the checked metric.
-    omega is computed once.
+    points).  ``g_inv`` must be supplied when g is not constant, since
+    :func:`invert_degree0` inverts constant forms only.  The constructor
+    checks all of this and raises InvalidInputError; :meth:`with_form`
+    reuses the checked metric.  omega is computed once.
     """
 
     a: TrigPolyForm

@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -135,8 +135,8 @@ def make_entry(
 class VerificationReport:
     """Sorted, deterministic collection of check entries.
 
-    ``meta`` carries the schema version and the seed of any randomized
-    construction; no timestamps, so equal inputs give byte-equal JSON.
+    ``meta`` carries the schema version (and a :func:`standard_suite`
+    report's ``seed``); no timestamps, so equal inputs give byte-equal JSON.
     """
 
     entries: tuple[CheckEntry, ...]
@@ -575,14 +575,12 @@ def check_bk_phase(
 class Experiment:
     """One run of a registered check: ``args`` holds the parameters it
     sets, connections and paths as objects; ``label`` names its entries;
-    ``dim`` and ``rank`` are those of its scenario and ``seed`` seeds
-    randomized suites."""
+    ``dim`` and ``rank`` are those of its scenario."""
 
     args: dict
     label: str
     dim: int = 1
     rank: int = 1
-    seed: int = 0
 
     def kwargs(self, **names: str) -> dict:
         """``{parameter: args[key]}`` for each ``parameter=key`` whose key
@@ -694,14 +692,6 @@ CHECKS: dict[str, Check] = {
         ],
     ),
     "bk_phase": Check(("rank", "cutoff"), (), _bk_phase),
-    "standard_suite": Check(
-        (),
-        (),
-        lambda x: [
-            replace(e, check_id=f"{x.label}.{e.check_id}")
-            for e in standard_suite(x.seed).entries
-        ],
-    ),
 }
 
 
@@ -750,7 +740,7 @@ def _diagonal_path(
 
 
 def _suite_experiments(rng: np.random.Generator) -> list[tuple[str, Experiment]]:
-    """The standard suite as (check name, experiment) rows.  The seeded
+    """The standard suite as (check name, experiment) rows.  The random
     draws are taken first, in a fixed order."""
     t3 = _diagonal(*(_suite_mus(rng, 2) for _ in range(3)))
     gilkey = [_diagonal(_suite_mus(rng, 2)) for _ in range(2)]

@@ -13,7 +13,7 @@ from etacalc import cli, spectral, verify
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection
-from helpers import reference_scenario_schema
+from helpers import reference_scenario_schema, unipotent_metric
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = [
@@ -132,6 +132,21 @@ def test_retired_tracks_experiment_is_a_schema_error(tmp_cwd, capsys, experiment
     assert not list(tmp_cwd.rglob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("experiments", [{"check": "standard_suite"}]), ("seed", 3)],
+    ids=["standard_suite", "seed"],
+)
+def test_retired_suite_experiment_is_a_schema_error(tmp_cwd, capsys, key, value):
+    # a scenario runs checks on its own connections; neither the suite nor
+    # a seed for it is part of one
+    obj = load_bundled("s1_unitary.json")
+    obj[key] = value
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "violates the schema" in capsys.readouterr().err
+    assert not (tmp_cwd / "out").exists()
+
+
 def test_check_flag_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(SCENARIOS / "s1_unitary.json"), "--check", "nope"])
@@ -158,11 +173,10 @@ def test_schema_is_generated_from_the_registry():
         "psi_constancy": {"path", "samples", "tolerance"},
         "eta_tilde_imaginary": {"connection", "reference", "tolerance"},
         "bk_phase": {"rank", "cutoff"},
-        "standard_suite": set(),
         "spectrum": {"connection", "cutoff"},
     }
     # every key a check accepts, label included, and nothing else
-    assert sum(len(keys) + 1 for keys in accepted.values()) == 34
+    assert sum(len(keys) + 1 for keys in accepted.values()) == 33
 
 
 def test_loader_reuses_one_validator_without_meta_check(monkeypatch):
@@ -305,6 +319,25 @@ def test_singular_metric_is_scenario_error(tmp_cwd, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_non_constant_metric_is_scenario_error(tmp_cwd, capsys):
+    # g = w^dagger w, w = I + 0.4 e^{2 pi i x} E_12: positive and Hermitian,
+    # but a scenario has no way to give its inverse
+    g, _ = unipotent_metric(1, 2)
+    a = TrigPolyForm.constant_one_form(1, [np.diag([0.3j, -0.2j])])
+    obj = {
+        "manifold": {"dim": 1},
+        "bundle": {"rank": 2},
+        "connections": {
+            "main": {"dim": 1, "rank": 2, "A": a.to_json_obj(), "g": g.to_json_obj()}
+        },
+        "experiments": [{"check": "re_im_split", "connection": "main"}],
+    }
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario: connection 'main'" in err
+    assert "a scenario metric must be constant" in err
+
+
 def _with_number(tmp_path, obj, literal):
     """The scenario ``obj`` written with the JSON text ``literal`` in place
     of every string "NUMBER"."""
@@ -334,7 +367,7 @@ def test_numbers_must_be_finite_floats(tmp_cwd, capsys, key, literal):
 def test_oversized_integer_seed_rejected(tmp_cwd):
     # every number of the file is checked, not only check parameters
     obj = load_bundled("s1_unitary.json")
-    obj["seed"] = "NUMBER"
+    obj["bundle"]["rank"] = "NUMBER"
     assert main(["run", _with_number(tmp_cwd, obj, "1" + "0" * 400)]) == 2
 
 
@@ -454,28 +487,12 @@ def test_check_filter(tmp_cwd):
     assert "gilkey_variation" in report["entries"][0]["check_id"]
 
 
-def test_seed_flag_overrides_scenario(tmp_cwd):
-    obj = {
-        "manifold": {"dim": 1},
-        "bundle": {"rank": 1},
-        "seed": 3,
-        "experiments": [{"check": "standard_suite"}],
-        "output": {"report": "suite_report.json"},
-    }
-    assert main(["run", write_scenario(tmp_cwd, obj), "--seed", "11"]) == 0
-    report = json.loads((tmp_cwd / "suite_report.json").read_text())
-    assert report["meta"]["seed"] == 11
-    assert all(
-        e["check_id"].startswith("e00_standard_suite.")
-        for e in report["entries"]
-    )
-
-
-def test_negative_seed_flag_rejected(capsys):
+def test_seed_flag_is_retired(capsys):
+    # the seeded suite runs from scripts/run_verification.py, not a scenario
     with pytest.raises(SystemExit) as exc:
-        main(["run", str(SCENARIOS / "s1_unitary.json"), "--seed", "-1"])
+        main(["run", str(SCENARIOS / "s1_unitary.json"), "--seed", "3"])
     assert exc.value.code == 2
-    assert "non-negative" in capsys.readouterr().err
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "Infinity", "1e999"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from etacalc import cli
 from etacalc.flow import gauge_path
-from etacalc.forms import SubTorus, TrigPolyForm
+from etacalc.forms import InvalidInputError, SubTorus, TrigPolyForm
 from etacalc.geometry import (
     Connection,
     PreconditionError,
@@ -434,7 +434,7 @@ def _on_unipotent_metric(seed: int) -> Connection:
 def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
     """Every way the program derives a connection from c (and from the
     linear path c -> other, as a scenario builds it)."""
-    scn = cli.Scenario(1, 2, {"c": c, "other": other}, 0, (), None, None)
+    scn = cli.Scenario(1, 2, {"c": c, "other": other}, (), None, None)
     linear = cli._build_path(scn, {"kind": "linear", "from": "c", "to": "other"})
     out = {"hermitian_part": c.hermitian_part()}
     for t in (0.0, 0.5, 1.0):
@@ -493,22 +493,26 @@ def test_gauge_transform_conjugates_curvature():
 
 
 def test_invert_degree0_unipotent_and_errors():
-    # the unipotent factor itself inverts via the terminating Neumann series
+    # only constant forms are inverted: the unipotent factor w, the metric
+    # w^dagger w and 2 cos(2 pi x) are refused, and the refusal names the fix
     n = np.array([[0.0, 0.4], [0.0, 0.0]])
     w = TrigPolyForm.identity(2, 2) + TrigPolyForm.monomial(2, n, k=(1, 0))
-    w_inv = invert_degree0(w)
-    assert w.wedge(w_inv).allclose(TrigPolyForm.identity(2, 2), 1e-12)
-    # the metric w^dagger w is NOT unipotent (mixed E12/E21 terms): the
-    # closed-form inverse must come from the factorization instead
     g, g_inv = unipotent_metric(2, 2)
-    with pytest.raises(ValueError, match="not invertible in closed form"):
-        invert_degree0(g)
-    assert g.wedge(g_inv).allclose(TrigPolyForm.identity(2, 2), 1e-12)
     bad = TrigPolyForm.monomial(1, np.eye(1), k=(1,)) + TrigPolyForm.monomial(
         1, np.eye(1), k=(-1,)
-    )  # 2 cos(2 pi x): vanishes at x = 1/4, no closed-form inverse
-    with pytest.raises(ValueError):
-        invert_degree0(bad)
+    )  # 2 cos(2 pi x): vanishes at x = 1/4, no inverse at all
+    for form in (w, g, bad):
+        with pytest.raises(InvalidInputError, match="pass g_inv or u_inv"):
+            invert_degree0(form)
+    # the metric's inverse comes from the factorization instead
+    assert g.wedge(g_inv).allclose(TrigPolyForm.identity(2, 2), 1e-12)
+    # a constant inverts; the zero form and a 1-form are refused
+    c = TrigPolyForm.constant(2, np.array([[2.0, 1.0], [0.0, 4.0]]))
+    assert c.wedge(invert_degree0(c)).allclose(TrigPolyForm.identity(2, 2), 1e-15)
+    with pytest.raises(InvalidInputError, match="singular"):
+        invert_degree0(TrigPolyForm.zero(2, 2))
+    with pytest.raises(InvalidInputError, match="constant degree-0"):
+        invert_degree0(TrigPolyForm.constant_one_form(1, [np.eye(2)]))
 
 
 def test_connection_validation_errors():

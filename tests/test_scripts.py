@@ -10,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 
+from etacalc.verify import standard_suite
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -29,6 +31,25 @@ def test_run_verification_passes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "31 checks, all passed"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_verification_writes_the_seeded_suite(tmp_path):
+    # the one command-line route to standard_suite(seed)
+    proc = _run_script(
+        "run_verification.py", "--seed", "11", "--report", "r.json", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["meta"] == {"schema_version": "1", "seed": 11}
+    assert report["entries"] == standard_suite(11).to_json_obj()["entries"]
+
+
+def test_run_verification_refuses_a_negative_seed(tmp_path):
+    # refused at parse time, before numpy's generator would raise
+    proc = _run_script("run_verification.py", "--seed", "-1", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "seed must be a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_eta_heat_convergence_prints_the_table(tmp_path):
