@@ -14,7 +14,8 @@ files those runs write.
 ``--json PATH`` writes the digests and every entry's lhs, rhs and residual.
 ``--against OLD.json`` reads such a record, made from another tree, and
 lists every entry whose lhs, rhs or residual moved, with |delta| of each,
-and every entry present on one side only.
+and every entry present on one side only; it exits 1 if a digest differs
+or an entry moved, so that unchanged report bytes read as exit 0.
 """
 
 import argparse
@@ -134,8 +135,11 @@ def main() -> int:
             if old["digests"].get(name) != new["digests"].get(name)
         ]
         print(f"digests that differ from {args.against}: {', '.join(changed) or 'none'}")
-        for line in moved_lines(old, new):
+        moved = moved_lines(old, new)
+        for line in moved:
             print(line)
+        if changed or len(moved) > 1:
+            return 1
     return 0
 
 

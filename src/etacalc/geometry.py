@@ -54,13 +54,12 @@ _SPOT_FRACTIONS = (0.0, 0.31830988618, 0.61803398875, 0.14142135623)
 def invert_degree0(g: TrigPolyForm) -> TrigPolyForm:
     """Invert a constant degree-0 form by plain linear algebra.  Any other
     form, and a singular constant, is refused with InvalidInputError: the
-    inverse of a non-constant metric or gauge is the caller's to pass
-    (``g_inv``, ``u_inv``)."""
+    inverse of a non-constant metric is the caller's to pass (``g_inv``)."""
     terms = list(g.terms())
     if any(any(k) or I for k, I, _ in terms):
         raise InvalidInputError(
-            "only a constant degree-0 form is inverted: pass g_inv or u_inv "
-            "for a non-constant one; a scenario metric must be constant"
+            "only a constant degree-0 form is inverted: pass g_inv for a "
+            "non-constant metric; a scenario metric must be constant"
         )
     mat = terms[0][2] if terms else np.zeros((g.rank, g.rank))
     try:
@@ -322,13 +321,10 @@ def _gauge_form(a: TrigPolyForm, u: TrigPolyForm, u_inv: TrigPolyForm) -> TrigPo
     return u_inv.wedge(a).wedge(u) + u_inv.wedge(u.ext_d())
 
 
-def gauge_transform(
-    c: Connection, u: TrigPolyForm, u_inv: TrigPolyForm | None = None
-) -> Connection:
-    """Pull back the connection by the bundle automorphism u:
-    A -> u^{-1} A u + u^{-1} du, g -> u^dagger g u."""
-    if u_inv is None:
-        u_inv = invert_degree0(u)
+def gauge_transform(c: Connection, u: TrigPolyForm, u_inv: TrigPolyForm) -> Connection:
+    """Pull back the connection by the bundle automorphism u, whose inverse
+    the caller passes as ``u_inv``: A -> u^{-1} A u + u^{-1} du,
+    g -> u^dagger g u."""
     a_new = _gauge_form(c.a, u, u_inv)
     g_new = u.dagger().wedge(c.g).wedge(u)
     g_inv_new = u_inv.wedge(c.g_inv).wedge(u_inv.dagger())

@@ -32,11 +32,10 @@ split the modes into the connected components of the graph with an edge
 k -> k + q, each an eigenproblem of its own: the spectrum is one batched
 eigen-solve per component size, over the components' Galerkin matrices
 assembled from the stack and the couplings (without couplings, the stack
-itself), each eigenvalue repeated 2^n times, and is cached on the
-truncation.  A memory guard, checked where arrays are allocated, refuses
-a stack and lattice, or a batch of component matrices next to them, that
-would not fit; so a window that its couplings split into small
-components solves.
+itself), for one spinor copy, cached on the truncation.  A memory guard,
+checked where arrays are allocated, refuses a stack and lattice, or a
+batch of component matrices next to them, that would not fit; so a
+window that its couplings split into small components solves.
 
 The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -54,9 +53,19 @@ for the unitary connections in this package that is rounding, about
 1e-15 of the matrix scale.  A connection that is unitary for another
 metric is self-adjoint for the g-weighted inner product but not for the
 standard one the matrices are written in, so its stack is not Hermitian
-and keeps ``eigvals``.  Either way the eigenvalues are ordered by one
-stable ``np.sort``, which orders complex values by (Re, Im), and cast to
-complex once, where ``spectrum`` and ``spectrum_rows`` hand them out.
+and keeps ``eigvals``.
+
+The one copy's eigenvalues are sorted, then each is repeated 2^n times
+and the whole cast to complex once, where ``spectrum`` and
+``spectrum_rows`` hand them out.  The copies of a value stay adjacent and
+in order, so this is bitwise the sort of the repeated solve.  Complex
+eigenvalues are ordered by (Re, Im) with a stable ``np.sort``.  Real ones
+(the Hermitian route, closed form and LAPACK alike) take numpy's default
+float sort, whose order among equal values depends on the machine's sort
+kernel; NaN-free float64 values that compare equal are bitwise equal
+except -0.0 and +0.0, so the zeros, contiguous after the sort, are put
+back in the order of the solve.  That is bitwise the stable sort on every
+route, whether or not a solve yields -0.0.
 """
 
 from __future__ import annotations
@@ -271,22 +280,23 @@ class OperatorTruncation:
 
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
-        """Unsorted eigenvalues, one batched solve per component size
-        (real ones from ``_eigvalsh`` if ``hermitian``, else ``eigvals``): an
-        (m, s * per * copies) array per entry of ``_components``, one row
-        per component, each eigenvalue of its Galerkin matrix repeated
-        ``copies`` times in a row.  Without couplings the solve is that of
-        the stack, one row per mode."""
+        """Unsorted eigenvalues of one spinor copy, one batched solve per
+        component size (real ones from ``_eigvalsh`` if ``hermitian``, else
+        ``eigvals``): an (m, s * per) array per entry of ``_components``,
+        one row per component, not yet repeated ``copies`` times.  Without
+        couplings the solve is that of the stack, one row per mode."""
         solve = _eigvalsh if self.hermitian else np.linalg.eigvals
-        return tuple(
-            np.repeat(solve(self._component_matrices(members)), self.copies, axis=-1)
-            for members in self._components
-        )
+        return tuple(solve(self._component_matrices(m)) for m in self._components)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        vals = np.concatenate([v.ravel() for v in self._eigvals])
-        return np.sort(vals, kind="stable").astype(complex, copy=False)
+        solved = np.concatenate([v.ravel() for v in self._eigvals])
+        if solved.dtype == complex:
+            vals = np.sort(solved, kind="stable")
+        else:  # see the module docstring: signed zeros keep the solve's order
+            vals = np.sort(solved)
+            vals[vals == 0] = solved[solved == 0]
+        return np.repeat(vals.astype(complex, copy=False), self.copies)
 
 
 def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
@@ -396,6 +406,7 @@ def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
         return [(float(v.real), float(v.imag), "") for v in t._spectrum]
     rows = []
     sorted_rows = np.sort(t._eigvals[0], kind="stable")  # one lone mode per row
+    sorted_rows = np.repeat(sorted_rows, t.copies, axis=-1)
     for k, vals in zip(t.modes.tolist(), sorted_rows):
         label = " ".join(str(v) for v in k)
         rows.extend((float(v.real), float(v.imag), label) for v in vals)

@@ -502,7 +502,7 @@ def test_invert_degree0_unipotent_and_errors():
         1, np.eye(1), k=(-1,)
     )  # 2 cos(2 pi x): vanishes at x = 1/4, no inverse at all
     for form in (w, g, bad):
-        with pytest.raises(InvalidInputError, match="pass g_inv or u_inv"):
+        with pytest.raises(InvalidInputError, match="pass g_inv for a non-constant metric"):
             invert_degree0(form)
     # the metric's inverse comes from the factorization instead
     assert g.wedge(g_inv).allclose(TrigPolyForm.identity(2, 2), 1e-12)

@@ -48,6 +48,14 @@ def _census_kernel_plus_one(orig):
     return mutated
 
 
+def _zero_modes_dropped(orig):
+    def mutated(t):
+        vals = orig(t)
+        return vals[np.abs(vals) > 1e-9]
+
+    return mutated
+
+
 def _merge_sign_dropped(orig):
     def mutated(I, J):
         sign, merged = orig(I, J)
@@ -100,6 +108,10 @@ MUTATIONS = {
     ),
     "census kernel + 1": (
         [(verify, "trivial_line_eta", _census_kernel_plus_one)],
+        {"bk_phase"},
+    ),
+    "census spectrum drops zero modes": (
+        [(verify, "spectrum", _zero_modes_dropped)],
         {"bk_phase"},
     ),
     "PHI_SCALE conjugated": (

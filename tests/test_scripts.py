@@ -68,6 +68,12 @@ def test_report_digests_are_deterministic(tmp_path):
     assert len(lines) == 18 and all(len(line.split()[0]) == 64 for line in lines)
     assert lines[0].endswith("standard_suite(0)")
     assert lines[-1].endswith("t3_spectrum e00_spectrum.csv")
+    same = _run_script("report_digests.py", "--against", "rec.json", cwd=tmp_path)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == lines + [
+        "digests that differ from rec.json: none",
+        "0 of 348 entries moved",
+    ]
     # an older record whose suite-0 entry residual differs by 1e-3
     record = json.loads((tmp_path / "rec.json").read_text())
     suite0 = record["entries"]["standard_suite(0)"]
@@ -75,7 +81,7 @@ def test_report_digests_are_deterministic(tmp_path):
     suite0[check_id][4] += 1e-3
     (tmp_path / "rec.json").write_text(json.dumps(record))
     again = _run_script("report_digests.py", "--against", "rec.json", cwd=tmp_path)
-    assert again.returncode == 0, again.stderr
+    assert again.returncode == 1, again.stderr
     assert again.stdout.splitlines() == lines + [
         "digests that differ from rec.json: none",
         "1 of 348 entries moved",

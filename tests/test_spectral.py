@@ -662,7 +662,7 @@ def test_one_copy_spectrum_repeated_is_the_full_b_spectrum(name):
     scale = np.max(np.abs(spectrum(t)))
     worst = 0.0
     for members, solved in zip(t._components, t._eigvals):
-        for comp, vals in zip(members, solved):
+        for comp, vals in zip(members, np.repeat(solved, t.copies, axis=-1)):
             if full is None:
                 block = build_sig_mode(c, t.modes[comp[0]])
             else:
@@ -856,8 +856,9 @@ def test_hermitian_flag_is_omega_zero_on_the_identity_metric(name):
 
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_spectrum_is_the_lexicographic_order_of_the_solve(hermitian):
-    # one stable sort of the solve, cast to complex once: bitwise the
-    # (Re, Im) lexicographic order of the complex eigenvalues
+    # one sort of the solve, repeated over the spinor copies and cast to
+    # complex once: bitwise the (Re, Im) lexicographic order of the
+    # complex eigenvalues of all copies
     rng = np.random.default_rng(57)
     if hermitian:
         c = random_unitary_constant_connection(rng, 3, 1)
@@ -866,10 +867,75 @@ def test_spectrum_is_the_lexicographic_order_of_the_solve(hermitian):
         c = Connection.from_constant(3, mats)
     t = build_truncation(c, 2)
     assert t.hermitian == hermitian
-    vals = np.concatenate([v.ravel() for v in t._eigvals]).astype(complex)
+    solved = np.concatenate([v.ravel() for v in t._eigvals])
+    vals = np.repeat(solved, t.copies).astype(complex)
     expect = vals[np.lexsort((vals.imag, vals.real))]
     got = spectrum(t)
     assert got.dtype == complex and got.tobytes() == expect.tobytes()
+
+
+def _hand_off_case(name, dim):
+    rng = np.random.default_rng(60 + dim)
+    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(dim)]
+    cutoff = 1 if dim == 5 else 2
+    if name == "zero":  # exact zero modes, a value repeated across modes
+        return Connection.from_constant(dim, [np.zeros((2, 2))] * dim), cutoff
+    if name == "hermitian":
+        return random_unitary_constant_connection(rng, dim, 2), cutoff
+    if name == "nonhermitian":
+        return Connection.from_constant(dim, mats), cutoff
+    basis, _ = np.linalg.qr(mats[0])
+    mus = rng.uniform(0.1, 0.9, (3, 2))
+    if name == "gauged_complex":
+        mus = mus + 1j * rng.uniform(-0.3, 0.3, (3, 2))
+    return gauged_t3_connection(mus, basis), 1
+
+
+_HAND_OFF_CASES = [
+    *((name, dim) for name in ("zero", "hermitian", "nonhermitian") for dim in (1, 3, 5)),
+    ("gauged", 3),
+    ("gauged_complex", 3),
+]
+
+
+@pytest.mark.parametrize("name,dim", _HAND_OFF_CASES)
+def test_spectrum_hand_off_is_bitwise_the_sort_of_the_repeated_solve(name, dim):
+    # the oracle is the layout that repeats every spinor copy before one
+    # stable sort; sorting one copy first (by numpy's default float sort
+    # on the Hermitian route) and repeating after must give the same bytes
+    c, cutoff = _hand_off_case(name, dim)
+    t = build_truncation(c, cutoff)
+    assert t.hermitian == (name in ("zero", "hermitian", "gauged"))
+    assert bool(t.couplings) == name.startswith("gauged")
+    repeated = [np.repeat(v, t.copies, axis=-1) for v in t._eigvals]
+    oracle = np.sort(np.concatenate([v.ravel() for v in repeated]), kind="stable")
+    oracle = oracle.astype(complex)
+    assert spectrum(t).tobytes() == oracle.tobytes()
+    if t.couplings:
+        rows = [(v.real, v.imag, "") for v in oracle]
+    else:
+        labels = [" ".join(map(str, k)) for k in t.modes.tolist()]
+        per_mode = np.sort(repeated[0], kind="stable").astype(complex)
+        rows = [(v.real, v.imag, k) for k, vals in zip(labels, per_mode) for v in vals]
+
+    def bits(rows):  # float.hex tells -0.0 from 0.0
+        return [(float(a).hex(), float(b).hex(), k) for a, b, k in rows]
+
+    assert bits(spectrum_rows(t)) == bits(rows)
+    if name == "zero":  # rank times the even exterior algebra, 2^(dim-1)
+        assert np.count_nonzero(spectrum(t) == 0) == 2 * 2 ** (dim - 1)
+
+
+def test_real_sort_puts_signed_zeros_in_the_order_of_the_solve():
+    # numpy's default float sort orders -0.0 and +0.0 as its kernel likes;
+    # a solve holding both (LAPACK may yield -0.0) must still hand out the
+    # bytes of the stable sort of the repeated solve
+    t = build_truncation(Connection.from_constant(3, [np.zeros((2, 2))] * 3), 1)
+    assert t.hermitian
+    solved = np.random.default_rng(63).choice([-0.0, 0.0, -1.5, 0.5], t._eigvals[0].shape)
+    t.__dict__["_eigvals"] = (solved,)  # the cached solve, replaced
+    oracle = np.sort(np.repeat(solved.ravel(), t.copies), kind="stable")
+    assert spectrum(t).tobytes() == oracle.astype(complex).tobytes()
 
 
 def test_spectrum_returns_a_copy_of_the_cached_solve():
