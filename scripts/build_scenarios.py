@@ -194,12 +194,32 @@ def t3_gauged_spectrum() -> dict:
     }
 
 
+def t3_unitary_lines_spectrum() -> dict:
+    # a commuting unitary constant connection, A_j = S diag(2 pi i mu_j) S^H
+    # for a seeded unitary S: its truncation is solved as two lines
+    rng = np.random.default_rng(5)
+    mus = rng.uniform(0.05, 0.95, (3, 2))
+    s, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    mats = [s @ np.diag(TWO_PI_I * row) @ s.conj().T for row in mus]
+    return {
+        "manifold": {"dim": 3},
+        "bundle": {"rank": 2},
+        "connections": {"main": Connection.from_constant(3, mats).to_json_obj()},
+        "experiments": [{"check": "spectrum", "connection": "main", "cutoff": 4}],
+        "output": {
+            "report": "out/t3_unitary_lines_spectrum_report.json",
+            "csv_dir": "out",
+        },
+    }
+
+
 def main() -> None:
     write("s1_unitary.json", s1_unitary())
     write("s1_nonunitary.json", s1_nonunitary())
     write("t3_flat_commuting.json", t3_flat_commuting())
     write("t3_spectrum.json", t3_spectrum())
     write("t3_gauged_spectrum.json", t3_gauged_spectrum())
+    write("t3_unitary_lines_spectrum.json", t3_unitary_lines_spectrum())
 
 
 if __name__ == "__main__":

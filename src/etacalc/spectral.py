@@ -55,6 +55,24 @@ metric is self-adjoint for the g-weighted inner product but not for the
 standard one the matrices are written in, so its stack is not Hermitian
 and keeps ``eigvals``.
 
+A flat unitary constant connection is a sum of flat lines, and a
+Hermitian constant truncation of rank >= 2 is solved as one when its k = 0
+block V = sum_j beta_j (x) A_j allows.  U is the ``eigh`` basis of
+sum_j sqrt(j + 1) i A_j (A_j read off V by tr(beta_j^H beta_l) =
+2^n delta_jl), moved by one Newton step, a Cayley rotation, towards the
+common eigenbasis of the A_j.  W = I (x) U commutes with M_0(k) =
+sum_j beta_j (x) 2 pi i k_j I, and K keeps, of P = W^H V W, the Hermitian
+part K_b of each line's diagonal block.  Then M(k) = W (M_0(k) + K) W^H + E
+with ||E||_F = delta = ||P - K||_F, so the Hermitian matrices the route
+reads of M(k) and of W (M_0(k) + K) W^H differ by at most sqrt(2) delta,
+and by Weyl's inequality so do their sorted eigenvalues.  M_0(k) + K is
+the direct sum of the line blocks M_0(k) + K_b of order 2^n, one batch (on
+T^3 in closed form).  The split needs delta <= 16 per u ||V||_2, u = 2^-53:
+the order of LAPACK's backward error bound p(per) u ||M(0)||_2 for
+``eigvalsh``, p modest; commuting unitary inputs stay under 6 per u ||V||_2.
+Any other input (non-commuting A_j, A_j anti-Hermitian only to the flag's
+1e-10, rank 1, couplings, ``eigvals``) keeps the solve of its stack.
+
 The one copy's eigenvalues are sorted, then each is repeated 2^n times
 and the whole cast to complex once, where ``spectrum`` and
 ``spectrum_rows`` hand them out.  The copies of a value stay adjacent and
@@ -284,9 +302,43 @@ class OperatorTruncation:
         component size (real ones from ``_eigvalsh`` if ``hermitian``, else
         ``eigvals``): an (m, s * per) array per entry of ``_components``,
         one row per component, not yet repeated ``copies`` times.  Without
-        couplings the solve is that of the stack, one row per mode."""
+        couplings the solve is that of the stack, one row per mode, or, where
+        a Hermitian stack splits into lines (see the module docstring), of
+        the rank line blocks of each mode, row k holding those of mode k."""
+        if self.hermitian and self.rank > 1 and not self.couplings:
+            lines = self._line_blocks()
+            if lines is not None:
+                return (_eigvalsh(lines).reshape(len(self.modes), -1),)
         solve = _eigvalsh if self.hermitian else np.linalg.eigvals
         return tuple(solve(self._component_matrices(m)) for m in self._components)
+
+    def _line_blocks(self) -> np.ndarray | None:
+        """The (n_modes * rank, 2^n, 2^n) line blocks M_0(k) + K_b, mode by
+        mode, or None when V does not split (see the module docstring)."""
+        n, per, _ = self.stack.shape
+        beta = np.array(clifford_model(self.dim).beta)
+        e, r, pos = beta.shape[1], self.rank, np.arange(self.rank)
+        v = self.stack[n // 2]  # V, the block of k = 0
+        a = np.einsum("jac,abcd->jbd", beta.conj(), v.reshape(e, r, e, r))  # 2^n A_j
+        weights = 1j * np.sqrt(np.arange(2, self.dim + 2))
+        u = np.linalg.eigh(np.einsum("j,jbd->bd", weights, a))[1]
+        d = u.conj().T @ a @ u  # then one Newton step, as a Cayley rotation
+        gap = d[:, None, pos, pos] - d[:, pos, pos, None]
+        norm = np.sum(abs(gap) ** 2, axis=0)
+        x = np.sum(gap.conj() * d, axis=0) / np.where(norm > 0, norm, 1)
+        x = (x - x.conj().T) / 4
+        u = u @ np.linalg.solve(np.eye(r) - x, np.eye(r) + x)
+        p = np.einsum("bx,abcd,dy->axcy", u.conj(), v.reshape(e, r, e, r), u)
+        lines = (p[:, pos, :, pos] + p[:, pos, :, pos].conj().swapaxes(1, 2)) / 2
+        p[:, pos, :, pos] -= lines
+        if np.linalg.norm(p) > 8 * per * np.finfo(float).eps * np.linalg.norm(v, 2):
+            return None
+        _require_memory(
+            self.stack.nbytes + self.modes.nbytes + 16 * n * (1 + r) * e * e,
+            f"the stack, lattice, M_0(k) and {n * r} line blocks of order {e}",
+        )
+        free = np.einsum("kj,jac->kac", 2j * math.pi * self.modes, beta)
+        return (free[:, None] + lines).reshape(n * r, e, e)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:

@@ -22,6 +22,7 @@ BUNDLED = [
     "t3_flat_commuting.json",
     "t3_spectrum.json",
     "t3_gauged_spectrum.json",
+    "t3_unitary_lines_spectrum.json",
 ]
 
 

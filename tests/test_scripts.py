@@ -64,10 +64,10 @@ def test_report_digests_are_deterministic(tmp_path):
     first = _run_script("report_digests.py", "--json", "rec.json", cwd=tmp_path)
     assert first.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
-    # ten suite seeds, five scenario reports and the three spectrum CSVs
-    assert len(lines) == 18 and all(len(line.split()[0]) == 64 for line in lines)
+    # ten suite seeds, six scenario reports and the four spectrum CSVs
+    assert len(lines) == 20 and all(len(line.split()[0]) == 64 for line in lines)
     assert lines[0].endswith("standard_suite(0)")
-    assert lines[-1].endswith("t3_spectrum e00_spectrum.csv")
+    assert lines[-1].endswith("t3_unitary_lines_spectrum e00_spectrum.csv")
     same = _run_script("report_digests.py", "--against", "rec.json", cwd=tmp_path)
     assert same.returncode == 0, same.stderr
     assert same.stdout.splitlines() == lines + [

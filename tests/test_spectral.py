@@ -31,6 +31,7 @@ from helpers import (
     exterior_model,
     gauged_t3_connection,
     mode_components,
+    random_flat_commuting_connection,
     random_mus,
     random_unitary_constant_connection,
     unitary_on_constant_metric,
@@ -874,6 +875,173 @@ def test_spectrum_is_the_lexicographic_order_of_the_solve(hermitian):
     assert got.dtype == complex and got.tobytes() == expect.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# flat unitary constant truncations solved as lines
+
+
+def _commuting_unitary(mus, basis):
+    """A_j = S diag(2 pi i mu_j) S^H for a unitary S = ``basis``; ``mus``
+    has shape (dim, rank)."""
+    mats = [basis @ np.diag(2j * math.pi * row) @ basis.conj().T for row in mus]
+    return Connection.from_constant(len(mus), mats)
+
+
+def _random_basis(rng, rank):
+    x = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    return np.linalg.qr(x)[0]
+
+
+def _solved_orders(t, monkeypatch):
+    """The orders of the matrices the Hermitian route solves for t."""
+    orders = []
+    solve = spectral._eigvalsh
+
+    def recording(mats):
+        orders.append(mats.shape[-1])
+        return solve(mats)
+
+    monkeypatch.setattr(spectral, "_eigvalsh", recording)
+    spectrum(t)
+    return orders
+
+
+def _assert_lines_within_weyl_bound(t):
+    # each mode's sorted line eigenvalues against eigvalsh of its whole
+    # block: within sqrt(2) times the split's bound 16 per u ||V||_2, plus
+    # a rounding of 16 per u ||M(k)||_2 for each of the two solves
+    eps, per = np.finfo(float).eps, t.stack.shape[1]
+    split = 8 * per * eps * np.linalg.norm(t.stack[len(t.modes) // 2], 2)
+    solves = 16 * per * eps * np.linalg.norm(t.stack, 2, axis=(1, 2))
+    gap = np.abs(np.sort(t._eigvals[0], axis=1) - np.linalg.eigvalsh(t.stack))
+    assert np.all(gap <= math.sqrt(2) * split + solves[:, None])
+
+
+def _assert_closed_form(t, mus):
+    # d = 1: 2 pi (k + mu_b); d >= 3: +-2 pi |k + mu_b|, each sign with
+    # multiplicity 2^(d-2) over the copies
+    shifted = t.modes[:, :, None] + mus[None]  # (mode, j, line)
+    if t.dim == 1:
+        expect = TWO_PI * shifted[:, 0].ravel()
+    else:
+        radii = TWO_PI * np.linalg.norm(shifted, axis=1).ravel()
+        expect = np.repeat(np.concatenate([radii, -radii]), 2 ** (t.dim - 2))
+    vals = spectrum(t)
+    assert len(vals) == t.size == len(expect)
+    assert np.max(np.abs(vals.real - np.sort(expect))) <= 1e-9
+    assert np.all(vals.imag == 0)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_commuting_unitary_truncation_splits_into_lines(dim, rank, monkeypatch):
+    rng = np.random.default_rng(70 + 10 * dim + rank)
+    mus = rng.uniform(-1, 1, (dim, rank))
+    t = build_truncation(_commuting_unitary(mus, _random_basis(rng, rank)), 6 - dim)
+    assert t.hermitian
+    assert _solved_orders(t, monkeypatch) == [2 ** ((dim - 1) // 2)]
+    assert t._eigvals[0].shape == t.stack.shape[:2]
+    _assert_lines_within_weyl_bound(t)
+    _assert_closed_form(t, mus)
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 4), (3, 2), (3, 3), (5, 2)])
+def test_random_commuting_unitary_draws_all_split(dim, rank):
+    # the combination whose eigh basis starts U can nearly merge two lines
+    # that differ in the A_j; the Newton step still brings the dropped part
+    # under its bound (without it, 6 of the 60 T^3 rank-2 draws here would
+    # keep the stack solve)
+    rng = np.random.default_rng(78 + dim + rank)
+    for _ in range(60):
+        mus = rng.uniform(0.05, 0.95, (dim, rank))
+        t = build_truncation(_commuting_unitary(mus, _random_basis(rng, rank)), 1)
+        assert t._line_blocks() is not None
+
+
+@pytest.mark.parametrize("name", ["scalar", "equal_mu_along_x1", "zero"])
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_degenerate_commuting_inputs_split_into_lines(name, dim, monkeypatch):
+    rng = np.random.default_rng(73 + dim)
+    mus = rng.uniform(-1, 1, (dim, 2))
+    basis = _random_basis(rng, 2)
+    if name == "scalar":  # A_j = 2 pi i mu_j I exactly
+        mus[:, 1], basis = mus[:, 0], np.eye(2)
+    elif name == "equal_mu_along_x1":
+        mus[0, 1] = mus[0, 0]
+    else:
+        mus[:] = 0
+    t = build_truncation(_commuting_unitary(mus, basis), 6 - dim)
+    assert _solved_orders(t, monkeypatch) == [2 ** ((dim - 1) // 2)]
+    _assert_lines_within_weyl_bound(t)
+    _assert_closed_form(t, mus)
+    if name == "zero":  # rank times the even exterior algebra, 2^(dim-1)
+        assert np.count_nonzero(spectrum(t) == 0) == 2 * 2 ** (dim - 1)
+
+
+def _fallback_case(name):
+    rng = np.random.default_rng(76)
+    if name == "noncommuting":
+        return random_unitary_constant_connection(rng, 3, 2)
+    if name == "flat_nonunitary":
+        return random_flat_commuting_connection(rng, 3, 2)
+    c = _commuting_unitary(rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2))
+    mats = [c.a.coefficient((0, 0, 0), (j,)) for j in (1, 2, 3)]
+    if name == "commuting_plus_1e-9":  # an anti-Hermitian, non-commuting term
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        mats[0] = mats[0] + 1e-9 * (x - x.conj().T)
+    else:  # commuting, but anti-Hermitian only to 1e-11
+        mats = [m + 1e-11 * np.eye(2) for m in mats]
+    return Connection.from_constant(3, mats)
+
+
+_FALLBACK_CASES = {  # name: the Hermitian flag
+    "noncommuting": True,
+    "commuting_plus_1e-9": True,
+    "antihermitian_to_1e-11": True,
+    "flat_nonunitary": False,
+}
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK_CASES))
+def test_truncations_that_do_not_split_keep_the_stack_solve_bitwise(name):
+    t = build_truncation(_fallback_case(name), 2)
+    assert t.hermitian == _FALLBACK_CASES[name]
+    if t.hermitian:
+        assert t._line_blocks() is None
+    solve = spectral._eigvalsh if t.hermitian else np.linalg.eigvals
+    (solved,) = t._eigvals
+    assert solved.tobytes() == solve(t.stack).tobytes()
+
+
+def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
+    # cutoff 2 on T^3 at rank 2: a 32000-byte stack and a 3000-byte
+    # lattice; the split adds M_0(k) and 250 line blocks of order 2,
+    # 125 * 3 * 2 * 2 * 16 = 24000 bytes
+    rng = np.random.default_rng(77)
+    c = _commuting_unitary(rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2))
+    held, lines = 125 * (4 * 4 * 16 + 3 * 8), 125 * 3 * 2 * 2 * 16
+    shapes = []
+    einsum = np.einsum
+
+    def recording_einsum(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held + lines - 1)
+    t = build_truncation(c, 2)
+    assert t.stack.nbytes + t.modes.nbytes == held
+    with pytest.raises(MemoryGuardError, match="250 line blocks of order 2"):
+        _solved_orders(t, monkeypatch)
+    assert (125, 2, 2) not in shapes  # M_0(k), made just before the batch
+    # at the same limit a truncation that does not split solves its stack
+    other = build_truncation(random_unitary_constant_connection(rng, 3, 2), 2)
+    assert len(spectrum(other)) == other.size
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held + lines)
+    assert _solved_orders(build_truncation(c, 2), monkeypatch) == [2]
+    assert (125, 2, 2) in shapes
+
+
 def _hand_off_case(name, dim):
     rng = np.random.default_rng(60 + dim)
     mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(dim)]
@@ -884,6 +1052,9 @@ def _hand_off_case(name, dim):
         return random_unitary_constant_connection(rng, dim, 2), cutoff
     if name == "nonhermitian":
         return Connection.from_constant(dim, mats), cutoff
+    if name == "commuting":
+        mus = rng.uniform(-1, 1, (dim, 2))
+        return _commuting_unitary(mus, np.linalg.qr(mats[0])[0]), cutoff
     basis, _ = np.linalg.qr(mats[0])
     mus = rng.uniform(0.1, 0.9, (3, 2))
     if name == "gauged_complex":
@@ -893,6 +1064,7 @@ def _hand_off_case(name, dim):
 
 _HAND_OFF_CASES = [
     *((name, dim) for name in ("zero", "hermitian", "nonhermitian") for dim in (1, 3, 5)),
+    *(("commuting", dim) for dim in (1, 3, 5)),
     ("gauged", 3),
     ("gauged_complex", 3),
 ]
@@ -905,7 +1077,11 @@ def test_spectrum_hand_off_is_bitwise_the_sort_of_the_repeated_solve(name, dim):
     # on the Hermitian route) and repeating after must give the same bytes
     c, cutoff = _hand_off_case(name, dim)
     t = build_truncation(c, cutoff)
-    assert t.hermitian == (name in ("zero", "hermitian", "gauged"))
+    assert t.hermitian == (name in ("zero", "hermitian", "commuting", "gauged"))
+    # solved as lines: the zero and commuting connections, and on the
+    # circle every unitary one (one A_1 commutes with itself)
+    split = t.hermitian and not t.couplings and t._line_blocks() is not None
+    assert split == (name in ("zero", "commuting") or (name, dim) == ("hermitian", 1))
     assert bool(t.couplings) == name.startswith("gauged")
     repeated = [np.repeat(v, t.copies, axis=-1) for v in t._eigvals]
     oracle = np.sort(np.concatenate([v.ravel() for v in repeated]), kind="stable")
@@ -922,6 +1098,11 @@ def test_spectrum_hand_off_is_bitwise_the_sort_of_the_repeated_solve(name, dim):
         return [(float(a).hex(), float(b).hex(), k) for a, b, k in rows]
 
     assert bits(spectrum_rows(t)) == bits(rows)
+    if name == "commuting":  # each mode label carries that mode's eigenvalues
+        for k, vals in zip(labels, np.array([r[0] for r in rows]).reshape(len(labels), -1)):
+            block = t.blocks[tuple(map(int, k.split()))]
+            expect = np.repeat(np.linalg.eigvalsh(block), t.copies)
+            assert np.max(np.abs(vals - expect)) <= 1e-12
     if name == "zero":  # rank times the even exterior algebra, 2^(dim-1)
         assert np.count_nonzero(spectrum(t) == 0) == 2 * 2 ** (dim - 1)
 
