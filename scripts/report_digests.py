@@ -5,17 +5,20 @@ and list the report entries that moved against an earlier record.
 Usage:
     python3 scripts/report_digests.py [--json PATH] [--against OLD.json]
 
-Digested: ``standard_suite(s).to_json()`` for s = 0 .. 9, the reports of
-the bundled scenarios (every ``scenarios/*.json``, in name order) run by
-``etacalc run --emit-csv`` in a temporary directory (without
-``generated_at``, the only field that changes between runs) and the CSV
-files those runs write.
+Digested: ``standard_suite(s).to_json()`` for s = 0 .. 9, the report files
+of the bundled scenarios (every ``scenarios/*.json``, in name order) run by
+``etacalc run --emit-csv`` in a temporary directory, read as written less
+their final newline (so a report's digest is that of its ``to_json()``
+text, as for the suite), and the CSV files those runs write.
 
 ``--json PATH`` writes the digests and every entry's lhs, rhs and residual.
 ``--against OLD.json`` reads such a record, made from another tree, and
-lists every entry whose lhs, rhs or residual moved, with |delta| of each,
-and every entry present on one side only; it exits 1 if a digest differs
-or an entry moved, so that unchanged report bytes read as exit 0.
+lists every digest that differs and every entry whose lhs, rhs or residual
+moved, with |delta| of each; digests and entries that are missing from the
+new record count as differing, and those only in the new record (a newly
+bundled scenario) are listed under their own headings without counting.
+It exits 1 if anything differs, so that unchanged report bytes read as
+exit 0.
 """
 
 import argparse
@@ -48,9 +51,9 @@ def _values(report: dict) -> dict[str, list[float]]:
     }
 
 
-def _scenario_run(scenario: pathlib.Path) -> tuple[dict, dict[str, bytes]]:
-    """The report (without generated_at) and the CSV files of one bundled
-    scenario, run in a temporary directory."""
+def _scenario_run(scenario: pathlib.Path) -> tuple[bytes, dict[str, bytes]]:
+    """The report file's bytes and the CSV files of one bundled scenario,
+    run in a temporary directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -61,11 +64,10 @@ def _scenario_run(scenario: pathlib.Path) -> tuple[dict, dict[str, bytes]]:
                 raise SystemExit(f"etacalc run {scenario.name} exited {code}")
             root = pathlib.Path(tmp)
             (path,) = root.rglob(f"{scenario.stem}_report.json")
-            report = json.loads(path.read_text())
+            report = path.read_bytes()
             csvs = {p.name: p.read_bytes() for p in sorted(root.rglob("*.csv"))}
         finally:
             os.chdir(cwd)
-    report.pop("generated_at")
     return report, csvs
 
 
@@ -80,25 +82,39 @@ def record() -> dict:
     for scenario in sorted(SCENARIOS.glob("*.json")):
         name = scenario.stem
         report, csvs = _scenario_run(scenario)
-        text = json.dumps(report, sort_keys=True, indent=2)
-        digests[f"{name} report"] = _sha256(text.encode())
+        digests[f"{name} report"] = _sha256(report.removesuffix(b"\n"))
         digests.update((f"{name} {n}", _sha256(data)) for n, data in csvs.items())
-        entries[name] = _values(report)
+        entries[name] = _values(json.loads(report))
     return {"digests": digests, "entries": entries}
 
 
-def moved_lines(old: dict, new: dict) -> list[str]:
-    """One line per entry whose values differ between two records: the
-    report, the check id and |delta| of lhs, rhs and residual."""
-    lines, total = [], 0
+def compare(old: dict, new: dict, old_name: str) -> tuple[list[str], bool]:
+    """The lines ``--against`` prints after the digests, and whether
+    anything in the old record differs in, or is missing from, the new one.
+
+    Digests: those in both that differ, those missing from the new record
+    and those only in the new record, each under its own heading (the last
+    two only when there are any).  Entries: one line per entry of the old
+    record whose lhs, rhs or residual moved (|delta| of each) or that is
+    missing from the new record, then the entries only in the new one."""
+    both = old["digests"].keys() & new["digests"].keys()
+    changed = sorted(n for n in both if old["digests"][n] != new["digests"][n])
+    missing = sorted(old["digests"].keys() - new["digests"].keys())
+    added = sorted(new["digests"].keys() - old["digests"].keys())
+    lines = [f"digests that differ from {old_name}: {', '.join(changed) or 'none'}"]
+    if missing:
+        lines.append(f"digests missing from the new record: {', '.join(missing)}")
+    if added:
+        lines.append(f"digests only in the new record: {', '.join(added)}")
+    moved, only_new, total = [], [], 0
     for report in sorted(old["entries"].keys() | new["entries"].keys()):
         before = old["entries"].get(report, {})
         after = new["entries"].get(report, {})
-        for check_id in sorted(before.keys() | after.keys()):
+        only_new.extend(f"{report}  {c}" for c in sorted(after.keys() - before.keys()))
+        for check_id in sorted(before):
             total += 1
-            if check_id not in after or check_id not in before:
-                side = "new" if check_id in after else "old"
-                lines.append(f"{report}  {check_id}  only in the {side} record")
+            if check_id not in after:
+                moved.append(f"{report}  {check_id}  missing from the new record")
                 continue
             b, a = before[check_id], after[check_id]
             if a == b:
@@ -106,11 +122,14 @@ def moved_lines(old: dict, new: dict) -> list[str]:
             lhs = abs(complex(a[0], a[1]) - complex(b[0], b[1]))
             rhs = abs(complex(a[2], a[3]) - complex(b[2], b[3]))
             res = abs(a[4] - b[4])
-            lines.append(
+            moved.append(
                 f"{report}  {check_id}  |d lhs| {lhs:.3e}  |d rhs| {rhs:.3e}  "
                 f"|d residual| {res:.3e}"
             )
-    return [f"{len(lines)} of {total} entries moved"] + lines
+    lines += [f"{len(moved)} of {total} entries moved", *moved]
+    if only_new:
+        lines += [f"entries only in the new record: {len(only_new)}", *only_new]
+    return lines, bool(changed or missing or moved)
 
 
 def main() -> int:
@@ -129,16 +148,10 @@ def main() -> int:
     if args.against:
         with open(args.against) as fh:
             old = json.load(fh)
-        changed = [
-            name
-            for name in sorted(old["digests"].keys() | new["digests"].keys())
-            if old["digests"].get(name) != new["digests"].get(name)
-        ]
-        print(f"digests that differ from {args.against}: {', '.join(changed) or 'none'}")
-        moved = moved_lines(old, new)
-        for line in moved:
+        lines, differs = compare(old, new, args.against)
+        for line in lines:
             print(line)
-        if changed or len(moved) > 1:
+        if differs:
             return 1
     return 0
 

@@ -38,14 +38,12 @@ the schema.  A label names the experiment's CSV file in
 ``csv_dir``, so it must be one file name.  Experiments are independent of
 each other; they are executed in file order but the report is assembled
 sorted by check id, so the output does not depend on execution order.
-Reports are byte-identical across runs except for the ``generated_at``
-field added when writing to disk.
+A report file is byte-identical across runs of the same scenario.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import json
 import math
@@ -434,18 +432,13 @@ def run_scenario(
 
 
 def write_report(report: verify.VerificationReport, path: str) -> None:
-    """Write the report with a generated_at timestamp; everything else is
-    byte-stable across runs of the same scenario."""
-    obj = report.to_json_obj()
-    obj["generated_at"] = datetime.datetime.now(
-        datetime.timezone.utc
-    ).isoformat(timespec="seconds")
+    """Write ``report.to_json()`` and a final newline: no timestamp, so the
+    file is byte-stable across runs of the same scenario."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(report.to_json() + "\n")
 
 
 # ----------------------------------------------------------------------

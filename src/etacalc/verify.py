@@ -7,8 +7,9 @@ Conventions shared by all checks:
 * residual modes -- ``absolute`` is |lhs - rhs|; ``mod-Z`` takes the circle
   distance of the real parts (nearest-integer gap) plus the absolute gap of
   the imaginary parts; ``integer`` demands exact equality of two integers.
-* every twisted eta comes from :func:`etacalc.eta.constant_eta`; spectral
-  flow is evaluated on the circle; ``bk_phase`` alone censuses a Galerkin
+* every twisted eta comes from :func:`etacalc.eta.constant_eta` and every
+  spectral flow from :func:`etacalc.flow.spectral_flow` of a circle path's
+  endpoints, which owns the window; ``bk_phase`` alone censuses a Galerkin
   spectrum on T^d (of the untwisted operator), and higher tori otherwise
   give only form-level sides (pairings, Chern forms).
 * one global sign calibration (unitary circle connection, tower shift 1/4,
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .eta import EtaValue, constant_eta
-from .flow import gauge_path, spectral_flow
+from .flow import AXIS_TOL, gauge_path, spectral_flow
 from .geometry import (
     Connection,
     PreconditionError,
@@ -48,7 +49,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import GuardError, ball_radius, build_truncation, spectrum
+from .spectral import build_truncation, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -283,35 +284,6 @@ def check_gilkey_variation(
     )
 
 
-class CutoffInstabilityError(GuardError):
-    """The spectral flow needs a window past the cutoff: a constant endpoint's
-    ball reaches past it, or a coupled flow changed from cutoff K to K + 1."""
-
-
-def _endpoint_sf(c0: Connection, c1: Connection, cutoff: int) -> int:
-    """Spectral flow from c0 to c1 as the change of inertia of truncations no
-    wider than ``cutoff``: for two constant endpoints, once each at the window
-    of their balls (``spectral.ball_radius``), which is exact; otherwise at
-    ``cutoff`` and ``cutoff + 1``, which must agree."""
-    if c0.is_constant() and c1.is_constant():
-        window = max(1, math.ceil(max(ball_radius(c0), ball_radius(c1))))
-        if window > cutoff:
-            raise CutoffInstabilityError(
-                f"the endpoints' Bauer--Fike balls need cutoff {window}, not {cutoff}"
-            )
-        return spectral_flow(build_truncation(c0, window), build_truncation(c1, window))
-    sf, wider = (
-        spectral_flow(build_truncation(c0, k), build_truncation(c1, k))
-        for k in (cutoff, cutoff + 1)
-    )
-    if wider != sf:
-        raise CutoffInstabilityError(
-            f"spectral flow {sf} at cutoff {cutoff} but {wider} at cutoff "
-            f"{cutoff + 1}; raise the cutoff"
-        )
-    return sf
-
-
 def check_variation_complex(
     path: Callable[[float], Connection],
     tol: float = 1e-8,
@@ -324,10 +296,9 @@ def check_variation_complex(
         reduced_eta(end) - reduced_eta(start)  ==  sf + <L . CS(start, end)>
 
     Endpoint etas come from closed-form towers (endpoints must be constant
-    and axis-free).  sf is the change of inertia between the Galerkin
-    truncations of the two endpoints, so only ``path(0)`` and ``path(1)``
-    are evaluated, at windows no wider than ``cutoff`` (see
-    ``_endpoint_sf``), else CutoffInstabilityError.
+    and axis-free).  sf is :func:`etacalc.flow.spectral_flow` of the two
+    endpoints, so only ``path(0)`` and ``path(1)`` are evaluated, at a
+    window no wider than ``cutoff``, else CutoffInstabilityError.
     """
     c0 = path(0.0)
     c1 = path(1.0)
@@ -338,7 +309,7 @@ def check_variation_complex(
             "complex variation formula needs axis-free endpoint spectra"
         )
     lhs = e1.reduced - e0.reduced
-    rhs = _endpoint_sf(c0, c1, cutoff) + subtorus_pairing(cs_form(c0, c1))
+    rhs = spectral_flow(c0, c1, cutoff) + subtorus_pairing(cs_form(c0, c1))
     return make_entry(
         check_id,
         "change of reduced eta equals spectral flow plus the transgression "
@@ -358,11 +329,12 @@ def check_gauge_pumping(
 ) -> CheckEntry:
     """Spectral flow along the gauge interpolation with winding w equals w
     exactly (integer comparison): the gauge path pumps w eigenvalue towers
-    across the imaginary axis.  sf comes from the endpoint truncations, no
-    wider than ``cutoff`` (see ``_endpoint_sf``), else CutoffInstabilityError.
+    across the imaginary axis.  sf is :func:`etacalc.flow.spectral_flow` of
+    the path's endpoints, at a window no wider than ``cutoff``, else
+    CutoffInstabilityError.
     """
     w = int(w)
-    sf = _endpoint_sf(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)
+    sf = spectral_flow(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)
     return make_entry(
         check_id or f"gauge_pumping[w={w}]",
         "spectral flow of the winding-w gauge interpolation equals w",
@@ -522,19 +494,20 @@ def check_eta_tilde_imaginary(
 # untwisted census and the phase factor
 
 
-def trivial_line_eta(dim: int, cutoff: int | None = None) -> EtaValue:
+def trivial_line_eta(dim: int, cutoff: int = 1) -> EtaValue:
     """Mode census of the untwisted operator on the trivial line bundle:
     the spectrum is symmetric (eta = 0) and the zero modes count the even
-    exterior algebra, 2^(dim-1).  The cutoff defaults to 4 on the circle
-    and to 2 on higher tori."""
-    if cutoff is None:
-        cutoff = 4 if dim == 1 else 2
+    exterior algebra, 2^(dim-1).  The zero connection's Bauer--Fike ball
+    (``spectral.ball_radius``) has radius 0, so the default window 1 is
+    exact: the modes k != 0 have the balanced eigenvalues +-2 pi |k| and
+    k = 0 holds the zeros.  A wider ``cutoff`` adds balanced modes only."""
     c = Connection.from_constant(
         dim, [np.zeros((1, 1), dtype=complex)] * dim
     )
     lam = spectrum(build_truncation(c, cutoff)).real
-    kernel = int(np.sum(np.abs(lam) <= 1e-9))
-    eta = float(np.sum(np.sign(lam[np.abs(lam) > 1e-9])))
+    zero = np.abs(lam) <= AXIS_TOL
+    kernel = int(np.sum(zero))
+    eta = float(np.sum(np.sign(lam[~zero])))
     return EtaValue(eta=complex(eta), kernel_dim=kernel)
 
 
@@ -547,7 +520,7 @@ def bk_phase_factor(rank: int, eta_sig_trivial: EtaValue) -> complex:
 def check_bk_phase(
     rank: int,
     dim: int = 1,
-    cutoff: int | None = None,
+    cutoff: int = 1,
     check_id: str | None = None,
 ) -> CheckEntry:
     """The censused phase factor matches the closed form

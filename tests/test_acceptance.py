@@ -17,12 +17,10 @@ from math import factorial
 import numpy as np
 
 from etacalc.eta import eta_bk, eta_s1_spectral, m_minus
-from etacalc.flow import spectral_flow
+from etacalc.flow import CutoffInstabilityError, gauge_path, spectral_flow
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, a_coeff
-from etacalc.spectral import build_truncation
 from etacalc.verify import (
-    CutoffInstabilityError,
     check_cs_odd_chern_pairing,
     check_gauge_pumping,
     check_gilkey_variation,
@@ -291,13 +289,19 @@ def test_acceptance_spectral_flow():
         e.passed and e.residual == 0.0 for e in gauge_entries
     )
     # winding 9 pumps a tower past the edge of the cutoff-8 window, where
-    # the truncated count reads 8: the guard must refuse that number
+    # the truncated count reads 8: the guard must refuse that number, in
+    # the check and in the spectral flow it reads
     edge = diagonal_connection_from_mus([0.31, 0.57 - 0.2j])
-    try:
-        check_gauge_pumping(edge, 9, cutoff=8)
-        guard_ok = False
-    except CutoffInstabilityError:
-        guard_ok = True
+    guard_ok = True
+    for refused in (
+        lambda: check_gauge_pumping(edge, 9, cutoff=8),
+        lambda: spectral_flow(edge, gauge_path(edge, 9, 1.0), 8),
+    ):
+        try:
+            refused()
+            guard_ok = False
+        except CutoffInstabilityError:
+            pass
     ok = gauge_ok and guard_ok
     _report(
         7,
@@ -346,9 +350,7 @@ def test_acceptance_variation_complex():
             )
 
         entries.append(check_variation_complex(path, tol=1e-8))
-        sf = spectral_flow(
-            build_truncation(path(0.0), 8), build_truncation(path(1.0), 8)
-        )
+        sf = spectral_flow(path(0.0), path(1.0), 8)
         sf_ok = sf_ok and sf == sum(delta)
         max_crossings = max(max_crossings, sum(abs(d) for d in delta))
 

@@ -1,56 +1,63 @@
-"""Spectral flow as an endpoint inertia count (crossing calibration,
-gauge-path winding, cutoff growth) and the gauge path itself."""
+"""Spectral flow between two connections as an endpoint inertia count
+(crossing calibration, the window rule, gauge-path winding, cutoff growth)
+and the gauge path itself."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from etacalc import flow
 from etacalc.flow import gauge_path, spectral_flow
 from etacalc.geometry import Connection, PreconditionError
-from etacalc.spectral import build_truncation
+from etacalc.spectral import ball_radius, build_truncation, clifford_model
 
 from helpers import diagonal_connection_from_mus
 
+TWO_PI_I = 2j * math.pi
+
 
 def test_constant_path_has_constant_tracks_and_zero_flow():
-    vals = np.array([1.5 + 0.2j, -0.7, 2.0 - 1.0j])
-    assert spectral_flow(vals, vals) == 0
+    c = diagonal_connection_from_mus([1.5 + 0.2j, -0.7, 2.3 - 1.0j])
+    assert spectral_flow(c, c, 8) == 0
 
 
 def test_single_upward_crossing_is_plus_one():
     # classical sign convention: Re < 0 -> Re >= 0 counts +1 (the choice
-    # forced by the complex variation formula; see flow module docstring)
-    def path(t):
-        return np.linalg.eigvals(np.array([[(t - 0.5) + 0.3j]]))
-
-    assert spectral_flow(path(0.0), path(1.0)) == 1
+    # forced by the complex variation formula; see flow module docstring);
+    # the tower 2 pi (n + mu) with n = -1 crosses as mu goes 0.3 -> 1.3
+    c0 = diagonal_connection_from_mus([0.3 + 0.2j])
+    c1 = diagonal_connection_from_mus([1.3 + 0.2j])
+    assert spectral_flow(c0, c1, 8) == 1
 
 
 def test_single_downward_crossing_is_minus_one():
-    def path(t):
-        return np.linalg.eigvals(np.array([[(0.5 - t) + 0.3j]]))
-
-    assert spectral_flow(path(0.0), path(1.0)) == -1
+    c0 = diagonal_connection_from_mus([1.3 + 0.2j])
+    c1 = diagonal_connection_from_mus([0.3 + 0.2j])
+    assert spectral_flow(c0, c1, 8) == -1
 
 
 def test_endpoint_on_axis_is_rejected():
-    # starts exactly on the axis, then moves into Re > 0
-    with pytest.raises(PreconditionError):
-        spectral_flow(np.array([1j]), np.array([1 + 1j]))
+    # Re mu = 0 puts the n = 0 eigenvalue 2 pi mu on the imaginary axis
+    on_axis = diagonal_connection_from_mus([0.5j])
+    off_axis = diagonal_connection_from_mus([0.3 + 0.5j])
+    with pytest.raises(PreconditionError, match="start of path"):
+        spectral_flow(on_axis, off_axis, 8)
+    with pytest.raises(PreconditionError, match="end of path"):
+        spectral_flow(off_axis, on_axis, 8)
 
 
 def test_endpoint_sizes_must_agree():
-    # a finite-dimensional path keeps its dimension; a size change would
-    # shift the inertia count without any crossing
-    with pytest.raises(ValueError):
-        spectral_flow(np.array([1 + 1j, 2.0]), np.array([1 + 1j]))
-
-
-def test_endpoint_must_be_a_truncation_or_a_spectrum():
-    # a matrix is neither: its eigenvalues are the caller's to compute
-    with pytest.raises(TypeError):
-        spectral_flow(np.eye(2), np.ones(2))
+    # a finite-dimensional path keeps its dimension; endpoints on different
+    # bundles would shift the inertia count without any crossing
+    c = diagonal_connection_from_mus([0.3])
+    for other in (
+        diagonal_connection_from_mus([0.3, 0.6]),
+        Connection.from_constant(3, [np.zeros((1, 1))] * 3),
+    ):
+        with pytest.raises(PreconditionError, match="different bundles"):
+            spectral_flow(c, other, 8)
 
 
 def test_gauge_path_endpoints_are_gauge_related():
@@ -72,11 +79,7 @@ def test_gauge_path_rejects_higher_tori():
 
 def test_gauge_winding_pumps_flow_with_linear_tracks():
     c = diagonal_connection_from_mus([0.3])
-
-    def path(t):
-        return build_truncation(gauge_path(c, 2, t), 10)
-
-    assert spectral_flow(path(0.0), path(1.0)) == 2
+    assert spectral_flow(gauge_path(c, 2, 0.0), gauge_path(c, 2, 1.0), 10) == 2
     # every tower moves affinely in t, 2 pi (n + mu + w t): on a diagonal
     # connection the path is the constant one with mu shifted by w t
     for t in (0.0, 0.25, 0.5, 0.8, 1.0):
@@ -92,10 +95,7 @@ def test_gauge_winding_pumps_flow_with_linear_tracks():
 
 def test_gauge_winding_negative():
     c = diagonal_connection_from_mus([0.3])
-    assert spectral_flow(
-        build_truncation(gauge_path(c, -3, 0.0), 8),
-        build_truncation(gauge_path(c, -3, 1.0), 8),
-    ) == -3
+    assert spectral_flow(gauge_path(c, -3, 0.0), gauge_path(c, -3, 1.0), 8) == -3
 
 
 def test_gauge_path_dense_nonnormal_triangular():
@@ -105,45 +105,146 @@ def test_gauge_path_dense_nonnormal_triangular():
     a = np.array([[2j * math.pi * 0.3, 0.1],
                   [0.0, 2j * math.pi * (0.62 + 0.1j)]])
     c = Connection.from_constant(1, [a])
-    assert spectral_flow(
-        build_truncation(gauge_path(c, 1, 0.0), 6),
-        build_truncation(gauge_path(c, 1, 1.0), 6),
-    ) == 1
+    end = gauge_path(c, 1, 1.0)
+    assert not end.is_constant()
+    assert spectral_flow(gauge_path(c, 1, 0.0), end, 6) == 1
 
 
 def test_gauge_path_self_adjoint_avoided_crossing():
     a = np.array([[2j * math.pi * 0.3, 0.1],
                   [-0.1, 2j * math.pi * 0.55]])
     c = Connection.from_constant(1, [a])
-
-    def path(t):
-        return build_truncation(gauge_path(c, 1, t), 6)
-
-    assert spectral_flow(path(0.0), path(1.0)) == 1
+    assert spectral_flow(gauge_path(c, 1, 0.0), gauge_path(c, 1, 1.0), 6) == 1
 
 
 def test_classical_two_by_two_crossing_family():
-    # Hermitian family whose upper eigenvalue t - 1 + sqrt(1/4 + 0.09)
-    # crosses zero once upward; brute-force signed-crossing count agrees
-    def path(t):
-        return np.linalg.eigvals(np.array([[t - 0.5, 0.3], [0.3, t - 1.5]]))
+    # unitary circle connections A(t) = 2 pi i H(t) with the Hermitian
+    # family H(t) = [[t - 1/2, 0.3], [0.3, t - 3/2]]: each eigenvalue
+    # lambda(t) = t - 1 +- sqrt(1/4 + 0.09) of H carries the tower
+    # 2 pi (n + lambda), and the upper and lower towers each cross the axis
+    # once upward; a brute-force signed-crossing count on a fine grid agrees
+    def h(t):
+        return np.array([[t - 0.5, 0.3], [0.3, t - 1.5]])
 
-    sf = spectral_flow(path(0.0), path(1.0))
-    assert sf == 1
-    fine = np.linspace(0, 1, 2001)
-    upper = np.array([(t - 1) + np.hypot(0.5, 0.3) for t in fine])
-    brute = int(np.sum((upper[:-1] < 0) & (upper[1:] >= 0))
-                - np.sum((upper[:-1] >= 0) & (upper[1:] < 0)))
-    assert sf == brute
+    def c(t):
+        return Connection.from_constant(1, [TWO_PI_I * h(t)])
+
+    sf = spectral_flow(c(0.0), c(1.0), 8)
+    assert sf == 2
+    lam = np.array([np.linalg.eigvalsh(h(t)) for t in np.linspace(0, 1, 2001)])
+    towers = (lam[:, :, None] + np.arange(-4, 5)).reshape(len(lam), -1)
+    up = (towers[:-1] < 0) & (towers[1:] >= 0)
+    down = (towers[:-1] >= 0) & (towers[1:] < 0)
+    assert sf == int(np.sum(up) - np.sum(down))
 
 
 def test_flow_stable_under_cutoff_growth():
-    c = diagonal_connection_from_mus([0.3])
-    flows = [
-        spectral_flow(
-            build_truncation(gauge_path(c, 1, 0.0), n),
-            build_truncation(gauge_path(c, 1, 1.0), n),
-        )
-        for n in (6, 9, 12)
+    # coupled endpoints: the count at growing windows, not just K and K + 1
+    c = Connection.from_constant(
+        1, [np.array([[TWO_PI_I * 0.3, 0.1], [0.0, TWO_PI_I * 0.6]])]
+    )
+    c0, c1 = gauge_path(c, 1, 0.0), gauge_path(c, 1, 1.0)
+    assert not c1.is_constant()
+    assert [flow._flow_at(c0, c1, n) for n in (6, 9, 12)] == [1, 1, 1]
+
+
+def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
+    # Two constant endpoints are built once each, at the window of their
+    # Bauer--Fike balls; a pair with couplings is built at cutoff and
+    # cutoff + 1 and the two counts compared.
+    a = TWO_PI_I * np.array([[0.3 + 0.07j, 0.1], [0.05, 0.55 - 0.1j]])
+    c = Connection.from_constant(1, [a])
+    mus = diagonal_connection_from_mus
+    d = mus([0.3 + 0.07j, 0.55 - 0.1j])
+    cases = [  # (start, end, cutoffs built, sf)
+        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), [2, 2], 1),
+        (d, gauge_path(d, 2, 1.0), [3, 3], 2),
+        (c, gauge_path(c, 1, 1.0), [8, 8, 9, 9], 1),
+        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), [8, 8, 9, 9], 1),
+        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), [8, 8, 9, 9], 2),
     ]
-    assert flows == [1, 1, 1]
+    calls = []
+
+    def counted(conn, cutoff):
+        calls.append(cutoff)
+        return build_truncation(conn, cutoff)
+
+    monkeypatch.setattr(flow, "build_truncation", counted)
+    for c0, c1, builds, sf in cases:
+        calls.clear()
+        assert spectral_flow(c0, c1, 8) == sf
+        assert sorted(calls) == builds
+        for k in (8, 9):
+            assert flow._flow_at(c0, c1, k) == sf
+
+
+def _random_constant(rng, dim, rank, shift=0):
+    mats = [
+        np.pi * 1j * (rng.standard_normal((rank, rank))
+                      + 1j * rng.standard_normal((rank, rank)))
+        for _ in range(dim)
+    ]
+    mats[0] += TWO_PI_I * shift * np.eye(rank)
+    return Connection.from_constant(dim, mats)
+
+
+def test_ball_window_holds_the_whole_spectral_flow():
+    # constant non-normal circle pairs, their towers shifted by up to three
+    # modes so that narrow windows miss crossings, and non-commuting T^3
+    # pairs: the flow read at the window of the balls is that of wider ones
+    rng = np.random.default_rng(61)
+
+    def draw(dim, rank):
+        shift = rng.integers(-3, 4) if dim == 1 else 0
+        return _random_constant(rng, dim, rank, shift)
+
+    sfs = []
+    for dim, rank in [(1, 2), (1, 3), (3, 2)] * 4:
+        c0, c1 = draw(dim, rank), draw(dim, rank)
+        sf = spectral_flow(c0, c1, 8)
+        ball = math.ceil(max(ball_radius(c0), ball_radius(c1)))
+        for k in (ball + 1, ball + 2):
+            assert flow._flow_at(c0, c1, k) == sf
+        sfs.append(sf)
+    assert any(sfs)
+
+
+def _ball_count(c: Connection) -> int:
+    """N(c): sum of sign Re over the eigenvalues of the one-copy blocks
+    M(k) = sum_j beta_j (x) (2 pi i k_j + A_j) with |k| <= R, R the radius
+    ||V||_2 / 2 pi of V = sum_j beta_j (x) A_j, each block by eigvals."""
+    beta = clifford_model(c.dim).beta
+    a = [c.a.coefficient((0,) * c.dim, (j + 1,)) for j in range(c.dim)]
+    eye = np.eye(c.rank)
+    v = sum(np.kron(b, aj) for b, aj in zip(beta, a))
+    radius = np.linalg.norm(v, 2) / (2 * math.pi)
+    reach = math.floor(radius)
+    total = 0
+    for k in itertools.product(range(-reach, reach + 1), repeat=c.dim):
+        if np.linalg.norm(k) > radius:
+            continue
+        block = sum(
+            np.kron(b, TWO_PI_I * kj * eye + aj) for b, kj, aj in zip(beta, k, a)
+        )
+        total += int(np.sum(np.sign(np.linalg.eigvals(block).real)))
+    return total
+
+
+def test_flow_is_half_the_change_of_the_ball_count():
+    # outside its ball each mode has the balanced inertia of the free
+    # operator, so on any window holding both balls #{Re >= 0} is
+    # (size + copies N(c)) / 2, and sf = copies (N(c1) - N(c0)) / 2
+    rng = np.random.default_rng(7)
+    nonzero = set()
+    for dim, rank in [(1, 2), (1, 3), (3, 2), (3, 3)] * 12:
+        copies = 2 ** (dim // 2)
+        scale = rng.uniform(0.3, 1.2) if dim == 3 else 1.0
+        shift = rng.integers(-2, 3) if dim == 1 else 0
+        c0 = _random_constant(rng, dim, rank, shift)
+        c1 = _random_constant(rng, dim, rank)
+        c0, c1 = (c.with_form(c.a * scale) for c in (c0, c1))
+        sf = spectral_flow(c0, c1, 8)
+        assert 2 * sf == copies * (_ball_count(c1) - _ball_count(c0))
+        if sf:
+            nonzero.add(dim)
+    assert nonzero == {1, 3}

@@ -91,12 +91,58 @@ def test_report_digests_are_deterministic(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rec.json"]
 
 
-def test_build_scenarios_reproduces_committed_files(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "build_scenarios", SCRIPTS / "build_scenarios.py"
-    )
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digests_compare_separates_new_from_differing():
+    compare = _load_script("report_digests").compare
+    old = {
+        "digests": {"a report": "1", "b report": "2"},
+        "entries": {"a": {"x": [0, 0, 0, 0, 0]}, "b": {"y": [1, 0, 1, 0, 0]}},
+    }
+    # a newly bundled scenario c: listed on its own, and not a difference
+    new = {
+        "digests": {**old["digests"], "c report": "3", "c e00.csv": "4"},
+        "entries": {**old["entries"], "c": {"z": [0, 0, 0, 0, 0]}},
+    }
+    lines, differs = compare(old, new, "old.json")
+    assert lines == [
+        "digests that differ from old.json: none",
+        "digests only in the new record: c e00.csv, c report",
+        "0 of 2 entries moved",
+        "entries only in the new record: 1",
+        "c  z",
+    ]
+    assert not differs
+    # a digest that differs, and one entry moved in place
+    moved = {
+        "digests": {"a report": "1", "b report": "5"},
+        "entries": {"a": {"x": [0, 0, 0, 0, 0]}, "b": {"y": [1, 0, 1, 0, 0.5]}},
+    }
+    lines, differs = compare(old, moved, "old.json")
+    assert lines == [
+        "digests that differ from old.json: b report",
+        "1 of 2 entries moved",
+        "b  y  |d lhs| 0.000e+00  |d rhs| 0.000e+00  |d residual| 5.000e-01",
+    ]
+    assert differs
+    # what the old record holds and the new one lacks counts as differing
+    lines, differs = compare(new, old, "new.json")
+    assert lines == [
+        "digests that differ from new.json: none",
+        "digests missing from the new record: c e00.csv, c report",
+        "1 of 3 entries moved",
+        "c  z  missing from the new record",
+    ]
+    assert differs
+
+
+def test_build_scenarios_reproduces_committed_files(tmp_path, monkeypatch):
+    module = _load_script("build_scenarios")
     monkeypatch.setattr(module, "OUT", tmp_path)
     module.main()
     committed = sorted(p.name for p in (ROOT / "scenarios").glob("*.json"))

@@ -295,71 +295,6 @@ def test_gauge_pumping_check_exact_integers():
         assert e.lhs == complex(w)
 
 
-def test_endpoint_sf_builds_each_constant_endpoint_once(monkeypatch):
-    # Two constant endpoints are built once each, at the window of their
-    # Bauer--Fike balls; a pair with couplings is built at cutoff and
-    # cutoff + 1 and the two counts compared.
-    from etacalc import verify
-    from etacalc.flow import gauge_path, spectral_flow
-    from etacalc.spectral import build_truncation
-
-    a = TWO_PI_I * np.array([[0.3 + 0.07j, 0.1], [0.05, 0.55 - 0.1j]])
-    c = Connection.from_constant(1, [a])
-    mus = diagonal_connection_from_mus
-    d = mus([0.3 + 0.07j, 0.55 - 0.1j])
-    cases = [  # (start, end, cutoffs built, sf)
-        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), [2, 2], 1),
-        (d, gauge_path(d, 2, 1.0), [3, 3], 2),
-        (c, gauge_path(c, 1, 1.0), [8, 8, 9, 9], 1),
-        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), [8, 8, 9, 9], 1),
-        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), [8, 8, 9, 9], 2),
-    ]
-    calls = []
-
-    def counted(conn, cutoff):
-        calls.append(cutoff)
-        return build_truncation(conn, cutoff)
-
-    monkeypatch.setattr(verify, "build_truncation", counted)
-    for c0, c1, builds, sf in cases:
-        calls.clear()
-        assert verify._endpoint_sf(c0, c1, 8) == sf
-        assert sorted(calls) == builds
-        for k in (8, 9):
-            assert spectral_flow(build_truncation(c0, k), build_truncation(c1, k)) == sf
-
-
-def test_ball_window_holds_the_whole_spectral_flow():
-    # constant non-normal circle pairs, their towers shifted by up to three
-    # modes so that narrow windows miss crossings, and non-commuting T^3
-    # pairs: the flow read at the window of the balls is that of wider ones
-    from etacalc import verify
-    from etacalc.flow import spectral_flow
-    from etacalc.spectral import ball_radius, build_truncation
-
-    rng = np.random.default_rng(61)
-
-    def draw(dim, rank):
-        mats = [
-            np.pi * 1j * (rng.standard_normal((rank, rank))
-                          + 1j * rng.standard_normal((rank, rank)))
-            for _ in range(dim)
-        ]
-        if dim == 1:
-            mats[0] += TWO_PI_I * rng.integers(-3, 4) * np.eye(rank)
-        return Connection.from_constant(dim, mats)
-
-    sfs = []
-    for dim, rank in [(1, 2), (1, 3), (3, 2)] * 4:
-        c0, c1 = draw(dim, rank), draw(dim, rank)
-        sf = verify._endpoint_sf(c0, c1, 8)
-        ball = math.ceil(max(ball_radius(c0), ball_radius(c1)))
-        for k in (ball + 1, ball + 2):
-            assert spectral_flow(build_truncation(c0, k), build_truncation(c1, k)) == sf
-        sfs.append(sf)
-    assert any(sfs)
-
-
 # ----------------------------------------------------------------------
 # real/imaginary split
 
@@ -492,6 +427,27 @@ def test_trivial_line_census_t3():
     e = trivial_line_eta(3, cutoff=2)
     assert e.eta == 0 and e.kernel_dim == 4
     assert e.reduced == pytest.approx(2.0)
+
+
+def test_census_window_is_the_zero_connections_ball(monkeypatch):
+    # R = 0: the default window 1 holds the zeros at k = 0, and a wider
+    # window adds balanced modes only
+    from etacalc import verify
+    from etacalc.spectral import build_truncation
+
+    windows = []
+
+    def counted(conn, cutoff):
+        windows.append(cutoff)
+        return build_truncation(conn, cutoff)
+
+    monkeypatch.setattr(verify, "build_truncation", counted)
+    for dim in (1, 3, 5):
+        e = trivial_line_eta(dim)
+        assert e == trivial_line_eta(dim, 2)
+        assert e.eta == 0 and e.kernel_dim == 2 ** (dim - 1)
+        assert check_bk_phase(3, dim).passed
+    assert windows == [1, 2, 1] * 3
 
 
 def test_bk_phase_factor_values():
