@@ -2,10 +2,10 @@
 gauge paths on the circle.
 
 For a path of finite matrices with axis-free endpoints the spectral flow
-is a net change of inertia, #{Re lambda >= 0} at the end minus that count
-at the start, so only the endpoint spectra enter.  What a Galerkin
-truncation can get wrong is its window, never a grid; :func:`spectral_flow`
-owns the window rule.
+is a net change of inertia, half that of #{Re >= 0} - #{Re < 0}, so only
+the endpoint spectra enter, and of a constant endpoint only its ball.
+What a Galerkin truncation can get wrong is its window, never a grid;
+:func:`spectral_flow` owns the window rule.
 
 Sign convention: an eigenvalue moving from Re < 0 to Re >= 0 contributes +1.
 This is the classical (self-adjoint) convention; it is the unique choice
@@ -22,10 +22,8 @@ import numpy as np
 
 from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError, _gauge_form
-from .spectral import GuardError, ball_radius, build_truncation, spectrum
-
-# endpoint eigenvalues with |Re| at or below this are on the imaginary axis
-AXIS_TOL = 1e-9
+from .spectral import (AXIS_TOL, GuardError, OperatorTruncation, ball_radius,
+                       ball_truncation, build_truncation, spectrum)
 
 
 class CutoffInstabilityError(GuardError):
@@ -33,36 +31,34 @@ class CutoffInstabilityError(GuardError):
     ball reaches past it, or a coupled flow changed from cutoff K to K + 1."""
 
 
-def _flow_at(c0: Connection, c1: Connection, cutoff: int) -> int:
-    """#{Re >= 0}(c1) - #{Re >= 0}(c0) on the truncations at ``cutoff``,
-    refusing an eigenvalue within AXIS_TOL of the axis: its class is not
-    stable under perturbation."""
-    counts = []
-    for side, c in (("start", c0), ("end", c1)):
-        vals = spectrum(build_truncation(c, cutoff))
+def _flow(t0: OperatorTruncation, t1: OperatorTruncation) -> int:
+    """(sigma(t1) - sigma(t0)) / 2, sigma = #{Re >= 0} - #{Re < 0}: the change
+    of #{Re >= 0} on equal windows, an integer on two balls (odd mode counts).
+    An eigenvalue within AXIS_TOL of the axis, of no stable class, is refused."""
+    sigma = []
+    for side, t in (("start", t0), ("end", t1)):
+        vals = spectrum(t)
         bad = np.abs(vals.real) <= AXIS_TOL
         if np.any(bad):
             raise PreconditionError(
                 f"{side} of path has eigenvalue(s) on the imaginary axis "
                 f"(|Re| <= {AXIS_TOL:g}): {vals[bad]}; perturb the endpoints"
             )
-        counts.append(int(np.sum(vals.real >= 0)))
-    return counts[1] - counts[0]
+        sigma.append(2 * int(np.sum(vals.real >= 0)) - len(vals))
+    return (sigma[1] - sigma[0]) // 2
 
 
 def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
-    """Spectral flow from c0 to c1, two connections on one bundle: the
-    change of inertia #{Re >= 0}(c1) - #{Re >= 0}(c0) of their Galerkin
-    truncations, +1 per eigenvalue crossing from Re < 0 to Re >= 0.
+    """Spectral flow from c0 to c1, two connections on one bundle: half the
+    change of #{Re >= 0} - #{Re < 0}, +1 per crossing from Re < 0 to Re >= 0.
 
     ``cutoff`` caps the window.  Two constant endpoints are solved once
-    each, at the smallest window K = max(1, ceil(R)) that holds both
-    Bauer--Fike balls (``spectral.ball_radius``), outside which every mode
-    has the balanced inertia of the free operator, so K gives the exact
-    flow.  Otherwise both are solved at ``cutoff`` and ``cutoff + 1``,
-    which must agree.  A K past ``cutoff`` or a disagreement raises
-    CutoffInstabilityError; an eigenvalue on the axis or endpoints on
-    different bundles raise PreconditionError.
+    each on their Bauer--Fike balls (``spectral.ball_truncation``), whose
+    window K = max(1, ceil(R)) is checked before anything is assembled;
+    any other pair at ``cutoff`` and ``cutoff + 1``, which must agree.  A K
+    past ``cutoff`` or a disagreement raises CutoffInstabilityError; an
+    eigenvalue on the axis or endpoints on different bundles raise
+    PreconditionError.
     """
     if (c0.dim, c0.rank) != (c1.dim, c1.rank):
         raise PreconditionError(
@@ -75,8 +71,9 @@ def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
             raise CutoffInstabilityError(
                 f"the endpoints' Bauer--Fike balls need cutoff {window}, not {cutoff}"
             )
-        return _flow_at(c0, c1, window)
-    sf, wider = (_flow_at(c0, c1, k) for k in (cutoff, cutoff + 1))
+        return _flow(ball_truncation(c0), ball_truncation(c1))
+    sf, wider = (_flow(build_truncation(c0, k), build_truncation(c1, k))
+                 for k in (cutoff, cutoff + 1))
     if wider != sf:
         raise CutoffInstabilityError(
             f"spectral flow {sf} at cutoff {cutoff} but {wider} at cutoff "

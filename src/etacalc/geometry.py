@@ -224,7 +224,7 @@ def a_coeff(j: int, r: complex) -> complex:
 
 def _require_common_metric(c0: Connection, c1: Connection) -> None:
     if c0.dim != c1.dim or c0.rank != c1.rank:
-        raise ValueError("connections live on different bundles")
+        raise PreconditionError("connections live on different bundles")
     if not c0.g.allclose(c1.g, 1e-10):
         raise PreconditionError(
             "the linear path between two connections requires a common metric"

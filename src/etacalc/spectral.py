@@ -24,18 +24,18 @@ The orientation of Gamma is fixed by the circle calibration: for d = 1
 exactly {2 pi (k + mu)}.
 
 Every truncation is the (n_modes, d) integer lattice of its modes
-{|k_j| <= K}, built once, one stacked (n_modes, n, n) array of these
-mode-diagonal blocks (A_j its zero-frequency part), assembled without a
-loop over modes, and one coupling beta_j (x) A_q per oscillatory term
-A_q e^{2 pi i q.x} dx_j, which maps mode k to k + q.  The couplings
-split the modes into the connected components of the graph with an edge
-k -> k + q, each an eigenproblem of its own: the spectrum is one batched
-eigen-solve per component size, over the components' Galerkin matrices
-assembled from the stack and the couplings (without couplings, the stack
-itself), for one spinor copy, cached on the truncation.  A memory guard,
-checked where arrays are allocated, refuses a stack and lattice, or a
-batch of component matrices next to them, that would not fit; so a
-window that its couplings split into small components solves.
+{|k_j| <= K}, or of a ball in it (``ball_truncation``), one stacked
+(n_modes, n, n) array of these mode-diagonal blocks (A_j its zero-frequency
+part), assembled without a loop over modes, and one coupling beta_j (x) A_q
+per oscillatory term A_q e^{2 pi i q.x} dx_j, which maps mode k to k + q.
+The couplings split the modes into the connected components of the graph
+with an edge k -> k + q, each an eigenproblem of its own: the spectrum is
+one batched eigen-solve per component size, over the components' Galerkin
+matrices assembled from the stack and the couplings (without couplings, the
+stack itself), for one spinor copy, cached on the truncation.  A memory
+guard, checked where arrays are allocated, refuses a stack and lattice, or
+a batch of component matrices next to them, that would not fit; so a window
+that its couplings split into small components solves.
 
 The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -90,14 +90,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import Connection
+from .geometry import Connection, PreconditionError
+
+AXIS_TOL = 1e-9  # eigenvalues with |Re| at or below this are on the axis
 
 # bytes one allocation may take: a truncation's stack and mode lattice, or
 # those plus one batch of its complex128 component matrices
@@ -174,9 +176,9 @@ class OperatorTruncation:
 
     Every truncation is stored the same way, built from the irreducible
     generators beta_j, so per = 2^n * rank.  ``modes`` is the (n_modes, dim)
-    integer array of the window's Fourier modes in ``product`` order, and
-    ``stack`` has shape (n_modes, per, per): block i maps the mode modes[i]
-    to itself, the derivative part plus the zero-frequency part of A.
+    integer array of the window's (or a ball's) Fourier modes in ``product``
+    order, and ``stack`` has shape (n_modes, per, per): block i maps the mode
+    modes[i] to itself, the derivative part plus the zero-frequency part of A.
     ``couplings`` holds one (q, beta_j (x) A_q) pair per oscillatory term
     of A, which maps each mode k to k + q; it is empty for constant
     connections.  ``blocks`` (constant connections only) is a read-only
@@ -403,13 +405,26 @@ def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
 
 
 def ball_radius(c: Connection) -> float:
-    """R = ||V||_2 / 2 pi for a constant c, V = sum_j beta_j (x) A_j its k = 0
-    block.  M(k) = M_0(k) + V, where M_0(k) = sum_j beta_j (x) 2 pi i k_j is
-    Hermitian with eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every
-    eigenvalue of M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2,
-    > 0 once |k| > R.  So M(k) has the inertia of M_0(k), whatever c, and a
-    window {|k_j| <= K}, K >= R, holds a constant pair's whole spectral flow."""
-    return float(np.linalg.norm(_stacked_blocks(c, 0)[0], 2)) / (2 * math.pi)
+    """R = ||V||_2 / 2 pi, V = sum_j beta_j (x) A_j the k = 0 block of c."""
+    v = _stacked_blocks(c, 0)[0]  # ||V||_2 is its largest singular value
+    return float(np.linalg.svd(v, compute_uv=False)[0]) / (2 * math.pi)
+
+
+def ball_truncation(c: Connection) -> OperatorTruncation:
+    """The rows k of ``build_truncation(c, max(1, ceil(R)))`` with
+    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, for a constant c.
+    M(k) = M_0(k) + V with M_0(k) = sum_j beta_j (x) 2 pi i k_j Hermitian,
+    of eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every eigenvalue of
+    M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2 > AXIS_TOL
+    off the ball.  There M(k) has the inertia of M_0(k), which -k's cancels,
+    and no eigenvalue on the axis: a refusal on the ball is one everywhere."""
+    if not c.is_constant():
+        raise PreconditionError("a Bauer--Fike ball needs a constant connection")
+    radius = ball_radius(c)
+    cube = build_truncation(c, max(1, math.ceil(radius)))
+    keep = np.linalg.norm(cube.modes, axis=1) <= radius + AXIS_TOL / (2 * math.pi)
+    modes, stack = (_read_only(x[keep]) for x in (cube.modes, cube.stack))
+    return replace(cube, modes=modes, stack=stack)
 
 
 def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:

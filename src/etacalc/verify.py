@@ -9,9 +9,9 @@ Conventions shared by all checks:
   the imaginary parts; ``integer`` demands exact equality of two integers.
 * every twisted eta comes from :func:`etacalc.eta.constant_eta` and every
   spectral flow from :func:`etacalc.flow.spectral_flow` of a circle path's
-  endpoints, which owns the window; ``bk_phase`` alone censuses a Galerkin
-  spectrum on T^d (of the untwisted operator), and higher tori otherwise
-  give only form-level sides (pairings, Chern forms).
+  endpoints, which owns the window; ``bk_phase`` alone censuses a spectrum
+  on T^d (the untwisted operator's Bauer--Fike ball, k = 0), and higher
+  tori otherwise give only form-level sides (pairings, Chern forms).
 * one global sign calibration (unitary circle connection, tower shift 1/4,
   upward crossing counts +1) pins the Clifford orientation and the spectral
   flow sign; no check below carries a per-check sign choice.
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .eta import EtaValue, constant_eta
-from .flow import AXIS_TOL, gauge_path, spectral_flow
+from .flow import gauge_path, spectral_flow
 from .geometry import (
     Connection,
     PreconditionError,
@@ -49,7 +49,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import build_truncation, spectrum
+from .spectral import AXIS_TOL, ball_truncation, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -498,13 +498,11 @@ def trivial_line_eta(dim: int, cutoff: int = 1) -> EtaValue:
     """Mode census of the untwisted operator on the trivial line bundle:
     the spectrum is symmetric (eta = 0) and the zero modes count the even
     exterior algebra, 2^(dim-1).  The zero connection's Bauer--Fike ball
-    (``spectral.ball_radius``) has radius 0, so the default window 1 is
-    exact: the modes k != 0 have the balanced eigenvalues +-2 pi |k| and
-    k = 0 holds the zeros.  A wider ``cutoff`` adds balanced modes only."""
-    c = Connection.from_constant(
-        dim, [np.zeros((1, 1), dtype=complex)] * dim
-    )
-    lam = spectrum(build_truncation(c, cutoff)).real
+    (``spectral.ball_truncation``) is k = 0 alone, which holds the zeros;
+    every other mode has the balanced eigenvalues +-2 pi |k|.  ``cutoff``
+    chooses no window; it stays accepted, as does ``bk_phase``'s."""
+    c = Connection.from_constant(dim, [np.zeros((1, 1), dtype=complex)] * dim)
+    lam = spectrum(ball_truncation(c)).real
     zero = np.abs(lam) <= AXIS_TOL
     kernel = int(np.sum(zero))
     eta = float(np.sum(np.sign(lam[~zero])))
@@ -524,8 +522,8 @@ def check_bk_phase(
     check_id: str | None = None,
 ) -> CheckEntry:
     """The censused phase factor matches the closed form
-    exp(i pi rank (0 + 2^(dim-1))/2); ``cutoff`` is that of
-    :func:`trivial_line_eta`."""
+    exp(i pi rank (0 + 2^(dim-1))/2); ``cutoff`` is passed to
+    :func:`trivial_line_eta`, which solves the k = 0 block at any cutoff."""
     census = trivial_line_eta(dim, cutoff)
     lhs = bk_phase_factor(rank, census)
     rhs = cmath.exp(1j * math.pi * int(rank) * 2 ** (dim - 1) / 2)

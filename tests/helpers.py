@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from etacalc import cli
 from etacalc.forms import PHI_SCALE, TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
+from etacalc.spectral import AXIS_TOL
 
 # Small integer/rational-ish entries keep float roundoff tiny, so exact
 # identities can be asserted at tight tolerances.
@@ -512,6 +513,17 @@ def mode_components(c: Connection, cutoff: int) -> list[list[int]]:
                         todo.append(nb)
         components.append(sorted(found))
     return components
+
+
+def padded_ball(dim: int, radius: float) -> list[list[int]]:
+    """The lattice points k with |k| <= radius + AXIS_TOL / 2 pi, in
+    ``product`` order, found by brute force on a cube one wider."""
+    reach = math.ceil(radius) + 1
+    bound = radius + AXIS_TOL / (2 * math.pi)
+    return [
+        list(k) for k in product(range(-reach, reach + 1), repeat=dim)
+        if math.sqrt(sum(v * v for v in k)) <= bound
+    ]
 
 
 def gauged_t3_connection(mus: np.ndarray, basis: np.ndarray) -> Connection:

@@ -11,11 +11,22 @@ import pytest
 from etacalc import flow
 from etacalc.flow import gauge_path, spectral_flow
 from etacalc.geometry import Connection, PreconditionError
-from etacalc.spectral import ball_radius, build_truncation, clifford_model
+from etacalc.spectral import (
+    ball_radius,
+    ball_truncation,
+    build_truncation,
+    clifford_model,
+    spectrum,
+)
 
 from helpers import diagonal_connection_from_mus
 
 TWO_PI_I = 2j * math.pi
+
+
+def _cube_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
+    """The flow counted on the two cubes {|k_j| <= cutoff}."""
+    return flow._flow(build_truncation(c0, cutoff), build_truncation(c1, cutoff))
 
 
 def test_constant_path_has_constant_tracks_and_zero_flow():
@@ -145,37 +156,56 @@ def test_flow_stable_under_cutoff_growth():
     )
     c0, c1 = gauge_path(c, 1, 0.0), gauge_path(c, 1, 1.0)
     assert not c1.is_constant()
-    assert [flow._flow_at(c0, c1, n) for n in (6, 9, 12)] == [1, 1, 1]
+    assert [_cube_flow(c0, c1, n) for n in (6, 9, 12)] == [1, 1, 1]
 
 
 def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
-    # Two constant endpoints are built once each, at the window of their
-    # Bauer--Fike balls; a pair with couplings is built at cutoff and
-    # cutoff + 1 and the two counts compared.
+    # A constant pair solves its two Bauer--Fike balls once each, start
+    # first; a pair with couplings solves its cubes at cutoff and cutoff + 1
+    # and compares the two counts.  Either flow is that of equal cubes.
     a = TWO_PI_I * np.array([[0.3 + 0.07j, 0.1], [0.05, 0.55 - 0.1j]])
     c = Connection.from_constant(1, [a])
     mus = diagonal_connection_from_mus
     d = mus([0.3 + 0.07j, 0.55 - 0.1j])
-    cases = [  # (start, end, cutoffs built, sf)
-        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), [2, 2], 1),
-        (d, gauge_path(d, 2, 1.0), [3, 3], 2),
-        (c, gauge_path(c, 1, 1.0), [8, 8, 9, 9], 1),
-        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), [8, 8, 9, 9], 1),
-        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), [8, 8, 9, 9], 2),
+    cubes = [(8, 17), (8, 17), (9, 19), (9, 19)]  # (cutoff, modes)
+    cases = [  # (start, end, the modes of each ball or the cubes solved, sf)
+        (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), [[0], [-1, 0, 1]], 1),
+        (d, gauge_path(d, 2, 1.0), [[0], [-2, -1, 0, 1, 2]], 2),
+        (c, gauge_path(c, 1, 1.0), cubes, 1),
+        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), cubes, 1),
+        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), cubes, 2),
     ]
-    calls = []
+    solved = []
 
-    def counted(conn, cutoff):
-        calls.append(cutoff)
-        return build_truncation(conn, cutoff)
+    def counted(t):
+        solved.append(t)
+        return spectrum(t)
 
-    monkeypatch.setattr(flow, "build_truncation", counted)
-    for c0, c1, builds, sf in cases:
-        calls.clear()
+    monkeypatch.setattr(flow, "spectrum", counted)
+    for c0, c1, windows, sf in cases:
+        solved.clear()
         assert spectral_flow(c0, c1, 8) == sf
-        assert sorted(calls) == builds
+        if c0.is_constant() and c1.is_constant():
+            assert [t.modes.ravel().tolist() for t in solved] == windows
+        else:
+            assert sorted((t.cutoff, len(t.modes)) for t in solved) == windows
         for k in (8, 9):
-            assert flow._flow_at(c0, c1, k) == sf
+            assert _cube_flow(c0, c1, k) == sf
+
+
+def test_ball_pad_refuses_an_axis_eigenvalue_just_past_the_radius():
+    # mu = -1 + 1e-11: R = |mu| lies just below 1, and the mode k = 1 has
+    # the eigenvalue 2 pi (1 + mu) = 2 pi 1e-11, within AXIS_TOL of the axis.
+    # The pad AXIS_TOL / 2 pi puts k = +-1 in the ball, so the endpoint is
+    # refused as the cube at K = 1 refuses it; without the pad the ball is
+    # k = 0 alone and the flow would read 1.
+    near = diagonal_connection_from_mus([-1 + 1e-11])
+    assert ball_radius(near) < 1
+    assert ball_truncation(near).modes.ravel().tolist() == [-1, 0, 1]
+    with pytest.raises(PreconditionError, match="start of path"):
+        spectral_flow(near, diagonal_connection_from_mus([0.3]), 8)
+    with pytest.raises(PreconditionError, match="start of path"):
+        _cube_flow(near, diagonal_connection_from_mus([0.3]), 1)
 
 
 def _random_constant(rng, dim, rank, shift=0):
@@ -204,7 +234,7 @@ def test_ball_window_holds_the_whole_spectral_flow():
         sf = spectral_flow(c0, c1, 8)
         ball = math.ceil(max(ball_radius(c0), ball_radius(c1)))
         for k in (ball + 1, ball + 2):
-            assert flow._flow_at(c0, c1, k) == sf
+            assert _cube_flow(c0, c1, k) == sf
         sfs.append(sf)
     assert any(sfs)
 

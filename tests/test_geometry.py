@@ -265,6 +265,17 @@ def test_cs_requires_common_metric():
         linear_path(c0, c1)
 
 
+def test_cs_requires_one_bundle():
+    # a guard refusal, like the spectral flow's, not an internal ValueError
+    circle = Connection.from_constant(1, [np.zeros((1, 1))])
+    t3 = Connection.from_constant(3, [np.zeros((1, 1))] * 3)
+    for c0, c1 in ((circle, t3), (t3, circle)):
+        with pytest.raises(PreconditionError, match="different bundles"):
+            cs_form(c0, c1)
+        with pytest.raises(PreconditionError, match="different bundles"):
+            linear_path(c0, c1)
+
+
 def test_cs_transgresses_chern_character():
     # d(CS(c0,c1)) = ch(c1) - ch(c0) at the level of forms; on T^5 the
     # quadratic term Theta_t^2 of the exponential enters.

@@ -14,9 +14,11 @@ from scipy.spatial import cKDTree
 from etacalc import spectral
 from etacalc.flow import gauge_path
 from etacalc.forms import TrigPolyForm
-from etacalc.geometry import Connection
+from etacalc.geometry import Connection, PreconditionError
 from etacalc.spectral import (
+    AXIS_TOL,
     MemoryGuardError,
+    ball_radius,
     build_truncation,
     clifford_model,
     export_spectrum_csv,
@@ -31,9 +33,11 @@ from helpers import (
     exterior_model,
     gauged_t3_connection,
     mode_components,
+    padded_ball,
     random_flat_commuting_connection,
     random_mus,
     random_unitary_constant_connection,
+    rng_matrix,
     unitary_on_constant_metric,
 )
 
@@ -1040,6 +1044,98 @@ def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", held + lines)
     assert _solved_orders(build_truncation(c, 2), monkeypatch) == [2]
     assert (125, 2, 2) in shapes
+
+
+# ---------------------------------------------------------------------------
+# Bauer--Fike balls of constant connections
+
+
+def _assert_ball_rows_of_the_cube(t, c):
+    # the padded ball's modes in product order, k = 0 at the centre, each
+    # block and mode row bitwise that of the cube it was cut from
+    assert t.modes.tolist() == padded_ball(c.dim, ball_radius(c))
+    assert t.modes[len(t.modes) // 2].tolist() == [0] * c.dim
+    assert t.cutoff == max(1, math.ceil(ball_radius(c)))
+    cube = build_truncation(c, t.cutoff)
+    rows = [cube.modes.tolist().index(k) for k in t.modes.tolist()]
+    assert t.stack.tobytes() == cube.stack[rows].tobytes()
+    assert t.hermitian == cube.hermitian and not t.couplings
+    assert not t.modes.flags.writeable and not t.stack.flags.writeable
+
+
+_BALL_RADII = {1: 2.6, 3: 1.5, 5: 1.2}  # balls of 5, 19 and 11 modes
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_ball_of_a_commuting_unitary_input_splits_into_lines(dim, rank):
+    # the line split reads V from the centre row of the stack: on a ball
+    # too that is k = 0, and each mode's line eigenvalues are those of its
+    # whole block
+    rng = np.random.default_rng(90 + 10 * dim + rank)
+    mus = rng.uniform(-1, 1, (dim, rank))
+    mus *= _BALL_RADII[dim] / np.max(np.linalg.norm(mus, axis=0))  # R
+    c = _commuting_unitary(mus, _random_basis(rng, rank))
+    t = spectral.ball_truncation(c)
+    _assert_ball_rows_of_the_cube(t, c)
+    assert len(t.modes) > 1 and t._line_blocks() is not None
+    blocks = np.sort(np.linalg.eigvals(t.stack).real.ravel())
+    expect = np.repeat(blocks, t.copies)
+    assert np.max(np.abs(spectrum(t).real - expect)) <= 1e-12
+    _assert_closed_form(t, mus)
+
+
+@pytest.mark.parametrize("dim", [3, 5])  # one A_1 always commutes
+@pytest.mark.parametrize("rank", [2, 3])
+def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
+    rng = np.random.default_rng(95 + 10 * dim + rank)
+    c = random_unitary_constant_connection(rng, dim, rank)
+    c = c.with_form(c.a * (_BALL_RADII[dim] / ball_radius(c)))
+    t = spectral.ball_truncation(c)
+    _assert_ball_rows_of_the_cube(t, c)
+    assert len(t.modes) > 1 and t.hermitian and t._line_blocks() is None
+    (solved,) = t._eigvals
+    assert solved.tobytes() == spectral._eigvalsh(t.stack).tobytes()
+
+
+def test_ball_needs_a_constant_connection():
+    a = np.array([[TWO_PI * 0.3j, 0.1], [0.0, TWO_PI * 0.6j]])
+    coupled = gauge_path(Connection.from_constant(1, [a]), 1, 1.0)
+    with pytest.raises(PreconditionError, match="constant connection"):
+        spectral.ball_truncation(coupled)
+    zero = spectral.ball_truncation(Connection.from_constant(3, [np.zeros((1, 1))] * 3))
+    assert zero.modes.tolist() == [[0, 0, 0]] and zero.cutoff == 1
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 2), (1, 3), (3, 2), (3, 3)])
+def test_modes_off_the_padded_ball_are_balanced_and_off_the_axis(dim, rank):
+    # unitary, flat non-normal and general non-normal draws: on the cube one
+    # wider than the ball, each mode off the padded ball keeps |Re| above
+    # 2 pi |k| - ||V||_2 > AXIS_TOL and the inertia of the free block M_0(k)
+    rng = np.random.default_rng(200 + 10 * dim + rank)
+    draws = []
+    for _ in range(4):
+        draws += [
+            random_unitary_constant_connection(rng, dim, rank, 2.0),
+            random_flat_commuting_connection(rng, dim, rank, 2.0),
+            Connection.from_constant(
+                dim, [rng_matrix(rng, rank, 2.0) for _ in range(dim)]
+            ),
+        ]
+    zero = Connection.from_constant(dim, [np.zeros((rank, rank))] * dim)
+    for c in draws:
+        radius = ball_radius(c)
+        cube = build_truncation(c, math.ceil(radius) + 1)
+        ball = set(map(tuple, padded_ball(dim, radius)))
+        modes = map(tuple, cube.modes.tolist())
+        off = [i for i, k in enumerate(modes) if k not in ball]
+        assert off
+        vals = np.linalg.eigvals(cube.stack[off]).real
+        bound = TWO_PI * (np.linalg.norm(cube.modes[off], axis=1) - radius)
+        assert np.all(np.abs(vals) >= bound[:, None] - 1e-9)
+        assert np.all(np.abs(vals) > AXIS_TOL)
+        free = np.linalg.eigvalsh(build_truncation(zero, cube.cutoff).stack[off])
+        assert np.array_equal(np.sum(vals > 0, axis=1), np.sum(free > 0, axis=1))
 
 
 def _hand_off_case(name, dim):

@@ -33,6 +33,7 @@ from etacalc.verify import (
 
 from helpers import (
     diagonal_connection_from_mus,
+    padded_ball,
     random_flat_commuting_connection,
     random_mus,
     random_unitary_constant_connection,
@@ -429,25 +430,58 @@ def test_trivial_line_census_t3():
     assert e.reduced == pytest.approx(2.0)
 
 
+def _recording_spectrum(monkeypatch, *owners):
+    """Record every truncation whose spectrum the owners' ``spectrum`` reads."""
+    from etacalc.spectral import spectrum
+
+    solved = []
+
+    def recording(t):
+        solved.append(t)
+        return spectrum(t)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, "spectrum", recording)
+    return solved
+
+
 def test_census_window_is_the_zero_connections_ball(monkeypatch):
-    # R = 0: the default window 1 holds the zeros at k = 0, and a wider
-    # window adds balanced modes only
+    # R = 0: at every cutoff the census solves the one mode k = 0, whose
+    # 2^(dim-1) eigenvalues over the copies are the zeros
     from etacalc import verify
-    from etacalc.spectral import build_truncation
 
-    windows = []
-
-    def counted(conn, cutoff):
-        windows.append(cutoff)
-        return build_truncation(conn, cutoff)
-
-    monkeypatch.setattr(verify, "build_truncation", counted)
+    solved = _recording_spectrum(monkeypatch, verify)
     for dim in (1, 3, 5):
-        e = trivial_line_eta(dim)
-        assert e == trivial_line_eta(dim, 2)
-        assert e.eta == 0 and e.kernel_dim == 2 ** (dim - 1)
-        assert check_bk_phase(3, dim).passed
-    assert windows == [1, 2, 1] * 3
+        for cutoff in (1, 2, 8):
+            solved.clear()
+            e = trivial_line_eta(dim, cutoff)
+            assert e.eta == 0 and e.kernel_dim == 2 ** (dim - 1)
+            assert check_bk_phase(3, dim, cutoff).passed
+            assert [t.modes.tolist() for t in solved] == [[[0] * dim]] * 2
+            assert [t.size for t in solved] == [2 ** (dim - 1)] * 2
+
+
+def _solved_ball_radius(t) -> float:
+    """||V||_2 / 2 pi for V the block of mode k = 0 of a constant truncation."""
+    zero = t.modes.tolist().index([0] * t.dim)
+    return float(np.linalg.norm(t.stack[zero], 2)) / (2 * math.pi)
+
+
+def test_constant_checks_solve_only_their_balls(monkeypatch):
+    # every truncation that the spectral flow or the census solves over the
+    # suite is a constant input's Bauer--Fike ball, found by brute force
+    # from its own k = 0 block, and together they hold under a quarter of
+    # the eigenvalues of the cubes they were cut from
+    from etacalc import flow, verify
+
+    solved = _recording_spectrum(monkeypatch, flow, verify)
+    for seed in range(3):
+        standard_suite(seed)
+    assert solved and not any(t.couplings for t in solved)
+    for t in solved:
+        assert t.modes.tolist() == padded_ball(t.dim, _solved_ball_radius(t))
+    cubes = sum(t.size // len(t.modes) * (2 * t.cutoff + 1) ** t.dim for t in solved)
+    assert 4 * sum(t.size for t in solved) < cubes
 
 
 def test_bk_phase_factor_values():
