@@ -2,10 +2,10 @@
 gauge paths on the circle.
 
 For a path of finite matrices with axis-free endpoints the spectral flow
-is a net change of inertia, half that of #{Re >= 0} - #{Re < 0}, so only
+is a net change of inertia, half that of ``spectral.sign_count``, so only
 the endpoint spectra enter, and of a constant endpoint only its ball.
-What a Galerkin truncation can get wrong is its window, never a grid;
-:func:`spectral_flow` owns the window rule.
+What a Galerkin truncation can get wrong is its window, never a grid: a
+ball checks its own against the cutoff, :func:`spectral_flow` the cubes'.
 
 Sign convention: an eigenvalue moving from Re < 0 to Re >= 0 contributes +1.
 This is the classical (self-adjoint) convention; it is the unique choice
@@ -16,36 +16,27 @@ the winding-w gauge path (each tower's floor(Re mu) rises by w).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError, _gauge_form
-from .spectral import (AXIS_TOL, GuardError, OperatorTruncation, ball_radius,
-                       ball_truncation, build_truncation, spectrum)
-
-
-class CutoffInstabilityError(GuardError):
-    """The spectral flow needs a window past the cutoff: a constant endpoint's
-    ball reaches past it, or a coupled flow changed from cutoff K to K + 1."""
+from .spectral import (AXIS_TOL, CutoffInstabilityError, OperatorTruncation,
+                       ball_truncation, build_truncation, sign_count)
 
 
 def _flow(t0: OperatorTruncation, t1: OperatorTruncation) -> int:
-    """(sigma(t1) - sigma(t0)) / 2, sigma = #{Re >= 0} - #{Re < 0}: the change
-    of #{Re >= 0} on equal windows, an integer on two balls (odd mode counts).
-    An eigenvalue within AXIS_TOL of the axis, of no stable class, is refused."""
-    sigma = []
+    """(n(t1) - n(t0)) / 2, n the ``sign_count``: an integer on equal windows
+    and on two balls (odd mode counts).  Axis eigenvalues are refused."""
+    counts = []
     for side, t in (("start", t0), ("end", t1)):
-        vals = spectrum(t)
-        bad = np.abs(vals.real) <= AXIS_TOL
-        if np.any(bad):
+        count, axis = sign_count(t)
+        if len(axis):
             raise PreconditionError(
                 f"{side} of path has eigenvalue(s) on the imaginary axis "
-                f"(|Re| <= {AXIS_TOL:g}): {vals[bad]}; perturb the endpoints"
+                f"(|Re| <= {AXIS_TOL:g}): {axis}; perturb the endpoints"
             )
-        sigma.append(2 * int(np.sum(vals.real >= 0)) - len(vals))
-    return (sigma[1] - sigma[0]) // 2
+        counts.append(count)
+    return (counts[1] - counts[0]) // 2
 
 
 def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
@@ -53,10 +44,10 @@ def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
     change of #{Re >= 0} - #{Re < 0}, +1 per crossing from Re < 0 to Re >= 0.
 
     ``cutoff`` caps the window.  Two constant endpoints are solved once
-    each on their Bauer--Fike balls (``spectral.ball_truncation``), whose
-    window K = max(1, ceil(R)) is checked before anything is assembled;
-    any other pair at ``cutoff`` and ``cutoff + 1``, which must agree.  A K
-    past ``cutoff`` or a disagreement raises CutoffInstabilityError; an
+    each on their Bauer--Fike balls (``spectral.ball_truncation``, start
+    first), each refusing a window past ``cutoff`` before it is assembled;
+    any other pair at ``cutoff`` and ``cutoff + 1``, which must agree.  A
+    refused ball or a disagreement raises CutoffInstabilityError; an
     eigenvalue on the axis or endpoints on different bundles raise
     PreconditionError.
     """
@@ -66,12 +57,7 @@ def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
             f"vs dim {c1.dim}, rank {c1.rank}"
         )
     if c0.is_constant() and c1.is_constant():
-        window = max(1, math.ceil(max(ball_radius(c0), ball_radius(c1))))
-        if window > cutoff:
-            raise CutoffInstabilityError(
-                f"the endpoints' Bauer--Fike balls need cutoff {window}, not {cutoff}"
-            )
-        return _flow(ball_truncation(c0), ball_truncation(c1))
+        return _flow(ball_truncation(c0, cutoff), ball_truncation(c1, cutoff))
     sf, wider = (_flow(build_truncation(c0, k), build_truncation(c1, k))
                  for k in (cutoff, cutoff + 1))
     if wider != sf:

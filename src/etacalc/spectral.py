@@ -24,7 +24,7 @@ The orientation of Gamma is fixed by the circle calibration: for d = 1
 exactly {2 pi (k + mu)}.
 
 Every truncation is the (n_modes, d) integer lattice of its modes
-{|k_j| <= K}, or of a ball in it (``ball_truncation``), one stacked
+{|k_j| <= K}, or of a ball in it (``ball_truncation``, under a cap), one stacked
 (n_modes, n, n) array of these mode-diagonal blocks (A_j its zero-frequency
 part), assembled without a loop over modes, and one coupling beta_j (x) A_q
 per oscillatory term A_q e^{2 pi i q.x} dx_j, which maps mode k to k + q.
@@ -99,7 +99,7 @@ import numpy as np
 
 from .geometry import Connection, PreconditionError
 
-AXIS_TOL = 1e-9  # eigenvalues with |Re| at or below this are on the axis
+AXIS_TOL = 1e-9  # |Re| at or below this is on the axis: ``sign_count``, the ball pad
 
 # bytes one allocation may take: a truncation's stack and mode lattice, or
 # those plus one batch of its complex128 component matrices
@@ -112,6 +112,11 @@ class GuardError(RuntimeError):
 
 class MemoryGuardError(GuardError):
     """A requested truncation exceeds the configured memory budget."""
+
+
+class CutoffInstabilityError(GuardError):
+    """A window past the cutoff is needed: a constant connection's ball
+    reaches past it, or a coupled flow changed from cutoff K to K + 1."""
 
 
 def _require_memory(nbytes: int, what: str) -> None:
@@ -278,9 +283,8 @@ class OperatorTruncation:
         the stack and the lattice before they are allocated."""
         m, s = members.shape
         n, per, _ = self.stack.shape
-        if s == 1:
-            # lone modes have no couplings; all of them are the stack itself
-            return self.stack if m == n else self.stack[members[:, 0]]
+        if s == 1:  # lone modes: their blocks of the stack
+            return self.stack[members[:, 0]]
         _require_memory(
             self.stack.nbytes + self.modes.nbytes + 16 * m * (s * per) ** 2,
             f"the stack, lattice and a batch of shape {(m, s * per, s * per)}",
@@ -307,12 +311,13 @@ class OperatorTruncation:
         couplings the solve is that of the stack, one row per mode, or, where
         a Hermitian stack splits into lines (see the module docstring), of
         the rank line blocks of each mode, row k holding those of mode k."""
-        if self.hermitian and self.rank > 1 and not self.couplings:
-            lines = self._line_blocks()
-            if lines is not None:
-                return (_eigvalsh(lines).reshape(len(self.modes), -1),)
         solve = _eigvalsh if self.hermitian else np.linalg.eigvals
-        return tuple(solve(self._component_matrices(m)) for m in self._components)
+        if self.couplings:
+            return tuple(solve(self._component_matrices(m)) for m in self._components)
+        lines = self._line_blocks() if self.hermitian and self.rank > 1 else None
+        if lines is not None:
+            return (_eigvalsh(lines).reshape(len(self.modes), -1),)
+        return (solve(self.stack),)
 
     def _line_blocks(self) -> np.ndarray | None:
         """The (n_modes * rank, 2^n, 2^n) line blocks M_0(k) + K_b, mode by
@@ -410,18 +415,24 @@ def ball_radius(c: Connection) -> float:
     return float(np.linalg.svd(v, compute_uv=False)[0]) / (2 * math.pi)
 
 
-def ball_truncation(c: Connection) -> OperatorTruncation:
-    """The rows k of ``build_truncation(c, max(1, ceil(R)))`` with
-    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, for a constant c.
+def ball_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
+    """The rows k of ``build_truncation(c, K)``, K = max(1, ceil(R)), with
+    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, for a constant c; a
+    K past ``cutoff`` raises CutoffInstabilityError before any assembly.
     M(k) = M_0(k) + V with M_0(k) = sum_j beta_j (x) 2 pi i k_j Hermitian,
     of eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every eigenvalue of
     M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2 > AXIS_TOL
     off the ball.  There M(k) has the inertia of M_0(k), which -k's cancels,
-    and no eigenvalue on the axis: a refusal on the ball is one everywhere."""
+    and no eigenvalue on the axis: the ball's ``sign_count`` is any window's."""
     if not c.is_constant():
         raise PreconditionError("a Bauer--Fike ball needs a constant connection")
     radius = ball_radius(c)
-    cube = build_truncation(c, max(1, math.ceil(radius)))
+    window = max(1, math.ceil(radius))
+    if window > cutoff:
+        raise CutoffInstabilityError(
+            f"a Bauer--Fike ball needs cutoff {window}, not {cutoff}"
+        )
+    cube = build_truncation(c, window)
     keep = np.linalg.norm(cube.modes, axis=1) <= radius + AXIS_TOL / (2 * math.pi)
     modes, stack = (_read_only(x[keep]) for x in (cube.modes, cube.stack))
     return replace(cube, modes=modes, stack=stack)
@@ -465,6 +476,13 @@ def spectrum(t: OperatorTruncation) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (Re, Im); a copy of the
     truncation's cached solve."""
     return t._spectrum.copy()
+
+
+def sign_count(t: OperatorTruncation) -> tuple[int, np.ndarray]:
+    """Sum of sign Re over the eigenvalues off the axis, and those on it."""
+    vals = t._spectrum
+    axis = np.abs(vals.real) <= AXIS_TOL
+    return int(np.sum(np.sign(vals.real[~axis]))), vals[axis]
 
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:

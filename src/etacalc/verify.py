@@ -49,7 +49,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import AXIS_TOL, ball_truncation, spectrum
+from .spectral import ball_truncation, sign_count
 
 SCHEMA_VERSION = "1"
 
@@ -497,16 +497,12 @@ def check_eta_tilde_imaginary(
 def trivial_line_eta(dim: int, cutoff: int = 1) -> EtaValue:
     """Mode census of the untwisted operator on the trivial line bundle:
     the spectrum is symmetric (eta = 0) and the zero modes count the even
-    exterior algebra, 2^(dim-1).  The zero connection's Bauer--Fike ball
-    (``spectral.ball_truncation``) is k = 0 alone, which holds the zeros;
-    every other mode has the balanced eigenvalues +-2 pi |k|.  ``cutoff``
-    chooses no window; it stays accepted, as does ``bk_phase``'s."""
+    exterior algebra, 2^(dim-1).  Both are the ``sign_count`` of the zero
+    connection's Bauer--Fike ball, k = 0 alone (window 1, capped at
+    ``cutoff``); every other mode has the balanced eigenvalues +-2 pi |k|."""
     c = Connection.from_constant(dim, [np.zeros((1, 1), dtype=complex)] * dim)
-    lam = spectrum(ball_truncation(c)).real
-    zero = np.abs(lam) <= AXIS_TOL
-    kernel = int(np.sum(zero))
-    eta = float(np.sum(np.sign(lam[~zero])))
-    return EtaValue(eta=complex(eta), kernel_dim=kernel)
+    count, axis = sign_count(ball_truncation(c, cutoff))
+    return EtaValue(eta=complex(count), kernel_dim=len(axis))
 
 
 def bk_phase_factor(rank: int, eta_sig_trivial: EtaValue) -> complex:
@@ -522,8 +518,8 @@ def check_bk_phase(
     check_id: str | None = None,
 ) -> CheckEntry:
     """The censused phase factor matches the closed form
-    exp(i pi rank (0 + 2^(dim-1))/2); ``cutoff`` is passed to
-    :func:`trivial_line_eta`, which solves the k = 0 block at any cutoff."""
+    exp(i pi rank (0 + 2^(dim-1))/2); ``cutoff`` caps the census ball of
+    :func:`trivial_line_eta`, whose window is 1."""
     census = trivial_line_eta(dim, cutoff)
     lhs = bk_phase_factor(rank, census)
     rhs = cmath.exp(1j * math.pi * int(rank) * 2 ** (dim - 1) / 2)

@@ -8,15 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from etacalc import flow
-from etacalc.flow import gauge_path, spectral_flow
+from etacalc import flow, spectral
+from etacalc.flow import CutoffInstabilityError, gauge_path, spectral_flow
 from etacalc.geometry import Connection, PreconditionError
 from etacalc.spectral import (
     ball_radius,
     ball_truncation,
     build_truncation,
     clifford_model,
-    spectrum,
+    sign_count,
 )
 
 from helpers import diagonal_connection_from_mus
@@ -161,8 +161,9 @@ def test_flow_stable_under_cutoff_growth():
 
 def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
     # A constant pair solves its two Bauer--Fike balls once each, start
-    # first; a pair with couplings solves its cubes at cutoff and cutoff + 1
-    # and compares the two counts.  Either flow is that of equal cubes.
+    # first, reading one R per ball for its cap and its rows; a pair with
+    # couplings solves its cubes at cutoff and cutoff + 1 and compares the
+    # two counts.  Either flow is that of equal cubes.
     a = TWO_PI_I * np.array([[0.3 + 0.07j, 0.1], [0.05, 0.55 - 0.1j]])
     c = Connection.from_constant(1, [a])
     mus = diagonal_connection_from_mus
@@ -175,22 +176,52 @@ def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
         (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), cubes, 1),
         (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), cubes, 2),
     ]
-    solved = []
+    solved, radii = [], []
 
     def counted(t):
         solved.append(t)
-        return spectrum(t)
+        return sign_count(t)
 
-    monkeypatch.setattr(flow, "spectrum", counted)
+    def radius(c):
+        radii.append(c)
+        return ball_radius(c)
+
+    monkeypatch.setattr(flow, "sign_count", counted)
+    monkeypatch.setattr(spectral, "ball_radius", radius)
     for c0, c1, windows, sf in cases:
         solved.clear()
+        radii.clear()
         assert spectral_flow(c0, c1, 8) == sf
         if c0.is_constant() and c1.is_constant():
             assert [t.modes.ravel().tolist() for t in solved] == windows
+            assert len(radii) == 2 and radii[0] is c0 and radii[1] is c1
         else:
             assert sorted((t.cutoff, len(t.modes)) for t in solved) == windows
         for k in (8, 9):
             assert _cube_flow(c0, c1, k) == sf
+
+
+def test_ball_past_the_cutoff_is_refused_before_assembly(monkeypatch):
+    # R = 2.5 on the circle: window K = 3.  At cutoff 2 the ball is refused
+    # naming cutoff 3 before any truncation is built; at cutoff 3 it is
+    # cut from the cube at 3.  A flow names the window of the first ball
+    # refused, start then end, not the larger one.
+    built = []
+
+    def counted(c, cutoff):
+        built.append(cutoff)
+        return build_truncation(c, cutoff)
+
+    monkeypatch.setattr(spectral, "build_truncation", counted)
+    wide = diagonal_connection_from_mus([2.5, 0.3])
+    with pytest.raises(CutoffInstabilityError, match="needs cutoff 3, not 2"):
+        ball_truncation(wide, 2)
+    assert built == []
+    assert ball_truncation(wide, 3).cutoff == 3 and built == [3]
+    narrow, wider = (diagonal_connection_from_mus([mu, 0.3]) for mu in (0.6, 4.5))
+    for c0, c1, window in ((wider, wide, 5), (wide, wider, 3), (narrow, wider, 5)):
+        with pytest.raises(CutoffInstabilityError, match=f"needs cutoff {window}, not 2"):
+            spectral_flow(c0, c1, 2)
 
 
 def test_ball_pad_refuses_an_axis_eigenvalue_just_past_the_radius():
@@ -201,7 +232,7 @@ def test_ball_pad_refuses_an_axis_eigenvalue_just_past_the_radius():
     # k = 0 alone and the flow would read 1.
     near = diagonal_connection_from_mus([-1 + 1e-11])
     assert ball_radius(near) < 1
-    assert ball_truncation(near).modes.ravel().tolist() == [-1, 0, 1]
+    assert ball_truncation(near, 1).modes.ravel().tolist() == [-1, 0, 1]
     with pytest.raises(PreconditionError, match="start of path"):
         spectral_flow(near, diagonal_connection_from_mus([0.3]), 8)
     with pytest.raises(PreconditionError, match="start of path"):

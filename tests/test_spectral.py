@@ -22,6 +22,7 @@ from etacalc.spectral import (
     build_truncation,
     clifford_model,
     export_spectrum_csv,
+    sign_count,
     spectrum,
     spectrum_rows,
 )
@@ -1076,7 +1077,7 @@ def test_ball_of_a_commuting_unitary_input_splits_into_lines(dim, rank):
     mus = rng.uniform(-1, 1, (dim, rank))
     mus *= _BALL_RADII[dim] / np.max(np.linalg.norm(mus, axis=0))  # R
     c = _commuting_unitary(mus, _random_basis(rng, rank))
-    t = spectral.ball_truncation(c)
+    t = spectral.ball_truncation(c, math.ceil(_BALL_RADII[dim]))
     _assert_ball_rows_of_the_cube(t, c)
     assert len(t.modes) > 1 and t._line_blocks() is not None
     blocks = np.sort(np.linalg.eigvals(t.stack).real.ravel())
@@ -1091,7 +1092,7 @@ def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
     rng = np.random.default_rng(95 + 10 * dim + rank)
     c = random_unitary_constant_connection(rng, dim, rank)
     c = c.with_form(c.a * (_BALL_RADII[dim] / ball_radius(c)))
-    t = spectral.ball_truncation(c)
+    t = spectral.ball_truncation(c, math.ceil(_BALL_RADII[dim]))
     _assert_ball_rows_of_the_cube(t, c)
     assert len(t.modes) > 1 and t.hermitian and t._line_blocks() is None
     (solved,) = t._eigvals
@@ -1102,9 +1103,33 @@ def test_ball_needs_a_constant_connection():
     a = np.array([[TWO_PI * 0.3j, 0.1], [0.0, TWO_PI * 0.6j]])
     coupled = gauge_path(Connection.from_constant(1, [a]), 1, 1.0)
     with pytest.raises(PreconditionError, match="constant connection"):
-        spectral.ball_truncation(coupled)
-    zero = spectral.ball_truncation(Connection.from_constant(3, [np.zeros((1, 1))] * 3))
+        spectral.ball_truncation(coupled, 8)
+    zero = spectral.ball_truncation(Connection.from_constant(3, [np.zeros((1, 1))] * 3), 1)
     assert zero.modes.tolist() == [[0, 0, 0]] and zero.cutoff == 1
+
+
+def test_sign_count_is_the_brute_force_count_of_the_spectrum():
+    # random non-normal S^1 and T^3 balls, the T^3 and T^5 zero connections
+    # (kernel 2^(dim-1)) and an endpoint with 2 pi (1 + mu) = 2 pi 1e-11 on
+    # the axis, against the signs of ``spectrum`` read one by one
+    rng = np.random.default_rng(300)
+    draws = [
+        Connection.from_constant(dim, [rng_matrix(rng, rank, 2.0) for _ in range(dim)])
+        for dim, rank in [(1, 2), (1, 3), (3, 2), (3, 3)] * 2
+    ]
+    draws += [Connection.from_constant(d, [np.zeros((1, 1))] * d) for d in (3, 5)]
+    draws.append(diagonal_connection_from_mus([-1 + 1e-11, 0.3]))
+    found = []
+    for c in draws:
+        t = spectral.ball_truncation(c, 8)
+        count, axis = sign_count(t)
+        vals = spectrum(t)
+        on = [v for v in vals if abs(v.real) <= AXIS_TOL]
+        off = [1 if v.real > 0 else -1 for v in vals if abs(v.real) > AXIS_TOL]
+        assert count == sum(off) and axis.tolist() == on
+        found.append((count, len(axis)))
+    assert any(count for count, _ in found[:-3])
+    assert found[-3:] == [(0, 4), (0, 16), (-1, 1)]
 
 
 @pytest.mark.parametrize("dim, rank", [(1, 2), (1, 3), (3, 2), (3, 3)])

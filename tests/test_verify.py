@@ -3,6 +3,7 @@ family against its independent closed-form or spectral oracle."""
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -430,18 +431,19 @@ def test_trivial_line_census_t3():
     assert e.reduced == pytest.approx(2.0)
 
 
-def _recording_spectrum(monkeypatch, *owners):
-    """Record every truncation whose spectrum the owners' ``spectrum`` reads."""
-    from etacalc.spectral import spectrum
+def _recording_counts(monkeypatch, *owners):
+    """Record every truncation whose spectrum the owners' ``sign_count``
+    counts."""
+    from etacalc.spectral import sign_count
 
     solved = []
 
     def recording(t):
         solved.append(t)
-        return spectrum(t)
+        return sign_count(t)
 
     for owner in owners:
-        monkeypatch.setattr(owner, "spectrum", recording)
+        monkeypatch.setattr(owner, "sign_count", recording)
     return solved
 
 
@@ -450,7 +452,7 @@ def test_census_window_is_the_zero_connections_ball(monkeypatch):
     # 2^(dim-1) eigenvalues over the copies are the zeros
     from etacalc import verify
 
-    solved = _recording_spectrum(monkeypatch, verify)
+    solved = _recording_counts(monkeypatch, verify)
     for dim in (1, 3, 5):
         for cutoff in (1, 2, 8):
             solved.clear()
@@ -471,13 +473,32 @@ def test_constant_checks_solve_only_their_balls(monkeypatch):
     # every truncation that the spectral flow or the census solves over the
     # suite is a constant input's Bauer--Fike ball, found by brute force
     # from its own k = 0 block, and together they hold under a quarter of
-    # the eigenvalues of the cubes they were cut from
-    from etacalc import flow, verify
+    # the eigenvalues of the cubes they were cut from.  Each ball reads R
+    # once, for its cap and its rows, and is solved as its stack, without
+    # the coupling-component labelling.
+    from etacalc import flow, spectral, verify
 
-    solved = _recording_spectrum(monkeypatch, flow, verify)
+    solved = _recording_counts(monkeypatch, flow, verify)
+    radii, labelled = [], []
+    ball_radius = spectral.ball_radius
+    components = spectral.OperatorTruncation._components.func
+
+    def radius(c):
+        radii.append(c)
+        return ball_radius(c)
+
+    def recorded_components(t):
+        labelled.append(t)
+        return components(t)
+
+    recorded = cached_property(recorded_components)
+    recorded.__set_name__(spectral.OperatorTruncation, "_components")
+    monkeypatch.setattr(spectral, "ball_radius", radius)
+    monkeypatch.setattr(spectral.OperatorTruncation, "_components", recorded)
     for seed in range(3):
         standard_suite(seed)
-    assert solved and not any(t.couplings for t in solved)
+    assert len(solved) == len(radii) == 33
+    assert not any(t.couplings for t in solved) and not labelled
     for t in solved:
         assert t.modes.tolist() == padded_ball(t.dim, _solved_ball_radius(t))
     cubes = sum(t.size // len(t.modes) * (2 * t.cutoff + 1) ** t.dim for t in solved)
