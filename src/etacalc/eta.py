@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .geometry import Connection, PreconditionError
-from .spectral import OperatorTruncation, spectrum
+from .spectral import OperatorTruncation
 
 # the smoothing parameters eps the heat estimate extrapolates from, and the
 # magnitude below which it counts an eigenvalue as a zero mode
@@ -107,7 +107,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
 
     Evaluates eta_eps = sum sign(lambda) erfc(sqrt(eps) |lambda|) on a fixed
     grid of six eps values and Richardson-extrapolates quadratically in
-    sqrt(eps) to eps -> 0.
+    sqrt(eps) to eps -> 0.  Each sum runs over the one spinor copy the
+    truncation caches and is multiplied by ``copies``.
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses, with ``PreconditionError``, truncations that are
     not ``hermitian`` (a connection unitary on the identity metric), and
@@ -125,7 +126,7 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
             "heat-smoothed eta requires a Hermitian truncation "
             "(a unitary connection on the identity metric)"
         )
-    lam = spectrum(t).real
+    lam = t._spectrum.real
     lam = lam[np.abs(lam) > _ZERO_TOL]
     if lam.size and lam.min() < 0 < lam.max():
         # balance the window: a mode cutoff leaves one unpaired extreme
@@ -133,7 +134,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
         window = min(-lam.min(), lam.max()) * (1 + 1e-12)
         lam = lam[np.abs(lam) <= window]
     roots = np.sqrt(np.asarray(_EPS_GRID))
-    vals = [float(np.sum(np.sign(lam) * erfc(r * np.abs(lam)))) for r in roots]
+    sign, size = np.sign(lam), np.abs(lam)
+    vals = [t.copies * float(np.sum(sign * erfc(r * size))) for r in roots]
     coeffs = np.polyfit(roots, vals, 2)
     return complex(coeffs[-1])
 

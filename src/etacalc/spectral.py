@@ -73,10 +73,11 @@ the order of LAPACK's backward error bound p(per) u ||M(0)||_2 for
 Any other input (non-commuting A_j, A_j anti-Hermitian only to the flag's
 1e-10, rank 1, couplings, ``eigvals``) keeps the solve of its stack.
 
-The one copy's eigenvalues are sorted, then each is repeated 2^n times
-and the whole cast to complex once, where ``spectrum`` and
-``spectrum_rows`` hand them out.  The copies of a value stay adjacent and
-in order, so this is bitwise the sort of the repeated solve.  Complex
+The one copy's eigenvalues are sorted and cast to complex once, and
+cached so; ``spectrum`` and ``spectrum_rows`` repeat each of them 2^n times
+where they hand them out, and ``sign_count`` counts the one copy and
+multiplies.  The copies of a value stay adjacent and in order, so the
+hand-out is bitwise the sort of the repeated solve.  Complex
 eigenvalues are ordered by (Re, Im) with a stable ``np.sort``.  Real ones
 (the Hermitian route, closed form and LAPACK alike) take numpy's default
 float sort, whose order among equal values depends on the machine's sort
@@ -191,14 +192,16 @@ class OperatorTruncation:
     of the stack, and ``dense`` (coupled connections only) is the Galerkin
     matrix of the one copy, built on first use and guarded as one batch.
     ``size`` counts the eigenvalues of the operator on all copies:
-    ``copies`` times the order of ``dense``.
+    ``copies`` times the one copy's, which ``_spectrum`` caches (the order
+    of ``dense``).
 
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
     connection is unitary and its fiber metric is the identity.
 
-    The eigenvalues are computed once per truncation, on first use, as
-    the module docstring describes, without building ``dense``.  Every
-    array is read-only so that the cached values cannot go stale.
+    The eigenvalues of one copy are computed once per truncation, on
+    first use, as the module docstring describes, without building
+    ``dense``; they are repeated over the copies only when handed out.
+    Every array is read-only so that the cached values cannot go stale.
     """
 
     dim: int
@@ -355,7 +358,7 @@ class OperatorTruncation:
         else:  # see the module docstring: signed zeros keep the solve's order
             vals = np.sort(solved)
             vals[vals == 0] = solved[solved == 0]
-        return np.repeat(vals.astype(complex, copy=False), self.copies)
+        return _read_only(vals.astype(complex, copy=False))
 
 
 def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
@@ -418,12 +421,15 @@ def ball_radius(c: Connection) -> float:
 def ball_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """The rows k of ``build_truncation(c, K)``, K = max(1, ceil(R)), with
     |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, for a constant c; a
-    K past ``cutoff`` raises CutoffInstabilityError before any assembly.
+    K past ``cutoff`` raises CutoffInstabilityError before any assembly,
+    and a ``cutoff`` below 1 ValueError, as in ``build_truncation``.
     M(k) = M_0(k) + V with M_0(k) = sum_j beta_j (x) 2 pi i k_j Hermitian,
     of eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every eigenvalue of
     M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2 > AXIS_TOL
     off the ball.  There M(k) has the inertia of M_0(k), which -k's cancels,
     and no eigenvalue on the axis: the ball's ``sign_count`` is any window's."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     if not c.is_constant():
         raise PreconditionError("a Bauer--Fike ball needs a constant connection")
     radius = ball_radius(c)
@@ -473,22 +479,26 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
 
 
 def spectrum(t: OperatorTruncation) -> np.ndarray:
-    """All eigenvalues with multiplicity, sorted by (Re, Im); a copy of the
-    truncation's cached solve."""
-    return t._spectrum.copy()
+    """All eigenvalues with multiplicity, sorted by (Re, Im): a fresh array,
+    the truncation's cached one-copy solve with each value repeated
+    ``copies`` times."""
+    return np.repeat(t._spectrum, t.copies)
 
 
 def sign_count(t: OperatorTruncation) -> tuple[int, np.ndarray]:
-    """Sum of sign Re over the eigenvalues off the axis, and those on it."""
+    """Sum of sign Re over the eigenvalues off the axis, and those on it,
+    with multiplicity: ``copies`` times the one copy's sum, and its axis
+    values each repeated ``copies`` times."""
     vals = t._spectrum
     axis = np.abs(vals.real) <= AXIS_TOL
-    return int(np.sum(np.sign(vals.real[~axis]))), vals[axis]
+    count = int(np.sum(np.sign(vals.real[~axis])))
+    return t.copies * count, np.repeat(vals[axis], t.copies)
 
 
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     """(Re, Im, mode-label) rows; mode column is empty for coupled matrices."""
     if t.couplings:
-        return [(float(v.real), float(v.imag), "") for v in t._spectrum]
+        return [(float(v.real), float(v.imag), "") for v in spectrum(t)]
     rows = []
     sorted_rows = np.sort(t._eigvals[0], kind="stable")  # one lone mode per row
     sorted_rows = np.repeat(sorted_rows, t.copies, axis=-1)

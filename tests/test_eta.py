@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from etacalc.eta import (
+    _EPS_GRID,
+    _ZERO_TOL,
     EtaValue,
     constant_eta,
     eta_bk,
@@ -22,6 +24,7 @@ from helpers import (
     diagonal_connection_from_mus,
     gauged_t3_connection,
     random_mus,
+    random_unitary_constant_connection,
     sign_sum_eta_oracle,
     unitary_on_constant_metric,
 )
@@ -187,6 +190,40 @@ def test_heat_estimate_t3_unitary_vanishes():
     )
     est = eta_heat_estimate(build_truncation(c, 6))
     assert abs(est) < 1e-6
+
+
+def _heat_over_every_copy(t):
+    """The heat estimate summed over every eigenvalue with multiplicity,
+    as ``spectrum`` hands them out: the formula before the estimate read
+    one spinor copy and multiplied."""
+    from scipy.special import erfc
+
+    lam = spectrum(t).real
+    lam = lam[np.abs(lam) > _ZERO_TOL]
+    if lam.size and lam.min() < 0 < lam.max():
+        window = min(-lam.min(), lam.max()) * (1 + 1e-12)
+        lam = lam[np.abs(lam) <= window]
+    roots = np.sqrt(np.asarray(_EPS_GRID))
+    vals = [float(np.sum(np.sign(lam) * erfc(r * np.abs(lam)))) for r in roots]
+    return complex(np.polyfit(roots, vals, 2)[-1])
+
+
+def test_heat_estimate_on_one_copy_matches_the_sum_over_every_copy():
+    # S^1 has one copy: the same sums, bit for bit
+    t = build_truncation(diagonal_connection_from_mus([0.25, 0.4]), 50)
+    assert eta_heat_estimate(t) == _heat_over_every_copy(t)
+    # T^3, rank 2, A_j not commuting: two copies, and an estimate near -2,
+    # so a sum over one copy alone (about -1) is far outside the rounding
+    c = random_unitary_constant_connection(np.random.default_rng(1), 3, 2, 3.0)
+    t = build_truncation(c, 4)
+    assert t.copies == 2 and t._line_blocks() is None
+    est, want = eta_heat_estimate(t), _heat_over_every_copy(t)
+    assert abs(want + 2) < 0.05 and abs(est - want) <= 1e-10 * abs(want)
+    # T^5: four copies, an estimate that vanishes
+    c = random_unitary_constant_connection(np.random.default_rng(1), 5, 1, 1.0)
+    t = build_truncation(c, 2)
+    assert t.copies == 4
+    assert abs(eta_heat_estimate(t) - _heat_over_every_copy(t)) <= 1e-10
 
 
 def test_heat_estimate_rejects_non_self_adjoint():

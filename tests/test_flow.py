@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from etacalc import flow, spectral
+from etacalc import flow, spectral, verify
 from etacalc.flow import CutoffInstabilityError, gauge_path, spectral_flow
 from etacalc.geometry import Connection, PreconditionError
 from etacalc.spectral import (
@@ -222,6 +222,27 @@ def test_ball_past_the_cutoff_is_refused_before_assembly(monkeypatch):
     for c0, c1, window in ((wider, wide, 5), (wide, wider, 3), (narrow, wider, 5)):
         with pytest.raises(CutoffInstabilityError, match=f"needs cutoff {window}, not 2"):
             spectral_flow(c0, c1, 2)
+
+
+def test_cutoff_below_one_is_an_invalid_argument_on_every_route():
+    # a cutoff below 1 is refused as a bad argument (ValueError), never as
+    # a window past the cutoff (CutoffInstabilityError, exit 3), whether
+    # the endpoints are constant (balls) or coupled (cubes)
+    a = np.array([[TWO_PI_I * 0.3, 0.1], [0.0, TWO_PI_I * 0.6]])
+    constant = Connection.from_constant(1, [a])
+    coupled = gauge_path(constant, 1, 0.5)
+    assert not coupled.is_constant()
+    calls = [
+        lambda: ball_truncation(constant, 0),
+        lambda: build_truncation(constant, 0),
+        lambda: spectral_flow(constant, constant, 0),
+        lambda: spectral_flow(coupled, coupled, 0),
+        lambda: verify.trivial_line_eta(3, 0),
+        lambda: verify.check_bk_phase(1, cutoff=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            call()
 
 
 def test_ball_pad_refuses_an_axis_eigenvalue_just_past_the_radius():

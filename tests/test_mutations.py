@@ -17,16 +17,26 @@ coefficients p_i, so negating the odd ones fails both.  Flipping the sign
 of p_2 alone has no row: its pairings vanish on every flat connection (the
 odd-Chern side is odd in r) and it is absent on the circle, so no suite
 entry can see it until ROADMAP item 2 brings re/im entries on curved T^3.
+
+A ``sign_count`` that hands out one spinor copy of the axis values, not
+``copies`` of them, halves the T^3 census kernel (2, not 4).  The suite's
+only T^3 census is of rank 2, whose phase exp(i pi rank (eta + h)/2) cannot
+see a change of h by 2, so the suite passes; the bundled rank-1 T^3
+census of ``scenarios/t3_spectrum.json`` reads exp(i pi) = -1 against 1
+and fails it.  The suite keeps its 31 rows, so that scenario is the check.
 """
 
 import copy
 import dataclasses
+import json
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
 from etacalc import eta, forms, geometry, spectral, verify
+from etacalc.cli import main
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import PreconditionError
 from etacalc.verify import standard_suite
@@ -176,3 +186,20 @@ def test_mutations_cover_every_family():
     assert families - caught == {"psi_constancy"}
     owners = {owner for patches, _ in MUTATIONS.values() for owner, _, _ in patches}
     assert owners & {forms, TrigPolyForm}  # the form algebra itself is mutated
+
+
+def test_axis_values_of_one_copy_fail_the_rank_one_t3_census(tmp_path, monkeypatch):
+    scenario = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    monkeypatch.chdir(tmp_path)
+    orig = verify.sign_count
+
+    def one_copy(t):
+        count, axis = orig(t)
+        return count, axis[:: t.copies]
+
+    monkeypatch.setattr(verify, "sign_count", one_copy)
+    assert main(["run", str(scenario / "t3_spectrum.json")]) == 1
+    report = json.loads((tmp_path / "out" / "t3_spectrum_report.json").read_text())
+    assert [e["check_id"] for e in report["entries"] if not e["passed"]] == [
+        "e02_bk_phase[rank=1,dim=3]"
+    ]

@@ -1240,15 +1240,31 @@ def test_real_sort_puts_signed_zeros_in_the_order_of_the_solve():
     assert spectrum(t).tobytes() == oracle.astype(complex).tobytes()
 
 
+def _unitary_rank_two(dim):
+    rng = np.random.default_rng(70 + dim)
+    return build_truncation(random_unitary_constant_connection(rng, dim, 2), 1)
+
+
 def test_spectrum_returns_a_copy_of_the_cached_solve():
-    c = diagonal_connection_from_mus([0.25, 0.4 - 0.1j])
-    t = build_truncation(c, 3)
-    first = spectrum(t)
-    kept = first.copy()
-    first[:] = 0
-    assert np.array_equal(spectrum(t), kept)
+    # every call hands out a fresh array, with one spinor copy (S^1) and
+    # with the copies repeated (two on T^3, four on T^5): writing into one
+    # leaves the next unchanged
+    circle = build_truncation(diagonal_connection_from_mus([0.25, 0.4 - 0.1j]), 3)
+    for t in (circle, _unitary_rank_two(3), _unitary_rank_two(5)):
+        first, second = spectrum(t), spectrum(t)
+        assert first.tobytes() == second.tobytes() and len(first) == t.size
+        first[:] = 0
+        assert spectrum(t).tobytes() == second.tobytes()
     with pytest.raises(ValueError):
-        t.blocks[(0,)][0, 0] = 1.0  # the stack behind the cache is read-only
+        circle.blocks[(0,)][0, 0] = 1.0  # the stack behind the cache is read-only
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_cached_spectrum_holds_one_spinor_copy(dim):
+    t = _unitary_rank_two(dim)
+    assert t.copies == 2 ** (dim // 2)
+    assert len(t._spectrum) == t.size // t.copies
+    assert t._spectrum.dtype == complex and not t._spectrum.flags.writeable
 
 
 def test_spectrum_rows_and_csv(tmp_path):
