@@ -24,18 +24,23 @@ The orientation of Gamma is fixed by the circle calibration: for d = 1
 exactly {2 pi (k + mu)}.
 
 Every truncation is the (n_modes, d) integer lattice of its modes
-{|k_j| <= K}, or of a ball in it (``ball_truncation``, under a cap), one stacked
-(n_modes, n, n) array of these mode-diagonal blocks (A_j its zero-frequency
-part), assembled without a loop over modes, and one coupling beta_j (x) A_q
-per oscillatory term A_q e^{2 pi i q.x} dx_j, which maps mode k to k + q.
-The couplings split the modes into the connected components of the graph
-with an edge k -> k + q, each an eigenproblem of its own: the spectrum is
-one batched eigen-solve per component size, over the components' Galerkin
-matrices assembled from the stack and the couplings (without couplings, the
-stack itself), for one spinor copy, cached on the truncation.  A memory
-guard, checked where arrays are allocated, refuses a stack and lattice, or
-a batch of component matrices next to them, that would not fit; so a window
-that its couplings split into small components solves.
+{|k_j| <= K}, or of a ball in it (``ball_truncation``, under a cap), plus
+the symbol of the zero-frequency part of A: for each direction j and each
+frequency k with |k| <= K, the term kron(beta_j, 2 pi i k I + A_j).  A mode
+block M(k) = M_0(k) + V is the sum of one term per direction, and V =
+sum_j beta_j (x) A_j is M(0).  The (n_modes, n, n) stack of the mode
+blocks is assembled from the symbol without a loop over modes, and only
+when a solve, ``blocks`` or ``dense`` reads it.  One coupling
+beta_j (x) A_q per oscillatory term A_q e^{2 pi i q.x} dx_j maps mode k to
+k + q.  The couplings split the modes into the connected components of
+the graph with an edge k -> k + q, each an eigenproblem of its own: the
+spectrum is one batched eigen-solve per component size, over the
+components' Galerkin matrices assembled from the stack and the couplings
+(without couplings, the stack itself), for one spinor copy, cached on the
+truncation.  A memory guard, checked where arrays are allocated, refuses
+a lattice and symbol, a stack next to them, or a batch of component
+matrices next to the stack, that would not fit; so a window that its
+couplings split into small components solves.
 
 The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -57,7 +62,7 @@ and keeps ``eigvals``.
 
 A flat unitary constant connection is a sum of flat lines, and a
 Hermitian constant truncation of rank >= 2 is solved as one when its k = 0
-block V = sum_j beta_j (x) A_j allows.  U is the ``eigh`` basis of
+block V, read from the symbol, allows.  U is the ``eigh`` basis of
 sum_j sqrt(j + 1) i A_j (A_j read off V by tr(beta_j^H beta_l) =
 2^n delta_jl), moved by one Newton step, a Cayley rotation, towards the
 common eigenbasis of the A_j.  W = I (x) U commutes with M_0(k) =
@@ -67,11 +72,13 @@ with ||E||_F = delta = ||P - K||_F, so the Hermitian matrices the route
 reads of M(k) and of W (M_0(k) + K) W^H differ by at most sqrt(2) delta,
 and by Weyl's inequality so do their sorted eigenvalues.  M_0(k) + K is
 the direct sum of the line blocks M_0(k) + K_b of order 2^n, one batch (on
-T^3 in closed form).  The split needs delta <= 16 per u ||V||_2, u = 2^-53:
+T^3 in closed form), M_0(k) summed like the stack from the terms
+beta_j 2 pi i k.  The split needs delta <= 16 per u ||V||_2, u = 2^-53:
 the order of LAPACK's backward error bound p(per) u ||M(0)||_2 for
 ``eigvalsh``, p modest; commuting unitary inputs stay under 6 per u ||V||_2.
-Any other input (non-commuting A_j, A_j anti-Hermitian only to the flag's
-1e-10, rank 1, couplings, ``eigvals``) keeps the solve of its stack.
+The line route builds no stack.  Any other input (non-commuting A_j, A_j
+anti-Hermitian only to the flag's 1e-10, rank 1, couplings, ``eigvals``)
+keeps the solve of its stack.
 
 The one copy's eigenvalues are sorted and cast to complex once, and
 cached so; ``spectrum`` and ``spectrum_rows`` repeat each of them 2^n times
@@ -91,7 +98,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from types import MappingProxyType
 from typing import Mapping
@@ -183,9 +190,15 @@ class OperatorTruncation:
     Every truncation is stored the same way, built from the irreducible
     generators beta_j, so per = 2^n * rank.  ``modes`` is the (n_modes, dim)
     integer array of the window's (or a ball's) Fourier modes in ``product``
-    order, and ``stack`` has shape (n_modes, per, per): block i maps the mode
-    modes[i] to itself, the derivative part plus the zero-frequency part of A.
-    ``couplings`` holds one (q, beta_j (x) A_q) pair per oscillatory term
+    order.  ``cutoff`` is the window K: the cube {|k_j| <= K}, or for a ball
+    only the cube it lies in and the cap it was checked against.
+    ``symbol`` has shape (dim, 2K + 1, per, per), the terms
+    kron(beta_j, 2 pi i k I + A_j) for |k| <= K, A_j the zero-frequency part
+    of A (see the module docstring).  ``stack``, of shape (n_modes, per,
+    per), is assembled from it on first read (a solve, ``blocks``,
+    ``dense``; the line route never reads it): block i maps the mode
+    modes[i] to itself, the derivative part plus the zero-frequency part of
+    A.  ``couplings`` holds one (q, beta_j (x) A_q) pair per oscillatory term
     of A, which maps each mode k to k + q; it is empty for constant
     connections.  ``blocks`` (constant connections only) is a read-only
     mapping from each frequency, a tuple of ints, to its (per, per) view
@@ -208,9 +221,20 @@ class OperatorTruncation:
     rank: int
     cutoff: int
     modes: np.ndarray
-    stack: np.ndarray
+    symbol: np.ndarray
     couplings: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     hermitian: bool
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The mode blocks M(k), guarded twice over (what ``_assemble``
+        holds at most) next to the lattice and symbol."""
+        n, per = len(self.modes), self.symbol.shape[-1]
+        _require_memory(
+            32 * n * per * per + self.modes.nbytes + self.symbol.nbytes,
+            f"the stack of {n} modes, its assembly, the lattice and symbol",
+        )
+        return _read_only(_assemble(self.symbol, self.modes))
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray] | None:
@@ -244,7 +268,7 @@ class OperatorTruncation:
 
     @property
     def size(self) -> int:
-        return len(self.modes) * self.stack.shape[1] * self.copies
+        return len(self.modes) * self.symbol.shape[-1] * self.copies
 
     @property
     def copies(self) -> int:
@@ -325,10 +349,10 @@ class OperatorTruncation:
     def _line_blocks(self) -> np.ndarray | None:
         """The (n_modes * rank, 2^n, 2^n) line blocks M_0(k) + K_b, mode by
         mode, or None when V does not split (see the module docstring)."""
-        n, per, _ = self.stack.shape
+        n, per = len(self.modes), self.symbol.shape[-1]
         beta = np.array(clifford_model(self.dim).beta)
         e, r, pos = beta.shape[1], self.rank, np.arange(self.rank)
-        v = self.stack[n // 2]  # V, the block of k = 0
+        v = _assemble(self.symbol, np.zeros((1, self.dim), int))[0]  # V = M(0)
         a = np.einsum("jac,abcd->jbd", beta.conj(), v.reshape(e, r, e, r))  # 2^n A_j
         weights = 1j * np.sqrt(np.arange(2, self.dim + 2))
         u = np.linalg.eigh(np.einsum("j,jbd->bd", weights, a))[1]
@@ -344,10 +368,11 @@ class OperatorTruncation:
         if np.linalg.norm(p) > 8 * per * np.finfo(float).eps * np.linalg.norm(v, 2):
             return None
         _require_memory(
-            self.stack.nbytes + self.modes.nbytes + 16 * n * (1 + r) * e * e,
-            f"the stack, lattice, M_0(k) and {n * r} line blocks of order {e}",
+            self.modes.nbytes + 16 * n * (1 + r) * e * e,
+            f"the lattice, M_0(k) and {n * r} line blocks of order {e}",
         )
-        free = np.einsum("kj,jac->kac", 2j * math.pi * self.modes, beta)
+        ks = 2j * math.pi * np.arange(-self.cutoff, self.cutoff + 1)
+        free = _assemble(ks[:, None, None] * beta[:, None], self.modes)  # M_0(k)
         return (free[:, None] + lines).reshape(n * r, e, e)
 
     @cached_property
@@ -383,46 +408,64 @@ def _galerkin_hermitian(c: Connection) -> bool:
     return (c.a + c.a.dagger()).is_zero(1e-10)
 
 
-def _stacked_blocks(c: Connection, cutoff: int) -> np.ndarray:
-    """The mode blocks M(k) = sum_j beta_j (x) (2 pi i k_j I + A_j) for every
-    k in the lattice, stacked in ``product`` order, where A_j is the
-    zero-frequency coefficient of dx_j.
-
-    The stack is viewed as (k_1, ..., k_d, a, ., b, .), so that each
-    direction j forms its term kron(beta_j, 2 pi i k_j I + A_j), once per
-    frequency and in place in one (n_freqs, per, per) buffer, and adds it
-    with one broadcast along lattice axis j.  Same operands and order as
-    summing the ``np.kron`` terms mode by mode, so the blocks are bitwise
-    equal to it: the zeros of beta_j add zeros, and the stack holds no -0.0.
-    """
+def _symbol(c: Connection, reach: int) -> np.ndarray:
+    """The (dim, 2 reach + 1, per, per) terms kron(beta_j, 2 pi i k I + A_j)
+    of c on one copy, A_j the zero-frequency coefficient of dx_j, formed in
+    place in the (k, a, ., b, .) view: ``_assemble`` sums them into blocks
+    bitwise equal to summing the ``np.kron`` terms mode by mode."""
     model = clifford_model(c.dim)
     e, r = len(model.beta[0]), c.rank
-    ks = np.arange(-cutoff, cutoff + 1)
-    n_freqs = len(ks)
-    stack = np.zeros((n_freqs**c.dim, e * r, e * r), dtype=complex)
-    grid = stack.reshape((n_freqs,) * c.dim + (e, r, e, r))
-    term = np.empty((n_freqs, e, r, e, r), dtype=complex)
-    for j in range(c.dim):
+    ks = np.arange(-reach, reach + 1)
+    terms = np.empty((c.dim, len(ks), e, r, e, r), dtype=complex)
+    for j, term in enumerate(terms):
         np.multiply(2j * math.pi, ks[:, None, None, None, None], out=term)
         term *= np.eye(r)[:, None, :]
         term += c.a.coefficient((0,) * c.dim, (j + 1,))[:, None, :]
         term *= model.beta[j][:, None, :, None]
-        shape = (1,) * j + (n_freqs,) + (1,) * (c.dim - 1 - j) + term.shape[1:]
-        grid += term.reshape(shape)
-    return _read_only(stack)
+    return _read_only(terms.reshape(c.dim, len(ks), e * r, e * r))
+
+
+def _assemble(symbol: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The blocks M(k) = sum_j symbol[j, k_j], for ``modes`` distinct points
+    of the symbol's window in ``product`` order.  The sums over the leading
+    directions (at least one, at most as many as keep the table no larger
+    than the output) are tabulated by adding each direction's terms to
+    zeros in turn, so no block holds -0.0; a whole cube is its own table,
+    other rows gather theirs and add the remaining terms in order."""
+    dim, n_freqs, per = symbol.shape[0], symbol.shape[1], symbol.shape[-1]
+    lead = 1
+    while lead < dim and n_freqs ** (lead + 1) <= len(modes):
+        lead += 1
+    table = np.zeros((n_freqs,) * lead + (per, per), dtype=complex)
+    for j in range(lead):
+        shape = (1,) * j + (n_freqs,) + (1,) * (lead - 1 - j) + (per, per)
+        table += symbol[j].reshape(shape)
+    table = table.reshape(-1, per, per)
+    if lead == dim and len(modes) == len(table):
+        return table
+    index = (modes + n_freqs // 2).T  # of each mode's frequencies
+    out = table[np.ravel_multi_index(index[:lead], (n_freqs,) * lead)]
+    del table
+    for j in range(lead, dim):
+        out += symbol[j][index[j]]
+    return out
 
 
 def ball_radius(c: Connection) -> float:
     """R = ||V||_2 / 2 pi, V = sum_j beta_j (x) A_j the k = 0 block of c."""
-    v = _stacked_blocks(c, 0)[0]  # ||V||_2 is its largest singular value
+    v = _assemble(_symbol(c, 0), np.zeros((1, c.dim), int))[0]
     return float(np.linalg.svd(v, compute_uv=False)[0]) / (2 * math.pi)
 
 
 def ball_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
-    """The rows k of ``build_truncation(c, K)``, K = max(1, ceil(R)), with
-    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, for a constant c; a
-    K past ``cutoff`` raises CutoffInstabilityError before any assembly,
-    and a ``cutoff`` below 1 ValueError, as in ``build_truncation``.
+    """The truncation of a constant c on its lattice points k with
+    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, in ``product``
+    order, in the window K = max(1, ceil(R)); a K past ``cutoff`` raises
+    CutoffInstabilityError before any assembly, and a ``cutoff`` below 1
+    ValueError, as in ``build_truncation``.  The points are enumerated one
+    coordinate at a time with the radius left for the rest, so no cube is
+    built and each block is bitwise the cube's at K; the memory guard
+    counts the ball's stack where it is assembled.
     M(k) = M_0(k) + V with M_0(k) = sum_j beta_j (x) 2 pi i k_j Hermitian,
     of eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every eigenvalue of
     M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2 > AXIS_TOL
@@ -438,44 +481,60 @@ def ball_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
         raise CutoffInstabilityError(
             f"a Bauer--Fike ball needs cutoff {window}, not {cutoff}"
         )
-    cube = build_truncation(c, window)
-    keep = np.linalg.norm(cube.modes, axis=1) <= radius + AXIS_TOL / (2 * math.pi)
-    modes, stack = (_read_only(x[keep]) for x in (cube.modes, cube.stack))
-    return replace(cube, modes=modes, stack=stack)
+    bound = radius + AXIS_TOL / (2 * math.pi)
+    ks = np.arange(-window, window + 1)
+    _require_lattice(c, window, len(ks) ** c.dim)
+    modes, used = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=int)
+    for _ in range(c.dim):  # the last pass is ``np.linalg.norm``'s test
+        rows, cols = np.nonzero(np.sqrt(used[:, None] + ks * ks) <= bound)
+        modes = np.column_stack([modes[rows], ks[cols]])
+        used = used[rows] + ks[cols] ** 2
+    return _truncation(c, window, modes)
+
+
+def _require_lattice(c: Connection, cutoff: int, n_modes: int) -> None:
+    """Refuse, before they are allocated, a lattice of ``n_modes`` modes and
+    the symbol of the window ``cutoff`` beyond MEMORY_LIMIT together; for a
+    ball, the window's lattice stands for what its enumeration holds."""
+    per = len(clifford_model(c.dim).beta[0]) * c.rank
+    _require_memory(
+        n_modes * 8 * c.dim + 16 * c.dim * (2 * cutoff + 1) * per * per,
+        f"the lattice and symbol of {n_modes} modes",
+    )
+
+
+def _truncation(c: Connection, cutoff: int, modes: np.ndarray) -> OperatorTruncation:
+    beta = clifford_model(c.dim).beta
+    couplings = tuple(
+        (q, _read_only(np.kron(beta[I[0] - 1], mat)))
+        for q, I, mat in c.a.terms() if any(q)
+    )
+    return OperatorTruncation(
+        c.dim, c.rank, cutoff, _read_only(modes), _symbol(c, cutoff),
+        couplings, _galerkin_hermitian(c),
+    )
 
 
 def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
-    The (n_modes, dim) integer lattice of modes and the mode-diagonal stack
-    are built for every connection, plus one coupling beta_j (x) A_q per
-    oscillatory term q of A, on one spinor copy.  Refuses, before
-    allocating them, a stack and lattice of more than ``MEMORY_LIMIT``
-    bytes together; a solve checks each batch of component matrices it
-    assembles in the same way.  The index arrays of the coupling pairs and
-    of the component labelling are not counted: on a rank-1 circle with
-    one coupling they peak at about 3.3 times the counted bytes.
+    The (n_modes, dim) integer lattice of modes and the symbol are built
+    for every connection, plus one coupling beta_j (x) A_q per oscillatory
+    term q of A, on one spinor copy; the stack waits for its first read.
+    Refuses, before allocating them, a lattice and symbol of more than
+    ``MEMORY_LIMIT`` bytes together; the stack, and each batch of
+    component matrices a solve assembles, are checked in the same way.
+    The index arrays of the coupling pairs and of the component labelling
+    are not counted: on a rank-1 circle with one coupling they peak at
+    about 3.3 times the counted bytes.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    model = clifford_model(c.dim)
-    n_modes = (2 * cutoff + 1) ** c.dim
-    per = len(model.beta[0]) * c.rank
-    _require_memory(
-        n_modes * (16 * per * per + 8 * c.dim),
-        f"the stack and lattice of {n_modes} modes",
-    )
+    _require_lattice(c, cutoff, (2 * cutoff + 1) ** c.dim)
     # mode k at row i in ``product`` order: the last axis varies fastest
     modes = np.indices((2 * cutoff + 1,) * c.dim).reshape(c.dim, -1).T
     modes -= cutoff
-    couplings = tuple(
-        (q, _read_only(np.kron(model.beta[I[0] - 1], mat)))
-        for q, I, mat in c.a.terms() if any(q)
-    )
-    return OperatorTruncation(
-        c.dim, c.rank, cutoff, _read_only(modes),
-        _stacked_blocks(c, cutoff), couplings, _galerkin_hermitian(c),
-    )
+    return _truncation(c, cutoff, modes)
 
 
 def spectrum(t: OperatorTruncation) -> np.ndarray:

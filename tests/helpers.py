@@ -253,6 +253,20 @@ def random_unitary_constant_connection(
     return Connection.from_constant(dim, mats)
 
 
+def curved_constant_connection(
+    rng: np.random.Generator, dim: int, rank: int, scale: float
+) -> Connection:
+    """A_j = scale (X_j + 0.3 H_j) / ||X_j + 0.3 H_j||_2, with X_j and H_j
+    the skew-Hermitian and Hermitian parts of a random complex matrix:
+    not unitary, and curved, as the A_j do not commute."""
+    mats = []
+    for _ in range(dim):
+        x = rng_matrix(rng, rank)
+        m = (x - x.conj().T) / 2 + 0.3 * (x + x.conj().T) / 2
+        mats.append(scale * m / np.linalg.norm(m, 2))
+    return Connection.from_constant(dim, mats)
+
+
 def random_flat_commuting_connection(
     rng: np.random.Generator, dim: int, rank: int, scale: float = 0.5
 ) -> Connection:

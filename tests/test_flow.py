@@ -12,6 +12,7 @@ from etacalc import flow, spectral, verify
 from etacalc.flow import CutoffInstabilityError, gauge_path, spectral_flow
 from etacalc.geometry import Connection, PreconditionError
 from etacalc.spectral import (
+    AXIS_TOL,
     ball_radius,
     ball_truncation,
     build_truncation,
@@ -19,7 +20,7 @@ from etacalc.spectral import (
     sign_count,
 )
 
-from helpers import diagonal_connection_from_mus
+from helpers import curved_constant_connection, diagonal_connection_from_mus
 
 TWO_PI_I = 2j * math.pi
 
@@ -203,25 +204,30 @@ def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
 
 def test_ball_past_the_cutoff_is_refused_before_assembly(monkeypatch):
     # R = 2.5 on the circle: window K = 3.  At cutoff 2 the ball is refused
-    # naming cutoff 3 before any truncation is built; at cutoff 3 it is
-    # cut from the cube at 3.  A flow names the window of the first ball
-    # refused, start then end, not the larger one.
+    # naming cutoff 3 once R is read off the frequency-0 symbol, before
+    # the window's symbol is built; at cutoff 3 that symbol is built for K
+    # = 3, and the stack waits for a solve.  A flow names the window of the
+    # first ball refused, start then end, not the larger one.
     built = []
+    symbol = spectral._symbol
 
-    def counted(c, cutoff):
-        built.append(cutoff)
-        return build_truncation(c, cutoff)
+    def counted(c, reach):
+        built.append(reach)
+        return symbol(c, reach)
 
-    monkeypatch.setattr(spectral, "build_truncation", counted)
+    monkeypatch.setattr(spectral, "_symbol", counted)
     wide = diagonal_connection_from_mus([2.5, 0.3])
     with pytest.raises(CutoffInstabilityError, match="needs cutoff 3, not 2"):
         ball_truncation(wide, 2)
-    assert built == []
-    assert ball_truncation(wide, 3).cutoff == 3 and built == [3]
+    assert built == [0]
+    t = ball_truncation(wide, 3)
+    assert t.cutoff == 3 and built == [0, 0, 3] and "stack" not in vars(t)
     narrow, wider = (diagonal_connection_from_mus([mu, 0.3]) for mu in (0.6, 4.5))
     for c0, c1, window in ((wider, wide, 5), (wide, wider, 3), (narrow, wider, 5)):
+        built.clear()
         with pytest.raises(CutoffInstabilityError, match=f"needs cutoff {window}, not 2"):
             spectral_flow(c0, c1, 2)
+        assert built[-1] == 0 and window not in built
 
 
 def test_cutoff_below_one_is_an_invalid_argument_on_every_route():
@@ -330,3 +336,27 @@ def test_flow_is_half_the_change_of_the_ball_count():
         if sf:
             nonzero.add(dim)
     assert nonzero == {1, 3}
+
+
+def _cube_cut_count(c: Connection) -> int:
+    """N(c) on one copy from the cube at K = max(1, ceil(R)): sign Re over
+    the eigenvalues of its rows in the padded ball, each block by eigvals."""
+    radius = ball_radius(c)
+    cube = build_truncation(c, max(1, math.ceil(radius)))
+    keep = np.linalg.norm(cube.modes, axis=1) <= radius + AXIS_TOL / (2 * math.pi)
+    return int(np.sum(np.sign(np.linalg.eigvals(cube.stack[keep]).real)))
+
+
+def test_t5_flow_is_half_the_change_of_the_cube_cut_count():
+    # two curved rank-3 T^5 inputs at R = 2.61 and 2.68, balls of 573 and
+    # 893 modes enumerated from R, against the rows cut from their cubes
+    # at K = 3 (16807 modes each)
+    c0, c1 = (
+        curved_constant_connection(np.random.default_rng(seed), 5, 3, 6.5)
+        for seed in (3, 2)
+    )
+    assert [len(ball_truncation(c, 3).modes) for c in (c0, c1)] == [573, 893]
+    counts = [_cube_cut_count(c) for c in (c0, c1)]
+    assert counts == [0, 2]
+    copies = clifford_model(5).copies
+    assert 2 * spectral_flow(c0, c1, 3) == copies * (counts[1] - counts[0])

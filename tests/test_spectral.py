@@ -12,6 +12,7 @@ import scipy.linalg
 from scipy.spatial import cKDTree
 
 from etacalc import spectral
+from etacalc.eta import eta_heat_estimate
 from etacalc.flow import gauge_path
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, PreconditionError
@@ -30,6 +31,7 @@ from etacalc.spectral import (
 from helpers import (
     build_sig_mode,
     coupled_dense_oracle,
+    curved_constant_connection,
     diagonal_connection_from_mus,
     exterior_model,
     gauged_t3_connection,
@@ -361,31 +363,44 @@ def test_memory_guard_refuses_oversized_truncations(monkeypatch):
 
 def test_memory_guard_fires_before_the_stack_is_allocated(monkeypatch):
     c = random_unitary_constant_connection(np.random.default_rng(3), 3, 2)
-    # cutoff 2: 125 modes, 4x4 one-copy blocks and 3 int64 coordinates each
-    held = 125 * (4 * 4 * 16 + 3 * 8)
-    assert held == 35000
-    shapes = []
-    zeros = np.zeros
+    # cutoff 2: 125 modes of 3 int64 coordinates, and a symbol of 3
+    # directions by 5 frequencies of 4x4 one-copy terms; the stack of 125
+    # 4x4 blocks, counted twice for its assembly, comes on first read
+    lattice, symbol, stack = 125 * 3 * 8, 3 * 5 * 4 * 4 * 16, 125 * 4 * 4 * 16
+    assert (lattice, symbol, stack) == (3000, 3840, 32000)
+    sizes = []  # elements of each array allocated
+    zeros, empty, indices = np.zeros, np.empty, np.indices
 
-    def recording_zeros(shape, *args, **kwargs):
-        shapes.append(shape)
-        return zeros(shape, *args, **kwargs)
+    def recording(alloc):
+        def record(shape, *args, **kwargs):
+            sizes.append(math.prod(np.atleast_1d(shape)))
+            return alloc(shape, *args, **kwargs)
+        return record
 
-    monkeypatch.setattr(np, "zeros", recording_zeros)
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held - 1)
-    with pytest.raises(MemoryGuardError):
+    monkeypatch.setattr(np, "zeros", recording(zeros))
+    monkeypatch.setattr(np, "empty", recording(empty))
+    monkeypatch.setattr(np, "indices", recording(indices))
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + symbol - 1)
+    with pytest.raises(MemoryGuardError, match="lattice and symbol of 125 modes"):
         build_truncation(c, 2)
-    assert (125, 4, 4) not in shapes
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held)
+    assert sizes == []
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + symbol)
     t = build_truncation(c, 2)
-    assert (125, 4, 4) in shapes and t.stack.nbytes + t.modes.nbytes == held
-    # a rank-1 circle, where the lattice is a third of what the build
-    # holds: with the limit at the stack alone nothing is allocated
-    shapes.clear()
+    assert t.modes.nbytes + t.symbol.nbytes == lattice + symbol
+    assert max(sizes) < 125 * 16 and "stack" not in vars(t)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + symbol + 2 * stack - 1)
+    with pytest.raises(MemoryGuardError, match="stack of 125 modes"):
+        t.stack
+    assert max(sizes) < 125 * 16 and "stack" not in vars(t)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + symbol + 2 * stack)
+    assert t.stack.nbytes == stack and max(sizes) == 125 * 16
+    # a rank-1 circle, where the symbol is twice the lattice: with the
+    # limit at the symbol alone nothing is allocated
+    sizes.clear()
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", 101 * 16)
-    with pytest.raises(MemoryGuardError, match="stack and lattice of 101 modes"):
+    with pytest.raises(MemoryGuardError, match="lattice and symbol of 101 modes"):
         build_truncation(diagonal_connection_from_mus([0.25]), 50)
-    assert shapes == []
+    assert sizes == []
 
 
 def test_memory_guard_fires_before_a_batch_is_allocated(monkeypatch):
@@ -982,6 +997,20 @@ def test_degenerate_commuting_inputs_split_into_lines(name, dim, monkeypatch):
         assert np.count_nonzero(spectrum(t) == 0) == 2 * 2 ** (dim - 1)
 
 
+def test_the_line_route_builds_no_stack():
+    # the spectrum, the count and heat eta of a split truncation, cube or
+    # ball, read its line blocks and V from the symbol; the stack, read
+    # later, is bitwise the per-mode kron oracle
+    rng = np.random.default_rng(79)
+    c = _commuting_unitary(rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2))
+    beta = clifford_model(3).beta
+    for t in (build_truncation(c, 3), spectral.ball_truncation(c, 3)):
+        spectrum(t), sign_count(t), eta_heat_estimate(t)
+        assert t._line_blocks() is not None and "stack" not in vars(t)
+        oracle = np.array([build_sig_mode(c, k, beta) for k in t.modes.tolist()])
+        assert t.stack.tobytes() == oracle.tobytes()
+
+
 def _fallback_case(name):
     rng = np.random.default_rng(76)
     if name == "noncommuting":
@@ -1018,33 +1047,35 @@ def test_truncations_that_do_not_split_keep_the_stack_solve_bitwise(name):
 
 
 def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
-    # cutoff 2 on T^3 at rank 2: a 32000-byte stack and a 3000-byte
-    # lattice; the split adds M_0(k) and 250 line blocks of order 2,
-    # 125 * 3 * 2 * 2 * 16 = 24000 bytes
+    # cutoff 2 on T^3 at rank 2: a 3000-byte lattice; the split adds M_0(k)
+    # and 250 line blocks of order 2, 125 * 3 * 2 * 2 * 16 = 24000 bytes,
+    # and builds no stack
     rng = np.random.default_rng(77)
     c = _commuting_unitary(rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2))
-    held, lines = 125 * (4 * 4 * 16 + 3 * 8), 125 * 3 * 2 * 2 * 16
-    shapes = []
-    einsum = np.einsum
+    lattice, lines = 125 * 3 * 8, 125 * 3 * 2 * 2 * 16
+    sizes = []  # elements of each np.zeros array
+    zeros = np.zeros
 
-    def recording_einsum(*args, **kwargs):
-        out = einsum(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
+    def recording_zeros(shape, *args, **kwargs):
+        sizes.append(math.prod(np.atleast_1d(shape)))
+        return zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", recording_einsum)
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held + lines - 1)
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + lines - 1)
     t = build_truncation(c, 2)
-    assert t.stack.nbytes + t.modes.nbytes == held
+    assert t.modes.nbytes == lattice
     with pytest.raises(MemoryGuardError, match="250 line blocks of order 2"):
         _solved_orders(t, monkeypatch)
-    assert (125, 2, 2) not in shapes  # M_0(k), made just before the batch
-    # at the same limit a truncation that does not split solves its stack
+    assert max(sizes) < 125 * 2 * 2  # M_0(k), made just before the batch
+    # at the same limit a truncation that does not split is refused its
+    # stack, which the line route never needed
     other = build_truncation(random_unitary_constant_connection(rng, 3, 2), 2)
-    assert len(spectrum(other)) == other.size
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", held + lines)
-    assert _solved_orders(build_truncation(c, 2), monkeypatch) == [2]
-    assert (125, 2, 2) in shapes
+    with pytest.raises(MemoryGuardError, match="stack of 125 modes"):
+        spectrum(other)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + lines)
+    t = build_truncation(c, 2)
+    assert _solved_orders(t, monkeypatch) == [2]
+    assert 125 * 2 * 2 in sizes and "stack" not in vars(t)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,6 +1128,60 @@ def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
     assert len(t.modes) > 1 and t.hermitian and t._line_blocks() is None
     (solved,) = t._eigvals
     assert solved.tobytes() == spectral._eigvalsh(t.stack).tobytes()
+
+
+def test_t5_ball_past_the_cube_guard_builds_its_stack(monkeypatch):
+    # a curved rank-3 T^5 input at R = 5.06: its cube at K = 6 holds
+    # 371293 modes, whose stack the default guard refuses, but its padded
+    # ball holds 16875, enumerated without a cube and assembled under the
+    # same guard (not solved here), each block the per-mode kron oracle
+    c = curved_constant_connection(np.random.default_rng(5), 5, 3, 12.5)
+    radius = ball_radius(c)
+    assert 5.05 < radius < 5.06 and spectral.MEMORY_LIMIT == 512 * 1024**2
+
+    def no_cube(*args):
+        raise AssertionError("a ball builds no cube")
+
+    monkeypatch.setattr(spectral, "build_truncation", no_cube)
+    t = spectral.ball_truncation(c, 6)
+    monkeypatch.undo()
+    grid = np.indices((13,) * 5).reshape(5, -1).T - 6
+    inside = np.linalg.norm(grid, axis=1) <= radius + AXIS_TOL / TWO_PI
+    assert t.cutoff == 6 and t.modes.tolist() == grid[inside].tolist()
+    assert len(t.modes) == 16875 and "stack" not in vars(t)
+    assert t.stack.shape == (16875, 12, 12) and not t.stack.flags.writeable
+    beta = clifford_model(5).beta
+    for i in np.random.default_rng(6).choice(16875, 12, replace=False):
+        assert np.array_equal(t.stack[i], build_sig_mode(c, t.modes[i], beta))
+    with pytest.raises(MemoryGuardError, match="stack of 371293 modes"):
+        build_truncation(c, 6).stack
+
+
+def _structural_zero_input(rng, dim, rank):
+    """Commuting, non-normal A_j = Q (a_j I + b_j T) Q^-1, T nilpotent."""
+    q = np.eye(rank) + 0.2 * rng_matrix(rng, rank)
+    t = np.triu(rng_matrix(rng, rank, 0.5), 1)
+    mats = []
+    for _ in range(dim):
+        a = complex(rng.normal(0, 0.5), TWO_PI * rng.choice([-1, 1]) * rng.uniform(0.4, 0.8))
+        mats.append(q @ (a * np.eye(rank) + rng.normal() * t) @ np.linalg.inv(q))
+    return Connection.from_constant(dim, mats)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_flat_constant_balls_count_zero(dim, rank):
+    # the A_j triangularise together, so each M(k) is block-triangular with
+    # line blocks sum_j beta_j x_j, whose square is -(sum_j x_j^2) I for
+    # d >= 3: every eigenvalue pairs with its negative, and the count is 0
+    rng = np.random.default_rng(310 + 10 * dim + rank)
+    for _ in range(3):
+        c = _structural_zero_input(rng, dim, rank)
+        c = c.with_form(c.a * (rng.uniform(1.2, 2.0) / ball_radius(c)))
+        t = spectral.ball_truncation(c, 2)
+        count, axis = sign_count(t)
+        assert (count, axis.tolist()) == (0, [])
+        assert len(t.modes) > 1 and np.any(t._spectrum.real > 0)
 
 
 def test_ball_needs_a_constant_connection():
