@@ -213,6 +213,35 @@ def t3_unitary_lines_spectrum() -> dict:
     }
 
 
+def s1_unitary_lines() -> dict:
+    # two commuting unitary rank-2 circle connections in seeded non-diagonal
+    # bases, A = S diag(2 pi i mu) S^H: each endpoint's Bauer--Fike ball is
+    # solved as two lines, and the tower at mu = 0.65 -> 1.2 crosses the
+    # axis, so the spectral flow is 1
+    rng = np.random.default_rng(11)
+
+    def lines(mus) -> dict:
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        s, _ = np.linalg.qr(z)
+        mat = s @ np.diag([TWO_PI_I * m for m in mus]) @ s.conj().T
+        return Connection.from_constant(1, [mat]).to_json_obj()
+
+    return {
+        "manifold": {"dim": 1},
+        "bundle": {"rank": 2},
+        "connections": {"base": lines([0.3, 0.65]), "other": lines([0.45, 1.2])},
+        "experiments": [
+            {
+                "check": "variation_complex",
+                "path": {"kind": "linear", "from": "base", "to": "other"},
+            },
+            {"check": "gilkey_variation", "from": "base", "to": "other"},
+            {"check": "re_im_split", "connection": "base"},
+        ],
+        "output": {"report": "out/s1_unitary_lines_report.json"},
+    }
+
+
 def main() -> None:
     write("s1_unitary.json", s1_unitary())
     write("s1_nonunitary.json", s1_nonunitary())
@@ -220,6 +249,7 @@ def main() -> None:
     write("t3_spectrum.json", t3_spectrum())
     write("t3_gauged_spectrum.json", t3_gauged_spectrum())
     write("t3_unitary_lines_spectrum.json", t3_unitary_lines_spectrum())
+    write("s1_unitary_lines.json", s1_unitary_lines())
 
 
 if __name__ == "__main__":

@@ -38,9 +38,9 @@ spectrum is one batched eigen-solve per component size, over the
 components' Galerkin matrices assembled from the stack and the couplings
 (without couplings, the stack itself), for one spinor copy, cached on the
 truncation.  A memory guard, checked where arrays are allocated, refuses
-a lattice and symbol, a stack next to them, or a batch of component
-matrices next to the stack, that would not fit; so a window that its
-couplings split into small components solves.
+a lattice and symbol, a stack or the line values next to them, or a batch
+of component matrices next to the stack, that would not fit; so a window
+that its couplings split into small components solves.
 
 The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
@@ -67,31 +67,33 @@ sum_j sqrt(j + 1) i A_j (A_j read off V by tr(beta_j^H beta_l) =
 2^n delta_jl), moved by one Newton step, a Cayley rotation, towards the
 common eigenbasis of the A_j.  W = I (x) U commutes with M_0(k) =
 sum_j beta_j (x) 2 pi i k_j I, and K keeps, of P = W^H V W, the Hermitian
-part K_b of each line's diagonal block.  Then M(k) = W (M_0(k) + K) W^H + E
-with ||E||_F = delta = ||P - K||_F, so the Hermitian matrices the route
-reads of M(k) and of W (M_0(k) + K) W^H differ by at most sqrt(2) delta,
-and by Weyl's inequality so do their sorted eigenvalues.  M_0(k) + K is
-the direct sum of the line blocks M_0(k) + K_b of order 2^n, one batch (on
-T^3 in closed form), M_0(k) summed like the stack from the terms
-beta_j 2 pi i k.  The split needs delta <= 16 per u ||V||_2, u = 2^-53:
-the order of LAPACK's backward error bound p(per) u ||M(0)||_2 for
-``eigvalsh``, p modest; commuting unitary inputs stay under 6 per u ||V||_2.
-The line route builds no stack.  Any other input (non-commuting A_j, A_j
-anti-Hermitian only to the flag's 1e-10, rank 1, couplings, ``eigvals``)
-keeps the solve of its stack.
+part sum_j beta_j i y_jb, y_jb = Im (U^H A_j U)_bb, of each line's block.
+Then M(k) = W (M_0(k) + K) W^H + E, ||E||_F = delta = ||P - K||_F =
+2^(n/2) ||U^H A U - i diag(y)||_F, so the Hermitian matrices the route
+reads of M(k) and of W (M_0(k) + K) W^H, and by Weyl's inequality their
+sorted eigenvalues, differ by at most sqrt(2) delta.  M_0(k) + K is the
+direct sum of the line blocks H = sum_j beta_j i x_j, x_j = 2 pi k_j + y_jb,
+with eigenvalues in closed form (its rounding in place of a solver's):
+H = x_1 on the circle (beta_1 = -i); for d >= 3, H^2 = |x|^2 I and
+tr H = 0, so -|x| and +|x|, 2^(n-1) times each.  The split needs
+delta <= 16 per u ||V||_2, u = 2^-53: the order of LAPACK's backward error
+bound p(per) u ||M(0)||_2 for ``eigvalsh``, p modest; commuting unitary
+inputs stay under 6 per u ||V||_2.  The line route solves nothing and
+builds no stack.  Any other input (non-commuting A_j, A_j anti-Hermitian
+only to the flag's 1e-10, rank 1, couplings, ``eigvals``) keeps the solve
+of its stack.
 
-The one copy's eigenvalues are sorted and cast to complex once, and
-cached so; ``spectrum`` and ``spectrum_rows`` repeat each of them 2^n times
-where they hand them out, and ``sign_count`` counts the one copy and
-multiplies.  The copies of a value stay adjacent and in order, so the
-hand-out is bitwise the sort of the repeated solve.  Complex
-eigenvalues are ordered by (Re, Im) with a stable ``np.sort``.  Real ones
-(the Hermitian route, closed form and LAPACK alike) take numpy's default
-float sort, whose order among equal values depends on the machine's sort
-kernel; NaN-free float64 values that compare equal are bitwise equal
-except -0.0 and +0.0, so the zeros, contiguous after the sort, are put
-back in the order of the solve.  That is bitwise the stable sort on every
-route, whether or not a solve yields -0.0.
+The one copy's eigenvalues are sorted and cast to complex once, and cached
+so; ``spectrum`` and ``spectrum_rows`` repeat each of them 2^n times where
+they hand them out, and ``sign_count`` counts the one copy and multiplies.
+The copies of a value stay adjacent and in order, so the hand-out is
+bitwise the sort of the repeated solve.  Complex eigenvalues are ordered by
+(Re, Im) with a stable ``np.sort``.  Real ones (the Hermitian route: closed
+forms and LAPACK alike) take numpy's default float sort, whose order among
+equal values depends on the machine's sort kernel; NaN-free float64 values
+that compare equal are bitwise equal except -0.0 and +0.0, so the zeros,
+contiguous after the sort, are put back in the order of the solve: bitwise
+the stable sort on every route, whether or not a solve yields -0.0.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ from .geometry import Connection, PreconditionError
 
 AXIS_TOL = 1e-9  # |Re| at or below this is on the axis: ``sign_count``, the ball pad
 
-# bytes one allocation may take: a truncation's stack and mode lattice, or
-# those plus one batch of its complex128 component matrices
+# bytes one allocation may take: a truncation's stack or line values and
+# mode lattice, or those plus one batch of its complex128 component matrices
 MEMORY_LIMIT = 512 * 1024 * 1024
 
 
@@ -211,8 +213,8 @@ class OperatorTruncation:
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
     connection is unitary and its fiber metric is the identity.
 
-    The eigenvalues of one copy are computed once per truncation, on
-    first use, as the module docstring describes, without building
+    The one copy's eigenvalues are computed on first use as the module
+    docstring describes (flat lines in closed form), without building
     ``dense``; they are repeated over the copies only when handed out.
     Every array is read-only so that the cached values cannot go stale.
     """
@@ -331,29 +333,25 @@ class OperatorTruncation:
 
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
-        """Unsorted eigenvalues of one spinor copy, one batched solve per
-        component size (real ones from ``_eigvalsh`` if ``hermitian``, else
-        ``eigvals``): an (m, s * per) array per entry of ``_components``,
-        one row per component, not yet repeated ``copies`` times.  Without
-        couplings the solve is that of the stack, one row per mode, or, where
-        a Hermitian stack splits into lines (see the module docstring), of
-        the rank line blocks of each mode, row k holding those of mode k."""
+        """Unsorted eigenvalues of one spinor copy, not yet repeated
+        ``copies`` times (real ones from ``_eigvalsh`` if ``hermitian``, else
+        ``eigvals``): with couplings an (m, s * per) array per entry of
+        ``_components``, one row per component, one batched solve per size;
+        without, one row per mode, the solve of the stack or, where it splits
+        into lines (see the module docstring), their closed form."""
         solve = _eigvalsh if self.hermitian else np.linalg.eigvals
         if self.couplings:
             return tuple(solve(self._component_matrices(m)) for m in self._components)
-        lines = self._line_blocks() if self.hermitian and self.rank > 1 else None
-        if lines is not None:
-            return (_eigvalsh(lines).reshape(len(self.modes), -1),)
-        return (solve(self.stack),)
+        lines = self._line_values() if self.hermitian and self.rank > 1 else None
+        return (solve(self.stack) if lines is None else lines,)
 
-    def _line_blocks(self) -> np.ndarray | None:
-        """The (n_modes * rank, 2^n, 2^n) line blocks M_0(k) + K_b, mode by
-        mode, or None when V does not split (see the module docstring)."""
-        n, per = len(self.modes), self.symbol.shape[-1]
+    def _line_values(self) -> np.ndarray | None:
+        """The (n_modes, per) closed-form eigenvalues of the line blocks, line
+        by line, or None when V does not split (see the module docstring)."""
         beta = np.array(clifford_model(self.dim).beta)
-        e, r, pos = beta.shape[1], self.rank, np.arange(self.rank)
+        n, e, r, pos = len(self.modes), beta.shape[1], self.rank, np.arange(self.rank)
         v = _assemble(self.symbol, np.zeros((1, self.dim), int))[0]  # V = M(0)
-        a = np.einsum("jac,abcd->jbd", beta.conj(), v.reshape(e, r, e, r))  # 2^n A_j
+        a = np.einsum("jac,abcd->jbd", beta.conj(), v.reshape(e, r, e, r)) / e  # A_j
         weights = 1j * np.sqrt(np.arange(2, self.dim + 2))
         u = np.linalg.eigh(np.einsum("j,jbd->bd", weights, a))[1]
         d = u.conj().T @ a @ u  # then one Newton step, as a Cayley rotation
@@ -362,18 +360,20 @@ class OperatorTruncation:
         x = np.sum(gap.conj() * d, axis=0) / np.where(norm > 0, norm, 1)
         x = (x - x.conj().T) / 4
         u = u @ np.linalg.solve(np.eye(r) - x, np.eye(r) + x)
-        p = np.einsum("bx,abcd,dy->axcy", u.conj(), v.reshape(e, r, e, r), u)
-        lines = (p[:, pos, :, pos] + p[:, pos, :, pos].conj().swapaxes(1, 2)) / 2
-        p[:, pos, :, pos] -= lines
-        if np.linalg.norm(p) > 8 * per * np.finfo(float).eps * np.linalg.norm(v, 2):
-            return None
-        _require_memory(
-            self.modes.nbytes + 16 * n * (1 + r) * e * e,
-            f"the lattice, M_0(k) and {n * r} line blocks of order {e}",
+        d = u.conj().T @ a @ u
+        shifts = d[:, pos, pos].imag  # y_jb
+        d[:, pos, pos] = d[:, pos, pos].real  # U^H A_j U - i diag(y_j)
+        if math.sqrt(e) * np.linalg.norm(d) > 2**-49 * e * r * np.linalg.norm(v, 2):
+            return None  # delta > 16 per u ||V||_2, u = 2^-53
+        _require_memory(  # the points x and the values, three times over (temporaries)
+            self.modes.nbytes + 24 * n * r * (self.dim + e),
+            f"the lattice and {n * r} lines of {e} eigenvalues",
         )
-        ks = 2j * math.pi * np.arange(-self.cutoff, self.cutoff + 1)
-        free = _assemble(ks[:, None, None] * beta[:, None], self.modes)  # M_0(k)
-        return (free[:, None] + lines).reshape(n * r, e, e)
+        xs = 2 * math.pi * self.modes[:, None, :] + shifts.T  # (mode, line, j)
+        if self.dim == 1:  # beta_1 = -i: the line block is 2 pi k + y_b
+            return xs[..., 0]
+        radius = np.sqrt(np.einsum("mbj,mbj->mb", xs, xs))  # 0 - radius: +0.0 at 0
+        return np.repeat(np.stack([0 - radius, radius], -1), e // 2, -1).reshape(n, -1)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -559,10 +559,9 @@ def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     if t.couplings:
         return [(float(v.real), float(v.imag), "") for v in spectrum(t)]
     rows = []
-    sorted_rows = np.sort(t._eigvals[0], kind="stable")  # one lone mode per row
-    sorted_rows = np.repeat(sorted_rows, t.copies, axis=-1)
-    for k, vals in zip(t.modes.tolist(), sorted_rows):
-        label = " ".join(str(v) for v in k)
+    per_mode = np.repeat(np.sort(t._eigvals[0], kind="stable"), t.copies, axis=-1)
+    for k, vals in zip(t.modes.tolist(), per_mode):  # one lone mode per row
+        label = " ".join(map(str, k))
         rows.extend((float(v.real), float(v.imag), label) for v in vals)
     return rows
 

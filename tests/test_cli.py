@@ -23,6 +23,7 @@ BUNDLED = [
     "t3_spectrum.json",
     "t3_gauged_spectrum.json",
     "t3_unitary_lines_spectrum.json",
+    "s1_unitary_lines.json",
 ]
 
 

@@ -216,7 +216,7 @@ def test_heat_estimate_on_one_copy_matches_the_sum_over_every_copy():
     # so a sum over one copy alone (about -1) is far outside the rounding
     c = random_unitary_constant_connection(np.random.default_rng(1), 3, 2, 3.0)
     t = build_truncation(c, 4)
-    assert t.copies == 2 and t._line_blocks() is None
+    assert t.copies == 2 and t._line_values() is None
     est, want = eta_heat_estimate(t), _heat_over_every_copy(t)
     assert abs(want + 2) < 0.05 and abs(est - want) <= 1e-10 * abs(want)
     # T^5: four copies, an estimate that vanishes

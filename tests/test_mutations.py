@@ -24,6 +24,10 @@ only T^3 census is of rank 2, whose phase exp(i pi rank (eta + h)/2) cannot
 see a change of h by 2, so the suite passes; the bundled rank-1 T^3
 census of ``scenarios/t3_spectrum.json`` reads exp(i pi) = -1 against 1
 and fails it.  The suite keeps its 31 rows, so that scenario is the check.
+
+No suite entry solves a truncation split into flat lines, so negating the
+closed form of the lines passes the suite; the two line-route balls behind
+the spectral flow of ``scenarios/s1_unitary_lines.json`` see it.
 """
 
 import copy
@@ -203,3 +207,25 @@ def test_axis_values_of_one_copy_fail_the_rank_one_t3_census(tmp_path, monkeypat
     assert [e["check_id"] for e in report["entries"] if not e["passed"]] == [
         "e02_bk_phase[rank=1,dim=3]"
     ]
+
+
+def test_negated_line_values_fail_the_unitary_lines_scenario(tmp_path, monkeypatch):
+    scenario = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    monkeypatch.chdir(tmp_path)
+    orig = spectral.OperatorTruncation._line_values
+    split = []
+
+    def negated(t):
+        vals = orig(t)
+        split.append(vals is not None)
+        return None if vals is None else -vals
+
+    monkeypatch.setattr(spectral.OperatorTruncation, "_line_values", negated)
+    assert standard_suite(0).all_passed and not any(split)
+    split.clear()
+    assert main(["run", str(scenario / "s1_unitary_lines.json")]) == 1
+    assert split == [True, True]  # both endpoint balls
+    report = json.loads((tmp_path / "out" / "s1_unitary_lines_report.json").read_text())
+    failed = [e for e in report["entries"] if not e["passed"]]
+    assert [e["check_id"] for e in failed] == ["e00_variation_complex"]
+    assert failed[0]["residual"] == pytest.approx(2.0)  # sf = 1 read as -1

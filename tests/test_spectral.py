@@ -3,6 +3,7 @@ the one-spinor-copy reduction against the full even-part operator, circle
 calibration, block structure, and guard rails."""
 
 import math
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 
@@ -912,15 +913,19 @@ def _random_basis(rng, rank):
 
 
 def _solved_orders(t, monkeypatch):
-    """The orders of the matrices the Hermitian route solves for t."""
+    """The orders of the matrices that the solve of t hands to an eigen-solver,
+    ``_eigvalsh`` or ``eigvals``: none for a truncation split into lines."""
     orders = []
-    solve = spectral._eigvalsh
 
-    def recording(mats):
-        orders.append(mats.shape[-1])
-        return solve(mats)
+    def recording(solve):
+        def solved(mats):
+            orders.append(mats.shape[-1])
+            return solve(mats)
 
-    monkeypatch.setattr(spectral, "_eigvalsh", recording)
+        return solved
+
+    monkeypatch.setattr(spectral, "_eigvalsh", recording(spectral._eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
     spectrum(t)
     return orders
 
@@ -958,7 +963,7 @@ def test_commuting_unitary_truncation_splits_into_lines(dim, rank, monkeypatch):
     mus = rng.uniform(-1, 1, (dim, rank))
     t = build_truncation(_commuting_unitary(mus, _random_basis(rng, rank)), 6 - dim)
     assert t.hermitian
-    assert _solved_orders(t, monkeypatch) == [2 ** ((dim - 1) // 2)]
+    assert _solved_orders(t, monkeypatch) == []
     assert t._eigvals[0].shape == t.stack.shape[:2]
     _assert_lines_within_weyl_bound(t)
     _assert_closed_form(t, mus)
@@ -974,7 +979,7 @@ def test_random_commuting_unitary_draws_all_split(dim, rank):
     for _ in range(60):
         mus = rng.uniform(0.05, 0.95, (dim, rank))
         t = build_truncation(_commuting_unitary(mus, _random_basis(rng, rank)), 1)
-        assert t._line_blocks() is not None
+        assert t._line_values() is not None
 
 
 @pytest.mark.parametrize("name", ["scalar", "equal_mu_along_x1", "zero"])
@@ -990,7 +995,7 @@ def test_degenerate_commuting_inputs_split_into_lines(name, dim, monkeypatch):
     else:
         mus[:] = 0
     t = build_truncation(_commuting_unitary(mus, basis), 6 - dim)
-    assert _solved_orders(t, monkeypatch) == [2 ** ((dim - 1) // 2)]
+    assert _solved_orders(t, monkeypatch) == []
     _assert_lines_within_weyl_bound(t)
     _assert_closed_form(t, mus)
     if name == "zero":  # rank times the even exterior algebra, 2^(dim-1)
@@ -1006,9 +1011,27 @@ def test_the_line_route_builds_no_stack():
     beta = clifford_model(3).beta
     for t in (build_truncation(c, 3), spectral.ball_truncation(c, 3)):
         spectrum(t), sign_count(t), eta_heat_estimate(t)
-        assert t._line_blocks() is not None and "stack" not in vars(t)
+        assert t._line_values() is not None and "stack" not in vars(t)
         oracle = np.array([build_sig_mode(c, k, beta) for k in t.modes.tolist()])
         assert t.stack.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_split_truncations_are_a_structural_zero(dim, rank, monkeypatch):
+    # for d >= 3 each line block is traceless and squares to |x|^2 I, so the
+    # one-copy spectrum of a split cube or ball is its own negative bit for
+    # bit (0 - 0.0 is +0.0), and the count is 0
+    rng = np.random.default_rng(400 + 10 * dim + rank)
+    for _ in range(3):
+        mus = rng.uniform(-1, 1, (dim, rank))
+        c = _commuting_unitary(mus, _random_basis(rng, rank))
+        for t in (build_truncation(c, 6 - dim), spectral.ball_truncation(c, 3)):
+            assert _solved_orders(t, monkeypatch) == []
+            vals = t._spectrum
+            assert vals.tobytes() == (0 - vals[::-1]).tobytes()
+            count, axis = sign_count(t)
+            assert (count, axis.tolist()) == (0, [])
 
 
 def _fallback_case(name):
@@ -1040,42 +1063,52 @@ def test_truncations_that_do_not_split_keep_the_stack_solve_bitwise(name):
     t = build_truncation(_fallback_case(name), 2)
     assert t.hermitian == _FALLBACK_CASES[name]
     if t.hermitian:
-        assert t._line_blocks() is None
+        assert t._line_values() is None
     solve = spectral._eigvalsh if t.hermitian else np.linalg.eigvals
     (solved,) = t._eigvals
     assert solved.tobytes() == solve(t.stack).tobytes()
 
 
+def _traced_peak(call):
+    """The peak bytes that tracemalloc sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
-    # cutoff 2 on T^3 at rank 2: a 3000-byte lattice; the split adds M_0(k)
-    # and 250 line blocks of order 2, 125 * 3 * 2 * 2 * 16 = 24000 bytes,
-    # and builds no stack
+    # cutoff 6 on T^3 at rank 2: a 52728-byte lattice; the closed form adds,
+    # for each of the 4394 lines, its point x (3 floats) and its 2
+    # eigenvalues, counted three times over for their temporaries,
+    # 3 * 2197 * 2 * (3 + 2) * 8 = 527280 bytes, and builds no stack
     rng = np.random.default_rng(77)
     c = _commuting_unitary(rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2))
-    lattice, lines = 125 * 3 * 8, 125 * 3 * 2 * 2 * 16
-    sizes = []  # elements of each np.zeros array
-    zeros = np.zeros
-
-    def recording_zeros(shape, *args, **kwargs):
-        sizes.append(math.prod(np.atleast_1d(shape)))
-        return zeros(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", recording_zeros)
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + lines - 1)
-    t = build_truncation(c, 2)
+    n = 13**3
+    lattice, points, values = n * 3 * 8, n * 2 * 3 * 8, n * 2 * 2 * 8
+    limit = lattice + 3 * (points + values)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", limit - 1)
+    t = build_truncation(c, 6)
     assert t.modes.nbytes == lattice
-    with pytest.raises(MemoryGuardError, match="250 line blocks of order 2"):
-        _solved_orders(t, monkeypatch)
-    assert max(sizes) < 125 * 2 * 2  # M_0(k), made just before the batch
+
+    def refused():
+        with pytest.raises(MemoryGuardError, match="4394 lines of 2 eigenvalues"):
+            spectrum(t)
+
+    assert _traced_peak(refused) < points  # refused before the points are formed
     # at the same limit a truncation that does not split is refused its
     # stack, which the line route never needed
-    other = build_truncation(random_unitary_constant_connection(rng, 3, 2), 2)
-    with pytest.raises(MemoryGuardError, match="stack of 125 modes"):
+    other = build_truncation(random_unitary_constant_connection(rng, 3, 2), 6)
+    with pytest.raises(MemoryGuardError, match="stack of 2197 modes"):
         spectrum(other)
-    monkeypatch.setattr(spectral, "MEMORY_LIMIT", lattice + lines)
-    t = build_truncation(c, 2)
-    assert _solved_orders(t, monkeypatch) == [2]
-    assert 125 * 2 * 2 in sizes and "stack" not in vars(t)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", limit)
+    t = build_truncation(c, 6)
+    assert _solved_orders(t, monkeypatch) == []
+    assert t._eigvals[0].nbytes == values and "stack" not in vars(t)
+    # what the closed form holds at its peak is within what the guard counts
+    assert _traced_peak(build_truncation(c, 6)._line_values) <= limit - lattice
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1133,7 @@ _BALL_RADII = {1: 2.6, 3: 1.5, 5: 1.2}  # balls of 5, 19 and 11 modes
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
 @pytest.mark.parametrize("rank", [2, 3])
-def test_ball_of_a_commuting_unitary_input_splits_into_lines(dim, rank):
+def test_ball_of_a_commuting_unitary_input_splits_into_lines(dim, rank, monkeypatch):
     # the line split reads V from the centre row of the stack: on a ball
     # too that is k = 0, and each mode's line eigenvalues are those of its
     # whole block
@@ -1109,8 +1142,9 @@ def test_ball_of_a_commuting_unitary_input_splits_into_lines(dim, rank):
     mus *= _BALL_RADII[dim] / np.max(np.linalg.norm(mus, axis=0))  # R
     c = _commuting_unitary(mus, _random_basis(rng, rank))
     t = spectral.ball_truncation(c, math.ceil(_BALL_RADII[dim]))
+    assert _solved_orders(t, monkeypatch) == []
     _assert_ball_rows_of_the_cube(t, c)
-    assert len(t.modes) > 1 and t._line_blocks() is not None
+    assert len(t.modes) > 1 and t._line_values() is not None
     blocks = np.sort(np.linalg.eigvals(t.stack).real.ravel())
     expect = np.repeat(blocks, t.copies)
     assert np.max(np.abs(spectrum(t).real - expect)) <= 1e-12
@@ -1125,7 +1159,7 @@ def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
     c = c.with_form(c.a * (_BALL_RADII[dim] / ball_radius(c)))
     t = spectral.ball_truncation(c, math.ceil(_BALL_RADII[dim]))
     _assert_ball_rows_of_the_cube(t, c)
-    assert len(t.modes) > 1 and t.hermitian and t._line_blocks() is None
+    assert len(t.modes) > 1 and t.hermitian and t._line_values() is None
     (solved,) = t._eigvals
     assert solved.tobytes() == spectral._eigvalsh(t.stack).tobytes()
 
@@ -1286,7 +1320,7 @@ def test_spectrum_hand_off_is_bitwise_the_sort_of_the_repeated_solve(name, dim):
     assert t.hermitian == (name in ("zero", "hermitian", "commuting", "gauged"))
     # solved as lines: the zero and commuting connections, and on the
     # circle every unitary one (one A_1 commutes with itself)
-    split = t.hermitian and not t.couplings and t._line_blocks() is not None
+    split = t.hermitian and not t.couplings and t._line_values() is not None
     assert split == (name in ("zero", "commuting") or (name, dim) == ("hermitian", 1))
     assert bool(t.couplings) == name.startswith("gauged")
     repeated = [np.repeat(v, t.copies, axis=-1) for v in t._eigvals]
