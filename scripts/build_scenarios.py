@@ -242,6 +242,29 @@ def s1_unitary_lines() -> dict:
     }
 
 
+def s1_near_axis() -> dict:
+    # the start's first tower sits 5e-10 from an integer in Re mu, so its
+    # value nearest the axis, 2 pi (5e-10 + 0.2i), is 3 AXIS_TOL off it:
+    # the closed-form towers and the spectral flow's ball must both read it
+    # off the axis for the two variation formulas to agree
+    return {
+        "manifold": {"dim": 1},
+        "bundle": {"rank": 2},
+        "connections": {
+            "start": diag_connection(1, [[1 + 5e-10 + 0.2j, 0.3 - 0.1j]]),
+            "end": diag_connection(1, [[0.45 + 0.1j, 0.7 - 0.05j]]),
+        },
+        "experiments": [
+            {"check": "gilkey_variation", "from": "start", "to": "end"},
+            {
+                "check": "variation_complex",
+                "path": {"kind": "linear", "from": "start", "to": "end"},
+            },
+        ],
+        "output": {"report": "out/s1_near_axis_report.json"},
+    }
+
+
 def main() -> None:
     write("s1_unitary.json", s1_unitary())
     write("s1_nonunitary.json", s1_nonunitary())
@@ -250,6 +273,7 @@ def main() -> None:
     write("t3_gauged_spectrum.json", t3_gauged_spectrum())
     write("t3_unitary_lines_spectrum.json", t3_unitary_lines_spectrum())
     write("s1_unitary_lines.json", s1_unitary_lines())
+    write("s1_near_axis.json", s1_near_axis())
 
 
 if __name__ == "__main__":

@@ -6,8 +6,11 @@ computed.  On the circle the connection reduces to eigenvalue towers
 {2 pi (n + mu)}, one per eigenvalue 2 pi i mu of A_1; eta(0) then has the
 closed form sum (1 - 2 mu) obtained by pairing the Hurwitz zeta values at
 s = 0 for the two half-towers (:func:`eta_s1_spectral`).  Complex mu
-(non-unitary connections) use the same principal-branch formula.  An exact
-route on T^d (ROADMAP item 1) goes behind the same function.
+(non-unitary connections) use the same principal-branch formula.  The
+towers, heat eta and ``m_minus`` keep no tolerance: ``spectral.on_axis``,
+the spectral flow's rule, says which values are on the imaginary axis and
+which are zero modes.  An exact route on T^d (ROADMAP item 1) goes behind
+the same function.
 
 Higher tori are handled only through symmetry (identically vanishing sums)
 or through variation formulas anchored at circle endpoints; the one direct
@@ -24,14 +27,10 @@ from typing import Iterable
 import numpy as np
 
 from .geometry import Connection, PreconditionError
-from .spectral import OperatorTruncation
+from .spectral import OperatorTruncation, on_axis
 
-# the smoothing parameters eps the heat estimate extrapolates from, and the
-# magnitude below which it counts an eigenvalue as a zero mode
+# the smoothing parameters eps the heat estimate extrapolates from
 _EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
-_ZERO_TOL = 1e-8
-# a shifted mu within this of an integer is a kernel mode, of the axis excluded
-TOWER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,33 +71,35 @@ def constant_eta(c: Connection) -> EtaValue:
 def eta_s1_spectral(mus: Iterable[complex]) -> EtaValue:
     """eta for towers {2 pi (n + mu_k)} with arbitrary complex mu_k.
 
-    Shifting mu by an integer relabels the tower, so each mu is first moved
-    into 0 <= Re < 1.  On the open strip 0 < Re mu < 1 the positive
-    half-tower is the Hurwitz zeta function zeta(s, mu) and the negative
-    one is zeta(s, 1 - mu); with the classical value zeta(0, a) = 1/2 - a
-    the tower contributes (1/2 - mu) - (1/2 - (1 - mu)) = 1 - 2 mu at
-    s = 0, for complex mu on the principal branch.
+    Shifting mu by an integer relabels the tower, so an off-axis mu is
+    first moved into 0 <= Re < 1.  On the open strip 0 < Re mu < 1 the
+    positive half-tower is the Hurwitz zeta function zeta(s, mu) and the
+    negative one is zeta(s, 1 - mu); with the classical value
+    zeta(0, a) = 1/2 - a the tower contributes
+    (1/2 - mu) - (1/2 - (1 - mu)) = 1 - 2 mu at s = 0, for complex mu on
+    the principal branch.
 
-    The boundary cases: a mu at an integer contributes a kernel mode, a mu
-    on the imaginary axis (after the shift) contributes a purely imaginary
-    eigenvalue that is excluded from the series while the rest of its
-    tower still contributes -2 mu.
+    Each tower is classified by its value nearest the axis,
+    lambda = 2 pi (mu - n), n the integer nearest Re mu, under the one
+    axis rule ``spectral.on_axis`` that the spectral flow counts by: a
+    zero mode is a kernel mode and contributes nothing more; another value
+    on the axis is excluded from the series (reported as 2 pi i Im mu)
+    while the rest of its tower contributes -2 (mu - n).
     """
     total = 0j
     kernel = 0
     excluded: list[complex] = []
     for mu in mus:
         mu = complex(mu)
-        m = mu - math.floor(mu.real)
-        if abs(m.real - 1) <= TOWER_TOL:
-            m -= 1  # the tower's axis eigenvalue is 2 pi (m - 1), not 2 pi m
-        if abs(m) <= TOWER_TOL:
-            kernel += 1  # symmetric remainder contributes nothing
-        elif abs(m.real) <= TOWER_TOL:
+        m = mu - round(mu.real)  # the tower's value nearest the axis, over 2 pi
+        axis, zero = on_axis(2 * math.pi * m)
+        if zero:
+            kernel += 1
+        elif axis:
             excluded.append(2j * math.pi * m.imag)
             total += -2 * m
         else:
-            total += 1 - 2 * m
+            total += 1 - 2 * (mu - math.floor(mu.real))
     return EtaValue(eta=total, kernel_dim=kernel, excluded=tuple(excluded))
 
 
@@ -108,7 +109,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     Evaluates eta_eps = sum sign(lambda) erfc(sqrt(eps) |lambda|) on a fixed
     grid of six eps values and Richardson-extrapolates quadratically in
     sqrt(eps) to eps -> 0.  Each sum runs over the one spinor copy the
-    truncation caches and is multiplied by ``copies``.
+    truncation caches, less its zero modes (``spectral.on_axis``), and is
+    multiplied by ``copies``.
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses, with ``PreconditionError``, truncations that are
     not ``hermitian`` (a connection unitary on the identity metric), and
@@ -127,7 +129,7 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
             "(a unitary connection on the identity metric)"
         )
     lam = t._spectrum.real
-    lam = lam[np.abs(lam) > _ZERO_TOL]
+    lam = lam[~on_axis(lam)[0]]
     if lam.size and lam.min() < 0 < lam.max():
         # balance the window: a mode cutoff leaves one unpaired extreme
         # eigenvalue per tower, which the smoothed sum must not see
@@ -140,14 +142,12 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     return complex(coeffs[-1])
 
 
-def m_minus(spec: Iterable[complex], tol: float = 1e-9) -> int:
-    """Count of purely imaginary eigenvalues in the lower half plane:
-    |Re lambda| <= tol and Im lambda < -tol."""
-    return sum(
-        1
-        for v in spec
-        if abs(complex(v).real) <= tol and complex(v).imag < -tol
-    )
+def m_minus(spec: Iterable[complex]) -> int:
+    """Count of the eigenvalues on the imaginary axis, not zero modes, in
+    the lower half plane (``spectral.on_axis``, Im lambda < 0)."""
+    vals = np.array(list(spec), dtype=complex)
+    axis, zero = on_axis(vals)
+    return int(np.sum(axis & ~zero & (vals.imag < 0)))
 
 
 def eta_bk(e: EtaValue, m: int) -> complex:

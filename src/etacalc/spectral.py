@@ -78,10 +78,11 @@ H = x_1 on the circle (beta_1 = -i); for d >= 3, H^2 = |x|^2 I and
 tr H = 0, so -|x| and +|x|, 2^(n-1) times each.  The split needs
 delta <= 16 per u ||V||_2, u = 2^-53: the order of LAPACK's backward error
 bound p(per) u ||M(0)||_2 for ``eigvalsh``, p modest; commuting unitary
-inputs stay under 6 per u ||V||_2.  The line route solves nothing and
-builds no stack.  Any other input (non-commuting A_j, A_j anti-Hermitian
-only to the flag's 1e-10, rank 1, couplings, ``eigvals``) keeps the solve
-of its stack.
+inputs stay under 6 per u ||V||_2.  ||V||_2 is read as ||K||_2 =
+max_b |y_b|, equal to it within delta, so the split takes no SVD of V.
+The line route solves nothing and builds no stack.  Any other input
+(non-commuting A_j, A_j anti-Hermitian only to the flag's 1e-10, rank 1,
+couplings, ``eigvals``) keeps the solve of its stack.
 
 The one copy's eigenvalues are sorted and cast to complex once, and cached
 so; ``spectrum`` and ``spectrum_rows`` repeat each of them 2^n times where
@@ -109,7 +110,16 @@ import numpy as np
 
 from .geometry import Connection, PreconditionError
 
-AXIS_TOL = 1e-9  # |Re| at or below this is on the axis: ``sign_count``, the ball pad
+AXIS_TOL = 1e-9  # the one axis tolerance: ``on_axis`` and the ball pad
+
+
+def on_axis(vals):
+    """The one axis rule, for a number or elementwise over an array: whether
+    it is on the imaginary axis, |Re lambda| <= AXIS_TOL, and whether it is
+    a zero mode there, |lambda| <= AXIS_TOL.  ``sign_count``, the circle's
+    towers, heat eta and ``eta.m_minus`` all decide by it."""
+    return abs(vals.real) <= AXIS_TOL, abs(vals) <= AXIS_TOL
+
 
 # bytes one allocation may take: a truncation's stack or line values and
 # mode lattice, or those plus one batch of its complex128 component matrices
@@ -363,7 +373,8 @@ class OperatorTruncation:
         d = u.conj().T @ a @ u
         shifts = d[:, pos, pos].imag  # y_jb
         d[:, pos, pos] = d[:, pos, pos].real  # U^H A_j U - i diag(y_j)
-        if math.sqrt(e) * np.linalg.norm(d) > 2**-49 * e * r * np.linalg.norm(v, 2):
+        scale = np.linalg.norm(shifts, axis=0).max()  # ||K||_2, ||V||_2 to delta
+        if math.sqrt(e) * np.linalg.norm(d) > 2**-49 * e * r * scale:
             return None  # delta > 16 per u ||V||_2, u = 2^-53
         _require_memory(  # the points x and the values, three times over (temporaries)
             self.modes.nbytes + 24 * n * r * (self.dim + e),
@@ -545,11 +556,11 @@ def spectrum(t: OperatorTruncation) -> np.ndarray:
 
 
 def sign_count(t: OperatorTruncation) -> tuple[int, np.ndarray]:
-    """Sum of sign Re over the eigenvalues off the axis, and those on it,
-    with multiplicity: ``copies`` times the one copy's sum, and its axis
-    values each repeated ``copies`` times."""
+    """Sum of sign Re over the eigenvalues off the axis (``on_axis``), and
+    those on it, with multiplicity: ``copies`` times the one copy's sum,
+    and its axis values each repeated ``copies`` times."""
     vals = t._spectrum
-    axis = np.abs(vals.real) <= AXIS_TOL
+    axis = on_axis(vals)[0]
     count = int(np.sum(np.sign(vals.real[~axis])))
     return t.copies * count, np.repeat(vals[axis], t.copies)
 

@@ -258,6 +258,20 @@ def check_cs_odd_chern_pairing(
 # circle spectral sides
 
 
+def _axis_free_eta(c: Connection) -> EtaValue:
+    """``constant_eta(c)``, refused (PreconditionError) when it excludes a
+    nonzero eigenvalue on the imaginary axis: moving such an eigenvalue off
+    the axis changes eta by 1, half an integer of the reduced eta, which
+    no comparison mod Z absorbs."""
+    e = constant_eta(c)
+    if e.excluded:
+        raise PreconditionError(
+            f"eigenvalue(s) on the imaginary axis: {list(e.excluded)}; "
+            "perturb the connection"
+        )
+    return e
+
+
 def check_gilkey_variation(
     c0: Connection,
     c1: Connection,
@@ -270,9 +284,13 @@ def check_gilkey_variation(
         reduced_eta(c1) - reduced_eta(c0)  ==  <L . CS(c0, c1)>   (mod Z)
 
     Real parts compare modulo Z, imaginary parts exactly.  Both connections
-    must be constant on the circle and share the fiber metric.
+    must be constant on the circle and share the fiber metric, and an
+    endpoint with a nonzero eigenvalue on the imaginary axis, which its eta
+    excludes, is refused (PreconditionError); kernel modes are absorbed by
+    the reduced eta.
     """
-    lhs = constant_eta(c1).reduced - constant_eta(c0).reduced
+    e0, e1 = _axis_free_eta(c0), _axis_free_eta(c1)
+    lhs = e1.reduced - e0.reduced
     rhs = subtorus_pairing(cs_form(c0, c1))  # flat torus: L = 1
     return make_entry(
         check_id,
@@ -359,9 +377,11 @@ def check_re_im_split(
                               + sum_{even i} (-1)^{i/2} p_i     (mod Z)
         Im reduced_eta(c) ==  sum_{odd i} (-1)^{(i-1)/2} p_i    (exactly)
 
-    On the circle only i in {0, 1} occur (and p_0 = 0 identically).
+    On the circle only i in {0, 1} occur (and p_0 = 0 identically).  A
+    nonzero eigenvalue of c on the imaginary axis is refused, as in
+    :func:`check_gilkey_variation`.
     """
-    eta_full = constant_eta(c).reduced
+    eta_full = _axis_free_eta(c).reduced
     eta_herm = constant_eta(c.hermitian_part()).reduced
     pav = [subtorus_pairing(f) for f in cs_r_poly(c)]
     even_sum = sum(

@@ -243,6 +243,24 @@ def diagonal_connection_from_mus(mus) -> Connection:
     return Connection.from_constant(1, [a1])
 
 
+def near_axis_towers() -> list[tuple[complex, bool]]:
+    """Tower shifts mu = n + off + i im about the axis rule's threshold,
+    each with whether the tower's value 2 pi (mu - n) is on the axis:
+    n in {-1, 0, 2}, im in {0, 0.2, -0.15} and +-off, off log-spaced over
+    1e-12..1e-7, skipping offsets within 1% of AXIS_TOL / 2 pi; 738 in all.
+    Those on the axis are zero modes for im = 0 (108) and excluded from
+    eta otherwise (216)."""
+    threshold = AXIS_TOL / (2 * math.pi)
+    offs = [o for o in np.logspace(-12, -7, 41) if abs(o / threshold - 1) > 0.01]
+    return [
+        (complex(n + sign * off, im), bool(off < threshold))
+        for n in (-1, 0, 2)
+        for im in (0.0, 0.2, -0.15)
+        for off in offs
+        for sign in (1, -1)
+    ]
+
+
 def random_unitary_constant_connection(
     rng: np.random.Generator, dim: int, rank: int, scale: float = 0.8
 ) -> Connection:

@@ -24,6 +24,7 @@ BUNDLED = [
     "t3_gauged_spectrum.json",
     "t3_unitary_lines_spectrum.json",
     "s1_unitary_lines.json",
+    "s1_near_axis.json",
 ]
 
 

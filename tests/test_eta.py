@@ -8,7 +8,6 @@ import pytest
 
 from etacalc.eta import (
     _EPS_GRID,
-    _ZERO_TOL,
     EtaValue,
     constant_eta,
     eta_bk,
@@ -18,11 +17,18 @@ from etacalc.eta import (
 )
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, PreconditionError, subtorus_pairing
-from etacalc.spectral import build_truncation, spectrum
+from etacalc.spectral import (
+    ball_truncation,
+    build_truncation,
+    on_axis,
+    sign_count,
+    spectrum,
+)
 
 from helpers import (
     diagonal_connection_from_mus,
     gauged_t3_connection,
+    near_axis_towers,
     random_mus,
     random_unitary_constant_connection,
     sign_sum_eta_oracle,
@@ -199,7 +205,7 @@ def _heat_over_every_copy(t):
     from scipy.special import erfc
 
     lam = spectrum(t).real
-    lam = lam[np.abs(lam) > _ZERO_TOL]
+    lam = lam[~on_axis(lam)[0]]
     if lam.size and lam.min() < 0 < lam.max():
         window = min(-lam.min(), lam.max()) * (1 + 1e-12)
         lam = lam[np.abs(lam) <= window]
@@ -256,11 +262,33 @@ def test_heat_estimate_rejects_coupled_truncations():
 # imaginary-axis census and the shifted invariant
 
 
+def test_towers_and_the_ball_share_the_axis_rule():
+    # a tower near the axis beside a spectator tower: the closed form and
+    # the sign count of the Bauer--Fike ball (the spectral flow's view)
+    # must agree on whether its value is a zero mode, another axis value
+    # or off the axis, however close to the threshold it sits
+    kinds = {"kernel": 0, "excluded": 0, "off": 0}
+    for mu, on in near_axis_towers():
+        c = diagonal_connection_from_mus([mu, 0.3 - 0.1j])
+        e = constant_eta(c)
+        _, axis = sign_count(ball_truncation(c, 8))
+        zero = on_axis(axis)[1]
+        assert (e.kernel_dim, len(e.excluded)) == (zero.sum(), (~zero).sum()), mu
+        kind = ("kernel" if mu.imag == 0 else "excluded") if on else "off"
+        assert (e.kernel_dim, len(e.excluded)) == (
+            int(kind == "kernel"), int(kind == "excluded"),
+        ), mu
+        if e.excluded:
+            assert e.excluded[0] == pytest.approx(axis[0], abs=1e-8)
+        kinds[kind] += 1
+    assert kinds == {"kernel": 108, "excluded": 216, "off": 414}
+
+
 def test_m_minus_examples():
     assert m_minus([1.0, -2.0, 3.5]) == 0
-    assert m_minus([-2j, 3j, 1 + 1j], tol=1e-8) == 1
-    assert m_minus([1e-10 - 5j, 1e-10 + 5j], tol=1e-9) == 1
-    assert m_minus([0.5 - 5j], tol=1e-9) == 0  # off the axis
+    assert m_minus([-2j, 3j, 1 + 1j]) == 1
+    assert m_minus([1e-10 - 5j, 1e-10 + 5j]) == 1
+    assert m_minus([0.5 - 5j]) == 0  # off the axis
 
 
 def test_m_minus_census_matches_spectral_route():
@@ -268,7 +296,7 @@ def test_m_minus_census_matches_spectral_route():
         res = eta_s1_spectral([1j * beta])
         c = diagonal_connection_from_mus([1j * beta])
         vals = spectrum(build_truncation(c, 10))
-        assert m_minus(vals, tol=1e-9) == m_minus(res.excluded, tol=1e-9)
+        assert m_minus(vals) == m_minus(res.excluded)
         assert m_minus(res.excluded) == (1 if beta < 0 else 0)
 
 

@@ -64,15 +64,15 @@ def test_report_digests_are_deterministic(tmp_path):
     first = _run_script("report_digests.py", "--json", "rec.json", cwd=tmp_path)
     assert first.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
-    # ten suite seeds, seven scenario reports and the four spectrum CSVs
-    assert len(lines) == 21 and all(len(line.split()[0]) == 64 for line in lines)
+    # ten suite seeds, eight scenario reports and the four spectrum CSVs
+    assert len(lines) == 22 and all(len(line.split()[0]) == 64 for line in lines)
     assert lines[0].endswith("standard_suite(0)")
     assert lines[-1].endswith("t3_unitary_lines_spectrum e00_spectrum.csv")
     same = _run_script("report_digests.py", "--against", "rec.json", cwd=tmp_path)
     assert same.returncode == 0, same.stderr
     assert same.stdout.splitlines() == lines + [
         "digests that differ from rec.json: none",
-        "0 of 352 entries moved",
+        "0 of 354 entries moved",
     ]
     # an older record whose suite-0 entry residual differs by 1e-3
     record = json.loads((tmp_path / "rec.json").read_text())
@@ -84,7 +84,7 @@ def test_report_digests_are_deterministic(tmp_path):
     assert again.returncode == 1, again.stderr
     assert again.stdout.splitlines() == lines + [
         "digests that differ from rec.json: none",
-        "1 of 352 entries moved",
+        "1 of 354 entries moved",
         f"standard_suite(0)  {check_id}  |d lhs| 0.000e+00  |d rhs| 0.000e+00  "
         "|d residual| 1.000e-03",
     ]

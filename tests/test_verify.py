@@ -34,6 +34,7 @@ from etacalc.verify import (
 
 from helpers import (
     diagonal_connection_from_mus,
+    near_axis_towers,
     padded_ball,
     random_flat_commuting_connection,
     random_mus,
@@ -228,6 +229,39 @@ def test_gilkey_check_rejects_higher_dim():
     c = random_unitary_constant_connection(rng, 3, 1)
     with pytest.raises(PreconditionError):
         check_gilkey_variation(c, c)
+
+
+def test_gilkey_check_passes_just_off_the_axis():
+    # the tower's value 2 pi (5e-10 + 0.2i) is 3 AXIS_TOL from the axis:
+    # its eta and the ball's sign count both put it off the axis
+    c0 = diagonal_connection_from_mus([5e-10 + 0.2j, 0.3 - 0.1j])
+    c1 = diagonal_connection_from_mus([0.45 + 0.1j, 0.7 - 0.05j])
+    assert check_gilkey_variation(c0, c1).passed
+    assert all(e.passed for e in check_re_im_split(c0))
+    assert check_variation_complex(lambda t: c1 if t else c0).passed
+
+
+def test_mod_z_checks_refuse_axis_eigenvalues():
+    # an eigenvalue on the axis changes eta by 1 as it leaves, which no
+    # comparison mod Z absorbs: both checks refuse it at either endpoint;
+    # a kernel tower is absorbed by the reduced eta and stays accepted
+    other = diagonal_connection_from_mus([0.45 + 0.1j, 0.7 - 0.05j])
+    refused = 0
+    for mu, on in near_axis_towers():
+        if not on:
+            continue
+        c = diagonal_connection_from_mus([mu, 0.3 - 0.1j])
+        if mu.imag == 0:
+            assert check_gilkey_variation(c, other).passed, mu
+            assert all(e.passed for e in check_re_im_split(c)), mu
+            continue
+        for pair in ((c, other), (other, c)):
+            with pytest.raises(PreconditionError, match="imaginary axis"):
+                check_gilkey_variation(*pair)
+        with pytest.raises(PreconditionError, match="imaginary axis"):
+            check_re_im_split(c)
+        refused += 1
+    assert refused == 216
 
 
 # ----------------------------------------------------------------------
