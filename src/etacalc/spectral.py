@@ -45,20 +45,18 @@ that its couplings split into small components solves.
 The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
 fiber metric is exactly the identity.  Then every Galerkin matrix M is
-Hermitian up to rounding, and the Hermitian route reads only the real
-part of its diagonal and its lower triangle: order 2 in closed form,
-(a + d)/2 -+ hypot((a - d)/2, |b|) with b = M[1, 0], larger orders by one
-batched ``eigvalsh`` (which reads the same lower triangle) per size class,
-keeping the eigenvalues real.  Every other truncation is solved by one
-batched ``eigvals`` per size class.  The Hermitian route solves the
-Hermitian matrix H that agrees with M on that triangle and on the real
-part of the diagonal.  By Bauer--Fike (H is normal) every eigenvalue of M
-lies within ||M - H||_2 <= ||M - M^H||_F / sqrt(2) of an eigenvalue of H;
-for the unitary connections in this package that is rounding, about
-1e-15 of the matrix scale.  A connection that is unitary for another
-metric is self-adjoint for the g-weighted inner product but not for the
-standard one the matrices are written in, so its stack is not Hermitian
-and keeps ``eigvals``.
+Hermitian up to rounding, and the Hermitian route solves it by one
+batched ``eigvalsh`` per size class, which reads only the real part of
+its diagonal and its lower triangle and keeps the eigenvalues real.  Every
+other truncation is solved by one batched ``eigvals`` per size class.  The
+Hermitian route solves the Hermitian matrix H that agrees with M on that
+triangle and on the real part of the diagonal.  By Bauer--Fike (H is
+normal) every eigenvalue of M lies within ||M - H||_2 <= ||M - M^H||_F /
+sqrt(2) of an eigenvalue of H; for the unitary connections in this
+package that is rounding, about 1e-15 of the matrix scale.  A connection
+that is unitary for another metric is self-adjoint for the g-weighted
+inner product but not for the standard one the matrices are written in,
+so its stack is not Hermitian and keeps ``eigvals``.
 
 A flat unitary constant connection is a sum of flat lines, and a
 Hermitian constant truncation of rank >= 2 is solved as one when its k = 0
@@ -322,8 +320,6 @@ class OperatorTruncation:
         the stack and the lattice before they are allocated."""
         m, s = members.shape
         n, per, _ = self.stack.shape
-        if s == 1:  # lone modes: their blocks of the stack
-            return self.stack[members[:, 0]]
         _require_memory(
             self.stack.nbytes + self.modes.nbytes + 16 * m * (s * per) ** 2,
             f"the stack, lattice and a batch of shape {(m, s * per, s * per)}",
@@ -344,12 +340,12 @@ class OperatorTruncation:
     @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
         """Unsorted eigenvalues of one spinor copy, not yet repeated
-        ``copies`` times (real ones from ``_eigvalsh`` if ``hermitian``, else
+        ``copies`` times (real ones from ``eigvalsh`` if ``hermitian``, else
         ``eigvals``): with couplings an (m, s * per) array per entry of
         ``_components``, one row per component, one batched solve per size;
         without, one row per mode, the solve of the stack or, where it splits
         into lines (see the module docstring), their closed form."""
-        solve = _eigvalsh if self.hermitian else np.linalg.eigvals
+        solve = np.linalg.eigvalsh if self.hermitian else np.linalg.eigvals
         if self.couplings:
             return tuple(solve(self._component_matrices(m)) for m in self._components)
         lines = self._line_values() if self.hermitian and self.rank > 1 else None
@@ -397,16 +393,6 @@ class OperatorTruncation:
         return _read_only(vals.astype(complex, copy=False))
 
 
-def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a batch of Hermitian matrices, from the
-    real diagonal and the lower triangle (see the module docstring)."""
-    if matrices.shape[-1] != 2:
-        return np.linalg.eigvalsh(matrices)
-    a, d = matrices[..., 0, 0].real, matrices[..., 1, 1].real
-    mid, radius = (a + d) / 2, np.hypot((a - d) / 2, np.abs(matrices[..., 1, 0]))
-    return np.stack([mid - radius, mid + radius], axis=-1)
-
-
 def _galerkin_hermitian(c: Connection) -> bool:
     """Whether c's Galerkin matrices are Hermitian: the fiber metric is
     exactly the constant identity, one term, and omega vanishes to 1e-10.
@@ -437,28 +423,13 @@ def _symbol(c: Connection, reach: int) -> np.ndarray:
 
 
 def _assemble(symbol: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """The blocks M(k) = sum_j symbol[j, k_j], for ``modes`` distinct points
-    of the symbol's window in ``product`` order.  The sums over the leading
-    directions (at least one, at most as many as keep the table no larger
-    than the output) are tabulated by adding each direction's terms to
-    zeros in turn, so no block holds -0.0; a whole cube is its own table,
-    other rows gather theirs and add the remaining terms in order."""
-    dim, n_freqs, per = symbol.shape[0], symbol.shape[1], symbol.shape[-1]
-    lead = 1
-    while lead < dim and n_freqs ** (lead + 1) <= len(modes):
-        lead += 1
-    table = np.zeros((n_freqs,) * lead + (per, per), dtype=complex)
-    for j in range(lead):
-        shape = (1,) * j + (n_freqs,) + (1,) * (lead - 1 - j) + (per, per)
-        table += symbol[j].reshape(shape)
-    table = table.reshape(-1, per, per)
-    if lead == dim and len(modes) == len(table):
-        return table
-    index = (modes + n_freqs // 2).T  # of each mode's frequencies
-    out = table[np.ravel_multi_index(index[:lead], (n_freqs,) * lead)]
-    del table
-    for j in range(lead, dim):
-        out += symbol[j][index[j]]
+    """The blocks M(k) = sum_j symbol[j, k_j], for ``modes`` points of the
+    symbol's window: each direction's terms, gathered by the modes'
+    frequencies, are added to zeros in turn, so no block holds -0.0."""
+    index = (modes + symbol.shape[1] // 2).T  # of each mode's frequencies
+    out = np.zeros((len(modes),) + symbol.shape[-2:], dtype=complex)
+    for j, freqs in enumerate(index):
+        out += symbol[j][freqs]
     return out
 
 

@@ -314,18 +314,21 @@ def check_variation_complex(
         reduced_eta(end) - reduced_eta(start)  ==  sf + <L . CS(start, end)>
 
     Endpoint etas come from closed-form towers (endpoints must be constant
-    and axis-free).  sf is :func:`etacalc.flow.spectral_flow` of the two
-    endpoints, so only ``path(0)`` and ``path(1)`` are evaluated, at a
+    and axis-free: an eigenvalue on the imaginary axis is refused as in
+    :func:`check_gilkey_variation`, and so is a kernel mode, with
+    PreconditionError).  sf is :func:`etacalc.flow.spectral_flow` of the
+    two endpoints, so only ``path(0)`` and ``path(1)`` are evaluated, at a
     window no wider than ``cutoff``, else CutoffInstabilityError.
     """
     c0 = path(0.0)
     c1 = path(1.0)
-    e0 = constant_eta(c0)
-    e1 = constant_eta(c1)
-    if e0.excluded or e1.excluded or e0.kernel_dim or e1.kernel_dim:
-        raise PreconditionError(
-            "complex variation formula needs axis-free endpoint spectra"
-        )
+    e0, e1 = _axis_free_eta(c0), _axis_free_eta(c1)
+    for end, e in (("start", e0), ("end", e1)):
+        if e.kernel_dim:
+            raise PreconditionError(
+                f"{e.kernel_dim} kernel mode(s) at the {end} of the path; "
+                "the complex variation formula needs axis-free endpoints"
+            )
     lhs = e1.reduced - e0.reduced
     rhs = spectral_flow(c0, c1, cutoff) + subtorus_pairing(cs_form(c0, c1))
     return make_entry(

@@ -696,20 +696,25 @@ def test_start_up_loads_no_scipy(tmp_cwd):
 def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
     # LinAlgError subclasses ValueError; a failure inside the numerics is a
     # bug to surface, not an invalid scenario (exit 2).  Both spectral solve
-    # routes fail, whichever of them the truncation takes (the Hermitian
-    # one at the spectral module, since the metric check of the scenario's
-    # connections calls np.linalg.eigvalsh while they load).
+    # routes fail, whichever of them the truncation takes; eigvalsh fails
+    # only once the scenario has loaded, since the metric check of its
+    # connections calls it while they load.
     def failing_solver(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+    def load_then_fail(path):
+        scn = load_scenario(path)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
+        return scn
+
     monkeypatch.setattr(np.linalg, "eigvals", failing_solver)
-    monkeypatch.setattr(spectral, "_eigvalsh", failing_solver)
+    monkeypatch.setattr(cli, "load_scenario", load_then_fail)
     obj = load_bundled("t3_spectrum.json")
     obj["experiments"] = [{"check": "spectrum", "connection": "main"}]
     with pytest.raises(np.linalg.LinAlgError):
         main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
     # the metric check of a connection while it loads: its eigvalsh fails
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
+    monkeypatch.setattr(cli, "load_scenario", load_scenario)
     with pytest.raises(np.linalg.LinAlgError):
         main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
 

@@ -31,6 +31,7 @@ from helpers import (
     near_axis_towers,
     random_mus,
     random_unitary_constant_connection,
+    rng_matrix,
     sign_sum_eta_oracle,
     unitary_on_constant_metric,
 )
@@ -171,6 +172,41 @@ def test_constant_eta_refuses_higher_tori_and_oscillatory_connections():
     ) + TrigPolyForm.monomial(1, np.array([[0.5]]), k=(1,), I=(1,))
     with pytest.raises(PreconditionError):
         constant_eta(Connection(a))
+
+
+def test_circle_eta_is_the_ball_count_plus_the_trace_term():
+    # ROADMAP item 1's eta(0) = N(c) + integral of h_d over S^(d-1), at
+    # d = 1: S^0 = {+-1} and h_1 = -tr V / 2 pi with V = -i A_1, so
+    # eta(c) = N(c) + i tr A_1 / pi, N(c) the ball's sign count.  The
+    # ball's axis values are the towers' kernel modes and excluded values.
+    # A_1 = S (2 pi i diag(mu) + U) S^-1, U strictly upper triangular with
+    # entries of modulus up to 3 (so A_1 is not normal), S a random complex basis of
+    # condition number below 4; every fifth input has a tower on the axis
+    # and every tenth a kernel tower
+    rng = np.random.default_rng(44)
+    windows = []
+    for i in range(200):
+        rank = 1 + i % 3
+        mus = rng.uniform(-3, 3, rank) + 1j * rng.uniform(-0.5, 0.5, rank)
+        if i % 5 == 0:
+            mus[0] = rng.integers(-3, 4) + (i % 10 != 0) * 1j * rng.choice([-0.3, 0.2])
+        size = rng.uniform(0, 3, (rank, rank))
+        upper = np.triu(size * np.exp(2j * math.pi * rng.uniform(size=(rank, rank))), 1)
+        basis = rng_matrix(rng, rank)
+        while np.linalg.cond(basis) >= 4:
+            basis = rng_matrix(rng, rank)
+        a1 = basis @ (np.diag(2j * math.pi * mus) + upper) @ np.linalg.inv(basis)
+        c = Connection.from_constant(1, [a1])
+        e = constant_eta(c)
+        t = ball_truncation(c, 64)
+        count, axis = sign_count(t)
+        assert abs(e.eta - (count + 1j * np.trace(a1) / math.pi)) <= 1e-12, i
+        zero = on_axis(axis)[1]
+        assert (e.kernel_dim, len(e.excluded)) == (zero.sum(), (~zero).sum()), i
+        assert (e.kernel_dim, len(e.excluded)) == (i % 10 == 0, i % 10 == 5), i
+        assert list(e.excluded) == pytest.approx(list(axis[~zero]), abs=1e-9), i
+        windows.append(t.cutoff)
+    assert max(windows) > 1  # the balls reach past the k = 0 mode
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ imports its factors by name, so they are patched in ``verify``;
 ``spectral`` reads its own ``clifford_model`` and ``eta.constant_eta``
 its own ``eta_s1_spectral``).  Between them the
 mutations catch every check family of the suite except ``psi_constancy``,
-whose entries compare 0 with 0 on every flat input until ROADMAP item 4
+whose entries compare 0 with 0 on every flat input until ROADMAP item 7
 gives it a spectral side.  The orientation of the Clifford generators
 (the sign of beta_d) is load-bearing: flipping it reverses every Galerkin
 spectrum on the circle, which the spectral-flow checks see, while the
@@ -16,7 +16,7 @@ closed-form etas and the symmetric census of ``bk_phase`` do not.
 coefficients p_i, so negating the odd ones fails both.  Flipping the sign
 of p_2 alone has no row: its pairings vanish on every flat connection (the
 odd-Chern side is odd in r) and it is absent on the circle, so no suite
-entry can see it until ROADMAP item 2 brings re/im entries on curved T^3.
+entry can see it until ROADMAP item 4 brings re/im entries on curved T^3.
 
 A ``sign_count`` that hands out one spinor copy of the axis values, not
 ``copies`` of them, halves the T^3 census kernel (2, not 4).  The suite's

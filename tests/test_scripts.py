@@ -149,3 +149,50 @@ def test_build_scenarios_reproduces_committed_files(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == committed
     for name in committed:
         assert (tmp_path / name).read_bytes() == (ROOT / "scenarios" / name).read_bytes()
+
+
+_FIXTURE = '''\
+"""A module docstring
+over two lines."""
+
+# a comment line
+import math  # code with a trailing comment
+
+
+def area(r):
+    """A one-line docstring."""
+
+    return math.pi * (
+        r * r
+    )
+
+
+class Shape:
+    """A class docstring
+    over
+    three lines."""
+
+    label = """a string that is
+not a docstring"""
+'''
+
+
+def test_code_lines_counts_code_not_docstrings_comments_or_blanks(tmp_path):
+    # code: import, def, return over three lines, class, the string of
+    # two lines; 22 lines in all
+    path = tmp_path / "fixture.py"
+    path.write_text(_FIXTURE)
+    assert len(_FIXTURE.splitlines()) == 22
+    proc = _run_script("code_lines.py", str(path), str(path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"    8 {path}", f"    8 {path}", "   16 total"]
+
+
+def test_code_lines_defaults_to_the_package():
+    proc = _run_script("code_lines.py", cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    modules = sorted((ROOT / "src" / "etacalc").glob("*.py"))
+    assert [line.split()[1] for line in lines[:-1]] == [str(p) for p in modules]
+    counts = [int(line.split()[0]) for line in lines]
+    assert lines[-1].endswith(" total") and counts[-1] == sum(counts[:-1])

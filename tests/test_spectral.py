@@ -712,8 +712,8 @@ def test_memory_guard_counts_one_spinor_copy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the two solve routes: the Hermitian one (order 2 in closed form, larger
-# orders by eigvalsh) for Hermitian truncations, eigvals otherwise
+# the two solve routes: eigvalsh for Hermitian truncations, eigvals
+# otherwise
 
 
 def _hermitian_case(name):
@@ -722,7 +722,7 @@ def _hermitian_case(name):
         return build_truncation(random_unitary_constant_connection(rng, 1, 3), 6)
     if name == "t3":
         return build_truncation(random_unitary_constant_connection(rng, 3, 2), 3)
-    if name == "t3_rank1":  # blocks of order 2: the closed form
+    if name == "t3_rank1":  # blocks of order 2
         return build_truncation(random_unitary_constant_connection(rng, 3, 1), 3)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     basis, _ = np.linalg.qr(x)
@@ -755,45 +755,6 @@ def test_hermitian_truncations_take_the_hermitian_route(name, monkeypatch):
         dist = np.abs(solved[:, :, None] - general[:, None, :])
         assert np.all(dist.min(axis=2) <= bound)
         assert np.all(dist.min(axis=1) <= bound)
-
-
-def _order_two_batch(kind, rng, n=200):
-    """n Hermitian 2x2 matrices [[a, conj b], [b, d]] of one adversarial kind."""
-    a, d = rng.standard_normal(n), rng.standard_normal(n)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    if kind == "b_zero":
-        b = 0 * b
-    elif kind == "a_equals_d":
-        d = a
-    elif kind == "b_dominant":  # |b| >> |a - d|, and a, d >> |b| too
-        a = 1e6 * a
-        d = a + 1e-9 * d
-    elif kind == "b_tiny":
-        b = 1e-12 * b
-    elif kind == "zero":
-        a, d, b = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
-    mats = np.empty((n, 2, 2), dtype=complex)
-    mats[:, 0, 0], mats[:, 1, 1] = a, d
-    mats[:, 1, 0], mats[:, 0, 1] = b, b.conj()
-    return mats
-
-
-@pytest.mark.parametrize("kind", ["random", "b_zero", "a_equals_d", "b_dominant", "b_tiny", "zero"])
-@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
-def test_order_two_closed_form_matches_eigvalsh(kind, scale):
-    rng = np.random.default_rng(56)
-    mats = scale * _order_two_batch(kind, rng)
-    got = spectral._eigvalsh(mats)
-    assert got.dtype == float and got.shape == (len(mats), 2)
-    assert np.all(got[:, 0] <= got[:, 1])
-    bound = 16 * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))
-    assert np.all(np.abs(got - np.linalg.eigvalsh(mats)) <= bound[:, None])
-    # it reads what eigvalsh reads: the real diagonal and the lower entry
-    noisy = mats.copy()
-    noisy[:, 0, 1] = rng.standard_normal(len(mats))
-    noisy[:, 0, 0] += 1j * scale
-    noisy[:, 1, 1] -= 2j * scale
-    assert spectral._eigvalsh(noisy).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("name", ["nonunitary", "unitary_on_other_metric"])
@@ -914,7 +875,7 @@ def _random_basis(rng, rank):
 
 def _solved_orders(t, monkeypatch):
     """The orders of the matrices that the solve of t hands to an eigen-solver,
-    ``_eigvalsh`` or ``eigvals``: none for a truncation split into lines."""
+    ``eigvalsh`` or ``eigvals``: none for a truncation split into lines."""
     orders = []
 
     def recording(solve):
@@ -924,7 +885,7 @@ def _solved_orders(t, monkeypatch):
 
         return solved
 
-    monkeypatch.setattr(spectral, "_eigvalsh", recording(spectral._eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
     spectrum(t)
     return orders
@@ -1064,7 +1025,7 @@ def test_truncations_that_do_not_split_keep_the_stack_solve_bitwise(name):
     assert t.hermitian == _FALLBACK_CASES[name]
     if t.hermitian:
         assert t._line_values() is None
-    solve = spectral._eigvalsh if t.hermitian else np.linalg.eigvals
+    solve = np.linalg.eigvalsh if t.hermitian else np.linalg.eigvals
     (solved,) = t._eigvals
     assert solved.tobytes() == solve(t.stack).tobytes()
 
@@ -1161,7 +1122,7 @@ def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
     _assert_ball_rows_of_the_cube(t, c)
     assert len(t.modes) > 1 and t.hermitian and t._line_values() is None
     (solved,) = t._eigvals
-    assert solved.tobytes() == spectral._eigvalsh(t.stack).tobytes()
+    assert solved.tobytes() == np.linalg.eigvalsh(t.stack).tobytes()
 
 
 def test_t5_ball_past_the_cube_guard_builds_its_stack(monkeypatch):

@@ -313,13 +313,37 @@ def test_variation_complex_no_crossing_random():
 
 
 def test_variation_complex_rejects_axis_endpoint():
+    # the tower 2 pi (0.5i + 0.3 t) has pi i on the axis at t = 0; the
+    # refusal names it, at either endpoint
     def path(t):
         return Connection.from_constant(
             1, [np.array([[TWO_PI_I * (0.5j + 0.3 * t)]])]
         )
 
-    with pytest.raises(PreconditionError):
-        check_variation_complex(path)
+    message = (
+        f"eigenvalue(s) on the imaginary axis: {[1j * math.pi]}; "
+        "perturb the connection"
+    )
+    for route in (path, lambda t: path(1 - t)):
+        with pytest.raises(PreconditionError) as info:
+            check_variation_complex(route)
+        assert str(info.value) == message
+
+
+_OFF_AXIS = diagonal_connection_from_mus([0.3 + 0.1j])
+
+
+@pytest.mark.parametrize("at_start", [True, False])
+def test_variation_complex_names_the_kernel_modes_it_refuses(at_start):
+    kernel = diagonal_connection_from_mus([1.0, -2.0, 0.4])
+    ends = (kernel, _OFF_AXIS) if at_start else (_OFF_AXIS, kernel)
+    with pytest.raises(PreconditionError) as info:
+        check_variation_complex(lambda t: ends[int(t)])
+    end = "start" if at_start else "end"
+    assert str(info.value) == (
+        f"2 kernel mode(s) at the {end} of the path; the complex variation "
+        "formula needs axis-free endpoints"
+    )
 
 
 def test_gauge_pumping_check_exact_integers():
