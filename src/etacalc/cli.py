@@ -303,14 +303,26 @@ def _finite(text: str) -> str:
     return text
 
 
+def _connection_names(exp: dict):
+    """The connection names an experiment gives, its path's among them."""
+    for key, value in exp.items():
+        schema = _PARAM_SCHEMAS.get(key)
+        if schema is _NAME:
+            yield value
+        elif schema is _PATH_SCHEMA:
+            yield from (value[k] for k in ("from", "to", "connection") if k in value)
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; jsonschema.ValidationError,
     json.JSONDecodeError, and InvalidInputError all mean exit code 2.  Once the
     scenario passes its schema, each experiment is validated against its
     own check's schema, so an error in the scenario's layout is reported
-    before any experiment's.  Each experiment gets its label here, explicit
-    or ``e{index:02d}_{check}``; labels name entries and artifacts, so they
-    must be distinct."""
+    before any experiment's.  Every connection name an experiment or its
+    path gives must name one of the scenario's connections, so an unknown
+    name is refused before any experiment runs or writes an artifact.  Each
+    experiment gets its label here, explicit or ``e{index:02d}_{check}``;
+    labels name entries and artifacts, so they must be distinct."""
     with open(path) as fh:
         obj = json.load(
             fh,
@@ -340,6 +352,9 @@ def load_scenario(path: str) -> Scenario:
         connections[name] = conn
     experiments: dict[str, dict] = {}
     for i, exp in enumerate(obj["experiments"]):
+        for name in _connection_names(exp):
+            if name not in connections:
+                raise InvalidInputError(f"unknown connection {name!r}")
         label = exp.get("label", f"e{i:02d}_{exp['check']}")
         if label in experiments:
             raise InvalidInputError(f"two experiments are labelled {label!r}")
@@ -359,18 +374,11 @@ def load_scenario(path: str) -> Scenario:
 # experiment execution
 
 
-def _named_connection(scn: Scenario, name: str) -> Connection:
-    if name not in scn.connections:
-        raise InvalidInputError(f"unknown connection {name!r}")
-    return scn.connections[name]
-
-
 def _build_path(scn: Scenario, spec: dict) -> Callable[[float], Connection]:
+    named = scn.connections
     if spec["kind"] == "linear":
-        return linear_path(
-            _named_connection(scn, spec["from"]), _named_connection(scn, spec["to"])
-        )
-    base = _named_connection(scn, spec["connection"])
+        return linear_path(named[spec["from"]], named[spec["to"]])
+    base = named[spec["connection"]]
     w = int(spec["winding"])
     return lambda t: gauge_path(base, w, t)
 
@@ -388,7 +396,7 @@ def _resolve(
             continue
         value, schema = exp[key], _PARAM_SCHEMAS[key]
         if schema is _NAME:
-            value = _named_connection(scn, value)
+            value = scn.connections[value]
         elif schema is _PATH_SCHEMA:
             value = _build_path(scn, value)
         elif schema.get("type") == "integer":
@@ -486,7 +494,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"report written to {scn.report_path}")
     for path in sink.written:
         print(f"csv written to {path}")
-    if not report.entries and args.check:
+    if args.check and not any(x["check"] in args.check for x in scn.experiments):
         print("note: no experiments matched the --check filter")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 

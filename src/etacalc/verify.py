@@ -20,16 +20,19 @@ Checks are pure functions of their inputs and independent of each other, so
 they may run in any order (or concurrently); reports are assembled sorted by
 check id, making the output order-free.
 
-:data:`CHECKS` registers every check under its scenario name with the
-parameters an experiment may set and a runner.  Runners forward only the
-parameters an experiment sets, so each default is stated once, in the check
-function's signature.  ``etacalc run`` and :func:`standard_suite`, a table
-of experiments, both run checks through it.
+:data:`CHECKS` registers every check as one table row: the check function
+and a ``parameter="key"`` pair per experiment key it reads, so each key is
+named once.  A key is required exactly when its parameter has no default,
+and a key an experiment leaves out is not passed, so each default is stated
+once, in the signature.  The experiment's label is passed as ``check_id``,
+the prefix of every entry id.  ``etacalc run`` and :func:`standard_suite`,
+a table of experiments, both run checks through it.
 """
 
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -201,7 +204,7 @@ def check_cs_odd_chern_pairing(
     c: Connection,
     r_values: Sequence[float] = (0.5, 1.0, 2.0),
     tol: float = DEFAULT_ABS_TOL,
-    label: str = "cs_odd_chern_pairing",
+    check_id: str = "cs_odd_chern_pairing",
 ) -> list[CheckEntry]:
     """Pair the transgression from the metric-compatible connection to its
     r-deformation A + (1 + i r)/2 omega against the weighted sum of odd
@@ -210,10 +213,14 @@ def check_cs_odd_chern_pairing(
         <CS(herm, r-deformed)>_J = -(r/2pi) sum_j a_j(r)/j! <c_{2j+1}>_J
 
     Requires a flat connection (the identity uses flatness); one entry per
-    r and subtorus, absolute comparison.  Neither side's pairings depend on
-    r, so they are computed once: the left side is sum_i r^i p_{i,J}, p_{i,J}
-    the pairings of the ``cs_r_poly`` coefficients that ``re_im_split``
-    reads too.
+    r and subtorus, absolute comparison, with ids ``check_id[r=..,J=..]``.
+    Neither side's pairings depend on r, so they are computed once: the left
+    side is sum_i r^i p_{i,J}, p_{i,J} the pairings of the ``cs_r_poly``
+    coefficients that ``re_im_split`` reads too.
+
+    On a flat T^3 the ``J=123`` rows are a structural zero: c_1 has no
+    degree-3 part and <c_3>_123 is a multiple of :func:`psi_local`, 0 on
+    every flat torus input, so the right side is 0 and so is the left.
     """
     if not c.is_flat(1e-9):
         raise PreconditionError("pairing identity requires a flat connection")
@@ -243,7 +250,7 @@ def check_cs_odd_chern_pairing(
                 rhs -= (r / (2 * math.pi)) * a_coeff(j, r) / factorial(j) * pairing
             entries.append(
                 make_entry(
-                    f"{label}[r={r:g},J={_region_tag(region)}]",
+                    f"{check_id}[r={r:g},J={_region_tag(region)}]",
                     identity,
                     lhs,
                     rhs,
@@ -346,18 +353,18 @@ def check_gauge_pumping(
     c: Connection,
     w: int,
     cutoff: int = 8,
-    check_id: str | None = None,
+    check_id: str = "gauge_pumping",
 ) -> CheckEntry:
     """Spectral flow along the gauge interpolation with winding w equals w
     exactly (integer comparison): the gauge path pumps w eigenvalue towers
     across the imaginary axis.  sf is :func:`etacalc.flow.spectral_flow` of
     the path's endpoints, at a window no wider than ``cutoff``, else
-    CutoffInstabilityError.
+    CutoffInstabilityError.  The entry id is ``check_id[w=..]``.
     """
     w = int(w)
     sf = spectral_flow(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)
     return make_entry(
-        check_id or f"gauge_pumping[w={w}]",
+        f"{check_id}[w={w}]",
         "spectral flow of the winding-w gauge interpolation equals w",
         complex(sf),
         complex(w),
@@ -424,8 +431,12 @@ def psi_local(c: Connection) -> complex:
 
         psi = -(1/2pi) sum_{j>=1} 2^{2j} j!/(2j+1)! <L . c_{2j+1}>
 
-    Zero on the circle (no degree-3 forms) and for diagonal deformation
-    defects (odd powers are traceless).
+    Zero on the circle (no degree-3 forms), and on every flat torus input:
+    the commuting holonomies triangularise together, and conjugating by
+    diag(1, t, t^2, ...) gives gauge-equivalent flat connections that tend,
+    as t -> 0, to the diagonal part.  psi is locally constant (the paper)
+    and continuous, so it is psi of the diagonal part, whose omega is a
+    diagonal matrix of scalar 1-forms: tr omega^(2j+1) = 0 for j >= 1.
     """
     total = 0j
     j = 1
@@ -538,16 +549,17 @@ def check_bk_phase(
     rank: int,
     dim: int = 1,
     cutoff: int = 1,
-    check_id: str | None = None,
+    check_id: str = "bk_phase",
 ) -> CheckEntry:
     """The censused phase factor matches the closed form
     exp(i pi rank (0 + 2^(dim-1))/2); ``cutoff`` caps the census ball of
-    :func:`trivial_line_eta`, whose window is 1."""
+    :func:`trivial_line_eta`, whose window is 1.  The entry id is
+    ``check_id[rank=..,dim=..]``."""
     census = trivial_line_eta(dim, cutoff)
     lhs = bk_phase_factor(rank, census)
     rhs = cmath.exp(1j * math.pi * int(rank) * 2 ** (dim - 1) / 2)
     return make_entry(
-        check_id or f"bk_phase[rank={int(rank)},dim={dim}]",
+        f"{check_id}[rank={int(rank)},dim={dim}]",
         "censused phase factor matches the closed form from the zero-mode "
         "count",
         lhs,
@@ -563,123 +575,71 @@ def check_bk_phase(
 
 @dataclass(frozen=True)
 class Experiment:
-    """One run of a registered check: ``args`` holds the parameters it
-    sets, connections and paths as objects; ``label`` names its entries;
-    ``dim`` and ``rank`` are those of its scenario."""
+    """One run of a registered check: ``args`` holds the keys it sets,
+    connections and paths as objects; ``label`` is its ``check_id``; ``dim``
+    and ``rank`` are those of its scenario."""
 
     args: dict
     label: str
     dim: int = 1
     rank: int = 1
 
-    def kwargs(self, **names: str) -> dict:
-        """``{parameter: args[key]}`` for each ``parameter=key`` whose key
-        this experiment sets, so that the callee's own defaults fill the
-        rest."""
-        return {p: self.args[key] for p, key in names.items() if key in self.args}
-
 
 @dataclass(frozen=True)
 class Check:
-    """A registered check: the parameters an experiment may set
-    (``tolerance`` among them if it takes one), those it must set, and a
-    runner returning the experiment's report entries.  Runners forward
-    only the parameters the experiment sets, so every default is the
-    check function's, and they look the check functions up at call time."""
+    """A registered check: the experiment keys it reads (``tolerance``
+    among them if it takes one), those an experiment must set, and a runner
+    returning the experiment's report entries."""
 
     params: tuple[str, ...]
     required: tuple[str, ...]
     run: Callable[[Experiment], list[CheckEntry]]
 
 
+def _row(fn: Callable, **keys: str) -> Check:
+    """The registry row that calls ``fn`` with ``parameter=key`` for each key
+    the experiment sets (one key may set several parameters) and its label
+    as ``check_id``.  A key is required when its parameter has no default.
+    ``fn`` is looked up here at call time, so a patched or traced check runs."""
+    params = inspect.signature(fn).parameters
+    required = [k for p, k in keys.items() if params[p].default is params[p].empty]
+
+    def run(x: Experiment) -> list[CheckEntry]:
+        args = {p: x.args[key] for p, key in keys.items() if key in x.args}
+        out = globals()[fn.__name__](**args, check_id=x.label)
+        return out if isinstance(out, list) else [out]
+
+    return Check(tuple(dict.fromkeys(keys.values())), tuple(required), run)
+
+
 def _bk_phase(x: Experiment) -> list[CheckEntry]:
-    rank = x.args.get("rank", x.rank)
-    return [
-        check_bk_phase(
-            rank,
-            dim=x.dim,
-            **x.kwargs(cutoff="cutoff"),
-            check_id=f"{x.label}[rank={rank},dim={x.dim}]",
-        )
-    ]
+    """``bk_phase`` at the scenario's dim, and at its rank unless the
+    experiment sets one."""
+    return [check_bk_phase(**{"rank": x.rank, **x.args}, dim=x.dim, check_id=x.label)]
 
 
-#: check name -> Check(params, required params, runner)
+#: check name -> Check(experiment keys, required keys, runner)
 CHECKS: dict[str, Check] = {
-    "cs_odd_chern_pairing": Check(
-        ("connection", "r_values", "tolerance"),
-        ("connection",),
-        lambda x: check_cs_odd_chern_pairing(
-            x.args["connection"],
-            **x.kwargs(r_values="r_values", tol="tolerance"),
-            label=x.label,
-        ),
+    "cs_odd_chern_pairing": _row(
+        check_cs_odd_chern_pairing, c="connection", r_values="r_values", tol="tolerance"
     ),
-    "gilkey_variation": Check(
-        ("from", "to", "tolerance"),
-        ("from", "to"),
-        lambda x: [
-            check_gilkey_variation(
-                x.args["from"],
-                x.args["to"],
-                **x.kwargs(tol="tolerance"),
-                check_id=x.label,
-            )
-        ],
+    "gilkey_variation": _row(
+        check_gilkey_variation, c0="from", c1="to", tol="tolerance"
     ),
-    "variation_complex": Check(
-        ("path", "cutoff", "tolerance"),
-        ("path",),
-        lambda x: [
-            check_variation_complex(
-                x.args["path"],
-                **x.kwargs(tol="tolerance", cutoff="cutoff"),
-                check_id=x.label,
-            )
-        ],
+    "variation_complex": _row(
+        check_variation_complex, path="path", tol="tolerance", cutoff="cutoff"
     ),
-    "gauge_pumping": Check(
-        ("connection", "winding", "cutoff"),
-        ("connection", "winding"),
-        lambda x: [
-            check_gauge_pumping(
-                x.args["connection"],
-                x.args["winding"],
-                **x.kwargs(cutoff="cutoff"),
-                check_id=f"{x.label}[w={x.args['winding']}]",
-            )
-        ],
+    "gauge_pumping": _row(
+        check_gauge_pumping, c="connection", w="winding", cutoff="cutoff"
     ),
-    "re_im_split": Check(
-        ("connection", "tolerance"),
-        ("connection",),
-        lambda x: check_re_im_split(
-            x.args["connection"],
-            **x.kwargs(tol_re="tolerance", tol_im="tolerance"),
-            check_id=x.label,
-        ),
+    "re_im_split": _row(
+        check_re_im_split, c="connection", tol_re="tolerance", tol_im="tolerance"
     ),
-    "psi_constancy": Check(
-        ("path", "samples", "tolerance"),
-        ("path",),
-        lambda x: [
-            check_psi_constancy(
-                x.args["path"],
-                **x.kwargs(n_samples="samples", tol="tolerance"),
-                check_id=x.label,
-            )
-        ],
+    "psi_constancy": _row(
+        check_psi_constancy, path="path", n_samples="samples", tol="tolerance"
     ),
-    "eta_tilde_imaginary": Check(
-        ("connection", "reference", "tolerance"),
-        ("connection",),
-        lambda x: [
-            check_eta_tilde_imaginary(
-                x.args["connection"],
-                **x.kwargs(ref="reference", tol="tolerance"),
-                check_id=x.label,
-            )
-        ],
+    "eta_tilde_imaginary": _row(
+        check_eta_tilde_imaginary, c="connection", ref="reference", tol="tolerance"
     ),
     "bk_phase": Check(("rank", "cutoff"), (), _bk_phase),
 }

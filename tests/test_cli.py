@@ -1,9 +1,11 @@
 """Scenario runner: schema validation, exit codes, artifacts, determinism."""
 
 import copy
+import itertools
 import json
 import math
 import pathlib
+import re
 
 import jsonschema
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from etacalc import cli, spectral, verify
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
-from etacalc.forms import TrigPolyForm
+from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import Connection
 from helpers import reference_scenario_schema, unipotent_metric
 
@@ -250,8 +252,9 @@ def _experiment_mutations(exp: dict):
 def test_loader_refuses_as_the_single_document_schema(tmp_cwd):
     # validating each experiment against its own check's schema refuses
     # the same experiments, at the same path and with the same message, as
-    # one schema with a branch per check did; no experiment key refers into
-    # the connections, so they are left out to keep the corpus fast
+    # one schema with a branch per check did; the connections are left out
+    # to keep the corpus fast, so a scenario that passes the schema is
+    # refused only for the names it gives, which are checked after it
     reference = jsonschema.Draft202012Validator(reference_scenario_schema())
     outcomes = []
     for name in BUNDLED:
@@ -267,6 +270,9 @@ def test_loader_refuses_as_the_single_document_schema(tmp_cwd):
                     got = None
                 except jsonschema.ValidationError as exc:
                     got = (exc.json_path, exc.message)
+                except InvalidInputError as exc:
+                    assert str(exc).startswith("unknown connection"), mutated
+                    got = None
                 assert got == expected, mutated
                 outcomes.append(got is None)
             obj["experiments"][i] = exp
@@ -421,6 +427,31 @@ def test_unknown_connection_name(tmp_cwd):
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"check": "gilkey_variation", "from": "base", "to": "nosuch"},
+        {"check": "eta_tilde_imaginary", "connection": "base", "reference": "nosuch"},
+        {"check": "psi_constancy",
+         "path": {"kind": "linear", "from": "nosuch", "to": "base"}},
+        {"check": "variation_complex",
+         "path": {"kind": "gauge", "connection": "nosuch", "winding": 1}},
+    ],
+    ids=["to", "reference", "linear-path", "gauge-path"],
+)
+def test_unknown_connection_name_is_refused_before_anything_runs(
+    tmp_cwd, capsys, experiment
+):
+    # an earlier experiment that writes an artifact must not have run
+    obj = load_bundled("s1_unitary.json")
+    spectrum = [x for x in obj["experiments"] if x["check"] == "spectrum"]
+    obj["experiments"] = spectrum + [experiment]
+    obj["output"] = {"csv_dir": "out", "report": "out/report.json"}
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "invalid scenario: unknown connection 'nosuch'" in capsys.readouterr().err
+    assert not (tmp_cwd / "out").exists()
+
+
 def test_connection_shape_mismatch(tmp_cwd):
     obj = load_bundled("s1_unitary.json")
     obj["bundle"]["rank"] = 2  # connections are rank 1
@@ -491,6 +522,38 @@ def test_check_filter(tmp_cwd):
     )
     assert len(report["entries"]) == 1
     assert "gilkey_variation" in report["entries"][0]["check_id"]
+
+
+@pytest.mark.parametrize(
+    "check, note", [("spectrum", False), ("gauge_pumping", True)]
+)
+def test_check_filter_notes_only_a_filter_no_experiment_names(
+    tmp_cwd, capsys, check, note
+):
+    # the spectrum artifact makes no report entries, but it matched
+    assert main(["run", str(SCENARIOS / "t3_spectrum.json"), "--check", check]) == 0
+    out = capsys.readouterr().out
+    assert ("csv written to out/e00_spectrum.csv" in out) == (not note)
+    assert ("note: no experiments matched the --check filter" in out) == note
+
+
+def test_readme_check_table_is_the_registry():
+    # README's table lists every check with the keys it reads, the
+    # required ones (no default in the check's signature) in bold
+    readme = (SCENARIOS.parent / "README.md").read_text().splitlines()
+    start = readme.index("| check | keys | default tolerance |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), readme[start:]):
+        name, keys = line.split("|")[1:3]
+        items = re.sub(r"\([^()]*\)", "", keys).split(",")
+        table[name.strip().strip("`")] = {
+            re.search(r"`(\w+)`", item)[1]: item.strip().startswith("**")
+            for item in items
+        }
+    assert table == {
+        name: {key: key in check.required for key in check.params}
+        for name, check in cli.CHECKS.items()
+    }
 
 
 def test_seed_flag_is_retired(capsys):

@@ -3,11 +3,13 @@ family against its independent closed-form or spectral oracle."""
 
 import json
 import math
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
 import pytest
 
+from etacalc import verify
 from etacalc.eta import EtaValue, constant_eta
 from etacalc.geometry import Connection, PreconditionError, gauge_transform
 from etacalc.forms import TrigPolyForm
@@ -508,8 +510,6 @@ def _recording_counts(monkeypatch, *owners):
 def test_census_window_is_the_zero_connections_ball(monkeypatch):
     # R = 0: at every cutoff the census solves the one mode k = 0, whose
     # 2^(dim-1) eigenvalues over the copies are the zeros
-    from etacalc import verify
-
     solved = _recording_counts(monkeypatch, verify)
     for dim in (1, 3, 5):
         for cutoff in (1, 2, 8):
@@ -639,3 +639,56 @@ def test_standard_suite_shape():
     # tolerance fails it, numeric churn does not
     entries = standard_suite(seed=0).entries
     assert [(e.check_id, e.mode, e.tolerance) for e in entries] == SUITE_SHAPE
+
+
+def test_suite_calls_each_check_through_the_module_at_call_time(monkeypatch):
+    # the registry looks each check up in verify when it runs, so a patched
+    # (or traced) check is the one the suite calls
+    plain = standard_suite(0).to_json()
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    assert standard_suite(0).to_json() == plain
+    assert calls == {
+        "check_cs_odd_chern_pairing": 2,
+        "check_gilkey_variation": 3,
+        "check_variation_complex": 3,
+        "check_gauge_pumping": 1,
+        "check_re_im_split": 2,
+        "check_psi_constancy": 2,
+        "check_eta_tilde_imaginary": 2,
+        "check_bk_phase": 3,
+    }
+
+
+def test_check_id_prefixes_every_entry_id():
+    # each check's default check_id is its family name, and a given one
+    # replaces that prefix and nothing else
+    c0 = diagonal_connection_from_mus([0.3 + 0.07j, 0.55 - 0.1j])
+    c1 = diagonal_connection_from_mus([0.35 + 0.05j, 0.6 - 0.1j])
+    path = lambda t: diagonal_connection_from_mus([0.3 + 0.1 * t, 0.6])
+    runs = {
+        "cs_odd_chern_pairing": lambda **kw: check_cs_odd_chern_pairing(c0, **kw),
+        "gilkey_variation": lambda **kw: [check_gilkey_variation(c0, c1, **kw)],
+        "variation_complex": lambda **kw: [check_variation_complex(path, **kw)],
+        "gauge_pumping": lambda **kw: [check_gauge_pumping(c0, 1, **kw)],
+        "re_im_split": lambda **kw: check_re_im_split(c0, **kw),
+        "psi_constancy": lambda **kw: [check_psi_constancy(path, **kw)],
+        "eta_tilde_imaginary": lambda **kw: [check_eta_tilde_imaginary(c0, **kw)],
+        "bk_phase": lambda **kw: [check_bk_phase(2, dim=3, **kw)],
+    }
+    for family, run in runs.items():
+        ids = [e.check_id for e in run()]
+        assert ids and all(i.startswith(family) for i in ids), family
+        renamed = [e.check_id for e in run(check_id="x")]
+        assert renamed == ["x" + i[len(family):] for i in ids], family
+    assert [e.check_id for e in runs["gauge_pumping"]()] == ["gauge_pumping[w=1]"]
+    assert [e.check_id for e in runs["bk_phase"]()] == ["bk_phase[rank=2,dim=3]"]
