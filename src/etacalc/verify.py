@@ -613,8 +613,8 @@ def _row(fn: Callable, **keys: str) -> Check:
 
 
 def _bk_phase(x: Experiment) -> list[CheckEntry]:
-    """``bk_phase`` at the scenario's dim, and at its rank unless the
-    experiment sets one."""
+    """``bk_phase`` at the scenario's dim and at its rank unless the experiment
+    sets one; the keys ``rank`` and ``cutoff`` are the parameter names."""
     return [check_bk_phase(**{"rank": x.rank, **x.args}, dim=x.dim, check_id=x.label)]
 
 
