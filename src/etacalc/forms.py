@@ -17,19 +17,30 @@ torus is 1 and ``exp(2*pi*i*k*x)`` is periodic for integer k.
 
 A form stores its terms stacked: a tuple of distinct keys ``(k, I)`` and
 one read-only complex array of shape ``(n, rank, rank)`` whose row ``i`` is
-the matrix of key ``i``.  Each operation walks the keys in Python and does
-its matrix work in a fixed number of numpy calls over the whole stack (a
-wedge is one batched matrix product over all key pairs), instead of several
-calls per term.
+the matrix of key ``i``; no row is zero.  Each operation walks the keys in
+Python and does its matrix work in a few numpy calls over the whole stack
+(a wedge is one batched matrix product over all key pairs), instead of
+several calls per term.
 
 Outside input is validated once, where it enters: the ``TrigPolyForm``
 constructor (and ``from_json_obj``, which also rejects matrix entries
 that are not numbers, ragged rows and non-finite entries) checks every key
 (1.0 passes; a bool, a string or 1.5 is refused, not rounded) and shape,
 copies every matrix, and raises :class:`InvalidInputError` when input is no form.
-Operations on valid forms skip those checks; every result, the
-constructor's included, has its terms summed by the one routine
-``_sum_terms``.
+Operations on valid forms skip those checks, and the one routine
+``_sum_terms`` sums the terms of every result they compute, the
+constructor's included.  The units cost no numpy call, since the general
+route would only rebuild an operand:
+
+* ``x + 0``, ``0 + x``, ``0 ^ x`` and ``x ^ 0`` return an operand, as do
+  ``I ^ x`` and ``x ^ I`` for the shared ``identity(dim, rank)`` (the
+  general route multiplies by 1 and adds exact zeros, so it differs at most
+  in the sign of a zero entry);
+* ``ext_d`` of a form whose every term d kills (a constant form among
+  them) and a product with the scalar 0 return the shared
+  ``zero(dim, rank)``;
+* negation, ``dagger`` and ``degree_component`` keep distinct keys and
+  nonzero rows, so ``_sum_terms`` skips its summing and its zero-row scan.
 """
 
 from __future__ import annotations
@@ -85,15 +96,17 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int,
 
 
 def _sum_terms(
-    keys: Sequence[TermKey], mats: np.ndarray, unique: bool = False
+    keys: Sequence[TermKey], mats: np.ndarray, unique: bool = False, nonzero: bool = False
 ) -> tuple[tuple[TermKey, ...], np.ndarray]:
     """The terms of a form from one key per row of the (n, rank, rank)
     array ``mats``: the rows of equal keys are summed in input order into
     the row of the key's first appearance (skipped when the caller knows the
-    keys are ``unique``), rows whose sum is exactly zero are dropped, and
-    the array kept is made read-only in place, not copied.  So ``mats`` must
-    be fresh or already read-only, and may be shared."""
-    if not unique:
+    keys are ``unique``), rows whose sum is exactly zero are dropped (the
+    scan skipped when the caller knows the keys are unique and no row is
+    zero: ``nonzero``), and the array kept is made read-only in place, not
+    copied.  So ``mats`` must be fresh or already read-only, and may be
+    shared."""
+    if not (unique or nonzero):
         slot: dict[TermKey, int] = {}
         first: list[int] = []
         rest: list[int] = []
@@ -109,16 +122,19 @@ def _sum_terms(
             summed = mats.take(first, axis=0)
             np.add.at(summed, rest_slot, mats.take(rest, axis=0))  # sequential
             keys, mats = tuple(slot), summed
-    nonzero = mats.any(axis=(1, 2)).tolist()
-    if not all(nonzero):
-        keys = [key for key, keep in zip(keys, nonzero) if keep]
-        mats = mats[nonzero]
+    if not nonzero:
+        kept = mats.any(axis=(1, 2)).tolist()
+        if not all(kept):
+            keys = [key for key, keep in zip(keys, kept) if keep]
+            mats = mats[kept]
     mats.flags.writeable = False
     return tuple(keys), mats
 
 
 def _integer(v) -> int:
     """A key entry as an int: an int or an integral float, not a bool."""
+    if type(v) is int:
+        return v
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool) or (
         isinstance(v, (float, np.floating)) and float(v).is_integer()
     ):
@@ -217,14 +233,16 @@ class TrigPolyForm:
         mats: np.ndarray,
         rank: int | None = None,
         unique: bool = False,
+        nonzero: bool = False,
     ) -> "TrigPolyForm":
         """A form on this torus (of this rank unless given) from keys and a
         stack that an operation computed from valid forms: neither checked
-        nor copied.  ``unique`` says the keys are already distinct."""
+        nor copied.  ``unique`` says the keys are already distinct,
+        ``nonzero`` that they are and that no row is zero."""
         out = object.__new__(TrigPolyForm)
         out.dim = self.dim
         out.rank = self.rank if rank is None else rank
-        out._keys, out._mats = _sum_terms(keys, mats, unique)
+        out._keys, out._mats = _sum_terms(keys, mats, unique, nonzero)
         return out
 
     # ------------------------------------------------------------------
@@ -232,7 +250,8 @@ class TrigPolyForm:
 
     @classmethod
     def zero(cls, dim: int, rank: int) -> "TrigPolyForm":
-        return cls(dim, rank)
+        """The empty form, built once per (dim, rank), as ``identity`` is."""
+        return _zero(dim, rank)
 
     @classmethod
     def constant(cls, dim: int, mat: np.ndarray) -> "TrigPolyForm":
@@ -241,11 +260,10 @@ class TrigPolyForm:
         return cls(dim, mat.shape[0], {((0,) * dim, ()): mat})
 
     @classmethod
-    @cache
     def identity(cls, dim: int, rank: int) -> "TrigPolyForm":
         """The constant identity, built once per (dim, rank): forms are
         immutable, so every caller may share it."""
-        return cls.constant(dim, np.eye(rank))
+        return _identity(dim, rank)
 
     @classmethod
     def monomial(
@@ -289,7 +307,7 @@ class TrigPolyForm:
     def coefficient(self, k: Iterable[int], I: Iterable[int]) -> np.ndarray:
         key = (tuple(int(v) for v in k), tuple(int(v) for v in I))
         if key not in self._keys:
-            return np.zeros((self.rank, self.rank))
+            return np.zeros((self.rank, self.rank), dtype=np.complex128)
         return np.array(self._mats[self._keys.index(key)])
 
     def max_abs(self) -> float:
@@ -318,12 +336,16 @@ class TrigPolyForm:
 
     def __add__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         self._check_compatible(other)
+        if not other._keys:
+            return self
+        if not self._keys:
+            return other
         return self._new(
             self._keys + other._keys, np.concatenate((self._mats, other._mats))
         )
 
     def __neg__(self) -> "TrigPolyForm":
-        return self._new(self._keys, -self._mats, unique=True)
+        return self._new(self._keys, -self._mats, nonzero=True)
 
     def __sub__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         return self + (-other)
@@ -331,7 +353,7 @@ class TrigPolyForm:
     def __mul__(self, scalar: complex) -> "TrigPolyForm":
         scalar = complex(scalar)
         if scalar == 0:
-            return self._new((), self._mats[:0], unique=True)
+            return _zero(self.dim, self.rank)
         return self._new(self._keys, scalar * self._mats, unique=True)
 
     __rmul__ = __mul__
@@ -343,8 +365,16 @@ class TrigPolyForm:
     # graded algebra
 
     def wedge(self, other: "TrigPolyForm") -> "TrigPolyForm":
-        """Wedge product; matrix coefficients multiply in order."""
+        """Wedge product; matrix coefficients multiply in order.  A product
+        with the empty form is that operand, and one with the shared
+        ``identity`` the other operand, as the general route computes it
+        (up to the sign of a zero entry)."""
         self._check_compatible(other)
+        unit = _identity(self.dim, self.rank)
+        if not self._keys or other is unit:
+            return self
+        if not other._keys or self is unit:
+            return other
         keys: list[TermKey] = []
         left: list[int] = []
         right: list[int] = []
@@ -375,6 +405,8 @@ class TrigPolyForm:
                     keys.append((k, K))
                     rows.append(i)
                     coefs.append(sign * 2j * math.pi * kj)
+        if not keys:  # d kills every term, as it does a constant form's
+            return _zero(self.dim, self.rank)
         coef = np.array(coefs, dtype=np.complex128)[:, None, None]
         return self._new(keys, coef * self._mats.take(rows, axis=0))
 
@@ -386,7 +418,7 @@ class TrigPolyForm:
         this satisfies (a ^ b)^dagger = (-1)^{pq} b^dagger ^ a^dagger.
         """
         keys = [(tuple(-v for v in k), I) for k, I in self._keys]
-        return self._new(keys, self._mats.conj().transpose(0, 2, 1), unique=True)
+        return self._new(keys, self._mats.conj().transpose(0, 2, 1), nonzero=True)
 
     def mat_trace(self) -> "TrigPolyForm":
         """Fiberwise matrix trace; result has rank 1 so the algebra stays closed."""
@@ -396,7 +428,7 @@ class TrigPolyForm:
     def degree_component(self, p: int) -> "TrigPolyForm":
         keep = [len(I) == p for _, I in self._keys]
         keys = [key for key, kept in zip(self._keys, keep) if kept]
-        return self._new(keys, self._mats[np.array(keep, dtype=bool)], unique=True)
+        return self._new(keys, self._mats[np.array(keep, dtype=bool)], nonzero=True)
 
     # ------------------------------------------------------------------
     # normalization, evaluation, integration
@@ -497,3 +529,15 @@ class TrigPolyForm:
                 raise InvalidInputError(f"{where} has a non-finite entry")
             terms.append(((tuple(t["k"]), tuple(t["I"])), mat))
         return cls(dim, rank, terms)
+
+
+# The shared units of ``identity`` and ``zero``, built once per (dim, rank);
+# the operations look them up here, one cached call.
+@cache
+def _identity(dim: int, rank: int) -> TrigPolyForm:
+    return TrigPolyForm.constant(dim, np.eye(rank))
+
+
+@cache
+def _zero(dim: int, rank: int) -> TrigPolyForm:
+    return TrigPolyForm(dim, rank)

@@ -79,6 +79,13 @@ class Connection:
     :func:`invert_degree0` inverts constant forms only.  The constructor
     checks all of this and raises InvalidInputError; :meth:`with_form`
     reuses the checked metric.  omega is computed once.
+
+    A metric that is exactly the constant identity (given, read from JSON
+    or left out) is held as the shared ``TrigPolyForm.identity``, which is
+    Hermitian, positive and its own inverse, so only a ``g_inv`` the caller
+    supplies is checked; the wedges by it in omega then return their other
+    operand and d of it the empty form, so omega is -(A^dagger + A) through
+    the one general formula.
     """
 
     a: TrigPolyForm
@@ -89,20 +96,25 @@ class Connection:
         if set(self.a.degrees()) - {1}:
             raise InvalidInputError("connection form must be pure degree 1")
         ident = TrigPolyForm.identity(self.a.dim, self.a.rank)
-        if self.g is None:
+        g = ident if self.g is None else self.g
+        if g.dim != self.a.dim or g.rank != self.a.rank:
+            raise InvalidInputError("metric shape mismatch")
+        if g is ident or g.allclose(ident, 0.0):
+            # exactly I: Hermitian, positive definite and its own inverse
             object.__setattr__(self, "g", ident)
-            object.__setattr__(self, "g_inv", ident)
+            if self.g_inv is None:
+                object.__setattr__(self, "g_inv", ident)
+                return
         else:
-            if self.g.dim != self.a.dim or self.g.rank != self.a.rank:
-                raise InvalidInputError("metric shape mismatch")
-            if set(self.g.degrees()) - {0}:
+            if set(g.degrees()) - {0}:
                 raise InvalidInputError("metric must be a degree-0 form")
-            if not self.g.allclose(self.g.dagger(), 1e-10):
+            if not g.allclose(g.dagger(), 1e-10):
                 raise InvalidInputError("metric must be Hermitian")
             if self.g_inv is None:
-                object.__setattr__(self, "g_inv", invert_degree0(self.g))
-            if not self.g.wedge(self.g_inv).allclose(ident, 1e-9):
-                raise InvalidInputError("g_inv is not an inverse of g")
+                object.__setattr__(self, "g_inv", invert_degree0(g))
+        if not self.g.wedge(self.g_inv).allclose(ident, 1e-9):
+            raise InvalidInputError("g_inv is not an inverse of g")
+        if self.g is not ident:
             self._spot_check_positive()
 
     def with_form(self, a: TrigPolyForm) -> "Connection":
@@ -225,7 +237,7 @@ def a_coeff(j: int, r: complex) -> complex:
 def _require_common_metric(c0: Connection, c1: Connection) -> None:
     if c0.dim != c1.dim or c0.rank != c1.rank:
         raise PreconditionError("connections live on different bundles")
-    if not c0.g.allclose(c1.g, 1e-10):
+    if c0.g is not c1.g and not c0.g.allclose(c1.g, 1e-10):
         raise PreconditionError(
             "the linear path between two connections requires a common metric"
         )

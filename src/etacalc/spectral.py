@@ -408,17 +408,21 @@ def _galerkin_hermitian(c: Connection) -> bool:
 def _symbol(c: Connection, reach: int) -> np.ndarray:
     """The (dim, 2 reach + 1, per, per) terms kron(beta_j, 2 pi i k I + A_j)
     of c on one copy, A_j the zero-frequency coefficient of dx_j, formed in
-    place in the (k, a, ., b, .) view: ``_assemble`` sums them into blocks
-    bitwise equal to summing the ``np.kron`` terms mode by mode."""
-    model = clifford_model(c.dim)
-    e, r = len(model.beta[0]), c.rank
+    place in the (j, k, a, ., b, .) view, all directions in one broadcast:
+    ``_assemble`` sums them into blocks bitwise equal to summing the
+    ``np.kron`` terms mode by mode."""
+    beta = np.array(clifford_model(c.dim).beta)
+    e, r = beta.shape[1], c.rank
+    a = np.zeros((c.dim, r, r), dtype=complex)  # A_j, read in one pass
+    for k, (j,), mat in c.a.terms():
+        if not any(k):
+            a[j - 1] = mat
     ks = np.arange(-reach, reach + 1)
     terms = np.empty((c.dim, len(ks), e, r, e, r), dtype=complex)
-    for j, term in enumerate(terms):
-        np.multiply(2j * math.pi, ks[:, None, None, None, None], out=term)
-        term *= np.eye(r)[:, None, :]
-        term += c.a.coefficient((0,) * c.dim, (j + 1,))[:, None, :]
-        term *= model.beta[j][:, None, :, None]
+    np.multiply(2j * math.pi, ks[:, None, None, None, None], out=terms)
+    terms *= np.eye(r)[:, None, :]
+    terms += a[:, None, None, :, None, :]
+    terms *= beta[:, None, :, None, :, None]
     return _read_only(terms.reshape(c.dim, len(ks), e * r, e * r))
 
 

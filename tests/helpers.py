@@ -188,6 +188,22 @@ class ReferenceForm:
         )
 
 
+def same_stored_terms(f: TrigPolyForm, h: TrigPolyForm) -> bool:
+    """``f`` and ``h`` store the same keys in the same order and equal
+    matrices (``np.array_equal``: the sign of a zero aside)."""
+    return (
+        f.rank == h.rank
+        and f._keys == h._keys
+        and f._mats.shape == h._mats.shape
+        and np.array_equal(f._mats, h._mats)
+    )
+
+
+def reference_of(f: TrigPolyForm) -> ReferenceForm:
+    """The per-term reference holding the terms of ``f``."""
+    return ReferenceForm(f.dim, f.rank, [((k, I), m) for k, I, m in f.terms()])
+
+
 def rng_matrix(rng: np.random.Generator, rank: int, scale: float = 1.0):
     return scale * (
         rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))

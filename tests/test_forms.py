@@ -17,7 +17,9 @@ from helpers import (
     exp_nilpotent,
     forms,
     phi_normalize_other_root,
+    reference_of,
     rng_form,
+    same_stored_terms,
     term_lists,
 )
 
@@ -248,6 +250,76 @@ def test_exact_cancellation_leaves_the_empty_form(terms):
     # up to the order of i and j, so d(d a) cancels bit for bit
     for zero in (a - a, a.ext_d().ext_d(), a.wedge(a - a)):
         assert zero.num_terms() == 0
+
+
+# ----------------------------------------------------------------------
+# units: the empty form, the shared identity and d of a constant form
+# return an operand or the shared zero, equal to what the general route
+# computes
+
+
+@given(forms())
+def test_units_return_an_operand_equal_to_the_general_route(x):
+    dim, rank = x.dim, x.rank
+    unit = TrigPolyForm.identity(dim, rank)
+    fresh = TrigPolyForm.constant(dim, np.eye(rank))  # takes the general route
+    assert fresh is not unit and same_stored_terms(fresh, unit)
+    assert x.wedge(unit) is x and unit.wedge(x) is x
+    for product in (x.wedge(fresh), fresh.wedge(x)):
+        assert same_stored_terms(product, x)
+    ref, ref_empty = reference_of(x), ReferenceForm(dim, rank, [])
+    for empty in (TrigPolyForm.zero(dim, rank), TrigPolyForm(dim, rank)):
+        cases = {
+            "x + 0": (x + empty, ref + ref_empty),
+            "0 + x": (empty + x, ref_empty + ref),
+            "x ^ 0": (x.wedge(empty), ref.wedge(ref_empty)),
+            "0 ^ x": (empty.wedge(x), ref_empty.wedge(ref)),
+        }
+        for name, (got, want) in cases.items():
+            assert got is x or got is empty, name
+            assert want.same_bits(got), name
+
+
+@given(forms(max_freq=0))
+def test_d_of_a_constant_form_is_the_shared_zero(x):
+    dx = x.ext_d()
+    assert dx is TrigPolyForm.zero(x.dim, x.rank)
+    assert reference_of(x).ext_d().same_bits(dx)
+    assert (0 * x) is dx
+
+
+def test_units_and_short_circuit_results_stay_read_only():
+    rng = np.random.default_rng(7)
+    x = rng_form(rng, dim=3, rank=2)
+    unit, zero = TrigPolyForm.identity(3, 2), TrigPolyForm.zero(3, 2)
+    assert TrigPolyForm.zero(3, 2) is zero and zero.num_terms() == 0
+    results = {
+        "identity": unit,
+        "zero": zero,
+        "x + 0": x + zero,
+        "0 + x": zero + x,
+        "x ^ I": x.wedge(unit),
+        "I ^ x": unit.wedge(x),
+        "x ^ 0": x.wedge(zero),
+        "d I": unit.ext_d(),
+        "-I": -unit,
+        "I^dagger": unit.dagger(),
+        "I_0": unit.degree_component(0),
+    }
+    for name, f in results.items():
+        assert not f._mats.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            f._mats[...] = 1.0
+    # the shared units are unchanged by everything above
+    assert same_stored_terms(unit, TrigPolyForm.constant(3, np.eye(2)))
+    assert zero._mats.shape == (0, 2, 2)
+
+
+def test_coefficient_of_an_absent_key_is_a_complex_zero():
+    f = TrigPolyForm.monomial(2, np.eye(2), I=(1,))
+    assert f.coefficient((0, 0), (1,)).dtype == np.complex128
+    absent = f.coefficient((1, 0), (2,))
+    assert absent.dtype == np.complex128 and not absent.any()
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 Chern--Simons calibrations, deformation-coefficient closed forms."""
 
 import math
+import pathlib
 from fractions import Fraction
 from math import factorial
 
@@ -33,6 +34,7 @@ from helpers import (
     cs_form_quadrature,
     diagonal_connection_from_mus,
     exp_nilpotent,
+    gauged_t3_connection,
     phi_normalize_other_root,
     r_deformation,
     r_poly_at,
@@ -40,6 +42,7 @@ from helpers import (
     random_nonflat_connection,
     random_unitary_constant_connection,
     rng_matrix,
+    same_stored_terms,
     unipotent_metric,
 )
 
@@ -265,6 +268,17 @@ def test_cs_requires_common_metric():
         linear_path(c0, c1)
 
 
+def test_one_metric_object_is_common_without_a_subtraction(monkeypatch):
+    rng = np.random.default_rng(15)
+    g, g_inv = constant_hermitian_metric(rng, 1, 2)
+    a0, a1 = (TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]) for _ in range(2))
+    c0 = Connection(a0, g, g_inv)
+    pairs = [(c0, c0.with_form(a1)), (Connection(a0), Connection(a1))]
+    monkeypatch.setattr(TrigPolyForm, "allclose", lambda *args: pytest.fail("compared"))
+    for c, other in pairs:
+        assert linear_path(c, other)(0.5).g is c.g
+
+
 def test_cs_requires_one_bundle():
     # a guard refusal, like the spectral flow's, not an internal ValueError
     circle = Connection.from_constant(1, [np.zeros((1, 1))])
@@ -454,22 +468,13 @@ def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
     return out
 
 
-def _same_terms(f: TrigPolyForm, h: TrigPolyForm) -> bool:
-    """Bitwise equality, term order included."""
-    fs, hs = list(f.terms()), list(h.terms())
-    return len(fs) == len(hs) and all(
-        k0 == k1 and i0 == i1 and np.array_equal(m0, m1)
-        for (k0, i0, m0), (k1, i1, m1) in zip(fs, hs)
-    )
-
-
 def test_derived_omega_equals_the_checking_constructors():
     c, other = _on_unipotent_metric(41), _on_unipotent_metric(42)
     c.omega_metric()  # a derived connection must not inherit this cache
     for name, d in _derived(c, other).items():
         assert d.g is c.g and d.g_inv is c.g_inv, name
         oracle = Connection(d.a, d.g, d.g_inv).omega_metric()
-        assert _same_terms(d.omega_metric(), oracle), name
+        assert same_stored_terms(d.omega_metric(), oracle), name
         assert d.omega_metric() is d.omega_metric(), name
 
 
@@ -483,6 +488,92 @@ def test_deriving_runs_no_metric_check(monkeypatch):
     # gauge_path builds only the gauged form, not the gauge transform's
     # metric, so no derived connection runs a metric check
     assert checked == []
+
+
+# ----------------------------------------------------------------------
+# the identity metric is held as the shared identity
+
+
+def _on_fresh_identity(c: Connection) -> Connection:
+    """d + c.a on a newly built identity metric, not the shared one, so
+    omega takes the general route: d g and the wedges by g are computed."""
+    fresh = TrigPolyForm.constant(c.dim, np.eye(c.rank))
+    out = object.__new__(Connection)
+    vars(out).update(a=c.a, g=fresh, g_inv=fresh)
+    return out
+
+
+def _identity_metric_connections() -> dict[str, Connection]:
+    rng = np.random.default_rng(61)
+    basis = np.linalg.qr(rng_matrix(rng, 2))[0]
+    mus = rng.uniform(0.1, 0.9, (3, 2))
+    return {
+        "unitary constant": random_unitary_constant_connection(rng, 3, 2),
+        "non-unitary constant": Connection.from_constant(
+            3, [rng_matrix(rng, 2) for _ in range(3)]
+        ),
+        "unitary gauged": gauged_t3_connection(mus, basis),
+        "non-unitary gauged": gauged_t3_connection(mus + 0.2j * mus[::-1], basis),
+        "non-unitary oscillatory": random_nonflat_connection(rng, 3, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_identity_metric_connections()))
+def test_omega_on_the_shared_identity_is_the_general_route(name):
+    c = _identity_metric_connections()[name]
+    unit = TrigPolyForm.identity(c.dim, c.rank)
+    assert c.g is unit and c.g_inv is unit
+    general = _on_fresh_identity(c)
+    assert same_stored_terms(c.omega_metric(), general.omega_metric())
+    assert same_stored_terms(c.chern_odd(1), general.chern_odd(1))
+    for got, want in zip(cs_r_poly(c), cs_r_poly(general)):
+        assert same_stored_terms(got, want)
+    # for g = I omega is -(A^dagger + A), bit for bit
+    minus = -c.a.dagger() - c.a
+    assert same_stored_terms(c.omega_metric(), minus)
+
+
+def test_identity_metric_read_from_json_is_the_shared_identity():
+    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    loaded = [
+        c for path in sorted(scenarios.glob("*.json"))
+        for c in cli.load_scenario(str(path)).connections.values()
+    ]
+    assert loaded
+    for c in loaded + [
+        Connection.from_json_obj(c.to_json_obj())
+        for c in _identity_metric_connections().values()
+    ]:
+        unit = TrigPolyForm.identity(c.dim, c.rank)
+        assert c.g is unit and c.g_inv is unit
+    # a metric that is only close to I is kept and checked as given
+    near = TrigPolyForm.constant(1, np.diag([1.0, 1.0 + 1e-15]))
+    c = Connection(TrigPolyForm.constant_one_form(1, [np.eye(2)]), near)
+    assert c.g is near and c.g_inv is not TrigPolyForm.identity(1, 2)
+
+
+def test_metric_refusals_are_unchanged_around_the_identity():
+    a = TrigPolyForm.constant_one_form(1, [np.eye(2)])
+    wrong = TrigPolyForm.constant(1, 2 * np.eye(2))
+    for g in (None, TrigPolyForm.identity(1, 2), TrigPolyForm.constant(1, np.eye(2))):
+        with pytest.raises(InvalidInputError, match="g_inv is not an inverse of g"):
+            Connection(a, g, wrong)
+        assert Connection(a, g, TrigPolyForm.constant(1, np.eye(2))).g is (
+            TrigPolyForm.identity(1, 2)
+        )
+    with pytest.raises(InvalidInputError, match="g_inv is not an inverse of g"):
+        Connection(a, TrigPolyForm.constant(1, 2 * np.eye(2)), TrigPolyForm.identity(1, 2))
+    refusals = {
+        "metric must be Hermitian": np.array([[1.0, 1.0], [0.0, 1.0]]),
+        "not positive definite": -np.eye(2),
+    }
+    for message, mat in refusals.items():
+        g = TrigPolyForm.constant(1, mat)
+        with pytest.raises(InvalidInputError, match=message):
+            Connection(a, g)
+        obj = {"dim": 1, "rank": 2, "A": a.to_json_obj(), "g": g.to_json_obj()}
+        with pytest.raises(InvalidInputError, match=message):
+            Connection.from_json_obj(obj)
 
 
 # ----------------------------------------------------------------------
