@@ -9,7 +9,7 @@ from .eta import (
     m_minus,
 )
 from .flow import gauge_path, spectral_flow
-from .forms import EQ_TOL, SubTorus, TrigPolyForm
+from .forms import EQ_TOL, TrigPolyForm
 from .geometry import (
     Connection,
     PreconditionError,
@@ -44,7 +44,6 @@ __all__ = [
     "MemoryGuardError",
     "OperatorTruncation",
     "PreconditionError",
-    "SubTorus",
     "TrigPolyForm",
     "VerificationReport",
     "a_coeff",

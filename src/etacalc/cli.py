@@ -31,8 +31,9 @@ its check function, since runners forward only the parameters an
 experiment sets.  This module holds the JSON side: one
 schema per experiment key, from which the scenario schema, one experiment
 schema per check and the ``--check`` choices are generated, and the
-resolution of connection names and paths.  Each experiment is validated
-against its own check's schema only.  Matrix entries and term keys are
+reading of each experiment key into what its check takes (a connection, a
+path t -> connection, an int or a float), done once where the scenario
+loads.  Each experiment is validated against its own check's schema only.  Matrix entries and term keys are
 checked where they become a form (``TrigPolyForm.from_json_obj``), not by
 the schema.  A label names the experiment's CSV file in
 ``csv_dir``, so it must be one file name.  Experiments are independent of
@@ -50,7 +51,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import jsonschema
 
@@ -303,25 +303,41 @@ def _finite(text: str) -> str:
     return text
 
 
-def _connection_names(exp: dict):
-    """The connection names an experiment gives, its path's among them."""
-    for key, value in exp.items():
-        schema = _PARAM_SCHEMAS.get(key)
-        if schema is _NAME:
-            yield value
-        elif schema is _PATH_SCHEMA:
-            yield from (value[k] for k in ("from", "to", "connection") if k in value)
+def _argument(value, schema: dict, named: dict[str, Connection]):
+    """An experiment key's value as its check takes it: a connection name
+    becomes the connection (an unknown name is refused), a path becomes
+    t -> connection (a linear one between connections on different metrics
+    raises PreconditionError), and a number an int or a float by its
+    schema."""
+    if schema is _NAME:
+        if value not in named:
+            raise InvalidInputError(f"unknown connection {value!r}")
+        return named[value]
+    if schema is _PATH_SCHEMA:
+        if value["kind"] == "linear":
+            ends = [_argument(value[k], _NAME, named) for k in ("from", "to")]
+            return linear_path(*ends)
+        base = _argument(value["connection"], _NAME, named)
+        w = int(value["winding"])
+        return lambda t: gauge_path(base, w, t)
+    if schema.get("type") == "integer":
+        return int(value)
+    if schema.get("type") == "number":
+        return float(value)
+    return value
 
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; jsonschema.ValidationError,
-    json.JSONDecodeError, and InvalidInputError all mean exit code 2.  Once the
-    scenario passes its schema, each experiment is validated against its
-    own check's schema, so an error in the scenario's layout is reported
-    before any experiment's.  Every connection name an experiment or its
-    path gives must name one of the scenario's connections, so an unknown
-    name is refused before any experiment runs or writes an artifact.  Each
-    experiment gets its label here, explicit or ``e{index:02d}_{check}``;
+    json.JSONDecodeError, InvalidInputError and PreconditionError all mean
+    exit code 2.  Once the scenario passes its schema, each experiment is
+    validated against its own check's schema, so an error in the scenario's
+    layout is reported before any experiment's.  Each experiment key is then
+    read as its check takes it (``_argument``): a connection name must name
+    one of the scenario's connections, and a linear path's endpoints must
+    share a metric, so such input is refused before any experiment runs or
+    writes an artifact.  Each experiment is a dict of its ``check``, its
+    ``label``, explicit or ``e{index:02d}_{check}``, and its ``args``;
     labels name entries and artifacts, so they must be distinct."""
     with open(path) as fh:
         obj = json.load(
@@ -352,13 +368,15 @@ def load_scenario(path: str) -> Scenario:
         connections[name] = conn
     experiments: dict[str, dict] = {}
     for i, exp in enumerate(obj["experiments"]):
-        for name in _connection_names(exp):
-            if name not in connections:
-                raise InvalidInputError(f"unknown connection {name!r}")
-        label = exp.get("label", f"e{i:02d}_{exp['check']}")
+        check = exp.pop("check")
+        label = exp.pop("label", f"e{i:02d}_{check}")
+        args = {
+            key: _argument(value, _PARAM_SCHEMAS[key], connections)
+            for key, value in exp.items()
+        }
         if label in experiments:
             raise InvalidInputError(f"two experiments are labelled {label!r}")
-        experiments[label] = {**exp, "label": label}
+        experiments[label] = {"check": check, "label": label, "args": args}
     output = obj.get("output", {})
     return Scenario(
         dim=dim,
@@ -372,41 +390,6 @@ def load_scenario(path: str) -> Scenario:
 
 # ----------------------------------------------------------------------
 # experiment execution
-
-
-def _build_path(scn: Scenario, spec: dict) -> Callable[[float], Connection]:
-    named = scn.connections
-    if spec["kind"] == "linear":
-        return linear_path(named[spec["from"]], named[spec["to"]])
-    base = named[spec["connection"]]
-    w = int(spec["winding"])
-    return lambda t: gauge_path(base, w, t)
-
-
-def _resolve(
-    scn: Scenario, check: verify.Check, exp: dict, tol: float | None
-) -> dict:
-    """The parameters the experiment sets, with connection names and the
-    path replaced by the objects they name and numbers made ints or
-    floats by their schema; ``tol``, if given, replaces the tolerance of a
-    check that takes one."""
-    args = {}
-    for key in check.params:
-        if key not in exp:
-            continue
-        value, schema = exp[key], _PARAM_SCHEMAS[key]
-        if schema is _NAME:
-            value = scn.connections[value]
-        elif schema is _PATH_SCHEMA:
-            value = _build_path(scn, value)
-        elif schema.get("type") == "integer":
-            value = int(value)
-        elif schema.get("type") == "number":
-            value = float(value)
-        args[key] = value
-    if tol is not None and "tolerance" in check.params:
-        args["tolerance"] = tol
-    return args
 
 
 def run_scenario(
@@ -427,9 +410,12 @@ def run_scenario(
         if selected_checks and exp["check"] not in selected_checks:
             continue
         check = CHECKS[exp["check"]]
+        args = exp["args"]
+        if tol_override is not None and "tolerance" in check.params:
+            args = {**args, "tolerance": tol_override}
         entries += check.run(
             _Experiment(
-                args=_resolve(scn, check, exp, tol_override),
+                args=args,
                 label=exp["label"],
                 dim=scn.dim,
                 rank=scn.rank,
@@ -469,7 +455,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_SCENARIO
-    except InvalidInputError as exc:
+    except (InvalidInputError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
 

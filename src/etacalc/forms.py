@@ -46,7 +46,6 @@ route would only rebuild an operand:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -64,7 +63,7 @@ PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
 
 
 class InvalidInputError(ValueError):
-    """Outside input describes no valid form, subtorus, metric or connection
+    """Outside input describes no valid form, metric or connection
     (a bad shape, index or entry; a metric that is not Hermitian, positive
     or invertible).  Only input validation raises it, so it never stands
     for a failure inside the numerics."""
@@ -150,32 +149,6 @@ def _is_number_rows(rows) -> bool:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
         for row in rows
     )
-
-
-@dataclass(frozen=True)
-class SubTorus:
-    """A coordinate subtorus of T^dim: the directions in ``indices`` vary,
-    the remaining coordinates are pinned at the corresponding entries of
-    ``base`` (a full-length basepoint; integrated coordinates ignore it).
-
-    ``indices`` are 1-based and strictly increasing, matching dx labels.
-    """
-
-    dim: int
-    indices: tuple[int, ...]
-    base: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.base) != self.dim:
-            raise InvalidInputError("base must give all dim coordinates")
-        if any(not (1 <= i <= self.dim) for i in self.indices):
-            raise InvalidInputError("subtorus indices must lie in 1..dim")
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise InvalidInputError("subtorus indices must be strictly increasing")
-
-    @classmethod
-    def full(cls, dim: int) -> "SubTorus":
-        return cls(dim, tuple(range(1, dim + 1)), (0.0,) * dim)
 
 
 class TrigPolyForm:
@@ -457,37 +430,34 @@ class TrigPolyForm:
             out[I] = val if cur is None else cur + val
         return out
 
-    def integrate(self, region: SubTorus | None = None) -> np.ndarray:
-        """Integrate over a coordinate subtorus (default: the full torus).
+    def integrate(self, region: tuple[int, ...] | None = None) -> np.ndarray:
+        """Integrate over the coordinate subtorus through 0 whose directions
+        are the 1-based, increasing indices ``region`` (default: the full
+        torus).
 
-        The form is pulled back to the subtorus (coordinates outside
-        ``region.indices`` pinned at the basepoint) and its top-degree part
+        The form is pulled back to the subtorus (the other coordinates
+        pinned at 0, so a term's phase there is 1) and its top-degree part
         integrated with unit total volume.  Terms whose index set is a
         *proper* subset of the subtorus directions would pull back to a
         nonzero lower-degree form: that is a degree mismatch and raises
         ValueError.  Callers integrating an inhomogeneous form should select
-        ``degree_component(len(region.indices))`` first.
+        ``degree_component(len(region))`` first.
         """
         if region is None:
-            region = SubTorus.full(self.dim)
-        elif region.dim != self.dim:
-            raise ValueError("region lives on a different torus")
-        Jset = frozenset(region.indices)
+            region = tuple(range(1, self.dim + 1))
+        Jset = frozenset(region)
         total = np.zeros((self.rank, self.rank), dtype=np.complex128)
         for (k, I), mat in zip(self._keys, self._mats):
             if not set(I) <= Jset:
                 continue  # a dx outside the subtorus pulls back to zero
-            if len(I) != len(region.indices):
+            if len(I) != len(region):
                 raise ValueError(
                     "integrand has a lower-degree component on the subtorus; "
                     "take degree_component first"
                 )
-            if any(k[j - 1] != 0 for j in region.indices):
+            if any(k[j - 1] != 0 for j in region):
                 continue  # oscillatory in an integrated direction: mean zero
-            fixed_phase = sum(
-                k[j] * region.base[j] for j in range(self.dim) if (j + 1) not in Jset
-            )
-            total += np.exp(2j * math.pi * fixed_phase) * mat
+            total += mat
         return total
 
     # ------------------------------------------------------------------

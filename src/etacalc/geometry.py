@@ -29,13 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import combinations
 from math import comb, factorial
 from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .forms import EQ_TOL, PHI_SCALE, InvalidInputError, SubTorus, TrigPolyForm
+from .forms import EQ_TOL, PHI_SCALE, InvalidInputError, TrigPolyForm
 
 TWO_PI_I = 2j * math.pi
 
@@ -343,24 +344,21 @@ def gauge_transform(c: Connection, u: TrigPolyForm, u_inv: TrigPolyForm) -> Conn
     return Connection(a_new, g_new, g_inv_new)
 
 
-def subtorus_pairing(form: TrigPolyForm, region: SubTorus | None = None) -> complex:
-    """Integrate a scalar form over a coordinate subtorus (default: the full
-    torus), selecting the matching degree first.  The L-form of the flat
-    metrics in scope is the constant 1, so this is the pairing with it."""
+def subtorus_pairing(
+    form: TrigPolyForm, region: tuple[int, ...] | None = None
+) -> complex:
+    """Integrate a scalar form over the coordinate subtorus whose directions
+    are the 1-based indices ``region`` (default: the full torus), selecting
+    the matching degree first.  The L-form of the flat metrics in scope is
+    the constant 1, so this is the pairing with it."""
     if form.rank != 1:
         raise ValueError("pairing expects a scalar (rank-1) form; trace first")
-    if region is None:
-        region = SubTorus.full(form.dim)
-    deg = len(region.indices)
+    deg = form.dim if region is None else len(region)
     return complex(form.degree_component(deg).integrate(region)[0, 0])
 
 
-def odd_subtori(dim: int) -> tuple[SubTorus, ...]:
-    """All odd-dimensional coordinate subtori of T^dim (basepoint 0)."""
-    from itertools import combinations
-
-    out = []
-    for size in range(1, dim + 1, 2):
-        for idx in combinations(range(1, dim + 1), size):
-            out.append(SubTorus(dim, idx, (0.0,) * dim))
-    return tuple(out)
+def odd_subtori(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The direction tuples of all odd-dimensional coordinate subtori of
+    T^dim, by size and then in lexicographic order."""
+    axes = range(1, dim + 1)
+    return tuple(J for size in axes[::2] for J in combinations(axes, size))

@@ -106,6 +106,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError
 
 AXIS_TOL = 1e-9  # the one axis tolerance: ``on_axis`` and the ball pad
@@ -395,14 +396,11 @@ class OperatorTruncation:
 
 def _galerkin_hermitian(c: Connection) -> bool:
     """Whether c's Galerkin matrices are Hermitian: the fiber metric is
-    exactly the constant identity, one term, and omega vanishes to 1e-10.
-    On that metric omega is -(A^dagger + A), the same terms summed in the
-    other order, so A + A^dagger gives the same answer without the wedges
-    of ``omega_metric``."""
-    (k, _, g), *rest = c.g.terms()
-    if rest or any(k) or g.tolist() != np.eye(c.rank).tolist():
-        return False
-    return (c.a + c.a.dagger()).is_zero(1e-10)
+    exactly the constant identity, which ``Connection`` holds as the shared
+    ``TrigPolyForm.identity``, and omega vanishes to 1e-10.  On that metric
+    omega is -(A^dagger + A), formed with no wedge."""
+    identity = TrigPolyForm.identity(c.dim, c.rank)
+    return c.g is identity and c.omega_metric().is_zero(1e-10)
 
 
 def _symbol(c: Connection, reach: int) -> np.ndarray:
@@ -445,13 +443,11 @@ def ball_radius(c: Connection) -> float:
 
 def ball_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """The truncation of a constant c on its lattice points k with
-    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``, in ``product``
-    order, in the window K = max(1, ceil(R)); a K past ``cutoff`` raises
-    CutoffInstabilityError before any assembly, and a ``cutoff`` below 1
-    ValueError, as in ``build_truncation``.  The points are enumerated one
-    coordinate at a time with the radius left for the rest, so no cube is
-    built and each block is bitwise the cube's at K; the memory guard
-    counts the ball's stack where it is assembled.
+    |k| <= R + AXIS_TOL / 2 pi, R = ``ball_radius(c)``: the rows of the
+    cube of the window K = max(1, ceil(R)) inside that radius, in
+    ``product`` order, so each block is bitwise the cube's at K.  A K past
+    ``cutoff`` raises CutoffInstabilityError before any assembly, and a
+    ``cutoff`` below 1 ValueError, as in ``build_truncation``.
     M(k) = M_0(k) + V with M_0(k) = sum_j beta_j (x) 2 pi i k_j Hermitian,
     of eigenvalues +-2 pi |k|; by Bauer--Fike (1960) every eigenvalue of
     M_0(k) + t V, 0 <= t <= 1, has |Re| >= 2 pi |k| - t ||V||_2 > AXIS_TOL
@@ -467,26 +463,26 @@ def ball_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
         raise CutoffInstabilityError(
             f"a Bauer--Fike ball needs cutoff {window}, not {cutoff}"
         )
-    bound = radius + AXIS_TOL / (2 * math.pi)
-    ks = np.arange(-window, window + 1)
-    _require_lattice(c, window, len(ks) ** c.dim)
-    modes, used = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=int)
-    for _ in range(c.dim):  # the last pass is ``np.linalg.norm``'s test
-        rows, cols = np.nonzero(np.sqrt(used[:, None] + ks * ks) <= bound)
-        modes = np.column_stack([modes[rows], ks[cols]])
-        used = used[rows] + ks[cols] ** 2
-    return _truncation(c, window, modes)
+    modes = _cube(c, window)
+    # the squared norms are exact integers, so the test is the norm's
+    inside = np.sqrt(np.sum(modes * modes, axis=1)) <= radius + AXIS_TOL / (2 * math.pi)
+    return _truncation(c, window, modes[inside])
 
 
-def _require_lattice(c: Connection, cutoff: int, n_modes: int) -> None:
-    """Refuse, before they are allocated, a lattice of ``n_modes`` modes and
-    the symbol of the window ``cutoff`` beyond MEMORY_LIMIT together; for a
-    ball, the window's lattice stands for what its enumeration holds."""
+def _cube(c: Connection, cutoff: int) -> np.ndarray:
+    """The (n_modes, dim) lattice {k : |k_j| <= cutoff}, mode k at row i in
+    ``product`` order (the last axis varies fastest).  The lattice and the
+    symbol of its window are refused together beyond MEMORY_LIMIT, before
+    they are allocated."""
+    n_modes = (2 * cutoff + 1) ** c.dim
     per = len(clifford_model(c.dim).beta[0]) * c.rank
     _require_memory(
         n_modes * 8 * c.dim + 16 * c.dim * (2 * cutoff + 1) * per * per,
         f"the lattice and symbol of {n_modes} modes",
     )
+    modes = np.indices((2 * cutoff + 1,) * c.dim).reshape(c.dim, -1).T
+    modes -= cutoff
+    return modes
 
 
 def _truncation(c: Connection, cutoff: int, modes: np.ndarray) -> OperatorTruncation:
@@ -516,11 +512,7 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    _require_lattice(c, cutoff, (2 * cutoff + 1) ** c.dim)
-    # mode k at row i in ``product`` order: the last axis varies fastest
-    modes = np.indices((2 * cutoff + 1,) * c.dim).reshape(c.dim, -1).T
-    modes -= cutoff
-    return _truncation(c, cutoff, modes)
+    return _truncation(c, cutoff, _cube(c, cutoff))
 
 
 def spectrum(t: OperatorTruncation) -> np.ndarray:

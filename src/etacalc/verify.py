@@ -196,10 +196,6 @@ def assemble_report(
 # transgression vs. odd Chern forms
 
 
-def _region_tag(region) -> str:
-    return "".join(str(i) for i in region.indices)
-
-
 def check_cs_odd_chern_pairing(
     c: Connection,
     r_values: Sequence[float] = (0.5, 1.0, 2.0),
@@ -230,7 +226,7 @@ def check_cs_odd_chern_pairing(
     odd_pairings = [
         [
             subtorus_pairing(form, region)
-            for form in chern[: (len(region.indices) + 1) // 2]
+            for form in chern[: (len(region) + 1) // 2]
         ]
         for region in regions
     ]
@@ -250,7 +246,7 @@ def check_cs_odd_chern_pairing(
                 rhs -= (r / (2 * math.pi)) * a_coeff(j, r) / factorial(j) * pairing
             entries.append(
                 make_entry(
-                    f"{check_id}[r={r:g},J={_region_tag(region)}]",
+                    f"{check_id}[r={r:g},J={''.join(map(str, region))}]",
                     identity,
                     lhs,
                     rhs,

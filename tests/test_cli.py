@@ -724,6 +724,37 @@ def test_precondition_gates_exit_2(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--check", "spectrum"]], ids=["all", "check"])
+def test_linear_path_across_metrics_is_refused_before_anything_runs(
+    tmp_cwd, capsys, flags
+):
+    # the path is built where the scenario loads, so the experiment before
+    # it writes no CSV, and --check refuses it even when it skips the path
+    a = [0.3j * np.eye(2)]
+    connections = {
+        "main": Connection.from_constant(1, a),
+        "to": Connection.from_constant(1, a, g=TrigPolyForm.constant(1, 2 * np.eye(2))),
+    }
+    obj = {
+        "manifold": {"dim": 1},
+        "bundle": {"rank": 2},
+        "connections": {n: c.to_json_obj() for n, c in connections.items()},
+        "experiments": [
+            {"check": "spectrum", "connection": "main"},
+            {"check": "variation_complex",
+             "path": {"kind": "linear", "from": "main", "to": "to"}},
+        ],
+        "output": {"csv_dir": "out"},
+    }
+    assert main(["run", write_scenario(tmp_cwd, obj), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert (
+        "invalid scenario: the linear path between two connections requires "
+        "a common metric" in err
+    )
+    assert "written" not in out and not (tmp_cwd / "out").exists()
+
+
 _NO_SCIPY_STEPS = """
 import json, sys
 def scipy_loaded():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from etacalc.forms import EQ_TOL, InvalidInputError, SubTorus, TrigPolyForm
+from etacalc.forms import EQ_TOL, InvalidInputError, TrigPolyForm
 
 from helpers import (
     ReferenceForm,
@@ -74,17 +74,9 @@ def test_integrate_full_torus_picks_zero_mode():
     np.testing.assert_allclose(f.integrate(), [[3.0]])
 
 
-def test_integrate_subtorus_base_phase():
-    # e^{2 pi i x2} dx1 integrated over the x1-circle at x2 = 1/4 gives i.
-    f = TrigPolyForm.monomial(2, np.eye(1), k=(0, 1), I=(1,))
-    circle = SubTorus(2, (1,), (0.0, 0.25))
-    np.testing.assert_allclose(f.integrate(circle), [[1j]], atol=1e-15)
-
-
 def test_integrate_oscillatory_in_fiber_direction_is_zero():
     f = TrigPolyForm.monomial(2, np.eye(1), k=(2, 0), I=(1,))
-    circle = SubTorus(2, (1,), (0.0, 0.0))
-    np.testing.assert_allclose(f.integrate(circle), [[0.0]])
+    np.testing.assert_allclose(f.integrate((1,)), [[0.0]])
 
 
 def test_integrate_degree_mismatch_raises():
@@ -98,8 +90,7 @@ def test_integrate_skips_outside_directions():
     f = TrigPolyForm.monomial(2, np.eye(1), I=(2,)) + TrigPolyForm.monomial(
         2, 5.0 * np.eye(1), I=(1,)
     )
-    circle = SubTorus(2, (1,), (0.0, 0.0))
-    np.testing.assert_allclose(f.integrate(circle), [[5.0]])
+    np.testing.assert_allclose(f.integrate((1,)), [[5.0]])
 
 
 def test_evaluate_at_sums_phases():
@@ -125,6 +116,17 @@ def test_mat_trace_and_constant():
     t = f.mat_trace()
     assert t.rank == 1
     np.testing.assert_allclose(t.coefficient((0, 0), ()), [[4.0]])
+
+
+def test_mat_trace_drops_a_traceless_term():
+    # diag(1, -1) traces to an exact 0, whose row the result must not store
+    f = TrigPolyForm.monomial(2, np.diag([1.0, -1.0]), I=(1,)) + TrigPolyForm.monomial(
+        2, np.diag([2.0, 1.0]), k=(1, 0), I=(2,)
+    )
+    t = f.mat_trace()
+    assert t.num_terms() == 1
+    assert [(k, I) for k, I, _ in t.terms()] == [((1, 0), (2,))]
+    np.testing.assert_array_equal(t.coefficient((1, 0), (2,)), [[3.0]])
 
 
 def test_exp_nilpotent_degree_two_on_t3():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from etacalc import cli
 from etacalc.flow import gauge_path
-from etacalc.forms import InvalidInputError, SubTorus, TrigPolyForm
+from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import (
     Connection,
     PreconditionError,
@@ -459,8 +459,8 @@ def _on_unipotent_metric(seed: int) -> Connection:
 def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
     """Every way the program derives a connection from c (and from the
     linear path c -> other, as a scenario builds it)."""
-    scn = cli.Scenario(1, 2, {"c": c, "other": other}, (), None, None)
-    linear = cli._build_path(scn, {"kind": "linear", "from": "c", "to": "other"})
+    spec = {"kind": "linear", "from": "c", "to": "other"}
+    linear = cli._argument(spec, cli._PATH_SCHEMA, {"c": c, "other": other})
     out = {"hermitian_part": c.hermitian_part()}
     for t in (0.0, 0.5, 1.0):
         out[f"gauge_path(t={t})"] = gauge_path(c, 2, t)
@@ -642,4 +642,6 @@ def test_connection_json_round_trip():
 
 def test_odd_subtori_enumeration():
     subs = odd_subtori(3)
-    assert [s.indices for s in subs] == [(1,), (2,), (3,), (1, 2, 3)]
+    assert subs == ((1,), (2,), (3,), (1, 2, 3))
+    assert odd_subtori(1) == ((1,),)
+    assert [len(J) for J in odd_subtori(5)] == [1] * 5 + [3] * 10 + [5]

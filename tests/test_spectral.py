@@ -801,6 +801,9 @@ def _flag_case(name):
     if name == "antihermitian_on_scaled_metric":  # omega = 0, yet g = 2 I
         antiherm = [0.5 * (m - m.conj().T) for m in mats]
         return Connection.from_constant(3, antiherm, g=TrigPolyForm.constant(3, 2 * np.eye(2)))
+    if name == "antihermitian_on_given_identity":  # a fresh I, not the shared one
+        antiherm = [0.5 * (m - m.conj().T) for m in mats]
+        return Connection.from_constant(3, antiherm, g=TrigPolyForm.constant(3, np.eye(2)))
     # anti-Hermitian up to a Hermitian defect just inside or outside 1e-10
     eps = 0.5e-10 if name == "defect_inside_tol" else 2e-10
     return Connection.from_constant(3, [0.5 * (m - m.conj().T) + eps * np.eye(2) for m in mats])
@@ -817,6 +820,7 @@ _FLAG_CASES = {
     "gauged_complex_t3": False,
     "unitary_on_other_metric": False,
     "antihermitian_on_scaled_metric": False,
+    "antihermitian_on_given_identity": True,
     "defect_inside_tol": True,
     "defect_outside_tol": False,
 }
@@ -826,8 +830,6 @@ _FLAG_CASES = {
 def test_hermitian_flag_is_omega_zero_on_the_identity_metric(name):
     c = _flag_case(name)
     flag = spectral._galerkin_hermitian(c)
-    # the flag forms no omega: that takes three wedges and a dagger
-    assert "_omega" not in vars(c)
     identity = c.g.num_terms() == 1 and np.array_equal(
         c.g.coefficient((0,) * c.dim, ()), np.eye(c.rank)
     )
@@ -1128,8 +1130,8 @@ def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
 def test_t5_ball_past_the_cube_guard_builds_its_stack(monkeypatch):
     # a curved rank-3 T^5 input at R = 5.06: its cube at K = 6 holds
     # 371293 modes, whose stack the default guard refuses, but its padded
-    # ball holds 16875, enumerated without a cube and assembled under the
-    # same guard (not solved here), each block the per-mode kron oracle
+    # ball holds 16875, assembled under the same guard (not solved here),
+    # each block the per-mode kron oracle
     c = curved_constant_connection(np.random.default_rng(5), 5, 3, 12.5)
     radius = ball_radius(c)
     assert 5.05 < radius < 5.06 and spectral.MEMORY_LIMIT == 512 * 1024**2
