@@ -13,8 +13,9 @@ with a distinct code per failure class:
   number that is not a finite float, unknown connection name, shape
   mismatch, repeated experiment label or one that is not a file name, a
   connection or metric that is not valid) or asks a check for something
-  outside its domain (:class:`~etacalc.geometry.PreconditionError`);
-  nothing else maps here
+  outside its domain (:class:`~etacalc.geometry.PreconditionError`; a
+  linear path across metrics and a gauge path off the circle are refused
+  as the scenario loads, before anything runs); nothing else maps here
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
   memory guard, spectral flow needing a window past the cutoff: a
   Bauer--Fike ball past it, or K and K + 1 differ)
@@ -28,17 +29,20 @@ holds the schema version only (``scripts/run_verification.py`` seeds
 the randomized suite).
 An identity check's defaults (tolerances, cutoffs, samples) are those of
 its check function, since runners forward only the parameters an
-experiment sets.  This module holds the JSON side: one
-schema per experiment key, from which the scenario schema, one experiment
-schema per check and the ``--check`` choices are generated, and the
-reading of each experiment key into what its check takes (a connection, a
-path t -> connection, an int or a float), done once where the scenario
-loads.  Each experiment is validated against its own check's schema only.  Matrix entries and term keys are
-checked where they become a form (``TrigPolyForm.from_json_obj``), not by
-the schema.  A label names the experiment's CSV file in
-``csv_dir``, so it must be one file name.  Experiments are independent of
-each other; they are executed in file order but the report is assembled
-sorted by check id, so the output does not depend on execution order.
+experiment sets.  This module holds the JSON side: one schema per
+experiment key, from which the scenario schema, one experiment schema per
+check and the ``--check`` choices are generated, and the reading of each
+experiment key into what its check takes (a connection, a path
+t -> connection, an int or a float), done once where the scenario loads
+into the (check name, experiment) pairs that ``standard_suite`` runs too;
+a run only filters them, applies ``--tol`` and attaches the CSV sink.
+Each experiment is validated against its own check's schema only.  Matrix
+entries and term keys are checked where they become a form
+(``TrigPolyForm.from_json_obj``), not by the schema.  A label names the
+experiment's CSV file in ``csv_dir``, so it must be one file name.
+Experiments are independent of each other; they are executed in file order
+but the report is assembled sorted by check id, so the output does not
+depend on execution order.
 A report file is byte-identical across runs of the same scenario.
 """
 
@@ -50,7 +54,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 
@@ -138,10 +142,7 @@ _PATH_SCHEMA = {
 
 @dataclass(frozen=True)
 class Scenario:
-    dim: int
-    rank: int
-    connections: dict[str, Connection]
-    experiments: tuple[dict, ...]
+    experiments: tuple[tuple[str, _Experiment], ...]
     report_path: str | None
     csv_dir: str | None
 
@@ -167,7 +168,8 @@ class _CsvSink:
 
 @dataclass(frozen=True)
 class _Experiment(verify.Experiment):
-    """An experiment of a scenario: also where its artifacts go."""
+    """An experiment of a scenario: also where its artifacts go, attached
+    when it runs."""
 
     sink: _CsvSink | None = None
 
@@ -307,8 +309,8 @@ def _argument(value, schema: dict, named: dict[str, Connection]):
     """An experiment key's value as its check takes it: a connection name
     becomes the connection (an unknown name is refused), a path becomes
     t -> connection (a linear one between connections on different metrics
-    raises PreconditionError), and a number an int or a float by its
-    schema."""
+    and a gauge one off the circle raise PreconditionError), and a number an
+    int or a float by its schema."""
     if schema is _NAME:
         if value not in named:
             raise InvalidInputError(f"unknown connection {value!r}")
@@ -317,9 +319,7 @@ def _argument(value, schema: dict, named: dict[str, Connection]):
         if value["kind"] == "linear":
             ends = [_argument(value[k], _NAME, named) for k in ("from", "to")]
             return linear_path(*ends)
-        base = _argument(value["connection"], _NAME, named)
-        w = int(value["winding"])
-        return lambda t: gauge_path(base, w, t)
+        return gauge_path(_argument(value["connection"], _NAME, named), value["winding"])
     if schema.get("type") == "integer":
         return int(value)
     if schema.get("type") == "number":
@@ -334,11 +334,14 @@ def load_scenario(path: str) -> Scenario:
     validated against its own check's schema, so an error in the scenario's
     layout is reported before any experiment's.  Each experiment key is then
     read as its check takes it (``_argument``): a connection name must name
-    one of the scenario's connections, and a linear path's endpoints must
-    share a metric, so such input is refused before any experiment runs or
-    writes an artifact.  Each experiment is a dict of its ``check``, its
-    ``label``, explicit or ``e{index:02d}_{check}``, and its ``args``;
-    labels name entries and artifacts, so they must be distinct."""
+    one of the scenario's connections, a linear path's endpoints must share
+    a metric and a gauge path must lie on the circle (a T^d scenario's is
+    refused), so such input is refused before any experiment runs or writes
+    an artifact, also under ``--check``.  Each experiment is loaded as the
+    (check name, experiment) pair that ``verify.standard_suite`` runs too:
+    its args, its label, explicit or ``e{index:02d}_{check}``, and the
+    scenario's dim and rank; labels name entries and artifacts, so they
+    must be distinct."""
     with open(path) as fh:
         obj = json.load(
             fh,
@@ -366,7 +369,7 @@ def load_scenario(path: str) -> Scenario:
                 f"scenario declares dim={dim} rank={rank}"
             )
         connections[name] = conn
-    experiments: dict[str, dict] = {}
+    experiments: dict[str, tuple[str, _Experiment]] = {}
     for i, exp in enumerate(obj["experiments"]):
         check = exp.pop("check")
         label = exp.pop("label", f"e{i:02d}_{check}")
@@ -376,12 +379,9 @@ def load_scenario(path: str) -> Scenario:
         }
         if label in experiments:
             raise InvalidInputError(f"two experiments are labelled {label!r}")
-        experiments[label] = {"check": check, "label": label, "args": args}
+        experiments[label] = (check, _Experiment(args, label, dim, rank))
     output = obj.get("output", {})
     return Scenario(
-        dim=dim,
-        rank=rank,
-        connections=connections,
         experiments=tuple(experiments.values()),
         report_path=output.get("report"),
         csv_dir=output.get("csv_dir"),
@@ -398,30 +398,25 @@ def run_scenario(
     tol_override: float | None = None,
     emit_csv: bool = False,
 ) -> tuple[verify.VerificationReport, _CsvSink]:
-    """Execute the scenario's experiments and assemble the report.
+    """Run the scenario's loaded experiments and assemble the report.
 
     ``selected_checks`` filters experiments by check name; ``tol_override``
-    replaces the tolerance of every check that takes one; CSV artifacts are
-    written when the flag or the scenario requests them.
+    replaces the tolerance of every check that takes one; each experiment
+    runs with the CSV sink attached, which writes artifacts when the flag
+    or the scenario requests them.  Input errors were refused at load, so
+    what this raises is a check's own: InvalidInputError, PreconditionError
+    or GuardError.
     """
     sink = _CsvSink(scn.csv_dir, enabled=emit_csv or scn.csv_dir is not None)
     entries: list[verify.CheckEntry] = []
-    for exp in scn.experiments:
-        if selected_checks and exp["check"] not in selected_checks:
+    for name, x in scn.experiments:
+        if selected_checks and name not in selected_checks:
             continue
-        check = CHECKS[exp["check"]]
-        args = exp["args"]
+        check = CHECKS[name]
+        args = x.args
         if tol_override is not None and "tolerance" in check.params:
             args = {**args, "tolerance": tol_override}
-        entries += check.run(
-            _Experiment(
-                args=args,
-                label=exp["label"],
-                dim=scn.dim,
-                rank=scn.rank,
-                sink=sink,
-            )
-        )
+        entries += check.run(replace(x, args=args, sink=sink))
     return verify.assemble_report(entries), sink
 
 
@@ -442,6 +437,12 @@ def write_report(report: verify.VerificationReport, path: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scn = load_scenario(args.scenario)
+        report, sink = run_scenario(
+            scn,
+            selected_checks=args.check,
+            tol_override=args.tol,
+            emit_csv=args.emit_csv,
+        )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
@@ -458,17 +459,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-
-    try:
-        report, sink = run_scenario(
-            scn,
-            selected_checks=args.check,
-            tol_override=args.tol,
-            emit_csv=args.emit_csv,
-        )
-    except (InvalidInputError, PreconditionError) as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
     except GuardError as exc:
         print(f"error: numerical guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -480,7 +470,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"report written to {scn.report_path}")
     for path in sink.written:
         print(f"csv written to {path}")
-    if args.check and not any(x["check"] in args.check for x in scn.experiments):
+    if args.check and not any(name in args.check for name, _ in scn.experiments):
         print("note: no experiments matched the --check filter")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 

@@ -12,10 +12,11 @@ the spectral flow's rule, says which values are on the imaginary axis and
 which are zero modes.  An exact route on T^d (ROADMAP item 1) goes behind
 the same function.
 
-Higher tori are handled only through symmetry (identically vanishing sums)
-or through variation formulas anchored at circle endpoints; the one direct
-numerical route offered here is a heat-kernel-smoothed estimate for
-Hermitian truncations.
+Higher tori get no twisted eta here: on T^d the checks read a spectrum
+only through its Bauer--Fike ball count (the untwisted census, spectral
+flow) and otherwise give form-level sides (pairings, Chern forms).  The
+one direct numerical route offered here is a heat-kernel-smoothed
+estimate for Hermitian truncations.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Spectral flow between two connections on one bundle over T^d, and the
-gauge paths on the circle.
+gauge paths on the circle: each the linear segment from a connection to
+its gauge transform.
 
 For a path of finite matrices with axis-free endpoints the spectral flow
 is a net change of inertia, half that of ``spectral.sign_count``, so only
@@ -16,10 +17,12 @@ the winding-w gauge path (each tower's floor(Re mu) rises by w).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .forms import TrigPolyForm
-from .geometry import Connection, PreconditionError, _gauge_form
+from .geometry import Connection, PreconditionError, _gauge_form, linear_path
 from .spectral import (AXIS_TOL, CutoffInstabilityError, OperatorTruncation,
                        ball_truncation, build_truncation, sign_count)
 
@@ -68,12 +71,13 @@ def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
     return sf
 
 
-def gauge_path(c: Connection, w: int, t: float) -> Connection:
-    """Connection at time t, on c's metric, on the straight line from A to
-    its gauge transform by u = diag(e^{2 pi i w x}, 1, ..., 1) on the circle:
-    A_t = (1-t) A + t (u^{-1} A u + u^{-1} du).  Endpoints are
-    gauge-equivalent, so the path pumps exactly w eigenvalue towers across
-    the axis (sf = +w for diagonal A)."""
+def gauge_path(c: Connection, w: int) -> Callable[[float], Connection]:
+    """The straight line, on c's metric, from A to its gauge transform by
+    u = diag(e^{2 pi i w x}, 1, ..., 1) on the circle:
+    t -> (1-t) A + t (u^{-1} A u + u^{-1} du), a ``linear_path`` whose
+    gauged endpoint is built once per path.  Endpoints are gauge-equivalent,
+    so the path pumps exactly w eigenvalue towers across the axis (sf = +w
+    for diagonal A).  On T^d, d > 1, PreconditionError."""
     if c.dim != 1:
         raise PreconditionError("gauge paths are defined on the circle")
     w = int(w)
@@ -86,5 +90,4 @@ def gauge_path(c: Connection, w: int, t: float) -> Connection:
     u_inv = TrigPolyForm.constant(1, rest) + TrigPolyForm.monomial(
         1, e11, k=(-w,)
     )
-    return c.with_form(c.a * (1.0 - t) + _gauge_form(c.a, u, u_inv) * t)
-
+    return linear_path(c, c.with_form(_gauge_form(c.a, u, u_inv)))

@@ -358,7 +358,8 @@ def check_gauge_pumping(
     CutoffInstabilityError.  The entry id is ``check_id[w=..]``.
     """
     w = int(w)
-    sf = spectral_flow(gauge_path(c, w, 0.0), gauge_path(c, w, 1.0), cutoff)
+    path = gauge_path(c, w)
+    sf = spectral_flow(path(0.0), path(1.0), cutoff)
     return make_entry(
         f"{check_id}[w={w}]",
         "spectral flow of the winding-w gauge interpolation equals w",
@@ -715,7 +716,7 @@ def _suite_experiments(rng: np.random.Generator) -> list[tuple[str, Experiment]]
         ("variation_complex", "[crossing]",
          {"path": lambda t: _diagonal([0.25 + t])}),
         ("variation_complex", "[gauge-w2]",
-         {"path": lambda t: gauge_path(gauge_base, 2, t)}),
+         {"path": gauge_path(gauge_base, 2)}),
         ("variation_complex", "[random]", {"path": banded}),
         ("gauge_pumping", "", {"connection": gauge_base, "winding": 2}),
         # real/imaginary split on the circle

@@ -295,7 +295,7 @@ def test_acceptance_spectral_flow():
     guard_ok = True
     for refused in (
         lambda: check_gauge_pumping(edge, 9, cutoff=8),
-        lambda: spectral_flow(edge, gauge_path(edge, 9, 1.0), 8),
+        lambda: spectral_flow(edge, gauge_path(edge, 9)(1.0), 8),
     ):
         try:
             refused()

@@ -414,10 +414,15 @@ def test_repeated_experiment_label_rejected(tmp_cwd, capsys, experiments):
 
 
 def test_every_experiment_gets_its_label_on_loading(tmp_cwd):
+    # loaded as the (check name, experiment) pairs the suite runs, each
+    # with its label and the scenario's dim and rank
     obj = load_bundled("t3_spectrum.json")
     scn = load_scenario(write_scenario(tmp_cwd, obj))
-    assert [x["label"] for x in scn.experiments] == [
-        "e00_spectrum", "pairing", "e02_bk_phase"
+    assert all(isinstance(x, verify.Experiment) for _, x in scn.experiments)
+    assert [(name, x.label, x.dim, x.rank) for name, x in scn.experiments] == [
+        ("spectrum", "e00_spectrum", 3, 1),
+        ("cs_odd_chern_pairing", "pairing", 3, 1),
+        ("bk_phase", "e02_bk_phase", 3, 1),
     ]
 
 
@@ -752,6 +757,25 @@ def test_linear_path_across_metrics_is_refused_before_anything_runs(
         "invalid scenario: the linear path between two connections requires "
         "a common metric" in err
     )
+    assert "written" not in out and not (tmp_cwd / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--check", "spectrum"]], ids=["all", "check"])
+def test_gauge_path_off_the_circle_is_refused_before_anything_runs(
+    tmp_cwd, capsys, flags
+):
+    # a gauge path is built where the scenario loads, so on T^3 the
+    # spectrum experiment before it writes no CSV, under --check too
+    obj = load_bundled("t3_spectrum.json")
+    obj["experiments"] = [
+        {"check": "spectrum", "connection": "main"},
+        {"check": "variation_complex",
+         "path": {"kind": "gauge", "connection": "main", "winding": 1}},
+    ]
+    obj["output"] = {"csv_dir": "out"}
+    assert main(["run", write_scenario(tmp_cwd, obj), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert "invalid scenario: gauge paths are defined on the circle" in err
     assert "written" not in out and not (tmp_cwd / "out").exists()
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from etacalc import flow, spectral, verify
 from etacalc.flow import CutoffInstabilityError, gauge_path, spectral_flow
-from etacalc.geometry import Connection, PreconditionError
+from etacalc.forms import TrigPolyForm
+from etacalc.geometry import Connection, PreconditionError, _gauge_form
 from etacalc.spectral import (
     AXIS_TOL,
     ball_radius,
@@ -20,7 +21,11 @@ from etacalc.spectral import (
     sign_count,
 )
 
-from helpers import curved_constant_connection, diagonal_connection_from_mus
+from helpers import (
+    curved_constant_connection,
+    diagonal_connection_from_mus,
+    same_stored_terms,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -74,40 +79,71 @@ def test_endpoint_sizes_must_agree():
 
 def test_gauge_path_endpoints_are_gauge_related():
     c = diagonal_connection_from_mus([0.3])
-    assert gauge_path(c, 2, 0.0).a.allclose(c.a)
-    end = gauge_path(c, 2, 1.0)
+    assert gauge_path(c, 2)(0.0).a.allclose(c.a)
+    end = gauge_path(c, 2)(1.0)
     assert end.is_flat()
     (a1,) = np.linalg.eigvals(end.a.coefficient((0,), (1,)))
     assert a1 / (2j * math.pi) == pytest.approx(0.3 + 2, abs=1e-12)
     # w = 0 gives the constant path
-    assert gauge_path(c, 0, 0.7).a.allclose(c.a)
+    assert gauge_path(c, 0)(0.7).a.allclose(c.a)
 
 
 def test_gauge_path_rejects_higher_tori():
     c3 = Connection.from_constant(3, [np.zeros((1, 1))] * 3)
     with pytest.raises(PreconditionError):
-        gauge_path(c3, 1, 0.5)
+        gauge_path(c3, 1)
+
+
+@pytest.mark.parametrize("w", [-1, 2])
+def test_gauge_path_points_are_the_pointwise_formula(w):
+    # the segment to the gauged endpoint gives each point's stored terms
+    # exactly as (1 - t) A + t (u^-1 A u + u^-1 du) does
+    c = diagonal_connection_from_mus([0.3 + 0.1j, 0.6])
+    e11, rest = np.diag([1.0 + 0j, 0.0]), np.diag([0j, 1.0])
+    u, u_inv = (
+        TrigPolyForm.constant(1, rest) + TrigPolyForm.monomial(1, e11, k=(s * w,))
+        for s in (1, -1)
+    )
+    gauged = _gauge_form(c.a, u, u_inv)
+    path = gauge_path(c, w)
+    for t in (0.0, 0.3, 1.0):
+        assert same_stored_terms(path(t).a, c.a * (1 - t) + gauged * t), t
+
+
+def test_gauge_path_transforms_once_per_path(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _gauge_form(*args)
+
+    monkeypatch.setattr(flow, "_gauge_form", counted)
+    c = diagonal_connection_from_mus([0.3, 0.55 - 0.1j])
+    assert verify.check_psi_constancy(gauge_path(c, 1), n_samples=9).passed
+    assert len(calls) == 1
 
 
 def test_gauge_winding_pumps_flow_with_linear_tracks():
     c = diagonal_connection_from_mus([0.3])
-    assert spectral_flow(gauge_path(c, 2, 0.0), gauge_path(c, 2, 1.0), 10) == 2
+    path = gauge_path(c, 2)
+    assert spectral_flow(path(0.0), path(1.0), 10) == 2
     # every tower moves affinely in t, 2 pi (n + mu + w t): on a diagonal
     # connection the path is the constant one with mu shifted by w t
     for t in (0.0, 0.25, 0.5, 0.8, 1.0):
-        assert gauge_path(c, 2, t).a.allclose(
+        assert path(t).a.allclose(
             diagonal_connection_from_mus([0.3 + 2 * t]).a, 1e-12
         )
-    c2 = diagonal_connection_from_mus([0.3, 0.6 - 0.2j])
+    path = gauge_path(diagonal_connection_from_mus([0.3, 0.6 - 0.2j]), -1)
     for t in (0.1, 0.5, 0.9):
-        assert gauge_path(c2, -1, t).a.allclose(
+        assert path(t).a.allclose(
             diagonal_connection_from_mus([0.3 - t, 0.6 - 0.2j]).a, 1e-12
         )
 
 
 def test_gauge_winding_negative():
     c = diagonal_connection_from_mus([0.3])
-    assert spectral_flow(gauge_path(c, -3, 0.0), gauge_path(c, -3, 1.0), 8) == -3
+    path = gauge_path(c, -3)
+    assert spectral_flow(path(0.0), path(1.0), 8) == -3
 
 
 def test_gauge_path_dense_nonnormal_triangular():
@@ -117,16 +153,18 @@ def test_gauge_path_dense_nonnormal_triangular():
     a = np.array([[2j * math.pi * 0.3, 0.1],
                   [0.0, 2j * math.pi * (0.62 + 0.1j)]])
     c = Connection.from_constant(1, [a])
-    end = gauge_path(c, 1, 1.0)
+    path = gauge_path(c, 1)
+    end = path(1.0)
     assert not end.is_constant()
-    assert spectral_flow(gauge_path(c, 1, 0.0), end, 6) == 1
+    assert spectral_flow(path(0.0), end, 6) == 1
 
 
 def test_gauge_path_self_adjoint_avoided_crossing():
     a = np.array([[2j * math.pi * 0.3, 0.1],
                   [-0.1, 2j * math.pi * 0.55]])
     c = Connection.from_constant(1, [a])
-    assert spectral_flow(gauge_path(c, 1, 0.0), gauge_path(c, 1, 1.0), 6) == 1
+    path = gauge_path(c, 1)
+    assert spectral_flow(path(0.0), path(1.0), 6) == 1
 
 
 def test_classical_two_by_two_crossing_family():
@@ -155,7 +193,8 @@ def test_flow_stable_under_cutoff_growth():
     c = Connection.from_constant(
         1, [np.array([[TWO_PI_I * 0.3, 0.1], [0.0, TWO_PI_I * 0.6]])]
     )
-    c0, c1 = gauge_path(c, 1, 0.0), gauge_path(c, 1, 1.0)
+    path = gauge_path(c, 1)
+    c0, c1 = path(0.0), path(1.0)
     assert not c1.is_constant()
     assert [_cube_flow(c0, c1, n) for n in (6, 9, 12)] == [1, 1, 1]
 
@@ -172,10 +211,10 @@ def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
     cubes = [(8, 17), (8, 17), (9, 19), (9, 19)]  # (cutoff, modes)
     cases = [  # (start, end, the modes of each ball or the cubes solved, sf)
         (mus([0.25, 0.6 - 0.1j]), mus([1.25, 0.7 + 0.2j]), [[0], [-1, 0, 1]], 1),
-        (d, gauge_path(d, 2, 1.0), [[0], [-2, -1, 0, 1, 2]], 2),
-        (c, gauge_path(c, 1, 1.0), cubes, 1),
-        (gauge_path(c, 1, 1.0), gauge_path(c, 2, 1.0), cubes, 1),
-        (gauge_path(c, -1, 1.0), gauge_path(c, 1, 1.0), cubes, 2),
+        (d, gauge_path(d, 2)(1.0), [[0], [-2, -1, 0, 1, 2]], 2),
+        (c, gauge_path(c, 1)(1.0), cubes, 1),
+        (gauge_path(c, 1)(1.0), gauge_path(c, 2)(1.0), cubes, 1),
+        (gauge_path(c, -1)(1.0), gauge_path(c, 1)(1.0), cubes, 2),
     ]
     solved, radii = [], []
 
@@ -236,7 +275,7 @@ def test_cutoff_below_one_is_an_invalid_argument_on_every_route():
     # the endpoints are constant (balls) or coupled (cubes)
     a = np.array([[TWO_PI_I * 0.3, 0.1], [0.0, TWO_PI_I * 0.6]])
     constant = Connection.from_constant(1, [a])
-    coupled = gauge_path(constant, 1, 0.5)
+    coupled = gauge_path(constant, 1)(0.5)
     assert not coupled.is_constant()
     calls = [
         lambda: ball_truncation(constant, 0),

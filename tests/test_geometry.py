@@ -1,6 +1,7 @@
 """Connection-level oracles: curvature patterns, metric-compatibility,
 Chern--Simons calibrations, deformation-coefficient closed forms."""
 
+import json
 import math
 import pathlib
 from fractions import Fraction
@@ -461,9 +462,10 @@ def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
     linear path c -> other, as a scenario builds it)."""
     spec = {"kind": "linear", "from": "c", "to": "other"}
     linear = cli._argument(spec, cli._PATH_SCHEMA, {"c": c, "other": other})
+    gauge = gauge_path(c, 2)
     out = {"hermitian_part": c.hermitian_part()}
     for t in (0.0, 0.5, 1.0):
-        out[f"gauge_path(t={t})"] = gauge_path(c, 2, t)
+        out[f"gauge_path(t={t})"] = gauge(t)
         out[f"linear(t={t})"] = linear(t)
     return out
 
@@ -535,9 +537,11 @@ def test_omega_on_the_shared_identity_is_the_general_route(name):
 
 def test_identity_metric_read_from_json_is_the_shared_identity():
     scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    # every connection of every bundled scenario, read as the loader reads it
     loaded = [
-        c for path in sorted(scenarios.glob("*.json"))
-        for c in cli.load_scenario(str(path)).connections.values()
+        Connection.from_json_obj(spec)
+        for path in sorted(scenarios.glob("*.json"))
+        for spec in json.loads(path.read_text())["connections"].values()
     ]
     assert loaded
     for c in loaded + [

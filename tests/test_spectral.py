@@ -786,7 +786,7 @@ def _flag_case(name):
         return diagonal_connection_from_mus([0.3 + 0.1j, 0.55])
     if name in ("gauge_path_unitary_s1", "gauge_path_nonunitary_s1"):
         mu = 0.3 if name == "gauge_path_unitary_s1" else 0.3 + 0.1j
-        return gauge_path(diagonal_connection_from_mus([mu, 0.6]), 2, 0.4)
+        return gauge_path(diagonal_connection_from_mus([mu, 0.6]), 2)(0.4)
     if name == "curved_unitary_t3":  # non-commuting anti-Hermitian A_j
         return Connection.from_constant(3, [0.5 * (m - m.conj().T) for m in mats])
     if name == "curved_nonunitary_t3":
@@ -1127,7 +1127,7 @@ def test_ball_of_a_noncommuting_input_keeps_the_stack_solve(dim, rank):
     assert solved.tobytes() == np.linalg.eigvalsh(t.stack).tobytes()
 
 
-def test_t5_ball_past_the_cube_guard_builds_its_stack(monkeypatch):
+def test_t5_ball_past_the_cube_stack_guard_assembles_its_own_stack(monkeypatch):
     # a curved rank-3 T^5 input at R = 5.06: its cube at K = 6 holds
     # 371293 modes, whose stack the default guard refuses, but its padded
     # ball holds 16875, assembled under the same guard (not solved here),
@@ -1136,10 +1136,10 @@ def test_t5_ball_past_the_cube_guard_builds_its_stack(monkeypatch):
     radius = ball_radius(c)
     assert 5.05 < radius < 5.06 and spectral.MEMORY_LIMIT == 512 * 1024**2
 
-    def no_cube(*args):
-        raise AssertionError("a ball builds no cube")
+    def no_cube_truncation(*args):
+        raise AssertionError("a ball builds no cube truncation")
 
-    monkeypatch.setattr(spectral, "build_truncation", no_cube)
+    monkeypatch.setattr(spectral, "build_truncation", no_cube_truncation)
     t = spectral.ball_truncation(c, 6)
     monkeypatch.undo()
     grid = np.indices((13,) * 5).reshape(5, -1).T - 6
@@ -1183,7 +1183,7 @@ def test_flat_constant_balls_count_zero(dim, rank):
 
 def test_ball_needs_a_constant_connection():
     a = np.array([[TWO_PI * 0.3j, 0.1], [0.0, TWO_PI * 0.6j]])
-    coupled = gauge_path(Connection.from_constant(1, [a]), 1, 1.0)
+    coupled = gauge_path(Connection.from_constant(1, [a]), 1)(1.0)
     with pytest.raises(PreconditionError, match="constant connection"):
         spectral.ball_truncation(coupled, 8)
     zero = spectral.ball_truncation(Connection.from_constant(3, [np.zeros((1, 1))] * 3), 1)

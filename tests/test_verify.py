@@ -293,7 +293,7 @@ def test_variation_complex_gauge_path_triple_balance():
     from etacalc.flow import gauge_path
 
     c = diagonal_connection_from_mus([0.3 + 0.07j, 0.55 - 0.1j])
-    e = check_variation_complex(lambda t: gauge_path(c, 2, t))
+    e = check_variation_complex(gauge_path(c, 2))
     assert e.passed and e.residual < 1e-10
     # eta difference vanishes; sf = +2 cancels the transgression -2
     assert e.lhs == pytest.approx(0.0, abs=1e-12)
