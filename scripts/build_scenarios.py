@@ -172,7 +172,7 @@ def gauged_connection(mu_rows, v) -> dict:
     u_inv = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(-1, 0, 0))
     mats = [np.diag([TWO_PI_I * m for m in row]) for row in mu_rows]
     diag = Connection.from_constant(3, mats)
-    return Connection(gauge_transform(diag, u, u_inv).a).to_json_obj()
+    return gauge_transform(diag, u, u_inv).to_json_obj()
 
 
 def t3_gauged_spectrum() -> dict:

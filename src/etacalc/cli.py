@@ -12,10 +12,11 @@ with a distinct code per failure class:
   validation refuses with :class:`~etacalc.forms.InvalidInputError`: a
   number that is not a finite float, unknown connection name, shape
   mismatch, repeated experiment label or one that is not a file name, a
-  connection or metric that is not valid) or asks a check for something
-  outside its domain (:class:`~etacalc.geometry.PreconditionError`; a
-  linear path across metrics and a gauge path off the circle are refused
-  as the scenario loads, before anything runs); nothing else maps here
+  connection that is not valid or a fiber metric ``g`` other than I) or
+  asks a check for something outside its domain
+  (:class:`~etacalc.geometry.PreconditionError`; a gauge path off the
+  circle is refused as the scenario loads, before anything runs); nothing
+  else maps here
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
   memory guard, spectral flow needing a window past the cutoff: a
   Bauer--Fike ball past it, or K and K + 1 differ)
@@ -308,9 +309,8 @@ def _finite(text: str) -> str:
 def _argument(value, schema: dict, named: dict[str, Connection]):
     """An experiment key's value as its check takes it: a connection name
     becomes the connection (an unknown name is refused), a path becomes
-    t -> connection (a linear one between connections on different metrics
-    and a gauge one off the circle raise PreconditionError), and a number an
-    int or a float by its schema."""
+    t -> connection (a gauge one off the circle raises PreconditionError),
+    and a number an int or a float by its schema."""
     if schema is _NAME:
         if value not in named:
             raise InvalidInputError(f"unknown connection {value!r}")
@@ -332,16 +332,16 @@ def load_scenario(path: str) -> Scenario:
     json.JSONDecodeError, InvalidInputError and PreconditionError all mean
     exit code 2.  Once the scenario passes its schema, each experiment is
     validated against its own check's schema, so an error in the scenario's
-    layout is reported before any experiment's.  Each experiment key is then
-    read as its check takes it (``_argument``): a connection name must name
-    one of the scenario's connections, a linear path's endpoints must share
-    a metric and a gauge path must lie on the circle (a T^d scenario's is
-    refused), so such input is refused before any experiment runs or writes
-    an artifact, also under ``--check``.  Each experiment is loaded as the
-    (check name, experiment) pair that ``verify.standard_suite`` runs too:
-    its args, its label, explicit or ``e{index:02d}_{check}``, and the
-    scenario's dim and rank; labels name entries and artifacts, so they
-    must be distinct."""
+    layout is reported before any experiment's.  A connection whose ``g``
+    is not exactly I is refused.  Each experiment key is then read as its
+    check takes it (``_argument``): a connection name must name one of the
+    scenario's connections and a gauge path must lie on the circle (a T^d
+    scenario's is refused), so such input is refused before any experiment
+    runs or writes an artifact, also under ``--check``.  Each experiment is
+    loaded as the (check name, experiment) pair that
+    ``verify.standard_suite`` runs too: its args, its label, explicit or
+    ``e{index:02d}_{check}``, and the scenario's dim and rank; labels name
+    entries and artifacts, so they must be distinct."""
     with open(path) as fh:
         obj = json.load(
             fh,

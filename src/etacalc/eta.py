@@ -114,9 +114,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     multiplied by ``copies``.
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses, with ``PreconditionError``, truncations that are
-    not ``hermitian`` (a connection unitary on the identity metric), and
-    coupled ones, whose eigenvalues near the window's edge are not those of
-    the operator.
+    not ``hermitian`` (a unitary connection), and coupled ones, whose
+    eigenvalues near the window's edge are not those of the operator.
     """
     from scipy.special import erfc  # only the heat route needs it
 
@@ -127,7 +126,7 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     if not t.hermitian:
         raise PreconditionError(
             "heat-smoothed eta requires a Hermitian truncation "
-            "(a unitary connection on the identity metric)"
+            "(a unitary connection)"
         )
     lam = t._spectrum.real
     lam = lam[~on_axis(lam)[0]]

@@ -72,7 +72,7 @@ def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
 
 
 def gauge_path(c: Connection, w: int) -> Callable[[float], Connection]:
-    """The straight line, on c's metric, from A to its gauge transform by
+    """The straight line from A to its gauge transform by
     u = diag(e^{2 pi i w x}, 1, ..., 1) on the circle:
     t -> (1-t) A + t (u^{-1} A u + u^{-1} du), a ``linear_path`` whose
     gauged endpoint is built once per path.  Endpoints are gauge-equivalent,
@@ -90,4 +90,4 @@ def gauge_path(c: Connection, w: int) -> Callable[[float], Connection]:
     u_inv = TrigPolyForm.constant(1, rest) + TrigPolyForm.monomial(
         1, e11, k=(-w,)
     )
-    return linear_path(c, c.with_form(_gauge_form(c.a, u, u_inv)))
+    return linear_path(c, Connection(_gauge_form(c.a, u, u_inv)))

@@ -63,10 +63,10 @@ PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
 
 
 class InvalidInputError(ValueError):
-    """Outside input describes no valid form, metric or connection
-    (a bad shape, index or entry; a metric that is not Hermitian, positive
-    or invertible).  Only input validation raises it, so it never stands
-    for a failure inside the numerics."""
+    """Outside input describes no valid form or connection (a bad shape,
+    index or entry; a fiber metric other than the identity).  Only input
+    validation raises it, so it never stands for a failure inside the
+    numerics."""
 
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -416,19 +416,6 @@ class TrigPolyForm:
         """
         scales = np.array([PHI_SCALE ** len(I) for _, I in self._keys], dtype=complex)
         return self._new(self._keys, self._mats / scales[:, None, None], unique=True)
-
-    def evaluate_at(self, x: Iterable[float]) -> dict[tuple[int, ...], np.ndarray]:
-        """Sum the trig polynomial at the point x; one matrix per index tuple."""
-        x = tuple(float(v) for v in x)
-        if len(x) != self.dim:
-            raise ValueError("point has wrong dimension")
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for (k, I), mat in zip(self._keys, self._mats):
-            phase = np.exp(2j * math.pi * sum(kj * xj for kj, xj in zip(k, x)))
-            cur = out.get(I)
-            val = phase * mat
-            out[I] = val if cur is None else cur + val
-        return out
 
     def integrate(self, region: tuple[int, ...] | None = None) -> np.ndarray:
         """Integrate over the coordinate subtorus through 0 whose directions

@@ -1,27 +1,26 @@
 """Connections on trivialized bundles over flat tori and the transgression
 and characteristic forms built from them.
 
-A connection is d + A for a degree-1 trig-polynomial form A, together with
-a Hermitian fiber metric g.  The central derived objects:
+A connection is d + A for a degree-1 trig-polynomial form A, on the
+identity fiber metric.  The central derived objects:
 
-* ``omega_metric``: the failure of d + A to preserve g (zero exactly for
-  unitary connections), computed once per connection;
-* ``hermitian_part``, the metric-compatible connection A + omega/2;
+* ``omega_metric``: the failure of d + A to be unitary, -(A^dagger + A)
+  (zero exactly for unitary connections), computed once per connection;
+* ``hermitian_part``, the unitary connection A + omega/2;
 * Chern--Simons transgression forms between two connections, their
   expansion ``cs_r_poly`` in r along the family A + (1 + i r)/2 omega (both
   from one closed-form expansion), and odd Chern forms.
 
-A metric is checked once, where it enters: in the ``Connection``
-constructor, which ``gauge_transform`` (a new metric from the caller's u)
-also runs.  Invalid input raises :class:`~etacalc.forms.InvalidInputError`
-there, as does a non-constant metric or u given without its inverse.
-``hermitian_part``, ``linear_path`` and :func:`etacalc.flow.gauge_path`
-derive connections that keep their parent's checked metric through
-``Connection.with_form``, which checks nothing.
+The identity is the only fiber metric, and it loses nothing: a constant
+metric g = h^dagger h is the constant gauge change A -> h A h^-1 on the
+identity, which conjugates omega by h and the Galerkin symbol by I x h.
+A connection is checked where it is built (its form must be pure degree
+1); invalid input raises :class:`~etacalc.forms.InvalidInputError` there,
+as does a ``g`` in connection JSON that is not exactly the identity.
 
 All conventions are pinned by exactly-computable calibrations in the test
-suite (flat-circle Chern--Simons values, winding numbers, metric
-compatibility checks), so every sign here is load-bearing.
+suite (flat-circle Chern--Simons values, winding numbers, unitarity
+checks), so every sign here is load-bearing.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .forms import EQ_TOL, PHI_SCALE, InvalidInputError, TrigPolyForm
+from .forms import PHI_SCALE, InvalidInputError, TrigPolyForm
 
 TWO_PI_I = 2j * math.pi
 
@@ -44,98 +43,24 @@ TWO_PI_I = 2j * math.pi
 class PreconditionError(ValueError):
     """The inputs are outside the domain of a check or a construction (a
     non-flat connection, the wrong torus, endpoints on the imaginary axis,
-    different fiber metrics): the question asked is inapplicable, not
-    answered wrongly."""
-
-
-# Deterministic sample points for positive-definiteness spot checks.
-_SPOT_FRACTIONS = (0.0, 0.31830988618, 0.61803398875, 0.14142135623)
-
-
-def invert_degree0(g: TrigPolyForm) -> TrigPolyForm:
-    """Invert a constant degree-0 form by plain linear algebra.  Any other
-    form, and a singular constant, is refused with InvalidInputError: the
-    inverse of a non-constant metric is the caller's to pass (``g_inv``)."""
-    terms = list(g.terms())
-    if any(any(k) or I for k, I, _ in terms):
-        raise InvalidInputError(
-            "only a constant degree-0 form is inverted: pass g_inv for a "
-            "non-constant metric; a scenario metric must be constant"
-        )
-    mat = terms[0][2] if terms else np.zeros((g.rank, g.rank))
-    try:
-        inverse = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:  # raised only when singular
-        raise InvalidInputError(f"constant form is singular: {exc}") from exc
-    return TrigPolyForm.constant(g.dim, inverse)
+    connections on different bundles): the question asked is inapplicable,
+    not answered wrongly."""
 
 
 @dataclass(frozen=True)
 class Connection:
-    """d + a on a trivialized rank-r bundle over T^dim, with fiber metric g.
+    """d + a on a trivialized rank-r bundle over T^dim, on the identity
+    fiber metric.
 
-    ``a`` must be pure degree 1.  ``g`` (degree 0) defaults to the identity;
-    it must be Hermitian and positive definite (spot-checked on sample
-    points).  ``g_inv`` must be supplied when g is not constant, since
-    :func:`invert_degree0` inverts constant forms only.  The constructor
-    checks all of this and raises InvalidInputError; :meth:`with_form`
-    reuses the checked metric.  omega is computed once.
-
-    A metric that is exactly the constant identity (given, read from JSON
-    or left out) is held as the shared ``TrigPolyForm.identity``, which is
-    Hermitian, positive and its own inverse, so only a ``g_inv`` the caller
-    supplies is checked; the wedges by it in omega then return their other
-    operand and d of it the empty form, so omega is -(A^dagger + A) through
-    the one general formula.
+    ``a`` must be pure degree 1; the constructor checks this and raises
+    InvalidInputError.  omega is computed once.
     """
 
     a: TrigPolyForm
-    g: TrigPolyForm = None  # type: ignore[assignment]
-    g_inv: TrigPolyForm = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if set(self.a.degrees()) - {1}:
             raise InvalidInputError("connection form must be pure degree 1")
-        ident = TrigPolyForm.identity(self.a.dim, self.a.rank)
-        g = ident if self.g is None else self.g
-        if g.dim != self.a.dim or g.rank != self.a.rank:
-            raise InvalidInputError("metric shape mismatch")
-        if g is ident or g.allclose(ident, 0.0):
-            # exactly I: Hermitian, positive definite and its own inverse
-            object.__setattr__(self, "g", ident)
-            if self.g_inv is None:
-                object.__setattr__(self, "g_inv", ident)
-                return
-        else:
-            if set(g.degrees()) - {0}:
-                raise InvalidInputError("metric must be a degree-0 form")
-            if not g.allclose(g.dagger(), 1e-10):
-                raise InvalidInputError("metric must be Hermitian")
-            if self.g_inv is None:
-                object.__setattr__(self, "g_inv", invert_degree0(g))
-        if not self.g.wedge(self.g_inv).allclose(ident, 1e-9):
-            raise InvalidInputError("g_inv is not an inverse of g")
-        if self.g is not ident:
-            self._spot_check_positive()
-
-    def with_form(self, a: TrigPolyForm) -> "Connection":
-        """d + a on this metric, unchecked: a must be degree 1, of this shape."""
-        derived = object.__new__(Connection)
-        vars(derived).update(a=a, g=self.g, g_inv=self.g_inv)
-        return derived
-
-    def _spot_check_positive(self) -> None:
-        d = self.dim
-        for i in range(3):
-            x = [(_SPOT_FRACTIONS[(i + j) % len(_SPOT_FRACTIONS)]) for j in range(d)]
-            mat = self.g.evaluate_at(x).get((), np.zeros((self.rank, self.rank)))
-            vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-            if np.min(vals) <= 0:
-                raise InvalidInputError(
-                    "metric is not positive definite at sample point"
-                )
-
-    # ------------------------------------------------------------------
 
     @property
     def dim(self) -> int:
@@ -146,17 +71,12 @@ class Connection:
         return self.a.rank
 
     @classmethod
-    def from_constant(
-        cls,
-        dim: int,
-        mats: Sequence[np.ndarray],
-        g: TrigPolyForm | None = None,
-    ) -> "Connection":
+    def from_constant(cls, dim: int, mats: Sequence[np.ndarray]) -> "Connection":
         """Connection with constant coefficient matrices A_1..A_dim."""
-        return cls(TrigPolyForm.constant_one_form(dim, list(mats)), g)
+        return cls(TrigPolyForm.constant_one_form(dim, list(mats)))
 
     # ------------------------------------------------------------------
-    # metric structure
+    # unitarity structure
 
     def curvature(self) -> TrigPolyForm:
         """dA + A^A; identically zero exactly for flat connections."""
@@ -170,22 +90,19 @@ class Connection:
 
     @cached_property
     def _omega(self) -> TrigPolyForm:
-        nabla_g = (
-            self.g.ext_d() - self.a.dagger().wedge(self.g) - self.g.wedge(self.a)
-        )
-        return self.g_inv.wedge(nabla_g)
+        return -self.a.dagger() - self.a
 
     def omega_metric(self) -> TrigPolyForm:
-        """g^{-1} (dg - A^dagger g - g A): the defect of metric compatibility.
+        """-(A^dagger + A): the defect of unitarity.
 
-        d + A + omega is the metric adjoint of d + A; omega vanishes exactly
-        when the connection is unitary for g.  For g = I this is -(A^dagger + A).
+        d + A + omega is the adjoint of d + A; omega vanishes exactly when
+        the connection is unitary.
         """
         return self._omega
 
     def hermitian_part(self) -> "Connection":
-        """The metric-compatible connection d + A + omega/2."""
-        return self.with_form(self.a + 0.5 * self.omega_metric())
+        """The unitary part d + A + omega/2 = d + (A - A^dagger)/2."""
+        return Connection(self.a + 0.5 * self.omega_metric())
 
     def chern_odd(self, j: int) -> TrigPolyForm:
         """Odd Chern form of degree 2j+1: (2 pi i)^{-j} 2^{-(2j+1)} Tr[omega^{2j+1}]."""
@@ -202,21 +119,29 @@ class Connection:
             "dim": self.dim,
             "rank": self.rank,
             "A": self.a.to_json_obj(),
-            "g": self.g.to_json_obj(),
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Connection":
         """The connection of ``to_json_obj``; its ``dim`` and ``rank`` keys
-        must agree with the form ``A``."""
+        must agree with the form ``A``.  A ``g`` key, which older files
+        carry, must be exactly the identity metric."""
         a = TrigPolyForm.from_json_obj(obj["A"])
         if (obj["dim"], obj["rank"]) != (a.dim, a.rank):
             raise InvalidInputError(
                 f"connection declares dim={obj['dim']} rank={obj['rank']}, "
                 f"its form A is dim={a.dim} rank={a.rank}"
             )
-        g = TrigPolyForm.from_json_obj(obj["g"]) if "g" in obj and obj["g"] else None
-        return cls(a, g)
+        if obj.get("g"):
+            g = TrigPolyForm.from_json_obj(obj["g"])
+            if (g.dim, g.rank) != (a.dim, a.rank) or not g.allclose(
+                TrigPolyForm.identity(a.dim, a.rank), 0.0
+            ):
+                raise InvalidInputError(
+                    "the fiber metric g must be the identity: for a constant "
+                    "g = h^dagger h, give A' = h A h^-1 on the identity metric"
+                )
+        return cls(a)
 
 
 # ----------------------------------------------------------------------
@@ -235,19 +160,15 @@ def a_coeff(j: int, r: complex) -> complex:
 # transgression and characteristic forms
 
 
-def _require_common_metric(c0: Connection, c1: Connection) -> None:
+def _require_one_bundle(c0: Connection, c1: Connection) -> None:
     if c0.dim != c1.dim or c0.rank != c1.rank:
         raise PreconditionError("connections live on different bundles")
-    if c0.g is not c1.g and not c0.g.allclose(c1.g, 1e-10):
-        raise PreconditionError(
-            "the linear path between two connections requires a common metric"
-        )
 
 
 def linear_path(c0: Connection, c1: Connection) -> Callable[[float], Connection]:
-    """t -> d + (1 - t) A_0 + t A_1 on the metric c0 and c1 share."""
-    _require_common_metric(c0, c1)
-    return lambda t: c0.with_form(c0.a * (1.0 - t) + c1.a * t)
+    """t -> d + (1 - t) A_0 + t A_1; c0 and c1 must live on one bundle."""
+    _require_one_bundle(c0, c1)
+    return lambda t: Connection(c0.a * (1.0 - t) + c1.a * t)
 
 
 def _cs_integral(a0: TrigPolyForm, delta: TrigPolyForm) -> list[TrigPolyForm]:
@@ -303,7 +224,7 @@ def cs_form(c0: Connection, c1: Connection) -> TrigPolyForm:
 
     The t-integral is exact: the sum of the parts of ``_cs_integral``.
     """
-    _require_common_metric(c0, c1)
+    _require_one_bundle(c0, c1)
     delta = c1.a - c0.a
     return _transgression(delta, reduce(add, _cs_integral(c0.a, delta)))
 
@@ -313,7 +234,7 @@ def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:
     the dim + 1 coefficient forms, the coefficient of r^i at index i.
 
     The family is the Hermitian part at r = 0, the connection itself at
-    r = i and its metric adjoint at r = -i.  It is the Hermitian part plus
+    r = i and its adjoint at r = -i.  It is the Hermitian part plus
     r delta with delta = (i/2) omega, so the coefficient of r^{n+1} is
     ``_transgression(delta, R_n)`` of ``_cs_integral``, exactly; the
     r^0 coefficient and those above the integral's top degree are zero.
@@ -336,12 +257,10 @@ def _gauge_form(a: TrigPolyForm, u: TrigPolyForm, u_inv: TrigPolyForm) -> TrigPo
 
 def gauge_transform(c: Connection, u: TrigPolyForm, u_inv: TrigPolyForm) -> Connection:
     """Pull back the connection by the bundle automorphism u, whose inverse
-    the caller passes as ``u_inv``: A -> u^{-1} A u + u^{-1} du,
-    g -> u^dagger g u."""
-    a_new = _gauge_form(c.a, u, u_inv)
-    g_new = u.dagger().wedge(c.g).wedge(u)
-    g_inv_new = u_inv.wedge(c.g_inv).wedge(u_inv.dagger())
-    return Connection(a_new, g_new, g_inv_new)
+    the caller passes as ``u_inv``: A -> u^{-1} A u + u^{-1} du, on the
+    identity metric.  A unitary u gives a gauge-equivalent connection (omega
+    conjugated by u); any other u changes the connection."""
+    return Connection(_gauge_form(c.a, u, u_inv))
 
 
 def subtorus_pairing(

@@ -43,20 +43,17 @@ of component matrices next to the stack, that would not fit; so a window
 that its couplings split into small components solves.
 
 The solve has two routes, chosen by one flag of the truncation,
-``hermitian``: the connection is unitary (omega vanishes to 1e-10) and its
-fiber metric is exactly the identity.  Then every Galerkin matrix M is
-Hermitian up to rounding, and the Hermitian route solves it by one
-batched ``eigvalsh`` per size class, which reads only the real part of
-its diagonal and its lower triangle and keeps the eigenvalues real.  Every
-other truncation is solved by one batched ``eigvals`` per size class.  The
-Hermitian route solves the Hermitian matrix H that agrees with M on that
-triangle and on the real part of the diagonal.  By Bauer--Fike (H is
-normal) every eigenvalue of M lies within ||M - H||_2 <= ||M - M^H||_F /
-sqrt(2) of an eigenvalue of H; for the unitary connections in this
-package that is rounding, about 1e-15 of the matrix scale.  A connection
-that is unitary for another metric is self-adjoint for the g-weighted
-inner product but not for the standard one the matrices are written in,
-so its stack is not Hermitian and keeps ``eigvals``.
+``hermitian``: the connection is unitary (omega vanishes to 1e-10).  Then
+every Galerkin matrix M is Hermitian up to rounding, and the Hermitian
+route solves it by one batched ``eigvalsh`` per size class, which reads
+only the real part of its diagonal and its lower triangle and keeps the
+eigenvalues real.  Every other truncation is solved by one batched
+``eigvals`` per size class.  The Hermitian route solves the Hermitian
+matrix H that agrees with M on that triangle and on the real part of the
+diagonal.  By Bauer--Fike (H is normal) every eigenvalue of M lies within
+||M - H||_2 <= ||M - M^H||_F / sqrt(2) of an eigenvalue of H; for the
+unitary connections in this package that is rounding, about 1e-15 of the
+matrix scale.
 
 A flat unitary constant connection is a sum of flat lines, and a
 Hermitian constant truncation of rank >= 2 is solved as one when its k = 0
@@ -106,7 +103,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .forms import TrigPolyForm
 from .geometry import Connection, PreconditionError
 
 AXIS_TOL = 1e-9  # the one axis tolerance: ``on_axis`` and the ball pad
@@ -220,7 +216,7 @@ class OperatorTruncation:
     of ``dense``).
 
     ``hermitian`` says that every Galerkin matrix is Hermitian: the
-    connection is unitary and its fiber metric is the identity.
+    connection is unitary.
 
     The one copy's eigenvalues are computed on first use as the module
     docstring describes (flat lines in closed form), without building
@@ -394,15 +390,6 @@ class OperatorTruncation:
         return _read_only(vals.astype(complex, copy=False))
 
 
-def _galerkin_hermitian(c: Connection) -> bool:
-    """Whether c's Galerkin matrices are Hermitian: the fiber metric is
-    exactly the constant identity, which ``Connection`` holds as the shared
-    ``TrigPolyForm.identity``, and omega vanishes to 1e-10.  On that metric
-    omega is -(A^dagger + A), formed with no wedge."""
-    identity = TrigPolyForm.identity(c.dim, c.rank)
-    return c.g is identity and c.omega_metric().is_zero(1e-10)
-
-
 def _symbol(c: Connection, reach: int) -> np.ndarray:
     """The (dim, 2 reach + 1, per, per) terms kron(beta_j, 2 pi i k I + A_j)
     of c on one copy, A_j the zero-frequency coefficient of dx_j, formed in
@@ -491,9 +478,10 @@ def _truncation(c: Connection, cutoff: int, modes: np.ndarray) -> OperatorTrunca
         (q, _read_only(np.kron(beta[I[0] - 1], mat)))
         for q, I, mat in c.a.terms() if any(q)
     )
+    # every Galerkin matrix is Hermitian exactly when c is unitary
     return OperatorTruncation(
         c.dim, c.rank, cutoff, _read_only(modes), _symbol(c, cutoff),
-        couplings, _galerkin_hermitian(c),
+        couplings, c.omega_metric().is_zero(1e-10),
     )
 
 

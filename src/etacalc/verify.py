@@ -202,7 +202,7 @@ def check_cs_odd_chern_pairing(
     tol: float = DEFAULT_ABS_TOL,
     check_id: str = "cs_odd_chern_pairing",
 ) -> list[CheckEntry]:
-    """Pair the transgression from the metric-compatible connection to its
+    """Pair the transgression from the unitary part of the connection to its
     r-deformation A + (1 + i r)/2 omega against the weighted sum of odd
     Chern forms, on every odd-dimensional coordinate subtorus::
 
@@ -287,10 +287,9 @@ def check_gilkey_variation(
         reduced_eta(c1) - reduced_eta(c0)  ==  <L . CS(c0, c1)>   (mod Z)
 
     Real parts compare modulo Z, imaginary parts exactly.  Both connections
-    must be constant on the circle and share the fiber metric, and an
-    endpoint with a nonzero eigenvalue on the imaginary axis, which its eta
-    excludes, is refused (PreconditionError); kernel modes are absorbed by
-    the reduced eta.
+    must be constant on the circle, and an endpoint with a nonzero
+    eigenvalue on the imaginary axis, which its eta excludes, is refused
+    (PreconditionError); kernel modes are absorbed by the reduced eta.
     """
     e0, e1 = _axis_free_eta(c0), _axis_free_eta(c1)
     lhs = e1.reduced - e0.reduced
@@ -487,13 +486,13 @@ def check_psi_constancy(
 
 
 def eta_tilde(c: Connection, ref: Connection | None = None) -> complex:
-    """Transgression pairing from the metric-compatible reference to c::
+    """Transgression pairing from the unitary part of the reference to c::
 
         eta_tilde = <L . CS(hermitian_part(ref), c)>
 
     with ref defaulting to c itself.  Its imaginary part equals the
     imaginary part of the reduced eta invariant (checked spectrally on the
-    circle) and is independent of the fiber metric used.
+    circle), which does not depend on the fiber metric.
     """
     base = (c if ref is None else ref).hermitian_part()
     return subtorus_pairing(cs_form(base, c))
@@ -505,8 +504,8 @@ def check_eta_tilde_imaginary(
     tol: float = 1e-8,
     check_id: str = "eta_tilde_imaginary",
 ) -> CheckEntry:
-    """Imaginary part of the transgression from the metric-compatible
-    reference equals the imaginary part of the reduced eta (circle,
+    """Imaginary part of the transgression from the reference's unitary
+    part equals the imaginary part of the reduced eta (circle,
     constant connections)."""
     rhs = complex(0.0, constant_eta(c).reduced.imag)
     lhs = complex(0.0, eta_tilde(c, ref).imag)

@@ -333,31 +333,11 @@ def random_nonflat_connection(
     return Connection(TrigPolyForm(dim, rank, terms))
 
 
-def unipotent_metric(dim: int, rank: int, amp: float = 0.4):
-    """x-dependent positive metric g = w^dagger w with w = I + amp e^{2 pi i x_1} E_{12},
-    and its inverse w^{-1} w^{-dagger}, exact because the factor is unipotent."""
-    if rank < 2:
-        raise ValueError("need rank >= 2")
-    n = np.zeros((rank, rank), dtype=complex)
-    n[0, 1] = amp
-    k = (1,) + (0,) * (dim - 1)
-    w = TrigPolyForm.identity(dim, rank) + TrigPolyForm.monomial(dim, n, k=k)
-    w_inv = TrigPolyForm.identity(dim, rank) - TrigPolyForm.monomial(dim, n, k=k)
-    return w.dagger().wedge(w), w_inv.wedge(w_inv.dagger())
-
-
-def constant_hermitian_metric(rng: np.random.Generator, dim: int, rank: int):
-    """Random constant positive-definite metric with exact numpy inverse."""
-    x = rng_matrix(rng, rank, 0.45)
-    mat = np.eye(rank) + x.conj().T @ x
-    g = TrigPolyForm.constant(dim, mat)
-    g_inv = TrigPolyForm.constant(dim, np.linalg.inv(mat))
-    return g, g_inv
-
-def unitary_on_constant_metric(rng: np.random.Generator) -> Connection:
+def similar_to_unitary(rng: np.random.Generator) -> Connection:
     """A unitary constant rank-2 T^3 connection gauged by the constant
-    u = [[1, 0.7], [0, 1.3]]: unitary for the metric u^dagger u, which is
-    not the identity, so its Galerkin matrices are not Hermitian."""
+    u = [[1, 0.7], [0, 1.3]], which is not unitary: similar to a unitary
+    connection (the same operator spectrum), yet omega != 0, so its
+    Galerkin matrices are not Hermitian."""
     u = np.array([[1.0, 0.7], [0.0, 1.3]], dtype=complex)
     c = random_unitary_constant_connection(rng, 3, 2)
     return gauge_transform(
@@ -366,11 +346,11 @@ def unitary_on_constant_metric(rng: np.random.Generator) -> Connection:
 
 
 def r_deformation(c: Connection, r: complex) -> Connection:
-    """d + A + (1 + i r)/2 omega on c's metric: the family that
-    ``cs_r_poly`` expands, built directly as the reference it is tested
-    against.  r = 0 gives the Hermitian part, r = i the connection itself,
-    r = -i its metric adjoint; real r stays metric-compatible."""
-    return c.with_form(c.a + (1.0 + 1j * complex(r)) / 2.0 * c.omega_metric())
+    """d + A + (1 + i r)/2 omega: the family that ``cs_r_poly`` expands,
+    built directly as the reference it is tested against.  r = 0 gives the
+    Hermitian part, r = i the connection itself, r = -i its adjoint; real r
+    stays unitary."""
+    return Connection(c.a + (1.0 + 1j * complex(r)) / 2.0 * c.omega_metric())
 
 
 def r_poly_at(coeffs, r: complex) -> TrigPolyForm:
@@ -584,7 +564,7 @@ def gauged_t3_connection(mus: np.ndarray, basis: np.ndarray) -> Connection:
     u = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(1, 0, 0))
     u_inv = TrigPolyForm.constant(3, q) + TrigPolyForm.monomial(3, p, k=(-1, 0, 0))
     diag = Connection.from_constant(3, [np.diag(2j * math.pi * row) for row in mus])
-    return Connection(gauge_transform(diag, u, u_inv).a)
+    return gauge_transform(diag, u, u_inv)
 
 # ----------------------------------------------------------------------
 # independent eta oracle

@@ -15,7 +15,7 @@ from etacalc import cli, spectral, verify
 from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
 from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import Connection
-from helpers import reference_scenario_schema, unipotent_metric
+from helpers import reference_scenario_schema
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = [
@@ -316,35 +316,6 @@ def test_connection_shape_keys_must_match_its_form(tmp_cwd, capsys, declared):
     obj["connections"]["main"].update(declared)
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
     assert "its form A is dim=3 rank=2" in capsys.readouterr().err
-
-
-def test_singular_metric_is_scenario_error(tmp_cwd, capsys):
-    # a singular constant metric: its inverse fails in input validation
-    obj = load_bundled("t3_flat_commuting.json")
-    g = obj["connections"]["main"]["g"]
-    g["terms"] = [{"k": [0, 0, 0], "I": [], "re": [[1.0, 1.0], [1.0, 1.0]],
-                   "im": [[0.0, 0.0], [0.0, 0.0]]}]
-    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    assert "singular" in capsys.readouterr().err
-
-
-def test_non_constant_metric_is_scenario_error(tmp_cwd, capsys):
-    # g = w^dagger w, w = I + 0.4 e^{2 pi i x} E_12: positive and Hermitian,
-    # but a scenario has no way to give its inverse
-    g, _ = unipotent_metric(1, 2)
-    a = TrigPolyForm.constant_one_form(1, [np.diag([0.3j, -0.2j])])
-    obj = {
-        "manifold": {"dim": 1},
-        "bundle": {"rank": 2},
-        "connections": {
-            "main": {"dim": 1, "rank": 2, "A": a.to_json_obj(), "g": g.to_json_obj()}
-        },
-        "experiments": [{"check": "re_im_split", "connection": "main"}],
-    }
-    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    err = capsys.readouterr().err
-    assert "invalid scenario: connection 'main'" in err
-    assert "a scenario metric must be constant" in err
 
 
 def _with_number(tmp_path, obj, literal):
@@ -670,11 +641,8 @@ def test_axis_endpoint_is_scenario_error(tmp_cwd):
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
 
 
-def _constant(dim, mats, g=None):
-    metric = None if g is None else TrigPolyForm.constant(dim, np.array([[g]]))
-    return Connection.from_constant(
-        dim, [np.asarray(m, dtype=complex) for m in mats], g=metric
-    )
+def _constant(dim, mats):
+    return Connection.from_constant(dim, [np.asarray(m, dtype=complex) for m in mats])
 
 
 _AXIS = _constant(1, [[[2j * math.pi * 0.5j]]])  # tower on the axis
@@ -703,16 +671,6 @@ _T3 = _constant(3, [[[0.3j]]] * 3)
         ({"main": _AXIS},
          {"check": "gauge_pumping", "connection": "main", "winding": 1},
          "imaginary axis"),
-        ({"main": _constant(1, [[[0.3j]]]),
-          "ref": _constant(1, [[[0.3j]]], g=2.0)},
-         {"check": "eta_tilde_imaginary", "connection": "main",
-          "reference": "ref"},
-         "common metric"),
-        ({"main": _constant(1, [[[0.3j]]]),
-          "to": _constant(1, [[[0.5j]]], g=2.0)},
-         {"check": "variation_complex",
-          "path": {"kind": "linear", "from": "main", "to": "to"}},
-         "common metric"),
     ],
 )
 def test_precondition_gates_exit_2(
@@ -729,33 +687,50 @@ def test_precondition_gates_exit_2(
     assert message in capsys.readouterr().err
 
 
+_W = TrigPolyForm.identity(1, 2) + TrigPolyForm.monomial(
+    1, np.array([[0.0, 0.4], [0.0, 0.0]]), k=(1,)
+)
+_METRICS = {
+    "2I": TrigPolyForm.constant(1, 2 * np.eye(2)),
+    "singular": TrigPolyForm.constant(1, np.ones((2, 2))),
+    "unipotent": _W.dagger().wedge(_W),  # x-dependent, Hermitian, positive
+    "identity": TrigPolyForm.constant(1, np.eye(2)),  # a fresh I
+}
+
+
 @pytest.mark.parametrize("flags", [[], ["--check", "spectrum"]], ids=["all", "check"])
-def test_linear_path_across_metrics_is_refused_before_anything_runs(
-    tmp_cwd, capsys, flags
+@pytest.mark.parametrize("metric", list(_METRICS))
+def test_a_metric_other_than_the_identity_is_refused_at_load(
+    tmp_cwd, capsys, metric, flags
 ):
-    # the path is built where the scenario loads, so the experiment before
-    # it writes no CSV, and --check refuses it even when it skips the path
-    a = [0.3j * np.eye(2)]
-    connections = {
-        "main": Connection.from_constant(1, a),
-        "to": Connection.from_constant(1, a, g=TrigPolyForm.constant(1, 2 * np.eye(2))),
-    }
+    # the identity is the only fiber metric: any other g is refused where
+    # the scenario loads, with the gauge change that replaces a constant
+    # one, so the experiment before its use writes no CSV, under --check
+    # too; a g that is exactly I loads and runs
+    spec = Connection.from_constant(1, [0.3j * np.eye(2)]).to_json_obj()
     obj = {
         "manifold": {"dim": 1},
         "bundle": {"rank": 2},
-        "connections": {n: c.to_json_obj() for n, c in connections.items()},
+        "connections": {
+            "main": Connection.from_constant(1, [0.5j * np.eye(2)]).to_json_obj(),
+            "other": {**spec, "g": _METRICS[metric].to_json_obj()},
+        },
         "experiments": [
             {"check": "spectrum", "connection": "main"},
-            {"check": "variation_complex",
-             "path": {"kind": "linear", "from": "main", "to": "to"}},
+            {"check": "re_im_split", "connection": "other"},
         ],
         "output": {"csv_dir": "out"},
     }
-    assert main(["run", write_scenario(tmp_cwd, obj), *flags]) == 2
+    code = main(["run", write_scenario(tmp_cwd, obj), *flags])
     out, err = capsys.readouterr()
+    if metric == "identity":
+        assert code == 0 and (tmp_cwd / "out").exists()
+        return
+    assert code == 2
     assert (
-        "invalid scenario: the linear path between two connections requires "
-        "a common metric" in err
+        "invalid scenario: connection 'other': the fiber metric g must be the "
+        "identity: for a constant g = h^dagger h, give A' = h A h^-1 on the "
+        "identity metric" in err
     )
     assert "written" not in out and not (tmp_cwd / "out").exists()
 

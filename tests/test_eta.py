@@ -33,7 +33,6 @@ from helpers import (
     random_unitary_constant_connection,
     rng_matrix,
     sign_sum_eta_oracle,
-    unitary_on_constant_metric,
 )
 
 
@@ -273,15 +272,6 @@ def test_heat_estimate_rejects_non_self_adjoint():
     t = build_truncation(c, 5)
     with pytest.raises(PreconditionError, match="Hermitian truncation"):
         eta_heat_estimate(t)
-
-
-def test_heat_estimate_rejects_unitary_truncations_on_another_metric():
-    # unitary for a non-identity metric: self-adjoint for the g-weighted
-    # inner product, yet its Galerkin matrices are not Hermitian
-    c = unitary_on_constant_metric(np.random.default_rng(6))
-    assert c.omega_metric().is_zero(1e-10)
-    with pytest.raises(PreconditionError, match="Hermitian truncation"):
-        eta_heat_estimate(build_truncation(c, 2))
 
 
 def test_heat_estimate_rejects_coupled_truncations():

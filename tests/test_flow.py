@@ -369,7 +369,7 @@ def test_flow_is_half_the_change_of_the_ball_count():
         shift = rng.integers(-2, 3) if dim == 1 else 0
         c0 = _random_constant(rng, dim, rank, shift)
         c1 = _random_constant(rng, dim, rank)
-        c0, c1 = (c.with_form(c.a * scale) for c in (c0, c1))
+        c0, c1 = (Connection(c.a * scale) for c in (c0, c1))
         sf = spectral_flow(c0, c1, 8)
         assert 2 * sf == copies * (_ball_count(c1) - _ball_count(c0))
         if sf:

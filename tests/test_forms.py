@@ -93,14 +93,6 @@ def test_integrate_skips_outside_directions():
     np.testing.assert_allclose(f.integrate((1,)), [[5.0]])
 
 
-def test_evaluate_at_sums_phases():
-    f = TrigPolyForm.monomial(2, np.eye(1), k=(1, 0)) + TrigPolyForm.monomial(
-        2, np.eye(1), k=(-1, 0)
-    )
-    val = f.evaluate_at((0.25, 0.9))[()]
-    np.testing.assert_allclose(val, [[2.0 * math.cos(math.pi / 2)]], atol=1e-15)
-
-
 def test_phi_normalize_square():
     # s^2 = 2 pi i, so a 2-form is divided by 2 pi i with either root s.
     f = TrigPolyForm.monomial(2, np.eye(1), I=(1, 2))

@@ -1,9 +1,7 @@
-"""Connection-level oracles: curvature patterns, metric-compatibility,
+"""Connection-level oracles: curvature patterns, unitarity,
 Chern--Simons calibrations, deformation-coefficient closed forms."""
 
-import json
 import math
-import pathlib
 from fractions import Fraction
 from math import factorial
 
@@ -12,9 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etacalc import cli
-from etacalc.flow import gauge_path
-from etacalc.forms import InvalidInputError, TrigPolyForm
+from etacalc.forms import TrigPolyForm
 from etacalc.geometry import (
     Connection,
     PreconditionError,
@@ -22,16 +18,15 @@ from etacalc.geometry import (
     cs_form,
     cs_r_poly,
     gauge_transform,
-    invert_degree0,
     linear_path,
     odd_subtori,
     subtorus_pairing,
 )
+from etacalc.spectral import build_truncation, spectrum
 
 from helpers import (
     a_coeff_exact,
     chern_character,
-    constant_hermitian_metric,
     cs_form_quadrature,
     diagonal_connection_from_mus,
     exp_nilpotent,
@@ -44,7 +39,6 @@ from helpers import (
     random_unitary_constant_connection,
     rng_matrix,
     same_stored_terms,
-    unipotent_metric,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -91,7 +85,7 @@ def test_flat_commuting_generator_is_flat():
 
 
 # ----------------------------------------------------------------------
-# metric structure
+# unitarity structure
 
 
 def test_omega_zero_for_unitary():
@@ -107,33 +101,6 @@ def test_omega_rank1_closed_form():
     np.testing.assert_allclose(
         om.coefficient((0,), (1,)), [[-2 * a.real]], atol=1e-14
     )
-
-
-def test_omega_is_g_self_adjoint():
-    # omega^dagger g = g omega: the defect form is self-adjoint for g.
-    rng = np.random.default_rng(2)
-    for dim, rank in ((1, 2), (3, 2)):
-        g, g_inv = constant_hermitian_metric(rng, dim, rank)
-        c = Connection(
-            TrigPolyForm.constant_one_form(
-                dim, [rng_matrix(rng, rank) for _ in range(dim)]
-            ),
-            g,
-            g_inv,
-        )
-        om = c.omega_metric()
-        assert om.dagger().wedge(c.g).allclose(c.g.wedge(om), 1e-10)
-
-
-def test_omega_with_x_dependent_metric():
-    g, g_inv = unipotent_metric(1, 2)
-    rng = np.random.default_rng(4)
-    c = Connection(
-        TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]), g, g_inv
-    )
-    om = c.omega_metric()
-    assert om.dagger().wedge(c.g).allclose(c.g.wedge(om), 1e-10)
-    assert c.hermitian_part().omega_metric().is_zero(1e-10)
 
 
 def test_hermitian_part_unitary_fixed_point():
@@ -161,14 +128,14 @@ def test_hermitian_part_kills_omega():
 def test_r_deformation_special_values():
     # The expansion of cs_r_poly at r = i is the transgression from the
     # Hermitian part to the connection itself, at r = -i the one to its
-    # metric adjoint A + omega.
+    # adjoint A + omega.
     rng = np.random.default_rng(7)
     for c in (
         random_flat_commuting_connection(rng, 1, 2),
         random_nonflat_connection(rng, 3, 2),
     ):
         coeffs, herm = cs_r_poly(c), c.hermitian_part()
-        adjoint = c.with_form(c.a + c.omega_metric())
+        adjoint = Connection(c.a + c.omega_metric())
         for r, target in ((1j, c), (-1j, adjoint)):
             want = cs_form(herm, target)
             assert not want.is_zero(1e-6)
@@ -258,28 +225,6 @@ def test_cs_flat_circle_closed_form():
     np.testing.assert_allclose(cs.coefficient((0,), (1,)), [[want]], atol=1e-12)
 
 
-def test_cs_requires_common_metric():
-    rng = np.random.default_rng(13)
-    g, g_inv = constant_hermitian_metric(rng, 1, 2)
-    c0 = Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]))
-    c1 = Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]), g, g_inv)
-    with pytest.raises(PreconditionError, match="common metric"):
-        cs_form(c0, c1)
-    with pytest.raises(PreconditionError, match="common metric"):
-        linear_path(c0, c1)
-
-
-def test_one_metric_object_is_common_without_a_subtraction(monkeypatch):
-    rng = np.random.default_rng(15)
-    g, g_inv = constant_hermitian_metric(rng, 1, 2)
-    a0, a1 = (TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]) for _ in range(2))
-    c0 = Connection(a0, g, g_inv)
-    pairs = [(c0, c0.with_form(a1)), (Connection(a0), Connection(a1))]
-    monkeypatch.setattr(TrigPolyForm, "allclose", lambda *args: pytest.fail("compared"))
-    for c, other in pairs:
-        assert linear_path(c, other)(0.5).g is c.g
-
-
 def test_cs_requires_one_bundle():
     # a guard refusal, like the spectral flow's, not an internal ValueError
     circle = Connection.from_constant(1, [np.zeros((1, 1))])
@@ -315,7 +260,7 @@ def _gauged(c: Connection, basis: np.ndarray) -> Connection:
     u_inv = TrigPolyForm.constant(d, q) + TrigPolyForm.monomial(
         d, p, k=tuple(-v for v in k)
     )
-    return Connection(gauge_transform(c, u, u_inv).a)
+    return gauge_transform(c, u, u_inv)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
@@ -447,62 +392,13 @@ def test_chern_character_bianchi():
 
 
 # ----------------------------------------------------------------------
-# derived connections: the parent's checked metric, omega computed once
+# omega on the identity metric
 
 
-def _on_unipotent_metric(seed: int) -> Connection:
-    """A non-unitary rank-2 circle connection on an x-dependent metric."""
-    g, g_inv = unipotent_metric(1, 2)
-    rng = np.random.default_rng(seed)
-    return Connection(TrigPolyForm.constant_one_form(1, [rng_matrix(rng, 2)]), g, g_inv)
-
-
-def _derived(c: Connection, other: Connection) -> dict[str, Connection]:
-    """Every way the program derives a connection from c (and from the
-    linear path c -> other, as a scenario builds it)."""
-    spec = {"kind": "linear", "from": "c", "to": "other"}
-    linear = cli._argument(spec, cli._PATH_SCHEMA, {"c": c, "other": other})
-    gauge = gauge_path(c, 2)
-    out = {"hermitian_part": c.hermitian_part()}
-    for t in (0.0, 0.5, 1.0):
-        out[f"gauge_path(t={t})"] = gauge(t)
-        out[f"linear(t={t})"] = linear(t)
-    return out
-
-
-def test_derived_omega_equals_the_checking_constructors():
-    c, other = _on_unipotent_metric(41), _on_unipotent_metric(42)
-    c.omega_metric()  # a derived connection must not inherit this cache
-    for name, d in _derived(c, other).items():
-        assert d.g is c.g and d.g_inv is c.g_inv, name
-        oracle = Connection(d.a, d.g, d.g_inv).omega_metric()
-        assert same_stored_terms(d.omega_metric(), oracle), name
-        assert d.omega_metric() is d.omega_metric(), name
-
-
-def test_deriving_runs_no_metric_check(monkeypatch):
-    c, other = _on_unipotent_metric(43), _on_unipotent_metric(44)
-    checked = []
-    monkeypatch.setattr(
-        Connection, "_spot_check_positive", lambda self: checked.append(self)
-    )
-    _derived(c, other)
-    # gauge_path builds only the gauged form, not the gauge transform's
-    # metric, so no derived connection runs a metric check
-    assert checked == []
-
-
-# ----------------------------------------------------------------------
-# the identity metric is held as the shared identity
-
-
-def _on_fresh_identity(c: Connection) -> Connection:
-    """d + c.a on a newly built identity metric, not the shared one, so
-    omega takes the general route: d g and the wedges by g are computed."""
-    fresh = TrigPolyForm.constant(c.dim, np.eye(c.rank))
-    out = object.__new__(Connection)
-    vars(out).update(a=c.a, g=fresh, g_inv=fresh)
-    return out
+def _metric_formula(a: TrigPolyForm, g: TrigPolyForm, g_inv: TrigPolyForm) -> TrigPolyForm:
+    """g^{-1} (dg - A^dagger g - g A): the defect of compatibility of d + A
+    with the fiber metric g, by the general formula."""
+    return g_inv.wedge(g.ext_d() - a.dagger().wedge(g) - g.wedge(a))
 
 
 def _identity_metric_connections() -> dict[str, Connection]:
@@ -522,66 +418,42 @@ def _identity_metric_connections() -> dict[str, Connection]:
 
 @pytest.mark.parametrize("name", sorted(_identity_metric_connections()))
 def test_omega_on_the_shared_identity_is_the_general_route(name):
+    # omega is -(A^dagger + A), bit for bit the general metric formula on
+    # the shared identity, whose wedges and d short-circuit, and on a
+    # freshly built identity, which multiplies by 1 and adds exact zeros
     c = _identity_metric_connections()[name]
-    unit = TrigPolyForm.identity(c.dim, c.rank)
-    assert c.g is unit and c.g_inv is unit
-    general = _on_fresh_identity(c)
-    assert same_stored_terms(c.omega_metric(), general.omega_metric())
-    assert same_stored_terms(c.chern_odd(1), general.chern_odd(1))
-    for got, want in zip(cs_r_poly(c), cs_r_poly(general)):
-        assert same_stored_terms(got, want)
-    # for g = I omega is -(A^dagger + A), bit for bit
-    minus = -c.a.dagger() - c.a
-    assert same_stored_terms(c.omega_metric(), minus)
+    for g in (
+        TrigPolyForm.identity(c.dim, c.rank),
+        TrigPolyForm.constant(c.dim, np.eye(c.rank)),
+    ):
+        assert same_stored_terms(c.omega_metric(), _metric_formula(c.a, g, g))
 
 
-def test_identity_metric_read_from_json_is_the_shared_identity():
-    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-    # every connection of every bundled scenario, read as the loader reads it
-    loaded = [
-        Connection.from_json_obj(spec)
-        for path in sorted(scenarios.glob("*.json"))
-        for spec in json.loads(path.read_text())["connections"].values()
-    ]
-    assert loaded
-    for c in loaded + [
-        Connection.from_json_obj(c.to_json_obj())
-        for c in _identity_metric_connections().values()
-    ]:
-        unit = TrigPolyForm.identity(c.dim, c.rank)
-        assert c.g is unit and c.g_inv is unit
-    # a metric that is only close to I is kept and checked as given
-    near = TrigPolyForm.constant(1, np.diag([1.0, 1.0 + 1e-15]))
-    c = Connection(TrigPolyForm.constant_one_form(1, [np.eye(2)]), near)
-    assert c.g is near and c.g_inv is not TrigPolyForm.identity(1, 2)
-
-
-def test_metric_refusals_are_unchanged_around_the_identity():
-    a = TrigPolyForm.constant_one_form(1, [np.eye(2)])
-    wrong = TrigPolyForm.constant(1, 2 * np.eye(2))
-    for g in (None, TrigPolyForm.identity(1, 2), TrigPolyForm.constant(1, np.eye(2))):
-        with pytest.raises(InvalidInputError, match="g_inv is not an inverse of g"):
-            Connection(a, g, wrong)
-        assert Connection(a, g, TrigPolyForm.constant(1, np.eye(2))).g is (
-            TrigPolyForm.identity(1, 2)
-        )
-    with pytest.raises(InvalidInputError, match="g_inv is not an inverse of g"):
-        Connection(a, TrigPolyForm.constant(1, 2 * np.eye(2)), TrigPolyForm.identity(1, 2))
-    refusals = {
-        "metric must be Hermitian": np.array([[1.0, 1.0], [0.0, 1.0]]),
-        "not positive definite": -np.eye(2),
-    }
-    for message, mat in refusals.items():
-        g = TrigPolyForm.constant(1, mat)
-        with pytest.raises(InvalidInputError, match=message):
-            Connection(a, g)
-        obj = {"dim": 1, "rank": 2, "A": a.to_json_obj(), "g": g.to_json_obj()}
-        with pytest.raises(InvalidInputError, match=message):
-            Connection.from_json_obj(obj)
+def test_a_constant_metric_is_the_gauge_change_h_a_h_inv():
+    # on g = h^dagger h the defect of d + A is h^{-1} omega(h A h^{-1}) h,
+    # omega of the gauged form on the identity metric, and the Galerkin
+    # spectra of A and h A h^{-1} agree: the identity metric loses nothing
+    rng = np.random.default_rng(62)
+    for dim, rank in ((1, 2), (1, 3), (3, 2), (3, 3)):
+        h = np.eye(rank) + rng_matrix(rng, rank, 0.45)
+        h_inv = np.linalg.inv(h)
+        hf, hf_inv = TrigPolyForm.constant(dim, h), TrigPolyForm.constant(dim, h_inv)
+        g = TrigPolyForm.constant(dim, h.conj().T @ h)
+        g_inv = TrigPolyForm.constant(dim, h_inv @ h_inv.conj().T)
+        c = random_nonflat_connection(rng, dim, rank)
+        gauged = gauge_transform(c, hf_inv, hf)  # u = h^{-1}: A -> h A h^{-1}
+        want = _metric_formula(c.a, g, g_inv)
+        got = hf_inv.wedge(gauged.omega_metric()).wedge(hf)
+        assert not want.is_zero(1e-3) and got.allclose(want, 1e-12 * want.max_abs())
+        if dim == 1:
+            const = Connection.from_constant(1, [rng_matrix(rng, rank)])
+            similar = gauge_transform(const, hf_inv, hf)
+            one, other = (spectrum(build_truncation(x, 3)) for x in (const, similar))
+            assert np.abs(one[:, None] - other[None, :]).min(axis=1).max() < 1e-9
 
 
 # ----------------------------------------------------------------------
-# gauge transforms, metric inversion
+# gauge transforms, validation, JSON
 
 
 def test_gauge_transform_conjugates_curvature():
@@ -598,50 +470,19 @@ def test_gauge_transform_conjugates_curvature():
     assert lhs.allclose(rhs, 1e-10)
 
 
-def test_invert_degree0_unipotent_and_errors():
-    # only constant forms are inverted: the unipotent factor w, the metric
-    # w^dagger w and 2 cos(2 pi x) are refused, and the refusal names the fix
-    n = np.array([[0.0, 0.4], [0.0, 0.0]])
-    w = TrigPolyForm.identity(2, 2) + TrigPolyForm.monomial(2, n, k=(1, 0))
-    g, g_inv = unipotent_metric(2, 2)
-    bad = TrigPolyForm.monomial(1, np.eye(1), k=(1,)) + TrigPolyForm.monomial(
-        1, np.eye(1), k=(-1,)
-    )  # 2 cos(2 pi x): vanishes at x = 1/4, no inverse at all
-    for form in (w, g, bad):
-        with pytest.raises(InvalidInputError, match="pass g_inv for a non-constant metric"):
-            invert_degree0(form)
-    # the metric's inverse comes from the factorization instead
-    assert g.wedge(g_inv).allclose(TrigPolyForm.identity(2, 2), 1e-12)
-    # a constant inverts; the zero form and a 1-form are refused
-    c = TrigPolyForm.constant(2, np.array([[2.0, 1.0], [0.0, 4.0]]))
-    assert c.wedge(invert_degree0(c)).allclose(TrigPolyForm.identity(2, 2), 1e-15)
-    with pytest.raises(InvalidInputError, match="singular"):
-        invert_degree0(TrigPolyForm.zero(2, 2))
-    with pytest.raises(InvalidInputError, match="constant degree-0"):
-        invert_degree0(TrigPolyForm.constant_one_form(1, [np.eye(2)]))
-
-
 def test_connection_validation_errors():
     with pytest.raises(ValueError, match="degree 1"):
         Connection(TrigPolyForm.identity(1, 2))
-    a = TrigPolyForm.constant_one_form(1, [np.eye(2)])
-    with pytest.raises(ValueError, match="Hermitian"):
-        Connection(a, TrigPolyForm.constant(1, np.array([[1.0, 1.0], [0.0, 1.0]])))
-    with pytest.raises(ValueError, match="positive definite"):
-        Connection(a, TrigPolyForm.constant(1, -np.eye(2)))
 
 
 def test_connection_json_round_trip():
     rng = np.random.default_rng(25)
-    g, g_inv = constant_hermitian_metric(rng, 3, 2)
     c = Connection(
-        TrigPolyForm.constant_one_form(3, [rng_matrix(rng, 2) for _ in range(3)]),
-        g,
-        g_inv,
+        TrigPolyForm.constant_one_form(3, [rng_matrix(rng, 2) for _ in range(3)])
     )
-    c2 = Connection.from_json_obj(c.to_json_obj())
-    assert c2.a.allclose(c.a, 0.0)
-    assert c2.g.allclose(c.g, 0.0)
+    obj = c.to_json_obj()
+    assert sorted(obj) == ["A", "dim", "rank"]
+    assert Connection.from_json_obj(obj).a.allclose(c.a, 0.0)
 
 
 def test_odd_subtori_enumeration():

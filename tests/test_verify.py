@@ -41,7 +41,6 @@ from helpers import (
     random_flat_commuting_connection,
     random_mus,
     random_unitary_constant_connection,
-    unipotent_metric,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -456,23 +455,6 @@ def test_eta_tilde_imaginary_matches_spectral_rank2():
     rng = np.random.default_rng(47)
     c = diagonal_connection_from_mus(random_mus(rng, 2))
     assert check_eta_tilde_imaginary(c).passed
-
-
-def test_eta_tilde_imaginary_metric_independent():
-    # same connection form under two fiber metrics: Im eta_tilde agrees
-    # (and equals the metric-free spectral value)
-    a1 = np.array(
-        [[TWO_PI_I * (0.3 + 0.07j), 0.4], [0.0, TWO_PI_I * (0.6 - 0.2j)]]
-    )
-    flat = Connection.from_constant(1, [a1])
-    g, g_inv = unipotent_metric(1, 2)
-    curved = Connection(flat.a, g, g_inv)
-    assert eta_tilde(flat).imag == pytest.approx(
-        eta_tilde(curved).imag, abs=1e-9
-    )
-    spectral = constant_eta(flat).reduced.imag
-    assert eta_tilde(curved).imag == pytest.approx(spectral, abs=1e-9)
-    assert check_eta_tilde_imaginary(curved).passed
 
 
 # ----------------------------------------------------------------------
