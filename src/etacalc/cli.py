@@ -12,14 +12,16 @@ with a distinct code per failure class:
   validation refuses with :class:`~etacalc.forms.InvalidInputError`: a
   number that is not a finite float, unknown connection name, shape
   mismatch, repeated experiment label or one that is not a file name, a
-  connection that is not valid or a fiber metric ``g`` other than I) or
+  connection that ``Connection.from_json_obj`` refuses, a fiber metric
+  ``g`` other than I among it) or
   asks a check for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`; a gauge path off the
   circle is refused as the scenario loads, before anything runs); nothing
   else maps here
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
   memory guard, spectral flow needing a window past the cutoff: a
-  Bauer--Fike ball past it, or K and K + 1 differ)
+  Bauer--Fike ball past it, or K and K + 1 differ; a check entry whose
+  sides are not finite numbers, as when finite input overflows)
 
 Any other exception is a bug and propagates with its traceback.
 
@@ -37,9 +39,10 @@ experiment key into what its check takes (a connection, a path
 t -> connection, an int or a float), done once where the scenario loads
 into the (check name, experiment) pairs that ``standard_suite`` runs too;
 a run only filters them, applies ``--tol`` and attaches the CSV sink.
-Each experiment is validated against its own check's schema only.  Matrix
-entries and term keys are checked where they become a form
-(``TrigPolyForm.from_json_obj``), not by the schema.  A label names the
+Each experiment is validated against its own check's schema only.  The
+schema checks the scenario's layout and its experiments; the connection
+format, the whole of it, is checked where a connection is read
+(``Connection.from_json_obj``), not by the schema.  A label names the
 experiment's CSV file in ``csv_dir``, so it must be one file name.
 Experiments are independent of each other; they are executed in file order
 but the report is assembled sorted by check id, so the output does not
@@ -70,38 +73,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_SCENARIO = 2
 EXIT_GUARD = 3
 
-_FORM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim", "rank", "terms"],
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "rank": {"type": "integer", "minimum": 1},
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["k", "I", "re", "im"],
-                # entries are checked where they become a form, which costs
-                # far less than a schema descent per entry
-                "properties": dict.fromkeys(("k", "I", "re", "im"), {"type": "array"}),
-            },
-        },
-    },
-}
-
-_CONNECTION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim", "rank", "A"],
-    "properties": {
-        "dim": {"type": "integer"},
-        "rank": {"type": "integer", "minimum": 1},
-        "A": _FORM_SCHEMA,
-        "g": _FORM_SCHEMA,
-    },
-}
 
 def _tagged_branch(
     tag: str, value: str, required: tuple[str, ...], props: dict
@@ -249,10 +220,8 @@ SCENARIO_SCHEMA = {
             "required": ["rank"],
             "properties": {"rank": {"type": "integer", "minimum": 1}},
         },
-        "connections": {
-            "type": "object",
-            "additionalProperties": _CONNECTION_SCHEMA,
-        },
+        # each connection's format is Connection.from_json_obj's to check
+        "connections": {"type": "object", "additionalProperties": {"type": "object"}},
         "experiments": {
             "type": "array",
             "items": {
@@ -297,6 +266,13 @@ def _experiment_errors(experiments: list[dict]):
             yield error
 
 
+def _raise_best(errors) -> None:
+    """Raise jsonschema's best match among ``errors``, if there is one."""
+    error = jsonschema.exceptions.best_match(errors)
+    if error is not None:
+        raise error
+
+
 def _finite(text: str) -> str:
     """``text``, a JSON number or constant, if it is a finite float: NaN
     and +-Infinity (not JSON under RFC 8259), 1e999 and integers too large
@@ -330,10 +306,12 @@ def _argument(value, schema: dict, named: dict[str, Connection]):
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; jsonschema.ValidationError,
     json.JSONDecodeError, InvalidInputError and PreconditionError all mean
-    exit code 2.  Once the scenario passes its schema, each experiment is
+    exit code 2.  Once the scenario passes its schema, its connections are
+    read (``Connection.from_json_obj``, which refuses a ``g`` other than
+    I) and checked against its dim and rank, and then each experiment is
     validated against its own check's schema, so an error in the scenario's
-    layout is reported before any experiment's.  A connection whose ``g``
-    is not exactly I is refused.  Each experiment key is then read as its
+    layout is reported before any connection's, and a connection's before
+    any experiment's.  Each experiment key is then read as its
     check takes it (``_argument``): a connection name must name one of the
     scenario's connections and a gauge path must lie on the circle (a T^d
     scenario's is refused), so such input is refused before any experiment
@@ -349,12 +327,7 @@ def load_scenario(path: str) -> Scenario:
             parse_float=lambda text: float(_finite(text)),
             parse_int=lambda text: int(_finite(text)),
         )
-    best_match = jsonschema.exceptions.best_match
-    error = best_match(_scenario_validator().iter_errors(obj))
-    if error is None:
-        error = best_match(_experiment_errors(obj["experiments"]))
-    if error is not None:
-        raise error
+    _raise_best(_scenario_validator().iter_errors(obj))
     dim = obj["manifold"]["dim"]
     rank = obj["bundle"]["rank"]
     connections: dict[str, Connection] = {}
@@ -369,6 +342,7 @@ def load_scenario(path: str) -> Scenario:
                 f"scenario declares dim={dim} rank={rank}"
             )
         connections[name] = conn
+    _raise_best(_experiment_errors(obj["experiments"]))
     experiments: dict[str, tuple[str, _Experiment]] = {}
     for i, exp in enumerate(obj["experiments"]):
         check = exp.pop("check")

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .forms import TrigPolyForm
-from .geometry import Connection, PreconditionError, _gauge_form, linear_path
+from .geometry import (Connection, PreconditionError, _gauge_form,
+                       _require_one_bundle, linear_path)
 from .spectral import (AXIS_TOL, CutoffInstabilityError, OperatorTruncation,
                        ball_truncation, build_truncation, sign_count)
 
@@ -54,11 +55,7 @@ def spectral_flow(c0: Connection, c1: Connection, cutoff: int) -> int:
     eigenvalue on the axis or endpoints on different bundles raise
     PreconditionError.
     """
-    if (c0.dim, c0.rank) != (c1.dim, c1.rank):
-        raise PreconditionError(
-            f"endpoints lie on different bundles: dim {c0.dim}, rank {c0.rank} "
-            f"vs dim {c1.dim}, rank {c1.rank}"
-        )
+    _require_one_bundle(c0, c1)
     if c0.is_constant() and c1.is_constant():
         return _flow(ball_truncation(c0, cutoff), ball_truncation(c1, cutoff))
     sf, wider = (_flow(build_truncation(c0, k), build_truncation(c1, k))

@@ -23,10 +23,13 @@ Python and does its matrix work in a few numpy calls over the whole stack
 several calls per term.
 
 Outside input is validated once, where it enters: the ``TrigPolyForm``
-constructor (and ``from_json_obj``, which also rejects matrix entries
-that are not numbers, ragged rows and non-finite entries) checks every key
-(1.0 passes; a bool, a string or 1.5 is refused, not rounded) and shape,
-copies every matrix, and raises :class:`InvalidInputError` when input is no form.
+constructor checks every key (1.0 passes; a bool, a string or 1.5 is
+refused, not rounded) and shape, copies every matrix, and raises
+:class:`InvalidInputError` when input is no form.  ``from_json_obj`` is
+where the JSON format is checked, the whole of it: an object with exactly
+its keys at each level, integer ``dim`` and ``rank``, lists where lists
+belong, and matrix entries that are finite numbers in rows of one length;
+no schema restates it.
 Operations on valid forms skip those checks, and the one routine
 ``_sum_terms`` sums the terms of every result they compute, the
 constructor's included.  The units cost no numpy call, since the general
@@ -130,15 +133,31 @@ def _sum_terms(
     return tuple(keys), mats
 
 
-def _integer(v) -> int:
-    """A key entry as an int: an int or an integral float, not a bool."""
+def _integer(v, what: str = "term key entry") -> int:
+    """A key entry (or the ``what`` named) as an int: an int or an integral
+    float, not a bool."""
     if type(v) is int:
         return v
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool) or (
         isinstance(v, (float, np.floating)) and float(v).is_integer()
     ):
         return int(v)
-    raise InvalidInputError(f"term key entry {v!r} is not an integer")
+    raise InvalidInputError(f"{what} {v!r} is not an integer")
+
+
+def _json_fields(obj, what: str, keys: tuple, optional: tuple = (), lists: tuple = ()):
+    """The values of ``keys`` in ``obj``, which must be a JSON object with
+    all of ``keys``, those of ``optional`` at most and no other key, and
+    lists under ``lists``."""
+    if not isinstance(obj, Mapping) or not set(keys) <= obj.keys() <= {*keys, *optional}:
+        raise InvalidInputError(
+            f"{what} must be an object with the keys {', '.join(keys)}"
+            + "".join(f" (and optionally {key})" for key in optional)
+        )
+    for key in lists:
+        if not isinstance(obj[key], list):
+            raise InvalidInputError(f"{what}: {key} {obj[key]!r} is not a list")
+    return tuple(obj[key] for key in keys)
 
 
 def _is_number_rows(rows) -> bool:
@@ -168,10 +187,9 @@ class TrigPolyForm:
         rank: int,
         terms: Mapping[TermKey, np.ndarray] | Iterable[Term] = (),
     ) -> None:
-        if dim < 1 or rank < 1:
+        self.dim, self.rank = _integer(dim, "dim"), _integer(rank, "rank")
+        if self.dim < 1 or self.rank < 1:
             raise InvalidInputError("dim and rank must be positive")
-        self.dim = int(dim)
-        self.rank = int(rank)
         keys: list[TermKey] = []
         mats: list[np.ndarray] = []
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -465,18 +483,26 @@ class TrigPolyForm:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TrigPolyForm":
-        dim = int(obj["dim"])
-        rank = int(obj["rank"])
-        terms: list[Term] = []
-        for t in obj["terms"]:
-            where = f"term {t['k']}, {t['I']}"
-            for part in ("re", "im"):
-                if not _is_number_rows(t[part]):
+        """The form of ``to_json_obj``: an object with exactly the keys
+        ``dim``, ``rank`` and ``terms``, ``dim`` and ``rank`` integers
+        (``_integer``), ``terms`` a list of objects with exactly the keys
+        ``k``, ``I``, ``re`` and ``im``, ``k`` and ``I`` lists, ``re`` and
+        ``im`` lists of rows of numbers of one shape, every entry finite.
+        Anything else raises InvalidInputError, as do the constructor's
+        checks of the keys and shapes."""
+        form_keys, term_keys = ("dim", "rank", "terms"), ("k", "I", "re", "im")
+        dim, rank, terms = _json_fields(obj, "a form", form_keys, lists=("terms",))
+        pairs: list[Term] = []
+        for t in terms:
+            k, I, *parts = _json_fields(t, "a term", term_keys, lists=("k", "I"))
+            where = f"term {k}, {I}"
+            for name, rows in zip(("re", "im"), parts):
+                if not _is_number_rows(rows):
                     raise InvalidInputError(
-                        f"{where}: {part} is not a list of rows of numbers"
+                        f"{where}: {name} is not a list of rows of numbers"
                     )
             try:
-                re, im = (np.asarray(t[part], dtype=float) for part in ("re", "im"))
+                re, im = (np.asarray(rows, dtype=float) for rows in parts)
             except ValueError as exc:  # ragged rows
                 raise InvalidInputError(f"{where}: {exc}") from exc
             if re.shape != im.shape:
@@ -484,8 +510,8 @@ class TrigPolyForm:
             mat = re + 1j * im
             if not np.all(np.isfinite(mat)):
                 raise InvalidInputError(f"{where} has a non-finite entry")
-            terms.append(((tuple(t["k"]), tuple(t["I"])), mat))
-        return cls(dim, rank, terms)
+            pairs.append(((tuple(k), tuple(I)), mat))
+        return cls(dim, rank, pairs)
 
 
 # The shared units of ``identity`` and ``zero``, built once per (dim, rank);

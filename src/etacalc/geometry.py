@@ -16,7 +16,9 @@ metric g = h^dagger h is the constant gauge change A -> h A h^-1 on the
 identity, which conjugates omega by h and the Galerkin symbol by I x h.
 A connection is checked where it is built (its form must be pure degree
 1); invalid input raises :class:`~etacalc.forms.InvalidInputError` there,
-as does a ``g`` in connection JSON that is not exactly the identity.
+as does connection JSON that ``Connection.from_json_obj`` refuses: its
+whole format is checked there, a ``g`` that is not exactly the identity
+among it.
 
 All conventions are pinned by exactly-computable calibrations in the test
 suite (flat-circle Chern--Simons values, winding numbers, unitarity
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .forms import PHI_SCALE, InvalidInputError, TrigPolyForm
+from .forms import PHI_SCALE, InvalidInputError, TrigPolyForm, _integer, _json_fields
 
 TWO_PI_I = 2j * math.pi
 
@@ -123,16 +125,20 @@ class Connection:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Connection":
-        """The connection of ``to_json_obj``; its ``dim`` and ``rank`` keys
-        must agree with the form ``A``.  A ``g`` key, which older files
-        carry, must be exactly the identity metric."""
-        a = TrigPolyForm.from_json_obj(obj["A"])
-        if (obj["dim"], obj["rank"]) != (a.dim, a.rank):
+        """The connection of ``to_json_obj``: an object with exactly the
+        keys ``dim``, ``rank`` and ``A`` and optionally ``g``, whose integer
+        ``dim`` and ``rank`` agree with the form ``A``.  A ``g`` key, which
+        older files carry, must hold exactly the identity metric.  Anything
+        else raises InvalidInputError, as the forms' own JSON does."""
+        dim, rank, a = _json_fields(obj, "a connection", ("dim", "rank", "A"), ("g",))
+        dim, rank = _integer(dim, "dim"), _integer(rank, "rank")
+        a = TrigPolyForm.from_json_obj(a)
+        if (dim, rank) != (a.dim, a.rank):
             raise InvalidInputError(
-                f"connection declares dim={obj['dim']} rank={obj['rank']}, "
+                f"connection declares dim={dim} rank={rank}, "
                 f"its form A is dim={a.dim} rank={a.rank}"
             )
-        if obj.get("g"):
+        if "g" in obj:
             g = TrigPolyForm.from_json_obj(obj["g"])
             if (g.dim, g.rank) != (a.dim, a.rank) or not g.allclose(
                 TrigPolyForm.identity(a.dim, a.rank), 0.0
@@ -161,8 +167,11 @@ def a_coeff(j: int, r: complex) -> complex:
 
 
 def _require_one_bundle(c0: Connection, c1: Connection) -> None:
-    if c0.dim != c1.dim or c0.rank != c1.rank:
-        raise PreconditionError("connections live on different bundles")
+    if (c0.dim, c0.rank) != (c1.dim, c1.rank):
+        raise PreconditionError(
+            f"connections lie on different bundles: dim {c0.dim}, rank {c0.rank} "
+            f"vs dim {c1.dim}, rank {c1.rank}"
+        )
 
 
 def linear_path(c0: Connection, c1: Connection) -> Callable[[float], Connection]:

@@ -254,10 +254,15 @@ class OperatorTruncation:
     def _coupling_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """For each coupling, in term order, the mode indices (source,
         target) of the pairs k -> k + q whose target lies in the window
-        (the Galerkin projection drops the others), sources ascending."""
+        (the Galerkin projection drops the others), sources ascending.  A
+        shift with some |q_j| > 2K has no pair, and gets none before any
+        index arithmetic, which past the int64 range would fail."""
         lattice_shape = (2 * self.cutoff + 1,) * self.dim
         pairs = []
         for q, _ in self.couplings:
+            if max(map(abs, q)) > 2 * self.cutoff:
+                pairs.append((np.empty(0, int), np.empty(0, int)))
+                continue
             target = self.modes + q
             inside = np.flatnonzero(np.abs(target).max(axis=1) <= self.cutoff)
             shifted = (target[inside] + self.cutoff).T

@@ -52,7 +52,7 @@ from .geometry import (
     odd_subtori,
     subtorus_pairing,
 )
-from .spectral import ball_truncation, sign_count
+from .spectral import GuardError, ball_truncation, sign_count
 
 SCHEMA_VERSION = "1"
 
@@ -122,6 +122,13 @@ def make_entry(
     mode: str,
     tolerance: float,
 ) -> CheckEntry:
+    """The entry comparing ``lhs`` with ``rhs`` under ``mode``.  Sides whose
+    difference is not a finite number (a side that is not, or finite input
+    whose arithmetic overflowed) trip a guard, GuardError naming the entry:
+    neither a verdict nor a JSON report could hold them."""
+    diff = complex(lhs) - complex(rhs)
+    if not math.isfinite(abs(diff.real) + abs(diff.imag)):
+        raise GuardError(f"entry {check_id}: lhs {lhs} - rhs {rhs} is not finite")
     res = residual_for(lhs, rhs, mode)
     return CheckEntry(
         check_id=check_id,
@@ -160,7 +167,9 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
+        """The report as JSON text; ``make_entry`` lets no NaN or infinity
+        in, and none would be written (they are not JSON, RFC 8259)."""
+        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2, allow_nan=False)
 
     def summary_lines(self) -> list[str]:
         width = max([len(e.check_id) for e in self.entries] + [8])
@@ -212,7 +221,9 @@ def check_cs_odd_chern_pairing(
     r and subtorus, absolute comparison, with ids ``check_id[r=..,J=..]``.
     Neither side's pairings depend on r, so they are computed once: the left
     side is sum_i r^i p_{i,J}, p_{i,J} the pairings of the ``cs_r_poly``
-    coefficients that ``re_im_split`` reads too.
+    coefficients that ``re_im_split`` reads too.  An r whose powers leave
+    the float range gives the sides infinity, which ``make_entry`` refuses
+    (GuardError).
 
     On a flat T^3 the ``J=123`` rows are a structural zero: c_1 has no
     degree-3 part and <c_3>_123 is a multiple of :func:`psi_local`, 0 on
@@ -240,10 +251,13 @@ def check_cs_odd_chern_pairing(
     for r in r_values:
         r = float(r)
         for region, pairings, ps in zip(regions, odd_pairings, cs_pairings):
-            lhs = sum(r**i * p for i, p in enumerate(ps))
-            rhs = 0j
-            for j, pairing in enumerate(pairings):
-                rhs -= (r / (2 * math.pi)) * a_coeff(j, r) / factorial(j) * pairing
+            try:
+                lhs = sum(r**i * p for i, p in enumerate(ps))
+                rhs = 0j
+                for j, pairing in enumerate(pairings):
+                    rhs -= (r / (2 * math.pi)) * a_coeff(j, r) / factorial(j) * pairing
+            except OverflowError:  # a power of r past the float range
+                lhs = rhs = complex(math.inf)  # which make_entry refuses
             entries.append(
                 make_entry(
                     f"{check_id}[r={r:g},J={''.join(map(str, region))}]",

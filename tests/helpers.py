@@ -626,3 +626,60 @@ def reference_scenario_schema() -> dict:
         for name, branch in schema["$defs"].items()
     ]
     return schema
+
+
+def reference_connection_schema() -> dict:
+    """The connection format as the scenario schema once stated it: the
+    oracle of ``Connection.from_json_obj``, which checks it where a
+    connection is read.  Matrix entries, key entries and shapes were left
+    to the reading then too."""
+    form = {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["dim", "rank", "terms"],
+        "properties": {
+            "dim": {"type": "integer", "minimum": 1},
+            "rank": {"type": "integer", "minimum": 1},
+            "terms": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["k", "I", "re", "im"],
+                    "properties": dict.fromkeys(("k", "I", "re", "im"), {"type": "array"}),
+                },
+            },
+        },
+    }
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["dim", "rank", "A"],
+        "properties": {
+            "dim": {"type": "integer"},
+            "rank": {"type": "integer", "minimum": 1},
+            "A": form,
+            "g": form,
+        },
+    }
+
+
+def json_mutations(node, values=("x", True, None, -1, 0, 1.5, [], {})):
+    """Every single mutation of the JSON value ``node``: in each object one
+    key dropped or an unknown one added, and each member of an object or
+    array, at any depth, set to each of ``values``."""
+    if isinstance(node, dict):
+        for key in node:
+            yield {k: v for k, v in node.items() if k != key}
+        yield {**node, "surprise": 1}
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        for new in [*values, *json_mutations(value, values)]:
+            out = copy.copy(node)
+            out[key] = copy.deepcopy(new)
+            yield out

@@ -309,6 +309,40 @@ def test_bad_matrix_shape_is_scenario_error(tmp_cwd, capsys, re, im):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [2**63 - 1, -(2**63), 2**63, 10**20])
+def test_frequency_past_int64_pairs_no_mode(tmp_cwd, k):
+    # a coupling whose shift has some |q_j| > 2K pairs no mode of the
+    # window, so it gets no pair before any index arithmetic, which would
+    # fail past the int64 range: the spectrum at K = 2 is that of a term at
+    # k = 5, also outside the window, and the gauge pumping still runs
+    def run(freq):
+        obj = load_bundled("s1_unitary.json")
+        obj["connections"]["base"]["A"]["terms"].append(
+            {"k": [freq], "I": [1], "re": [[0.25]], "im": [[0.5]]}
+        )
+        obj["experiments"] = [
+            {"check": "spectrum", "connection": "base", "cutoff": 2},
+            {"check": "gauge_pumping", "connection": "base", "winding": 1},
+        ]
+        obj["output"] = {"csv_dir": f"out{freq}"}
+        assert main(["run", write_scenario(tmp_cwd, obj)]) == 0
+        return (tmp_cwd / f"out{freq}" / "e00_spectrum.csv").read_bytes()
+
+    assert run(k) == run(5)
+
+
+def test_connection_error_is_reported_before_an_experiment_error(tmp_cwd, capsys):
+    # the connections are read right after the scenario's layout passes
+    # its schema, before each experiment meets its check's schema
+    obj = load_bundled("s1_unitary.json")
+    del obj["connections"]["base"]["A"]["terms"][0]["k"]
+    obj["experiments"][0]["surprise"] = 1
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert "invalid scenario: connection 'base': a term must be" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("declared", [{"dim": 1, "rank": 7}, {"dim": 1}, {"rank": 7}])
 def test_connection_shape_keys_must_match_its_form(tmp_cwd, capsys, declared):
     # the form A of "main" is dim 3, rank 2
@@ -789,25 +823,15 @@ def test_start_up_loads_no_scipy(tmp_cwd):
 def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
     # LinAlgError subclasses ValueError; a failure inside the numerics is a
     # bug to surface, not an invalid scenario (exit 2).  Both spectral solve
-    # routes fail, whichever of them the truncation takes; eigvalsh fails
-    # only once the scenario has loaded, since the metric check of its
-    # connections calls it while they load.
+    # routes fail, whichever of them the truncation takes; loading calls
+    # neither.
     def failing_solver(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    def load_then_fail(path):
-        scn = load_scenario(path)
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
-        return scn
-
     monkeypatch.setattr(np.linalg, "eigvals", failing_solver)
-    monkeypatch.setattr(cli, "load_scenario", load_then_fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
     obj = load_bundled("t3_spectrum.json")
     obj["experiments"] = [{"check": "spectrum", "connection": "main"}]
-    with pytest.raises(np.linalg.LinAlgError):
-        main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
-    # the metric check of a connection while it loads: its eigvalsh fails
-    monkeypatch.setattr(cli, "load_scenario", load_scenario)
     with pytest.raises(np.linalg.LinAlgError):
         main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
 
@@ -823,6 +847,31 @@ def test_stray_arithmetic_error_is_not_a_guard(tmp_cwd, monkeypatch):
     obj["experiments"] = [{"check": "re_im_split", "connection": "main"}]
     with pytest.raises(ZeroDivisionError):
         main(["run", write_scenario(tmp_cwd, obj)])
+
+
+@pytest.mark.parametrize(
+    "name, experiment",
+    [
+        # on T^3 the pairing's r**3 leaves the float range for |r| > 5.7e102
+        ("t3_flat_commuting.json",
+         {"check": "cs_odd_chern_pairing", "connection": "main", "r_values": [1e103]}),
+        # pi * rank is infinite, the phase factors NaN
+        ("s1_unitary.json", {"check": "bk_phase", "rank": 10**308}),
+    ],
+    ids=["pairing", "bk_phase"],
+)
+def test_finite_input_whose_arithmetic_overflows_is_a_guard(
+    tmp_cwd, capsys, name, experiment
+):
+    # an entry whose sides are not finite has no verdict, and a report
+    # holding it would not be JSON: a guard trips (exit 3), naming the
+    # entry, and no report is written
+    obj = load_bundled(name)
+    obj["experiments"] = [experiment]
+    obj["output"] = {"report": "report.json"}
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 3
+    assert "error: numerical guard tripped: entry " in capsys.readouterr().err
+    assert not (tmp_cwd / "report.json").exists()
 
 
 def test_any_guard_error_exits_3(tmp_cwd, capsys, monkeypatch):

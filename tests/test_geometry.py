@@ -1,16 +1,19 @@
 """Connection-level oracles: curvature patterns, unitarity,
 Chern--Simons calibrations, deformation-coefficient closed forms."""
 
+import json
 import math
+import pathlib
 from fractions import Fraction
 from math import factorial
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etacalc.forms import TrigPolyForm
+from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import (
     Connection,
     PreconditionError,
@@ -31,12 +34,14 @@ from helpers import (
     diagonal_connection_from_mus,
     exp_nilpotent,
     gauged_t3_connection,
+    json_mutations,
     phi_normalize_other_root,
     r_deformation,
     r_poly_at,
     random_flat_commuting_connection,
     random_nonflat_connection,
     random_unitary_constant_connection,
+    reference_connection_schema,
     rng_matrix,
     same_stored_terms,
 )
@@ -483,6 +488,68 @@ def test_connection_json_round_trip():
     obj = c.to_json_obj()
     assert sorted(obj) == ["A", "dim", "rank"]
     assert Connection.from_json_obj(obj).a.allclose(c.a, 0.0)
+
+
+_FORM = {"dim": 1, "rank": 1, "terms": [{"k": [0], "I": [1], "re": [[0.0]], "im": [[0.5]]}]}
+_TERM = _FORM["terms"][0]
+_CONNECTION = {"dim": 1, "rank": 1, "A": _FORM}
+_READ = {
+    "form": (TrigPolyForm.from_json_obj, _FORM),
+    "connection": (Connection.from_json_obj, _CONNECTION),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, obj",
+    [
+        ("form", {"dim": 1, "rank": 1}),
+        ("form", {**_FORM, "terms": 5}),
+        ("form", {**_FORM, "terms": [{k: v for k, v in _TERM.items() if k != "k"}]}),
+        ("form", {**_FORM, "terms": [{**_TERM, "x": 1}]}),
+        ("form", {**_FORM, "terms": [{**_TERM, "I": {}}]}),
+        ("form", {**_FORM, "terms": [list(_TERM.values())]}),
+        ("form", {**_FORM, "dim": "1"}),
+        ("form", {**_FORM, "dim": True}),
+        ("form", {**_FORM, "dim": 1.5}),
+        ("form", list(_FORM.values())),
+        ("connection", {"rank": 1, "A": _FORM}),
+        ("connection", {**_CONNECTION, "x": 1}),
+        ("connection", {**_CONNECTION, "dim": True}),
+        ("connection", list(_CONNECTION.values())),
+        *(("connection", {**_CONNECTION, "g": g}) for g in (None, {}, [], 0)),
+    ],
+)
+def test_from_json_obj_refuses_what_is_no_form_or_connection(kind, obj):
+    # the reader is where the JSON format is checked: a missing or unknown
+    # key, a list for an object or a number for a list, a dim that is no
+    # integer and a g key that holds no form are refused as input
+    read, valid = _READ[kind]
+    read(valid)
+    with pytest.raises(InvalidInputError):
+        read(obj)
+
+
+def test_connection_reader_refuses_what_the_old_schema_refused():
+    # the connection format's schema, which the scenario schema stated, is
+    # the oracle: every single mutation of a bundled connection, with and
+    # without an identity g, that it refuses, the reader refuses as input,
+    # and no mutation makes the reader raise anything else
+    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    conn = json.loads((scenarios / "t3_flat_commuting.json").read_text())["connections"]["main"]
+    oracle = jsonschema.Draft202012Validator(reference_connection_schema())
+    identity = TrigPolyForm.identity(conn["dim"], conn["rank"]).to_json_obj()
+    outcomes = []
+    for spec in (conn, {**conn, "g": identity}):
+        Connection.from_json_obj(spec)
+        for mutated in json_mutations(spec):
+            try:
+                Connection.from_json_obj(mutated)
+            except InvalidInputError:
+                outcomes.append(False)
+            else:
+                assert oracle.is_valid(mutated), mutated
+                outcomes.append(True)
+    assert len(outcomes) > 1000 and 100 < sum(outcomes) < len(outcomes)
 
 
 def test_odd_subtori_enumeration():
