@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .geometry import Connection, PreconditionError
-from .spectral import OperatorTruncation, on_axis
+from .spectral import AXIS_TOL, GuardError, OperatorTruncation, on_axis
 
 # the smoothing parameters eps the heat estimate extrapolates from
 _EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
@@ -85,13 +85,22 @@ def eta_s1_spectral(mus: Iterable[complex]) -> EtaValue:
     axis rule ``spectral.on_axis`` that the spectral flow counts by: a
     zero mode is a kernel mode and contributes nothing more; another value
     on the axis is excluded from the series (reported as 2 pi i Im mu)
-    while the rest of its tower contributes -2 (mu - n).
+    while the rest of its tower contributes -2 (mu - n).  A float Re mu
+    resolves lambda only to 2 pi ulp(Re mu); past AXIS_TOL (|Re mu| >=
+    2^20) ``on_axis`` cannot decide, so such a mu trips a guard
+    (GuardError, exit 3), as does one that is not finite.
     """
     total = 0j
     kernel = 0
     excluded: list[complex] = []
     for mu in mus:
         mu = complex(mu)
+        if not 2 * math.pi * math.ulp(mu.real) <= AXIS_TOL:
+            raise GuardError(
+                f"the axis rule cannot place the tower of mu = {mu}: a float "
+                "Re mu resolves its value nearest the axis to 2 pi ulp(Re mu) "
+                f"= {2 * math.pi * math.ulp(mu.real):.3g}, not within {AXIS_TOL}"
+            )
         m = mu - round(mu.real)  # the tower's value nearest the axis, over 2 pi
         axis, zero = on_axis(2 * math.pi * m)
         if zero:

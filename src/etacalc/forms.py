@@ -66,10 +66,10 @@ PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
 
 
 class InvalidInputError(ValueError):
-    """Outside input describes no valid form or connection (a bad shape,
-    index or entry; a fiber metric other than the identity).  Only input
-    validation raises it, so it never stands for a failure inside the
-    numerics."""
+    """Outside input describes no valid form, connection or scenario (a
+    bad shape, index or entry; a key missing or unknown; a fiber metric
+    other than the identity).  Only input validation raises it, so it
+    never stands for a failure inside the numerics."""
 
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -148,11 +148,16 @@ def _integer(v, what: str = "term key entry") -> int:
 def _json_fields(obj, what: str, keys: tuple, optional: tuple = (), lists: tuple = ()):
     """The values of ``keys`` in ``obj``, which must be a JSON object with
     all of ``keys``, those of ``optional`` at most and no other key, and
-    lists under ``lists``."""
-    if not isinstance(obj, Mapping) or not set(keys) <= obj.keys() <= {*keys, *optional}:
+    lists under ``lists``.  A refusal names the keys missing and unknown."""
+    odd = ["it is no object"]
+    if isinstance(obj, Mapping):
+        odd = [f"no {k!r}" for k in keys if k not in obj]
+        odd += [f"unknown {k!r}" for k in obj if k not in keys and k not in optional]
+    if odd:
         raise InvalidInputError(
-            f"{what} must be an object with the keys {', '.join(keys)}"
-            + "".join(f" (and optionally {key})" for key in optional)
+            f"{what} must be an object with the keys "
+            + ", ".join([*keys, *(f"{k} (optional)" for k in optional)])
+            + f": {', '.join(odd)}"
         )
     for key in lists:
         if not isinstance(obj[key], list):

@@ -12,7 +12,6 @@ from math import comb
 import numpy as np
 from hypothesis import strategies as st
 
-from etacalc import cli
 from etacalc.forms import PHI_SCALE, TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
 from etacalc.spectral import AXIS_TOL
@@ -609,23 +608,147 @@ def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:
     )
 
 
+def _tagged_branch(
+    tag: str, value: str, required: tuple[str, ...], props: dict
+) -> dict:
+    """Applies ``props``, and no other keys, to objects whose ``tag`` is
+    ``value``.  One such branch per path kind reports a broken path against
+    its own kind, where a ``oneOf`` would report whichever failed last."""
+    only_this = {"const": value}
+    return {
+        "if": {"required": [tag], "properties": {tag: only_this}},
+        "then": {
+            "additionalProperties": False,
+            "required": list(required),
+            "properties": {tag: only_this, **props},
+        },
+    }
+
+
 def reference_scenario_schema() -> dict:
-    """The scenario schema as one document, in which every experiment goes
-    through an ``if``/``then`` branch of every check: ``cli._tagged_branch``
-    over the check schemas in ``$defs``, in an ``allOf``.  The oracle of
-    ``cli.load_scenario``, which checks each experiment against its own
-    check's schema only."""
-    schema = copy.deepcopy(cli.SCENARIO_SCHEMA)
-    schema["properties"]["experiments"]["items"]["allOf"] = [
-        cli._tagged_branch(
-            "check",
-            name,
-            tuple(branch["required"]),
-            {k: v for k, v in branch["properties"].items() if k != "check"},
-        )
-        for name, branch in schema["$defs"].items()
-    ]
-    return schema
+    """The scenario format as a JSON Schema once stated it, frozen: the
+    oracle of ``cli.load_scenario``, which reads and checks the format
+    itself.  It is one document, in which every experiment goes through an
+    ``if``/``then`` branch of every check (``_tagged_branch``) over the
+    check schemas in ``$defs``, in an ``allOf``.  The connection format is
+    ``reference_connection_schema``'s."""
+    name = {"type": "string"}
+    params = {
+        "connection": name,
+        "from": name,
+        "to": name,
+        "reference": name,
+        "path": {
+            "type": "object",
+            "required": ["kind"],
+            "properties": {"kind": {"enum": ["linear", "gauge"]}},
+            "allOf": [
+                _tagged_branch(
+                    "kind", "linear", ("from", "to"), {"from": name, "to": name}
+                ),
+                _tagged_branch(
+                    "kind",
+                    "gauge",
+                    ("connection", "winding"),
+                    {"connection": name, "winding": {"type": "integer"}},
+                ),
+            ],
+        },
+        "r_values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "cutoff": {"type": "integer", "minimum": 1},
+        "winding": {"type": "integer"},
+        "samples": {"type": "integer", "minimum": 2},
+        "rank": {"type": "integer", "minimum": 1},
+        "tolerance": {"type": "number", "exclusiveMinimum": 0},
+    }
+    # a label names a report entry and an artifact file in csv_dir, so it
+    # is one file name: no path separator, NUL, "." or ".."
+    label = {
+        "type": "string",
+        "minLength": 1,
+        "pattern": r"^[^/\\\x00]*$",
+        "not": {"enum": [".", ".."]},
+    }
+    # check -> (the keys it takes, the required ones among them)
+    one = ("connection",)
+    checks = {
+        "cs_odd_chern_pairing": (("connection", "r_values", "tolerance"), one),
+        "gilkey_variation": (("from", "to", "tolerance"), ("from", "to")),
+        "variation_complex": (("path", "tolerance", "cutoff"), ("path",)),
+        "gauge_pumping": (("connection", "winding", "cutoff"), (*one, "winding")),
+        "re_im_split": (("connection", "tolerance"), one),
+        "psi_constancy": (("path", "samples", "tolerance"), ("path",)),
+        "eta_tilde_imaginary": (("connection", "reference", "tolerance"), one),
+        "bk_phase": (("rank", "cutoff"), ()),
+        "spectrum": (("connection", "cutoff"), one),
+    }
+    defs = {
+        check: {
+            "additionalProperties": False,
+            "required": list(required),
+            "properties": {
+                "check": {"const": check},
+                "label": label,
+                **{key: params[key] for key in keys},
+            },
+        }
+        for check, (keys, required) in checks.items()
+    }
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["manifold", "bundle", "experiments"],
+        "properties": {
+            "manifold": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["dim"],
+                "properties": {"dim": {"enum": [1, 3, 5]}},
+            },
+            "bundle": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["rank"],
+                "properties": {"rank": {"type": "integer", "minimum": 1}},
+            },
+            "connections": {
+                "type": "object",
+                "additionalProperties": {"type": "object"},
+            },
+            "experiments": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["check"],
+                    "properties": {"check": {"enum": list(checks)}},
+                    "allOf": [
+                        _tagged_branch(
+                            "check",
+                            check,
+                            tuple(branch["required"]),
+                            {
+                                k: v
+                                for k, v in branch["properties"].items()
+                                if k != "check"
+                            },
+                        )
+                        for check, branch in defs.items()
+                    ],
+                },
+                "minItems": 1,
+            },
+            "output": {
+                "type": "object",
+                "additionalProperties": False,
+                "properties": {
+                    "report": {"type": "string", "minLength": 1},
+                    "csv_dir": {"type": "string", "minLength": 1},
+                },
+            },
+        },
+        "$defs": defs,
+    }
 
 
 def reference_connection_schema() -> dict:

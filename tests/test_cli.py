@@ -1,4 +1,4 @@
-"""Scenario runner: schema validation, exit codes, artifacts, determinism."""
+"""Scenario runner: reading and checking, exit codes, artifacts, determinism."""
 
 import copy
 import itertools
@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from etacalc import cli, spectral, verify
-from etacalc.cli import SCENARIO_SCHEMA, load_scenario, main
+from etacalc.cli import load_scenario, main
 from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import Connection
-from helpers import reference_scenario_schema
+from helpers import json_mutations, reference_scenario_schema
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = [
@@ -47,17 +47,13 @@ def load_bundled(name):
 
 
 # ----------------------------------------------------------------------
-# schema and loading
+# reading and checking
 
 
 def test_bundled_scenarios_validate():
-    # one validator: jsonschema.validate would meta-check the schema per call
-    validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+    reference = jsonschema.Draft202012Validator(reference_scenario_schema())
     for name in BUNDLED:
-        obj = load_bundled(name)
-        validator.validate(obj)
-        for exp in obj["experiments"]:
-            validator.evolve(schema=SCENARIO_SCHEMA["$defs"][exp["check"]]).validate(exp)
+        reference.validate(load_bundled(name))
         scn = load_scenario(str(SCENARIOS / name))
         assert scn.experiments
 
@@ -117,8 +113,7 @@ def test_per_check_schema_names_offending_key(
     obj["experiments"] = [experiment]
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
     err = capsys.readouterr().err
-    assert "schema" in err and repr(key) in err
-    assert "at $.experiments[0]" in err
+    assert "invalid scenario: $.experiments[0]" in err and repr(key) in err
 
 
 @pytest.mark.parametrize(
@@ -133,7 +128,12 @@ def test_retired_tracks_experiment_is_a_schema_error(tmp_cwd, capsys, experiment
     obj = load_bundled("s1_nonunitary.json")
     obj["experiments"] = [experiment]
     assert main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"]) == 2
-    assert "violates the schema" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if experiment["check"] == "tracks":
+        assert "invalid scenario: $.experiments[0].check 'tracks' is not one of" in err
+    else:
+        assert "invalid scenario: $.experiments[0] must be" in err
+        assert "unknown 'intervals'" in err
     assert not list(tmp_cwd.rglob("*.csv"))
 
 
@@ -148,7 +148,12 @@ def test_retired_suite_experiment_is_a_schema_error(tmp_cwd, capsys, key, value)
     obj = load_bundled("s1_unitary.json")
     obj[key] = value
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    assert "violates the schema" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if key == "seed":
+        assert "invalid scenario: $ must be an object" in err
+        assert "unknown 'seed'" in err
+    else:
+        assert "invalid scenario: $.experiments[0].check 'standard_suite'" in err
     assert not (tmp_cwd / "out").exists()
 
 
@@ -159,16 +164,25 @@ def test_check_flag_rejects_unknown_name(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_schema_is_generated_from_the_registry():
-    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
-    items = SCENARIO_SCHEMA["properties"]["experiments"]["items"]
-    defs = SCENARIO_SCHEMA["$defs"]
+def test_reference_schema_is_the_registry():
+    # the frozen reference is a valid schema, and the keys it accepts and
+    # requires per check are those the registry's check signatures give,
+    # each of which the loader has a reader for
+    reference = reference_scenario_schema()
+    jsonschema.Draft202012Validator.check_schema(reference)
+    items = reference["properties"]["experiments"]["items"]
+    defs = reference["$defs"]
     accepted = {
         name: set(schema["properties"]) - {"check", "label"}
         for name, schema in defs.items()
     }
     assert all(defs[name]["properties"]["check"] == {"const": name} for name in defs)
-    assert list(accepted) == items["properties"]["check"]["enum"]
+    assert list(accepted) == items["properties"]["check"]["enum"] == list(cli.CHECKS)
+    assert accepted == {name: set(c.params) for name, c in cli.CHECKS.items()}
+    assert {name: set(d["required"]) for name, d in defs.items()} == {
+        name: set(c.required) for name, c in cli.CHECKS.items()
+    }
+    assert set(cli._READERS) == {"label"}.union(*accepted.values())
     assert accepted == {
         "cs_odd_chern_pairing": {"connection", "r_values", "tolerance"},
         "gilkey_variation": {"from", "to", "tolerance"},
@@ -182,28 +196,6 @@ def test_schema_is_generated_from_the_registry():
     }
     # every key a check accepts, label included, and nothing else
     assert sum(len(keys) + 1 for keys in accepted.values()) == 33
-
-
-def test_loader_reuses_one_validator_without_meta_check(monkeypatch):
-    # SCENARIO_SCHEMA is a constant: test_schema_is_generated_from_the_registry
-    # meta-checks it, so loading a scenario runs no meta-check at all, and
-    # builds no validator per call (jsonschema.validate would do both)
-    def no_validate(*args, **kwargs):
-        raise AssertionError("load_scenario must reuse one validator")
-
-    monkeypatch.setattr(jsonschema, "validate", no_validate)
-    meta_checks = []
-    validator_cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-
-    def counted(cls, schema):
-        meta_checks.append(schema)
-
-    monkeypatch.setattr(validator_cls, "check_schema", classmethod(counted))
-    cli._scenario_validator.cache_clear()
-    for name in BUNDLED:
-        load_scenario(str(SCENARIOS / name))
-    assert meta_checks == []
-    assert cli._scenario_validator.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("entry", ["null", "{}", '"1.5"', "true", "1e999"])
@@ -236,47 +228,91 @@ def test_term_key_entries_are_integers(tmp_cwd, capsys, key, index, entry):
         assert "is not an integer" in capsys.readouterr().err
 
 
+#: the values a mutation sets: every JSON type, and numbers on each side of
+#: every bound (cutoff and rank >= 1, samples >= 2, tolerance > 0, dim 1, 3
+#: or 5); 1.5 is no integer, and true is no number
+_VALUES = ("x", True, None, -1, 0, 1, 1.5, 2, [], {})
+
+
 def _experiment_mutations(exp: dict):
-    """``exp`` with each key dropped, an unknown key added, each value
-    replaced by a string, true, null and -1, and each other check named."""
-    for key in exp:
-        yield {k: v for k, v in exp.items() if k != key}
-        for value in ("x", True, None, -1):
-            yield {**exp, key: value}
-    yield {**exp, "surprise": 1}
+    """Every single mutation of ``exp`` (``json_mutations``, in the path
+    and the r_values too), each key its check takes and ``exp`` lacks added
+    with each of ``_VALUES``, and each other check named."""
+    yield from json_mutations(exp, _VALUES)
+    for key in cli.CHECKS[exp["check"]].params:
+        if key not in exp:
+            yield from ({**exp, key: value} for value in _VALUES)
     for name in cli.CHECKS:
         if name != exp["check"]:
             yield {**exp, "check": name}
 
 
+def _refuses_as_the_reference(reference, tmp_path, obj) -> bool:
+    """Whether the loader refuses ``obj``, asserting that it refuses it
+    exactly when the frozen reference schema does, naming the JSON path of
+    the reference's best match first.  Without connections, a scenario the
+    reference accepts may be refused only for a name it gives."""
+    error = jsonschema.exceptions.best_match(reference.iter_errors(obj))
+    try:
+        load_scenario(write_scenario(tmp_path, obj))
+    except InvalidInputError as exc:
+        if error is None:
+            assert "names an unknown connection" in str(exc), obj
+            return False
+        assert str(exc).split(" ", 1)[0] == error.json_path, (obj, str(exc))
+        return True
+    assert error is None, obj
+    return False
+
+
 def test_loader_refuses_as_the_single_document_schema(tmp_cwd):
-    # validating each experiment against its own check's schema refuses
-    # the same experiments, at the same path and with the same message, as
-    # one schema with a branch per check did; the connections are left out
-    # to keep the corpus fast, so a scenario that passes the schema is
-    # refused only for the names it gives, which are checked after it
+    # the loader refuses the same experiments, at the same JSON path, as
+    # the frozen schema with a branch per check.  Each distinct bundled
+    # experiment is mutated alone in a scenario without connections, to
+    # keep the corpus fast, so a scenario that passes the schema is refused
+    # only for the names it gives, which are checked after it
     reference = jsonschema.Draft202012Validator(reference_scenario_schema())
-    outcomes = []
+    distinct = {}
     for name in BUNDLED:
         obj = load_bundled(name)
-        del obj["connections"]
-        for i, exp in enumerate(obj["experiments"]):
-            for mutated in _experiment_mutations(exp):
-                obj["experiments"][i] = mutated
-                error = jsonschema.exceptions.best_match(reference.iter_errors(obj))
-                expected = error and (error.json_path, error.message)
-                try:
-                    load_scenario(write_scenario(tmp_cwd, obj))
-                    got = None
-                except jsonschema.ValidationError as exc:
-                    got = (exc.json_path, exc.message)
-                except InvalidInputError as exc:
-                    assert str(exc).startswith("unknown connection"), mutated
-                    got = None
-                assert got == expected, mutated
-                outcomes.append(got is None)
-            obj["experiments"][i] = exp
-    assert len(outcomes) > 300 and 0 < sum(outcomes) < len(outcomes)
+        for exp in obj["experiments"]:
+            key = json.dumps(exp, sort_keys=True)
+            distinct[key] = (obj["manifold"], obj["bundle"], exp)
+    outcomes = []
+    for manifold, bundle, exp in distinct.values():
+        for mutated in _experiment_mutations(exp):
+            obj = {"manifold": manifold, "bundle": bundle, "experiments": [mutated]}
+            outcomes.append(_refuses_as_the_reference(reference, tmp_cwd, obj))
+    assert len(outcomes) > 1000 and 100 < sum(outcomes) < len(outcomes) - 100
+
+
+def _envelope_mutations(obj: dict):
+    """``obj`` with each key of the top level and of ``manifold``,
+    ``bundle`` and ``output`` dropped, an unknown key added to each, and
+    each of their values set to each of ``_VALUES`` in turn."""
+    for part in (None, "manifold", "bundle", "output"):
+        node = obj if part is None else obj[part]
+        variants = [{k: v for k, v in node.items() if k != key} for key in node]
+        variants.append({**node, "surprise": 1})
+        variants += [{**node, key: value} for key in node for value in _VALUES]
+        for variant in variants:
+            yield variant if part is None else {**obj, part: variant}
+
+
+@pytest.mark.parametrize("name", ["s1_unitary.json", "t3_spectrum.json"])
+def test_loader_refuses_as_the_reference_on_the_envelope(tmp_cwd, name):
+    # the layout around the experiments: every single mutation of it is
+    # refused exactly when the frozen schema refuses it, at its path.  The
+    # connections are left empty, as in the experiment corpus, so no
+    # connection's dim or rank can refuse a dim or rank the schema accepts
+    reference = jsonschema.Draft202012Validator(reference_scenario_schema())
+    obj = {**load_bundled(name), "connections": {}}
+    assert set(obj["output"]) == {"report", "csv_dir"}
+    outcomes = [
+        _refuses_as_the_reference(reference, tmp_cwd, mutated)
+        for mutated in _envelope_mutations(obj)
+    ]
+    assert len(outcomes) > 80 and 5 < outcomes.count(False) < outcomes.count(True)
 
 
 @pytest.mark.parametrize(
@@ -291,7 +327,9 @@ def test_label_is_one_file_name(tmp_cwd, capsys, label):
     obj["experiments"] = [{"check": "spectrum", "connection": "base", "label": label}]
     obj["output"] = {"csv_dir": "o/inner"}
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    assert "at $.experiments[0].label" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    at = "invalid scenario: $.experiments[0].label"
+    assert f"{at} {label!r} is not one file name" in err
     assert [p.name for p in tmp_cwd.rglob("*")] == ["scenario.json"]
     assert outside.exists() == existed
 
@@ -392,7 +430,46 @@ def test_bk_phase_rank_zero_rejected(tmp_cwd, capsys):
     assert bk["check"] == "bk_phase"
     bk["rank"] = 0
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    assert "schema" in capsys.readouterr().err
+    assert "invalid scenario: $.experiments[2].rank 0 is less than 1" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("part, key", [("manifold", "dim"), ("bundle", "rank")])
+def test_integral_float_dim_and_rank_run_as_integers(tmp_cwd, part, key):
+    # JSON Schema's integers include 3.0, so the scenario's dim and rank
+    # are read as integers: the run is that of the integer, byte for byte
+    def report(value):
+        obj = load_bundled("t3_spectrum.json")
+        obj[part][key] = value
+        obj["output"] = {"report": f"{value!r}.json"}
+        assert main(["run", write_scenario(tmp_cwd, obj)]) == 0
+        return (tmp_cwd / f"{value!r}.json").read_bytes()
+
+    value = load_bundled("t3_spectrum.json")[part][key]
+    assert report(float(value)) == report(value)
+
+
+@pytest.mark.parametrize(
+    "name, connections, im",
+    [("s1_unitary.json", ["base"], lambda x: 1e20),
+     ("s1_nonunitary.json", ["main", "target"], lambda x: x * 1e103)],
+    ids=["unitary-base-1e20", "nonunitary-1e103"],
+)
+def test_tower_shift_past_the_axis_rule_is_a_guard(
+    tmp_cwd, capsys, name, connections, im
+):
+    # past |Re mu| = 2^20 a float mu places its tower no better than the
+    # axis tolerance: a guard trips (exit 3) naming mu, where the axis rule
+    # would have invented a kernel mode or an axis eigenvalue (exit 2)
+    obj = load_bundled(name)
+    for conn in connections:
+        for term in obj["connections"][conn]["A"]["terms"]:
+            term["im"] = [[im(x) for x in row] for row in term["im"]]
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 3
+    assert "numerical guard tripped: the axis rule cannot place the tower of mu = " in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -458,7 +535,9 @@ def test_unknown_connection_name_is_refused_before_anything_runs(
     obj["experiments"] = spectrum + [experiment]
     obj["output"] = {"csv_dir": "out", "report": "out/report.json"}
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    assert "invalid scenario: unknown connection 'nosuch'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid scenario: $.experiments[1]." in err
+    assert "names an unknown connection 'nosuch'" in err
     assert not (tmp_cwd / "out").exists()
 
 
@@ -818,6 +897,36 @@ def test_start_up_loads_no_scipy(tmp_cwd):
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded == {"import": [], "run": [], "suite": []}
+
+
+_NO_JSONSCHEMA_RUN = """
+import sys
+sys.modules["jsonschema"] = None  # any import of it raises ImportError
+from etacalc.cli import main
+sys.exit(main(["run", sys.argv[1], "--emit-csv"]))
+"""
+
+
+def test_run_needs_no_jsonschema(tmp_cwd):
+    # the loader reads and checks the scenario itself, so a run works where
+    # jsonschema, a test dependency only, cannot be imported, and writes
+    # the bytes of an ordinary run
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    scenario = str(SCENARIOS / "s1_unitary.json")
+    (tmp_cwd / "bare").mkdir()
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_JSONSCHEMA_RUN, scenario],
+        capture_output=True, text=True, env=env, cwd=tmp_cwd / "bare",
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(["run", scenario, "--emit-csv"]) == 0
+    for written in ("out/s1_unitary_report.json", "out/e06_spectrum.csv"):
+        bare = (tmp_cwd / "bare" / written).read_bytes()
+        assert bare == (tmp_cwd / written).read_bytes()
 
 
 def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):

@@ -2,6 +2,7 @@
 oracle, heat-smoothed estimates, and the imaginary-axis census."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from etacalc.eta import (
 from etacalc.forms import TrigPolyForm
 from etacalc.geometry import Connection, PreconditionError, subtorus_pairing
 from etacalc.spectral import (
+    AXIS_TOL,
+    GuardError,
     ball_truncation,
     build_truncation,
     on_axis,
@@ -135,6 +138,26 @@ def test_spectral_eta_near_integer_is_kernel():
     res = eta_s1_spectral([1 - 1e-12, 5 + 1e-13j])
     assert res.kernel_dim == 2
     assert res.eta == pytest.approx(0.0, abs=1e-9)
+
+
+def test_large_tower_shift_keeps_its_fraction():
+    # at Re mu = 1e5 a float still resolves the tower's value nearest the
+    # axis to 2 pi ulp(1e5) < AXIS_TOL, so the shift by 1e5 is a relabelling
+    res = eta_s1_spectral([1e5 + 0.25])
+    assert res.eta == 0.5 and res.kernel_dim == 0 and res.excluded == ()
+
+
+@pytest.mark.parametrize(
+    "mu", [2.0**20, -(2.0**20), 1e20 / (2 * math.pi), 3e102 + 0.07j, math.inf, math.nan]
+)
+def test_tower_shift_the_axis_rule_cannot_place_is_a_guard(mu):
+    # from |Re mu| = 2^20 on, 2 pi ulp(Re mu) > AXIS_TOL: the axis rule
+    # cannot tell a kernel mode from a tower off the axis, so no eta is given
+    assert 2 * math.pi * math.ulp(2.0**19) <= AXIS_TOL < 2 * math.pi * math.ulp(2.0**20)
+    eta_s1_spectral([2.0**20 - 1 + 0.25])  # the last float band it still places
+    named = re.escape(f"tower of mu = {complex(mu)}")
+    with pytest.raises(GuardError, match=named):
+        eta_s1_spectral([0.25, mu])
 
 
 # ---------------------------------------------------------------------------
