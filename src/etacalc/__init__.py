@@ -32,7 +32,6 @@ from .verify import (
     assemble_report,
     eta_tilde,
     psi_local,
-    psi_spectral,
     standard_suite,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "m_minus",
     "odd_subtori",
     "psi_local",
-    "psi_spectral",
     "spectral_flow",
     "spectrum",
     "standard_suite",

@@ -9,12 +9,14 @@ with a distinct code per failure class:
 * 0 -- everything ran and every check passed
 * 1 -- at least one check entry failed its tolerance
 * 2 -- the scenario is invalid (not JSON, or input that the reading
-  refuses with :class:`~etacalc.forms.InvalidInputError`, naming the JSON
-  path of what it refuses: a key missing or unknown, a value of the wrong
-  type or range, a number that is not a finite float, unknown connection
-  name, shape mismatch, repeated experiment label or one that is not a
-  file name, a connection that ``Connection.from_json_obj`` refuses, a
-  fiber metric ``g`` other than I among it) or
+  refuses with :class:`~etacalc.forms.InvalidInputError`, whose message
+  starts with the JSON path of what it refuses: a key missing or unknown,
+  a value of the wrong type or range, a number that is not a finite
+  float, unknown connection name, shape mismatch, repeated experiment
+  label or one that is not a file name, a connection that
+  ``Connection.from_json_obj`` refuses, down to a matrix entry such as
+  ``$.connections.main.A.terms[0].re[0][1]``, a fiber metric ``g`` other
+  than I among it) or
   asks a check for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`; a gauge path off the
   circle is refused as the scenario loads, before anything runs); nothing
@@ -28,7 +30,8 @@ with a distinct code per failure class:
 Any other exception is a bug and propagates with its traceback.
 
 The checks are those of :data:`etacalc.verify.CHECKS`, the registry that
-``standard_suite`` runs through too, plus one CSV artifact, ``spectrum``.
+``standard_suite`` runs through too, plus one CSV artifact, ``spectrum``,
+whose CSV ``run_scenario`` writes.
 Experiments run on the scenario's own connections, so a report's ``meta``
 holds the schema version only (``scripts/run_verification.py`` seeds
 the randomized suite).
@@ -40,11 +43,12 @@ library: the scenario's layout, and one reader per experiment key
 takes (a connection name, a path, an int or a float), the same for every
 check that takes the key.  An experiment takes exactly the keys its
 check's parameters name, and a label.  All of it is read once, where the
-scenario loads, into the (check name, experiment) pairs that
+scenario loads, into the (check name, ``verify.Experiment``) pairs that
 ``standard_suite`` runs too, connection names becoming connections and
 paths t -> connection; a run only filters them, applies ``--tol`` and
-attaches the CSV sink.  The connection format, the whole of it, is
-checked where a connection is read (``Connection.from_json_obj``).  A
+writes the spectrum CSVs.  The connection format, the whole of it, is
+checked where a connection is read (``Connection.from_json_obj``, passed
+the connection's JSON path ``$.connections.<name>``).  A
 label names the experiment's CSV file in ``csv_dir``, so it must be one
 file name.
 Experiments are independent of each other; they are executed in file order
@@ -61,10 +65,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import verify
 from .flow import gauge_path
-from .forms import InvalidInputError, _integer, _json_fields
+from .forms import InvalidInputError, _integer, _json_fields, _number
 from .geometry import Connection, PreconditionError, linear_path
 from .spectral import GuardError, build_truncation, export_spectrum_csv
 
@@ -76,82 +81,31 @@ EXIT_GUARD = 3
 
 @dataclass(frozen=True)
 class Scenario:
-    experiments: tuple[tuple[str, _Experiment], ...]
+    experiments: tuple[tuple[str, verify.Experiment], ...]
     report_path: str | None
     csv_dir: str | None
 
 
-class _CsvSink:
-    """Collects artifact files under one directory, creating it lazily."""
-
-    def __init__(self, directory: str | None, enabled: bool):
-        self.directory = directory or "."
-        self.enabled = enabled
-        self.written: list[str] = []
-
-    def path_for(self, label: str) -> str:
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, f"{label}.csv")
-        self.written.append(path)
-        return path
-
-
-# ----------------------------------------------------------------------
-# the check registry: verify's identity checks plus a CSV artifact
-
-
-@dataclass(frozen=True)
-class _Experiment(verify.Experiment):
-    """An experiment of a scenario: also where its artifacts go, attached
-    when it runs."""
-
-    sink: _CsvSink | None = None
-
-
-def _spectrum_csv(x: _Experiment) -> list[verify.CheckEntry]:
-    if x.sink.enabled:
-        t = build_truncation(x.args["connection"], x.args.get("cutoff", 4))
-        export_spectrum_csv(t, x.sink.path_for(x.label))
-    return []
-
-
-#: check name -> verify.Check(params, required params, runner)
+#: check name -> verify.Check(params, required params, runner): verify's
+#: identity checks, and ``spectrum``, whose keys the loader reads and whose
+#: CSV ``run_scenario`` writes; its row yields no entry
 CHECKS: dict[str, verify.Check] = {
     **verify.CHECKS,
-    "spectrum": verify.Check(
-        ("connection", "cutoff"), ("connection",), _spectrum_csv
-    ),
+    "spectrum": verify.Check(("connection", "cutoff"), ("connection",), lambda x: []),
 }
 
 # ----------------------------------------------------------------------
 # reading a scenario: each reader takes a JSON value and the JSON path
 # ``at`` where it stands, and returns the value as its check takes it or
-# refuses it, naming ``at``.  Numbers follow JSON Schema: a bool is not
-# one, and an integral float is an integer.
+# refuses it, naming ``at``, as the readers of ``forms`` that it shares
+# (``_integer``, ``_number``, ``_json_fields``) do.  Numbers follow JSON
+# Schema: a bool is not one, and an integral float is an integer.
 
 
 def _string(value, at: str) -> str:
     if not isinstance(value, str):
         raise InvalidInputError(f"{at} {value!r} is not a string")
     return value
-
-
-def _number(value, at: str) -> int | float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"{at} {value!r} is not a number")
-    return value
-
-
-def _integer_from(least: int):
-    """The reader of an integer >= ``least``."""
-
-    def read(value, at: str) -> int:
-        n = _integer(value, at)
-        if n < least:
-            raise InvalidInputError(f"{at} {n} is less than {least}")
-        return n
-
-    return read
 
 
 def _positive(value, at: str) -> float:
@@ -198,10 +152,10 @@ _READERS = {
     **dict.fromkeys(_NAMES, _string),
     "path": _path,
     "r_values": _r_values,
-    "cutoff": _integer_from(1),
+    "cutoff": partial(_integer, least=1),
     "winding": _integer,
-    "samples": _integer_from(2),
-    "rank": _integer_from(1),
+    "samples": partial(_integer, least=2),
+    "rank": partial(_integer, least=1),
     "tolerance": _positive,
     "label": _label,
 }
@@ -212,7 +166,7 @@ def _finite(text: str) -> str:
     and +-Infinity (not JSON under RFC 8259), 1e999 and integers too large
     to convert are refused."""
     if not math.isfinite(float(text)):
-        raise InvalidInputError(f"number {text[:40]} is not a finite float")
+        raise InvalidInputError(f"$ holds {text[:40]}, which is not a finite float")
     return text
 
 
@@ -248,17 +202,18 @@ def load_scenario(path: str) -> Scenario:
     of one is reported before any of the next: the layout (the keys at the
     top and of ``manifold``, ``bundle`` and ``output``, dim 1, 3 or 5, and
     each experiment an object naming a check), then the connections
-    (``Connection.from_json_obj``, each checked against the scenario's dim
-    and rank), then each experiment's keys, exactly those its check reads
-    and a label, and their values (``_READERS``), and last the names: a
-    connection name must name one of the scenario's connections and a
-    gauge path must lie on the circle (a T^d scenario's is refused).  So
-    an unknown name never hides a format error, and such input is refused
-    before any experiment runs or writes an artifact, also under
-    ``--check``.  Each experiment is loaded as the (check name, experiment)
-    pair that ``verify.standard_suite`` runs too: its args, its label,
-    explicit or ``e{index:02d}_{check}``, and the scenario's dim and rank;
-    labels name entries and artifacts, so they must be distinct."""
+    (``Connection.from_json_obj`` at ``$.connections.<name>``, each
+    checked against the scenario's dim and rank), then each experiment's
+    keys, exactly those its check reads and a label, and their values
+    (``_READERS``), and last the names: a connection name must name one
+    of the scenario's connections and a gauge path must lie on the circle
+    (a T^d scenario's is refused).  So an unknown name never hides a
+    format error, and such input is refused before any experiment runs or
+    writes an artifact, also under ``--check``.  Each experiment is loaded
+    as the (check name, ``verify.Experiment``) pair that
+    ``verify.standard_suite`` runs too: its args, its label, explicit or
+    ``e{index:02d}_{check}``, and the scenario's dim and rank; labels
+    name entries and artifacts, so they must be distinct."""
     with open(path) as fh:
         obj = json.load(
             fh,
@@ -274,7 +229,7 @@ def load_scenario(path: str) -> Scenario:
     if dim not in (1, 3, 5):
         raise InvalidInputError(f"$.manifold.dim {dim} is not 1, 3 or 5")
     (rank,) = _json_fields(bundle, "$.bundle", ("rank",))
-    rank = _integer_from(1)(rank, "$.bundle.rank")
+    rank = _integer(rank, "$.bundle.rank", 1)
     specs = obj.get("connections", {})
     if not isinstance(specs, dict):
         raise InvalidInputError("$.connections must be an object")
@@ -296,26 +251,23 @@ def load_scenario(path: str) -> Scenario:
 
     connections: dict[str, Connection] = {}
     for name, spec in specs.items():
-        try:
-            conn = Connection.from_json_obj(spec)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"connection {name!r}: {exc}") from exc
+        conn = Connection.from_json_obj(spec, f"$.connections.{name}")
         if conn.dim != dim or conn.rank != rank:
             raise InvalidInputError(
-                f"connection {name!r} is dim={conn.dim} rank={conn.rank}, "
-                f"scenario declares dim={dim} rank={rank}"
+                f"$.connections.{name} is dim={conn.dim} rank={conn.rank}, "
+                f"the scenario declares dim={dim} rank={rank}"
             )
         connections[name] = conn
 
     read = [_experiment_keys(i, exp) for i, exp in enumerate(experiments)]
-    loaded: dict[str, tuple[str, _Experiment]] = {}
+    loaded: dict[str, tuple[str, verify.Experiment]] = {}
     for i, (exp, args) in enumerate(zip(experiments, read)):
         label = args.pop("label", f"e{i:02d}_{exp['check']}")
         at = f"$.experiments[{i}]"
         args = {k: _argument(k, v, f"{at}.{k}", connections) for k, v in args.items()}
         if label in loaded:
-            raise InvalidInputError(f"two experiments are labelled {label!r}")
-        loaded[label] = (exp["check"], _Experiment(args, label, dim, rank))
+            raise InvalidInputError(f"{at} is labelled {label!r}, as an earlier one is")
+        loaded[label] = (exp["check"], verify.Experiment(args, label, dim, rank))
     return Scenario(
         experiments=tuple(loaded.values()),
         report_path=output.get("report"),
@@ -332,27 +284,35 @@ def run_scenario(
     selected_checks: list[str] | None = None,
     tol_override: float | None = None,
     emit_csv: bool = False,
-) -> tuple[verify.VerificationReport, _CsvSink]:
-    """Run the scenario's loaded experiments and assemble the report.
+) -> tuple[verify.VerificationReport, list[str]]:
+    """Run the scenario's loaded experiments, in file order, and return the
+    report and the paths of the CSVs written.
 
     ``selected_checks`` filters experiments by check name; ``tol_override``
-    replaces the tolerance of every check that takes one; each experiment
-    runs with the CSV sink attached, which writes artifacts when the flag
-    or the scenario requests them.  Input errors were refused at load, so
-    what this raises is a check's own: InvalidInputError, PreconditionError
-    or GuardError.
+    replaces the tolerance of every check that takes one.  A selected
+    ``spectrum`` experiment writes its CSV, ``<label>.csv``, when the flag
+    or the scenario's ``csv_dir`` asks for it: into ``csv_dir``, else into
+    the current directory, made when the first CSV is written.  Input
+    errors were refused at load, so what this raises is a check's own:
+    InvalidInputError, PreconditionError or GuardError.
     """
-    sink = _CsvSink(scn.csv_dir, enabled=emit_csv or scn.csv_dir is not None)
+    emit_csv = emit_csv or scn.csv_dir is not None
+    directory = scn.csv_dir or "."
     entries: list[verify.CheckEntry] = []
+    written: list[str] = []
     for name, x in scn.experiments:
         if selected_checks and name not in selected_checks:
             continue
         check = CHECKS[name]
-        args = x.args
+        if name == "spectrum" and emit_csv:
+            t = build_truncation(x.args["connection"], x.args.get("cutoff", 4))
+            os.makedirs(directory, exist_ok=True)
+            written.append(os.path.join(directory, f"{x.label}.csv"))
+            export_spectrum_csv(t, written[-1])
         if tol_override is not None and "tolerance" in check.params:
-            args = {**args, "tolerance": tol_override}
-        entries += check.run(replace(x, args=args, sink=sink))
-    return verify.assemble_report(entries), sink
+            x = replace(x, args={**x.args, "tolerance": tol_override})
+        entries += check.run(x)
+    return verify.assemble_report(entries), written
 
 
 def write_report(report: verify.VerificationReport, path: str) -> None:
@@ -372,7 +332,7 @@ def write_report(report: verify.VerificationReport, path: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scn = load_scenario(args.scenario)
-        report, sink = run_scenario(
+        report, written = run_scenario(
             scn,
             selected_checks=args.check,
             tol_override=args.tol,
@@ -396,7 +356,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if scn.report_path:
         write_report(report, scn.report_path)
         print(f"report written to {scn.report_path}")
-    for path in sink.written:
+    for path in written:
         print(f"csv written to {path}")
     if args.check and not any(name in args.check for name, _ in scn.experiments):
         print("note: no experiments matched the --check filter")

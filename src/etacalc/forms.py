@@ -28,8 +28,10 @@ refused, not rounded) and shape, copies every matrix, and raises
 :class:`InvalidInputError` when input is no form.  ``from_json_obj`` is
 where the JSON format is checked, the whole of it: an object with exactly
 its keys at each level, integer ``dim`` and ``rank``, lists where lists
-belong, and matrix entries that are finite numbers in rows of one length;
-no schema restates it.
+belong, and matrices of ``rank`` rows of ``rank`` finite numbers; no
+schema restates it.  Each refusal of JSON starts with the JSON path of
+what it refuses, as the readers ``_json_fields``, ``_integer`` and
+``_number`` name it, which ``etacalc.cli`` reads a scenario with too.
 Operations on valid forms skip those checks, and the one routine
 ``_sum_terms`` sums the terms of every result they compute, the
 constructor's included.  The units cost no numpy call, since the general
@@ -49,6 +51,7 @@ route would only rebuild an operand:
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -133,45 +136,80 @@ def _sum_terms(
     return tuple(keys), mats
 
 
-def _integer(v, what: str = "term key entry") -> int:
-    """A key entry (or the ``what`` named) as an int: an int or an integral
-    float, not a bool."""
+def _integer(v, at: str, least: float = -math.inf) -> int:
+    """The value ``v`` that ``at`` names as an int: an int or an integral
+    float, not a bool, and at least ``least``."""
     if type(v) is int:
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) or (
+        n = v
+    elif isinstance(v, (int, np.integer)) and not isinstance(v, bool) or (
         isinstance(v, (float, np.floating)) and float(v).is_integer()
     ):
-        return int(v)
-    raise InvalidInputError(f"{what} {v!r} is not an integer")
+        n = int(v)
+    else:
+        raise InvalidInputError(f"{at} {v!r} is not an integer")
+    if n < least:
+        raise InvalidInputError(f"{at} {n} is less than {least}")
+    return n
 
 
-def _json_fields(obj, what: str, keys: tuple, optional: tuple = (), lists: tuple = ()):
-    """The values of ``keys`` in ``obj``, which must be a JSON object with
-    all of ``keys``, those of ``optional`` at most and no other key, and
-    lists under ``lists``.  A refusal names the keys missing and unknown."""
+def _number(value, at: str) -> int | float:
+    """``value`` if it is a number that a float holds: not a bool (as in
+    JSON Schema), and neither NaN, an infinity nor an int past the float
+    range."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise InvalidInputError(f"{at} {value!r} is not a finite number")
+    return value
+
+
+def _json_fields(obj, at: str, keys: tuple, optional: tuple = (), lists: tuple = ()):
+    """The values of ``keys`` in the JSON value ``obj`` at the JSON path
+    ``at``, which must be an object with all of ``keys``, those of
+    ``optional`` at most and no other key, and lists under ``lists``.  A
+    refusal names the keys missing and unknown."""
     odd = ["it is no object"]
     if isinstance(obj, Mapping):
         odd = [f"no {k!r}" for k in keys if k not in obj]
         odd += [f"unknown {k!r}" for k in obj if k not in keys and k not in optional]
     if odd:
         raise InvalidInputError(
-            f"{what} must be an object with the keys "
+            f"{at} must be an object with the keys "
             + ", ".join([*keys, *(f"{k} (optional)" for k in optional)])
             + f": {', '.join(odd)}"
         )
     for key in lists:
         if not isinstance(obj[key], list):
-            raise InvalidInputError(f"{what}: {key} {obj[key]!r} is not a list")
+            raise InvalidInputError(f"{at}.{key} {obj[key]!r} is not a list")
     return tuple(obj[key] for key in keys)
 
 
-def _is_number_rows(rows) -> bool:
-    """Whether ``rows`` is a list of lists of ints and floats (bools, which
-    are ints to Python, and numeric strings are not numbers here)."""
-    return isinstance(rows, list) and all(
-        isinstance(row, list)
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        for row in rows
+def _key(k, I, dim: int, at: str) -> TermKey:
+    """The key of the term at ``at`` as ints: ``k`` a frequency vector of
+    ``dim`` integers and ``I`` an index tuple strictly increasing in
+    1..dim."""
+    k = tuple(_integer(v, f"{at}.k[{j}]") for j, v in enumerate(k))
+    I = tuple(_integer(v, f"{at}.I[{j}]") for j, v in enumerate(I))
+    if len(k) != dim:
+        raise InvalidInputError(f"{at}.k {list(k)} does not have dim={dim} entries")
+    if any(a >= b for a, b in zip(I, I[1:])) or any(not 1 <= i <= dim for i in I):
+        raise InvalidInputError(f"{at}.I {list(I)} is not strictly increasing in 1..{dim}")
+    return k, I
+
+
+def _matrix(rows, rank: int, at: str) -> np.ndarray:
+    """The JSON value ``rows`` at ``at`` as a float array: ``rank`` rows of
+    ``rank`` numbers (``_number``) each."""
+    if not isinstance(rows, list) or len(rows) != rank or any(
+        not isinstance(row, list) or len(row) != rank for row in rows
+    ):
+        raise InvalidInputError(f"{at} is not a list of rows of numbers, {rank} by {rank}")
+    return np.array(
+        [[_number(x, f"{at}[{i}][{j}]") for j, x in enumerate(row)]
+         for i, row in enumerate(rows)],
+        dtype=float,
     )
 
 
@@ -192,29 +230,17 @@ class TrigPolyForm:
         rank: int,
         terms: Mapping[TermKey, np.ndarray] | Iterable[Term] = (),
     ) -> None:
-        self.dim, self.rank = _integer(dim, "dim"), _integer(rank, "rank")
-        if self.dim < 1 or self.rank < 1:
-            raise InvalidInputError("dim and rank must be positive")
+        self.dim, self.rank = _integer(dim, "dim", 1), _integer(rank, "rank", 1)
         keys: list[TermKey] = []
         mats: list[np.ndarray] = []
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for (k, I), mat in items:
-            k = tuple(map(_integer, k))
-            I = tuple(map(_integer, I))
-            if len(k) != self.dim:
-                raise InvalidInputError(
-                    f"frequency vector {k} has wrong length for dim={dim}"
-                )
-            if any(a >= b for a, b in zip(I, I[1:])) or any(
-                not (1 <= i <= self.dim) for i in I
-            ):
-                raise InvalidInputError(
-                    f"index tuple {I} must be strictly increasing in 1..dim"
-                )
+        for n, ((k, I), mat) in enumerate(items):
+            keys.append(_key(k, I, self.dim, f"terms[{n}]"))
             mat = np.asarray(mat, dtype=np.complex128)
             if mat.shape != (self.rank, self.rank):
-                raise InvalidInputError(f"matrix shape {mat.shape} != ({rank},{rank})")
-            keys.append((k, I))
+                raise InvalidInputError(
+                    f"terms[{n}] matrix shape {mat.shape} != ({rank},{rank})"
+                )
             mats.append(mat)
         # np.array copies, so the caller keeps their matrices
         if mats:
@@ -487,35 +513,24 @@ class TrigPolyForm:
         return {"dim": self.dim, "rank": self.rank, "terms": terms}
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "TrigPolyForm":
-        """The form of ``to_json_obj``: an object with exactly the keys
-        ``dim``, ``rank`` and ``terms``, ``dim`` and ``rank`` integers
+    def from_json_obj(cls, obj: Mapping, at: str = "$") -> "TrigPolyForm":
+        """The form of ``to_json_obj``, read from the JSON value ``obj`` that
+        stands at the JSON path ``at``: an object with exactly the keys
+        ``dim``, ``rank`` and ``terms``, ``dim`` and ``rank`` integers >= 1
         (``_integer``), ``terms`` a list of objects with exactly the keys
-        ``k``, ``I``, ``re`` and ``im``, ``k`` and ``I`` lists, ``re`` and
-        ``im`` lists of rows of numbers of one shape, every entry finite.
-        Anything else raises InvalidInputError, as do the constructor's
-        checks of the keys and shapes."""
-        form_keys, term_keys = ("dim", "rank", "terms"), ("k", "I", "re", "im")
-        dim, rank, terms = _json_fields(obj, "a form", form_keys, lists=("terms",))
+        ``k``, ``I``, ``re`` and ``im``, whose ``k`` and ``I`` are lists
+        that make a key (``_key``) and whose ``re`` and ``im`` are ``rank``
+        rows of ``rank`` finite numbers (``_matrix``).  Anything else raises
+        InvalidInputError, starting with the JSON path of what it refuses,
+        down to an entry such as ``$.terms[0].re[0][1]``."""
+        dim, rank, terms = _json_fields(obj, at, ("dim", "rank", "terms"), lists=("terms",))
+        dim, rank = _integer(dim, f"{at}.dim", 1), _integer(rank, f"{at}.rank", 1)
         pairs: list[Term] = []
-        for t in terms:
-            k, I, *parts = _json_fields(t, "a term", term_keys, lists=("k", "I"))
-            where = f"term {k}, {I}"
-            for name, rows in zip(("re", "im"), parts):
-                if not _is_number_rows(rows):
-                    raise InvalidInputError(
-                        f"{where}: {name} is not a list of rows of numbers"
-                    )
-            try:
-                re, im = (np.asarray(rows, dtype=float) for rows in parts)
-            except ValueError as exc:  # ragged rows
-                raise InvalidInputError(f"{where}: {exc}") from exc
-            if re.shape != im.shape:
-                raise InvalidInputError(f"{where}: re and im shapes differ")
-            mat = re + 1j * im
-            if not np.all(np.isfinite(mat)):
-                raise InvalidInputError(f"{where} has a non-finite entry")
-            pairs.append(((tuple(k), tuple(I)), mat))
+        for i, term in enumerate(terms):
+            where = f"{at}.terms[{i}]"
+            k, I, re, im = _json_fields(term, where, ("k", "I", "re", "im"), lists=("k", "I"))
+            mat = _matrix(re, rank, f"{where}.re") + 1j * _matrix(im, rank, f"{where}.im")
+            pairs.append((_key(k, I, dim, where), mat))
         return cls(dim, rank, pairs)
 
 

@@ -18,7 +18,7 @@ A connection is checked where it is built (its form must be pure degree
 1); invalid input raises :class:`~etacalc.forms.InvalidInputError` there,
 as does connection JSON that ``Connection.from_json_obj`` refuses: its
 whole format is checked there, a ``g`` that is not exactly the identity
-among it.
+among it, and each refusal starts with the JSON path of what it refuses.
 
 All conventions are pinned by exactly-computable calibrations in the test
 suite (flat-circle Chern--Simons values, winding numbers, unitarity
@@ -84,8 +84,11 @@ class Connection:
         """dA + A^A; identically zero exactly for flat connections."""
         return self.a.ext_d() + self.a.wedge(self.a)
 
-    def is_flat(self, tol: float = 1e-10) -> bool:
-        return self.curvature().is_zero(tol)
+    def is_flat(self, tol: float = 1e-9) -> bool:
+        """Whether the curvature vanishes to ``tol`` max(1, max|A|)^2: the
+        rounding of A^A grows as |A|^2, so flatness is decided relative to
+        the connection's scale, and at ``tol`` itself while max|A| <= 1."""
+        return self.curvature().is_zero(tol * max(1.0, self.a.max_abs()) ** 2)
 
     def is_constant(self) -> bool:
         return not any(any(k) for k, _, _ in self.a.terms())
@@ -124,27 +127,31 @@ class Connection:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Connection":
-        """The connection of ``to_json_obj``: an object with exactly the
-        keys ``dim``, ``rank`` and ``A`` and optionally ``g``, whose integer
-        ``dim`` and ``rank`` agree with the form ``A``.  A ``g`` key, which
-        older files carry, must hold exactly the identity metric.  Anything
-        else raises InvalidInputError, as the forms' own JSON does."""
-        dim, rank, a = _json_fields(obj, "a connection", ("dim", "rank", "A"), ("g",))
-        dim, rank = _integer(dim, "dim"), _integer(rank, "rank")
-        a = TrigPolyForm.from_json_obj(a)
+    def from_json_obj(cls, obj: dict, at: str = "$") -> "Connection":
+        """The connection of ``to_json_obj``, read from the JSON value ``obj``
+        that stands at the JSON path ``at``: an object with exactly the keys
+        ``dim``, ``rank`` and ``A`` and optionally ``g``, whose integer
+        ``dim`` and ``rank`` agree with the form ``A`` of pure degree 1.  A
+        ``g`` key, which older files carry, must hold exactly the identity
+        metric.  Anything else raises InvalidInputError, starting with the
+        JSON path of what it refuses, as the forms' own JSON does."""
+        dim, rank, a = _json_fields(obj, at, ("dim", "rank", "A"), ("g",))
+        dim, rank = _integer(dim, f"{at}.dim"), _integer(rank, f"{at}.rank")
+        a = TrigPolyForm.from_json_obj(a, f"{at}.A")
         if (dim, rank) != (a.dim, a.rank):
             raise InvalidInputError(
-                f"connection declares dim={dim} rank={rank}, "
+                f"{at} declares dim={dim} rank={rank}, "
                 f"its form A is dim={a.dim} rank={a.rank}"
             )
+        if a.degrees() - {1}:
+            raise InvalidInputError(f"{at}.A is not of pure degree 1")
         if "g" in obj:
-            g = TrigPolyForm.from_json_obj(obj["g"])
+            g = TrigPolyForm.from_json_obj(obj["g"], f"{at}.g")
             if (g.dim, g.rank) != (a.dim, a.rank) or not g.allclose(
                 TrigPolyForm.identity(a.dim, a.rank), 0.0
             ):
                 raise InvalidInputError(
-                    "the fiber metric g must be the identity: for a constant "
+                    f"{at}.g must be the identity: for a constant "
                     "g = h^dagger h, give A' = h A h^-1 on the identity metric"
                 )
         return cls(a)

@@ -217,7 +217,8 @@ def check_cs_odd_chern_pairing(
 
         <CS(herm, r-deformed)>_J = -(r/2pi) sum_j a_j(r)/j! <c_{2j+1}>_J
 
-    Requires a flat connection (the identity uses flatness); one entry per
+    Requires a flat connection (the identity uses flatness), as
+    ``Connection.is_flat`` decides it, relative to max|A|; one entry per
     r and subtorus, absolute comparison, with ids ``check_id[r=..,J=..]``.
     Neither side's pairings depend on r, so they are computed once: the left
     side is sum_i r^i p_{i,J}, p_{i,J} the pairings of the ``cs_r_poly``
@@ -229,7 +230,7 @@ def check_cs_odd_chern_pairing(
     degree-3 part and <c_3>_123 is a multiple of :func:`psi_local`, 0 on
     every flat torus input, so the right side is 0 and so is the left.
     """
-    if not c.is_flat(1e-9):
+    if not c.is_flat():
         raise PreconditionError("pairing identity requires a flat connection")
     regions = odd_subtori(c.dim)
     chern = [c.chern_odd(j) for j in range((c.dim + 1) // 2)]
@@ -457,18 +458,6 @@ def psi_local(c: Connection) -> complex:
     return total
 
 
-def psi_spectral(c: Connection) -> complex:
-    """Spectral route to the phase function on the circle: the imaginary
-    part of reduced eta plus the first-Chern pairing::
-
-        psi = Im reduced_eta(c) + (1/2pi) <L . c_1>
-    """
-    eta = constant_eta(c).reduced
-    return complex(
-        eta.imag + subtorus_pairing(c.chern_odd(0)).real / (2 * math.pi)
-    )
-
-
 def check_psi_constancy(
     path: Callable[[float], Connection],
     n_samples: int = 9,
@@ -585,9 +574,11 @@ def check_bk_phase(
 
 @dataclass(frozen=True)
 class Experiment:
-    """One run of a registered check: ``args`` holds the keys it sets,
-    connections and paths as objects; ``label`` is its ``check_id``; ``dim``
-    and ``rank`` are those of its scenario."""
+    """One run of a registered check, a row of :func:`standard_suite` and an
+    experiment of an ``etacalc run`` scenario alike: ``args`` holds the keys
+    it sets, connections and paths as objects; ``label`` is its
+    ``check_id`` (and a scenario's CSV file name); ``dim`` and ``rank`` are
+    those of its scenario."""
 
     args: dict
     label: str
@@ -599,7 +590,8 @@ class Experiment:
 class Check:
     """A registered check: the experiment keys it reads (``tolerance``
     among them if it takes one), those an experiment must set, and a runner
-    returning the experiment's report entries."""
+    returning the experiment's report entries (none for the ``spectrum``
+    row of ``etacalc.cli.CHECKS``, whose CSV ``run_scenario`` writes)."""
 
     params: tuple[str, ...]
     required: tuple[str, ...]

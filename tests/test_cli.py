@@ -376,9 +376,59 @@ def test_connection_error_is_reported_before_an_experiment_error(tmp_cwd, capsys
     del obj["connections"]["base"]["A"]["terms"][0]["k"]
     obj["experiments"][0]["surprise"] = 1
     assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
-    assert "invalid scenario: connection 'base': a term must be" in (
+    assert "invalid scenario: $.connections.base.A.terms[0] must be" in (
         capsys.readouterr().err
     )
+
+
+def test_every_connection_refusal_starts_with_its_json_path(tmp_cwd):
+    # a connection is read at its JSON path, so each refusal of a single
+    # mutation of a bundled connection, with and without an identity g,
+    # names where in the scenario it stands, down to a matrix entry
+    obj = load_bundled("t3_flat_commuting.json")
+    conn = obj["connections"]["main"]
+    identity = TrigPolyForm.identity(conn["dim"], conn["rank"]).to_json_obj()
+    refusals = []
+    for spec in (conn, {**conn, "g": identity}):
+        for mutated in json_mutations(spec):
+            obj["connections"]["main"] = mutated
+            try:
+                load_scenario(write_scenario(tmp_cwd, obj))
+            except InvalidInputError as exc:
+                refusals.append(str(exc))
+    assert len(refusals) > 1000
+    assert [r for r in refusals if not r.startswith("$.connections.main")] == []
+    assert any(r.startswith("$.connections.main.A.terms[2].re[1][0] ") for r in refusals)
+
+
+def _scaled(conn: dict, factor: float) -> None:
+    """Multiply every matrix entry of the connection JSON ``conn`` by ``factor``."""
+    for term in conn["A"]["terms"]:
+        for part in ("re", "im"):
+            term[part] = [[factor * x for x in row] for row in term[part]]
+
+
+def test_flatness_is_decided_relative_to_the_connection_scale(tmp_cwd):
+    # the curvature's rounding grows as max|A|^2: scaled by 1e4, the flat
+    # commuting connections are still flat to the pairing check
+    obj = load_bundled("t3_flat_commuting.json")
+    for conn in obj["connections"].values():
+        _scaled(conn, 1e4)
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 0
+
+
+@pytest.mark.parametrize("factor", [1e-2, 1.0, 1e4])
+def test_a_curved_connection_is_refused_at_every_scale(tmp_cwd, capsys, factor):
+    # constant i sigma_x, i sigma_y, i sigma_z do not commute: the curvature
+    # sum_{i<j} [A_i, A_j] dx_i dx_j is of size max|A|^2, so the pairing
+    # check refuses the connection however it is scaled
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    obj = load_bundled("t3_flat_commuting.json")
+    obj["connections"]["main"] = Connection.from_constant(
+        3, [factor * 1j * s for s in sigma]
+    ).to_json_obj()
+    assert main(["run", write_scenario(tmp_cwd, obj), "--check", "cs_odd_chern_pairing"]) == 2
+    assert "requires a flat connection" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("declared", [{"dim": 1, "rank": 7}, {"dim": 1}, {"rank": 7}])
@@ -841,9 +891,8 @@ def test_a_metric_other_than_the_identity_is_refused_at_load(
         return
     assert code == 2
     assert (
-        "invalid scenario: connection 'other': the fiber metric g must be the "
-        "identity: for a constant g = h^dagger h, give A' = h A h^-1 on the "
-        "identity metric" in err
+        "invalid scenario: $.connections.other.g must be the identity: for a "
+        "constant g = h^dagger h, give A' = h A h^-1 on the identity metric" in err
     )
     assert "written" not in out and not (tmp_cwd / "out").exists()
 

@@ -400,7 +400,13 @@ def test_from_json_obj_refuses_entries_that_are_not_numbers(part, rows):
     term = {"k": [0], "I": [1], "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}
     TrigPolyForm.from_json_obj({"dim": 1, "rank": 2, "terms": [term]})  # valid
     term[part] = rows
-    with pytest.raises(InvalidInputError, match=f"{part} is not a list of rows"):
+    # the refusal starts with the path of the entry, or of the matrix when
+    # a row is no list
+    refusal = (
+        rf"\$\.terms\[0\]\.{part}"
+        r"(\[0\]\[[01]\] .+ is not a finite number$| is not a list of rows)"
+    )
+    with pytest.raises(InvalidInputError, match=refusal):
         TrigPolyForm.from_json_obj({"dim": 1, "rank": 2, "terms": [term]})
 
 

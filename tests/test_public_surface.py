@@ -12,10 +12,9 @@ import etacalc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# Exported for checks that do not exist yet: ROADMAP item 7 wires
-# psi_spectral into psi_constancy and item 8 eta_bk/m_minus into a bk_jump
-# entry of a circle torsion check.
-NOT_YET_USED = {"eta_bk", "m_minus", "psi_spectral"}
+# Exported for checks that do not exist yet: ROADMAP item 8 wires
+# eta_bk/m_minus into a bk_jump entry of a circle torsion check.
+NOT_YET_USED = {"eta_bk", "m_minus"}
 
 # Read by name through a string, which the scan below cannot see:
 # bench/tracing.py looks up its original as "forms.num_terms".

@@ -28,7 +28,6 @@ from etacalc.verify import (
     eta_tilde,
     make_entry,
     psi_local,
-    psi_spectral,
     residual_for,
     standard_suite,
     trivial_line_eta,
@@ -392,7 +391,6 @@ def test_re_im_split_rank2_diagonal():
 def test_psi_zero_on_circle():
     c = diagonal_connection_from_mus([0.3 + 0.2j])
     assert psi_local(c) == 0
-    assert abs(psi_spectral(c)) < 1e-12
 
 
 def test_psi_local_nonzero_oracle():
