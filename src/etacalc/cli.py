@@ -8,11 +8,12 @@ with a distinct code per failure class:
 
 * 0 -- everything ran and every check passed
 * 1 -- at least one check entry failed its tolerance
-* 2 -- the scenario is invalid (not JSON, or input that the reading
-  refuses with :class:`~etacalc.forms.InvalidInputError`, whose message
-  starts with the JSON path of what it refuses: a key missing or unknown,
-  a value of the wrong type or range, a number that is not a finite
-  float, unknown connection name, shape mismatch, repeated experiment
+* 2 -- the scenario is invalid (input that the reading refuses with
+  :class:`~etacalc.forms.InvalidInputError`, whose message starts with the
+  JSON path of what it refuses: ``$`` for a file that is not JSON, a key
+  missing or unknown, a value of the wrong type or range, a number that
+  is not a finite float (at its own path, as ``_number`` and ``_integer``
+  read it), unknown connection name, shape mismatch, repeated experiment
   label or one that is not a file name, a connection that
   ``Connection.from_json_obj`` refuses, down to a matrix entry such as
   ``$.connections.main.A.terms[0].re[0][1]``, a fiber metric ``g`` other
@@ -48,7 +49,8 @@ scenario loads, into the (check name, ``verify.Experiment``) pairs that
 paths t -> connection; a run only filters them, applies ``--tol`` and
 writes the spectrum CSVs.  The connection format, the whole of it, is
 checked where a connection is read (``Connection.from_json_obj``, passed
-the connection's JSON path ``$.connections.<name>``).  A
+the connection's JSON path: ``$.connections.<name>``, or
+``$.connections['<name>']`` for a name that is no identifier).  A
 label names the experiment's CSV file in ``csv_dir``, so it must be one
 file name.
 Experiments are independent of each other; they are executed in file order
@@ -69,7 +71,7 @@ from functools import partial
 
 from . import verify
 from .flow import gauge_path
-from .forms import InvalidInputError, _integer, _json_fields, _number
+from .forms import InvalidInputError, _integer, _json_fields, _number, _shown
 from .geometry import Connection, PreconditionError, linear_path
 from .spectral import GuardError, build_truncation, export_spectrum_csv
 
@@ -104,13 +106,13 @@ CHECKS: dict[str, verify.Check] = {
 
 def _string(value, at: str) -> str:
     if not isinstance(value, str):
-        raise InvalidInputError(f"{at} {value!r} is not a string")
+        raise InvalidInputError(f"{at} {_shown(value)} is not a string")
     return value
 
 
 def _positive(value, at: str) -> float:
     if not _number(value, at) > 0:
-        raise InvalidInputError(f"{at} {value!r} is not > 0")
+        raise InvalidInputError(f"{at} {_shown(value)} is not > 0")
     return float(value)
 
 
@@ -124,7 +126,7 @@ def _label(value, at: str) -> str:
     """A label names a report entry and an artifact file in ``csv_dir``, so
     it is one file name: no path separator, NUL, ``.`` or ``..``."""
     if _string(value, at) in ("", ".", "..") or any(c in value for c in "/\\\x00"):
-        raise InvalidInputError(f"{at} {value!r} is not one file name")
+        raise InvalidInputError(f"{at} {_shown(value)} is not one file name")
     return value
 
 
@@ -138,7 +140,7 @@ def _path(value, at: str) -> dict:
         raise InvalidInputError(f"{at} must be an object with a kind")
     kind = value["kind"]
     if kind not in list(_PATH_KEYS):  # compared, not hashed: it may be a list
-        raise InvalidInputError(f"{at}.kind {kind!r} is not linear or gauge")
+        raise InvalidInputError(f"{at}.kind {_shown(kind)} is not linear or gauge")
     keys = _PATH_KEYS[kind]
     _json_fields(value, at, ("kind", *keys))
     return {"kind": kind} | {k: _READERS[k](value[k], f"{at}.{k}") for k in keys}
@@ -159,15 +161,6 @@ _READERS = {
     "tolerance": _positive,
     "label": _label,
 }
-
-
-def _finite(text: str) -> str:
-    """``text``, a JSON number or constant, if it is a finite float: NaN
-    and +-Infinity (not JSON under RFC 8259), 1e999 and integers too large
-    to convert are refused."""
-    if not math.isfinite(float(text)):
-        raise InvalidInputError(f"$ holds {text[:40]}, which is not a finite float")
-    return text
 
 
 def _argument(key: str, value, at: str, named: dict[str, Connection]):
@@ -195,15 +188,18 @@ def _experiment_keys(i: int, exp: dict) -> dict:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and check a scenario file; json.JSONDecodeError,
-    InvalidInputError and PreconditionError all mean exit code 2, and an
-    InvalidInputError about the scenario's format starts with the JSON path
-    of what it refuses.  The reading goes in four steps, so that an error
-    of one is reported before any of the next: the layout (the keys at the
-    top and of ``manifold``, ``bundle`` and ``output``, dim 1, 3 or 5, and
-    each experiment an object naming a check), then the connections
-    (``Connection.from_json_obj`` at ``$.connections.<name>``, each
-    checked against the scenario's dim and rank), then each experiment's
+    """Parse and check a scenario file; InvalidInputError and
+    PreconditionError mean exit code 2, and an InvalidInputError about the
+    scenario's format starts with the JSON path of what it refuses: ``$``
+    for a file that is not JSON, else that of the value refused, each
+    number at its own (``_number``, ``_integer``).  The reading goes in
+    four steps, so that an error of one is reported before any of the
+    next: the layout (the keys at the top and of ``manifold``, ``bundle``
+    and ``output``, dim 1, 3 or 5, and each experiment an object naming a
+    check), then the connections (``Connection.from_json_obj`` at
+    ``$.connections.<name>``, or ``$.connections['<name>']`` for a name
+    that is no identifier, each checked against the scenario's dim and
+    rank), then each experiment's
     keys, exactly those its check reads and a label, and their values
     (``_READERS``), and last the names: a connection name must name one
     of the scenario's connections and a gauge path must lie on the circle
@@ -214,20 +210,18 @@ def load_scenario(path: str) -> Scenario:
     ``verify.standard_suite`` runs too: its args, its label, explicit or
     ``e{index:02d}_{check}``, and the scenario's dim and rank; labels
     name entries and artifacts, so they must be distinct."""
-    with open(path) as fh:
-        obj = json.load(
-            fh,
-            parse_constant=_finite,  # never finite
-            parse_float=lambda text: float(_finite(text)),
-            parse_int=lambda text: int(_finite(text)),
-        )
+    with open(path, "rb") as fh:  # json decodes it, whatever the locale
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, an int past 4300 digits, not text
+            raise InvalidInputError(f"$ is not valid JSON: {exc}") from None
     manifold, bundle, experiments = _json_fields(
         obj, "$", ("manifold", "bundle", "experiments"), ("connections", "output")
     )
     (dim,) = _json_fields(manifold, "$.manifold", ("dim",))
     dim = _integer(dim, "$.manifold.dim")
     if dim not in (1, 3, 5):
-        raise InvalidInputError(f"$.manifold.dim {dim} is not 1, 3 or 5")
+        raise InvalidInputError(f"$.manifold.dim {_shown(dim)} is not 1, 3 or 5")
     (rank,) = _json_fields(bundle, "$.bundle", ("rank",))
     rank = _integer(rank, "$.bundle.rank", 1)
     specs = obj.get("connections", {})
@@ -240,7 +234,7 @@ def load_scenario(path: str) -> Scenario:
             raise InvalidInputError(f"$.experiments[{i}] must be an object with a check")
         if exp["check"] not in list(CHECKS):  # compared, not hashed
             raise InvalidInputError(
-                f"$.experiments[{i}].check {exp['check']!r} is not one of "
+                f"$.experiments[{i}].check {_shown(exp['check'])} is not one of "
                 + ", ".join(CHECKS)
             )
     output = obj.get("output", {})
@@ -251,10 +245,11 @@ def load_scenario(path: str) -> Scenario:
 
     connections: dict[str, Connection] = {}
     for name, spec in specs.items():
-        conn = Connection.from_json_obj(spec, f"$.connections.{name}")
+        at = f"$.connections.{name}" if name.isidentifier() else f"$.connections[{name!r}]"
+        conn = Connection.from_json_obj(spec, at)
         if conn.dim != dim or conn.rank != rank:
             raise InvalidInputError(
-                f"$.connections.{name} is dim={conn.dim} rank={conn.rank}, "
+                f"{at} is dim={conn.dim} rank={conn.rank}, "
                 f"the scenario declares dim={dim} rank={rank}"
             )
         connections[name] = conn
@@ -340,9 +335,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except json.JSONDecodeError as exc:
-        print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)

@@ -136,9 +136,15 @@ def _sum_terms(
     return tuple(keys), mats
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal, cut to about 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _integer(v, at: str, least: float = -math.inf) -> int:
     """The value ``v`` that ``at`` names as an int: an int or an integral
-    float, not a bool, and at least ``least``."""
+    float, not a bool, within the float range and at least ``least``."""
     if type(v) is int:
         n = v
     elif isinstance(v, (int, np.integer)) and not isinstance(v, bool) or (
@@ -146,22 +152,26 @@ def _integer(v, at: str, least: float = -math.inf) -> int:
     ):
         n = int(v)
     else:
-        raise InvalidInputError(f"{at} {v!r} is not an integer")
+        raise InvalidInputError(f"{at} {_shown(v)} is not an integer")
+    if not abs(n) <= sys.float_info.max:
+        raise InvalidInputError(f"{at} is an integer past the float range")
     if n < least:
-        raise InvalidInputError(f"{at} {n} is less than {least}")
+        raise InvalidInputError(f"{at} {_shown(n)} is less than {least}")
     return n
 
 
 def _number(value, at: str) -> int | float:
     """``value`` if it is a number that a float holds: not a bool (as in
     JSON Schema), and neither NaN, an infinity nor an int past the float
-    range."""
+    range.  With ``_integer`` it is a scenario's one finiteness rule: the
+    JSON parse keeps ``NaN``, ``Infinity``, ``1e999`` and long ints, and
+    each is refused where it is read, at its own JSON path."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not abs(value) <= sys.float_info.max
     ):
-        raise InvalidInputError(f"{at} {value!r} is not a finite number")
+        raise InvalidInputError(f"{at} {_shown(value)} is not a finite number")
     return value
 
 
@@ -182,7 +192,7 @@ def _json_fields(obj, at: str, keys: tuple, optional: tuple = (), lists: tuple =
         )
     for key in lists:
         if not isinstance(obj[key], list):
-            raise InvalidInputError(f"{at}.{key} {obj[key]!r} is not a list")
+            raise InvalidInputError(f"{at}.{key} {_shown(obj[key])} is not a list")
     return tuple(obj[key] for key in keys)
 
 

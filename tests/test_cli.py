@@ -200,9 +200,9 @@ def test_reference_schema_is_the_registry():
 
 @pytest.mark.parametrize("entry", ["null", "{}", '"1.5"', "true", "1e999"])
 def test_bad_matrix_entry_is_scenario_error(tmp_cwd, capsys, entry):
-    # null, {}, a numeric string and a bool are not numbers, which the form
-    # refuses as it reads its matrices; 1e999 parses to inf, which the
-    # loader refuses as it parses the file
+    # null, {}, a numeric string and a bool are not numbers, and 1e999
+    # parses to inf, which is not a finite one: the form refuses each as it
+    # reads its matrices
     obj = load_bundled("s1_unitary.json")
     obj["connections"]["base"]["A"]["terms"][0]["re"] = [["ENTRY"]]
     path = tmp_cwd / "scenario.json"
@@ -448,15 +448,16 @@ def _with_number(tmp_path, obj, literal):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "literal",
-    ["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "1" + "0" * 400],
-    ids=["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "400-digit-int"],
-)
+#: JSON text of numbers that no float holds: NaN and +-Infinity are not
+#: JSON (RFC 8259) but parse, 1e999 parses to inf, and a 400-digit integer
+#: does not convert to a float
+_NOT_FINITE = ["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "1" + "0" * 400]
+_NOT_FINITE_IDS = ["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "400-digit-int"]
+
+
+@pytest.mark.parametrize("literal", _NOT_FINITE, ids=_NOT_FINITE_IDS)
 @pytest.mark.parametrize("key", ["tolerance", "r_values"])
 def test_numbers_must_be_finite_floats(tmp_cwd, capsys, key, literal):
-    # NaN and +-Infinity are not JSON (RFC 8259); 1e999 parses to inf; a
-    # 400-digit integer does not convert to a float
     obj = load_bundled("s1_unitary.json")
     pairing = obj["experiments"][0]
     assert pairing["check"] == "cs_odd_chern_pairing"
@@ -471,6 +472,82 @@ def test_oversized_integer_seed_rejected(tmp_cwd):
     obj = load_bundled("s1_unitary.json")
     obj["bundle"]["rank"] = "NUMBER"
     assert main(["run", _with_number(tmp_cwd, obj, "1" + "0" * 400)]) == 2
+
+
+#: the JSON path of a number in s1_unitary.json -> the keys that reach it
+_NUMBERS = {
+    "$.connections.base.A.terms[0].re[0][0]": (
+        "connections", "base", "A", "terms", 0, "re", 0, 0
+    ),
+    "$.connections.base.A.terms[0].k[0]": ("connections", "base", "A", "terms", 0, "k", 0),
+    "$.experiments[0].r_values[0]": ("experiments", 0, "r_values", 0),
+    "$.experiments[0].tolerance": ("experiments", 0, "tolerance"),
+    "$.experiments[6].cutoff": ("experiments", 6, "cutoff"),
+    "$.bundle.rank": ("bundle", "rank"),
+    "$.manifold.dim": ("manifold", "dim"),
+}
+
+
+@pytest.mark.parametrize("literal", _NOT_FINITE, ids=_NOT_FINITE_IDS)
+@pytest.mark.parametrize("at", list(_NUMBERS))
+def test_a_number_no_float_holds_is_refused_at_its_own_path(tmp_cwd, capsys, at, literal):
+    # each number is checked once, where the reader that keeps it reads it,
+    # so the refusal names its position, not the whole file
+    obj = load_bundled("s1_unitary.json")
+    *keys, last = _NUMBERS[at]
+    parent = obj
+    for key in keys:
+        parent = parent[key]
+    parent[last] = "NUMBER"
+    assert main(["run", _with_number(tmp_cwd, obj, literal)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario: {at} ")
+
+
+@pytest.mark.parametrize("kind", ["5000-digit-int", "truncated", "not-utf8"])
+def test_a_file_that_is_not_json_is_refused_at_the_root(tmp_cwd, capsys, kind):
+    # json refuses an integer literal past 4300 digits with a bare
+    # ValueError, not a JSONDecodeError, and bytes that are not UTF-8 with
+    # a UnicodeDecodeError: all are the one refusal of the file at $
+    text = json.dumps(load_bundled("s1_unitary.json"))
+    data = {
+        "5000-digit-int": text.replace('"rank": 1', '"rank": ' + "1" * 5000).encode(),
+        "truncated": text[: len(text) // 2].encode(),
+        "not-utf8": text.encode().replace(b'"base"', b'"\xffbase"'),
+    }[kind]
+    path = tmp_cwd / "scenario.json"
+    path.write_bytes(data)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid scenario: $ is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "name, at",
+    [
+        ("a.b", "$.connections['a.b']"),
+        ("a b", "$.connections['a b']"),
+        ("x[0]", "$.connections['x[0]']"),
+        ("plain", "$.connections.plain"),
+    ],
+)
+def test_a_connection_name_that_is_no_identifier_is_quoted_in_its_path(
+    tmp_cwd, capsys, name, at
+):
+    # a name holding ., [ or a space would make $.connections.<name> read
+    # as a longer path, so it is quoted as JSONPath does
+    obj = load_bundled("s1_unitary.json")
+    conn = copy.deepcopy(obj["connections"]["other"])
+    obj["connections"] = {name: conn, **obj["connections"]}
+    conn["A"]["terms"][0]["re"][0][0] = "NUMBER"
+    assert main(["run", _with_number(tmp_cwd, obj, "1e999")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid scenario: {at}.A.terms[0].re[0][0] inf "
+    )
+    conn["A"]["terms"][0]["re"][0][0] = 0.0
+    obj["manifold"]["dim"] = 3
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid scenario: {at} is dim=1 rank=1, the scenario declares dim=3"
+    )
 
 
 def test_bk_phase_rank_zero_rejected(tmp_cwd, capsys):
