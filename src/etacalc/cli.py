@@ -10,25 +10,23 @@ with a distinct code per failure class:
 * 1 -- at least one check entry failed its tolerance
 * 2 -- the scenario is invalid (input that the reading refuses with
   :class:`~etacalc.forms.InvalidInputError`, whose message starts with the
-  JSON path of what it refuses: ``$`` for a file that is not JSON, a key
-  missing or unknown, a value of the wrong type or range, a number that
-  is not a finite float (at its own path, as ``_number`` and ``_integer``
-  read it), unknown connection name, shape mismatch, repeated experiment
-  label or one that is not a file name, a connection that
-  ``Connection.from_json_obj`` refuses, down to a matrix entry such as
-  ``$.connections.main.A.terms[0].re[0][1]``, a fiber metric ``g`` other
-  than I among it) or
-  asks a check for something outside its domain
-  (:class:`~etacalc.geometry.PreconditionError`; a gauge path off the
-  circle is refused as the scenario loads, before anything runs); nothing
-  else maps here
+  JSON path of what it refuses: ``$`` for a file that cannot be read or
+  is not JSON, a key missing or unknown, a value of the wrong type or
+  range, a number that is not a finite float (at its own path, as
+  ``_number`` and ``_integer`` read it), unknown connection name, shape
+  mismatch, repeated experiment label or one that is not a file name, a
+  connection that ``Connection.from_json_obj`` refuses, down to a matrix
+  entry such as ``$.connections.main.A.terms[0].re[0][1]``, a fiber
+  metric ``g`` other than I among it, a ``gauge_pumping`` experiment or a
+  gauge path off the circle) or asks a check for something outside its
+  domain (:class:`~etacalc.geometry.PreconditionError`)
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
   memory guard, spectral flow needing a window past the cutoff: a
   Bauer--Fike ball past it, or K and K + 1 differ; a circle tower shift
   too large for the axis rule; a check entry whose sides are not finite
   numbers, as when finite input overflows)
-
-Any other exception is a bug and propagates with its traceback.
+* 4 -- any other exception: a bug, or an environment fault such as a
+  report that cannot be written; its traceback goes to stderr
 
 The checks are those of :data:`etacalc.verify.CHECKS`, the registry that
 ``standard_suite`` runs through too, plus one CSV artifact, ``spectrum``,
@@ -79,6 +77,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SCENARIO = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ _READERS = {
 def _argument(key: str, value, at: str, named: dict[str, Connection]):
     """A read experiment key's value as its check takes it: a connection
     name becomes the connection (an unknown name is refused), and a path
-    t -> connection (a gauge one off the circle raises PreconditionError)."""
+    t -> connection."""
     if key in _NAMES:
         if value not in named:
             raise InvalidInputError(f"{at} names an unknown connection {value!r}")
@@ -188,11 +187,12 @@ def _experiment_keys(i: int, exp: dict) -> dict:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and check a scenario file; InvalidInputError and
-    PreconditionError mean exit code 2, and an InvalidInputError about the
-    scenario's format starts with the JSON path of what it refuses: ``$``
-    for a file that is not JSON, else that of the value refused, each
-    number at its own (``_number``, ``_integer``).  The reading goes in
+    """Parse and check a scenario file.  What it refuses raises
+    InvalidInputError (exit code 2), whose message starts with the JSON
+    path of what it refuses: ``$`` for a file that cannot be read (an
+    ``OSError``: missing, a directory, no permission) or is not JSON, else
+    that of the value refused, each number at its own (``_number``,
+    ``_integer``).  The reading goes in
     four steps, so that an error of one is reported before any of the
     next: the layout (the keys at the top and of ``manifold``, ``bundle``
     and ``output``, dim 1, 3 or 5, and each experiment an object naming a
@@ -202,19 +202,23 @@ def load_scenario(path: str) -> Scenario:
     rank), then each experiment's
     keys, exactly those its check reads and a label, and their values
     (``_READERS``), and last the names: a connection name must name one
-    of the scenario's connections and a gauge path must lie on the circle
-    (a T^d scenario's is refused).  So an unknown name never hides a
+    of the scenario's connections, and a gauge path and a ``gauge_pumping``
+    experiment must lie on the circle (on T^d they are refused at
+    ``$.experiments[i].path`` and ``$.experiments[i]``).  So an unknown
+    name never hides a
     format error, and such input is refused before any experiment runs or
     writes an artifact, also under ``--check``.  Each experiment is loaded
     as the (check name, ``verify.Experiment``) pair that
     ``verify.standard_suite`` runs too: its args, its label, explicit or
     ``e{index:02d}_{check}``, and the scenario's dim and rank; labels
     name entries and artifacts, so they must be distinct."""
-    with open(path, "rb") as fh:  # json decodes it, whatever the locale
-        try:
+    try:
+        with open(path, "rb") as fh:  # json decodes it, whatever the locale
             obj = json.load(fh)
-        except ValueError as exc:  # not JSON, an int past 4300 digits, not text
-            raise InvalidInputError(f"$ is not valid JSON: {exc}") from None
+    except OSError as exc:  # missing, a directory, a path through a file, ...
+        raise InvalidInputError(f"$ cannot be read: {exc}") from None
+    except ValueError as exc:  # not JSON, an int past 4300 digits, not text
+        raise InvalidInputError(f"$ is not valid JSON: {exc}") from None
     manifold, bundle, experiments = _json_fields(
         obj, "$", ("manifold", "bundle", "experiments"), ("connections", "output")
     )
@@ -256,9 +260,14 @@ def load_scenario(path: str) -> Scenario:
 
     read = [_experiment_keys(i, exp) for i, exp in enumerate(experiments)]
     loaded: dict[str, tuple[str, verify.Experiment]] = {}
+    circle = f"on T^{dim}: gauge paths are defined on the circle"
     for i, (exp, args) in enumerate(zip(experiments, read)):
         label = args.pop("label", f"e{i:02d}_{exp['check']}")
         at = f"$.experiments[{i}]"
+        if dim > 1 and exp["check"] == "gauge_pumping":
+            raise InvalidInputError(f"{at} is gauge_pumping {circle}")
+        if dim > 1 and args.get("path", {}).get("kind") == "gauge":
+            raise InvalidInputError(f"{at}.path is a gauge path {circle}")
         args = {k: _argument(k, v, f"{at}.{k}", connections) for k, v in args.items()}
         if label in loaded:
             raise InvalidInputError(f"{at} is labelled {label!r}, as an earlier one is")
@@ -333,9 +342,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tol_override=args.tol,
             emit_csv=args.emit_csv,
         )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
@@ -398,7 +404,13 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="write spectrum CSV artifacts",
     )
-    return _cmd_run(parser.parse_args(argv))
+    try:
+        return _cmd_run(parser.parse_args(argv))
+    except Exception:  # not KeyboardInterrupt or SystemExit
+        import traceback  # only a crash pays for the import
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -390,9 +390,6 @@ class TrigPolyForm:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: complex) -> "TrigPolyForm":
-        return self * (1.0 / complex(scalar))
-
     # ------------------------------------------------------------------
     # graded algebra
 

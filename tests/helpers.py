@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from etacalc.forms import PHI_SCALE, TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
-from etacalc.spectral import AXIS_TOL
+from etacalc.spectral import (
+    AXIS_TOL,
+    _assemble,
+    _symbol,
+    ball_truncation,
+    clifford_model,
+    sign_count,
+)
 
 # Small integer/rational-ish entries keep float roundoff tiny, so exact
 # identities can be asserted at tight tolerances.
@@ -374,7 +381,7 @@ def exp_nilpotent(form: TrigPolyForm) -> TrigPolyForm:
     result = TrigPolyForm.identity(form.dim, form.rank)
     power = result
     for m in range(1, form.dim // 2 + 1):
-        power = power.wedge(form) / m
+        power = (1 / m) * power.wedge(form)  # forms are scaled, never divided
         if not power.num_terms():
             break
         result = result + power
@@ -596,6 +603,57 @@ def sign_sum_eta_oracle(mu: float, n_terms: int = 2000, n_nodes: int = 7) -> flo
                 svals[i] - svals[i + level]
             )
     return t[0]
+
+
+def symbol_density(c: Connection, direction=None, n_points: int = 128) -> complex:
+    """h_d(k), the eta density of a constant connection on the unit sphere
+    of frequencies at ``direction`` (default e_d): -copies f_d, with f_d
+    the coefficient of eps^d in tr F(M_0(k) + eps V), F(z) = sign(Re z)
+    log(sign(Re z) z) on the eigenvalues, M_0(k) = sum_j beta_j (x) 2 pi i
+    k_j I and V = sum_j beta_j (x) A_j.  M_0(k) is Hermitian with
+    eigenvalues +-2 pi, so by Bauer--Fike no eigenvalue of M_0(k) + eps V
+    reaches the axis for |eps| < 2 pi / ||V||_2 and tr F is analytic there;
+    f_d is its Cauchy integral on the circle |eps| = pi / ||V||_2, the mean
+    over ``n_points`` equispaced points (an error of 2^-n_points, besides
+    rounding).  It reads V through ``spectral._symbol``, the symbol the
+    operator's blocks are assembled from, and no form algebra."""
+    v = _assemble(_symbol(c, 0), np.zeros((1, c.dim), int))[0]
+    norm = np.linalg.norm(v, 2)
+    if norm == 0:
+        return 0j
+    model = clifford_model(c.dim)
+    k = np.eye(c.dim)[-1] if direction is None else np.asarray(direction, float)
+    k = k / np.linalg.norm(k)
+    m0 = sum(np.kron(b, 2j * math.pi * kj * np.eye(c.rank))
+             for b, kj in zip(model.beta, k))
+    eps = math.pi / norm * np.exp(2j * math.pi * np.arange(n_points) / n_points)
+    lam = np.linalg.eigvals(m0 + eps[:, None, None] * v)
+    sign = np.sign(lam.real)
+    f_d = np.mean(np.sum(sign * np.log(sign * lam), axis=1) * eps ** -c.dim)
+    return complex(-model.copies * f_d)
+
+
+def symbol_eta(c: Connection, cutoff: int) -> tuple[complex, int, np.ndarray]:
+    """(eta(0), N, axis values) of a constant connection on T^d, from its
+    symbol alone: the independent oracle of the paper's local eta identity.
+
+    Write M(k) = M_0(k) + V and eta(s) = sum_k sum_lambda sign(Re lambda)
+    (sign(Re lambda) lambda)^-s, the continuation ``eta_s1_spectral`` takes
+    on the circle.  Expanded in powers of V, the order-m term at s = 0 is
+    -s f_m(k/|k|) |k|^(-m-s) + O(s^2), f_m = [eps^m] tr F(M_0(k/|k|) +
+    eps V).  A lattice sum of g(k/|k|) |k|^-a has its one pole at a = d,
+    with residue the integral of g over S^(d-1) (Epstein), so eta(0) = N +
+    integral of h_d over S^(d-1), h_d = -copies f_d (``symbol_density``).
+    Off the Bauer--Fike ball each block has the inertia of M_0(k), which
+    -k's cancels, so N, the count of sign Re, and the values on the axis
+    are ``sign_count(ball_truncation(c, cutoff))``.  h_d is constant on
+    the sphere, so the integral is vol(S^(d-1)) h_d(e_d), vol(S^(d-1)) =
+    2 pi^(d/2) / Gamma(d/2): 2 on the circle, whose "sphere" is {+-1}.
+    Neither ``cs_form`` nor the form algebra is read: the local identity
+    compares this with them."""
+    count, axis = sign_count(ball_truncation(c, cutoff))
+    volume = 2 * math.pi ** (c.dim / 2) / math.gamma(c.dim / 2)
+    return count + volume * symbol_density(c), count, axis
 
 
 def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:

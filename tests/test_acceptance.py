@@ -105,7 +105,7 @@ def test_acceptance_forms_exact_algebra():
         )
         x = e - ident
         x2 = x.wedge(x)
-        log = x - x2 / 2 + x2.wedge(x) / 3
+        log = x - 0.5 * x2 + (1 / 3) * x2.wedge(x)
         worst = max(worst, (log - a).max_abs())
 
     ok = worst < 1e-10 and n_forms == 200

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from etacalc import cli, spectral, verify
+from etacalc import cli, geometry, spectral, verify
 from etacalc.cli import load_scenario, main
 from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import Connection
@@ -680,8 +680,24 @@ def test_invalid_json(tmp_cwd):
     assert main(["run", str(path)]) == 2
 
 
-def test_missing_file(tmp_cwd):
+def test_missing_file(tmp_cwd, capsys):
     assert main(["run", str(tmp_cwd / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid scenario: $ cannot be read: [Errno "
+    )
+
+
+@pytest.mark.parametrize("kind", ["directory", "through-a-file"])
+def test_a_file_that_cannot_be_read_is_refused_at_the_root(tmp_cwd, capsys, kind):
+    # every OSError of opening or reading the scenario is the one refusal
+    # of the file at $, as a missing file and one that is not JSON are (a
+    # permission error too; not tested, as chmod does not stop a root reader)
+    (tmp_cwd / "plain.json").write_text("{}")
+    path = {"directory": tmp_cwd, "through-a-file": tmp_cwd / "plain.json" / "x.json"}[kind]
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: invalid scenario: $ cannot be read: [Errno ")
+    assert str(path) in err and "Traceback" not in err and not out
 
 
 # ----------------------------------------------------------------------
@@ -989,8 +1005,27 @@ def test_gauge_path_off_the_circle_is_refused_before_anything_runs(
     obj["output"] = {"csv_dir": "out"}
     assert main(["run", write_scenario(tmp_cwd, obj), *flags]) == 2
     out, err = capsys.readouterr()
-    assert "invalid scenario: gauge paths are defined on the circle" in err
+    assert err == (
+        "error: invalid scenario: $.experiments[1].path is a gauge path on T^3: "
+        "gauge paths are defined on the circle\n"
+    )
     assert "written" not in out and not (tmp_cwd / "out").exists()
+
+
+def test_gauge_pumping_off_the_circle_is_refused_before_anything_runs(tmp_cwd, capsys):
+    # gauge_pumping builds its gauge path as it runs, so the loader refuses
+    # it on T^3 at its experiment's path: the spectrum experiment before it
+    # writes no CSV under --emit-csv
+    obj = load_bundled("t3_spectrum.json")
+    obj["experiments"] = [
+        {"check": "spectrum", "connection": "main"},
+        {"check": "gauge_pumping", "connection": "main", "winding": 1},
+    ]
+    obj.pop("output", None)
+    assert main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: invalid scenario: $.experiments[1] is gauge_pumping")
+    assert "written" not in out and not list(tmp_cwd.rglob("*.csv"))
 
 
 _NO_SCIPY_STEPS = """
@@ -1055,11 +1090,11 @@ def test_run_needs_no_jsonschema(tmp_cwd):
         assert bare == (tmp_cwd / written).read_bytes()
 
 
-def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
+def test_internal_value_error_is_not_scenario_error(tmp_cwd, capsys, monkeypatch):
     # LinAlgError subclasses ValueError; a failure inside the numerics is a
-    # bug to surface, not an invalid scenario (exit 2).  Both spectral solve
-    # routes fail, whichever of them the truncation takes; loading calls
-    # neither.
+    # bug to surface (exit 4, with its traceback), not an invalid scenario
+    # (exit 2).  Both spectral solve routes fail, whichever of them the
+    # truncation takes; loading calls neither.
     def failing_solver(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
@@ -1067,21 +1102,49 @@ def test_internal_value_error_is_not_scenario_error(tmp_cwd, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_solver)
     obj = load_bundled("t3_spectrum.json")
     obj["experiments"] = [{"check": "spectrum", "connection": "main"}]
-    with pytest.raises(np.linalg.LinAlgError):
-        main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"])
+    assert main(["run", write_scenario(tmp_cwd, obj), "--emit-csv"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("LinAlgError: eigenvalues did not converge\n")
 
 
-def test_stray_arithmetic_error_is_not_a_guard(tmp_cwd, monkeypatch):
+def test_stray_arithmetic_error_is_not_a_guard(tmp_cwd, capsys, monkeypatch):
     # exit 3 means a guard tripped (a GuardError): an ArithmeticError
-    # inside a check is a bug to surface
+    # inside a check is a bug to surface (exit 4, with its traceback)
     def dividing(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(verify, "check_re_im_split", dividing)
     obj = load_bundled("s1_nonunitary.json")
     obj["experiments"] = [{"check": "re_im_split", "connection": "main"}]
-    with pytest.raises(ZeroDivisionError):
-        main(["run", write_scenario(tmp_cwd, obj)])
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ZeroDivisionError: float division by zero\n")
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (cli, "_experiment_keys"),  # loading
+        (np.linalg, "eigvals"),  # a solve
+        (geometry, "_transgression"),  # the form side
+        (cli, "write_report"),  # writing the report
+    ],
+    ids=["load", "solve", "forms", "report"],
+)
+def test_a_fault_at_any_stage_exits_4(tmp_cwd, capsys, monkeypatch, module, name):
+    # an exception that no exit code maps ends the run with exit 4 and its
+    # traceback, wherever it is raised: never 1, which a failed check means
+    def fault(*args, **kwargs):
+        raise RuntimeError(f"fault injected into {name}")
+
+    monkeypatch.setattr(module, name, fault)
+    assert main(["run", str(SCENARIOS / "s1_nonunitary.json")]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith(f"RuntimeError: fault injected into {name}\n")
+    assert "report written" not in out
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Eta invariants: circle closed forms against an independent series
-oracle, heat-smoothed estimates, and the imaginary-axis census."""
+oracle, heat-smoothed estimates, the imaginary-axis census, and the
+paper's local eta identity on curved T^3 and T^5 through a symbol oracle
+(``helpers.symbol_eta``)."""
 
 import math
 import re
@@ -7,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from etacalc import geometry
 from etacalc.eta import (
     _EPS_GRID,
     EtaValue,
@@ -16,26 +19,33 @@ from etacalc.eta import (
     eta_s1_spectral,
     m_minus,
 )
+from etacalc.flow import spectral_flow
 from etacalc.forms import TrigPolyForm
-from etacalc.geometry import Connection, PreconditionError, subtorus_pairing
+from etacalc.geometry import Connection, PreconditionError, cs_form, subtorus_pairing
 from etacalc.spectral import (
     AXIS_TOL,
     GuardError,
+    ball_radius,
     ball_truncation,
     build_truncation,
+    clifford_model,
     on_axis,
     sign_count,
     spectrum,
 )
 
 from helpers import (
+    curved_constant_connection,
     diagonal_connection_from_mus,
     gauged_t3_connection,
     near_axis_towers,
+    random_flat_commuting_connection,
     random_mus,
     random_unitary_constant_connection,
     rng_matrix,
     sign_sum_eta_oracle,
+    symbol_density,
+    symbol_eta,
 )
 
 
@@ -376,3 +386,136 @@ def test_eta_bk_jumps_exactly_with_census():
             jump = (b1 - b0) - (r1 - r0)
             assert jump == pytest.approx(-1.0, abs=1e-12)
     assert vals[0][1] == 0 and vals[-1][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# the paper's local identity on T^d, through the symbol oracle
+#
+# ``symbol_eta`` gives eta(0) = N + vol(S^(d-1)) h_d(e_d) from the symbol
+# alone: N from the Bauer--Fike ball, h_d from an eps-circle.  It shares no
+# code with the form side (``cs_form``, ``subtorus_pairing``) that the
+# identity compares it with.  The form side's rounding grows as |A|^d, so
+# the identity is asserted to 1e-10 max(1, R)^d, R = ``ball_radius``.
+
+
+def _tolerance(*cs: Connection) -> float:
+    return 1e-10 * max(1.0, *map(ball_radius, cs)) ** cs[0].dim
+
+
+def _cs_pairing(c0: Connection, c1: Connection) -> complex:
+    return subtorus_pairing(cs_form(c0, c1))
+
+
+def _zero(dim: int, rank: int) -> Connection:
+    return Connection.from_constant(dim, [np.zeros((rank, rank))] * dim)
+
+
+def test_symbol_eta_on_the_circle_is_the_towers():
+    # 20 circle connections of ranks 1-3, A_1 = S (2 pi i diag(mu) + U)
+    # S^-1 with U strictly upper triangular (not normal) and Re mu spread
+    # over (-3, 3), so the balls reach past the k = 0 mode
+    rng = np.random.default_rng(22)
+    windows = []
+    for i in range(20):
+        rank = 1 + i % 3
+        mus = rng.uniform(-3, 3, rank) + 1j * rng.uniform(-0.5, 0.5, rank)
+        upper = np.triu(rng_matrix(rng, rank), 1)
+        basis = rng_matrix(rng, rank) + 2 * np.eye(rank)
+        a1 = basis @ (np.diag(2j * math.pi * mus) + upper) @ np.linalg.inv(basis)
+        c = Connection.from_constant(1, [a1])
+        eta, _, axis = symbol_eta(c, 16)
+        assert len(axis) == 0, i
+        assert abs(eta - constant_eta(c).eta) <= 1e-10, i
+        windows.append(ball_truncation(c, 16).cutoff)
+    assert max(windows) > 2
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_symbol_eta_is_the_structural_zero_on_flat_tori(dim):
+    # commuting A_j = S D_j S^-1 (not normal), scaled to a ball radius R:
+    # every block is a sum of lines, whose eigenvalues come in pairs +-z,
+    # so N = 0 and h_d = 0
+    rng = np.random.default_rng(dim)
+    for rank in (1, 2, 3):
+        for radius in (0.7, 1.6):
+            c = random_flat_commuting_connection(rng, dim, rank)
+            c = Connection(c.a * (radius / ball_radius(c)))
+            eta, count, axis = symbol_eta(c, 8)
+            assert (count, len(axis)) == (0, 0), (rank, radius)
+            assert abs(eta) <= 1e-10, (rank, radius)
+
+
+@pytest.mark.parametrize(
+    "dim, rank, scale",
+    [(3, 2, 3.0), (3, 3, 3.0), (3, 3, 5.0), (5, 3, 3.0)],
+)
+def test_local_identity_on_curved_tori(dim, rank, scale):
+    # eta - N = 2 copies <CS(0, c)>: the symbol's sphere integral against
+    # the form side's Chern--Simons pairing, on curved (non-commuting,
+    # non-unitary) constant connections
+    copies = clifford_model(dim).copies
+    counts = []
+    for seed in range(3):
+        c = curved_constant_connection(np.random.default_rng(seed), dim, rank, scale)
+        eta, count, axis = symbol_eta(c, 8)
+        assert len(axis) == 0, seed
+        form = 2 * copies * _cs_pairing(_zero(dim, rank), c)
+        assert abs(form) > 0.1, seed  # the identity has content
+        assert abs(eta - count - form) <= _tolerance(c), seed
+        counts.append(count)
+    if scale == 5.0:
+        assert counts == [4, 0, 0]  # the ball counts something
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_symbol_density_is_constant_on_the_sphere_and_of_degree_d(dim):
+    rng = np.random.default_rng(40 + dim)
+    c = curved_constant_connection(rng, dim, 3, 3.0)
+    h = symbol_density(c)
+    for _ in range(3):
+        assert abs(symbol_density(c, rng.standard_normal(dim)) - h) <= 1e-10
+    for t in (0.7, 1.9, -1.3):
+        assert abs(symbol_density(Connection(c.a * t)) - t**dim * h) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "dim, rank, scale, seeds, sf",
+    [
+        (3, 3, 5.0, (1, 0), 2),
+        (3, 3, 5.0, (0, 1), -2),
+        (3, 2, 8.0, (0, 1), -4),
+        (5, 3, 6.5, (3, 2), 4),
+    ],
+    ids=["t3_sf2", "t3_sf-2", "t3_sf-4", "t5_sf4"],
+)
+def test_variation_on_tori_is_the_spectral_flow_plus_the_cs_cocycle(
+    dim, rank, scale, seeds, sf
+):
+    # Delta eta_bar = sf + copies <CS(c0, c1)>, sf from flow.spectral_flow.
+    # The integer sides cancel (sf is half the change of the same ball
+    # counts that eta reads), so what this adds to the local identity is
+    # the Chern--Simons cocycle: CS(0, c1) - CS(0, c0) pairs as CS(c0, c1)
+    c0, c1 = (
+        curved_constant_connection(np.random.default_rng(s), dim, rank, scale)
+        for s in seeds
+    )
+    (eta0, _, axis0), (eta1, _, axis1) = symbol_eta(c0, 8), symbol_eta(c1, 8)
+    assert len(axis0) == len(axis1) == 0  # no kernel: eta_bar = eta / 2
+    assert spectral_flow(c0, c1, 8) == sf
+    copies = clifford_model(dim).copies
+    residual = (eta1 - eta0) / 2 - sf - copies * _cs_pairing(c0, c1)
+    assert abs(residual) <= _tolerance(c0, c1)
+
+
+def test_symbol_eta_reads_no_form_algebra(monkeypatch):
+    # the oracle must stay independent of the form side it is compared with
+    c = curved_constant_connection(np.random.default_rng(0), 3, 2, 3.0)
+    expected = symbol_eta(c, 8)[0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the symbol oracle reached the form side")
+
+    for name in ("wedge", "ext_d", "integrate", "mat_trace", "phi_normalize"):
+        monkeypatch.setattr(TrigPolyForm, name, refused)
+    monkeypatch.setattr(geometry, "cs_form", refused)
+    assert symbol_eta(c, 8)[0] == expected
