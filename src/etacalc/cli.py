@@ -296,27 +296,32 @@ def run_scenario(
     replaces the tolerance of every check that takes one.  A selected
     ``spectrum`` experiment writes its CSV, ``<label>.csv``, when the flag
     or the scenario's ``csv_dir`` asks for it: into ``csv_dir``, else into
-    the current directory, made when the first CSV is written.  Input
-    errors were refused at load, so what this raises is a check's own:
-    InvalidInputError, PreconditionError or GuardError.
+    the current directory, made when the first CSV is written.  The CSVs
+    are built and written, in file order, only after every selected
+    experiment has run and the report is assembled, so a run that a check
+    stops writes none.  Input errors were refused at load, so what this
+    raises is a check's own: InvalidInputError, PreconditionError or
+    GuardError.
     """
     emit_csv = emit_csv or scn.csv_dir is not None
     directory = scn.csv_dir or "."
     entries: list[verify.CheckEntry] = []
-    written: list[str] = []
+    csvs: list[tuple[str, verify.Experiment]] = []
     for name, x in scn.experiments:
         if selected_checks and name not in selected_checks:
             continue
         check = CHECKS[name]
         if name == "spectrum" and emit_csv:
-            t = build_truncation(x.args["connection"], x.args.get("cutoff", 4))
-            os.makedirs(directory, exist_ok=True)
-            written.append(os.path.join(directory, f"{x.label}.csv"))
-            export_spectrum_csv(t, written[-1])
+            csvs.append((os.path.join(directory, f"{x.label}.csv"), x))
         if tol_override is not None and "tolerance" in check.params:
             x = replace(x, args={**x.args, "tolerance": tol_override})
         entries += check.run(x)
-    return verify.assemble_report(entries), written
+    report = verify.assemble_report(entries)
+    for path, x in csvs:
+        t = build_truncation(x.args["connection"], x.args.get("cutoff", 4))
+        os.makedirs(directory, exist_ok=True)
+        export_spectrum_csv(t, path)
+    return report, [path for path, _ in csvs]
 
 
 def write_report(report: verify.VerificationReport, path: str) -> None:

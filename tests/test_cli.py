@@ -727,6 +727,38 @@ def test_spectrum_csv_artifact(tmp_cwd):
     assert header == "re,im,mode"
 
 
+@pytest.mark.parametrize(
+    "later, code, message",
+    [
+        ({"r_values": [1e103]}, 3, "numerical guard tripped: entry pairing[r=1e+103"),
+        ({"check": "gilkey_variation", "from": "main", "to": "main"}, 2,
+         "invalid scenario: reduced eta uses closed-form circle spectra"),
+    ],
+    ids=["guard", "precondition"],
+)
+def test_a_run_that_a_later_check_stops_writes_no_csv(
+    tmp_cwd, capsys, later, code, message
+):
+    # the spectrum experiment comes first, the check that stops the run later
+    obj = load_bundled("t3_spectrum.json")
+    spectrum, pairing, _ = obj["experiments"]
+    obj["experiments"] = [spectrum, later if "check" in later else {**pairing, **later}]
+    assert main(["run", write_scenario(tmp_cwd, obj)]) == code
+    assert message in capsys.readouterr().err
+    assert not list(tmp_cwd.rglob("*.csv"))
+
+
+def test_a_run_whose_check_fails_writes_the_passing_runs_csvs(tmp_cwd):
+    scenario = str(SCENARIOS / "s1_unitary.json")
+    assert main(["run", scenario]) == 0
+    passed = {p.name: p.read_bytes() for p in (tmp_cwd / "out").glob("*.csv")}
+    assert passed
+    for name in passed:
+        (tmp_cwd / "out" / name).unlink()
+    assert main(["run", scenario, "--tol", "1e-300"]) == 1
+    assert {p.name: p.read_bytes() for p in (tmp_cwd / "out").glob("*.csv")} == passed
+
+
 # ----------------------------------------------------------------------
 # flags
 

@@ -300,6 +300,63 @@ def test_heat_estimate_on_one_copy_matches_the_sum_over_every_copy():
     assert abs(eta_heat_estimate(t) - _heat_over_every_copy(t)) <= 1e-10
 
 
+@pytest.fixture
+def erfc_calls(monkeypatch):
+    """Every array the heat estimate hands to ``scipy.special.erfc``."""
+    import scipy.special
+
+    calls, erfc = [], scipy.special.erfc
+
+    def recording(x):
+        calls.append(np.array(x))
+        return erfc(x)
+
+    monkeypatch.setattr(scipy.special, "erfc", recording)
+    return calls
+
+
+def _split_unitary(rng, dim, rank):
+    """A_j = S diag(2 pi i mu_j) S^H, S unitary: flat, unitary and split into
+    lines, as the t3_constant workload draws it."""
+    s = np.linalg.qr(rng_matrix(rng, rank))[0]
+    mus = rng.uniform(0.05, 0.95, (dim, rank))
+    mats = [s @ np.diag(2j * math.pi * row) @ s.conj().T for row in mus]
+    return Connection.from_constant(dim, mats)
+
+
+@pytest.mark.parametrize("dim, cutoffs", [(3, (4, 8)), (5, (2,))])
+def test_heat_estimate_of_a_split_truncation_is_exactly_zero(dim, cutoffs, erfc_calls):
+    # a split truncation's one-copy spectrum is its own negative bit for bit,
+    # so every eigenvalue cancels against its partner before any erfc
+    rng = np.random.default_rng(470 + dim)
+    for _ in range(3):
+        c = _split_unitary(rng, dim, 2)
+        for t in [build_truncation(c, k) for k in cutoffs] + [ball_truncation(c, 8)]:
+            assert t._line_values() is not None and t._spectrum.size
+            assert eta_heat_estimate(t) == 0
+    assert len(erfc_calls) and sum(x.size for x in erfc_calls) == 0
+
+
+def test_heat_estimate_cancels_only_bitwise_pairs(erfc_calls):
+    # exact pairs at ranks 1 and 2 outward from 0, a near-pair at rank 3,
+    # unmatched values at ranks 4 and 5, a zero mode, and an unmatched 40
+    # that balances the window against -40
+    near = 3.3 + 1e-9
+    vals = [-40.0, -5.0, -3.3, -2.0, -1.0, 0.0, 1.0, 2.0, near, 4.0, 6.0, 40.0]
+    c = _split_unitary(np.random.default_rng(47), 3, 1)
+    t = build_truncation(c, 1)
+    t.__dict__["_spectrum"] = np.array(vals, dtype=complex)
+    est, want = eta_heat_estimate(t), _heat_over_every_copy(t)
+    assert t.copies == 2 and abs(want - 2) < 0.5
+    assert abs(est - want) <= 1e-12 * abs(want)
+    # erfc sees the unmatched values alone, the near-pair's two included
+    left = np.abs([-40.0, -5.0, -3.3, near, 4.0, 6.0, 40.0])
+    roots = np.sqrt(np.asarray(_EPS_GRID))
+    assert len(erfc_calls) == 2 * len(roots)  # the estimate's, then the oracle's
+    for r, x in zip(roots, erfc_calls):
+        assert x.tobytes() == (r * left).tobytes()
+
+
 def test_heat_estimate_rejects_non_self_adjoint():
     c = diagonal_connection_from_mus([0.3 + 0.1j])
     t = build_truncation(c, 5)
