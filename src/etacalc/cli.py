@@ -71,7 +71,7 @@ from . import verify
 from .flow import gauge_path
 from .forms import InvalidInputError, _integer, _json_fields, _number, _shown
 from .geometry import Connection, PreconditionError, linear_path
-from .spectral import GuardError, build_truncation, export_spectrum_csv
+from .spectral import GuardError, build_truncation, export_spectrum_csv, spectrum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -298,10 +298,10 @@ def run_scenario(
     or the scenario's ``csv_dir`` asks for it: into ``csv_dir``, else into
     the current directory, made when the first CSV is written.  The CSVs
     are built and written, in file order, only after every selected
-    experiment has run and the report is assembled, so a run that a check
-    stops writes none.  Input errors were refused at load, so what this
-    raises is a check's own: InvalidInputError, PreconditionError or
-    GuardError.
+    experiment has run, the report is assembled and every CSV's truncation
+    is built and solved, so a run that a check or a guard stops writes
+    none.  Input errors were refused at load, so what this raises is a
+    check's own: InvalidInputError, PreconditionError or GuardError.
     """
     emit_csv = emit_csv or scn.csv_dir is not None
     directory = scn.csv_dir or "."
@@ -317,8 +317,11 @@ def run_scenario(
             x = replace(x, args={**x.args, "tolerance": tol_override})
         entries += check.run(x)
     report = verify.assemble_report(entries)
-    for path, x in csvs:
-        t = build_truncation(x.args["connection"], x.args.get("cutoff", 4))
+    solved = [build_truncation(x.args["connection"], x.args.get("cutoff", 4))
+              for _, x in csvs]
+    for t in solved:
+        spectrum(t)  # the solve, cached on t: a guard trips before any file opens
+    for (path, _), t in zip(csvs, solved):
         os.makedirs(directory, exist_ok=True)
         export_spectrum_csv(t, path)
     return report, [path for path, _ in csvs]

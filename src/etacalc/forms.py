@@ -20,7 +20,14 @@ one read-only complex array of shape ``(n, rank, rank)`` whose row ``i`` is
 the matrix of key ``i``; no row is zero.  Each operation walks the keys in
 Python and does its matrix work in a few numpy calls over the whole stack
 (a wedge is one batched matrix product over all key pairs), instead of
-several calls per term.
+several calls per term.  The key walks of ``wedge`` and ``+`` depend on the
+operands' key tuples alone (and a wedge's on the sign rule ``_merge_sign``),
+which repeat along a path of connections, so each runs once per pair of key
+tuples and sign rule: its plan (the pairs, signs and result keys, and how
+the rows of equal keys are summed) is kept in a bounded least-recently-used
+cache of read-only arrays.  The numeric path is the same on a cold or warm
+plan (the same takes, batched product, sign multiply, sums in input order
+and zero-row scan), so the results are too, bit for bit.
 
 Outside input is validated once, where it enters: the ``TrigPolyForm``
 constructor checks every key (1.0 passes; a bool, a string or 1.5 is
@@ -34,8 +41,9 @@ what it refuses, as the readers ``_json_fields``, ``_integer`` and
 ``_number`` name it, which ``etacalc.cli`` reads a scenario with too.
 Operations on valid forms skip those checks, and the one routine
 ``_sum_terms`` sums the terms of every result they compute, the
-constructor's included.  The units cost no numpy call, since the general
-route would only rebuild an operand:
+constructor's included, on their keys as the one routine ``_group_keys``
+groups them, in a plan or not.  The units cost no numpy call, since the
+general route would only rebuild an operand:
 
 * ``x + 0``, ``0 + x``, ``0 ^ x`` and ``x ^ 0`` return an operand, as do
   ``I ^ x`` and ``x ^ I`` for the shared ``identity(dim, rank)`` (the
@@ -52,9 +60,9 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -67,6 +75,13 @@ EQ_TOL = 1e-12
 # normalization phi divides a p-form by its p-th power.
 PHI_SCALE = math.sqrt(2.0 * math.pi) * np.exp(0.25j * math.pi)
 
+# The most wedge plans, and apart from them the most sum plans, kept at
+# once, the least recently used dropped first.  A plan holds a key tuple
+# and index arrays as long as its operation's result: 6.6 kB on average
+# over the plans of the bundled-style T^3 scenarios, so two full caches of
+# such plans hold about 3.4 MB.
+_PLAN_CACHE_SIZE = 256
+
 
 class InvalidInputError(ValueError):
     """Outside input describes no valid form, connection or scenario (a
@@ -77,6 +92,8 @@ class InvalidInputError(ValueError):
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 Term = tuple[TermKey, np.ndarray]
+# distinct keys, and how to sum the rows onto them (see _group_keys)
+_Grouped = tuple[tuple[TermKey, ...], "tuple[np.ndarray, np.ndarray, np.ndarray] | None"]
 
 
 @cache
@@ -100,40 +117,89 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int,
     return sign, tuple(merged)
 
 
+def _frozen(values: list[int]) -> np.ndarray:
+    """A read-only array of ``values``, fit to be cached and shared."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _group_keys(keys: Iterable[TermKey]) -> _Grouped:
+    """How ``_sum_terms`` sums the rows of ``keys``, one key per row: the
+    distinct keys in order of first appearance and, when a key repeats, the
+    read-only index arrays ``(first, rest, rest_slot)``: the row of each
+    distinct key's first appearance, every other row, and the slot of each
+    other row's key; ``None`` when no key repeats."""
+    slot: dict[TermKey, int] = {}
+    first: list[int] = []
+    rest: list[int] = []
+    rest_slot: list[int] = []
+    for i, key in enumerate(keys):
+        s = slot.setdefault(key, len(slot))
+        if s == len(first):
+            first.append(i)
+        else:
+            rest.append(i)
+            rest_slot.append(s)
+    if not rest:
+        return tuple(slot), None
+    return tuple(slot), (_frozen(first), _frozen(rest), _frozen(rest_slot))
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _wedge_plan(a: tuple[TermKey, ...], b: tuple[TermKey, ...], merge_sign) -> tuple:
+    """What the wedge of forms with the keys ``a`` and ``b`` computes under
+    the sign rule ``merge_sign``: the grouping of its product keys, the
+    left and right row of each pair whose indices are disjoint, and the
+    (n, 1, 1) array of their signs, all read-only.  The rule is part of the
+    cache key, so a replaced ``_merge_sign`` never meets a stale plan."""
+    keys: list[TermKey] = []
+    left: list[int] = []
+    right: list[int] = []
+    signs: list[int] = []
+    for ia, (k, I) in enumerate(a):
+        for ib, (l, J) in enumerate(b):
+            sign, K = merge_sign(I, J)
+            if sign != 0:
+                keys.append((tuple(map(add, k, l)), K))
+                left.append(ia)
+                right.append(ib)
+                signs.append(sign)
+    column = np.array(signs, dtype=np.int64)[:, None, None]
+    column.flags.writeable = False
+    return _group_keys(keys), _frozen(left), _frozen(right), column
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _add_plan(a: tuple[TermKey, ...], b: tuple[TermKey, ...]) -> _Grouped:
+    """The grouping of the keys ``a + b`` of a sum of forms."""
+    return _group_keys(a + b)
+
+
 def _sum_terms(
-    keys: Sequence[TermKey], mats: np.ndarray, unique: bool = False, nonzero: bool = False
+    grouped: _Grouped, mats: np.ndarray, nonzero: bool = False
 ) -> tuple[tuple[TermKey, ...], np.ndarray]:
-    """The terms of a form from one key per row of the (n, rank, rank)
-    array ``mats``: the rows of equal keys are summed in input order into
-    the row of the key's first appearance (skipped when the caller knows the
-    keys are ``unique``), rows whose sum is exactly zero are dropped (the
-    scan skipped when the caller knows the keys are unique and no row is
-    zero: ``nonzero``), and the array kept is made read-only in place, not
-    copied.  So ``mats`` must be fresh or already read-only, and may be
-    shared."""
-    if not (unique or nonzero):
-        slot: dict[TermKey, int] = {}
-        first: list[int] = []
-        rest: list[int] = []
-        rest_slot: list[int] = []
-        for i, key in enumerate(keys):
-            s = slot.setdefault(key, len(slot))
-            if s == len(first):
-                first.append(i)
-            else:
-                rest.append(i)
-                rest_slot.append(s)
-        if rest:
-            summed = mats.take(first, axis=0)
-            np.add.at(summed, rest_slot, mats.take(rest, axis=0))  # sequential
-            keys, mats = tuple(slot), summed
+    """The terms of a form from the rows of the (n, rank, rank) array
+    ``mats`` and their keys, as ``_group_keys`` groups them (``(keys,
+    None)`` when the caller knows the keys are distinct): the rows of equal
+    keys are summed in input order into the row of the key's first
+    appearance, rows whose sum is exactly zero are dropped (the scan
+    skipped when the caller knows no row is zero: ``nonzero``), and the
+    array kept is made read-only in place, not copied.  So ``mats`` must be
+    fresh or already read-only, and may be shared."""
+    keys, sums = grouped
+    if sums is not None:
+        first, rest, rest_slot = sums
+        summed = mats.take(first, axis=0)
+        np.add.at(summed, rest_slot, mats.take(rest, axis=0))  # sequential
+        mats = summed
     if not nonzero:
         kept = mats.any(axis=(1, 2)).tolist()
         if not all(kept):
-            keys = [key for key, keep in zip(keys, kept) if keep]
+            keys = tuple(key for key, keep in zip(keys, kept) if keep)
             mats = mats[kept]
     mats.flags.writeable = False
-    return tuple(keys), mats
+    return keys, mats
 
 
 def _shown(value) -> str:
@@ -257,24 +323,23 @@ class TrigPolyForm:
             stack = np.array(mats)
         else:
             stack = np.zeros((0, self.rank, self.rank), dtype=np.complex128)
-        self._keys, self._mats = _sum_terms(keys, stack)
+        self._keys, self._mats = _sum_terms(_group_keys(keys), stack)
 
     def _new(
         self,
-        keys: Sequence[TermKey],
+        grouped: _Grouped,
         mats: np.ndarray,
         rank: int | None = None,
-        unique: bool = False,
         nonzero: bool = False,
     ) -> "TrigPolyForm":
-        """A form on this torus (of this rank unless given) from keys and a
-        stack that an operation computed from valid forms: neither checked
-        nor copied.  ``unique`` says the keys are already distinct,
-        ``nonzero`` that they are and that no row is zero."""
+        """A form on this torus (of this rank unless given) from grouped
+        keys (``_sum_terms``) and a stack that an operation computed from
+        valid forms: neither checked nor copied.  ``nonzero`` says that no
+        row is zero."""
         out = object.__new__(TrigPolyForm)
         out.dim = self.dim
         out.rank = self.rank if rank is None else rank
-        out._keys, out._mats = _sum_terms(keys, mats, unique, nonzero)
+        out._keys, out._mats = _sum_terms(grouped, mats, nonzero)
         return out
 
     # ------------------------------------------------------------------
@@ -373,11 +438,11 @@ class TrigPolyForm:
         if not self._keys:
             return other
         return self._new(
-            self._keys + other._keys, np.concatenate((self._mats, other._mats))
+            _add_plan(self._keys, other._keys), np.concatenate((self._mats, other._mats))
         )
 
     def __neg__(self) -> "TrigPolyForm":
-        return self._new(self._keys, -self._mats, nonzero=True)
+        return self._new((self._keys, None), -self._mats, nonzero=True)
 
     def __sub__(self, other: "TrigPolyForm") -> "TrigPolyForm":
         return self + (-other)
@@ -386,7 +451,7 @@ class TrigPolyForm:
         scalar = complex(scalar)
         if scalar == 0:
             return _zero(self.dim, self.rank)
-        return self._new(self._keys, scalar * self._mats, unique=True)
+        return self._new((self._keys, None), scalar * self._mats)
 
     __rmul__ = __mul__
 
@@ -404,20 +469,9 @@ class TrigPolyForm:
             return self
         if not other._keys or self is unit:
             return other
-        keys: list[TermKey] = []
-        left: list[int] = []
-        right: list[int] = []
-        signs: list[int] = []
-        for ia, (k, I) in enumerate(self._keys):
-            for ib, (l, J) in enumerate(other._keys):
-                sign, K = _merge_sign(I, J)
-                if sign != 0:
-                    keys.append((tuple(map(add, k, l)), K))
-                    left.append(ia)
-                    right.append(ib)
-                    signs.append(sign)
+        grouped, left, right, signs = _wedge_plan(self._keys, other._keys, _merge_sign)
         products = self._mats.take(left, axis=0) @ other._mats.take(right, axis=0)
-        return self._new(keys, np.array(signs)[:, None, None] * products)
+        return self._new(grouped, signs * products)
 
     def ext_d(self) -> "TrigPolyForm":
         """Exterior derivative: d(M e^{2 pi i k.x} dx_I)
@@ -437,7 +491,7 @@ class TrigPolyForm:
         if not keys:  # d kills every term, as it does a constant form's
             return _zero(self.dim, self.rank)
         coef = np.array(coefs, dtype=np.complex128)[:, None, None]
-        return self._new(keys, coef * self._mats.take(rows, axis=0))
+        return self._new(_group_keys(keys), coef * self._mats.take(rows, axis=0))
 
     def dagger(self) -> "TrigPolyForm":
         """Fiberwise conjugate transpose.
@@ -446,18 +500,18 @@ class TrigPolyForm:
         the real coordinate differentials are fixed.  For homogeneous forms
         this satisfies (a ^ b)^dagger = (-1)^{pq} b^dagger ^ a^dagger.
         """
-        keys = [(tuple(-v for v in k), I) for k, I in self._keys]
-        return self._new(keys, self._mats.conj().transpose(0, 2, 1), nonzero=True)
+        keys = tuple((tuple(-v for v in k), I) for k, I in self._keys)
+        return self._new((keys, None), self._mats.conj().transpose(0, 2, 1), nonzero=True)
 
     def mat_trace(self) -> "TrigPolyForm":
         """Fiberwise matrix trace; result has rank 1 so the algebra stays closed."""
         traces = np.trace(self._mats, axis1=1, axis2=2)[:, None, None]
-        return self._new(self._keys, traces, rank=1, unique=True)
+        return self._new((self._keys, None), traces, rank=1)
 
     def degree_component(self, p: int) -> "TrigPolyForm":
         keep = [len(I) == p for _, I in self._keys]
-        keys = [key for key, kept in zip(self._keys, keep) if kept]
-        return self._new(keys, self._mats[np.array(keep, dtype=bool)], nonzero=True)
+        keys = tuple(key for key, kept in zip(self._keys, keep) if kept)
+        return self._new((keys, None), self._mats[np.array(keep, dtype=bool)], nonzero=True)
 
     # ------------------------------------------------------------------
     # normalization, evaluation, integration
@@ -471,7 +525,7 @@ class TrigPolyForm:
         degrees, divided by s once more) do not depend on the choice.
         """
         scales = np.array([PHI_SCALE ** len(I) for _, I in self._keys], dtype=complex)
-        return self._new(self._keys, self._mats / scales[:, None, None], unique=True)
+        return self._new((self._keys, None), self._mats / scales[:, None, None])
 
     def integrate(self, region: tuple[int, ...] | None = None) -> np.ndarray:
         """Integrate over the coordinate subtorus through 0 whose directions

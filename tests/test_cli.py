@@ -733,8 +733,11 @@ def test_spectrum_csv_artifact(tmp_cwd):
         ({"r_values": [1e103]}, 3, "numerical guard tripped: entry pairing[r=1e+103"),
         ({"check": "gilkey_variation", "from": "main", "to": "main"}, 2,
          "invalid scenario: reduced eta uses closed-form circle spectra"),
+        # a copy of the spectrum experiment whose truncation is refused
+        ({"check": "spectrum", "connection": "main", "cutoff": 2000}, 3,
+         "numerical guard tripped: the lattice and symbol of 64048012001 modes"),
     ],
-    ids=["guard", "precondition"],
+    ids=["guard", "precondition", "later spectrum past the memory guard"],
 )
 def test_a_run_that_a_later_check_stops_writes_no_csv(
     tmp_cwd, capsys, later, code, message

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from etacalc import forms as forms_module
 from etacalc.forms import EQ_TOL, InvalidInputError, TrigPolyForm
 
 from helpers import (
@@ -19,6 +20,7 @@ from helpers import (
     phi_normalize_other_root,
     reference_of,
     rng_form,
+    rng_matrix,
     same_stored_terms,
     term_lists,
 )
@@ -235,6 +237,63 @@ def test_stacked_algebra_matches_per_term_reference(a_terms, b_terms):
         assert reference.same_bits(form), name
         for _, _, mat in form.terms():
             assert not mat.flags.writeable, name
+
+
+def _plan_arrays(plan):
+    """Every array in a cached plan, a nest of tuples."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for part in plan:
+            yield from _plan_arrays(part)
+
+
+@given(term_lists(dim=3, rank=2), term_lists(dim=3, rank=2))
+def test_cold_and_warm_plans_give_the_same_bits(a_terms, b_terms):
+    a, ra = TrigPolyForm(3, 2, a_terms), ReferenceForm(3, 2, a_terms)
+    b, rb = TrigPolyForm(3, 2, b_terms), ReferenceForm(3, 2, b_terms)
+    wedge_plan, add_plan = forms_module._wedge_plan, forms_module._add_plan
+    wedge_plan.cache_clear()
+    add_plan.cache_clear()
+    cold = {"+": a + b, "wedge": a.wedge(b)}
+    misses = wedge_plan.cache_info().misses + add_plan.cache_info().misses
+    warm = {"+": a + b, "wedge": a.wedge(b)}
+    assert wedge_plan.cache_info().misses + add_plan.cache_info().misses == misses
+    references = {"+": ra + rb, "wedge": ra.wedge(rb)}
+    for name, reference in references.items():
+        assert cold[name]._keys == warm[name]._keys, name
+        assert cold[name]._mats.tobytes() == warm[name]._mats.tobytes(), name
+        assert reference.same_bits(cold[name]) and reference.same_bits(warm[name]), name
+    plans = (
+        add_plan(a._keys, b._keys),
+        wedge_plan(a._keys, b._keys, forms_module._merge_sign),
+    )
+    for array in _plan_arrays(plans):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_a_warm_wedge_plan_cannot_hide_the_sign_rule(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = TrigPolyForm(3, 2, [(((0, 1, 0), (2,)), rng_matrix(rng, 2)),
+                            (((1, 0, 0), (3,)), rng_matrix(rng, 2))])
+    b = TrigPolyForm(3, 2, [(((0, 0, 1), (1,)), rng_matrix(rng, 2))])
+    original = a.wedge(b)  # its plan is now cached
+    orig = forms_module._merge_sign
+
+    def sign_dropped(I, J):  # as the mutation checks break the sign rule
+        sign, merged = orig(I, J)
+        return abs(sign), merged
+
+    monkeypatch.setattr(forms_module, "_merge_sign", sign_dropped)
+    dropped = a.wedge(b)
+    monkeypatch.undo()
+    assert dropped._keys == original._keys
+    np.testing.assert_array_equal(dropped._mats, -original._mats)  # both signs were -1
+    again = a.wedge(b)
+    assert again._keys == original._keys
+    assert again._mats.tobytes() == original._mats.tobytes()
 
 
 @given(term_lists(dim=3, rank=2))
