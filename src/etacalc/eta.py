@@ -19,7 +19,8 @@ one direct numerical route offered here is a heat-kernel-smoothed
 estimate for Hermitian truncations; eigenvalues -v and +v of bitwise-equal
 magnitude cancel before any erfc, so a split T^d truncation, whose one-copy
 spectrum is its own negative, has heat eta exactly 0 at the cost of one
-comparison pass.
+comparison pass: with no eigenvalue left, neither the erfc grid nor the
+extrapolating fit runs.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     truncation caches, less its zero modes (``spectral.on_axis``), and is
     multiplied by ``copies``.  Pairs -v, +v of bitwise-equal magnitude,
     matched by rank outward from 0, are dropped before any erfc: they add
-    0 at every eps, so a split T^d truncation gives exactly 0.
+    0 at every eps, so a split T^d truncation gives exactly 0, returned
+    without any erfc call or fit once no eigenvalue is left.
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses, with ``PreconditionError``, truncations that are
     not ``hermitian`` (a unitary connection), and coupled ones, whose
@@ -157,6 +159,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     keep = np.ones(lam.size, dtype=bool)
     keep[i - n : i], keep[i : i + n] = ~paired[::-1], ~paired
     lam = lam[keep]
+    if not lam.size:  # every pair cancelled: the sum is 0 at every eps
+        return 0j
     roots = np.sqrt(np.asarray(_EPS_GRID))
     sign, size = np.sign(lam), np.abs(lam)
     vals = [t.copies * float(np.sum(sign * erfc(r * size))) for r in roots]

@@ -94,10 +94,10 @@ the stable sort on every route, whether or not a solve yields -0.0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping
 
@@ -382,7 +382,9 @@ class OperatorTruncation:
         if self.dim == 1:  # beta_1 = -i: the line block is 2 pi k + y_b
             return xs[..., 0]
         radius = np.sqrt(np.einsum("mbj,mbj->mb", xs, xs))  # 0 - radius: +0.0 at 0
-        return np.repeat(np.stack([0 - radius, radius], -1), e // 2, -1).reshape(n, -1)
+        signed = np.stack([0 - radius, radius], -1)[..., None]  # (mode, line, sign, 1)
+        # e/2 copies of each sign; a view, not a copy, when e = 2 (T^3)
+        return np.broadcast_to(signed, (n, r, 2, e // 2)).reshape(n, -1)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -528,17 +530,19 @@ def sign_count(t: OperatorTruncation) -> tuple[int, np.ndarray]:
 def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     """(Re, Im, mode-label) rows; mode column is empty for coupled matrices."""
     if t.couplings:
-        return [(float(v.real), float(v.imag), "") for v in spectrum(t)]
+        vals = spectrum(t)
+        return list(zip(vals.real.tolist(), vals.imag.tolist(), repeat("")))
     rows = []
     per_mode = np.repeat(np.sort(t._eigvals[0], kind="stable"), t.copies, axis=-1)
-    for k, vals in zip(t.modes.tolist(), per_mode):  # one lone mode per row
-        label = " ".join(map(str, k))
-        rows.extend((float(v.real), float(v.imag), label) for v in vals)
+    parts = zip(t.modes.tolist(), per_mode.real.tolist(), per_mode.imag.tolist())
+    for k, re, im in parts:  # one lone mode per row
+        rows.extend(zip(re, im, repeat(" ".join(map(str, k)))))
     return rows
 
 
 def export_spectrum_csv(t: OperatorTruncation, path) -> None:
+    """The rows as ``csv.writer`` writes them: CRLF lines, each float as its
+    ``repr``; no field needs quoting (labels are integers and spaces)."""
+    body = "".join(f"{re!r},{im!r},{k}\r\n" for re, im, k in spectrum_rows(t))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "mode"])
-        writer.writerows(spectrum_rows(t))
+        fh.write("re,im,mode\r\n" + body)

@@ -43,6 +43,7 @@ import numpy as np
 
 from .eta import EtaValue, constant_eta
 from .flow import gauge_path, spectral_flow
+from .forms import TrigPolyForm
 from .geometry import (
     Connection,
     PreconditionError,
@@ -532,9 +533,11 @@ def trivial_line_eta(dim: int, cutoff: int = 1) -> EtaValue:
     the spectrum is symmetric (eta = 0) and the zero modes count the even
     exterior algebra, 2^(dim-1).  Both are the ``sign_count`` of the zero
     connection's Bauer--Fike ball, k = 0 alone (window 1, capped at
-    ``cutoff``); every other mode has the balanced eigenvalues +-2 pi |k|."""
-    c = Connection.from_constant(dim, [np.zeros((1, 1), dtype=complex)] * dim)
-    count, axis = sign_count(ball_truncation(c, cutoff))
+    ``cutoff``); every other mode has the balanced eigenvalues +-2 pi |k|.
+    The zero connection is the shared empty form ``TrigPolyForm.zero(dim,
+    1)``, which ``Connection.from_constant`` makes of zero matrices too."""
+    zero = Connection(TrigPolyForm.zero(dim, 1))
+    count, axis = sign_count(ball_truncation(zero, cutoff))
     return EtaValue(eta=complex(count), kernel_dim=len(axis))
 
 

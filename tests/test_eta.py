@@ -327,14 +327,20 @@ def _split_unitary(rng, dim, rank):
 @pytest.mark.parametrize("dim, cutoffs", [(3, (4, 8)), (5, (2,))])
 def test_heat_estimate_of_a_split_truncation_is_exactly_zero(dim, cutoffs, erfc_calls):
     # a split truncation's one-copy spectrum is its own negative bit for bit,
-    # so every eigenvalue cancels against its partner before any erfc
+    # so every eigenvalue cancels against its partner and no erfc runs
     rng = np.random.default_rng(470 + dim)
     for _ in range(3):
         c = _split_unitary(rng, dim, 2)
         for t in [build_truncation(c, k) for k in cutoffs] + [ball_truncation(c, 8)]:
             assert t._line_values() is not None and t._spectrum.size
             assert eta_heat_estimate(t) == 0
-    assert len(erfc_calls) and sum(x.size for x in erfc_calls) == 0
+    assert erfc_calls == []
+    # the control: the circle's tower 2 pi (k + 1/4) pairs no value, so the
+    # fixture records one erfc call per eps, over every value but the
+    # window's unbalanced extreme
+    t = build_truncation(diagonal_connection_from_mus([0.25]), 8)
+    assert eta_heat_estimate(t) != 0
+    assert [x.size for x in erfc_calls] == [t.size - 1] * len(_EPS_GRID)
 
 
 def test_heat_estimate_cancels_only_bitwise_pairs(erfc_calls):

@@ -2,6 +2,8 @@
 the one-spinor-copy reduction against the full even-part operator, circle
 calibration, block structure, and guard rails."""
 
+import csv
+import io
 import math
 import tracemalloc
 from functools import reduce
@@ -1294,6 +1296,33 @@ def test_spectrum_hand_off_is_bitwise_the_sort_of_the_repeated_solve(name, dim):
             assert np.max(np.abs(vals - expect)) <= 1e-12
     if name == "zero":  # rank times the even exterior algebra, 2^(dim-1)
         assert np.count_nonzero(spectrum(t) == 0) == 2 * 2 ** (dim - 1)
+
+
+@pytest.mark.parametrize("name,dim", _HAND_OFF_CASES)
+def test_csv_bytes_are_those_of_csv_writer(name, dim, tmp_path):
+    # the oracle is csv.writer on the rows, each route as solved and again
+    # with a solve that holds -0.0 in both parts (written "-0.0", not "0.0")
+    c, cutoff = _hand_off_case(name, dim)
+    t = build_truncation(c, cutoff)
+
+    def oracle():
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([("re", "im", "mode"), *spectrum_rows(t)])
+        return buf.getvalue().encode()
+
+    path = tmp_path / "spec.csv"
+    export_spectrum_csv(t, path)
+    assert path.read_bytes() == oracle()
+    shape = (t._spectrum if t.couplings else t._eigvals[0]).shape
+    zeros = np.random.default_rng(64).choice([-0.0, 0.0, -1.5, 0.5], (2, *shape))
+    signed = np.empty(shape, dtype=complex)
+    signed.real, signed.imag = zeros
+    t.__dict__["_spectrum" if t.couplings else "_eigvals"] = (
+        np.sort(signed, kind="stable") if t.couplings else (signed,)
+    )
+    export_spectrum_csv(t, path)
+    written = path.read_bytes()
+    assert written == oracle() and b"\n-0.0," in written and b",-0.0," in written
 
 
 def test_real_sort_puts_signed_zeros_in_the_order_of_the_solve():

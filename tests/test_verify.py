@@ -501,6 +501,29 @@ def test_census_window_is_the_zero_connections_ball(monkeypatch):
             assert [t.size for t in solved] == [2 ** (dim - 1)] * 2
 
 
+def test_census_of_the_shared_zero_form_is_that_of_zero_matrices(monkeypatch):
+    # the census counts the shared empty form; the zero matrices reduce to
+    # it, so their ball, its symbol and flag, the count and the axis values
+    # are the same bits
+    from etacalc.spectral import ball_truncation, sign_count
+
+    solved = _recording_counts(monkeypatch, verify)
+    for dim in (1, 3, 5):
+        zeros = Connection.from_constant(dim, [np.zeros((1, 1), dtype=complex)] * dim)
+        for cutoff in (1, 2, 3):
+            solved.clear()
+            e = trivial_line_eta(dim, cutoff)
+            want = ball_truncation(zeros, cutoff)
+            count, axis = sign_count(want)
+            [t] = solved
+            got_count, got_axis = sign_count(t)
+            assert e.eta == complex(count) and e.kernel_dim == len(axis)
+            assert got_count == count and got_axis.tobytes() == axis.tobytes()
+            assert t.symbol.tobytes() == want.symbol.tobytes()
+            assert t.modes.tobytes() == want.modes.tobytes()
+            assert t.hermitian and want.hermitian
+
+
 def _solved_ball_radius(t) -> float:
     """||V||_2 / 2 pi for V the block of mode k = 0 of a constant truncation."""
     zero = t.modes.tolist().index([0] * t.dim)
