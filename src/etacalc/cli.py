@@ -18,8 +18,10 @@ with a distinct code per failure class:
   connection that ``Connection.from_json_obj`` refuses, down to a matrix
   entry such as ``$.connections.main.A.terms[0].re[0][1]``, a fiber
   metric ``g`` other than I among it, a ``gauge_pumping`` experiment or a
-  gauge path off the circle) or asks a check for something outside its
-  domain (:class:`~etacalc.geometry.PreconditionError`)
+  gauge path off the circle; or, refused by the run before it writes a
+  file, a report path that is the path of a CSV it would write,
+  ``$.output.report``) or asks a check for something outside its domain
+  (:class:`~etacalc.geometry.PreconditionError`)
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
   memory guard, spectral flow needing a window past the cutoff: a
   Bauer--Fike ball past it, or K and K + 1 differ; a circle tower shift
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -300,19 +301,29 @@ def run_scenario(
     are built and written, in file order, only after every selected
     experiment has run, the report is assembled and every CSV's truncation
     is built and solved, so a run that a check or a guard stops writes
-    none.  Input errors were refused at load, so what this raises is a
-    check's own: InvalidInputError, PreconditionError or GuardError.
+    none.  A report path that is, by ``os.path.realpath``, the path of a
+    CSV to write raises InvalidInputError naming ``$.output.report`` and
+    the experiment, before any CSV truncation is built or file opened:
+    only the run knows ``--emit-csv`` and ``--check``, so the loader
+    cannot refuse it.  Other input errors were refused at load, so what
+    else this raises is a check's own: InvalidInputError, PreconditionError
+    or GuardError.
     """
     emit_csv = emit_csv or scn.csv_dir is not None
     directory = scn.csv_dir or "."
     entries: list[verify.CheckEntry] = []
     csvs: list[tuple[str, verify.Experiment]] = []
+    report_at = scn.report_path and os.path.realpath(scn.report_path)
     for name, x in scn.experiments:
         if selected_checks and name not in selected_checks:
             continue
         check = CHECKS[name]
         if name == "spectrum" and emit_csv:
-            csvs.append((os.path.join(directory, f"{x.label}.csv"), x))
+            path = os.path.join(directory, f"{x.label}.csv")
+            if os.path.realpath(path) == report_at:
+                raise InvalidInputError(
+                    f"$.output.report is the CSV of experiment {x.label!r}")
+            csvs.append((path, x))
         if tol_override is not None and "tolerance" in check.params:
             x = replace(x, args={**x.args, "tolerance": tol_override})
         entries += check.run(x)
@@ -370,18 +381,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """A tolerance from the command line: a finite number > 0, as an
-    experiment's own ``tolerance`` is (so zero, negatives, inf and nan are
-    refused)."""
+    """A tolerance from the command line, read as a float by the
+    ``tolerance`` key's reader, so ``--tol`` accepts what an experiment's
+    ``tolerance`` does and is refused in its words."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number > 0, got {text!r}"
-        )
-    return value
+        return _positive(float(text), "--tol")
+    except ValueError as exc:  # not a float, or refused by the reader
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv: list[str] | None = None) -> int:

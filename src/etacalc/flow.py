@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .forms import TrigPolyForm
-from .geometry import (Connection, PreconditionError, _gauge_form,
-                       _require_one_bundle, linear_path)
+from .geometry import (Connection, PreconditionError, _require_one_bundle,
+                       gauge_transform, linear_path)
 from .spectral import (AXIS_TOL, CutoffInstabilityError, OperatorTruncation,
                        ball_truncation, build_truncation, sign_count)
 
@@ -72,9 +72,10 @@ def gauge_path(c: Connection, w: int) -> Callable[[float], Connection]:
     """The straight line from A to its gauge transform by
     u = diag(e^{2 pi i w x}, 1, ..., 1) on the circle:
     t -> (1-t) A + t (u^{-1} A u + u^{-1} du), a ``linear_path`` whose
-    gauged endpoint is built once per path.  Endpoints are gauge-equivalent,
-    so the path pumps exactly w eigenvalue towers across the axis (sf = +w
-    for diagonal A).  On T^d, d > 1, PreconditionError."""
+    gauged endpoint, ``geometry.gauge_transform``'s connection, is built
+    once per path.  Endpoints are gauge-equivalent, so the path pumps
+    exactly w eigenvalue towers across the axis (sf = +w for diagonal A).
+    On T^d, d > 1, PreconditionError."""
     if c.dim != 1:
         raise PreconditionError("gauge paths are defined on the circle")
     w = int(w)
@@ -87,4 +88,4 @@ def gauge_path(c: Connection, w: int) -> Callable[[float], Connection]:
     u_inv = TrigPolyForm.constant(1, rest) + TrigPolyForm.monomial(
         1, e11, k=(-w,)
     )
-    return linear_path(c, Connection(_gauge_form(c.a, u, u_inv)))
+    return linear_path(c, gauge_transform(c, u, u_inv))

@@ -266,17 +266,12 @@ def cs_r_poly(c: Connection) -> tuple[TrigPolyForm, ...]:
 # gauge action, pairings
 
 
-def _gauge_form(a: TrigPolyForm, u: TrigPolyForm, u_inv: TrigPolyForm) -> TrigPolyForm:
-    """u^{-1} a u + u^{-1} du: the connection form d + a pulled back by u."""
-    return u_inv.wedge(a).wedge(u) + u_inv.wedge(u.ext_d())
-
-
 def gauge_transform(c: Connection, u: TrigPolyForm, u_inv: TrigPolyForm) -> Connection:
     """Pull back the connection by the bundle automorphism u, whose inverse
     the caller passes as ``u_inv``: A -> u^{-1} A u + u^{-1} du, on the
     identity metric.  A unitary u gives a gauge-equivalent connection (omega
     conjugated by u); any other u changes the connection."""
-    return Connection(_gauge_form(c.a, u, u_inv))
+    return Connection(u_inv.wedge(c.a).wedge(u) + u_inv.wedge(u.ext_d()))
 
 
 def subtorus_pairing(

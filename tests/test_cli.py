@@ -751,6 +751,30 @@ def test_a_run_that_a_later_check_stops_writes_no_csv(
     assert not list(tmp_cwd.rglob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "output, flags",
+    [
+        ({"report": "out/e06_spectrum.csv", "csv_dir": "out"}, []),
+        ({"report": "e06_spectrum.csv"}, ["--emit-csv"]),
+        ({"report": "sub/../e06_spectrum.csv"}, ["--emit-csv"]),
+    ],
+    ids=["csv_dir", "emit-csv", "emit-csv, the same real path"],
+)
+def test_a_report_that_would_overwrite_a_csv_is_refused(tmp_cwd, capsys, output, flags):
+    obj = load_bundled("s1_unitary.json")
+    obj["output"] = output
+    scenario = write_scenario(tmp_cwd, obj)
+    assert main(["run", scenario, *flags]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid scenario: $.output.report is the CSV of experiment 'e06_spectrum'"
+    )
+    assert sorted(p.name for p in tmp_cwd.iterdir()) == ["scenario.json"]
+    # without the spectrum experiment no CSV is written, so nothing clashes
+    assert main(["run", scenario, *flags, "--check", "gilkey_variation"]) == 0
+    assert [p.name for p in tmp_cwd.rglob("*.csv")] == ["e06_spectrum.csv"]
+    assert "entries" in json.loads((tmp_cwd / output["report"]).read_text())
+
+
 def test_a_run_whose_check_fails_writes_the_passing_runs_csvs(tmp_cwd):
     scenario = str(SCENARIOS / "s1_unitary.json")
     assert main(["run", scenario]) == 0
@@ -831,13 +855,49 @@ def test_seed_flag_is_retired(capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "Infinity", "1e999"])
-def test_nonpositive_tol_flag_rejected(capsys, tol):
+_TOL_REFUSALS = [("0", "is not > 0"), ("-1", "is not > 0")] + [
+    (tol, "is not a finite number") for tol in ("nan", "inf", "Infinity", "1e999")
+]
+
+
+@pytest.mark.parametrize("tol, reason", _TOL_REFUSALS, ids=[t for t, _ in _TOL_REFUSALS])
+def test_nonpositive_tol_flag_rejected(capsys, tol, reason):
     # an infinite tolerance would pass every entry, so it is refused too
     with pytest.raises(SystemExit) as exc:
         main(["run", str(SCENARIOS / "s1_nonunitary.json"), "--tol", tol])
     assert exc.value.code == 2
-    assert "> 0" in capsys.readouterr().err
+    err = capsys.readouterr().err.rstrip()
+    assert err.endswith(f"argument --tol: --tol {float(tol)} {reason}")
+
+
+def _refusal_reason(err: str, at: str) -> str:
+    """What follows the value in the refusal of ``at`` on stderr."""
+    match = re.search(re.escape(at) + r" \S+ (is not .*)$", err.rstrip())
+    assert match, err
+    return match.group(1)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1e-400", "nan", "inf", "1e999", "1e-300", "2"])
+def test_tol_flag_and_tolerance_key_accept_the_same_values(tmp_cwd, capsys, tol):
+    # --tol is read by the tolerance key's reader: a value is refused (exit
+    # 2) one way exactly when it is the other, and for the same reason
+    obj = load_bundled("s1_nonunitary.json")
+    obj["experiments"] = [obj["experiments"][1]]  # gilkey_variation
+    del obj["output"]
+    try:
+        flag = main(["run", write_scenario(tmp_cwd, obj, "flag.json"), "--tol", tol])
+    except SystemExit as exc:
+        flag = exc.code
+    flag_err = capsys.readouterr().err
+    obj["experiments"][0]["tolerance"] = "NUMBER"
+    literal = json.dumps(float(tol)) if tol in ("nan", "inf") else tol
+    key = main(["run", _with_number(tmp_cwd, obj, literal)])
+    key_err = capsys.readouterr().err
+    assert (flag == 2) == (key == 2) == (tol not in ("1e-300", "2")), (flag, key)
+    if flag == 2:
+        assert _refusal_reason(flag_err, "--tol") == _refusal_reason(
+            key_err, "$.experiments[0].tolerance"
+        )
 
 
 # ----------------------------------------------------------------------

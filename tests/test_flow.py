@@ -11,7 +11,7 @@ import pytest
 from etacalc import flow, spectral, verify
 from etacalc.flow import CutoffInstabilityError, gauge_path, spectral_flow
 from etacalc.forms import TrigPolyForm
-from etacalc.geometry import Connection, PreconditionError, _gauge_form
+from etacalc.geometry import Connection, PreconditionError, gauge_transform
 from etacalc.spectral import (
     AXIS_TOL,
     ball_radius,
@@ -94,20 +94,39 @@ def test_gauge_path_rejects_higher_tori():
         gauge_path(c3, 1)
 
 
-@pytest.mark.parametrize("w", [-1, 2])
-def test_gauge_path_points_are_the_pointwise_formula(w):
-    # the segment to the gauged endpoint gives each point's stored terms
-    # exactly as (1 - t) A + t (u^-1 A u + u^-1 du) does
-    c = diagonal_connection_from_mus([0.3 + 0.1j, 0.6])
+def _winding_gauge(w: int) -> tuple[TrigPolyForm, TrigPolyForm]:
+    """u = diag(e^{2 pi i w x}, 1) on the circle at rank 2, and its inverse."""
     e11, rest = np.diag([1.0 + 0j, 0.0]), np.diag([0j, 1.0])
     u, u_inv = (
         TrigPolyForm.constant(1, rest) + TrigPolyForm.monomial(1, e11, k=(s * w,))
         for s in (1, -1)
     )
-    gauged = _gauge_form(c.a, u, u_inv)
+    return u, u_inv
+
+
+@pytest.mark.parametrize("w", [-1, 2])
+def test_gauge_path_points_are_the_pointwise_formula(w):
+    # the segment to the gauged endpoint gives each point's stored terms
+    # exactly as (1 - t) A + t (u^-1 A u + u^-1 du) does
+    c = diagonal_connection_from_mus([0.3 + 0.1j, 0.6])
+    gauged = gauge_transform(c, *_winding_gauge(w)).a
     path = gauge_path(c, w)
     for t in (0.0, 0.3, 1.0):
         assert same_stored_terms(path(t).a, c.a * (1 - t) + gauged * t), t
+
+
+@pytest.mark.parametrize("w", [-1, 1, 2])
+def test_gauge_path_endpoint_is_the_gauge_transform_when_coupled(w):
+    # a non-diagonal A: u^-1 A u moves the off-diagonal entries to
+    # frequencies +-w, so the gauged endpoint is coupled, not constant, and
+    # is gauge_transform's connection, key for key and bit for bit
+    a1 = 2j * np.pi * np.array([[0.3 + 0.2j, -0.4 + 0.1j], [0.25 - 0.3j, -0.6]])
+    c = Connection.from_constant(1, [a1])
+    end = gauge_path(c, w)(1.0)
+    gauged = gauge_transform(c, *_winding_gauge(w)).a
+    assert not end.is_constant()
+    assert end.a._keys == gauged._keys
+    assert end.a._mats.tobytes() == gauged._mats.tobytes()
 
 
 def test_gauge_path_transforms_once_per_path(monkeypatch):
@@ -115,9 +134,9 @@ def test_gauge_path_transforms_once_per_path(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return _gauge_form(*args)
+        return gauge_transform(*args)
 
-    monkeypatch.setattr(flow, "_gauge_form", counted)
+    monkeypatch.setattr(flow, "gauge_transform", counted)
     c = diagonal_connection_from_mus([0.3, 0.55 - 0.1j])
     assert verify.check_psi_constancy(gauge_path(c, 1), n_samples=9).passed
     assert len(calls) == 1
