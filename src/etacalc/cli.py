@@ -19,8 +19,9 @@ with a distinct code per failure class:
   entry such as ``$.connections.main.A.terms[0].re[0][1]``, a fiber
   metric ``g`` other than I among it, a ``gauge_pumping`` experiment or a
   gauge path off the circle; or, refused by the run before it writes a
-  file, a report path that is the path of a CSV it would write,
-  ``$.output.report``) or asks a check for something outside its domain
+  file, a report path that is the path of a CSV it would write or the
+  directory it writes them into, ``$.output.report``) or asks a check
+  for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`)
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
   memory guard, spectral flow needing a window past the cutoff: a
@@ -302,8 +303,9 @@ def run_scenario(
     experiment has run, the report is assembled and every CSV's truncation
     is built and solved, so a run that a check or a guard stops writes
     none.  A report path that is, by ``os.path.realpath``, the path of a
-    CSV to write raises InvalidInputError naming ``$.output.report`` and
-    the experiment, before any CSV truncation is built or file opened:
+    CSV to write, or the directory the CSVs go into, raises
+    InvalidInputError naming ``$.output.report`` and the experiment or the
+    directory, before any CSV truncation is built or file opened:
     only the run knows ``--emit-csv`` and ``--check``, so the loader
     cannot refuse it.  Other input errors were refused at load, so what
     else this raises is a check's own: InvalidInputError, PreconditionError
@@ -320,6 +322,9 @@ def run_scenario(
         check = CHECKS[name]
         if name == "spectrum" and emit_csv:
             path = os.path.join(directory, f"{x.label}.csv")
+            if os.path.realpath(directory) == report_at:
+                raise InvalidInputError(
+                    f"$.output.report is the CSV directory {directory!r}")
             if os.path.realpath(path) == report_at:
                 raise InvalidInputError(
                     f"$.output.report is the CSV of experiment {x.label!r}")

@@ -50,6 +50,7 @@ from .geometry import (
     a_coeff,
     cs_form,
     cs_r_poly,
+    linear_path,
     odd_subtori,
     subtorus_pairing,
 )
@@ -667,8 +668,10 @@ def _suite_mus(rng: np.random.Generator, n: int) -> list[complex]:
 
 
 def _banded_mus(rng: np.random.Generator, n: int) -> list[complex]:
-    """Tower shifts in disjoint real-part bands: linear interpolation between
-    two such draws never collides towers and never crosses the axis."""
+    """Tower shifts in disjoint real-part bands, one per tower.  The
+    ``linear_path`` between the ``_diagonal`` connections of two such draws
+    is diagonal at every t, with shifts (1 - t) mu_0 + t mu_1 that stay in
+    their bands: it never collides towers and never crosses the axis."""
     out = []
     for i in range(n):
         lo = 0.1 + 0.8 * i / n + 0.03
@@ -684,27 +687,17 @@ def _diagonal(*mus: Sequence[complex]) -> Connection:
     )
 
 
-def _diagonal_path(
-    start: Sequence[Sequence[complex]], end: Sequence[Sequence[complex]]
-) -> Callable[[float], Connection]:
-    """The linear path of diagonal connections between two sets of tower
-    shifts, one row per direction."""
-    return lambda t: _diagonal(
-        *([a + t * (b - a) for a, b in zip(r0, r1)] for r0, r1 in zip(start, end))
-    )
-
-
 def _suite_experiments(rng: np.random.Generator) -> list[tuple[str, Experiment]]:
     """The standard suite as (check name, experiment) rows.  The random
     draws are taken first, in a fixed order."""
     t3 = _diagonal(*(_suite_mus(rng, 2) for _ in range(3)))
     gilkey = [_diagonal(_suite_mus(rng, 2)) for _ in range(2)]
-    banded = _diagonal_path([_banded_mus(rng, 2)], [_banded_mus(rng, 2)])
+    banded = linear_path(_diagonal(_banded_mus(rng, 2)), _diagonal(_banded_mus(rng, 2)))
     re_im = _diagonal(_suite_mus(rng, 2))
-    circle_path = _diagonal_path([_suite_mus(rng, 2)], [_suite_mus(rng, 2)])
-    t3_path = _diagonal_path(
-        [_suite_mus(rng, 2) for _ in range(3)],
-        [_suite_mus(rng, 2) for _ in range(3)],
+    circle_path = linear_path(_diagonal(_suite_mus(rng, 2)), _diagonal(_suite_mus(rng, 2)))
+    t3_path = linear_path(
+        _diagonal(*(_suite_mus(rng, 2) for _ in range(3))),
+        _diagonal(*(_suite_mus(rng, 2) for _ in range(3))),
     )
     eta_tilde = _diagonal(_suite_mus(rng, 2))
     gauge_base = _diagonal([0.3 + 0.07j, 0.55 - 0.1j])
@@ -722,7 +715,7 @@ def _suite_experiments(rng: np.random.Generator) -> list[tuple[str, Experiment]]
          {"from": gilkey[0], "to": gilkey[1]}),
         # exact complex variation: crossing path, gauge pumping, random path
         ("variation_complex", "[crossing]",
-         {"path": lambda t: _diagonal([0.25 + t])}),
+         {"path": linear_path(_diagonal([0.25]), _diagonal([1.25]))}),
         ("variation_complex", "[gauge-w2]",
          {"path": gauge_path(gauge_base, 2)}),
         ("variation_complex", "[random]", {"path": banded}),

@@ -7,7 +7,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 from hypothesis import strategies as st
@@ -654,6 +654,70 @@ def symbol_eta(c: Connection, cutoff: int) -> tuple[complex, int, np.ndarray]:
     count, axis = sign_count(ball_truncation(c, cutoff))
     volume = 2 * math.pi ** (c.dim / 2) / math.gamma(c.dim / 2)
     return count + volume * symbol_density(c), count, axis
+
+
+#: ``exact_cs_pairing`` reads matrix entries on the grid 2^-CS_GRID_BITS Z[i]
+CS_GRID_BITS = 12
+
+
+def _gaussian_integers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2^CS_GRID_BITS m as (re, im), object arrays of Python ints; an entry
+    off the grid is refused (ValueError).  Scaling by a power of 2 is exact."""
+    scaled = np.asarray(m, dtype=complex) * 2.0**CS_GRID_BITS
+    parts = (scaled.real, scaled.imag)
+    if not all(np.array_equal(x, np.round(x)) for x in parts):
+        raise ValueError(f"an entry of {m} is not on the 2^-{CS_GRID_BITS} grid")
+    return tuple(np.frompyfunc(int, 1, 1)(x) for x in parts)
+
+
+def _gaussian_product(a: tuple, b: tuple) -> tuple:
+    (ar, ai), (br, bi) = a, b
+    return ar @ br - ai @ bi, ar @ bi + ai @ br
+
+
+def exact_cs_pairing(c: Connection, region: tuple[int, ...] | None = None) -> complex:
+    """<CS(0, c)>_J for a constant connection whose A_j have entries on the
+    2^-12 grid, exact until the trace is rounded to complex and multiplied
+    by K_m: the oracle of the form side, ``subtorus_pairing(cs_form(0, c),
+    J)``.
+
+    J is ``region``, odd-sized (default: the whole torus).  For a constant
+    connection dA = 0 and the degree-m part of CS(0, c), m = |J| = 2j + 1,
+    is a multiple of tr A^m, whose dx_J coefficient is tr s_m(A_J): the
+    standard polynomial s_m(X_1, ..., X_m) = sum_sigma sgn(sigma)
+    X_sigma(1) ... X_sigma(m) of the A_i, i in J.  So
+
+        <CS(0, c)>_J = K_m tr s_m(A_J),
+        K_m = (-1)^(j+1) / (j! m (2 pi i)^(j+1)) = i^(j+1) / (j! m (2 pi)^(j+1)):
+
+    i/2pi, -1/12pi^2, -i/80pi^3 and 1/672pi^4 for m = 1, 3, 5 and 7.
+    s_m is summed in Gaussian integers, (re, im) pairs of Python-int object
+    arrays of 2^12 A_i, by a recursion over the subsets T of J on the first
+    factor: s(T) = sum_{t in T} (-1)^#{u in T: u < t} A_t s(T - t), with
+    s({}) = I, so m 2^(m-1) products instead of m! words.  It reads only
+    the A_i (``TrigPolyForm.coefficient``), never the form algebra.  By
+    Amitsur--Levitzki (1950), s_m vanishes on matrices of rank <= (m-1)/2,
+    and then so does this, exactly."""
+    J = tuple(range(1, c.dim + 1)) if region is None else tuple(region)
+    m, j = len(J), (len(J) - 1) // 2
+    if m % 2 == 0:
+        raise ValueError(f"region {J} is not odd-sized")
+    mats = [_gaussian_integers(c.a.coefficient((0,) * c.dim, (i,))) for i in J]
+    zero = np.full((c.rank, c.rank), 0, dtype=object)
+    eye = zero.copy()
+    np.fill_diagonal(eye, 1)
+    s = [(eye, zero)]  # s[T] for each subset T of positions, as a bit mask
+    for subset in range(1, 1 << m):
+        re, im, below = zero, zero, 0
+        for t in (t for t in range(m) if subset >> t & 1):
+            pr, pi = _gaussian_product(mats[t], s[subset ^ (1 << t)])
+            sign, below = (-1) ** below, below + 1
+            re, im = re + sign * pr, im + sign * pi
+        s.append((re, im))
+    re, im = s[-1]
+    trace = complex(sum(np.diagonal(re)), sum(np.diagonal(im)))
+    k_m = (1, 1j, -1, -1j)[(j + 1) % 4] / (factorial(j) * m * (2 * math.pi) ** (j + 1))
+    return math.ldexp(1.0, -CS_GRID_BITS * m) * trace * k_m
 
 
 def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:

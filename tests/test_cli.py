@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
 
@@ -752,27 +753,33 @@ def test_a_run_that_a_later_check_stops_writes_no_csv(
 
 
 @pytest.mark.parametrize(
-    "output, flags",
+    "output, flags, clash",
     [
-        ({"report": "out/e06_spectrum.csv", "csv_dir": "out"}, []),
-        ({"report": "e06_spectrum.csv"}, ["--emit-csv"]),
-        ({"report": "sub/../e06_spectrum.csv"}, ["--emit-csv"]),
+        ({"report": "out/e06_spectrum.csv", "csv_dir": "out"}, [], "CSV of experiment"),
+        ({"report": "e06_spectrum.csv"}, ["--emit-csv"], "CSV of experiment"),
+        ({"report": "sub/../e06_spectrum.csv"}, ["--emit-csv"], "CSV of experiment"),
+        # the report would be written over the directory that holds the CSVs
+        ({"report": "out", "csv_dir": "out"}, [], "CSV directory 'out'"),
     ],
-    ids=["csv_dir", "emit-csv", "emit-csv, the same real path"],
+    ids=["csv_dir", "emit-csv", "emit-csv, the same real path", "csv_dir itself"],
 )
-def test_a_report_that_would_overwrite_a_csv_is_refused(tmp_cwd, capsys, output, flags):
+def test_a_report_that_would_overwrite_a_csv_is_refused(
+    tmp_cwd, capsys, output, flags, clash
+):
     obj = load_bundled("s1_unitary.json")
     obj["output"] = output
     scenario = write_scenario(tmp_cwd, obj)
     assert main(["run", scenario, *flags]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: invalid scenario: $.output.report is the CSV of experiment 'e06_spectrum'"
+        f"error: invalid scenario: $.output.report is the {clash}"
     )
     assert sorted(p.name for p in tmp_cwd.iterdir()) == ["scenario.json"]
     # without the spectrum experiment no CSV is written, so nothing clashes
     assert main(["run", scenario, *flags, "--check", "gilkey_variation"]) == 0
-    assert [p.name for p in tmp_cwd.rglob("*.csv")] == ["e06_spectrum.csv"]
-    assert "entries" in json.loads((tmp_cwd / output["report"]).read_text())
+    written = [p.relative_to(tmp_cwd) for p in tmp_cwd.rglob("*") if p.is_file()]
+    report = pathlib.Path(os.path.normpath(output["report"]))
+    assert sorted(written) == sorted([pathlib.Path("scenario.json"), report])
+    assert "entries" in json.loads(report.read_text())
 
 
 def test_a_run_whose_check_fails_writes_the_passing_runs_csvs(tmp_cwd):

@@ -3,6 +3,7 @@ oracle, heat-smoothed estimates, the imaginary-axis census, and the
 paper's local eta identity on curved T^3 and T^5 through a symbol oracle
 (``helpers.symbol_eta``)."""
 
+import functools
 import math
 import re
 
@@ -21,7 +22,13 @@ from etacalc.eta import (
 )
 from etacalc.flow import spectral_flow
 from etacalc.forms import TrigPolyForm
-from etacalc.geometry import Connection, PreconditionError, cs_form, subtorus_pairing
+from etacalc.geometry import (
+    Connection,
+    PreconditionError,
+    cs_form,
+    cs_r_poly,
+    subtorus_pairing,
+)
 from etacalc.spectral import (
     AXIS_TOL,
     GuardError,
@@ -33,6 +40,7 @@ from etacalc.spectral import (
     sign_count,
     spectrum,
 )
+from etacalc.verify import circle_distance, eta_tilde, residual_for
 
 from helpers import (
     curved_constant_connection,
@@ -568,6 +576,108 @@ def test_variation_on_tori_is_the_spectral_flow_plus_the_cs_cocycle(
     copies = clifford_model(dim).copies
     residual = (eta1 - eta0) / 2 - sf - copies * _cs_pairing(c0, c1)
     assert abs(residual) <= _tolerance(c0, c1)
+
+
+# ---------------------------------------------------------------------------
+# the re/im split, Gilkey's variation and eta tilde on curved T^d, through
+# the same oracle
+#
+# With no kernel, eta_bar = eta / 2, and the local identity gives, in C,
+#     eta_bar(c1) - eta_bar(c0) = (N1 - N0)/2 + w <CS(c0, c1)>
+# with the weight w = ``clifford_model(d).copies``, the spinor modules in
+# the even forms (1 on the circle).  N1 - N0 is even (N counts copies of
+# each value, and the ball's value count has the rank's parity on S^1), so
+# Gilkey's variation holds mod Z.  Along r -> CS(hermitian part, A + (1 +
+# i r)/2 omega), which is c at r = i, <CS(h, c)> = sum_i i^i p_i with p_i
+# the pairings of ``cs_r_poly``'s coefficients, which are real: the even
+# p_i give the real part and the odd ones the imaginary part.  That is the
+# re/im split of ``verify.check_re_im_split``, with its signs, at weight w.
+# The form side is reached as the checks reach it.
+
+#: (dim, rank, scale, seed) of curved inputs on which a p_2 flip moves the
+#: real part by 2 w |p_2| >= 0.1 mod Z
+CURVED = [
+    (3, 2, 3.0, 0), (3, 2, 3.0, 4), (3, 3, 3.0, 0), (3, 3, 3.0, 1),
+    (5, 3, 2.5, 1), (5, 3, 2.5, 4),
+]
+
+
+@functools.cache
+def _curved(dim, rank, scale, seed) -> tuple:
+    """A curved input c, eta_bar(c) and eta_bar of its Hermitian part, and
+    their eta - N, from ``symbol_eta``."""
+    c = curved_constant_connection(np.random.default_rng(seed), dim, rank, scale)
+    (eta, count, axis), (eta_h, count_h, axis_h) = (
+        symbol_eta(x, 8) for x in (c, c.hermitian_part())
+    )
+    assert len(axis) == len(axis_h) == 0  # no kernel: eta_bar = eta / 2
+    return c, eta / 2, eta_h / 2, eta - count, eta_h - count_h
+
+
+def _weight(dim: int) -> int:
+    return clifford_model(dim).copies
+
+
+def _split_sums(c: Connection) -> tuple[list, complex, complex]:
+    """The p_i, and their even and odd sums with the split's signs."""
+    p = [subtorus_pairing(f) for f in cs_r_poly(c)]
+    even = sum((-1) ** (i // 2) * q for i, q in enumerate(p) if i % 2 == 0)
+    odd = sum((-1) ** ((i - 1) // 2) * q for i, q in enumerate(p) if i % 2 == 1)
+    return p, even, odd
+
+
+@pytest.mark.parametrize("dim, rank, scale, seed", CURVED)
+def test_re_im_split_on_curved_tori(dim, rank, scale, seed):
+    c, bar, bar_h, _, _ = _curved(dim, rank, scale, seed)
+    w = _weight(dim)
+    p, even, odd = _split_sums(c)
+    assert circle_distance(2 * w * p[2].real) >= 0.1  # a p_2 flip shows
+    assert abs(p[3]) >= 1e-3  # and a p_3 flip
+    tol = _tolerance(c)
+    assert residual_for(bar.real, bar_h + w * even, "mod-Z") <= tol
+    assert residual_for(bar.imag, w * odd, "absolute") <= tol
+
+
+@pytest.mark.parametrize(
+    "dim, rank, scale, seeds", [(3, 2, 3.0, (0, 4)), (3, 3, 3.0, (0, 1)), (5, 3, 2.5, (1, 4))]
+)
+def test_gilkey_variation_on_curved_tori(dim, rank, scale, seeds):
+    # between two curved connections, and from c's Hermitian part to c
+    (c0, bar0, _, _, _), (c1, bar1, bar1_h, _, _) = (
+        _curved(dim, rank, scale, s) for s in seeds
+    )
+    w = _weight(dim)
+    for (a, bar_a), (b, bar_b) in [
+        ((c0, bar0), (c1, bar1)),
+        ((c1.hermitian_part(), bar1_h), (c1, bar1)),
+    ]:
+        rhs = w * _cs_pairing(a, b)
+        assert residual_for(rhs, 0, "mod-Z") >= 0.01  # the identity has content
+        assert residual_for(bar_b - bar_a, rhs, "mod-Z") <= _tolerance(a, b)
+
+
+@pytest.mark.parametrize("dim, rank, scale, seed", CURVED)
+def test_eta_tilde_imaginary_part_on_curved_tori(dim, rank, scale, seed):
+    # Im eta_bar(c) = w Im <CS(hermitian part, c)>, eta tilde as the
+    # eta_tilde_imaginary check computes it
+    c, bar, _, _, _ = _curved(dim, rank, scale, seed)
+    tilde = _weight(dim) * eta_tilde(c)
+    assert abs(tilde.imag) >= 0.01
+    assert abs(bar.imag - tilde.imag) <= _tolerance(c)
+
+
+@pytest.mark.parametrize(
+    "dim, rank, scale, seed", [(1, 2, 3.0, 1), (1, 1, 3.0, 4), *CURVED[::2]]
+)
+def test_the_weight_is_the_number_of_spinor_copies(dim, rank, scale, seed):
+    # the integer-free variation (eta - N) / 2 from the Hermitian part to c
+    # is w <CS(h, c)>, with w = copies = 2^((d - 1)/2): 1 on the circle,
+    # where no circle check can see it, 2 on T^3 and 4 on T^5
+    c, _, _, local, local_h = _curved(dim, rank, scale, seed)
+    pairing = _cs_pairing(c.hermitian_part(), c)
+    assert abs(pairing) >= 0.01
+    assert _weight(dim) == 2 ** ((dim - 1) // 2)
+    assert abs((local - local_h) / 2 / pairing - _weight(dim)) <= 1e-8
 
 
 def test_symbol_eta_reads_no_form_algebra(monkeypatch):

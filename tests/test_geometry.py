@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from etacalc import geometry
 from etacalc.forms import InvalidInputError, TrigPolyForm
 from etacalc.geometry import (
     Connection,
@@ -28,10 +29,13 @@ from etacalc.geometry import (
 from etacalc.spectral import build_truncation, spectrum
 
 from helpers import (
+    CS_GRID_BITS,
     a_coeff_exact,
     chern_character,
     cs_form_quadrature,
+    curved_constant_connection,
     diagonal_connection_from_mus,
+    exact_cs_pairing,
     exp_nilpotent,
     gauged_t3_connection,
     json_mutations,
@@ -375,6 +379,123 @@ def test_cs_pairing_real_imag_split_for_imaginary_r():
     im_sum = sum(p.real * (1j * y) ** i for i, p in enumerate(pav) if i % 2 == 1)
     assert full.real == pytest.approx(re_sum.real, abs=1e-10)
     assert full.imag == pytest.approx(im_sum.imag, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# the pairing of a constant connection: K_d tr s_d(A), against the exact
+# standard-polynomial oracle (``helpers.exact_cs_pairing``)
+
+
+def _factors(c: Connection, region: tuple[int, ...]) -> list[np.ndarray]:
+    return [c.a.coefficient((0,) * c.dim, (i,)) for i in region]
+
+
+def _grid_connection(seed: int, dim: int, rank: int, scale: float = 2.0) -> Connection:
+    """``curved_constant_connection``'s A_j, rounded to the oracle's grid."""
+    c = curved_constant_connection(np.random.default_rng(seed), dim, rank, scale)
+    grid = 2.0**CS_GRID_BITS
+    mats = [np.round(a * grid) / grid for a in _factors(c, range(1, dim + 1))]
+    return Connection.from_constant(dim, mats)
+
+
+def _products_bound(factors: list[np.ndarray], cocycle: bool = False) -> float:
+    """A bound on the float error of <CS>_J, m = |J|, from the number of
+    products.  Expanded, <CS(0, c)>_J is K_m times the m! signed products
+    tr(A_s(1) ... A_s(m)), however the form algebra groups them.  Each
+    passes at most n = m rank + (products) + 8 roundings: m - 1 matrix
+    products of inner length rank, the trace's rank - 1 sums, the sums
+    with the other products, and the scalar weights and the oracle's own
+    roundings.  So the error is at most gamma_n = n u / (1 - n u) of the
+    sum of the products' absolute values, and tr(|X_1| ... |X_m|) <=
+    prod ||X_i||_F.  <CS(c0, c1)>_J expands into words in A0_i and
+    delta_i, so X_i = |A0_i| + |delta_i| bounds them (``cocycle``): there
+    are m! 2^(m-1) products, and their t-integral weights 1/(n + 1) are up
+    to m times K_m's 1/m."""
+    m, rank = len(factors), factors[0].shape[0]
+    products = factorial(m) * (2 ** (m - 1) if cocycle else 1)
+    n = m * rank + products + 8
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    k_m = (m if cocycle else 1) / (factorial(m // 2) * m * (2 * math.pi) ** (m // 2 + 1))
+    return gamma * k_m * products * math.prod(np.linalg.norm(x) for x in factors)
+
+
+def _zero_connection(dim: int, rank: int) -> Connection:
+    return Connection.from_constant(dim, [np.zeros((rank, rank))] * dim)
+
+
+@pytest.mark.parametrize(
+    "dim, rank",
+    [(1, 1), (1, 4), (2, 2), (3, 2), (3, 3), (3, 4), (4, 3), (5, 3), (5, 4),
+     (6, 4), (7, 4)],
+)
+def test_cs_pairing_is_k_d_times_the_standard_polynomial(dim, rank):
+    # on every odd coordinate subtorus J of T^dim, m = |J|; at rank <=
+    # (m - 1)/2, an Amitsur--Levitzki zero, the oracle is exactly 0 and the
+    # form side is 0 to rounding, and else it has content
+    c = _grid_connection(dim, dim, rank)
+    cs = cs_form(_zero_connection(dim, rank), c)
+    for region in odd_subtori(dim):
+        exact = exact_cs_pairing(c, region)
+        bound = _products_bound(_factors(c, region))
+        if rank <= (len(region) - 1) // 2:
+            assert exact == 0, region
+        else:
+            assert abs(exact) >= 10 * bound, region  # a 10% error shows
+        assert abs(subtorus_pairing(cs, region) - exact) <= bound, region
+    if dim % 2:
+        assert exact_cs_pairing(c) == exact_cs_pairing(c, odd_subtori(dim)[-1])
+
+
+@pytest.mark.parametrize("dim, rank", [(3, 1), (5, 1), (5, 2), (7, 2), (7, 3)])
+def test_cs_pairing_vanishes_at_the_amitsur_levitzki_zeros(dim, rank):
+    # s_d vanishes on matrices of rank <= (d - 1)/2, so the pairing of a
+    # curved connection there is exactly 0, and 0 to rounding in floats
+    c = _grid_connection(40 + dim, dim, rank, 8.0)
+    assert exact_cs_pairing(c) == 0
+    pairing = subtorus_pairing(cs_form(_zero_connection(dim, rank), c))
+    assert abs(pairing) <= _products_bound(_factors(c, range(1, dim + 1)))
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 2), (3, 3), (5, 3), (7, 4)])
+def test_cs_pairing_is_homogeneous_of_degree_d(dim, rank):
+    # <CS(0, t c)> = t^d <CS(0, c)>; t c stays on the grid
+    c = _grid_connection(10 + dim, dim, rank)
+    exact = exact_cs_pairing(c)
+    for t in (-1.0, 3.0, 64.0):
+        tc = Connection(c.a * t)
+        pairing = subtorus_pairing(cs_form(_zero_connection(dim, rank), tc))
+        assert abs(pairing - t**dim * exact) <= _products_bound(_factors(tc, range(1, dim + 1)))
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 3), (3, 2), (3, 3), (4, 3), (5, 3), (7, 4)])
+def test_cs_pairing_is_a_cocycle(dim, rank):
+    # <CS(c0, c1)>_J = <CS(0, c1)>_J - <CS(0, c0)>_J: the forms differ by an
+    # exact form, which pairs to 0 on a closed torus
+    c0, c1 = _grid_connection(20 + dim, dim, rank), _grid_connection(30 + dim, dim, rank)
+    cs = cs_form(c0, c1)
+    # on T^7 the whole torus: its 64 subtori would cost the oracle 0.2 s
+    for region in odd_subtori(dim) if dim < 7 else [tuple(range(1, 8))]:
+        exact = exact_cs_pairing(c1, region) - exact_cs_pairing(c0, region)
+        a0, a1 = _factors(c0, region), _factors(c1, region)
+        bound = _products_bound([abs(x) + abs(y - x) for x, y in zip(a0, a1)], True)
+        assert abs(exact) >= 10 * bound, region  # a 10% error shows
+        assert abs(subtorus_pairing(cs, region) - exact) <= bound, region
+
+
+def test_exact_cs_pairing_reads_no_form_algebra(monkeypatch):
+    # the oracle must stay independent of the form side it is compared with
+    c = _grid_connection(0, 5, 3)
+    expected = [exact_cs_pairing(c, region) for region in odd_subtori(5)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the pairing oracle reached the form side")
+
+    for name in ("wedge", "ext_d", "integrate", "mat_trace", "phi_normalize",
+                 "degree_component", "__add__", "__mul__"):
+        monkeypatch.setattr(TrigPolyForm, name, refused)
+    for name in ("cs_form", "subtorus_pairing", "_cs_integral", "_transgression"):
+        monkeypatch.setattr(geometry, name, refused)
+    assert [exact_cs_pairing(c, region) for region in odd_subtori(5)] == expected
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Identity harness: residual modes, report determinism, and every check
 family against its independent closed-form or spectral oracle."""
 
+import inspect
 import json
 import math
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 from etacalc import verify
 from etacalc.eta import EtaValue, constant_eta
-from etacalc.geometry import Connection, PreconditionError, gauge_transform
+from etacalc.geometry import Connection, PreconditionError, gauge_transform, linear_path
 from etacalc.forms import TrigPolyForm
 from etacalc.verify import (
     assemble_report,
@@ -670,6 +671,52 @@ def test_suite_calls_each_check_through_the_module_at_call_time(monkeypatch):
         "check_eta_tilde_imaginary": 2,
         "check_bk_phase": 3,
     }
+
+
+def _suite_path_ends(seed: int) -> dict:
+    """The end of each suite path, as connections: the drawn ones replayed
+    from ``seed`` in the order ``verify._suite_experiments`` draws them,
+    skipping the draws that make no path, and the crossing row's fixed
+    end.  The gauge row's end is the gauge transform, not a draw."""
+    rng = np.random.default_rng(seed)
+    for _ in range(5):  # the T^3 pairing's three directions, the Gilkey pair
+        verify._suite_mus(rng, 2)
+    banded = [verify._banded_mus(rng, 2) for _ in range(2)]
+    verify._suite_mus(rng, 2)  # the rank-2 re/im split
+    circle = [verify._suite_mus(rng, 2) for _ in range(2)]
+    t3 = [[verify._suite_mus(rng, 2) for _ in range(3)] for _ in range(2)]
+    return {
+        "variation_complex[crossing]": verify._diagonal([1.25]),
+        "variation_complex[random]": verify._diagonal(banded[1]),
+        "psi_constancy[circle]": verify._diagonal(circle[1]),
+        "psi_constancy[t3-diagonal]": verify._diagonal(*t3[1]),
+    }
+
+
+def _bits(c: Connection) -> tuple:
+    return c.a._keys, c.a._mats.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_suite_path_is_the_linear_path_to_its_drawn_end(seed):
+    # a suite path is what a scenario's path key builds: geometry.linear_path
+    # between two connections, the gauge row's included (flow.gauge_path is
+    # a linear_path), so its end is the drawn connection itself, bit for
+    # bit, and not a tower-shift interpolation evaluated at t = 1
+    ends = _suite_path_ends(seed)
+    n_samples = inspect.signature(check_psi_constancy).parameters["n_samples"].default
+    paths = {
+        x.label: x.args["path"]
+        for _, x in verify._suite_experiments(np.random.default_rng(seed))
+        if "path" in x.args
+    }
+    assert sorted(paths) == sorted([*ends, "variation_complex[gauge-w2]"])
+    for label, path in paths.items():
+        if label in ends:
+            assert _bits(path(1.0)) == _bits(ends[label]), label
+        line = linear_path(path(0.0), path(1.0))
+        for t in np.linspace(0.0, 1.0, n_samples):
+            assert _bits(path(float(t))) == _bits(line(float(t))), (label, t)
 
 
 def test_check_id_prefixes_every_entry_id():
