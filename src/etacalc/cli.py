@@ -19,8 +19,9 @@ with a distinct code per failure class:
   entry such as ``$.connections.main.A.terms[0].re[0][1]``, a fiber
   metric ``g`` other than I among it, a ``gauge_pumping`` experiment or a
   gauge path off the circle; or, refused by the run before it writes a
-  file, a report path that is the path of a CSV it would write or the
-  directory it writes them into, ``$.output.report``) or asks a check
+  file, a report path that is an existing directory, the path of a CSV
+  it would write or the directory it writes them into,
+  ``$.output.report``) or asks a check
   for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`)
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
@@ -302,20 +303,24 @@ def run_scenario(
     are built and written, in file order, only after every selected
     experiment has run, the report is assembled and every CSV's truncation
     is built and solved, so a run that a check or a guard stops writes
-    none.  A report path that is, by ``os.path.realpath``, the path of a
-    CSV to write, or the directory the CSVs go into, raises
-    InvalidInputError naming ``$.output.report`` and the experiment or the
-    directory, before any CSV truncation is built or file opened:
-    only the run knows ``--emit-csv`` and ``--check``, so the loader
-    cannot refuse it.  Other input errors were refused at load, so what
-    else this raises is a check's own: InvalidInputError, PreconditionError
-    or GuardError.
+    none.  A report path that is an existing directory raises
+    InvalidInputError naming ``$.output.report``, before any check runs.
+    One that is, by ``os.path.realpath``, the path of a CSV to write, or
+    the directory the CSVs go into, raises it naming ``$.output.report``
+    and the experiment or the directory, before any CSV truncation is
+    built or file opened: only the run knows ``--emit-csv`` and
+    ``--check``, so the loader cannot refuse it.  Other input errors were
+    refused at load, so what else this raises is a check's own:
+    InvalidInputError, PreconditionError or GuardError.
     """
     emit_csv = emit_csv or scn.csv_dir is not None
     directory = scn.csv_dir or "."
     entries: list[verify.CheckEntry] = []
     csvs: list[tuple[str, verify.Experiment]] = []
     report_at = scn.report_path and os.path.realpath(scn.report_path)
+    if report_at and os.path.isdir(report_at):
+        raise InvalidInputError(
+            f"$.output.report {scn.report_path!r} is a directory")
     for name, x in scn.experiments:
         if selected_checks and name not in selected_checks:
             continue

@@ -36,11 +36,13 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import spectral
 from .eta import EtaValue, constant_eta
 from .flow import gauge_path, spectral_flow
 from .forms import TrigPolyForm
@@ -536,10 +538,27 @@ def trivial_line_eta(dim: int, cutoff: int = 1) -> EtaValue:
     connection's Bauer--Fike ball, k = 0 alone (window 1, capped at
     ``cutoff``); every other mode has the balanced eigenvalues +-2 pi |k|.
     The zero connection is the shared empty form ``TrigPolyForm.zero(dim,
-    1)``, which ``Connection.from_constant`` makes of zero matrices too."""
-    zero = Connection(TrigPolyForm.zero(dim, 1))
-    count, axis = sign_count(ball_truncation(zero, cutoff))
+    1)``, which ``Connection.from_constant`` makes of zero matrices too.
+
+    The ball is built and solved once and shared (``_census_ball``): a
+    truncation is immutable and caches its solve, so every later call only
+    counts it.  It is keyed by the Clifford model that
+    ``spectral.clifford_model(dim)`` returns at call time, not by ``dim``:
+    the ball is built from that model's generators, so one built while
+    ``clifford_model`` is replaced (as a mutation test does) is never
+    handed out once the original is back."""
+    count, axis = sign_count(_census_ball(spectral.clifford_model(dim), cutoff))
     return EtaValue(eta=complex(count), kernel_dim=len(axis))
+
+
+@cache
+def _census_ball(
+    model: spectral.CliffordModel, cutoff: int
+) -> spectral.OperatorTruncation:
+    """The Bauer--Fike ball of the zero connection on T^dim, dim that of
+    ``model``; ``ball_truncation`` refuses a ``cutoff`` below 1, and a
+    refusal is not cached."""
+    return ball_truncation(Connection(TrigPolyForm.zero(model.dim, 1)), cutoff)
 
 
 def bk_phase_factor(rank: int, eta_sig_trivial: EtaValue) -> complex:

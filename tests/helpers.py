@@ -675,35 +675,20 @@ def _gaussian_product(a: tuple, b: tuple) -> tuple:
     return ar @ br - ai @ bi, ar @ bi + ai @ br
 
 
-def exact_cs_pairing(c: Connection, region: tuple[int, ...] | None = None) -> complex:
-    """<CS(0, c)>_J for a constant connection whose A_j have entries on the
-    2^-12 grid, exact until the trace is rounded to complex and multiplied
-    by K_m: the oracle of the form side, ``subtorus_pairing(cs_form(0, c),
-    J)``.
-
-    J is ``region``, odd-sized (default: the whole torus).  For a constant
-    connection dA = 0 and the degree-m part of CS(0, c), m = |J| = 2j + 1,
-    is a multiple of tr A^m, whose dx_J coefficient is tr s_m(A_J): the
-    standard polynomial s_m(X_1, ..., X_m) = sum_sigma sgn(sigma)
-    X_sigma(1) ... X_sigma(m) of the A_i, i in J.  So
-
-        <CS(0, c)>_J = K_m tr s_m(A_J),
-        K_m = (-1)^(j+1) / (j! m (2 pi i)^(j+1)) = i^(j+1) / (j! m (2 pi)^(j+1)):
-
-    i/2pi, -1/12pi^2, -i/80pi^3 and 1/672pi^4 for m = 1, 3, 5 and 7.
-    s_m is summed in Gaussian integers, (re, im) pairs of Python-int object
-    arrays of 2^12 A_i, by a recursion over the subsets T of J on the first
-    factor: s(T) = sum_{t in T} (-1)^#{u in T: u < t} A_t s(T - t), with
-    s({}) = I, so m 2^(m-1) products instead of m! words.  It reads only
-    the A_i (``TrigPolyForm.coefficient``), never the form algebra.  By
-    Amitsur--Levitzki (1950), s_m vanishes on matrices of rank <= (m-1)/2,
-    and then so does this, exactly."""
-    J = tuple(range(1, c.dim + 1)) if region is None else tuple(region)
-    m, j = len(J), (len(J) - 1) // 2
-    if m % 2 == 0:
-        raise ValueError(f"region {J} is not odd-sized")
-    mats = [_gaussian_integers(c.a.coefficient((0,) * c.dim, (i,))) for i in J]
-    zero = np.full((c.rank, c.rank), 0, dtype=object)
+def _standard_trace(mats: list[np.ndarray]) -> complex:
+    """2^(12 m) tr s_m(X_1, ..., X_m) for the m matrices ``mats``, entries
+    on the 2^-12 grid, exact in Gaussian integers before the one rounding
+    to complex: s_m(X_1, ..., X_m) = sum_sigma sgn(sigma) X_sigma(1) ...
+    X_sigma(m) is the standard polynomial.  It is summed in (re, im) pairs
+    of Python-int object arrays of 2^12 X_i by a recursion over the subsets
+    T of the positions on the first factor: s(T) = sum_{t in T} (-1)^#{u in
+    T: u < t} X_t s(T - t), with s({}) = I, so m 2^(m-1) products instead
+    of m! words.  By Amitsur--Levitzki (1950), s_m vanishes on matrices of
+    rank <= m/2, and then so does this, exactly."""
+    m = len(mats)
+    mats = [_gaussian_integers(x) for x in mats]
+    rank = mats[0][0].shape[0]
+    zero = np.full((rank, rank), 0, dtype=object)
     eye = zero.copy()
     np.fill_diagonal(eye, 1)
     s = [(eye, zero)]  # s[T] for each subset T of positions, as a bit mask
@@ -715,9 +700,65 @@ def exact_cs_pairing(c: Connection, region: tuple[int, ...] | None = None) -> co
             re, im = re + sign * pr, im + sign * pi
         s.append((re, im))
     re, im = s[-1]
-    trace = complex(sum(np.diagonal(re)), sum(np.diagonal(im)))
+    return complex(sum(np.diagonal(re)), sum(np.diagonal(im)))
+
+
+def _odd_region(c: Connection, region: tuple[int, ...] | None) -> tuple[int, ...]:
+    J = tuple(range(1, c.dim + 1)) if region is None else tuple(region)
+    if len(J) % 2 == 0:
+        raise ValueError(f"region {J} is not odd-sized")
+    return J
+
+
+def exact_cs_pairing(c: Connection, region: tuple[int, ...] | None = None) -> complex:
+    """<CS(0, c)>_J for a constant connection whose A_j have entries on the
+    2^-12 grid, exact until the trace is rounded to complex and multiplied
+    by K_m: the oracle of the form side, ``subtorus_pairing(cs_form(0, c),
+    J)``.
+
+    J is ``region``, odd-sized (default: the whole torus).  For a constant
+    connection dA = 0 and the degree-m part of CS(0, c), m = |J| = 2j + 1,
+    is a multiple of tr A^m, whose dx_J coefficient is tr s_m(A_J), the
+    standard polynomial of the A_i, i in J (``_standard_trace``).  So
+
+        <CS(0, c)>_J = K_m tr s_m(A_J),
+        K_m = (-1)^(j+1) / (j! m (2 pi i)^(j+1)) = i^(j+1) / (j! m (2 pi)^(j+1)):
+
+    i/2pi, -1/12pi^2, -i/80pi^3 and 1/672pi^4 for m = 1, 3, 5 and 7.
+    It reads only the A_i (``TrigPolyForm.coefficient``), never the form
+    algebra, and is exactly 0 at rank <= (m-1)/2 (Amitsur--Levitzki)."""
+    J = _odd_region(c, region)
+    m, j = len(J), (len(J) - 1) // 2
+    trace = _standard_trace([c.a.coefficient((0,) * c.dim, (i,)) for i in J])
     k_m = (1, 1j, -1, -1j)[(j + 1) % 4] / (factorial(j) * m * (2 * math.pi) ** (j + 1))
     return math.ldexp(1.0, -CS_GRID_BITS * m) * trace * k_m
+
+
+def exact_chern_odd_pairing(
+    c: Connection, region: tuple[int, ...] | None = None
+) -> complex:
+    """<c_m>_J, m = |J| = 2j + 1, for a constant connection whose A_i have
+    entries on the 2^-12 grid, exact until the trace is rounded to complex
+    and weighted: the oracle of ``subtorus_pairing(c.chern_odd(j), J)``.
+
+    c_m = (2 pi i)^(-j) 2^(-m) tr omega^m with the 1-form omega =
+    -(A^dagger + A) = sum_i omega_i dx_i, so omega_i = -(A_i^dagger + A_i)
+    is on the grid when A_i is.  Expanded, the dx_J coefficient of omega^m
+    is s_m(omega_J), the standard polynomial of the omega_i, i in J
+    (``_standard_trace``), so
+
+        <c_m>_J = (2 pi i)^(-j) 2^(-m) tr s_m(omega_J),
+        (2 pi i)^(-j) = (-i)^j / (2 pi)^j.
+
+    A unitary connection has omega = 0, so every pairing 0; and this is
+    exactly 0 at rank <= j (Amitsur--Levitzki).  It reads only the A_i,
+    never the form algebra."""
+    J = _odd_region(c, region)
+    m, j = len(J), (len(J) - 1) // 2
+    a = [c.a.coefficient((0,) * c.dim, (i,)) for i in J]
+    trace = _standard_trace([-(x.conj().T + x) for x in a])
+    weight = (1, -1j, -1, 1j)[j % 4] / (2 * math.pi) ** j
+    return math.ldexp(1.0, -CS_GRID_BITS * m - m) * trace * weight
 
 
 def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:

@@ -782,6 +782,34 @@ def test_a_report_that_would_overwrite_a_csv_is_refused(
     assert "entries" in json.loads(report.read_text())
 
 
+@pytest.mark.parametrize(
+    "output, made, flags",
+    [
+        ({"report": ".", "csv_dir": "out"}, [], []),
+        ({"report": "sub"}, ["sub"], ["--emit-csv"]),
+    ],
+    ids=["the working directory", "a made directory"],
+)
+@pytest.mark.parametrize(
+    "selected", [[], ["--check", "gilkey_variation"]], ids=["all", "check"]
+)
+def test_a_report_path_that_is_a_directory_is_refused(
+    tmp_cwd, capsys, output, made, flags, selected
+):
+    # refused before any check runs, whether or not the run writes CSVs,
+    # where it would otherwise write them and then fail to open the report
+    obj = load_bundled("s1_unitary.json")
+    obj["output"] = output
+    scenario = write_scenario(tmp_cwd, obj)
+    for name in made:
+        (tmp_cwd / name).mkdir()
+    assert main(["run", scenario, *flags, *selected]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario: $.output.report")
+    assert "is a directory" in err
+    assert sorted(p.name for p in tmp_cwd.rglob("*")) == sorted(["scenario.json", *made])
+
+
 def test_a_run_whose_check_fails_writes_the_passing_runs_csvs(tmp_cwd):
     scenario = str(SCENARIOS / "s1_unitary.json")
     assert main(["run", scenario]) == 0

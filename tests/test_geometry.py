@@ -35,6 +35,7 @@ from helpers import (
     cs_form_quadrature,
     curved_constant_connection,
     diagonal_connection_from_mus,
+    exact_chern_odd_pairing,
     exact_cs_pairing,
     exp_nilpotent,
     gauged_t3_connection,
@@ -398,7 +399,9 @@ def _grid_connection(seed: int, dim: int, rank: int, scale: float = 2.0) -> Conn
     return Connection.from_constant(dim, mats)
 
 
-def _products_bound(factors: list[np.ndarray], cocycle: bool = False) -> float:
+def _products_bound(
+    factors: list[np.ndarray], cocycle: bool = False, weight: float | None = None
+) -> float:
     """A bound on the float error of <CS>_J, m = |J|, from the number of
     products.  Expanded, <CS(0, c)>_J is K_m times the m! signed products
     tr(A_s(1) ... A_s(m)), however the form algebra groups them.  Each
@@ -410,13 +413,17 @@ def _products_bound(factors: list[np.ndarray], cocycle: bool = False) -> float:
     prod ||X_i||_F.  <CS(c0, c1)>_J expands into words in A0_i and
     delta_i, so X_i = |A0_i| + |delta_i| bounds them (``cocycle``): there
     are m! 2^(m-1) products, and their t-integral weights 1/(n + 1) are up
-    to m times K_m's 1/m."""
+    to m times K_m's 1/m.  <c_m>_J is the same sum of m! products of the
+    omega_i, whose entries are exact on the grid, with the weight
+    |(2 pi i)^-j 2^-m| in place of |K_m| (``weight``)."""
     m, rank = len(factors), factors[0].shape[0]
     products = factorial(m) * (2 ** (m - 1) if cocycle else 1)
     n = m * rank + products + 8
     gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
-    k_m = (m if cocycle else 1) / (factorial(m // 2) * m * (2 * math.pi) ** (m // 2 + 1))
-    return gamma * k_m * products * math.prod(np.linalg.norm(x) for x in factors)
+    if weight is None:
+        weight = (m if cocycle else 1) / (
+            factorial(m // 2) * m * (2 * math.pi) ** (m // 2 + 1))
+    return gamma * weight * products * math.prod(np.linalg.norm(x) for x in factors)
 
 
 def _zero_connection(dim: int, rank: int) -> Connection:
@@ -496,6 +503,70 @@ def test_exact_cs_pairing_reads_no_form_algebra(monkeypatch):
     for name in ("cs_form", "subtorus_pairing", "_cs_integral", "_transgression"):
         monkeypatch.setattr(geometry, name, refused)
     assert [exact_cs_pairing(c, region) for region in odd_subtori(5)] == expected
+
+
+def _omegas(c: Connection, region: tuple[int, ...]) -> list[np.ndarray]:
+    """omega_i = -(A_i^dagger + A_i), i in ``region``: exact on the grid."""
+    return [-(a.conj().T + a) for a in _factors(c, region)]
+
+
+def _chern_bound(c: Connection, region: tuple[int, ...]) -> float:
+    m = len(region)
+    weight = 2.0**-m / (2 * math.pi) ** (m // 2)
+    return _products_bound(_omegas(c, region), weight=weight)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_chern_odd_pairing_is_the_standard_polynomial_of_omega(dim, rank):
+    # on every odd coordinate subtorus J of T^dim, |J| = 2j + 1:
+    # <c_{2j+1}>_J = (2 pi i)^-j 2^-(2j+1) tr s_{2j+1}(omega_J).  At rank <=
+    # j, an Amitsur--Levitzki zero, the oracle is exactly 0 and the form
+    # side 0 to rounding, and else it has content.  c_{2j+1} wedges a
+    # 2j-form with omega, so a sign of the (2, 1) merge shows from j = 1.
+    # A class of lower degree has no part of degree |J| to pair.
+    c = _grid_connection(50 + dim, dim, rank)
+    chern = [c.chern_odd(j) for j in range((dim + 1) // 2)]
+    for region in odd_subtori(dim):
+        j = (len(region) - 1) // 2
+        exact = exact_chern_odd_pairing(c, region)
+        bound = _chern_bound(c, region)
+        if rank <= j:
+            assert exact == 0, region
+        else:
+            assert abs(exact) >= 10 * bound, region  # a 10% error shows
+        assert abs(subtorus_pairing(chern[j], region) - exact) <= bound, region
+        assert all(subtorus_pairing(f, region) == 0 for f in chern[:j]), region
+
+
+@pytest.mark.parametrize("dim, rank", [(3, 1), (5, 1), (5, 2)])
+def test_chern_odd_pairing_vanishes_at_the_amitsur_levitzki_zeros(dim, rank):
+    # s_{2j+1} vanishes on matrices of rank <= j, so the top pairing of a
+    # curved, non-unitary connection there is exactly 0, and 0 to rounding
+    # in floats
+    c = _grid_connection(60 + dim, dim, rank, 8.0)
+    region = tuple(range(1, dim + 1))
+    assert any(np.any(w) for w in _omegas(c, region))
+    assert exact_chern_odd_pairing(c) == 0
+    pairing = subtorus_pairing(c.chern_odd((dim - 1) // 2))
+    assert abs(pairing) <= _chern_bound(c, region)
+
+
+def test_exact_chern_odd_pairing_reads_no_form_algebra(monkeypatch):
+    # the oracle must stay independent of the form side it is compared with
+    c = _grid_connection(0, 5, 3)
+    expected = [exact_chern_odd_pairing(c, region) for region in odd_subtori(5)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Chern oracle reached the form side")
+
+    for name in ("wedge", "dagger", "integrate", "mat_trace", "degree_component",
+                 "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TrigPolyForm, name, refused)
+    for name in ("chern_odd", "omega_metric", "hermitian_part"):
+        monkeypatch.setattr(Connection, name, refused)
+    monkeypatch.setattr(geometry, "subtorus_pairing", refused)
+    assert [exact_chern_odd_pairing(c, region) for region in odd_subtori(5)] == expected
 
 
 # ----------------------------------------------------------------------

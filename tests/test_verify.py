@@ -1,6 +1,7 @@
 """Identity harness: residual modes, report determinism, and every check
 family against its independent closed-form or spectral oracle."""
 
+import copy
 import inspect
 import json
 import math
@@ -525,6 +526,55 @@ def test_census_of_the_shared_zero_form_is_that_of_zero_matrices(monkeypatch):
             assert t.hermitian and want.hermitian
 
 
+def test_census_ball_is_built_once_and_counted_on_every_call(monkeypatch):
+    # the census ball is shared: with the memo cleared, ten censuses read R
+    # once, for the one ball they build, and count that ball ten times
+    from etacalc import spectral
+
+    verify._census_ball.cache_clear()
+    solved, radii = _recording_counts(monkeypatch, verify), []
+    ball_radius = spectral.ball_radius
+
+    def radius(c):
+        radii.append(c)
+        return ball_radius(c)
+
+    monkeypatch.setattr(spectral, "ball_radius", radius)
+    for _ in range(10):
+        e = trivial_line_eta(3, 4)
+        assert e.eta == 0 and e.kernel_dim == 4
+    assert len(radii) == 1 and len(solved) == 10
+    assert all(t is solved[0] for t in solved)
+
+
+def test_census_ball_of_a_replaced_clifford_model_is_not_handed_out(monkeypatch):
+    # the memo is keyed by the model ``clifford_model`` returns at call
+    # time: a ball built on a model with its orientation flipped (the
+    # mutation test's) is not the one counted once the original is back
+    from etacalc import spectral
+    from etacalc.spectral import ball_truncation
+
+    verify._census_ball.cache_clear()
+    orig = spectral.clifford_model
+
+    def flipped(dim):
+        model = copy.copy(orig(dim))  # the cached model stays intact
+        model.beta = [*model.beta[:-1], -model.beta[-1]]
+        return model
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "clifford_model", flipped)
+        trivial_line_eta(3, 1)
+    solved = _recording_counts(monkeypatch, verify)
+    trivial_line_eta(3, 1)
+    [t] = solved
+    zeros = Connection.from_constant(3, [np.zeros((1, 1), dtype=complex)] * 3)
+    want = ball_truncation(zeros, 1)
+    assert t.symbol.tobytes() == want.symbol.tobytes()
+    assert t.modes.tobytes() == want.modes.tobytes()
+    assert t.hermitian == want.hermitian
+
+
 def _solved_ball_radius(t) -> float:
     """||V||_2 / 2 pi for V the block of mode k = 0 of a constant truncation."""
     zero = t.modes.tolist().index([0] * t.dim)
@@ -537,9 +587,13 @@ def test_constant_checks_solve_only_their_balls(monkeypatch):
     # from its own k = 0 block, and together they hold under a quarter of
     # the eigenvalues of the cubes they were cut from.  Each ball reads R
     # once, for its cap and its rows, and is solved as its stack, without
-    # the coupling-component labelling.
+    # the coupling-component labelling.  The census ball of each dimension
+    # is built once and shared, so with the memo cleared the 24 flow
+    # endpoints and the 2 census balls (dims 1 and 3) read R, and the 9
+    # censuses count those 2.
     from etacalc import flow, spectral, verify
 
+    verify._census_ball.cache_clear()
     solved = _recording_counts(monkeypatch, flow, verify)
     radii, labelled = [], []
     ball_radius = spectral.ball_radius
@@ -559,7 +613,8 @@ def test_constant_checks_solve_only_their_balls(monkeypatch):
     monkeypatch.setattr(spectral.OperatorTruncation, "_components", recorded)
     for seed in range(3):
         standard_suite(seed)
-    assert len(solved) == len(radii) == 33
+    assert len(solved) == 33 and len(radii) == 26
+    assert len({id(t) for t in solved}) == 26
     assert not any(t.couplings for t in solved) and not labelled
     for t in solved:
         assert t.modes.tolist() == padded_ball(t.dim, _solved_ball_radius(t))
