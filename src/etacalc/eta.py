@@ -18,9 +18,10 @@ flow) and otherwise give form-level sides (pairings, Chern forms).  The
 one direct numerical route offered here is a heat-kernel-smoothed
 estimate for Hermitian truncations; eigenvalues -v and +v of bitwise-equal
 magnitude cancel before any erfc, so a split T^d truncation, whose one-copy
-spectrum is its own negative, has heat eta exactly 0 at the cost of one
-comparison pass: with no eigenvalue left, neither the erfc grid nor the
-extrapolating fit runs.
+spectrum is its own negative, has heat eta exactly 0 at the cost of four
+bisections of its sorted spectrum and one comparison of its two sides:
+with no eigenvalue left, neither the erfc grid nor the extrapolating fit
+runs.
 """
 
 from __future__ import annotations
@@ -124,10 +125,14 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     grid of six eps values and Richardson-extrapolates quadratically in
     sqrt(eps) to eps -> 0.  Each sum runs over the one spinor copy the
     truncation caches, less its zero modes (``spectral.on_axis``), and is
-    multiplied by ``copies``.  Pairs -v, +v of bitwise-equal magnitude,
-    matched by rank outward from 0, are dropped before any erfc: they add
-    0 at every eps, so a split T^d truncation gives exactly 0, returned
-    without any erfc call or fit once no eigenvalue is left.
+    multiplied by ``copies``.  That copy is sorted, so its values are read
+    as two slices, found by bisection (``np.searchsorted``) with no mask
+    over the spectrum: those below and above the axis band, each cut to
+    the balanced window.  Pairs -v, +v of bitwise-equal magnitude, matched
+    by rank outward from 0, are dropped before any erfc: they add 0 at
+    every eps, so a split T^d truncation gives exactly 0, returned without
+    any erfc call or fit once no eigenvalue is left.  The erfc sums see the
+    values that are left in ascending order.
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses, with ``PreconditionError``, truncations that are
     not ``hermitian`` (a unitary connection), and coupled ones, whose
@@ -144,23 +149,26 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
             "heat-smoothed eta requires a Hermitian truncation "
             "(a unitary connection)"
         )
+    # the one copy's values, sorted: the axis band (``spectral.on_axis``),
+    # |lam| <= AXIS_TOL, splits them into the negative and positive sides
     lam = t._spectrum.real
-    lam = lam[~on_axis(lam)[0]]
-    if lam.size and lam.min() < 0 < lam.max():
+    neg = lam[: np.searchsorted(lam, -AXIS_TOL)]
+    pos = lam[np.searchsorted(lam, AXIS_TOL, side="right") :]
+    if neg.size and pos.size:
         # balance the window: a mode cutoff leaves one unpaired extreme
         # eigenvalue per tower, which the smoothed sum must not see
-        window = min(-lam.min(), lam.max()) * (1 + 1e-12)
-        lam = lam[np.abs(lam) <= window]
-    # lam is sorted and holds no zero, so the k-th values outward from 0
-    # on either side sit at i - k and i + k - 1
-    i = int(np.searchsorted(lam, 0.0))
-    n = min(i, lam.size - i)
-    paired = lam[i - n : i][::-1] == -lam[i : i + n]
-    keep = np.ones(lam.size, dtype=bool)
-    keep[i - n : i], keep[i : i + n] = ~paired[::-1], ~paired
-    lam = lam[keep]
-    if not lam.size:  # every pair cancelled: the sum is 0 at every eps
+        window = min(-neg[0], pos[-1]) * (1 + 1e-12)
+        neg = neg[np.searchsorted(neg, -window) :]
+        pos = pos[: np.searchsorted(pos, window, side="right")]
+    # the k-th values outward from 0 on either side: neg[-k] and pos[k - 1]
+    n = min(neg.size, pos.size)
+    inner = neg[neg.size - n :]
+    paired = inner[::-1] == -pos[:n]
+    if neg.size == pos.size and paired.all():  # the sum is 0 at every eps
         return 0j
+    lam = np.concatenate(
+        [neg[: neg.size - n], inner[~paired[::-1]], pos[:n][~paired], pos[n:]]
+    )
     roots = np.sqrt(np.asarray(_EPS_GRID))
     sign, size = np.sign(lam), np.abs(lam)
     vals = [t.copies * float(np.sum(sign * erfc(r * size))) for r in roots]

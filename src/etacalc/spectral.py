@@ -57,7 +57,8 @@ matrix scale.
 
 A flat unitary constant connection is a sum of flat lines, and a
 Hermitian constant truncation of rank >= 2 is solved as one when its k = 0
-block V, read from the symbol, allows.  U is the ``eigh`` basis of
+block V, summed from the symbol's k = 0 terms as ``_assemble`` sums a
+block, allows.  U is the ``eigh`` basis of
 sum_j sqrt(j + 1) i A_j (A_j read off V by tr(beta_j^H beta_l) =
 2^n delta_jl), moved by one Newton step, a Cayley rotation, towards the
 common eigenbasis of the A_j.  W = I (x) U commutes with M_0(k) =
@@ -75,21 +76,31 @@ delta <= 16 per u ||V||_2, u = 2^-53: the order of LAPACK's backward error
 bound p(per) u ||M(0)||_2 for ``eigvalsh``, p modest; commuting unitary
 inputs stay under 6 per u ||V||_2.  ||V||_2 is read as ||K||_2 =
 max_b |y_b|, equal to it within delta, so the split takes no SVD of V.
+It also needs d (2 pi K + rank max |A_j|)^2 < 2^1020, a bound on |x|^2
+from |x_j| <= 2 pi K + ||A_j||_2: past it (|x| from about 1e153) a square
+could overflow, to +-inf where the stack's solve is finite.
 The line route solves nothing and builds no stack.  Any other input
 (non-commuting A_j, A_j anti-Hermitian only to the flag's 1e-10, rank 1,
-couplings, ``eigvals``) keeps the solve of its stack.
+couplings, ``eigvals``, points that large) keeps the solve of its stack.
 
 The one copy's eigenvalues are sorted and cast to complex once, and cached
 so; ``spectrum`` and ``spectrum_rows`` repeat each of them 2^n times where
 they hand them out, and ``sign_count`` counts the one copy and multiplies.
 The copies of a value stay adjacent and in order, so the hand-out is
-bitwise the sort of the repeated solve.  Complex eigenvalues are ordered by
-(Re, Im) with a stable ``np.sort``.  Real ones (the Hermitian route: closed
-forms and LAPACK alike) take numpy's default float sort, whose order among
-equal values depends on the machine's sort kernel; NaN-free float64 values
-that compare equal are bitwise equal except -0.0 and +0.0, so the zeros,
-contiguous after the sort, are put back in the order of the solve: bitwise
-the stable sort on every route, whether or not a solve yields -0.0.
+bitwise the sort of the repeated solve.  A split T^d truncation, d >= 3,
+keeps its lines as their (n_modes, rank) radii |x| and sorts those once:
+its one copy is 0 - the sorted radii in reverse, then the sorted radii,
+each 2^(n-1) times, written into the real part of one complex array.
+That is bitwise the stable sort of the per-mode -|x|, +|x| (0 - 0.0 is
++0.0, so every zero is +0.0), which are expanded only for
+``spectrum_rows``, and it is its own negative bit for bit.  Other complex
+eigenvalues are ordered by (Re, Im) with a stable ``np.sort``.  Other real
+ones (the Hermitian route: the circle's closed forms and LAPACK alike)
+take numpy's default float sort, whose order among equal values depends
+on the machine's sort kernel; NaN-free float64 values that compare equal
+are bitwise equal except -0.0 and +0.0, so the zeros, contiguous after the
+sort, are put back in the order of the solve: bitwise the stable sort on
+every route, whether or not a solve yields -0.0.
 """
 
 from __future__ import annotations
@@ -181,6 +192,10 @@ class CliffordModel:
         # + 0j turns every -0.0 the products leave into +0.0; read-only, as
         # ``clifford_model`` hands the same model to every caller
         self.beta = tuple(_read_only(b + 0j) for b in beta)
+        self.stacked = _read_only(np.array(self.beta))  # (dim, 2^n, 2^n)
+        # i sqrt(j + 1), j = 1..dim: the combination the line split's
+        # ``eigh`` basis diagonalizes
+        self.weights = _read_only(1j * np.sqrt(np.arange(2, dim + 2)))
 
 
 @cache
@@ -340,28 +355,49 @@ class OperatorTruncation:
         return out.reshape(m, s * per, s * per)
 
     @cached_property
+    def _lines(self) -> np.ndarray | None:
+        """``_line_values()``, read once, for a Hermitian constant truncation
+        of rank >= 2; None for every truncation that solves its stack."""
+        if self.hermitian and self.rank > 1 and not self.couplings:
+            return self._line_values()
+        return None
+
+    @cached_property
     def _eigvals(self) -> tuple[np.ndarray, ...]:
         """Unsorted eigenvalues of one spinor copy, not yet repeated
         ``copies`` times (real ones from ``eigvalsh`` if ``hermitian``, else
         ``eigvals``): with couplings an (m, s * per) array per entry of
         ``_components``, one row per component, one batched solve per size;
         without, one row per mode, the solve of the stack or, where it splits
-        into lines (see the module docstring), their closed form."""
+        into lines (see the module docstring), their closed form, line by
+        line: on T^d, d >= 3, -|x| and then +|x|, 2^(n-1) times each."""
         solve = np.linalg.eigvalsh if self.hermitian else np.linalg.eigvals
         if self.couplings:
             return tuple(solve(self._component_matrices(m)) for m in self._components)
-        lines = self._line_values() if self.hermitian and self.rank > 1 else None
-        return (solve(self.stack) if lines is None else lines,)
+        lines = self._lines
+        if lines is None:
+            return (solve(self.stack),)
+        if self.dim == 1:
+            return (lines,)
+        signed = np.stack([0 - lines, lines], -1)[..., None]  # (mode, line, sign, 1)
+        # 2^(n-1) copies of each sign; a view, not a copy, on T^3
+        shape = (*lines.shape, 2, self.copies // 2)
+        return (np.broadcast_to(signed, shape).reshape(len(lines), -1),)
 
     def _line_values(self) -> np.ndarray | None:
-        """The (n_modes, per) closed-form eigenvalues of the line blocks, line
-        by line, or None when V does not split (see the module docstring)."""
-        beta = np.array(clifford_model(self.dim).beta)
-        n, e, r, pos = len(self.modes), beta.shape[1], self.rank, np.arange(self.rank)
-        v = _assemble(self.symbol, np.zeros((1, self.dim), int))[0]  # V = M(0)
-        a = np.einsum("jac,abcd->jbd", beta.conj(), v.reshape(e, r, e, r)) / e  # A_j
-        weights = 1j * np.sqrt(np.arange(2, self.dim + 2))
-        u = np.linalg.eigh(np.einsum("j,jbd->bd", weights, a))[1]
+        """The (n_modes, rank) closed forms of the line blocks, or None when V
+        does not split (see the module docstring): on the circle the
+        eigenvalues 2 pi k + y_b, on T^d, d >= 3, the radii |x|."""
+        model = clifford_model(self.dim)
+        n, e, r, pos = len(self.modes), model.copies, self.rank, np.arange(self.rank)
+        v = _fixed_part(self.symbol)
+        a = np.einsum("jac,abcd->jbd", model.stacked.conj(), v.reshape(e, r, e, r)) / e  # A_j
+        # |x_j| <= 2 pi K + ||A_j||_2, ||A_j||_2 <= r max |A_j|: no square
+        # below overflows unless |x|^2 could (False on NaN, too)
+        reach = 2 * math.pi * self.cutoff + r * float(np.abs(a).max())
+        if not self.dim * reach * reach < 2.0**1020:
+            return None
+        u = np.linalg.eigh(np.einsum("j,jbd->bd", model.weights, a))[1]
         d = u.conj().T @ a @ u  # then one Newton step, as a Cayley rotation
         gap = d[:, None, pos, pos] - d[:, pos, pos, None]
         norm = np.sum(abs(gap) ** 2, axis=0)
@@ -374,20 +410,25 @@ class OperatorTruncation:
         scale = np.linalg.norm(shifts, axis=0).max()  # ||K||_2, ||V||_2 to delta
         if math.sqrt(e) * np.linalg.norm(d) > 2**-49 * e * r * scale:
             return None  # delta > 16 per u ||V||_2, u = 2^-53
-        _require_memory(  # the points x and the values, three times over (temporaries)
+        _require_memory(  # the points x three times over (temporaries), and
+            # 24 bytes an eigenvalue: the complex spectrum and sorted radii
             self.modes.nbytes + 24 * n * r * (self.dim + e),
             f"the lattice and {n * r} lines of {e} eigenvalues",
         )
         xs = 2 * math.pi * self.modes[:, None, :] + shifts.T  # (mode, line, j)
         if self.dim == 1:  # beta_1 = -i: the line block is 2 pi k + y_b
             return xs[..., 0]
-        radius = np.sqrt(np.einsum("mbj,mbj->mb", xs, xs))  # 0 - radius: +0.0 at 0
-        signed = np.stack([0 - radius, radius], -1)[..., None]  # (mode, line, sign, 1)
-        # e/2 copies of each sign; a view, not a copy, when e = 2 (T^3)
-        return np.broadcast_to(signed, (n, r, 2, e // 2)).reshape(n, -1)
+        return np.sqrt(np.einsum("mbj,mbj->mb", xs, xs))
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
+        if self.dim > 1 and self._lines is not None:  # mirrored radii
+            radii = np.sort(self._lines, axis=None)
+            vals = np.zeros(self.copies * radii.size, dtype=complex)
+            real = vals.real.reshape(2, radii.size, self.copies // 2)  # a view
+            np.subtract(0, radii[::-1, None], out=real[0])
+            real[1] = radii[:, None]
+            return _read_only(vals)
         solved = np.concatenate([v.ravel() for v in self._eigvals])
         if solved.dtype == complex:
             vals = np.sort(solved, kind="stable")
@@ -429,9 +470,18 @@ def _assemble(symbol: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fixed_part(symbol: np.ndarray) -> np.ndarray:
+    """V = M(0), the symbol's k = 0 terms added to zeros in direction order:
+    bitwise ``_assemble``'s block of the mode 0."""
+    v = np.zeros(symbol.shape[-2:], dtype=complex)
+    for term in symbol[:, symbol.shape[1] // 2]:
+        v += term
+    return v
+
+
 def ball_radius(c: Connection) -> float:
     """R = ||V||_2 / 2 pi, V = sum_j beta_j (x) A_j the k = 0 block of c."""
-    v = _assemble(_symbol(c, 0), np.zeros((1, c.dim), int))[0]
+    v = _fixed_part(_symbol(c, 0))
     return float(np.linalg.svd(v, compute_uv=False)[0]) / (2 * math.pi)
 
 

@@ -676,9 +676,14 @@ def _gaussian_product(a: tuple, b: tuple) -> tuple:
 
 
 def _standard_trace(mats: list[np.ndarray]) -> complex:
+    """``_exact_standard_trace`` rounded once, to complex."""
+    return complex(*_exact_standard_trace(mats))
+
+
+def _exact_standard_trace(mats: list[np.ndarray]) -> tuple[int, int]:
     """2^(12 m) tr s_m(X_1, ..., X_m) for the m matrices ``mats``, entries
-    on the 2^-12 grid, exact in Gaussian integers before the one rounding
-    to complex: s_m(X_1, ..., X_m) = sum_sigma sgn(sigma) X_sigma(1) ...
+    on the 2^-12 grid, exactly, as a Gaussian integer (re, im) of Python
+    ints: s_m(X_1, ..., X_m) = sum_sigma sgn(sigma) X_sigma(1) ...
     X_sigma(m) is the standard polynomial.  It is summed in (re, im) pairs
     of Python-int object arrays of 2^12 X_i by a recursion over the subsets
     T of the positions on the first factor: s(T) = sum_{t in T} (-1)^#{u in
@@ -700,7 +705,7 @@ def _standard_trace(mats: list[np.ndarray]) -> complex:
             re, im = re + sign * pr, im + sign * pi
         s.append((re, im))
     re, im = s[-1]
-    return complex(sum(np.diagonal(re)), sum(np.diagonal(im)))
+    return int(sum(np.diagonal(re))), int(sum(np.diagonal(im)))
 
 
 def _odd_region(c: Connection, region: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -759,6 +764,44 @@ def exact_chern_odd_pairing(
     trace = _standard_trace([-(x.conj().T + x) for x in a])
     weight = (1, -1j, -1, 1j)[j % 4] / (2 * math.pi) ** j
     return math.ldexp(1.0, -CS_GRID_BITS * m - m) * trace * weight
+
+
+def exact_cs_r_poly_pairing(
+    c: Connection, region: tuple[int, ...] | None = None
+) -> list[complex]:
+    """The r^k coefficients, k = 0..m, of <CS(h, h + r delta)>_J, m = |J| =
+    2j + 1, for a constant connection whose A_i have entries on the 2^-12
+    grid, each exact until it is rounded to complex and multiplied by K_m:
+    the oracle of ``subtorus_pairing(cs_r_poly(c)[k], J)``.
+
+    h = (A - A^dagger)/2 is the Hermitian part and delta = (i/2) omega =
+    -(i/2)(A^dagger + A), so h + r delta is the family A + (1 + i r)/2 omega.
+    For constant connections <CS(c0, c1)>_J = <CS(0, c1)>_J - <CS(0, c0)>_J
+    = K_m (tr s_m(A1_J) - tr s_m(A0_J)) (``exact_cs_pairing``), and tr s_m
+    is linear in each of its m slots, so, polarized,
+
+        tr s_m(h_J + r delta_J) = sum_S r^|S| tr s_m(X^S),
+
+    over the subsets S of the slots, X^S_i = delta_i for i in S and h_i
+    elsewhere.  The r^0 term is h's own and cancels; the r^k coefficient is
+    K_m times the sum over |S| = k.  2 h_i = A_i - A_i^dagger and 2 delta_i
+    = -i (A_i^dagger + A_i) are on the grid, and tr s_m(2X) = 2^m tr
+    s_m(X), so the sums are taken exactly in Gaussian integers
+    (``_exact_standard_trace``).  It reads only the A_i, never the form
+    algebra, and is exactly 0 at rank <= j (Amitsur--Levitzki)."""
+    J = _odd_region(c, region)
+    m, j = len(J), (len(J) - 1) // 2
+    a = [c.a.coefficient((0,) * c.dim, (i,)) for i in J]
+    slots = [(x - x.conj().T, -1j * (x.conj().T + x)) for x in a]  # (2 h_i, 2 delta_i)
+    sums = [[0, 0] for _ in range(m + 1)]
+    for subset in range(1, 1 << m):
+        re, im = _exact_standard_trace([pair[subset >> i & 1] for i, pair in enumerate(slots)])
+        total = sums[bin(subset).count("1")]
+        total[0] += re
+        total[1] += im
+    k_m = (1, 1j, -1, -1j)[(j + 1) % 4] / (factorial(j) * m * (2 * math.pi) ** (j + 1))
+    scale = math.ldexp(1.0, -CS_GRID_BITS * m - m)
+    return [scale * complex(re, im) * k_m for re, im in sums]
 
 
 def a_coeff_exact(j: int, r_squared: Fraction) -> Fraction:

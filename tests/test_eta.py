@@ -371,6 +371,93 @@ def test_heat_estimate_cancels_only_bitwise_pairs(erfc_calls):
         assert x.tobytes() == (r * left).tobytes()
 
 
+def _masked_heat_eta(t):
+    """The heat estimate as it read its values before it bisected the sorted
+    spectrum: boolean masks over every value for the axis band, the window
+    and the cancelled pairs.  The oracle of ``eta_heat_estimate``, bit for
+    bit, and of every array it hands to ``erfc``."""
+    from scipy.special import erfc
+
+    lam = t._spectrum.real
+    lam = lam[~on_axis(lam)[0]]
+    if lam.size and lam.min() < 0 < lam.max():
+        window = min(-lam.min(), lam.max()) * (1 + 1e-12)
+        lam = lam[np.abs(lam) <= window]
+    i = int(np.searchsorted(lam, 0.0))
+    n = min(i, lam.size - i)
+    paired = lam[i - n : i][::-1] == -lam[i : i + n]
+    keep = np.ones(lam.size, dtype=bool)
+    keep[i - n : i], keep[i : i + n] = ~paired[::-1], ~paired
+    lam = lam[keep]
+    if not lam.size:
+        return 0j
+    roots = np.sqrt(np.asarray(_EPS_GRID))
+    sign, size = np.sign(lam), np.abs(lam)
+    vals = [t.copies * float(np.sum(sign * erfc(r * size))) for r in roots]
+    return complex(np.polyfit(roots, vals, 2)[-1])
+
+
+def _injected(values):
+    """A T^3 truncation whose cached one-copy spectrum is ``values``, sorted."""
+    t = build_truncation(_split_unitary(np.random.default_rng(48), 3, 1), 1)
+    t.__dict__["_spectrum"] = np.sort(np.array(values, dtype=float)).astype(complex)
+    return t
+
+
+def _heat_oracle_case(name):
+    def up(x):
+        return math.nextafter(x, math.inf)
+
+    def down(x):
+        return math.nextafter(x, -math.inf)
+
+    if name.startswith("circle"):  # zero modes, an axis value, unbalanced edges
+        mus = {
+            "circle_zero_mode": [0.0, 0.25],
+            "circle_axis_value": [1e-11, 0.4],
+            "circle_balanced": [0.5],
+            "circle_unbalanced": [0.25, 0.3, 0.9],
+        }[name]
+        return build_truncation(diagonal_connection_from_mus(mus), 12)
+    if name == "axis_band_edges":  # +-AXIS_TOL are on the axis; one ulp out is not
+        tol = AXIS_TOL
+        return _injected([-4.0, down(-tol), -tol, -0.0, 0.0, tol, up(tol), 1.5, 4.0])
+    if name == "window_edge_positive":  # +window kept, one ulp past it dropped
+        w = 3.0 * (1 + 1e-12)
+        return _injected([-3.0, -1.0, -AXIS_TOL, 1.0, 2.0, w, up(w), 5.0])
+    if name == "window_edge_negative":  # -window kept, one ulp past it dropped
+        w = 3.0 * (1 + 1e-12)
+        return _injected([-5.0, down(-w), -w, -2.0, -1.0, 1.0, 2.5, 3.0])
+    if name == "one_side_only":  # no window: every value is off to one side
+        return _injected([0.0, 1.0, 2.0, 2.0, 7.5])
+    if name == "t3_not_split":
+        c = random_unitary_constant_connection(np.random.default_rng(2), 3, 2, 3.0)
+        return build_truncation(c, 3)
+    c = _split_unitary(np.random.default_rng(49), 3, 2)
+    return ball_truncation(c, 8) if name == "t3_split_ball" else build_truncation(c, 4)
+
+
+@pytest.mark.parametrize("name", [
+    "circle_zero_mode", "circle_axis_value", "circle_balanced", "circle_unbalanced",
+    "axis_band_edges", "window_edge_positive", "window_edge_negative", "one_side_only",
+    "t3_not_split", "t3_split", "t3_split_ball",
+])
+def test_heat_estimate_is_bitwise_the_masked_formula(name, erfc_calls):
+    # bisecting the sorted spectrum selects the values that the masks
+    # selected, in the same order: the same erfc arguments and the same sum
+    t = _heat_oracle_case(name)
+    split = name in ("t3_split", "t3_split_ball")  # a spectrum its own negative
+    if name.startswith("t3"):
+        assert (t._lines is not None) == split
+    got = eta_heat_estimate(t)
+    seen = erfc_calls[:]
+    erfc_calls.clear()
+    want = _masked_heat_eta(t)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in erfc_calls]
+    assert (got == 0) == split and (seen == []) == split
+
+
 def test_heat_estimate_rejects_non_self_adjoint():
     c = diagonal_connection_from_mus([0.3 + 0.1j])
     t = build_truncation(c, 5)

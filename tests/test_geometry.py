@@ -37,6 +37,7 @@ from helpers import (
     diagonal_connection_from_mus,
     exact_chern_odd_pairing,
     exact_cs_pairing,
+    exact_cs_r_poly_pairing,
     exp_nilpotent,
     gauged_t3_connection,
     json_mutations,
@@ -567,6 +568,79 @@ def test_exact_chern_odd_pairing_reads_no_form_algebra(monkeypatch):
         monkeypatch.setattr(Connection, name, refused)
     monkeypatch.setattr(geometry, "subtorus_pairing", refused)
     assert [exact_chern_odd_pairing(c, region) for region in odd_subtori(5)] == expected
+
+
+def _r_poly_slots(c: Connection, region: tuple[int, ...]) -> list[np.ndarray]:
+    """|h_i| + |delta_i|, i in ``region``: h = (A - A^dagger)/2 and delta =
+    -(i/2)(A^dagger + A), entrywise absolute values, which bound every word
+    of the r^k coefficients."""
+    return [abs(a - a.conj().T) / 2 + abs(a.conj().T + a) / 2 for a in _factors(c, region)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cs_r_poly_pairing_is_the_polarized_standard_polynomial(dim, rank):
+    # on every odd coordinate subtorus J of T^dim, m = |J| = 2j + 1, the
+    # r^k coefficient of <CS(h, h + r delta)>_J is K_m times the sum of tr
+    # s_m over the slot choices with k deltas and m - k h's.  At rank <= j,
+    # an Amitsur--Levitzki zero, each is exactly 0 and the form side 0 to
+    # rounding; else each k = 1..m has content.  r^0 and every k > m pair
+    # to exactly 0: the form has no part of degree m there.  The words are
+    # those of a cocycle <CS(c0, c1)> with A0 = h and delta, so its bound.
+    c = _grid_connection(70 + dim, dim, rank)
+    coeffs = cs_r_poly(c)
+    assert len(coeffs) == dim + 1
+    for region in odd_subtori(dim):
+        m, j = len(region), (len(region) - 1) // 2
+        exact = exact_cs_r_poly_pairing(c, region)
+        bound = _products_bound(_r_poly_slots(c, region), True)
+        assert len(exact) == m + 1 and exact[0] == 0
+        for k, form in enumerate(coeffs):
+            pairing = subtorus_pairing(form, region)
+            if k == 0 or k > m:
+                assert pairing == 0, (region, k)
+                continue
+            if rank <= j:
+                assert exact[k] == 0, (region, k)
+            else:
+                assert abs(exact[k]) >= 10 * bound, (region, k)  # a 10% error shows
+            assert abs(pairing - exact[k]) <= bound, (region, k)
+
+
+def test_exact_cs_r_poly_pairing_is_the_cocycle_of_its_endpoints():
+    # at r = 1 the coefficients sum to <CS(0, h + delta)> - <CS(0, h)>, both
+    # from ``exact_cs_pairing`` on grid inputs: h and delta halve the grid,
+    # so the endpoints are scaled by 2 (the pairing is homogeneous of degree m)
+    c = _grid_connection(75, 5, 3)
+    for region in odd_subtori(5):
+        m = len(region)
+        a = _factors(c, region)
+        two_h = [x - x.conj().T for x in a]
+        two_end = [h - 1j * (x.conj().T + x) for h, x in zip(two_h, a)]
+        ends = [
+            exact_cs_pairing(Connection.from_constant(m, mats)) / 2**m
+            for mats in (two_end, two_h)
+        ]
+        total = sum(exact_cs_r_poly_pairing(c, region))
+        assert abs(total - (ends[0] - ends[1])) <= 1e-12 * abs(ends[0]), region
+
+
+def test_exact_cs_r_poly_pairing_reads_no_form_algebra(monkeypatch):
+    # the oracle must stay independent of the form side it is compared with
+    c = _grid_connection(0, 5, 3)
+    expected = [exact_cs_r_poly_pairing(c, region) for region in odd_subtori(5)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the r-polynomial oracle reached the form side")
+
+    for name in ("wedge", "ext_d", "dagger", "integrate", "mat_trace", "phi_normalize",
+                 "degree_component", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TrigPolyForm, name, refused)
+    for name in ("omega_metric", "hermitian_part"):
+        monkeypatch.setattr(Connection, name, refused)
+    for name in ("cs_r_poly", "subtorus_pairing", "_cs_integral", "_transgression"):
+        monkeypatch.setattr(geometry, name, refused)
+    assert [exact_cs_r_poly_pairing(c, region) for region in odd_subtori(5)] == expected
 
 
 # ----------------------------------------------------------------------

@@ -985,6 +985,67 @@ def test_split_truncations_are_a_structural_zero(dim, rank, monkeypatch):
             assert (count, axis.tolist()) == (0, [])
 
 
+def _split_with_zero_radii(rng, dim, rank, name):
+    """A split connection whose lines reach radius 0 at k = 0: the zero
+    connection (every line), or diagonal A_j with one line at y_jb = 0 in
+    every direction (exactly, as the split's basis is then the identity)."""
+    mus = rng.uniform(-1, 1, (dim, rank))
+    mus[:, 0] = 0
+    if name == "zero":
+        mus[:] = 0
+    return _commuting_unitary(mus, np.eye(rank))
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("name", ["zero", "one_line_at_zero", "generic"])
+def test_split_spectrum_is_the_stable_sort_of_the_line_values(dim, rank, name):
+    # the mirrored sorted radii are bitwise the stable sort of the per-mode
+    # -|x|, +|x| that spectrum_rows reads, cast to complex, on cubes and
+    # balls; a zero radius gives +0.0 on both sides (0 - 0.0 is +0.0)
+    rng = np.random.default_rng(480 + 10 * dim + rank)
+    if name == "generic":
+        c = _commuting_unitary(rng.uniform(-1, 1, (dim, rank)), _random_basis(rng, rank))
+    else:
+        c = _split_with_zero_radii(rng, dim, rank, name)
+    for t in (build_truncation(c, 6 - dim), spectral.ball_truncation(c, 3)):
+        assert t._lines is not None and t._lines.shape == (len(t.modes), rank)
+        (solved,) = t._eigvals
+        oracle = np.sort(solved.ravel(), kind="stable").astype(complex)
+        assert t._spectrum.tobytes() == oracle.tobytes()
+        assert not t._spectrum.flags.writeable
+        zeros = np.count_nonzero(t._lines == 0)
+        assert zeros == (rank if name == "zero" else name == "one_line_at_zero")
+        assert np.count_nonzero(t._spectrum == 0) == zeros * solved.shape[1] // rank
+        assert not np.any(np.signbit(t._spectrum.real[t._spectrum == 0]))
+
+
+def test_fixed_part_is_the_assembled_block_of_the_mode_zero():
+    # V, which the split reads, is bitwise the stack's block at k = 0
+    rng = np.random.default_rng(482)
+    for dim, rank in [(1, 2), (3, 2), (3, 3), (5, 2)]:
+        c = random_unitary_constant_connection(rng, dim, rank)
+        t = build_truncation(c, 2)
+        centre = t.modes.tolist().index([0] * dim)
+        assert spectral._fixed_part(t.symbol).tobytes() == t.stack[centre].tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e155])
+def test_line_route_is_not_taken_where_its_squared_norms_overflow(scale):
+    # A_j = diag(i s, i s / 2) on T^3: the points x reach |x| ~ sqrt(3) s,
+    # whose square overflows past s ~ 1.3e154; there the truncation keeps
+    # its stack solve, whose values are finite, and either way each mode's
+    # values are within the Weyl bound of eigvalsh of its block
+    c = Connection.from_constant(3, [np.diag([1j * scale, 0.5j * scale])] * 3)
+    t = build_truncation(c, 1)
+    assert t.hermitian
+    assert (t._lines is not None) == (scale < 1e154)
+    vals = spectrum(t)
+    assert np.all(np.isfinite(vals)) and np.max(np.abs(vals.real)) > scale
+    assert all(math.isfinite(re) for re, _, _ in spectrum_rows(t))
+    _assert_lines_within_weyl_bound(t)
+
+
 def _fallback_case(name):
     rng = np.random.default_rng(76)
     if name == "noncommuting":
@@ -1058,8 +1119,10 @@ def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
     t = build_truncation(c, 6)
     assert _solved_orders(t, monkeypatch) == []
     assert t._eigvals[0].nbytes == values and "stack" not in vars(t)
-    # what the closed form holds at its peak is within what the guard counts
-    assert _traced_peak(build_truncation(c, 6)._line_values) <= limit - lattice
+    # what the closed form and its sorted spectrum hold at their peak is
+    # within what the guard counts
+    t = build_truncation(c, 6)
+    assert _traced_peak(lambda: t._spectrum) <= limit - lattice
 
 
 # ---------------------------------------------------------------------------
@@ -1328,9 +1391,10 @@ def test_csv_bytes_are_those_of_csv_writer(name, dim, tmp_path):
 def test_real_sort_puts_signed_zeros_in_the_order_of_the_solve():
     # numpy's default float sort orders -0.0 and +0.0 as its kernel likes;
     # a solve holding both (LAPACK may yield -0.0) must still hand out the
-    # bytes of the stable sort of the repeated solve
-    t = build_truncation(Connection.from_constant(3, [np.zeros((2, 2))] * 3), 1)
-    assert t.hermitian
+    # bytes of the stable sort of the repeated solve.  Rank 1: a truncation
+    # that eigvalsh solves (a split one hands out +0.0 alone)
+    t = build_truncation(Connection.from_constant(3, [np.zeros((1, 1))] * 3), 1)
+    assert t.hermitian and t._lines is None
     solved = np.random.default_rng(63).choice([-0.0, 0.0, -1.5, 0.5], t._eigvals[0].shape)
     t.__dict__["_eigvals"] = (solved,)  # the cached solve, replaced
     oracle = np.sort(np.repeat(solved.ravel(), t.copies), kind="stable")
