@@ -11,14 +11,16 @@ of the bundled scenarios (every ``scenarios/*.json``, in name order) run by
 their final newline (so a report's digest is that of its ``to_json()``
 text, as for the suite), and the CSV files those runs write.
 
-``--json PATH`` writes the digests and every entry's lhs, rhs and residual.
+``--json PATH`` writes the digests, every entry's lhs, rhs and residual,
+and the values of every CSV (re and im of each row, in row order).
 ``--against OLD.json`` reads such a record, made from another tree, and
-lists every digest that differs and every entry whose lhs, rhs or residual
-moved, with |delta| of each; digests and entries that are missing from the
-new record count as differing, and those only in the new record (a newly
-bundled scenario) are listed under their own headings without counting.
-It exits 1 if anything differs, so that unchanged report bytes read as
-exit 0.
+lists every digest that differs, then, for each CSV among them, how many
+of its values moved and the largest move in units in the last place, then
+every entry whose lhs, rhs or residual moved, with |delta| of each;
+digests and entries that are missing from the new record count as
+differing, and those only in the new record (a newly bundled scenario)
+are listed under their own headings without counting.  It exits 1 if
+anything differs, so that unchanged report bytes read as exit 0.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import io
 import json
 import os
 import pathlib
+import struct
 import sys
 import tempfile
 
@@ -51,6 +54,26 @@ def _values(report: dict) -> dict[str, list[float]]:
     }
 
 
+def _csv_values(data: bytes) -> list[float]:
+    """A spectrum CSV's values: re and im of each row, in row order."""
+    rows = data.decode().splitlines()[1:]  # less the header
+    return [float(v) for row in rows for v in row.split(",")[:2]]
+
+
+def _bits(x: float) -> int:
+    """The float64 x's bits, as a signed integer."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many float64 steps lie between a and b (0 from -0.0 to +0.0)."""
+    def ordered(x: float) -> int:
+        bits = _bits(x)
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(ordered(a) - ordered(b))
+
+
 def _scenario_run(scenario: pathlib.Path) -> tuple[bytes, dict[str, bytes]]:
     """The report file's bytes and the CSV files of one bundled scenario,
     run in a temporary directory."""
@@ -72,8 +95,9 @@ def _scenario_run(scenario: pathlib.Path) -> tuple[bytes, dict[str, bytes]]:
 
 
 def record() -> dict:
-    """{"digests": {name: sha256}, "entries": {report: {check_id: values}}}."""
-    digests, entries = {}, {}
+    """{"digests": {name: sha256}, "entries": {report: {check_id: values}},
+    "csv_values": {name: values}}, a CSV named as in "digests"."""
+    digests, entries, csv_values = {}, {}, {}
     for seed in range(10):
         name = f"standard_suite({seed})"
         report = standard_suite(seed)
@@ -84,8 +108,30 @@ def record() -> dict:
         report, csvs = _scenario_run(scenario)
         digests[f"{name} report"] = _sha256(report.removesuffix(b"\n"))
         digests.update((f"{name} {n}", _sha256(data)) for n, data in csvs.items())
+        csv_values.update((f"{name} {n}", _csv_values(data)) for n, data in csvs.items())
         entries[name] = _values(json.loads(report))
-    return {"digests": digests, "entries": entries}
+    return {"digests": digests, "entries": entries, "csv_values": csv_values}
+
+
+def _csv_moves(old: dict, new: dict, changed: list[str], old_name: str) -> list[str]:
+    """One line per differing digest that both records hold CSV values
+    for: how many values differ in their bits, and by at most how many
+    ulps; or, when the row counts differ, both counts."""
+    before, after = old.get("csv_values", {}), new.get("csv_values", {})
+    lines = []
+    for name in changed:
+        if name not in before or name not in after:
+            continue
+        b, a = before[name], after[name]
+        if len(b) != len(a):
+            lines.append(f"{name}: {len(b)} values in {old_name}, {len(a)} now")
+            continue
+        moves = [_ulps(x, y) for x, y in zip(b, a) if _bits(x) != _bits(y)]
+        lines.append(
+            f"{name}: {len(moves)} of {len(b)} values moved, "
+            f"by at most {max(moves, default=0)} ulp"
+        )
+    return lines
 
 
 def compare(old: dict, new: dict, old_name: str) -> tuple[list[str], bool]:
@@ -94,7 +140,8 @@ def compare(old: dict, new: dict, old_name: str) -> tuple[list[str], bool]:
 
     Digests: those in both that differ, those missing from the new record
     and those only in the new record, each under its own heading (the last
-    two only when there are any).  Entries: one line per entry of the old
+    two only when there are any).  CSVs: the values moved in each that
+    differs (``_csv_moves``).  Entries: one line per entry of the old
     record whose lhs, rhs or residual moved (|delta| of each) or that is
     missing from the new record, then the entries only in the new one."""
     both = old["digests"].keys() & new["digests"].keys()
@@ -106,6 +153,7 @@ def compare(old: dict, new: dict, old_name: str) -> tuple[list[str], bool]:
         lines.append(f"digests missing from the new record: {', '.join(missing)}")
     if added:
         lines.append(f"digests only in the new record: {', '.join(added)}")
+    lines += _csv_moves(old, new, changed, old_name)
     moved, only_new, total = [], [], 0
     for report in sorted(old["entries"].keys() | new["entries"].keys()):
         before = old["entries"].get(report, {})

@@ -25,10 +25,11 @@ with a distinct code per failure class:
   for something outside its domain
   (:class:`~etacalc.geometry.PreconditionError`)
 * 3 -- a numerical guard tripped (:class:`~etacalc.spectral.GuardError`:
-  memory guard, spectral flow needing a window past the cutoff: a
-  Bauer--Fike ball past it, or K and K + 1 differ; a circle tower shift
-  too large for the axis rule; a check entry whose sides are not finite
-  numbers, as when finite input overflows)
+  memory guard, a spectrum CSV's rows among what it counts; spectral flow
+  needing a window past the cutoff: a Bauer--Fike ball past it, or K and
+  K + 1 differ; a circle tower shift too large for the axis rule; a check
+  entry whose sides are not finite numbers, as when finite input
+  overflows)
 * 4 -- any other exception: a bug, or an environment fault such as a
   report that cannot be written; its traceback goes to stderr
 
@@ -74,7 +75,8 @@ from . import verify
 from .flow import gauge_path
 from .forms import InvalidInputError, _integer, _json_fields, _number, _shown
 from .geometry import Connection, PreconditionError, linear_path
-from .spectral import GuardError, build_truncation, export_spectrum_csv, spectrum
+from .spectral import (GuardError, build_truncation, export_spectrum_csv,
+                       require_export_memory, spectrum)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -302,9 +304,11 @@ def run_scenario(
     the current directory, made when the first CSV is written.  The CSVs
     are built and written, in file order, only after every selected
     experiment has run, the report is assembled and every CSV's truncation
-    is built and solved, so a run that a check or a guard stops writes
-    none.  A report path that is an existing directory raises
-    InvalidInputError naming ``$.output.report``, before any check runs.
+    is built, its rows counted against the memory guard
+    (``require_export_memory``) and solved, so a run that a check or a
+    guard stops writes none.  A report path that is an existing directory
+    raises InvalidInputError naming ``$.output.report``, before any check
+    runs.
     One that is, by ``os.path.realpath``, the path of a CSV to write, or
     the directory the CSVs go into, raises it naming ``$.output.report``
     and the experiment or the directory, before any CSV truncation is
@@ -340,8 +344,9 @@ def run_scenario(
     report = verify.assemble_report(entries)
     solved = [build_truncation(x.args["connection"], x.args.get("cutoff", 4))
               for _, x in csvs]
-    for t in solved:
-        spectrum(t)  # the solve, cached on t: a guard trips before any file opens
+    for t in solved:  # a guard trips before any file opens
+        require_export_memory(t)
+        spectrum(t)  # the solve, cached on t
     for (path, _), t in zip(csvs, solved):
         os.makedirs(directory, exist_ok=True)
         export_spectrum_csv(t, path)

@@ -25,12 +25,13 @@ exactly {2 pi (k + mu)}.
 
 Every truncation is the (n_modes, d) integer lattice of its modes
 {|k_j| <= K}, or of a ball in it (``ball_truncation``, under a cap), plus
-the symbol of the zero-frequency part of A: for each direction j and each
-frequency k with |k| <= K, the term kron(beta_j, 2 pi i k I + A_j).  A mode
-block M(k) = M_0(k) + V is the sum of one term per direction, and V =
-sum_j beta_j (x) A_j is M(0).  The (n_modes, n, n) stack of the mode
-blocks is assembled from the symbol without a loop over modes, and only
-when a solve, ``blocks`` or ``dense`` reads it.  One coupling
+the (d, rank, rank) zero-frequency coefficients A_j of A.  Their symbol
+holds, for each direction j and each frequency k with |k| <= K, the term
+kron(beta_j, 2 pi i k I + A_j).  A mode block M(k) = M_0(k) + V is the sum
+of one term per direction, and V = sum_j beta_j (x) A_j is M(0).  The
+(n_modes, n, n) stack of the mode blocks is assembled from the symbol
+without a loop over modes, and the symbol and the stack are built only
+when a solve, ``blocks`` or ``dense`` reads the stack.  One coupling
 beta_j (x) A_q per oscillatory term A_q e^{2 pi i q.x} dx_j maps mode k to
 k + q.  The couplings split the modes into the connected components of
 the graph with an edge k -> k + q, each an eigenproblem of its own: the
@@ -38,9 +39,10 @@ spectrum is one batched eigen-solve per component size, over the
 components' Galerkin matrices assembled from the stack and the couplings
 (without couplings, the stack itself), for one spinor copy, cached on the
 truncation.  A memory guard, checked where arrays are allocated, refuses
-a lattice and symbol, a stack or the line values next to them, or a batch
-of component matrices next to the stack, that would not fit; so a window
-that its couplings split into small components solves.
+a lattice and symbol, a stack or the line values next to them, a batch
+of component matrices next to the stack, or the rows of a spectrum CSV,
+that would not fit; so a window that its couplings split into small
+components solves.  The symbol is counted, not built, until it is read.
 
 The solve has two routes, chosen by one flag of the truncation,
 ``hermitian``: the connection is unitary (omega vanishes to 1e-10).  Then
@@ -56,12 +58,11 @@ unitary connections in this package that is rounding, about 1e-15 of the
 matrix scale.
 
 A flat unitary constant connection is a sum of flat lines, and a
-Hermitian constant truncation of rank >= 2 is solved as one when its k = 0
-block V, summed from the symbol's k = 0 terms as ``_assemble`` sums a
-block, allows.  U is the ``eigh`` basis of
-sum_j sqrt(j + 1) i A_j (A_j read off V by tr(beta_j^H beta_l) =
-2^n delta_jl), moved by one Newton step, a Cayley rotation, towards the
-common eigenbasis of the A_j.  W = I (x) U commutes with M_0(k) =
+Hermitian constant truncation of rank >= 2 is solved as one when its A_j
+allow.  U is the ``eigh`` basis of sum_j sqrt(j + 1) i A_j; only when
+that basis misses the bound below is it moved by one Newton step, a
+Cayley rotation, towards the common eigenbasis of the A_j, and the bound
+tested again.  W = I (x) U commutes with M_0(k) =
 sum_j beta_j (x) 2 pi i k_j I, and K keeps, of P = W^H V W, the Hermitian
 part sum_j beta_j i y_jb, y_jb = Im (U^H A_j U)_bb, of each line's block.
 Then M(k) = W (M_0(k) + K) W^H + E, ||E||_F = delta = ||P - K||_F =
@@ -78,8 +79,10 @@ inputs stay under 6 per u ||V||_2.  ||V||_2 is read as ||K||_2 =
 max_b |y_b|, equal to it within delta, so the split takes no SVD of V.
 It also needs d (2 pi K + rank max |A_j|)^2 < 2^1020, a bound on |x|^2
 from |x_j| <= 2 pi K + ||A_j||_2: past it (|x| from about 1e153) a square
-could overflow, to +-inf where the stack's solve is finite.
-The line route solves nothing and builds no stack.  Any other input
+could overflow, to +-inf where the stack's solve is finite.  Each split
+it accepts, on the ``eigh`` basis or after the step, carries that one
+certificate.  The line route reads the A_j alone: it forms no V, solves
+nothing and builds neither the symbol nor the stack.  Any other input
 (non-commuting A_j, A_j anti-Hermitian only to the flag's 1e-10, rank 1,
 couplings, ``eigvals``, points that large) keeps the solve of its stack.
 
@@ -145,6 +148,13 @@ class CutoffInstabilityError(GuardError):
     reaches past it, or a coupled flow changed from cutoff K to K + 1."""
 
 
+# bytes the CSV export of a spectrum holds at its peak, at most, per row
+# and per mode (tracemalloc: 153-214 a row on T^5, 334 on a rank-1 circle,
+# one row a mode): each row's tuple, floats and text, each mode's label and
+# lists; they bound the hand-out of ``spectrum`` too, 16 bytes a row
+ROW_BYTES, MODE_BYTES = 256, 512
+
+
 def _require_memory(nbytes: int, what: str) -> None:
     """Refuse, before allocating it, ``what`` needing ``nbytes`` bytes
     beyond ``MEMORY_LIMIT``."""
@@ -192,7 +202,6 @@ class CliffordModel:
         # + 0j turns every -0.0 the products leave into +0.0; read-only, as
         # ``clifford_model`` hands the same model to every caller
         self.beta = tuple(_read_only(b + 0j) for b in beta)
-        self.stacked = _read_only(np.array(self.beta))  # (dim, 2^n, 2^n)
         # i sqrt(j + 1), j = 1..dim: the combination the line split's
         # ``eigh`` basis diagonalizes
         self.weights = _read_only(1j * np.sqrt(np.arange(2, dim + 2)))
@@ -213,16 +222,17 @@ class OperatorTruncation:
     generators beta_j, so per = 2^n * rank.  ``modes`` is the (n_modes, dim)
     integer array of the window's (or a ball's) Fourier modes in ``product``
     order.  ``cutoff`` is the window K: the cube {|k_j| <= K}, or for a ball
-    only the cube it lies in and the cap it was checked against.
-    ``symbol`` has shape (dim, 2K + 1, per, per), the terms
-    kron(beta_j, 2 pi i k I + A_j) for |k| <= K, A_j the zero-frequency part
-    of A (see the module docstring).  ``stack``, of shape (n_modes, per,
-    per), is assembled from it on first read (a solve, ``blocks``,
-    ``dense``; the line route never reads it): block i maps the mode
-    modes[i] to itself, the derivative part plus the zero-frequency part of
-    A.  ``couplings`` holds one (q, beta_j (x) A_q) pair per oscillatory term
-    of A, which maps each mode k to k + q; it is empty for constant
-    connections.  ``blocks`` (constant connections only) is a read-only
+    only the cube it lies in and the cap it was checked against.  ``a0``
+    holds the (dim, rank, rank) zero-frequency coefficients A_j of A.
+    ``symbol``, of shape (dim, 2K + 1, per, per), the terms
+    kron(beta_j, 2 pi i k I + A_j) for |k| <= K (see the module docstring),
+    is built from them on first read, and ``stack``, of shape (n_modes,
+    per, per), is assembled from the symbol on first read (a solve,
+    ``blocks``, ``dense``; the line route reads neither): block i maps the
+    mode modes[i] to itself, the derivative part plus the zero-frequency
+    part of A.  ``couplings`` holds one (q, beta_j (x) A_q) pair per
+    oscillatory term of A, which maps each mode k to k + q; it is empty for
+    constant connections.  ``blocks`` (constant connections only) is a read-only
     mapping from each frequency, a tuple of ints, to its (per, per) view
     of the stack, and ``dense`` (coupled connections only) is the Galerkin
     matrix of the one copy, built on first use and guarded as one batch.
@@ -234,8 +244,10 @@ class OperatorTruncation:
     connection is unitary.
 
     The one copy's eigenvalues are computed on first use as the module
-    docstring describes (flat lines in closed form), without building
-    ``dense``; they are repeated over the copies only when handed out.
+    docstring describes (flat lines in closed form from the A_j, the
+    ``eigh`` basis refined only when the split's bound asks), without
+    building ``dense``; they are repeated over the copies only when handed
+    out.
     Every array is read-only so that the cached values cannot go stale.
     """
 
@@ -243,17 +255,24 @@ class OperatorTruncation:
     rank: int
     cutoff: int
     modes: np.ndarray
-    symbol: np.ndarray
+    a0: np.ndarray
     couplings: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     hermitian: bool
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """Built on first read, by the stack's assembly; the memory guards
+        count its bytes without it."""
+        return _symbol(self.a0, self.cutoff)
 
     @cached_property
     def stack(self) -> np.ndarray:
         """The mode blocks M(k), guarded twice over (what ``_assemble``
         holds at most) next to the lattice and symbol."""
-        n, per = len(self.modes), self.symbol.shape[-1]
+        n, per = len(self.modes), self.copies * self.rank
+        symbol = 16 * self.dim * (2 * self.cutoff + 1) * per * per
         _require_memory(
-            32 * n * per * per + self.modes.nbytes + self.symbol.nbytes,
+            32 * n * per * per + self.modes.nbytes + symbol,
             f"the stack of {n} modes, its assembly, the lattice and symbol",
         )
         return _read_only(_assemble(self.symbol, self.modes))
@@ -295,7 +314,7 @@ class OperatorTruncation:
 
     @property
     def size(self) -> int:
-        return len(self.modes) * self.symbol.shape[-1] * self.copies
+        return len(self.modes) * self.rank * self.copies**2
 
     @property
     def copies(self) -> int:
@@ -389,35 +408,32 @@ class OperatorTruncation:
         does not split (see the module docstring): on the circle the
         eigenvalues 2 pi k + y_b, on T^d, d >= 3, the radii |x|."""
         model = clifford_model(self.dim)
-        n, e, r, pos = len(self.modes), model.copies, self.rank, np.arange(self.rank)
-        v = _fixed_part(self.symbol)
-        a = np.einsum("jac,abcd->jbd", model.stacked.conj(), v.reshape(e, r, e, r)) / e  # A_j
+        n, e, r, a = len(self.modes), model.copies, self.rank, self.a0
         # |x_j| <= 2 pi K + ||A_j||_2, ||A_j||_2 <= r max |A_j|: no square
         # below overflows unless |x|^2 could (False on NaN, too)
         reach = 2 * math.pi * self.cutoff + r * float(np.abs(a).max())
         if not self.dim * reach * reach < 2.0**1020:
             return None
         u = np.linalg.eigh(np.einsum("j,jbd->bd", model.weights, a))[1]
-        d = u.conj().T @ a @ u  # then one Newton step, as a Cayley rotation
-        gap = d[:, None, pos, pos] - d[:, pos, pos, None]
-        norm = np.sum(abs(gap) ** 2, axis=0)
-        x = np.sum(gap.conj() * d, axis=0) / np.where(norm > 0, norm, 1)
-        x = (x - x.conj().T) / 4
-        u = u @ np.linalg.solve(np.eye(r) - x, np.eye(r) + x)
-        d = u.conj().T @ a @ u
-        shifts = d[:, pos, pos].imag  # y_jb
-        d[:, pos, pos] = d[:, pos, pos].real  # U^H A_j U - i diag(y_j)
-        scale = np.linalg.norm(shifts, axis=0).max()  # ||K||_2, ||V||_2 to delta
-        if math.sqrt(e) * np.linalg.norm(d) > 2**-49 * e * r * scale:
-            return None  # delta > 16 per u ||V||_2, u = 2^-53
+        d, diag = _rotated(a, u)
+        if not _within_split_bound(d, diag.imag, e):
+            # one Newton step towards the common eigenbasis, as a Cayley rotation
+            gap = diag[:, None, :] - diag[:, :, None]
+            norm = np.sum(abs(gap) ** 2, axis=0)
+            x = np.sum(gap.conj() * d, axis=0) / np.where(norm > 0, norm, 1)
+            x = (x - x.conj().T) / 4
+            u = u @ np.linalg.solve(np.eye(r) - x, np.eye(r) + x)
+            d, diag = _rotated(a, u)
+            if not _within_split_bound(d, diag.imag, e):
+                return None
         _require_memory(  # the points x three times over (temporaries), and
             # 24 bytes an eigenvalue: the complex spectrum and sorted radii
             self.modes.nbytes + 24 * n * r * (self.dim + e),
             f"the lattice and {n * r} lines of {e} eigenvalues",
         )
-        xs = 2 * math.pi * self.modes[:, None, :] + shifts.T  # (mode, line, j)
-        if self.dim == 1:  # beta_1 = -i: the line block is 2 pi k + y_b
-            return xs[..., 0]
+        xs = 2 * math.pi * self.modes[:, None, :] + diag.imag.T  # (mode, line, j)
+        if self.dim == 1:  # the line block beta_1 i x: x, as beta_1 = -i
+            return (1j * model.beta[0][0, 0]).real * xs[..., 0]
         return np.sqrt(np.einsum("mbj,mbj->mb", xs, xs))
 
     @cached_property
@@ -438,25 +454,41 @@ class OperatorTruncation:
         return _read_only(vals.astype(complex, copy=False))
 
 
-def _symbol(c: Connection, reach: int) -> np.ndarray:
+def _rotated(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U^H A_j U - i diag(y_j), y_jb = Im (U^H A_j U)_bb, and the (dim,
+    rank) diagonals (U^H A_j U)_bb."""
+    d = u.conj().T @ a @ u
+    pos = np.arange(len(u))
+    diag = d[:, pos, pos]
+    d[:, pos, pos] = diag.real
+    return d, diag
+
+
+def _within_split_bound(d: np.ndarray, shifts: np.ndarray, copies: int) -> bool:
+    """Whether delta = sqrt(copies) ||d||_F <= 16 per u ||V||_2, u = 2^-53,
+    per = copies * rank, with ||V||_2 read as ||K||_2 = max_b |y_b| (see
+    the module docstring); False on NaN."""
+    scale = np.linalg.norm(shifts, axis=0).max()
+    bound = 2**-49 * copies * d.shape[-1] * scale
+    return bool(math.sqrt(copies) * np.linalg.norm(d) <= bound)
+
+
+def _symbol(a: np.ndarray, reach: int) -> np.ndarray:
     """The (dim, 2 reach + 1, per, per) terms kron(beta_j, 2 pi i k I + A_j)
-    of c on one copy, A_j the zero-frequency coefficient of dx_j, formed in
+    of the zero-frequency coefficients ``a`` = (A_j) on one copy, formed in
     place in the (j, k, a, ., b, .) view, all directions in one broadcast:
     ``_assemble`` sums them into blocks bitwise equal to summing the
     ``np.kron`` terms mode by mode."""
-    beta = np.array(clifford_model(c.dim).beta)
-    e, r = beta.shape[1], c.rank
-    a = np.zeros((c.dim, r, r), dtype=complex)  # A_j, read in one pass
-    for k, (j,), mat in c.a.terms():
-        if not any(k):
-            a[j - 1] = mat
+    dim, r = a.shape[:2]
+    beta = np.array(clifford_model(dim).beta)
+    e = beta.shape[1]
     ks = np.arange(-reach, reach + 1)
-    terms = np.empty((c.dim, len(ks), e, r, e, r), dtype=complex)
+    terms = np.empty((dim, len(ks), e, r, e, r), dtype=complex)
     np.multiply(2j * math.pi, ks[:, None, None, None, None], out=terms)
     terms *= np.eye(r)[:, None, :]
     terms += a[:, None, None, :, None, :]
     terms *= beta[:, None, :, None, :, None]
-    return _read_only(terms.reshape(c.dim, len(ks), e * r, e * r))
+    return _read_only(terms.reshape(dim, len(ks), e * r, e * r))
 
 
 def _assemble(symbol: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -470,18 +502,35 @@ def _assemble(symbol: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fixed_part(symbol: np.ndarray) -> np.ndarray:
-    """V = M(0), the symbol's k = 0 terms added to zeros in direction order:
-    bitwise ``_assemble``'s block of the mode 0."""
-    v = np.zeros(symbol.shape[-2:], dtype=complex)
-    for term in symbol[:, symbol.shape[1] // 2]:
+def _zero_frequency(c: Connection) -> np.ndarray:
+    """The (dim, rank, rank) zero-frequency coefficients A_j of c, read in
+    one pass over its terms."""
+    a = np.zeros((c.dim, c.rank, c.rank), dtype=complex)
+    for k, (j,), mat in c.a.terms():
+        if not any(k):
+            a[j - 1] = mat
+    return _read_only(a)
+
+
+def _fixed_part(a: np.ndarray) -> np.ndarray:
+    """V = M(0) = sum_j beta_j (x) A_j: the terms (0 + A_j) beta_j formed as
+    ``_symbol`` forms its k = 0 terms and added to zeros in direction
+    order, bitwise ``_assemble``'s block of the mode 0."""
+    dim, r = a.shape[:2]
+    beta = np.array(clifford_model(dim).beta)
+    e = beta.shape[1]
+    terms = np.zeros((dim, e, r, e, r), dtype=complex)
+    terms += a[:, None, :, None, :]
+    terms *= beta[:, :, None, :, None]
+    v = np.zeros((e * r, e * r), dtype=complex)
+    for term in terms.reshape(dim, e * r, e * r):
         v += term
     return v
 
 
 def ball_radius(c: Connection) -> float:
     """R = ||V||_2 / 2 pi, V = sum_j beta_j (x) A_j the k = 0 block of c."""
-    v = _fixed_part(_symbol(c, 0))
+    v = _fixed_part(_zero_frequency(c))
     return float(np.linalg.svd(v, compute_uv=False)[0]) / (2 * math.pi)
 
 
@@ -537,7 +586,7 @@ def _truncation(c: Connection, cutoff: int, modes: np.ndarray) -> OperatorTrunca
     )
     # every Galerkin matrix is Hermitian exactly when c is unitary
     return OperatorTruncation(
-        c.dim, c.rank, cutoff, _read_only(modes), _symbol(c, cutoff),
+        c.dim, c.rank, cutoff, _read_only(modes), _zero_frequency(c),
         couplings, c.omega_metric().is_zero(1e-10),
     )
 
@@ -545,9 +594,10 @@ def _truncation(c: Connection, cutoff: int, modes: np.ndarray) -> OperatorTrunca
 def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
     """Assemble the Galerkin section over modes {k : |k_j| <= cutoff}.
 
-    The (n_modes, dim) integer lattice of modes and the symbol are built
-    for every connection, plus one coupling beta_j (x) A_q per oscillatory
-    term q of A, on one spinor copy; the stack waits for its first read.
+    The (n_modes, dim) integer lattice of modes and the zero-frequency
+    coefficients A_j are read for every connection, plus one coupling
+    beta_j (x) A_q per oscillatory term q of A, on one spinor copy; the
+    symbol and the stack wait for the stack's first read.
     Refuses, before allocating them, a lattice and symbol of more than
     ``MEMORY_LIMIT`` bytes together; the stack, and each batch of
     component matrices a solve assembles, are checked in the same way.
@@ -588,6 +638,15 @@ def spectrum_rows(t: OperatorTruncation) -> list[tuple[float, float, str]]:
     for k, re, im in parts:  # one lone mode per row
         rows.extend(zip(re, im, repeat(" ".join(map(str, k)))))
     return rows
+
+
+def require_export_memory(t: OperatorTruncation) -> None:
+    """Refuse, before any row is built, a CSV export of t whose rows would
+    need more than ``MEMORY_LIMIT`` bytes (``ROW_BYTES``, ``MODE_BYTES``)."""
+    _require_memory(
+        ROW_BYTES * t.size + MODE_BYTES * len(t.modes),
+        f"the {t.size} rows of a spectrum CSV",
+    )
 
 
 def export_spectrum_csv(t: OperatorTruncation, path) -> None:

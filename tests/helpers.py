@@ -16,8 +16,8 @@ from etacalc.forms import PHI_SCALE, TrigPolyForm
 from etacalc.geometry import Connection, gauge_transform
 from etacalc.spectral import (
     AXIS_TOL,
-    _assemble,
-    _symbol,
+    _fixed_part,
+    _zero_frequency,
     ball_truncation,
     clifford_model,
     sign_count,
@@ -615,9 +615,9 @@ def symbol_density(c: Connection, direction=None, n_points: int = 128) -> comple
     reaches the axis for |eps| < 2 pi / ||V||_2 and tr F is analytic there;
     f_d is its Cauchy integral on the circle |eps| = pi / ||V||_2, the mean
     over ``n_points`` equispaced points (an error of 2^-n_points, besides
-    rounding).  It reads V through ``spectral._symbol``, the symbol the
-    operator's blocks are assembled from, and no form algebra."""
-    v = _assemble(_symbol(c, 0), np.zeros((1, c.dim), int))[0]
+    rounding).  It reads V through ``spectral._fixed_part``, bitwise the
+    k = 0 block the operator's stack holds, and no form algebra."""
+    v = _fixed_part(_zero_frequency(c))
     norm = np.linalg.norm(v, 2)
     if norm == 0:
         return 0j

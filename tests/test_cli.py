@@ -954,6 +954,34 @@ def test_memory_guard_exit_code(tmp_cwd, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_spectrum_csv_rows_past_the_memory_guard_write_no_csv(
+    tmp_cwd, capsys, monkeypatch
+):
+    # the split rank-2 T^3 connection at cutoffs 1 and 2: CSVs of 216 and
+    # 1000 rows, whose export the guard counts at 256 bytes a row and 512
+    # a mode.  With the limit one byte short of the second's rows, each
+    # truncation builds and splits within it, and the run exits 3 naming
+    # those rows before either CSV is written; at the limit both are.
+    obj = load_bundled("t3_unitary_lines_spectrum.json")
+    obj["experiments"] = [
+        {"check": "spectrum", "connection": "main", "cutoff": k} for k in (1, 2)
+    ]
+    scenario = write_scenario(tmp_cwd, obj)
+    counted = 256 * 1000 + 512 * 125
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", counted - 1)
+    assert main(["run", scenario]) == 3
+    assert capsys.readouterr().err == (
+        "error: numerical guard tripped: the 1000 rows of a spectrum CSV would "
+        f"need {counted} bytes (limit {counted - 1}); lower the cutoff\n"
+    )
+    assert not list(tmp_cwd.rglob("*.csv"))
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", counted)
+    assert main(["run", scenario]) == 0
+    for label, rows in (("e00", 216), ("e01", 1000)):
+        text = (tmp_cwd / "out" / f"{label}_spectrum.csv").read_text()
+        assert len(text.splitlines()) == 1 + rows
+
+
 def test_cutoff_guard_exit_code(tmp_cwd, capsys):
     # winding 9 pumps a tower out to the Bauer--Fike radius 9.31, past the
     # cutoff-8 window, where the spectral flow would read 8: a guard (exit

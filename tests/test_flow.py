@@ -262,30 +262,34 @@ def test_spectral_flow_builds_each_constant_endpoint_once(monkeypatch):
 
 def test_ball_past_the_cutoff_is_refused_before_assembly(monkeypatch):
     # R = 2.5 on the circle: window K = 3.  At cutoff 2 the ball is refused
-    # naming cutoff 3 once R is read off the frequency-0 symbol, before
-    # the window's symbol is built; at cutoff 3 that symbol is built for K
-    # = 3, and the stack waits for a solve.  A flow names the window of the
-    # first ball refused, start then end, not the larger one.
+    # naming cutoff 3 once R is read off V, summed from the A_j, before any
+    # window symbol or stack is built; at cutoff 3 the ball keeps its A_j,
+    # its line route (sign_count) builds neither, and the window symbol is
+    # built for K = 3 only when the stack a solve reads is assembled.  A
+    # flow names the window of the first ball refused, start then end, not
+    # the larger one.
     built = []
     symbol = spectral._symbol
 
-    def counted(c, reach):
+    def counted(a, reach):
         built.append(reach)
-        return symbol(c, reach)
+        return symbol(a, reach)
 
     monkeypatch.setattr(spectral, "_symbol", counted)
     wide = diagonal_connection_from_mus([2.5, 0.3])
     with pytest.raises(CutoffInstabilityError, match="needs cutoff 3, not 2"):
         ball_truncation(wide, 2)
-    assert built == [0]
+    assert built == []
     t = ball_truncation(wide, 3)
-    assert t.cutoff == 3 and built == [0, 0, 3] and "stack" not in vars(t)
+    assert t.cutoff == 3 and built == [] and "stack" not in vars(t)
+    sign_count(t)
+    assert built == [] and "symbol" not in vars(t) and "stack" not in vars(t)
+    assert t.stack.shape == (len(t.modes), 2, 2) and built == [3]
     narrow, wider = (diagonal_connection_from_mus([mu, 0.3]) for mu in (0.6, 4.5))
     for c0, c1, window in ((wider, wide, 5), (wide, wider, 3), (narrow, wider, 5)):
-        built.clear()
         with pytest.raises(CutoffInstabilityError, match=f"needs cutoff {window}, not 2"):
             spectral_flow(c0, c1, 2)
-        assert built[-1] == 0 and window not in built
+        assert built == [3]
 
 
 def test_cutoff_below_one_is_an_invalid_argument_on_every_route():

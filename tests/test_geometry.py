@@ -5,7 +5,7 @@ import json
 import math
 import pathlib
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import jsonschema
 import numpy as np
@@ -213,6 +213,39 @@ def test_a_coeff_exact_at_i():
         lhs = a_coeff_exact(j, Fraction(-1)) / factorial(j)
         rhs = Fraction(2 ** (2 * j) * factorial(j), factorial(2 * j + 1))
         assert lhs == rhs
+
+
+def _exact_a_integral(j: int, r: complex) -> tuple[Fraction, Fraction]:
+    """integral_0^1 (1 + u^2 r^2)^j du, exactly, for r = x + iy with float
+    parts (each read as the Fraction it is): the polynomial in u expanded
+    by j multiplications in Gaussian rationals (re, im), then integrated
+    term by term, u^n -> 1/(n + 1); no binomial and no closed form."""
+    x, y = Fraction(r.real), Fraction(r.imag)
+    r2 = (x * x - y * y, 2 * x * y)
+    poly = [(Fraction(1), Fraction(0))]  # coefficients of u^0, u^2, u^4, ...
+    for _ in range(j):
+        nxt = [(Fraction(0), Fraction(0))] * (len(poly) + 1)
+        for n, (re, im) in enumerate(poly):  # times 1 + r^2 u^2
+            a, b = nxt[n]
+            nxt[n] = (a + re, b + im)
+            a, b = nxt[n + 1]
+            nxt[n + 1] = (a + re * r2[0] - im * r2[1], b + re * r2[1] + im * r2[0])
+        poly = nxt
+    return (
+        sum(re / (2 * n + 1) for n, (re, _) in enumerate(poly)),
+        sum(im / (2 * n + 1) for n, (_, im) in enumerate(poly)),
+    )
+
+
+@pytest.mark.parametrize("j", range(6))
+def test_a_coeff_is_the_exact_integral(j):
+    # rational r and complex r off both axes, where the pairing's
+    # a_j(r) is complex: a_coeff within the rounding of its j + 1 terms of
+    # the exact integral (at r = 1 + i, (1 + u^2 r^2)^j reaches 1 + 2i u^2)
+    for r in (0.0, 0.5, -0.75, 1.3, 2.0, 1j, -2j, 1 + 1j, 0.5 - 0.75j, -1.25 + 0.3j):
+        exact = complex(*map(float, _exact_a_integral(j, complex(r))))
+        terms = sum(comb(j, m) * abs(r) ** (2 * m) / (2 * m + 1) for m in range(j + 1))
+        assert abs(a_coeff(j, r) - exact) <= 8 * (j + 1) * 2**-53 * terms, (j, r)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ files."""
 
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -74,16 +75,24 @@ def test_report_digests_are_deterministic(tmp_path):
         "digests that differ from rec.json: none",
         "0 of 354 entries moved",
     ]
-    # an older record whose suite-0 entry residual differs by 1e-3
+    # an older record whose suite-0 entry residual differs by 1e-3, and
+    # whose line CSV differs in one value, by 3 ulp
     record = json.loads((tmp_path / "rec.json").read_text())
     suite0 = record["entries"]["standard_suite(0)"]
     check_id = min(suite0)
     suite0[check_id][4] += 1e-3
+    csv = "t3_unitary_lines_spectrum e00_spectrum.csv"
+    values = record["csv_values"][csv]
+    assert len(values) == 2 * 5832 and all(isinstance(v, float) for v in values)
+    for _ in range(3):
+        values[0] = math.nextafter(values[0], math.inf)
+    record["digests"][csv] = "0" * 64
     (tmp_path / "rec.json").write_text(json.dumps(record))
     again = _run_script("report_digests.py", "--against", "rec.json", cwd=tmp_path)
     assert again.returncode == 1, again.stderr
     assert again.stdout.splitlines() == lines + [
-        "digests that differ from rec.json: none",
+        f"digests that differ from rec.json: {csv}",
+        f"{csv}: 1 of 11664 values moved, by at most 3 ulp",
         "1 of 354 entries moved",
         f"standard_suite(0)  {check_id}  |d lhs| 0.000e+00  |d rhs| 0.000e+00  "
         "|d residual| 1.000e-03",
@@ -139,6 +148,45 @@ def test_report_digests_compare_separates_new_from_differing():
         "c  z  missing from the new record",
     ]
     assert differs
+
+
+def test_report_digests_compare_counts_the_csv_values_that_moved():
+    compare = _load_script("report_digests").compare
+    old = {
+        "digests": {f"{x} e00.csv": str(i) for i, x in enumerate("abcd")},
+        "entries": {},
+        "csv_values": {
+            "a e00.csv": [1.0, 0.0, -2.0, 0.0],
+            "b e00.csv": [1.0, 0.0],
+            "c e00.csv": [5.0, 0.0],
+        },
+    }
+    # a: -2.0 one ulp towards zero and a +0.0 that became -0.0 (0 ulp, but
+    # other bits); b: a row more; c: no values in the new record; d: no
+    # values in either (a record made before CSV values were kept)
+    new = {
+        "digests": {f"{x} e00.csv": str(i + 4) for i, x in enumerate("abcd")},
+        "entries": {},
+        "csv_values": {
+            "a e00.csv": [1.0, 0.0, math.nextafter(-2.0, 0), -0.0],
+            "b e00.csv": [1.0, 0.0, 2.0, 0.0],
+        },
+    }
+    lines, differs = compare(old, new, "old.json")
+    assert lines == [
+        "digests that differ from old.json: a e00.csv, b e00.csv, c e00.csv, d e00.csv",
+        "a e00.csv: 2 of 4 values moved, by at most 1 ulp",
+        "b e00.csv: 2 values in old.json, 4 now",
+        "0 of 0 entries moved",
+    ]
+    assert differs
+    # across zero: from the smallest negative subnormal to the smallest
+    # positive one is 2 ulp
+    tiny = math.ulp(0.0)
+    old["csv_values"]["a e00.csv"] = [-tiny]
+    new["csv_values"]["a e00.csv"] = [tiny]
+    lines, _ = compare(old, new, "old.json")
+    assert lines[1] == "a e00.csv: 1 of 1 values moved, by at most 2 ulp"
 
 
 def test_build_scenarios_reproduces_committed_files(tmp_path, monkeypatch):

@@ -955,16 +955,79 @@ def test_degenerate_commuting_inputs_split_into_lines(name, dim, monkeypatch):
 
 def test_the_line_route_builds_no_stack():
     # the spectrum, the count and heat eta of a split truncation, cube or
-    # ball, read its line blocks and V from the symbol; the stack, read
-    # later, is bitwise the per-mode kron oracle
+    # ball, read its line blocks off the A_j it keeps; the symbol and the
+    # stack, read later, are bitwise _symbol's and the per-mode kron oracle
     rng = np.random.default_rng(79)
     c = _commuting_unitary(rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2))
     beta = clifford_model(3).beta
     for t in (build_truncation(c, 3), spectral.ball_truncation(c, 3)):
         spectrum(t), sign_count(t), eta_heat_estimate(t)
-        assert t._line_values() is not None and "stack" not in vars(t)
+        assert t._line_values() is not None
+        assert "symbol" not in vars(t) and "stack" not in vars(t)
+        a = np.array([c.a.coefficient((0, 0, 0), (j,)) for j in (1, 2, 3)])
+        assert t.a0.tobytes() == a.tobytes() and not t.a0.flags.writeable
+        symbol = spectral._symbol(a, t.cutoff)
         oracle = np.array([build_sig_mode(c, k, beta) for k in t.modes.tolist()])
         assert t.stack.tobytes() == oracle.tobytes()
+        assert t.symbol.tobytes() == symbol.tobytes()
+
+
+def _split_branch(t, monkeypatch):
+    """The branch the line split of t takes: "eigh" when the eigh basis
+    meets the bound, "newton" when the Newton step runs (its Cayley
+    rotation is the split's one call of ``np.linalg.solve``)."""
+    steps = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        steps.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    lines = t._lines
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert lines is not None
+    assert steps in ([], [(t.rank, t.rank)])
+    return "newton" if steps else "eigh"
+
+
+def _line_input(dim, rank, near_degenerate):
+    """A seeded commuting unitary input.  Drawn at random its eigh basis
+    meets the split's bound by a margin of 3 or more on every (dim, rank)
+    below.  Near degenerate, lines 0 and 1 differ by 0.5 in mu, across the
+    combination sum_j sqrt(j + 1) mu_j that the eigh basis diagonalizes,
+    but by 1e-8 along it: the eigh basis misses the bound by a factor of
+    2e4 or more, and one Newton step brings it under, by 9 or more."""
+    rng = np.random.default_rng((850 if near_degenerate else 800) + 10 * dim + rank)
+    mus = rng.uniform(-1, 1, (dim, rank))
+    if near_degenerate:
+        w = np.sqrt(np.arange(2, dim + 2))
+        v = rng.standard_normal(dim)
+        v -= (v @ w) / (w @ w) * w
+        mus[:, 1] = mus[:, 0] + 0.5 * v / np.linalg.norm(v) + 1e-8 * w
+    return _commuting_unitary(mus, _random_basis(rng, rank))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize(
+    "dim, branch", [(1, "eigh"), (3, "eigh"), (5, "eigh"), (3, "newton"), (5, "newton")]
+)
+def test_the_line_split_refines_its_eigh_basis_only_when_the_bound_asks(
+    dim, rank, branch, monkeypatch
+):
+    # each input splits on the branch named, on a cube and on its ball;
+    # the spectrum, the count and heat eta build neither the symbol nor the
+    # stack; each line value is within sqrt(2) delta of eigvalsh of the
+    # stack (delta at most the split's bound)
+    c = _line_input(dim, rank, branch == "newton")
+    cube = build_truncation(c, {1: 4, 3: 2, 5: 1}[dim])
+    ball = spectral.ball_truncation(c, 8)
+    for t in (cube, ball):
+        assert t.hermitian and _split_branch(t, monkeypatch) == branch
+        spectrum(t), sign_count(t), eta_heat_estimate(t)
+        assert "symbol" not in vars(t) and "stack" not in vars(t)
+    _assert_lines_within_weyl_bound(cube)
+    _assert_lines_within_weyl_bound(ball)
 
 
 @pytest.mark.parametrize("dim", [3, 5])
@@ -1027,7 +1090,7 @@ def test_fixed_part_is_the_assembled_block_of_the_mode_zero():
         c = random_unitary_constant_connection(rng, dim, rank)
         t = build_truncation(c, 2)
         centre = t.modes.tolist().index([0] * dim)
-        assert spectral._fixed_part(t.symbol).tobytes() == t.stack[centre].tobytes()
+        assert spectral._fixed_part(t.a0).tobytes() == t.stack[centre].tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e154, 1e155])
@@ -1089,6 +1152,37 @@ def _traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "name", ["circle rank 1", "T^3 lines", "T^3 eigvals", "T^5 stack", "T^3 coupled"]
+)
+def test_the_export_guard_counts_what_the_csv_rows_hold(name, tmp_path, monkeypatch):
+    # solved as run_scenario solves it, a truncation's spectrum_rows and
+    # its whole CSV export peak within what require_export_memory counts,
+    # and one byte less refuses the export before any row is built
+    rng = np.random.default_rng(90)
+    mus, basis = rng.uniform(-1, 1, (3, 2)), _random_basis(rng, 2)
+    c, cutoff = {
+        "circle rank 1": (diagonal_connection_from_mus([0.25]), 60),
+        "T^3 lines": (_commuting_unitary(mus, basis), 3),
+        "T^3 eigvals": (random_flat_commuting_connection(rng, 3, 2), 2),
+        "T^5 stack": (random_unitary_constant_connection(rng, 5, 2), 1),
+        "T^3 coupled": (gauged_t3_connection(mus, basis), 2),
+    }[name]
+    t = build_truncation(c, cutoff)
+    assert t._lines is not None if name == "T^3 lines" else t._lines is None
+    assert bool(t.couplings) == (name == "T^3 coupled")
+    spectrum(t)
+    counted = spectral.ROW_BYTES * t.size + spectral.MODE_BYTES * len(t.modes)
+    assert _traced_peak(lambda: spectrum_rows(t)) <= counted
+    assert _traced_peak(lambda: export_spectrum_csv(t, tmp_path / "e.csv")) <= counted
+    assert _traced_peak(lambda: spectrum(t)) <= counted
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", counted - 1)
+    with pytest.raises(MemoryGuardError, match=f"the {t.size} rows of a spectrum CSV"):
+        spectral.require_export_memory(t)
+    monkeypatch.setattr(spectral, "MEMORY_LIMIT", counted)
+    spectral.require_export_memory(t)
 
 
 def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
