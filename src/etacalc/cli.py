@@ -76,7 +76,7 @@ from .flow import gauge_path
 from .forms import InvalidInputError, _integer, _json_fields, _number, _shown
 from .geometry import Connection, PreconditionError, linear_path
 from .spectral import (GuardError, build_truncation, export_spectrum_csv,
-                       require_export_memory, spectrum)
+                       require_export_memory)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -346,7 +346,7 @@ def run_scenario(
               for _, x in csvs]
     for t in solved:  # a guard trips before any file opens
         require_export_memory(t)
-        spectrum(t)  # the solve, cached on t
+        t._spectrum  # the solve, cached on t
     for (path, _), t in zip(csvs, solved):
         os.makedirs(directory, exist_ok=True)
         export_spectrum_csv(t, path)

@@ -37,6 +37,8 @@ from .spectral import AXIS_TOL, GuardError, OperatorTruncation, on_axis
 
 # the smoothing parameters eps the heat estimate extrapolates from
 _EPS_GRID = tuple(7e-6 * 2.0**j for j in range(6))
+# ``math.erfc`` of each value of an array: the one erfc heat eta uses
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,13 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     by rank outward from 0, are dropped before any erfc: they add 0 at
     every eps, so a split T^d truncation gives exactly 0, returned without
     any erfc call or fit once no eigenvalue is left.  The erfc sums see the
-    values that are left in ascending order.
+    values that are left in ascending order, through the standard
+    library's ``math.erfc`` (``_erfc``).
     Accurate only when the truncation window dominates the tail (documented
     in the tests); refuses, with ``PreconditionError``, truncations that are
     not ``hermitian`` (a unitary connection), and coupled ones, whose
     eigenvalues near the window's edge are not those of the operator.
     """
-    from scipy.special import erfc  # only the heat route needs it
-
     if t.couplings:
         raise PreconditionError(
             "heat-smoothed eta requires a constant-coefficient truncation"
@@ -171,9 +172,8 @@ def eta_heat_estimate(t: OperatorTruncation) -> complex:
     )
     roots = np.sqrt(np.asarray(_EPS_GRID))
     sign, size = np.sign(lam), np.abs(lam)
-    vals = [t.copies * float(np.sum(sign * erfc(r * size))) for r in roots]
-    coeffs = np.polyfit(roots, vals, 2)
-    return complex(coeffs[-1])
+    vals = [t.copies * float(np.sum(sign * _erfc(r * size))) for r in roots]
+    return complex(np.polyfit(roots, vals, 2)[-1])
 
 
 def m_minus(spec: Iterable[complex]) -> int:

@@ -652,6 +652,7 @@ def require_export_memory(t: OperatorTruncation) -> None:
 def export_spectrum_csv(t: OperatorTruncation, path) -> None:
     """The rows as ``csv.writer`` writes them: CRLF lines, each float as its
     ``repr``; no field needs quoting (labels are integers and spaces)."""
-    body = "".join(f"{re!r},{im!r},{k}\r\n" for re, im, k in spectrum_rows(t))
+    rows = spectrum_rows(t)
     with open(path, "w", newline="") as fh:
-        fh.write("re,im,mode\r\n" + body)
+        fh.write("re,im,mode\r\n")
+        fh.writelines(f"{re!r},{im!r},{k}\r\n" for re, im, k in rows)

@@ -4,12 +4,14 @@ paper's local eta identity on curved T^3 and T^5 through a symbol oracle
 (``helpers.symbol_eta``)."""
 
 import functools
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from etacalc import eta as eta_module
 from etacalc import geometry
 from etacalc.eta import (
     _EPS_GRID,
@@ -249,6 +251,55 @@ def test_circle_eta_is_the_ball_count_plus_the_trace_term():
     assert max(windows) > 1  # the balls reach past the k = 0 mode
 
 
+def _trace_floor_bound(rank: int, norm: float) -> float:
+    """A bound on |eta - (rank + 2 <CS(0, c)> + 2 sum floor Re mu)| for a
+    constant circle connection of rank ``rank`` with ||A_1||_F = norm, no
+    tower on the axis and no Re mu within the bound of an integer (so the
+    floors are exact).  LAPACK's eigenvalues are exact for A_1 + E with
+    ||E||_F <= 8 rank u norm (backward stability, its constant taken as
+    8), so their sum is off tr A_1 by |tr E| <= sqrt(rank) ||E||_F however
+    far from normal A_1 is; ``cs_form``'s trace rounds by rank u norm
+    more, and both reach eta over pi.  Each tower's 1 - 2 (mu - floor Re
+    mu), |mu| <= norm / 2 pi, and its place in the sums on either side
+    round by at most 4 u (3 + 2 norm / pi)."""
+    u = 2.0**-53
+    traces = (8 * rank * math.sqrt(rank) + rank) * u * norm / math.pi
+    return traces + 4 * rank * u * (3 + 2 * norm / math.pi)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_circle_eta_is_the_trace_plus_the_floors(rank):
+    # ROADMAP item 30: with mu over the eigenvalues of A_1 / 2 pi i, none on
+    # the axis, eta = rank + 2 <CS(0, c)> + 2 sum floor Re mu, as sum mu =
+    # tr A_1 / 2 pi i = -<CS(0, c)>.  A_1 = S (2 pi i diag(mu) + J) S^-1
+    # from known mu, J zero or the nilpotent part of one Jordan block of
+    # size 2 or 3, S a random complex basis of condition number below 4, so
+    # the floors are known without a solve.  Re mu sits at least 0.05 from
+    # an integer, and |Re mu| and |Im mu| stay below the scale, up to 20.
+    # The bound is within 1e-12 of the terms' sizes, rank + 2 sum |mu|
+    rng = np.random.default_rng(30 + rank)
+    zero = _zero(1, rank)
+    blocks = [size for size in (1, 2, 3) if size <= rank]
+    for scale, imag, block in itertools.product((1, 5, 20), (0, 1), blocks):
+        for _ in range(8):
+            mus = rng.integers(-scale, scale, rank) + rng.uniform(0.05, 0.95, rank)
+            mus = mus + imag * 1j * rng.uniform(-scale, scale, rank)
+            mus[1:block] = mus[0]
+            jordan = np.diag((np.arange(rank - 1) < block - 1).astype(float), 1)
+            basis = rng_matrix(rng, rank)
+            while np.linalg.cond(basis) >= 4:
+                basis = rng_matrix(rng, rank)
+            a1 = basis @ (np.diag(2j * math.pi * mus) + jordan) @ np.linalg.inv(basis)
+            c = Connection.from_constant(1, [a1])
+            floors = sum(math.floor(m.real) for m in mus)
+            want = rank + 2 * _cs_pairing(zero, c) + 2 * floors
+            e = constant_eta(c)
+            bound = _trace_floor_bound(rank, np.linalg.norm(a1))
+            assert (e.kernel_dim, e.excluded) == (0, ())
+            assert abs(e.eta - want) <= bound, (scale, imag, block, mus)
+            assert bound <= 1e-12 * (rank + 2 * np.abs(mus).sum())
+
+
 # ---------------------------------------------------------------------------
 # heat-smoothed estimate
 
@@ -278,15 +329,14 @@ def _heat_over_every_copy(t):
     """The heat estimate summed over every eigenvalue with multiplicity,
     as ``spectrum`` hands them out: the formula before the estimate read
     one spinor copy and multiplied."""
-    from scipy.special import erfc
-
     lam = spectrum(t).real
     lam = lam[~on_axis(lam)[0]]
     if lam.size and lam.min() < 0 < lam.max():
         window = min(-lam.min(), lam.max()) * (1 + 1e-12)
         lam = lam[np.abs(lam) <= window]
     roots = np.sqrt(np.asarray(_EPS_GRID))
-    vals = [float(np.sum(np.sign(lam) * erfc(r * np.abs(lam)))) for r in roots]
+    sign, size = np.sign(lam), np.abs(lam)
+    vals = [float(np.sum(sign * eta_module._erfc(r * size))) for r in roots]
     return complex(np.polyfit(roots, vals, 2)[-1])
 
 
@@ -310,16 +360,14 @@ def test_heat_estimate_on_one_copy_matches_the_sum_over_every_copy():
 
 @pytest.fixture
 def erfc_calls(monkeypatch):
-    """Every array the heat estimate hands to ``scipy.special.erfc``."""
-    import scipy.special
-
-    calls, erfc = [], scipy.special.erfc
+    """Every array the heat estimate hands to ``etacalc.eta._erfc``."""
+    calls, erfc = [], eta_module._erfc
 
     def recording(x):
         calls.append(np.array(x))
         return erfc(x)
 
-    monkeypatch.setattr(scipy.special, "erfc", recording)
+    monkeypatch.setattr(eta_module, "_erfc", recording)
     return calls
 
 
@@ -376,8 +424,6 @@ def _masked_heat_eta(t):
     spectrum: boolean masks over every value for the axis band, the window
     and the cancelled pairs.  The oracle of ``eta_heat_estimate``, bit for
     bit, and of every array it hands to ``erfc``."""
-    from scipy.special import erfc
-
     lam = t._spectrum.real
     lam = lam[~on_axis(lam)[0]]
     if lam.size and lam.min() < 0 < lam.max():
@@ -393,7 +439,7 @@ def _masked_heat_eta(t):
         return 0j
     roots = np.sqrt(np.asarray(_EPS_GRID))
     sign, size = np.sign(lam), np.abs(lam)
-    vals = [t.copies * float(np.sum(sign * erfc(r * size))) for r in roots]
+    vals = [t.copies * float(np.sum(sign * eta_module._erfc(r * size))) for r in roots]
     return complex(np.polyfit(roots, vals, 2)[-1])
 
 
