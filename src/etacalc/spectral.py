@@ -31,16 +31,18 @@ kron(beta_j, 2 pi i k I + A_j).  A mode block M(k) = M_0(k) + V is the sum
 of one term per direction, and V = sum_j beta_j (x) A_j is M(0).  The
 (n_modes, n, n) stack of the mode blocks is assembled from the symbol
 without a loop over modes, and the symbol and the stack are built only
-when a solve, ``blocks`` or ``dense`` reads the stack.  One coupling
-beta_j (x) A_q per oscillatory term A_q e^{2 pi i q.x} dx_j maps mode k to
-k + q.  The couplings split the modes into the connected components of
-the graph with an edge k -> k + q, each an eigenproblem of its own: the
+when a solve, ``blocks`` or ``dense`` reads the stack.  One coupling per
+oscillatory frequency q, V_q = sum_j beta_j (x) A_{q,j} over the terms
+A_{q,j} e^{2 pi i q.x} dx_j (summed as V is), maps mode k to k + q.  The
+couplings split the modes into the connected components of the graph
+with an edge k -> k + q, each an eigenproblem of its own: the
 spectrum is one batched eigen-solve per component size, over the
 components' Galerkin matrices assembled from the stack and the couplings
 (without couplings, the stack itself), for one spinor copy, cached on the
 truncation.  A memory guard, checked where arrays are allocated, refuses
-a lattice and symbol, a stack or the line values next to them, a batch
-of component matrices next to the stack, or the rows of a spectrum CSV,
+a lattice and symbol, a stack or the line values next to them, the
+coupling pairs or component labels next to the lattice, a batch of
+component matrices next to the stack, or the rows of a spectrum CSV,
 that would not fit; so a window that its couplings split into small
 components solves.  The symbol is counted, not built, until it is read.
 
@@ -230,12 +232,14 @@ class OperatorTruncation:
     per, per), is assembled from the symbol on first read (a solve,
     ``blocks``, ``dense``; the line route reads neither): block i maps the
     mode modes[i] to itself, the derivative part plus the zero-frequency
-    part of A.  ``couplings`` holds one (q, beta_j (x) A_q) pair per
-    oscillatory term of A, which maps each mode k to k + q; it is empty for
-    constant connections.  ``blocks`` (constant connections only) is a read-only
-    mapping from each frequency, a tuple of ints, to its (per, per) view
-    of the stack, and ``dense`` (coupled connections only) is the Galerkin
-    matrix of the one copy, built on first use and guarded as one batch.
+    part of A.  ``couplings`` holds one (q, V_q) pair per oscillatory
+    frequency q of A, in term order, V_q = sum_j beta_j (x) A_{q,j} summed
+    from zeros in direction order, which maps each mode k to k + q; it is
+    empty for constant connections.  ``blocks`` (constant connections
+    only) is a read-only mapping from each frequency, a tuple of ints, to
+    its (per, per) view of the stack, and ``dense`` (coupled connections
+    only) is the Galerkin matrix of the one copy, built on first use and
+    guarded as one batch.
     ``size`` counts the eigenvalues of the operator on all copies:
     ``copies`` times the one copy's, which ``_spectrum`` caches (the order
     of ``dense``).
@@ -286,11 +290,17 @@ class OperatorTruncation:
 
     @cached_property
     def _coupling_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """For each coupling, in term order, the mode indices (source,
+        """For each coupling, in order, the mode indices (source,
         target) of the pairs k -> k + q whose target lies in the window
         (the Galerkin projection drops the others), sources ascending.  A
         shift with some |q_j| > 2K has no pair, and gets none before any
-        index arithmetic, which past the int64 range would fail."""
+        index arithmetic, which past the int64 range would fail.  The
+        memory guard counts the lattice, three arrays of its size for the
+        temporaries of one frequency, and two indices a mode per frequency
+        before any is allocated."""
+        n = len(self.modes)
+        _require_memory(4 * self.modes.nbytes + 16 * n * len(self.couplings),
+                        f"the lattice and coupling pairs of {n} modes")
         lattice_shape = (2 * self.cutoff + 1,) * self.dim
         pairs = []
         for q, _ in self.couplings:
@@ -325,10 +335,15 @@ class OperatorTruncation:
         """The connected components of the mode graph with an edge k -> k + q
         for every coupling pair, grouped by size: one (m, s) array of mode
         indices per component size s, sizes ascending.  Each row is one
-        component, its modes ascending; rows are ordered by first mode."""
+        component, its modes ascending; rows are ordered by first mode.
+        The memory guard counts the lattice, the coupling pairs and six
+        label arrays of one index a mode before the labels are allocated."""
+        n, pairs = len(self.modes), sum(a.nbytes + b.nbytes for a, b in self._coupling_pairs)
+        _require_memory(self.modes.nbytes + pairs + 48 * n,
+                        f"the lattice, coupling pairs and labels of {n} modes")
         # label every mode by the first mode of its component: take the
         # smaller label across each edge, then jump to the label's label
-        labels = np.arange(len(self.modes))
+        labels = np.arange(n)
         while True:
             low = labels.copy()
             for source, target in self._coupling_pairs:
@@ -349,7 +364,7 @@ class OperatorTruncation:
     def _component_matrices(self, members: np.ndarray) -> np.ndarray:
         """The (m, s * per, s * per) Galerkin matrices of the m components of
         s modes in ``members``: each has the stack of its modes on the block
-        diagonal, and each coupling added, in term order, to the blocks
+        diagonal, and each frequency's coupling V_q added to the blocks
         (k + q, k) of its pairs k -> k + q.  Every pair with its source in
         a component has its target there too, so these are the principal
         submatrices of ``dense``, bitwise.  The memory guard counts them,
@@ -502,20 +517,27 @@ def _assemble(symbol: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_frequency(c: Connection) -> np.ndarray:
-    """The (dim, rank, rank) zero-frequency coefficients A_j of c, read in
-    one pass over its terms."""
-    a = np.zeros((c.dim, c.rank, c.rank), dtype=complex)
-    for k, (j,), mat in c.a.terms():
-        if not any(k):
-            a[j - 1] = mat
-    return _read_only(a)
+def _frequencies(c: Connection) -> dict[tuple[int, ...], np.ndarray]:
+    """The (dim, rank, rank) coefficients A_{q,j} of each frequency q of c,
+    read in one pass over its terms: q = 0 first (zeros if c has no such
+    term), then the oscillatory q in term order."""
+    shape = (c.dim, c.rank, c.rank)
+    coeffs = {(0,) * c.dim: np.zeros(shape, dtype=complex)}
+    for q, (j,), mat in c.a.terms():
+        if q not in coeffs:
+            coeffs[q] = np.zeros(shape, dtype=complex)
+        coeffs[q][j - 1] = mat
+    return coeffs
 
 
 def _fixed_part(a: np.ndarray) -> np.ndarray:
-    """V = M(0) = sum_j beta_j (x) A_j: the terms (0 + A_j) beta_j formed as
-    ``_symbol`` forms its k = 0 terms and added to zeros in direction
-    order, bitwise ``_assemble``'s block of the mode 0."""
+    """sum_j beta_j (x) A_j of the (dim, rank, rank) coefficients ``a`` of
+    one frequency: the terms (0 + A_j) beta_j formed as ``_symbol`` forms
+    its k = 0 terms and added to zeros in direction order.  For q = 0 it
+    is V = M(0), bitwise ``_assemble``'s block of the mode 0; for q != 0
+    it is the coupling V_q, bitwise the terms kron(beta_j, A_{q,j}) added
+    to zeros in term order (beta's entries are 0, +-1 and +-i, so every
+    product is exact, and the sum from +0.0 drops signed zeros)."""
     dim, r = a.shape[:2]
     beta = np.array(clifford_model(dim).beta)
     e = beta.shape[1]
@@ -530,7 +552,7 @@ def _fixed_part(a: np.ndarray) -> np.ndarray:
 
 def ball_radius(c: Connection) -> float:
     """R = ||V||_2 / 2 pi, V = sum_j beta_j (x) A_j the k = 0 block of c."""
-    v = _fixed_part(_zero_frequency(c))
+    v = _fixed_part(_frequencies(c)[(0,) * c.dim])
     return float(np.linalg.svd(v, compute_uv=False)[0]) / (2 * math.pi)
 
 
@@ -579,14 +601,11 @@ def _cube(c: Connection, cutoff: int) -> np.ndarray:
 
 
 def _truncation(c: Connection, cutoff: int, modes: np.ndarray) -> OperatorTruncation:
-    beta = clifford_model(c.dim).beta
-    couplings = tuple(
-        (q, _read_only(np.kron(beta[I[0] - 1], mat)))
-        for q, I, mat in c.a.terms() if any(q)
-    )
+    (_, a0), *oscillatory = _frequencies(c).items()
+    couplings = tuple((q, _read_only(_fixed_part(a))) for q, a in oscillatory)
     # every Galerkin matrix is Hermitian exactly when c is unitary
     return OperatorTruncation(
-        c.dim, c.rank, cutoff, _read_only(modes), _zero_frequency(c),
+        c.dim, c.rank, cutoff, _read_only(modes), _read_only(a0),
         couplings, c.omega_metric().is_zero(1e-10),
     )
 
@@ -596,14 +615,13 @@ def build_truncation(c: Connection, cutoff: int) -> OperatorTruncation:
 
     The (n_modes, dim) integer lattice of modes and the zero-frequency
     coefficients A_j are read for every connection, plus one coupling
-    beta_j (x) A_q per oscillatory term q of A, on one spinor copy; the
-    symbol and the stack wait for the stack's first read.
+    V_q = sum_j beta_j (x) A_{q,j} per oscillatory frequency q of A, on one
+    spinor copy, all in one pass over its terms; the symbol and the stack
+    wait for the stack's first read.
     Refuses, before allocating them, a lattice and symbol of more than
-    ``MEMORY_LIMIT`` bytes together; the stack, and each batch of
-    component matrices a solve assembles, are checked in the same way.
-    The index arrays of the coupling pairs and of the component labelling
-    are not counted: on a rank-1 circle with one coupling they peak at
-    about 3.3 times the counted bytes.
+    ``MEMORY_LIMIT`` bytes together; the coupling pairs, the component
+    labels, the stack, and each batch of component matrices a solve
+    assembles, are checked in the same way.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")

@@ -17,7 +17,7 @@ from etacalc.geometry import Connection, gauge_transform
 from etacalc.spectral import (
     AXIS_TOL,
     _fixed_part,
-    _zero_frequency,
+    _frequencies,
     ball_truncation,
     clifford_model,
     sign_count,
@@ -572,6 +572,32 @@ def gauged_t3_connection(mus: np.ndarray, basis: np.ndarray) -> Connection:
     diag = Connection.from_constant(3, [np.diag(2j * math.pi * row) for row in mus])
     return gauge_transform(diag, u, u_inv)
 
+def circle_holonomy(c: Connection, steps: int = 1024) -> tuple[np.ndarray, float]:
+    """The holonomy P(1) of a connection c on the circle, P' = -A(x) P,
+    P(0) = I, so that a constant A = 2 pi i mu gives e^{-2 pi i mu}: a
+    path-ordered exponential, by the fixed-step exponential midpoint rule
+    P_N = exp(-h A(x_N)) ... exp(-h A(x_1)), h = 1/N, x_m = (m - 1/2) h,
+    later steps on the left.  Returns P_2N, N = ``steps``, and the
+    step-doubling error estimate ||P_2N - P_N||_2 / 3 of that rule, whose
+    error is of order h^2.  Each step's exponential is its Taylor series,
+    summed to rounding, as every step's ||h A||_2 stays below 1/2."""
+    terms = [(q, mat) for (q,), _, mat in c.a.terms()]
+
+    def product_at(n: int) -> np.ndarray:
+        x = (np.arange(n) + 0.5) / n
+        step = sum(np.exp(2j * math.pi * q * x)[:, None, None] * mat for q, mat in terms)
+        step = -step / n
+        assert np.linalg.norm(step, 2, axis=(1, 2)).max() < 0.5
+        exp = term = np.broadcast_to(np.eye(c.rank, dtype=complex), step.shape)
+        for order in range(1, 24):
+            term = term @ step / order
+            exp = exp + term
+        return functools.reduce(lambda p, e: e @ p, exp, np.eye(c.rank, dtype=complex))
+
+    coarse, fine = product_at(steps), product_at(2 * steps)
+    return fine, float(np.linalg.norm(fine - coarse, 2)) / 3
+
+
 # ----------------------------------------------------------------------
 # independent eta oracle
 
@@ -617,7 +643,7 @@ def symbol_density(c: Connection, direction=None, n_points: int = 128) -> comple
     over ``n_points`` equispaced points (an error of 2^-n_points, besides
     rounding).  It reads V through ``spectral._fixed_part``, bitwise the
     k = 0 block the operator's stack holds, and no form algebra."""
-    v = _fixed_part(_zero_frequency(c))
+    v = _fixed_part(_frequencies(c)[(0,) * c.dim])
     norm = np.linalg.norm(v, 2)
     if norm == 0:
         return 0j

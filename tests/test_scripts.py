@@ -1,7 +1,7 @@
-"""The scripts under scripts/ still run against the package API: the
-verification driver, the heat-eta convergence table, the report digests
-and the scenario builder, which must reproduce the committed scenario
-files."""
+"""The scripts under scripts/ still run against the package API:
+``run_verification.py``, the heat-eta convergence table, the report
+digests, ``build_scenarios.py``, which must reproduce the committed
+scenario files, the code-line counter and the layer harness."""
 
 import importlib.util
 import json
@@ -10,6 +10,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from etacalc.verify import standard_suite
 
@@ -244,3 +246,72 @@ def test_code_lines_defaults_to_the_package():
     assert [line.split()[1] for line in lines[:-1]] == [str(p) for p in modules]
     counts = [int(line.split()[0]) for line in lines]
     assert lines[-1].endswith(" total") and counts[-1] == sum(counts[:-1])
+
+
+# the layers that aim 1 names, which every record of the layer harness holds
+_AIM_ONE_LAYERS = {
+    "wedge.T3", "ext_d.T3", "cs_form.T3.gauged", "cs_r_poly.T3.gauged",
+    "build_truncation.constant.T3.K1", "build_truncation.constant.T3.K2",
+    "build_truncation.coupled.T3.K1", "build_truncation.coupled.T3.K2",
+    "spectrum.constant.T3.K2", "spectrum.coupled.T3.K2",
+    "ball_sign_count.T3.R2", "spectral_flow.S1.ball", "spectral_flow.S1.coupled",
+    "eta_s1_spectral.rank3", "census.T3.K4",
+}
+_LAYER_FIELDS = {
+    "recipe", "calls", "rounds", "median_s", "q1_s", "q3_s", "iqr_s",
+    "median_ref", "q1_ref", "q3_ref", "peak_bytes",
+}
+
+
+def test_layers_smoke_writes_the_record_that_against_reads(tmp_path):
+    # one round of one call of every layer, whose timed calls take under a
+    # second in all; then a second smoke run of the coupled spectra only,
+    # compared with the first record
+    proc = _run_script("layers.py", "--smoke", "--json", "smoke.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "smoke.json").read_text())
+    assert set(record) == {"meta", "layers"}
+    meta = record["meta"]
+    assert set(meta) == {"rounds", "smoke", "blas_threads", "python", "numpy"}
+    assert meta["rounds"] == 1 and meta["smoke"] is True and meta["blas_threads"] == 1
+    layers = record["layers"]
+    assert next(iter(layers)) == "reference" and _AIM_ONE_LAYERS <= set(layers)
+    for row in layers.values():
+        assert set(row) == _LAYER_FIELDS and row["recipe"]
+        assert row["calls"] == row["rounds"] == 1
+        assert 0 < row["q1_s"] == row["median_s"] == row["q3_s"] and row["iqr_s"] == 0
+        assert row["q1_ref"] == row["median_ref"] == row["q3_ref"]
+        assert row["median_ref"] == pytest.approx(
+            row["median_s"] / layers["reference"]["median_s"]
+        )
+        assert isinstance(row["peak_bytes"], int) and row["peak_bytes"] > 0
+    assert sum(row["median_s"] for row in layers.values()) < 1.0
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == list(layers)
+
+    proc = _run_script(
+        "layers.py", "--smoke", "--layers", "spectrum.coupled.*", "--against",
+        "smoke.json", cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    start = lines.index("against smoke.json:")
+    assert lines[start + 1].split() == [
+        "layer", "old", "us", "new", "us", "new/old", "in", "ref",
+    ]
+    rows = [line.split() for line in lines[start + 2 :]]
+    compared = [row[0] for row in rows if row[1] != "only"]
+    assert compared == ["reference", "spectrum.coupled.T3.K1", "spectrum.coupled.T3.K2"]
+    for row in rows[:3]:
+        old, new, ratio, in_ref = map(float, row[1:5])
+        assert ratio == pytest.approx(new / old, rel=1e-2, abs=1e-3)
+        assert row[5:] in ([], ["*"])
+    assert rows[0][4:] == ["1.000"]  # the reference in its own units
+    only_old = {row[0] for row in rows[3:] if row[1:] == ["only", "in", "the", "old", "record"]}
+    assert only_old == set(layers) - set(compared)
+
+
+def test_layers_refuses_a_pattern_that_matches_no_layer(tmp_path):
+    proc = _run_script("layers.py", "--smoke", "--layers", "no_such_layer*", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "no layer matches no_such_layer*" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -33,6 +33,7 @@ from etacalc.spectral import (
 
 from helpers import (
     build_sig_mode,
+    circle_holonomy,
     coupled_dense_oracle,
     curved_constant_connection,
     diagonal_connection_from_mus,
@@ -542,13 +543,104 @@ def test_truncations_share_one_representation():
         assert np.array_equal(
             coupled.stack[i], coupled.dense[4 * i : 4 * i + 4, 4 * i : 4 * i + 4]
         )
-    assert [q for q, _ in coupled.couplings] == [
-        q for q, _, _ in c.a.terms() if any(q)
-    ]
+    # one coupling per oscillatory frequency, in term order
+    assert [q for q, _ in coupled.couplings] == list(
+        dict.fromkeys(q for q, _, _ in c.a.terms() if any(q))
+    )
     assert coupled.dense is coupled.dense  # built once
     for arr in (coupled.stack, coupled.dense, coupled.couplings[0][1]):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("axes", [(1, 2), (1, 2, 3), (3, 1)])
+def test_one_coupling_per_frequency(axes):
+    # a rank-2 T^3 connection with the frequencies +-q, each in two or three
+    # directions (some entries -0.0 or exactly 0): one coupling per
+    # frequency, bitwise sum_j kron(beta_j, A_{q,j}) added to zeros in
+    # direction order, one set of coupling pairs per frequency, and the
+    # Galerkin matrix bitwise that of the per-term oracle
+    rng = np.random.default_rng(56 + len(axes))
+    beta = clifford_model(3).beta
+    freqs = [(1, -1, 0), (-1, 1, 0)]
+    coeffs = {}
+    for q in freqs:
+        for j in axes:
+            mat = rng_matrix(rng, 2, 0.5)
+            mat[0, 1] = complex(-0.0, 0.0)
+            mat[1, 0] = complex(rng.standard_normal(), -0.0)
+            coeffs[q, j] = mat
+    terms = [((q, (j,)), mat) for (q, j), mat in coeffs.items()]
+    terms.append((((0, 0, 0), (2,)), rng_matrix(rng, 2)))
+    c = Connection(TrigPolyForm(3, 2, terms))
+    t = build_truncation(c, 1)
+    assert [q for q, _ in t.couplings] == sorted(freqs)
+    assert len(t._coupling_pairs) == len(freqs)
+    for q, coupling in t.couplings:
+        expect = np.zeros((4, 4), dtype=complex)
+        for j in sorted(axes):
+            expect += np.kron(beta[j - 1], coeffs[q, j])
+        assert coupling.tobytes() == expect.tobytes()
+    assert t.dense.tobytes() == coupled_dense_oracle(c, 1, beta).tobytes()
+
+
+def _holonomy_towers(c, reach):
+    """The towers 2 pi (n + mu_b), |n| <= reach, of c's holonomy P(1) =
+    e^{-2 pi i mu} (``circle_holonomy``), and their error bound: by
+    Bauer--Fike an eigenvalue h_b of P(1) moves by at most cond(V) err, V
+    its eigenvectors, and 2 pi mu_b = i log h_b by about that over |h_b|;
+    twice that covers the higher orders, and 1e-12 of the largest value
+    the rounding of the towers and of the Galerkin solve."""
+    hol, err = circle_holonomy(c)
+    h, v = np.linalg.eig(hol)
+    mus = 1j * np.log(h) / TWO_PI
+    towers = TWO_PI * (np.arange(-reach, reach + 1)[:, None] + mus).ravel()
+    bound = 2 * np.linalg.cond(v) * err / np.abs(h).min()
+    return towers, bound + 1e-12 * np.abs(towers).max()
+
+
+def _assert_inner_spectrum_is_the_towers(c, cutoff, window):
+    # every eigenvalue with |Re| <= 2 pi window is within the bound of a
+    # tower value, and every tower value there within it of exactly one
+    towers, tol = _holonomy_towers(c, cutoff + 2)
+    assert tol < 1e-5
+    vals = spectrum(build_truncation(c, cutoff))
+    inner = vals[np.abs(vals.real) <= TWO_PI * window]
+    towers = towers[np.abs(towers.real) <= TWO_PI * window]
+    dist = np.abs(inner[:, None] - towers[None, :])
+    assert np.all(dist.min(axis=1) <= tol)
+    assert np.all(np.sum(dist <= tol, axis=0) == 1)
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_coupled_inner_spectrum_is_the_holonomy_towers(unitary):
+    # the holonomy of a non-constant circle connection, as a path-ordered
+    # exponential, is an oracle that shares no code with the Galerkin
+    # route.  Calibration: a constant A = 2 pi i mu has P(1) = e^{-2 pi i mu}
+    # and the spectrum 2 pi (k + mu), which fixes mu_b = i log h_b / 2 pi
+    # (mod 1) and its sign
+    rng = np.random.default_rng(57)
+    mus = np.array([0.3 + 0.1j, -0.2])
+    constant = Connection.from_constant(1, [np.diag(2j * math.pi * mus)])
+    hol, _ = circle_holonomy(constant)
+    read = 1j * np.log(np.linalg.eigvals(hol)) / TWO_PI
+    offset = read[:, None] - mus[None, :]
+    assert np.all(np.abs(offset - np.round(offset.real)).min(axis=1) < 1e-12)
+    _assert_inner_spectrum_is_the_towers(constant, 16, 10)
+    # a rank-2 connection with the frequencies +-1 and +-2 (no translation
+    # of the circle flips the sign of both), unitary or not; its window
+    # |k| <= 16 is one component of 33 modes, and the inner spectrum, 6
+    # modes from the window's edge, is the towers'
+    a0 = rng_matrix(rng, 2)
+    terms = {(0,): (a0 - a0.conj().T) / 2 if unitary else a0}
+    for q in (1, 2):
+        terms[(q,)] = rng_matrix(rng, 2, 0.4)
+        terms[(-q,)] = -terms[(q,)].conj().T if unitary else rng_matrix(rng, 2, 0.4)
+    c = Connection(TrigPolyForm(1, 2, [((q, (1,)), m) for q, m in terms.items()]))
+    t = build_truncation(c, 16)
+    assert [q for q, _ in t.couplings] == [(-2,), (-1,), (1,), (2,)]
+    assert t.hermitian == unitary and [m.shape for m in t._components] == [(1, 33)]
+    _assert_inner_spectrum_is_the_towers(c, 16, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -1187,6 +1279,53 @@ def test_the_export_guard_counts_what_the_csv_rows_hold(name, tmp_path, monkeypa
         spectral.require_export_memory(t)
     monkeypatch.setattr(spectral, "MEMORY_LIMIT", counted)
     spectral.require_export_memory(t)
+
+
+def test_the_coupling_pairs_and_labels_peak_within_their_guards(monkeypatch):
+    # a rank-1 circle at cutoff 20000 (40001 modes) with the frequencies
+    # +-7: the coupling pairs, then the component labels, peak within what
+    # their guards count, less the arrays held before each (the lattice,
+    # then the lattice and the pairs), and one byte less refuses each
+    # before its index arrays are allocated
+    terms = [(((q,), (1,)), np.array([[0.3 + 0.1j]])) for q in (7, -7)]
+    terms.append((((0,), (1,)), np.array([[2j * math.pi * 0.25]])))
+    c = Connection(TrigPolyForm(1, 1, terms))
+    counted = []
+    guard = spectral._require_memory
+
+    def recording(nbytes, what):
+        counted.append(nbytes)
+        guard(nbytes, what)
+
+    monkeypatch.setattr(spectral, "_require_memory", recording)
+    t = build_truncation(c, 20000)
+    n, held = len(t.modes), t.modes.nbytes
+    counted.clear()
+    peak = _traced_peak(lambda: t._coupling_pairs)
+    (pairs_counted,) = counted
+    assert peak + held <= pairs_counted
+    held += sum(a.nbytes + b.nbytes for a, b in t._coupling_pairs)
+    counted.clear()
+    peak = _traced_peak(lambda: t._components)
+    (labels_counted,) = counted
+    assert peak + held <= labels_counted
+    assert [members.shape[1] for members in t._components] == [5714, 5715]
+    for limit, attribute, what in [
+        (pairs_counted, "_coupling_pairs", f"coupling pairs of {n} modes"),
+        (labels_counted, "_components", f"pairs and labels of {n} modes"),
+    ]:
+        t = build_truncation(c, 20000)
+        if attribute == "_components":
+            t._coupling_pairs  # held before the labels' guard, as in a solve
+        monkeypatch.setattr(spectral, "MEMORY_LIMIT", limit - 1)
+
+        def refused():
+            with pytest.raises(MemoryGuardError, match=what):
+                getattr(t, attribute)
+
+        assert _traced_peak(refused) < 8 * n
+        monkeypatch.setattr(spectral, "MEMORY_LIMIT", limit)
+        getattr(t, attribute)
 
 
 def test_memory_guard_fires_before_the_line_batch_is_allocated(monkeypatch):
